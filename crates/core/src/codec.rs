@@ -243,6 +243,32 @@ impl PayloadCodec {
         self.active
     }
 
+    /// A private copy of `ckpt` to [`retain`](Self::retain). Retaining it
+    /// will push the oldest base over the version budget, so that base is
+    /// taken out here and, unless a delivery still diffs against it,
+    /// overwritten in place: a steady save loop cycles `keep` snapshots
+    /// through the same tensor buffers instead of allocating (and
+    /// page-faulting in) a model's worth of memory per save.
+    pub(crate) fn snapshot(&self, ckpt: &Checkpoint) -> Checkpoint {
+        let spent = self
+            .retained
+            .lock()
+            .get_mut(&ckpt.model_name)
+            .filter(|bases| bases.len() >= self.keep)
+            .and_then(|bases| {
+                let oldest = *bases.keys().next()?;
+                // Never the base `retain` would keep in favor of `ckpt`.
+                (oldest < ckpt.iteration).then(|| bases.remove(&oldest))?
+            });
+        match spent.and_then(Arc::into_inner) {
+            Some(mut snapshot) => {
+                snapshot.clone_from(ckpt);
+                snapshot
+            }
+            None => ckpt.clone(),
+        }
+    }
+
     /// Retain a captured checkpoint as a future diff base, pruned to the
     /// configured version budget. Pruning also evicts the wire cache's
     /// delta entries for the pruned bases: `base_for` refuses a pruned
@@ -1984,6 +2010,39 @@ mod tests {
         codec.note_acked("c", "m", 3);
         // Iteration 3 was pruned (only 4 and 5 retained): full fallback.
         assert!(codec.base_for("c", "m").is_none());
+        codec.note_acked("c", "m", 4);
+        assert!(codec.base_for("c", "m").is_some());
+    }
+
+    #[test]
+    fn snapshot_recycles_the_base_retention_would_prune() {
+        let mut config = ViperConfig::default().with_delta();
+        config.keep_versions = 2;
+        let codec = PayloadCodec::new(&config);
+        let buffer = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();
+        let save = |i| {
+            let arc = Arc::new(codec.snapshot(&ckpt(i)));
+            assert_eq!(*arc, *ckpt(i));
+            codec.retain(&arc);
+            buffer(&arc)
+        };
+        let first = save(1);
+        let second = save(2);
+        // Under budget nothing is displaced; from then on every snapshot
+        // lands in the buffers of the base it pushes out.
+        assert_ne!(first, second);
+        assert_eq!(save(3), first);
+        assert_eq!(save(4), second);
+        // A base a delivery still diffs against is pruned but left intact.
+        codec.note_acked("c", "m", 3);
+        let in_flight = codec.base_for("c", "m").unwrap();
+        assert_ne!(save(5), first);
+        assert_eq!(*in_flight, *ckpt(3));
+        assert!(codec.base_for("c", "m").is_none());
+        assert_eq!(codec.newest_retained("m"), Some(5));
+        // An out-of-order save displaces nothing newer than itself.
+        let stale = codec.snapshot(&ckpt(2));
+        assert_eq!(stale, *ckpt(2));
         codec.note_acked("c", "m", 4);
         assert!(codec.base_for("c", "m").is_some());
     }

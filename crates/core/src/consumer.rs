@@ -73,9 +73,9 @@ struct ConsumerState {
     apply_tensor_copies: Counter,
     /// `NeedFull` control replies sent (delta base missing or stale).
     fulls_requested: Counter,
-    /// Payload bytes memcpy'd during flow reassembly. Zero for single-chunk
-    /// flows (the chunk body is released as the whole payload, zero-copy);
-    /// multi-chunk flows gather their bodies into one buffer.
+    /// Payload bytes memcpy'd during flow reassembly. Zero while every
+    /// chunk body is a view of its sender's one allocation (the views are
+    /// re-joined); a flow with a body from elsewhere is gathered once.
     bytes_copied: Counter,
     /// Stale-flow reap scans performed (timer-driven). Zero while idle:
     /// the reap timer is armed only while partial flows exist.
@@ -269,9 +269,10 @@ impl Consumer {
         self.state.fulls_requested.get()
     }
 
-    /// Payload bytes memcpy'd during flow reassembly. Zero when every flow
-    /// arrives as a single chunk (the body is released as the payload,
-    /// zero-copy); multi-chunk flows gather into one buffer.
+    /// Payload bytes memcpy'd during flow reassembly. Zero while every
+    /// chunk body is a view of its sender's one allocation — single- and
+    /// multi-chunk flows alike re-join the received views; a flow with a
+    /// body from another allocation is gathered into one buffer, once.
     pub fn bytes_copied(&self) -> u64 {
         self.state.bytes_copied.get()
     }
@@ -450,7 +451,7 @@ struct CorruptBatch {
 /// When the deployment runs with [`crate::ViperConfig::with_relay_tree`],
 /// interior consumers double as relays: a completed upstream flow is
 /// installed locally first, then its exact wire bytes are re-served to
-/// the node's children from the reassembled copy — the producer pays one
+/// the node's children from the reassembled payload — the producer pays one
 /// flow per subtree instead of one per consumer. The upstream ACK is
 /// withheld until the whole subtree resolves, so one group ACK at the
 /// producer attests every member installed (the group-level watermark).
@@ -479,9 +480,11 @@ struct Fan {
     /// The exact wire bytes received — already framed, re-served as-is
     /// (zero-copy: cloning shares the reassembled buffer).
     payload: Payload,
-    /// Per-chunk CRCs of `payload` under this relay's chunk geometry,
-    /// computed once per fan: every child serve and retransmission round
-    /// reuses them instead of re-checksumming the shared bytes.
+    /// Per-chunk CRCs of `payload` under this relay's chunk geometry —
+    /// carried over from the received chunk headers when the geometries
+    /// agree, else computed once per fan: every child serve and
+    /// retransmission round reuses them instead of re-checksumming the
+    /// shared bytes.
     crcs: Arc<Vec<u32>>,
     /// Coalescing key, parsed from the delivery tag's version suffix.
     version: u64,
@@ -959,12 +962,11 @@ impl ConsumerTask {
                 tag: flow.tag.clone(),
                 link: flow.link,
                 payload: flow.payload.clone(),
-                // One checksum pass over the shared bytes; every child
-                // serve (and retransmit round) below reuses it.
-                crcs: Arc::new(viper_net::payload_chunk_crcs(
-                    &flow.payload,
-                    self.relay.chunk_bytes,
-                )),
+                // The CRCs the chunks were just verified against (this
+                // relay re-chunks the way the flow arrived), so forwarding
+                // never re-reads the payload. Every child serve and
+                // retransmit round below shares them.
+                crcs: flow.crcs_for(self.relay.chunk_bytes),
                 version,
                 pending: children.len(),
                 acked_at: serve_at,

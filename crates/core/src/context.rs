@@ -109,6 +109,14 @@ impl Viper {
         &self.shared.pfs
     }
 
+    /// Replace the fabric's fault plan while the deployment runs (`None`
+    /// heals every link). [`ViperConfig::with_faults`] installs the plan a
+    /// deployment starts with; this is the knob for scenarios that change
+    /// link health mid-run, e.g. a straggler that recovers.
+    pub fn set_fault_plan(&self, plan: Option<viper_net::FaultPlan>) {
+        self.shared.fabric.set_fault_plan(plan);
+    }
+
     /// The deployment-wide telemetry handle (bound to the virtual clock).
     pub fn telemetry(&self) -> &viper_telemetry::Telemetry {
         &self.shared.config.telemetry

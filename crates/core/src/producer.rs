@@ -533,13 +533,14 @@ impl Producer {
         .at_iteration(ckpt.iteration);
         // Delta mode: record what a delta of this version diffs against
         // (the previous retained checkpoint) and retain this checkpoint as
-        // a base for future diffs. The clone is skipped entirely when delta
-        // transfer is off.
+        // a base for future diffs, copied into the buffers of the base it
+        // displaces. The copy is skipped entirely when delta transfer is
+        // off.
         let ckpt_arc = if delta_mode {
             if let Some(base) = self.codec.newest_retained(&ckpt.model_name) {
                 record = record.with_base(base);
             }
-            let arc = Arc::new(ckpt.clone());
+            let arc = Arc::new(self.codec.snapshot(ckpt));
             self.codec.retain(&arc);
             Some(arc)
         } else {

@@ -4,7 +4,7 @@ use viper_tensor::Tensor;
 
 /// A snapshot of a DNN model's state: named weight tensors plus the
 /// training iteration it was captured at.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Checkpoint {
     /// Model name.
     pub model_name: String,
@@ -12,6 +12,32 @@ pub struct Checkpoint {
     pub iteration: u64,
     /// Named weight tensors, in layer order.
     pub tensors: Vec<(String, Tensor)>,
+}
+
+impl Clone for Checkpoint {
+    fn clone(&self) -> Self {
+        Checkpoint {
+            model_name: self.model_name.clone(),
+            iteration: self.iteration,
+            tensors: self.tensors.clone(),
+        }
+    }
+
+    /// Overwrites `self` tensor by tensor, reusing each tensor's buffer
+    /// (and each name's) where `self` already has one: re-snapshotting a
+    /// model of unchanged layout into a spent snapshot allocates nothing,
+    /// where `clone` allocates the whole model afresh.
+    fn clone_from(&mut self, source: &Self) {
+        self.model_name.clone_from(&source.model_name);
+        self.iteration = source.iteration;
+        self.tensors.truncate(source.tensors.len());
+        for ((name, tensor), (src_name, src)) in self.tensors.iter_mut().zip(&source.tensors) {
+            name.clone_from(src_name);
+            tensor.clone_from(src);
+        }
+        let have = self.tensors.len();
+        self.tensors.extend_from_slice(&source.tensors[have..]);
+    }
 }
 
 impl Checkpoint {
@@ -184,6 +210,32 @@ pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_reuses_tensor_buffers_across_layout_changes() {
+        let ckpt = |iteration, sizes: &[usize]| {
+            let tensors = sizes.iter().enumerate();
+            let tensors = tensors.map(|(i, &n)| (format!("t{i}"), Tensor::full(&[n], i as f32)));
+            Checkpoint::new("m", iteration, tensors.collect())
+        };
+        let source = ckpt(9, &[8, 8, 4]);
+        // Same layout: every tensor lands in the buffer that was there.
+        let mut spent = ckpt(7, &[8, 8, 4]);
+        let buffers = |c: &Checkpoint| -> Vec<*const f32> {
+            let tensors = c.tensors.iter();
+            tensors.map(|(_, t)| t.as_slice().as_ptr()).collect()
+        };
+        let before = buffers(&spent);
+        spent.clone_from(&source);
+        assert_eq!(spent, source);
+        assert_eq!(buffers(&spent), before);
+        // Fewer, more, renamed or resized tensors: still an exact clone.
+        for mut other in [ckpt(1, &[8]), ckpt(2, &[2, 2, 2, 2, 2]), ckpt(3, &[])] {
+            other.model_name = "other".into();
+            other.clone_from(&source);
+            assert_eq!(other, source);
+        }
+    }
 
     #[test]
     fn payload_bytes_sums_tensors() {

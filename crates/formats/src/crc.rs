@@ -313,7 +313,7 @@ fn proves_identical(kernel: Crc32Kernel) -> bool {
 /// The kernel every dispatching entry point uses, chosen once per
 /// process: the forced portable kernel if `VIPER_FORCE_PORTABLE_CRC` is
 /// set (to anything but `0`/empty), otherwise the fastest available
-/// kernel that passes the [self-test](proves_identical) — CLMUL where
+/// kernel that passes the self-test (`proves_identical`) — CLMUL where
 /// the CPU supports it, slice-by-16 everywhere else.
 pub fn active_kernel() -> Crc32Kernel {
     use std::sync::OnceLock;

@@ -10,10 +10,13 @@
 //!
 //! `Payload` is deliberately immutable: every consumer of the delivery path
 //! reads the same bytes, so a copy-on-write story is unnecessary and a
-//! mutable alias would be a correctness hazard. Paths that must mutate
-//! (fault injection's bit flips, multi-chunk reassembly) materialize an
-//! owned `Vec<u8>` and account for it via the `bytes_copied` telemetry
-//! counters (see DESIGN.md, "Payload ownership").
+//! mutable alias would be a correctness hazard. Subslicing has an inverse,
+//! [`Payload::try_join`]: adjacent views of one allocation merge back into
+//! one view, which is how multi-chunk reassembly releases the sender's
+//! bytes without gathering them. Paths that must own their bytes (fault
+//! injection's bit flips, reassembly of chunks that arrived in separate
+//! allocations) materialize a `Vec<u8>` and account for it via the
+//! `bytes_copied` telemetry counters (see DESIGN.md, "Payload ownership").
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -75,6 +78,21 @@ impl Payload {
             start: self.start + start,
             len: end - start,
         }
+    }
+
+    /// Inverse of [`Payload::slice`]: the single view covering `self`
+    /// followed by `next`, when both window the same allocation and `next`
+    /// starts exactly where `self` ends. `None` for views of different
+    /// allocations, or with a gap or an overlap between them — the caller
+    /// must then copy to concatenate.
+    pub fn try_join(&self, next: &Payload) -> Option<Payload> {
+        (Arc::ptr_eq(&self.buf, &next.buf) && self.start + self.len == next.start).then(|| {
+            Payload {
+                buf: Arc::clone(&self.buf),
+                start: self.start,
+                len: self.len + next.len,
+            }
+        })
     }
 
     /// Copy this view out into an owned vector. The one deliberate copy;
@@ -213,6 +231,61 @@ mod tests {
         let b = a.slice(4..8);
         assert_eq!(&b[..], &[12, 13, 14, 15]);
         assert_eq!(b.len(), 4);
+    }
+
+    #[test]
+    fn try_join_merges_adjacent_views_without_copying() {
+        let p = Payload::from((0u8..32).collect::<Vec<_>>());
+        let joined = p.slice(4..12).try_join(&p.slice(12..20)).unwrap();
+        assert_eq!(joined, p.slice(4..20));
+        assert_eq!(joined.as_slice().as_ptr(), unsafe {
+            p.as_slice().as_ptr().add(4)
+        });
+        // Slices of slices compose: adjacency is judged on absolute
+        // positions in the allocation, not on how the views were derived.
+        let inner = p.slice(8..24);
+        let joined = inner.slice(0..4).try_join(&p.slice(12..16)).unwrap();
+        assert_eq!(&joined[..], &[8, 9, 10, 11, 12, 13, 14, 15]);
+        // Chained joins tile the whole buffer back together.
+        let whole = (0..4)
+            .map(|i| p.slice(i * 8..(i + 1) * 8))
+            .reduce(|acc, next| acc.try_join(&next).unwrap())
+            .unwrap();
+        assert_eq!(whole.as_slice().as_ptr(), p.as_slice().as_ptr());
+        assert_eq!(whole.len(), 32);
+    }
+
+    #[test]
+    fn try_join_rejects_gaps_overlaps_and_other_allocations() {
+        let p = Payload::from(vec![7u8; 32]);
+        assert!(p.slice(0..8).try_join(&p.slice(9..16)).is_none(), "gap");
+        assert!(p.slice(0..8).try_join(&p.slice(7..16)).is_none(), "overlap");
+        assert!(
+            p.slice(8..16).try_join(&p.slice(0..8)).is_none(),
+            "wrong order"
+        );
+        // Equal bytes in another allocation are not adjacent to anything.
+        let other = Payload::from(vec![7u8; 32]);
+        assert!(p.slice(0..8).try_join(&other.slice(8..16)).is_none());
+    }
+
+    #[test]
+    fn try_join_treats_empty_views_positionally() {
+        let p = Payload::from(vec![1u8, 2, 3, 4]);
+        // An empty view joins where it sits, and only there.
+        assert_eq!(
+            p.slice(2..2).try_join(&p.slice(2..4)).unwrap(),
+            [3u8, 4][..]
+        );
+        assert_eq!(
+            p.slice(0..2).try_join(&p.slice(2..2)).unwrap(),
+            [1u8, 2][..]
+        );
+        assert!(p.slice(1..1).try_join(&p.slice(2..4)).is_none());
+        assert!(p.slice(2..2).try_join(&p.slice(2..2)).unwrap().is_empty());
+        // `Payload::empty()` is its own allocation.
+        assert!(Payload::empty().try_join(&p).is_none());
+        assert!(p.try_join(&Payload::empty()).is_none());
     }
 
     #[test]

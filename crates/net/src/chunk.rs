@@ -18,8 +18,9 @@
 use crate::reliability::FlowError;
 use crate::wirebuf::WireBuf;
 use crate::{LinkKind, Message, MessageKind};
-use std::collections::{BTreeSet, HashMap};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
+use std::time::Duration;
 use viper_formats::{crc32, Payload};
 use viper_hw::SimInstant;
 
@@ -163,7 +164,7 @@ pub struct ChunkedSend {
     /// encoder's single pass). Must match this send's chunk geometry
     /// (`chunk_sizes(payload.len(), chunk_bytes)`); the fabric falls back
     /// to computing CRCs itself when absent or mismatched.
-    pub crcs: Option<std::sync::Arc<Vec<u32>>>,
+    pub crcs: Option<Arc<Vec<u32>>>,
 }
 
 impl ChunkedSend {
@@ -181,7 +182,7 @@ impl ChunkedSend {
 
     /// Attach per-chunk CRCs precomputed at encode time, so the send path
     /// never re-reads the payload bytes to checksum them.
-    pub fn with_crcs(mut self, crcs: std::sync::Arc<Vec<u32>>) -> Self {
+    pub fn with_crcs(mut self, crcs: Arc<Vec<u32>>) -> Self {
         self.crcs = Some(crcs);
         self
     }
@@ -238,14 +239,38 @@ pub struct AssembledFlow {
     pub tag: String,
     /// Link the chunks traversed.
     pub link: LinkKind,
-    /// The reassembled original payload, byte-identical to what was sent.
-    /// Single-chunk flows release the received body view directly
-    /// (zero-copy); multi-chunk flows release the gather buffer.
+    /// The reassembled original payload, byte-identical to what was sent:
+    /// exactly the bytes the per-chunk CRCs verified, in an immutable
+    /// buffer. When every body is an adjacent view of one allocation (any
+    /// in-process sender, first sends and retransmits alike) this is those
+    /// views re-joined — it aliases the sender's buffer and pins it until
+    /// dropped; otherwise it is a fresh in-order gather of the bodies.
     pub payload: Payload,
+    /// The header CRC each chunk body was verified against, in index order.
+    pub chunk_crcs: Arc<Vec<u32>>,
+    /// Body length of each chunk, in index order (sums to `payload.len()`):
+    /// the geometry [`AssembledFlow::crcs_for`] compares against.
+    chunk_lens: Vec<u64>,
     /// Arrival time of the last chunk (when the payload became whole).
     pub completed_at: SimInstant,
     /// Sum of the distinct chunks' wire times.
     pub wire_total: Duration,
+}
+
+impl AssembledFlow {
+    /// Per-chunk CRCs for re-serving [`payload`](Self::payload) under the
+    /// `chunk_sizes(len, chunk_bytes)` geometry (see
+    /// [`ChunkedSend::with_crcs`]): the verified
+    /// [`chunk_crcs`](Self::chunk_crcs) themselves when the flow arrived
+    /// under exactly that geometry — a relay then forwards without reading
+    /// the payload again — and one [`payload_chunk_crcs`] pass otherwise.
+    pub fn crcs_for(&self, chunk_bytes: u64) -> Arc<Vec<u32>> {
+        if self.chunk_lens == chunk_sizes(self.payload.len() as u64, chunk_bytes) {
+            Arc::clone(&self.chunk_crcs)
+        } else {
+            Arc::new(payload_chunk_crcs(&self.payload, chunk_bytes))
+        }
+    }
 }
 
 /// Outcome of feeding one message to a [`FlowAssembler`].
@@ -273,46 +298,47 @@ pub enum FlowStatus {
     },
     /// A message marked as a chunk whose framing did not decode (header
     /// corrupted in flight). Unattributable, so it is counted and dropped;
-    /// stale-flow reaping recovers the flow it belonged to.
+    /// stale-flow reaping recovers the flow it belonged to. Also returned
+    /// when the last chunk of a flow arrives and the verified bodies do not
+    /// tile `[0, total_bytes)` in index order (offsets corrupted in
+    /// flight): the flow is evicted whole, and the sender's blind resend
+    /// starts it afresh.
     Malformed,
     /// The final chunk arrived; the whole payload is released at once.
     Complete(Box<AssembledFlow>),
 }
 
+/// One CRC-verified chunk body, held as the zero-copy view it arrived in.
+struct Part {
+    /// Where the header places the body within the original payload.
+    offset: u64,
+    /// The header CRC the body was verified against.
+    crc: u32,
+    body: Payload,
+}
+
+/// A flow still missing chunks. Nothing here is sized by the header's
+/// `total_bytes` or `num_chunks` claims — only by the chunks that actually
+/// arrived — so a damaged first header cannot make the receiver allocate.
 struct PartialFlow {
     tag: String,
     link: LinkKind,
+    /// First-seen geometry; chunks that disagree with it are dropped.
     num_chunks: u32,
-    buffer: Vec<u8>,
-    received: Vec<bool>,
+    total_bytes: u64,
+    /// Accepted bodies by chunk index.
+    parts: BTreeMap<u32, Part>,
     /// Indices already reported as [`FlowStatus::Corrupt`] since the last
     /// reap, so a duplicated corrupt chunk does not trigger NACK storms.
-    corrupt_flagged: Vec<bool>,
-    received_count: u32,
+    corrupt_flagged: BTreeSet<u32>,
     completed_at: SimInstant,
     wire_total: Duration,
-    /// Wall-clock instant of the last accepted chunk (or NACK), for
-    /// wall-driven stale-flow detection ([`FlowAssembler::reap`]).
-    last_activity: Instant,
-    /// Virtual instant of the last chunk touch (arrival of any chunk for
-    /// this flow, or a virtual-time reap), for reactor-driven stale-flow
-    /// detection ([`FlowAssembler::reap_at`]): the reactor's timer wheel
-    /// schedules the next reap at `last_activity_v + nack_after` instead
-    /// of polling on wall time.
-    last_activity_v: SimInstant,
+    /// Virtual instant of the last chunk touch (an arrival, or a reap):
+    /// the reactor's timer wheel schedules the next
+    /// [`FlowAssembler::reap_at`] at `last_activity + nack_after`.
+    last_activity: SimInstant,
     /// How many times this flow has been reaped (NACKed) without progress.
     nacks: u32,
-}
-
-impl PartialFlow {
-    fn missing(&self) -> Vec<u32> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !**r)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
 }
 
 /// Completed-flow bookkeeping for one sender: a watermark (every id
@@ -364,16 +390,21 @@ impl CompletedFlows {
 /// concurrent flows (even from different senders reusing ids) reassemble
 /// independently. Duplicate chunks are ignored, corrupt bodies are rejected
 /// by CRC, and a payload is released exactly once, only when every chunk
-/// has arrived intact. Completed-flow keys are garbage-collected behind a
+/// has arrived intact. Accepted bodies are kept as the zero-copy views
+/// they arrived in and re-joined on completion ([`Payload::try_join`]), so
+/// an in-process flow is reassembled without copying a byte; a partial
+/// flow therefore pins its sender's buffer until it completes or is
+/// abandoned. Completed-flow keys are garbage-collected behind a
 /// per-sender watermark, and stale partial flows can be
-/// [reaped](FlowAssembler::reap) into NACKs — long-running consumers hold
+/// [reaped](FlowAssembler::reap_at) into NACKs on the virtual clock (the
+/// assembler has no wall-clock input) — long-running consumers hold
 /// bounded state.
 #[derive(Default)]
 pub struct FlowAssembler {
     flows: HashMap<(String, u64), PartialFlow>,
     completed: HashMap<String, CompletedFlows>,
-    /// Payload bytes copied into gather buffers (multi-chunk reassembly
-    /// only — single-chunk flows release the received view directly).
+    /// Payload bytes copied by the gather fallback (flows whose bodies did
+    /// not all sit adjacent in one allocation).
     bytes_copied: u64,
 }
 
@@ -388,9 +419,9 @@ impl FlowAssembler {
         self.flows.len()
     }
 
-    /// Total payload bytes this assembler has copied into gather buffers.
-    /// Zero for a consumer that only ever receives single-chunk flows —
-    /// the zero-copy steady state.
+    /// Total payload bytes this assembler has copied to reassemble flows.
+    /// Zero for a consumer whose senders frame chunks as views of one
+    /// allocation (every in-process sender) — the zero-copy steady state.
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
     }
@@ -427,45 +458,8 @@ impl FlowAssembler {
         {
             return FlowStatus::Buffered;
         }
-        // Verify the body *before* refreshing the flow's activity stamp:
-        // checksumming a multi-megabyte chunk is the expensive part of
-        // accept, and if it ate into the staleness budget a slow receiver
-        // would mistake its own processing time for a stalled sender.
         let body_ok = precomputed.unwrap_or_else(|| crc32(&body)) == header.crc32;
         let key = (msg.from.clone(), header.flow_id);
-        // Zero-copy fast path: an intact single-chunk flow needs no gather
-        // buffer — the received body view IS the payload. (A flow entry may
-        // already exist if a corrupt copy arrived first; it holds no
-        // accepted bytes, so it is discarded once a clean copy lands.)
-        if body_ok
-            && header.num_chunks == 1
-            && header.offset == 0
-            && body.len() as u64 == header.total_bytes
-        {
-            let consistent = self
-                .flows
-                .get(&key)
-                .is_none_or(|flow| flow.num_chunks == 1 && flow.buffer.len() == body.len());
-            if !consistent {
-                return FlowStatus::Buffered;
-            }
-            let prior = self.flows.remove(&key);
-            self.completed.entry(key.0).or_default().insert(key.1);
-            let completed_at = prior
-                .as_ref()
-                .map(|f| f.completed_at)
-                .unwrap_or(msg.arrived_at)
-                .max(msg.arrived_at);
-            return FlowStatus::Complete(Box::new(AssembledFlow {
-                flow_id: header.flow_id,
-                from: msg.from,
-                tag: msg.tag,
-                link: msg.link,
-                payload: body,
-                completed_at,
-                wire_total: prior.map(|f| f.wire_total).unwrap_or(Duration::ZERO) + msg.wire_time,
-            }));
-        }
         let flow = self
             .flows
             .entry(key.clone())
@@ -473,35 +467,29 @@ impl FlowAssembler {
                 tag: msg.tag.clone(),
                 link: msg.link,
                 num_chunks: header.num_chunks,
-                buffer: vec![0; header.total_bytes as usize],
-                received: vec![false; header.num_chunks as usize],
-                corrupt_flagged: vec![false; header.num_chunks as usize],
-                received_count: 0,
+                total_bytes: header.total_bytes,
+                parts: BTreeMap::new(),
+                corrupt_flagged: BTreeSet::new(),
                 completed_at: msg.arrived_at,
                 wire_total: Duration::ZERO,
-                last_activity: Instant::now(),
-                last_activity_v: msg.arrived_at,
+                last_activity: msg.arrived_at,
                 nacks: 0,
             });
-        flow.last_activity = Instant::now();
-        flow.last_activity_v = flow.last_activity_v.max(msg.arrived_at);
-        let idx = header.chunk_index as usize;
+        flow.last_activity = flow.last_activity.max(msg.arrived_at);
         // Geometry mismatches against the flow's first-seen framing, and
         // duplicates, are dropped: reassembly is idempotent.
-        let consistent = header.num_chunks == flow.num_chunks
-            && header.total_bytes as usize == flow.buffer.len()
-            && header.offset as usize + body.len() <= flow.buffer.len();
-        if !consistent || flow.received[idx] {
+        let consistent =
+            header.num_chunks == flow.num_chunks && header.total_bytes == flow.total_bytes;
+        if !consistent || flow.parts.contains_key(&header.chunk_index) {
             return FlowStatus::Buffered;
         }
         if !body_ok {
             // Reject the body; keep the flow so a retransmission can fill
             // the hole. Flag the index so duplicates of the same corrupt
             // chunk do not re-trigger a NACK before the next reap.
-            if flow.corrupt_flagged[idx] {
+            if !flow.corrupt_flagged.insert(header.chunk_index) {
                 return FlowStatus::Buffered;
             }
-            flow.corrupt_flagged[idx] = true;
             return FlowStatus::Corrupt {
                 from: msg.from,
                 flow_id: header.flow_id,
@@ -510,67 +498,74 @@ impl FlowAssembler {
                 link: flow.link,
             };
         }
-        let offset = header.offset as usize;
-        flow.buffer[offset..offset + body.len()].copy_from_slice(&body);
-        self.bytes_copied += body.len() as u64;
-        flow.received[idx] = true;
-        flow.received_count += 1;
+        flow.parts.insert(
+            header.chunk_index,
+            Part {
+                offset: header.offset,
+                crc: header.crc32,
+                body,
+            },
+        );
         flow.completed_at = flow.completed_at.max(msg.arrived_at);
         flow.wire_total += msg.wire_time;
-        if flow.received_count < flow.num_chunks {
+        if (flow.parts.len() as u64) < u64::from(flow.num_chunks) {
             return FlowStatus::Buffered;
         }
         let done = self.flows.remove(&key).expect("flow present");
+        // Every index is present; release only if, in index order, the
+        // bodies tile [0, total_bytes) exactly. Headers are not checksummed,
+        // so an offset damaged in flight must not shift verified bytes.
+        let mut chunk_lens = Vec::with_capacity(done.parts.len());
+        let mut end = 0u64;
+        for part in done.parts.values() {
+            if part.offset != end {
+                return FlowStatus::Malformed;
+            }
+            chunk_lens.push(part.body.len() as u64);
+            end += part.body.len() as u64;
+        }
+        if end != done.total_bytes {
+            return FlowStatus::Malformed;
+        }
+        // Chunk bodies of an in-process sender are adjacent windows of its
+        // one allocation: joining them back is the original payload, no
+        // bytes touched. Bodies from separate allocations (a real
+        // transport's receive buffers) are gathered, in order, once.
+        let mut bodies = done.parts.values().map(|part| &part.body);
+        let first = bodies.next().expect("num_chunks > 0").clone();
+        let payload = bodies
+            .try_fold(first, |joined, next| joined.try_join(next))
+            .unwrap_or_else(|| {
+                let mut gathered = Vec::with_capacity(end as usize);
+                for part in done.parts.values() {
+                    gathered.extend_from_slice(&part.body);
+                }
+                self.bytes_copied += end;
+                Payload::from(gathered)
+            });
         self.completed.entry(key.0).or_default().insert(key.1);
         FlowStatus::Complete(Box::new(AssembledFlow {
             flow_id: header.flow_id,
             from: msg.from,
             tag: done.tag,
             link: done.link,
-            payload: Payload::from(done.buffer),
+            payload,
+            chunk_crcs: Arc::new(done.parts.values().map(|part| part.crc).collect()),
+            chunk_lens,
             completed_at: done.completed_at,
             wire_total: done.wire_total,
         }))
     }
 
-    /// Time out stale partial flows: any flow with no accepted chunk for
-    /// `stale_after` (wall clock) is surfaced as a [`FlowError`] listing its
-    /// missing chunk indices, for the reliability layer to turn into a
-    /// NACK. A flow reaped more than `max_nacks` times is abandoned — its
-    /// buffer is evicted and the error is marked `abandoned` — so lost
-    /// flows cannot pin full-size buffers forever.
-    pub fn reap(&mut self, stale_after: Duration, max_nacks: u32) -> Vec<FlowError> {
-        let now = Instant::now();
-        let mut errors = Vec::new();
-        self.flows.retain(|(from, flow_id), flow| {
-            if now.saturating_duration_since(flow.last_activity) < stale_after {
-                return true;
-            }
-            flow.nacks += 1;
-            flow.last_activity = now;
-            // Allow a fresh Corrupt report per index after each reap.
-            flow.corrupt_flagged.fill(false);
-            let abandoned = flow.nacks > max_nacks;
-            errors.push(FlowError {
-                from: from.clone(),
-                flow_id: *flow_id,
-                tag: flow.tag.clone(),
-                link: flow.link,
-                missing: flow.missing(),
-                abandoned,
-            });
-            !abandoned
-        });
-        errors
-    }
-
-    /// Virtual-time counterpart of [`FlowAssembler::reap`], driven by the
-    /// delivery reactor's timer wheel instead of a wall-clock poll: a flow
-    /// whose last chunk touch is `stale_after` or more of **virtual** time
-    /// before `now` is surfaced (and its virtual activity stamp refreshed
-    /// to `now`, so successive reaps of the same hole space out by
-    /// `stale_after` of virtual time). Abandonment semantics match
-    /// [`FlowAssembler::reap`].
+    /// Time out stale partial flows, driven by the delivery reactor's
+    /// timer wheel: a flow whose last chunk touch is `stale_after` or more
+    /// of **virtual** time before `now` is surfaced as a [`FlowError`]
+    /// listing its missing chunk indices, for the reliability layer to turn
+    /// into a NACK (and its activity stamp refreshed to `now`, so
+    /// successive reaps of the same hole space out by `stale_after`). A
+    /// flow reaped more than `max_nacks` times is abandoned — its held
+    /// bodies are released and the error is marked `abandoned` — so lost
+    /// flows cannot pin their senders' buffers forever.
     pub fn reap_at(
         &mut self,
         now: SimInstant,
@@ -579,19 +574,22 @@ impl FlowAssembler {
     ) -> Vec<FlowError> {
         let mut errors = Vec::new();
         self.flows.retain(|(from, flow_id), flow| {
-            if now.since(flow.last_activity_v) < stale_after {
+            if now.since(flow.last_activity) < stale_after {
                 return true;
             }
             flow.nacks += 1;
-            flow.last_activity_v = now;
-            flow.corrupt_flagged.fill(false);
+            flow.last_activity = now;
+            // Allow a fresh Corrupt report per index after each reap.
+            flow.corrupt_flagged.clear();
             let abandoned = flow.nacks > max_nacks;
             errors.push(FlowError {
                 from: from.clone(),
                 flow_id: *flow_id,
                 tag: flow.tag.clone(),
                 link: flow.link,
-                missing: flow.missing(),
+                missing: (0..flow.num_chunks)
+                    .filter(|index| !flow.parts.contains_key(index))
+                    .collect(),
                 abandoned,
             });
             !abandoned
@@ -605,7 +603,7 @@ impl FlowAssembler {
     pub fn next_reap_deadline(&self, stale_after: Duration) -> Option<SimInstant> {
         self.flows
             .values()
-            .map(|flow| flow.last_activity_v.add(stale_after))
+            .map(|flow| flow.last_activity.add(stale_after))
             .min()
     }
 }
@@ -621,24 +619,23 @@ pub fn chunk_body_crc(msg: &Message) -> Option<u32> {
         return None;
     }
     let (_, body) = ChunkHeader::decode_buf(&msg.payload)?;
-    // Parallel with combine-merge above 4 MiB, plain slice-by-16 below —
-    // the CrcPool's batch offload and the assembler's inline verify both
-    // ride this.
-    Some(viper_formats::crc32_parallel(&body))
+    // On the calling thread: the CrcPool already spreads a batch of chunks
+    // across its workers, so splitting one chunk further would only spawn
+    // threads per chunk.
+    Some(crc32(&body))
 }
 
 /// Per-chunk CRC32s for `payload` under the `chunk_sizes(len, chunk_bytes)`
-/// geometry, computed with the parallel kernel. Relay fan-out computes this
-/// once per installed payload and shares it across every child serve and
-/// retransmit round.
+/// geometry, checksummed on the calling thread. A relay whose chunk
+/// geometry differs from the one a flow arrived under computes this once
+/// per fan ([`AssembledFlow::crcs_for`]) and shares it across every child
+/// serve and retransmit round.
 pub fn payload_chunk_crcs(payload: &[u8], chunk_bytes: u64) -> Vec<u32> {
     let sizes = chunk_sizes(payload.len() as u64, chunk_bytes);
     let mut crcs = Vec::with_capacity(sizes.len());
     let mut off = 0usize;
     for &len in &sizes {
-        crcs.push(viper_formats::crc32_parallel(
-            &payload[off..off + len as usize],
-        ));
+        crcs.push(crc32(&payload[off..off + len as usize]));
         off += len as usize;
     }
     crcs
@@ -665,22 +662,47 @@ pub fn chunk_sizes(bytes: u64, chunk_bytes: u64) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    /// A chunk message for `header` carrying `body`, arriving at virtual
+    /// instant `chunk_index + 1`.
+    fn framed_msg(header: ChunkHeader, body: Payload) -> Message {
+        Message {
+            from: "p".into(),
+            to: "c".into(),
+            tag: "m:1".into(),
+            payload: WireBuf::framed(header.encode(), body),
+            kind: MessageKind::Chunk,
+            link: LinkKind::GpuDirect,
+            sent_at: SimInstant::ZERO,
+            arrived_at: SimInstant(u64::from(header.chunk_index) + 1),
+            wire_time: Duration::from_nanos(1),
+        }
+    }
+
+    /// Chunk `index` of `payload`, its body copied into an allocation of
+    /// its own (what a real transport's receive buffers look like).
     fn chunk_msg(flow_id: u64, index: u32, n: u32, payload: &[u8], chunk: u64) -> Message {
         let sizes = chunk_sizes(payload.len() as u64, chunk);
         let offset: u64 = sizes[..index as usize].iter().sum();
         let body = &payload[offset as usize..(offset + sizes[index as usize]) as usize];
         let header = ChunkHeader::for_body(flow_id, index, n, offset, payload.len() as u64, body);
-        Message {
-            from: "p".into(),
-            to: "c".into(),
-            tag: "m:1".into(),
-            payload: WireBuf::framed(header.encode(), Payload::from(body)),
-            kind: MessageKind::Chunk,
-            link: LinkKind::GpuDirect,
-            sent_at: SimInstant::ZERO,
-            arrived_at: SimInstant(u64::from(index) + 1),
-            wire_time: Duration::from_nanos(1),
-        }
+        framed_msg(header, Payload::from(body))
+    }
+
+    /// Chunk `index` of `payload` the way the fabric frames it: the body is
+    /// a zero-copy window of the sender's allocation.
+    fn view_msg(flow_id: u64, index: u32, payload: &Payload, chunk: u64) -> Message {
+        let sizes = chunk_sizes(payload.len() as u64, chunk);
+        let offset: u64 = sizes[..index as usize].iter().sum();
+        let body = payload.slice(offset as usize..(offset + sizes[index as usize]) as usize);
+        let header = ChunkHeader::for_body(
+            flow_id,
+            index,
+            sizes.len() as u32,
+            offset,
+            payload.len() as u64,
+            &body,
+        );
+        framed_msg(header, body)
     }
 
     #[test]
@@ -829,19 +851,21 @@ mod tests {
     fn reap_surfaces_missing_chunks_then_abandons() {
         let payload = vec![3u8; 4000];
         let mut asm = FlowAssembler::new();
+        // Chunk 0 arrives at virtual t=1ns (see framed_msg).
         asm.accept(chunk_msg(5, 0, 2, &payload, 2000));
+        let now = SimInstant(1);
         // Not yet stale.
-        assert!(asm.reap(Duration::from_secs(60), 3).is_empty());
+        assert!(asm.reap_at(now, Duration::from_secs(60), 3).is_empty());
         // Instantly stale: every reap NACKs the missing index.
         for round in 1..=3u32 {
-            let errs = asm.reap(Duration::ZERO, 3);
+            let errs = asm.reap_at(now, Duration::ZERO, 3);
             assert_eq!(errs.len(), 1, "round {round}");
             assert_eq!(errs[0].missing, vec![1]);
             assert!(!errs[0].abandoned);
             assert_eq!(asm.in_progress(), 1);
         }
         // The next reap exceeds max_nacks: abandoned and evicted.
-        let errs = asm.reap(Duration::ZERO, 3);
+        let errs = asm.reap_at(now, Duration::ZERO, 3);
         assert!(errs[0].abandoned);
         assert_eq!(asm.in_progress(), 0);
         // Late retransmits for the abandoned flow restart it from scratch
@@ -858,7 +882,7 @@ mod tests {
         let nack_after = Duration::from_millis(8);
         let mut asm = FlowAssembler::new();
         assert_eq!(asm.next_reap_deadline(nack_after), None);
-        // Chunk 0 arrives at virtual t=1ns (see chunk_msg).
+        // Chunk 0 arrives at virtual t=1ns (see framed_msg).
         asm.accept(chunk_msg(5, 0, 2, &payload, 2000));
         let deadline = asm.next_reap_deadline(nack_after).unwrap();
         assert_eq!(deadline, SimInstant(1).add(nack_after));
@@ -872,7 +896,7 @@ mod tests {
         assert!(!errs[0].abandoned);
         let next = asm.next_reap_deadline(nack_after).unwrap();
         assert_eq!(next, deadline.add(nack_after));
-        // Exceeding max_nacks abandons and evicts, like the wall reap.
+        // Exceeding max_nacks abandons and evicts.
         for _ in 0..3 {
             let at = asm.next_reap_deadline(nack_after).unwrap();
             asm.reap_at(at, nack_after, 3);
@@ -915,6 +939,130 @@ mod tests {
             wire_time: Duration::ZERO,
         };
         assert_eq!(chunk_body_crc(&data), None);
+    }
+
+    #[test]
+    fn adjacent_views_rejoin_without_copying() {
+        let sent = Payload::from((0..=255u8).cycle().take(10_000).collect::<Vec<_>>());
+        let mut asm = FlowAssembler::new();
+        let mut released = None;
+        // Four chunks, out of order, with a duplicate (a retransmit of the same window).
+        for index in [2, 0, 2, 3, 1] {
+            if let FlowStatus::Complete(flow) = asm.accept(view_msg(1, index, &sent, 3000)) {
+                released = Some(flow);
+            }
+        }
+        let flow = released.expect("flow completes on the last distinct chunk");
+        assert_eq!(flow.payload, sent);
+        assert_eq!(
+            flow.payload.as_slice().as_ptr(),
+            sent.as_slice().as_ptr(),
+            "the released payload must alias the sender's allocation"
+        );
+        assert_eq!(asm.bytes_copied(), 0);
+        assert_eq!(*flow.chunk_crcs, payload_chunk_crcs(&sent, 3000));
+        assert_eq!(flow.chunk_lens, chunk_sizes(sent.len() as u64, 3000));
+        // Same geometry hands the verified CRCs on; any other recomputes.
+        assert!(Arc::ptr_eq(&flow.crcs_for(3000), &flow.chunk_crcs));
+        let rechunked = flow.crcs_for(2500);
+        assert!(!Arc::ptr_eq(&rechunked, &flow.chunk_crcs));
+        assert_eq!(*rechunked, payload_chunk_crcs(&sent, 2500));
+    }
+
+    #[test]
+    fn a_body_from_another_allocation_falls_back_to_one_gather() {
+        let sent = Payload::from((0..=255u8).cycle().take(9_000).collect::<Vec<_>>());
+        let mut asm = FlowAssembler::new();
+        assert!(matches!(
+            asm.accept(view_msg(1, 0, &sent, 3000)),
+            FlowStatus::Buffered
+        ));
+        // Chunk 1 is re-framed from a copy; chunk 2 is a view again.
+        assert!(matches!(
+            asm.accept(chunk_msg(1, 1, 3, &sent, 3000)),
+            FlowStatus::Buffered
+        ));
+        assert_eq!(asm.bytes_copied(), 0, "nothing is copied before completion");
+        let FlowStatus::Complete(flow) = asm.accept(view_msg(1, 2, &sent, 3000)) else {
+            panic!("flow should complete");
+        };
+        assert_eq!(flow.payload, sent);
+        assert_ne!(flow.payload.as_slice().as_ptr(), sent.as_slice().as_ptr());
+        assert_eq!(asm.bytes_copied(), 9_000);
+        assert_eq!(*flow.chunk_crcs, payload_chunk_crcs(&sent, 3000));
+    }
+
+    #[test]
+    fn absurd_total_bytes_claim_allocates_nothing_and_is_reaped() {
+        // Headers are not checksummed: a flipped bit in `total_bytes` of
+        // the first-seen header must not size anything.
+        let body = Payload::from(vec![5u8; 64]);
+        let header = ChunkHeader::for_body(9, 0, 2, 0, 1 << 60, &body);
+        let mut asm = FlowAssembler::new();
+        assert!(matches!(
+            asm.accept(framed_msg(header, body)),
+            FlowStatus::Buffered
+        ));
+        assert_eq!(asm.in_progress(), 1);
+        // The honest chunks of the same flow disagree with the first-seen
+        // geometry and are dropped; the flow can only time out.
+        assert!(matches!(
+            asm.accept(chunk_msg(9, 1, 2, &[5u8; 128], 64)),
+            FlowStatus::Buffered
+        ));
+        let nack_after = Duration::from_millis(1);
+        let mut abandoned = false;
+        for _ in 0..=3 {
+            let at = asm
+                .next_reap_deadline(nack_after)
+                .expect("flow in progress");
+            let errs = asm.reap_at(at, nack_after, 3);
+            assert_eq!(errs[0].missing, vec![1]);
+            abandoned = errs[0].abandoned;
+        }
+        assert!(abandoned);
+        assert_eq!(asm.in_progress(), 0);
+        assert_eq!(asm.bytes_copied(), 0);
+    }
+
+    #[test]
+    fn bodies_that_do_not_tile_the_payload_are_never_released() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(4000).collect();
+        let total = payload.len() as u64;
+        // (offset of chunk 1, length of chunk 1): overlapping chunk 0,
+        // leaving a gap after it, and stopping short of `total_bytes`.
+        for (flow_id, (offset, len)) in [(1000u64, 3000usize), (2500, 1500), (2000, 1000)]
+            .into_iter()
+            .enumerate()
+        {
+            let flow_id = flow_id as u64 + 1;
+            let mut asm = FlowAssembler::new();
+            assert!(matches!(
+                asm.accept(chunk_msg(flow_id, 0, 2, &payload, 2000)),
+                FlowStatus::Buffered
+            ));
+            let body = &payload[offset as usize..offset as usize + len];
+            let header = ChunkHeader::for_body(flow_id, 1, 2, offset, total, body);
+            assert!(
+                matches!(
+                    asm.accept(framed_msg(header, Payload::from(body))),
+                    FlowStatus::Malformed
+                ),
+                "offset {offset} len {len} must not complete"
+            );
+            // Evicted, not marked completed: a blind resend starts afresh
+            // and can still deliver the payload.
+            assert_eq!(asm.in_progress(), 0);
+            assert!(matches!(
+                asm.accept(chunk_msg(flow_id, 0, 2, &payload, 2000)),
+                FlowStatus::Buffered
+            ));
+            let FlowStatus::Complete(flow) = asm.accept(chunk_msg(flow_id, 1, 2, &payload, 2000))
+            else {
+                panic!("resend should complete");
+            };
+            assert_eq!(flow.payload, payload);
+        }
     }
 
     #[test]

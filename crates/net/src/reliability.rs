@@ -427,8 +427,8 @@ impl<T> CoalesceQueue<T> {
 
 /// A partial flow that went stale on the receiver (chunks lost or corrupt
 /// and never retransmitted in time). The reliability layer turns these into
-/// NACKs; an `abandoned` error means the assembler also evicted the flow's
-/// buffer and stopped waiting.
+/// NACKs; an `abandoned` error means the assembler also released the
+/// flow's held chunks and stopped waiting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowError {
     /// Sender node of the stalled flow.
@@ -441,7 +441,7 @@ pub struct FlowError {
     pub link: LinkKind,
     /// Chunk indices never (validly) received.
     pub missing: Vec<u32>,
-    /// Whether the assembler gave up and evicted the partial buffer.
+    /// Whether the assembler gave up and evicted the partial flow.
     pub abandoned: bool,
 }
 

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use viper_formats::{crc32, wire, PayloadKind};
 use viper_hw::{MachineProfile, SimClock};
 use viper_net::{
-    chunk_sizes, ChunkHeader, ChunkedSend, Fabric, FaultPlan, FlowAssembler, FlowStatus, LinkKind,
-    Message, Payload,
+    chunk_sizes, payload_chunk_crcs, ChunkHeader, ChunkedSend, Fabric, FaultPlan, FaultRng,
+    FlowAssembler, FlowStatus, LinkKind, Message, Payload, WireBuf,
 };
 
 fn fabric() -> Fabric {
@@ -117,6 +117,79 @@ proptest! {
         let (body, footer) = body.split_at(body.len() - 4);
         prop_assert_eq!(body, inner.as_slice());
         prop_assert_eq!(u32::from_le_bytes(footer.try_into().unwrap()), crc32(body));
+    }
+
+    /// Reassembly is copy-free exactly when it can be: for any payload,
+    /// chunk geometry, arrival order and duplication, a flow whose bodies
+    /// are all views of the sender's allocation is released as one view of
+    /// that allocation (`bytes_copied == 0`), and a flow with any body
+    /// re-framed from an allocation of its own (a real transport's receive
+    /// buffer) is gathered exactly once — byte-identical either way, with
+    /// the verified header CRCs handed on in index order.
+    #[test]
+    fn reassembly_joins_views_and_gathers_only_foreign_bodies(
+        data in prop::collection::vec(0u8..=255, 0..6000),
+        chunk_bytes in 1u64..1500,
+        reframe_quarters in 0u32..4,
+        mix_seed in 0u64..u64::MAX,
+    ) {
+        let fabric = fabric();
+        let producer = fabric.register("p");
+        let consumer = fabric.register("c");
+        let sent = Payload::from(data.clone());
+        producer
+            .send_chunked("c", "m:1", sent.clone(), LinkKind::GpuDirect, &ChunkedSend::new(chunk_bytes))
+            .expect("send");
+
+        // Per chunk index: maybe re-frame the body from a copy (every
+        // duplicate of that index too, each in its own allocation), and
+        // deliver it one to three times.
+        let mut rng = FaultRng::new(mix_seed);
+        let mut arrivals = Vec::new();
+        let mut any_reframed = false;
+        let first_send = drain(&consumer);
+        let num_chunks = first_send.len();
+        for msg in first_send {
+            let reframed = rng.chance(f64::from(reframe_quarters) / 4.0);
+            any_reframed |= reframed;
+            for _ in 0..=rng.below(3) {
+                let mut copy = msg.clone();
+                if reframed {
+                    let head = *copy.payload.head().expect("chunk frames carry a head");
+                    copy.payload = WireBuf::framed(head, Payload::from(copy.payload.body().to_vec()));
+                }
+                arrivals.push(copy);
+            }
+        }
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+
+        let mut asm = FlowAssembler::new();
+        let mut released = Vec::new();
+        for msg in arrivals {
+            match asm.accept(msg) {
+                FlowStatus::Complete(flow) => released.push(flow),
+                FlowStatus::Buffered => {}
+                other => panic!("clean chunk misjudged: {other:?}"),
+            }
+        }
+        prop_assert_eq!(released.len(), 1, "released exactly once");
+        let flow = released.pop().expect("one flow");
+        prop_assert_eq!(&flow.payload, &data);
+        prop_assert_eq!(&*flow.chunk_crcs, &payload_chunk_crcs(&flow.payload, chunk_bytes));
+        prop_assert!(
+            std::sync::Arc::ptr_eq(&flow.crcs_for(chunk_bytes), &flow.chunk_crcs),
+            "same geometry must hand the verified CRCs on"
+        );
+        // A lone body is the payload whatever allocation it sits in; only
+        // a multi-chunk flow with a foreign body has anything to gather.
+        let gathers = any_reframed && num_chunks > 1;
+        prop_assert_eq!(asm.bytes_copied(), if gathers { data.len() as u64 } else { 0 });
+        if !data.is_empty() {
+            let aliases_sender = flow.payload.as_slice().as_ptr() == sent.as_slice().as_ptr();
+            prop_assert_eq!(aliases_sender, !any_reframed);
+        }
     }
 }
 

@@ -7,10 +7,27 @@ use rand::Rng;
 ///
 /// This is the value type flowing through the whole Viper stack: layer
 /// parameters, activations, gradients, and checkpoint payloads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            data: self.data.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Overwrites `self` in place: the element buffer is reused whenever
+    /// its capacity suffices, so cloning into a tensor of the same size
+    /// allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.shape.clone_from(&source.shape);
+    }
 }
 
 impl Tensor {
@@ -274,6 +291,20 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
+    }
+
+    #[test]
+    fn clone_from_reuses_the_element_buffer() {
+        let src = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
+        let mut dst = Tensor::zeros(&[3, 2]);
+        let buffer = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_slice().as_ptr(), buffer);
+        // A larger source still yields an equal tensor (the buffer grows).
+        let big = Tensor::full(&[4, 4], 2.0);
+        dst.clone_from(&big);
+        assert_eq!(dst, big);
     }
 
     #[test]

@@ -75,20 +75,25 @@ fn patient_retry() -> RetryPolicy {
     }
 }
 
+/// A healthy fabric except for the link into `slow`, which drops `drop`
+/// of its data frames.
+fn straggler_plan(seed: u64, drop: f64) -> FaultPlan {
+    FaultPlan::seeded(seed).for_node(
+        "slow",
+        LinkFaults {
+            drop,
+            ..LinkFaults::default()
+        },
+    )
+}
+
 /// One producer, one healthy consumer (`fast`), one straggler (`slow`)
 /// behind a seeded 60%-drop link.
 fn straggler_config(seed: u64) -> ViperConfig {
-    let plan = FaultPlan::seeded(seed).for_node(
-        "slow",
-        LinkFaults {
-            drop: 0.60,
-            ..LinkFaults::default()
-        },
-    );
     let mut config = ViperConfig::default()
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_chunked(CHUNK_SMALL)
-        .with_faults(plan)
+        .with_faults(straggler_plan(seed, 0.60))
         .with_reactor_threads(reactor_threads())
         .with_retry(patient_retry());
     config.flush_to_pfs = false;
@@ -104,8 +109,9 @@ struct RunStats {
 }
 
 /// Drive `SAVES` updates through `config`, wait for both consumers to hold
-/// the final version, and check the exact delivery accounting.
-fn run_straggler(config: ViperConfig) -> RunStats {
+/// the final version, and check the exact delivery accounting. `after_burst`
+/// replaces the fault plan once the last save is admitted.
+fn run_straggler(config: ViperConfig, after_burst: Option<FaultPlan>) -> RunStats {
     let viper = Viper::new(config);
     let producer = viper.producer("p");
     let fast = viper.consumer("fast", "m");
@@ -113,6 +119,9 @@ fn run_straggler(config: ViperConfig) -> RunStats {
 
     for iter in 1..=SAVES {
         producer.save_weights(&big_ckpt(iter, 1_500)).unwrap();
+    }
+    if let Some(plan) = after_burst {
+        viper.set_fault_plan(Some(plan));
     }
     producer.flush_deliveries();
 
@@ -161,13 +170,26 @@ fn run_straggler(config: ViperConfig) -> RunStats {
 fn straggler_consumer_does_not_starve_healthy_consumers() {
     let _seq = PACING.lock().unwrap_or_else(|e| e.into_inner());
     for seed in fault_seeds() {
-        let stats = run_straggler(straggler_config(seed).with_coalescing());
-        // The straggler's repair rounds occupy its lane long enough that at
-        // least one admission found it busy and an older queued version was
-        // collapsed away.
+        // Whether an admission finds the straggler's lane busy must not be
+        // left to how the save thread and the reactor interleave, so the
+        // lane is busy by construction: while the burst is admitted the
+        // link into `slow` is dead and the flow in flight on it cannot run
+        // out of retries, so save 1 holds the lane, save 2 queues behind
+        // it, and every later save collapses the one queued before it.
+        // Once the last save is admitted the link heals to the seeded
+        // 60%-drop straggler and the lane drains through repair rounds.
+        let held = straggler_config(seed)
+            .with_faults(straggler_plan(seed, 1.0))
+            .with_retry(RetryPolicy {
+                max_retries: u32::MAX,
+                ..patient_retry()
+            })
+            .with_coalescing();
+        let stats = run_straggler(held, Some(straggler_plan(seed, 0.60)));
         assert!(
-            stats.superseded > 0,
-            "seed {seed}: straggler lane never coalesced"
+            stats.superseded >= SAVES - 2,
+            "seed {seed}: straggler lane coalesced only {} of a {SAVES}-save burst",
+            stats.superseded
         );
     }
 }
@@ -180,8 +202,8 @@ fn coalescing_beats_blocking_delivery_on_healthy_convergence() {
     // healthy consumer's convergence inherits the full serialized repair
     // cost; with coalescing the healthy lane runs ahead.
     for seed in fault_seeds() {
-        let off = run_straggler(straggler_config(seed));
-        let on = run_straggler(straggler_config(seed).with_coalescing());
+        let off = run_straggler(straggler_config(seed), None);
+        let on = run_straggler(straggler_config(seed).with_coalescing(), None);
         assert!(
             on.fast_converged < off.fast_converged,
             "seed {seed}: coalescing did not help the healthy consumer \
@@ -203,7 +225,7 @@ fn delivery_metrics_are_visible_in_the_registry() {
     let config = straggler_config(fault_seeds()[0])
         .with_coalescing()
         .with_telemetry(telemetry.clone());
-    let stats = run_straggler(config);
+    let stats = run_straggler(config, None);
 
     let registry = telemetry.metrics().snapshot();
     assert_eq!(

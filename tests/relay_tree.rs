@@ -156,6 +156,77 @@ fn fleet_converges_exactly_once_through_the_tree() {
     for c in &fleet {
         assert_eq!(c.relay_queue_depth(), 0, "{}: backlog at rest", c.node());
     }
+    // Every hop reassembled by re-joining the chunk views it received —
+    // relays forward the producer's buffer with the CRCs their own chunks
+    // were verified against — so no member copied a payload byte.
+    for c in &fleet {
+        assert_eq!(c.bytes_copied(), 0, "{}: gathered a flow", c.node());
+    }
+}
+
+/// What a relay does with a completed flow, at the fabric level: re-serve
+/// the reassembled payload framed with `AssembledFlow::crcs_for`. (Members
+/// of one deployment share one `chunk_bytes`, so a relay that re-chunks
+/// differently can only be staged on raw endpoints.)
+#[test]
+fn relay_reserve_carries_crcs_or_recomputes_them_for_another_chunk_size() {
+    use std::sync::Arc;
+    use viper_net::{ChunkedSend, Endpoint, Fabric, FlowAssembler, FlowStatus, LinkKind, Payload};
+
+    /// Reassemble the one flow queued at `endpoint`: the flow, and how
+    /// many payload bytes reassembling it copied.
+    fn assemble(endpoint: &Endpoint) -> (Box<viper_net::AssembledFlow>, u64) {
+        let mut asm = FlowAssembler::new();
+        while let Some(msg) = endpoint.try_recv() {
+            if let FlowStatus::Complete(flow) = asm.accept(msg) {
+                return (flow, asm.bytes_copied());
+            }
+        }
+        panic!("{}: flow never completed", endpoint.node());
+    }
+
+    let fabric = Fabric::new(
+        viper_hw::MachineProfile::polaris(),
+        viper_hw::SimClock::new(),
+    );
+    let producer = fabric.register("p");
+    let relay = fabric.register("relay");
+    let children = [
+        (fabric.register("same"), CHUNK_SMALL),
+        (fabric.register("other"), 700u64),
+    ];
+
+    let sent = Payload::from((0..10_000u32).map(|i| (i * 7) as u8).collect::<Vec<_>>());
+    let opts = ChunkedSend::new(CHUNK_SMALL);
+    producer
+        .send_chunked("relay", "m:1", sent.clone(), LinkKind::GpuDirect, &opts)
+        .unwrap();
+    let (flow, copied) = assemble(&relay);
+    assert_eq!(copied, 0);
+
+    for (child, chunk_bytes) in &children {
+        let crcs = flow.crcs_for(*chunk_bytes);
+        assert_eq!(
+            Arc::ptr_eq(&crcs, &flow.chunk_crcs),
+            *chunk_bytes == CHUNK_SMALL,
+            "carried iff the relay re-chunks the way the flow arrived"
+        );
+        let opts = ChunkedSend::new(*chunk_bytes).with_crcs(crcs);
+        relay
+            .send_chunked(child.node(), "m:1", flow.payload.clone(), flow.link, &opts)
+            .unwrap();
+        // The child verifies every body against the CRCs the relay framed
+        // with: a wrong one would surface as Corrupt, never Complete.
+        let (got, copied) = assemble(child);
+        assert_eq!(got.payload, sent, "{}: bytes differ", child.node());
+        assert_eq!(copied, 0);
+        assert_eq!(
+            got.payload.as_slice().as_ptr(),
+            sent.as_slice().as_ptr(),
+            "{}: two hops on, still the producer's one allocation",
+            child.node()
+        );
+    }
 }
 
 #[test]
@@ -193,6 +264,9 @@ fn seeded_fault_sweep_keeps_every_leaf_exactly_once() {
                 "seed {seed} {}: exactly-once install violated",
                 c.node()
             );
+            // Retransmits and duplicates are views of the same buffers as
+            // the first sends, so repaired flows re-join copy-free too.
+            assert_eq!(c.bytes_copied(), 0, "seed {seed} {}", c.node());
         }
         assert!(
             producer.group_acks() >= 1,
