@@ -1,17 +1,21 @@
 //! The wire-codec layer: what bytes actually travel for one model update.
 //!
-//! [`PayloadCodec`] decides *per consumer, per update* whether to ship the
-//! full checkpoint or an incremental [`viper_formats::delta`] against that
-//! consumer's last **acknowledged** base version, and frames the chosen
-//! bytes with an explicit payload-kind envelope ([`viper_formats::wire`])
-//! so the receiver dispatches by header, never by sniffing body magics.
-//! The delivery engine below ([`deliver`] / [`DeliveryTask`]) drives the
+//! [`PayloadCodec`] decides *per delivery group, per update* whether to
+//! ship the full checkpoint or an incremental [`viper_formats::delta`]
+//! against the base version every member last **acknowledged**, and frames
+//! the chosen bytes with an explicit payload-kind envelope
+//! ([`viper_formats::wire`]) so the receiver dispatches by header, never by
+//! sniffing body magics. A directly served consumer is a group of one; a
+//! relay-tree root stands for its whole subtree.
+//! The delivery layer below ([`deliver`] / [`DeliveryTask`]) drives the
 //! framed payload over the fabric — chunking, CRC, fault injection,
 //! NACK/retransmit, and the durable PFS fallback all compose with it. The
 //! reliable path is event-driven: the save thread submits one
 //! [`DeliveryJob`] to the reactor (blocking on its reply only in
-//! non-coalescing mode), while the reactor's scheduler drives every flow's
-//! [`FlowMachine`] from feedback mail and virtual-clock ack timers.
+//! non-coalescing mode), and the [`DeliveryTask`] applies the producer's
+//! delivery policy to the terminal outcomes of a [`viper_net::FlowSender`],
+//! the engine that owns the lanes, flows, ack timers and retransmission
+//! rounds.
 //!
 //! ## Backpressure and coalescing
 //!
@@ -20,17 +24,16 @@
 //! carries nothing the submitter does not already know, so `save` returns
 //! the moment the job is posted — wait-free capture-to-return. The
 //! task may drive several updates concurrently. Each `(consumer, model)`
-//! pair is a **lane**: while a lane has a flow in flight, newer updates
-//! for it queue in a bounded [`CoalesceQueue`] that collapses to the
+//! pair is a **lane** of the engine: while a lane has a flow in flight,
+//! newer updates for it queue behind it, bounded and collapsing to the
 //! latest — superseded versions are dropped before they ever touch the
 //! wire, counted per consumer (`producer.{node}.updates_superseded.*`)
 //! and in aggregate, with the total backlog exported as the
 //! `producer.{node}.queue_depth` gauge. A congested lane also backs its
 //! retransmissions off harder: the retry pause grows with the lane's
-//! backlog ([`RetryPolicy::backoff_with_pressure`]). An update that
-//! exhausts its retries skips the durable PFS fallback when a newer
-//! version is already queued behind the same lane — the newer version
-//! supersedes it for that consumer.
+//! backlog. An update that exhausts its retries skips the durable PFS
+//! fallback when a newer version is already queued behind the same lane —
+//! the newer version supersedes it for that consumer.
 //!
 //! Full-checkpoint fallback rules (the codec never guesses):
 //!
@@ -38,6 +41,7 @@
 //!   after an exhausted delivery) gets a full;
 //! * a consumer whose acknowledged base is no longer retained (pruned) or
 //!   not older than the update gets a full;
+//! * a relay group whose members acknowledged different bases gets a full;
 //! * a consumer that replies `NeedFull` (its slot lost the base — e.g. it
 //!   restarted under the same node name) gets the update re-sent as a full
 //!   on a fresh flow, and its base tracking is reset;
@@ -69,8 +73,8 @@ use viper_formats::{delta, wire, Checkpoint, Payload, PayloadKind, StreamingEnco
 use viper_hw::{stage_time, MachineProfile, Route, SimInstant, Tier};
 use viper_metastore::ModelRecord;
 use viper_net::{
-    ChunkedSend, CoalesceQueue, Control, Endpoint, FeedbackKind, FlowAction, FlowEvent,
-    FlowMachine, LinkKind, MessageKind, ReactorTask, TaskCtx,
+    ChunkedSend, Control, Endpoint, FlowSender, LinkKind, MessageKind, Outbound, Outcome,
+    OutcomeKind, ReactorTask, SenderCounters, TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge, Telemetry};
 
@@ -212,9 +216,8 @@ impl ModelWireCache {
 
 /// Per-producer delta state: retained diff bases and per-consumer
 /// acknowledged iterations. Inactive (all methods no-ops, `encode_for`
-/// passes the raw payload through) unless both `delta_transfer` and
-/// `reliable_delivery` are configured — a base is only "acknowledged"
-/// through the ACK channel.
+/// passes the raw payload through) unless delta transfer is in effect
+/// (`ViperConfig::delta_active`).
 pub(crate) struct PayloadCodec {
     active: bool,
     keep: usize,
@@ -230,7 +233,7 @@ pub(crate) struct PayloadCodec {
 impl PayloadCodec {
     pub(crate) fn new(config: &ViperConfig) -> Self {
         PayloadCodec {
-            active: config.delta_transfer && config.reliable_delivery,
+            active: config.delta_active(),
             keep: config.keep_versions.max(1),
             retained: Mutex::new(HashMap::new()),
             acked: Mutex::new(HashMap::new()),
@@ -313,25 +316,13 @@ impl PayloadCodec {
             .and_then(|bases| bases.keys().next_back().copied())
     }
 
-    /// The base checkpoint a delta for `consumer` must diff against: its
-    /// last acknowledged iteration, if that checkpoint is still retained.
-    fn base_for(&self, consumer: &str, model: &str) -> Option<Arc<Checkpoint>> {
-        let acked = *self
-            .acked
-            .lock()
-            .get(&(consumer.to_string(), model.to_string()))?;
-        self.retained.lock().get(model)?.get(&acked).cloned()
-    }
-
-    /// The common delta base for a whole relay group: the base checkpoint
-    /// every member has acknowledged, if they all acknowledged the *same*
-    /// iteration and it is still retained. A relay re-serves one wire
-    /// image to its whole subtree, so a group delta is only safe when it
-    /// applies at every member; any divergence falls back to a full.
-    fn group_base(&self, members: &[String], model: &str) -> Option<Arc<Checkpoint>> {
-        if !self.active {
-            return None;
-        }
+    /// The base checkpoint a delta for `members` must diff against: the
+    /// iteration every one of them last acknowledged, if they all
+    /// acknowledged the *same* one and it is still retained. A directly
+    /// served consumer is a group of one; a relay re-serves one wire image
+    /// to its whole subtree, so a group delta is only safe when it applies
+    /// at every member — any divergence falls back to a full.
+    fn base_for(&self, members: &[String], model: &str) -> Option<Arc<Checkpoint>> {
         let acked = self.acked.lock();
         let mut common: Option<u64> = None;
         for member in members {
@@ -435,36 +426,27 @@ impl PayloadCodec {
     }
 }
 
-/// Choose and encode the wire payload for one consumer. With the codec
-/// inactive this is the identity: the raw full encoding travels unframed,
+/// Choose and encode the *shared* wire payload for `members`: one directly
+/// served consumer, or a relay group (a tree root plus its whole subtree —
+/// the same bytes are re-served down every level). A delta is chosen only
+/// when [`PayloadCodec::base_for`] proves it applies at every member;
+/// otherwise they get the memoized framed full. With the codec inactive
+/// this is the identity: the raw full encoding travels unframed,
 /// byte-identical to a build without the codec layer.
-#[allow(clippy::too_many_arguments)]
-fn encode_for(
-    viper: &Viper,
-    codec: &PayloadCodec,
-    consumer: &str,
-    record: &ModelRecord,
-    ckpt: Option<&Arc<Checkpoint>>,
-    payload: &Payload,
-    payload_crcs: &Arc<Vec<u32>>,
-    chunk_bytes: u64,
-    route: Route,
-    counters: &DeliveryCounters,
-    frontier: &mut SimInstant,
-    track: &str,
-) -> WirePayload {
+fn encode_for(d: &Delivery<'_>, members: &[String], frontier: &mut SimInstant) -> WirePayload {
+    let (codec, record, payload, counters) = (d.codec, d.record, d.payload, d.counters);
     if !codec.active() {
         return WirePayload {
             kind: PayloadKind::Full,
             bytes: payload.clone(),
-            crcs: Some(Arc::clone(payload_crcs)),
+            crcs: Some(Arc::clone(d.payload_crcs)),
         };
     }
-    let shared = &viper.shared;
-    let telemetry = &shared.config.telemetry;
-    if let Some(ckpt) = ckpt {
+    let shared = &d.viper.shared;
+    let chunk_bytes = shared.config.wire_chunk_bytes();
+    if let Some(ckpt) = d.ckpt {
         if let Some(base) = codec
-            .base_for(consumer, &record.name)
+            .base_for(members, &record.name)
             .filter(|b| b.iteration < ckpt.iteration)
         {
             let encoded = codec.delta_cached(&record.name, ckpt.iteration, base.iteration, || {
@@ -474,142 +456,32 @@ fn encode_for(
                 // tensors encode directly off the compare pass, so no
                 // DeltaCheckpoint, tensor clone, or intermediate buffer
                 // ever materializes on the send path.
-                let framed = {
-                    let mut enc = StreamingEncoder::new(chunk_bytes);
-                    enc.put_bytes(&wire::envelope(PayloadKind::Delta));
-                    match delta::diff_into(&base, ckpt, &mut enc) {
-                        Ok(_) => {
-                            counters.payload_allocs.inc();
-                            let encoded = enc.finish();
-                            Some((encoded.payload, encoded.chunk_crcs))
-                        }
-                        Err(_) => None,
-                    }
-                };
-                if framed.is_some() {
-                    // The diff is one read pass over the full model at the
-                    // route's staging bandwidth, charged causally from the
-                    // delivery frontier.
-                    let t0 = *frontier;
-                    *frontier = charge_at(
-                        &shared.clock,
-                        t0,
-                        stage_time(&shared.config.profile, route, payload.len() as u64),
-                    );
-                    telemetry.complete(
-                        "producer",
-                        "encode.delta",
-                        track,
-                        t0.as_nanos(),
-                        frontier.as_nanos(),
-                        &[
-                            ("base_iteration", base.iteration.into()),
-                            ("iteration", ckpt.iteration.into()),
-                        ],
-                    );
-                }
-                framed
-            });
-            if let Some((bytes, crcs)) = encoded {
-                counters.delta_sends.inc();
-                let full_len = (payload.len() + wire::WIRE_HEADER_BYTES) as u64;
-                counters
-                    .delta_bytes_saved
-                    .add(full_len.saturating_sub(bytes.len() as u64));
-                return WirePayload {
-                    kind: PayloadKind::Delta,
-                    bytes,
-                    crcs: Some(crcs),
-                };
-            }
-        }
-    }
-    counters.delta_fallbacks.inc();
-    let (bytes, crcs) = codec.full_framed_cached(
-        &record.name,
-        record.iteration,
-        payload,
-        chunk_bytes,
-        counters,
-    );
-    WirePayload {
-        kind: PayloadKind::Full,
-        bytes,
-        crcs: Some(crcs),
-    }
-}
-
-/// Choose and encode the *shared* wire payload for one relay group (a
-/// tree root plus its whole subtree). The same bytes are re-served down
-/// every level, so a delta is chosen only when
-/// [`PayloadCodec::group_base`] proves it applies at every member;
-/// otherwise the group gets the memoized framed full. With the codec
-/// inactive the raw full travels unframed, exactly as on the direct path.
-#[allow(clippy::too_many_arguments)]
-fn encode_group(
-    viper: &Viper,
-    codec: &PayloadCodec,
-    members: &[String],
-    record: &ModelRecord,
-    ckpt: Option<&Arc<Checkpoint>>,
-    payload: &Payload,
-    payload_crcs: &Arc<Vec<u32>>,
-    chunk_bytes: u64,
-    route: Route,
-    counters: &DeliveryCounters,
-    frontier: &mut SimInstant,
-    track: &str,
-) -> WirePayload {
-    if !codec.active() {
-        return WirePayload {
-            kind: PayloadKind::Full,
-            bytes: payload.clone(),
-            crcs: Some(Arc::clone(payload_crcs)),
-        };
-    }
-    let shared = &viper.shared;
-    let telemetry = &shared.config.telemetry;
-    if let Some(ckpt) = ckpt {
-        if let Some(base) = codec
-            .group_base(members, &record.name)
-            .filter(|b| b.iteration < ckpt.iteration)
-        {
-            let encoded = codec.delta_cached(&record.name, ckpt.iteration, base.iteration, || {
-                // Same fused framing as the per-consumer path: the
-                // streaming diff writes envelope, changed tensors, and
-                // chunk CRCs in one pass with no materialized delta.
-                let framed = {
-                    let mut enc = StreamingEncoder::new(chunk_bytes);
-                    enc.put_bytes(&wire::envelope(PayloadKind::Delta));
-                    match delta::diff_into(&base, ckpt, &mut enc) {
-                        Ok(_) => {
-                            counters.payload_allocs.inc();
-                            let encoded = enc.finish();
-                            Some((encoded.payload, encoded.chunk_crcs))
-                        }
-                        Err(_) => None,
-                    }
-                };
-                if framed.is_some() {
-                    let t0 = *frontier;
-                    *frontier = charge_at(
-                        &shared.clock,
-                        t0,
-                        stage_time(&shared.config.profile, route, payload.len() as u64),
-                    );
-                    telemetry.complete(
-                        "producer",
-                        "encode.delta",
-                        track,
-                        t0.as_nanos(),
-                        frontier.as_nanos(),
-                        &[
-                            ("base_iteration", base.iteration.into()),
-                            ("iteration", ckpt.iteration.into()),
-                        ],
-                    );
-                }
-                framed
+                let mut enc = StreamingEncoder::new(chunk_bytes);
+                enc.put_bytes(&wire::envelope(PayloadKind::Delta));
+                delta::diff_into(&base, ckpt, &mut enc).ok()?;
+                counters.payload_allocs.inc();
+                let encoded = enc.finish();
+                // The diff is one read pass over the full model at the
+                // route's staging bandwidth, charged causally from the
+                // delivery frontier.
+                let t0 = *frontier;
+                *frontier = charge_at(
+                    &shared.clock,
+                    t0,
+                    stage_time(&shared.config.profile, d.route, payload.len() as u64),
+                );
+                shared.config.telemetry.complete(
+                    "producer",
+                    "encode.delta",
+                    d.track,
+                    t0.as_nanos(),
+                    frontier.as_nanos(),
+                    &[
+                        ("base_iteration", base.iteration.into()),
+                        ("iteration", ckpt.iteration.into()),
+                    ],
+                );
+                Some((encoded.payload, encoded.chunk_crcs))
             });
             if let Some((bytes, crcs)) = encoded {
                 counters.delta_sends.inc();
@@ -660,15 +532,15 @@ fn chunk_capture_model(
 }
 
 /// One reliable fan-out handed to the producer's [`DeliveryTask`] on the
-/// reactor. The caller pre-encodes every consumer's wire payload (so delta
-/// diff charges stay on the save path's causal frontier), submits the job,
-/// and blocks on `reply` — delivery itself is driven entirely by reactor
-/// events: completion mail and virtual-clock ack timers, never a parked
-/// thread per consumer. Without coalescing the reply arrives once every
-/// flow is terminal; with coalescing it arrives at admission and the task
+/// reactor. The caller pre-encodes every target's wire payload (so delta
+/// diff charges stay on the save path's causal frontier) and submits the
+/// job — delivery itself is driven entirely by reactor events: completion
+/// mail and virtual-clock ack timers, never a parked thread per consumer.
+/// Without coalescing the caller blocks on `reply`, which arrives once
+/// every flow is terminal; with coalescing there is no reply and the task
 /// drives the update to completion (or supersession) in the background.
 pub(crate) struct DeliveryJob {
-    /// `(consumer node, encoded payload)` in fan-out order. Under
+    /// `(target node, encoded payload)` in fan-out order. Under
     /// relay-tree distribution these are the tree *roots* only.
     pub(crate) consumers: Vec<(String, WirePayload)>,
     /// Relay-tree delivery groups: root → its whole subtree (root first).
@@ -692,7 +564,9 @@ pub(crate) struct DeliveryJob {
     pub(crate) record: ModelRecord,
     pub(crate) track: String,
     pub(crate) frontier: SimInstant,
-    pub(crate) reply: Sender<DeliveryDone>,
+    /// `None` under coalescing: the save path returned at submit, and a
+    /// terminal fallback runs on the task instead.
+    pub(crate) reply: Option<Sender<DeliveryDone>>,
 }
 
 /// A drain barrier submitted to the [`DeliveryTask`]: replied to once no
@@ -703,30 +577,111 @@ pub(crate) struct DrainBarrier {
     pub(crate) reply: Sender<()>,
 }
 
-/// The reply to a [`DeliveryJob`] once every flow reached a terminal state
-/// (admission, under coalescing).
+/// The reply to a blocking [`DeliveryJob`] once every flow reached a
+/// terminal state.
 pub(crate) struct DeliveryDone {
-    /// Consumers that ACKed an install (consumers admitted, under
-    /// coalescing — terminal outcomes surface via counters instead).
+    /// Consumers that ACKed an install.
     pub(crate) delivered: usize,
     /// At least one consumer exhausted the retry budget: degrade to PFS.
-    /// Always false under coalescing — the task runs the durable fallback
-    /// itself when the update finishes.
     pub(crate) fall_back: bool,
     /// Causal frontier extended by the ACK arrival instants.
     pub(crate) frontier: SimInstant,
 }
 
+/// One update on its way out of `save_weights` (or its async worker), as
+/// [`deliver`] takes it.
+pub(crate) struct Delivery<'a> {
+    pub(crate) viper: &'a Viper,
+    pub(crate) endpoint: &'a Endpoint,
+    pub(crate) codec: &'a PayloadCodec,
+    pub(crate) counters: &'a DeliveryCounters,
+    pub(crate) record: &'a ModelRecord,
+    /// The captured checkpoint, for delta encoding (`None` with delta
+    /// transfer off).
+    pub(crate) ckpt: Option<&'a Arc<Checkpoint>>,
+    /// Always the **raw full encoding** — what the staging tiers, the PFS
+    /// fallback, and the pull path read. What each consumer is actually
+    /// sent is decided by the [`PayloadCodec`] (delta vs framed full vs
+    /// raw passthrough).
+    pub(crate) payload: &'a Payload,
+    /// Encode-time per-chunk CRCs of `payload`.
+    pub(crate) payload_crcs: &'a Arc<Vec<u32>>,
+    pub(crate) route: Route,
+    /// Let the first send model the (not yet charged) capture overlapping
+    /// the wire.
+    pub(crate) pipeline_capture: bool,
+    pub(crate) track: &'a str,
+    /// The causal instant the delivery starts from; `None` reads the
+    /// shared clock (correct whenever the caller just charged its own
+    /// work there). A coalescing producer passes its private save frontier
+    /// instead — the shared clock races ahead with concurrently applying
+    /// consumers, and basing charges on it would make the timeline depend
+    /// on thread scheduling.
+    pub(crate) frontier_base: Option<SimInstant>,
+}
+
+/// Graceful degradation: the wire gave up on at least one consumer, so
+/// make this version durable NOW (not just in the background flush) and
+/// relocate its metadata record. Returns the record pointing at the PFS
+/// copy — consumers recover via the repository pull path — or `None` if
+/// the write failed. The durable copy is always the raw full encoding,
+/// never a framed or delta payload.
+fn durable_fallback(
+    viper: &Viper,
+    counters: &DeliveryCounters,
+    record: &ModelRecord,
+    payload: &Payload,
+    track: &str,
+) -> Option<ModelRecord> {
+    let shared = &viper.shared;
+    let telemetry = &shared.config.telemetry;
+    let t0 = telemetry.now_ns();
+    let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
+    let written = shared
+        .pfs
+        .write(&pfs_path, payload.clone(), record.ntensors)
+        .is_ok();
+    let relocated = written.then(|| {
+        shared
+            .db
+            .relocate(&record.name, record.version, Tier::Pfs.name(), &pfs_path);
+        counters.pfs_fallbacks.inc();
+        let mut notify = record.clone();
+        notify.location = Tier::Pfs.name().to_string();
+        notify.path = pfs_path;
+        notify
+    });
+    telemetry.complete(
+        "producer",
+        "pfs_fallback",
+        track,
+        t0,
+        telemetry.now_ns(),
+        &[("version", record.version.into())],
+    );
+    relocated
+}
+
+/// Publish the update notification `frontier` + the notify latency after
+/// the delivery it announces; returns how many subscribers it reached.
+fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> usize {
+    let shared = &viper.shared;
+    charge_at(
+        &shared.clock,
+        frontier,
+        shared.config.profile.notify_latency,
+    );
+    let notified = shared.bus.publish(UPDATE_TOPIC, notify);
+    // Consumer discovery runs on the reactor: nudge every task to drain its
+    // subscription (push mode) or check the metadata DB (poll mode).
+    shared.reactor.wake_all();
+    notified
+}
+
 /// Push the update to every attached consumer and publish the update
 /// notification. For the PFS route consumers pull from the shared tier, so
 /// only the notification is sent. With `ViperConfig::chunked_transfer` the
-/// payload travels as a pipelined chunked flow; `pipeline_capture` lets the
-/// first send model the (not yet charged) capture overlapping the wire.
-///
-/// `payload` is always the **raw full encoding** — it is what the staging
-/// tiers, the PFS fallback, and the pull path read. What each consumer is
-/// actually sent is decided per consumer by the [`PayloadCodec`] (delta vs
-/// framed full vs raw passthrough).
+/// payload travels as a pipelined chunked flow.
 ///
 /// With `ViperConfig::reliable_delivery` every memory-route send is
 /// ACK-gated with NACK-driven retransmission; if a consumer exhausts the
@@ -734,34 +689,17 @@ pub(crate) struct DeliveryDone {
 /// synchronously, relocated in the metadata DB) and the published
 /// notification points there, so the consumer's pull path recovers it.
 ///
-/// `frontier_base` is the causal instant the delivery starts from; `None`
-/// reads the shared clock (correct whenever the caller just charged its
-/// own work there). A coalescing producer passes its private save
-/// frontier instead — the shared clock races ahead with concurrently
-/// applying consumers, and basing charges on it would make the timeline
-/// depend on thread scheduling. Returns how many consumers were pushed a
-/// payload (admitted, under coalescing).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver(
-    viper: &Viper,
-    endpoint: &Endpoint,
-    codec: &PayloadCodec,
-    record: &ModelRecord,
-    ckpt: Option<&Arc<Checkpoint>>,
-    payload: &Payload,
-    payload_crcs: &Arc<Vec<u32>>,
-    route: Route,
-    pipeline_capture: bool,
-    counters: &DeliveryCounters,
-    track: &str,
-    frontier_base: Option<SimInstant>,
-) -> usize {
+/// Returns how many consumers were pushed a payload (admitted, under
+/// coalescing).
+pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
+    let (viper, endpoint, record, payload, route) =
+        (d.viper, d.endpoint, d.record, d.payload, d.route);
     let shared = &viper.shared;
     let telemetry = &shared.config.telemetry;
     let mut span = telemetry.span_with(
         "producer",
         "deliver",
-        track,
+        d.track,
         &[
             ("version", record.version.into()),
             ("route", route_label(route).into()),
@@ -780,7 +718,7 @@ pub(crate) fn deliver(
     // concurrently applying consumer advances the shared clock, and basing
     // the charge on the racy frontier would make the timeline depend on
     // thread scheduling.
-    let mut frontier = frontier_base.unwrap_or_else(|| shared.clock.now());
+    let mut frontier = d.frontier_base.unwrap_or_else(|| shared.clock.now());
     if let Some(link) = link {
         let tag = format!("{}:{}", record.name, record.version);
         let consumers = shared.consumers.read().clone();
@@ -792,101 +730,70 @@ pub(crate) fn deliver(
             // driven by this producer's reactor task; the save path blocks
             // here only for the job reply, holding zero threads per
             // consumer.
-            let chunk_bytes = if config.chunked_transfer {
-                config.chunk_bytes
-            } else {
-                0
-            };
             let eligible: Vec<String> = consumers
                 .into_iter()
                 .filter(|c| c != endpoint.node())
                 .collect();
-            let mut job_consumers = Vec::new();
             // Relay-tree mode: organize the fleet into the deployment's
             // topology and target only the tree roots — each root's group
             // shares one wire image, re-served down the tree by the
-            // relays themselves.
+            // relays themselves. On the direct path every consumer is a
+            // group of one.
             let groups = shared.distribution.refresh(&eligible).unwrap_or_default();
-            if groups.is_empty() {
-                for consumer in eligible {
-                    let wire_payload = encode_for(
-                        viper,
-                        codec,
-                        &consumer,
-                        record,
-                        ckpt,
-                        payload,
-                        payload_crcs,
-                        chunk_bytes,
-                        route,
-                        counters,
-                        &mut frontier,
-                        track,
-                    );
-                    job_consumers.push((consumer, wire_payload));
-                }
+            let targets: Vec<(String, WirePayload)> = if groups.is_empty() {
+                eligible
+                    .into_iter()
+                    .map(|consumer| {
+                        let wire = encode_for(d, std::slice::from_ref(&consumer), &mut frontier);
+                        (consumer, wire)
+                    })
+                    .collect()
             } else {
-                for (root, members) in &groups {
-                    let wire_payload = encode_group(
-                        viper,
-                        codec,
-                        members,
-                        record,
-                        ckpt,
-                        payload,
-                        payload_crcs,
-                        chunk_bytes,
-                        route,
-                        counters,
-                        &mut frontier,
-                        track,
-                    );
-                    job_consumers.push((root.clone(), wire_payload));
-                }
-            }
-            if !job_consumers.is_empty() {
-                let admitted = job_consumers.len();
-                let coalesce = config.coalesce_updates;
-                let (reply_tx, reply_rx) = unbounded();
-                let capture = pipeline_capture
-                    .then(|| chunk_capture_model(&config.profile, route, record.ntensors));
+                groups
+                    .iter()
+                    .map(|(root, members)| (root.clone(), encode_for(d, members, &mut frontier)))
+                    .collect()
+            };
+            if !targets.is_empty() {
+                let admitted = targets.len();
+                // Wait-free save path: under coalescing every target is
+                // admitted unconditionally (launched or queued), so there
+                // is nothing to wait for — terminal outcomes surface
+                // through counters and `flush_deliveries`. In blocking
+                // mode the reply arrives once every flow is terminal,
+                // preserving one fan-out at a time.
+                let reply = (!config.coalescing()).then(unbounded);
                 shared.reactor.submit(
                     endpoint.node(),
                     Box::new(DeliveryJob {
-                        consumers: job_consumers,
+                        consumers: targets,
                         groups,
                         tag,
                         link,
-                        chunk_bytes,
-                        capture,
+                        chunk_bytes: config.wire_chunk_bytes(),
+                        capture: d
+                            .pipeline_capture
+                            .then(|| chunk_capture_model(&config.profile, route, record.ntensors)),
                         payload: payload.clone(),
-                        framed_full: codec.cached_full(&record.name, record.iteration),
+                        framed_full: d.codec.cached_full(&record.name, record.iteration),
                         record: record.clone(),
-                        track: track.to_string(),
+                        track: d.track.to_string(),
                         frontier,
-                        reply: reply_tx,
+                        reply: reply.as_ref().map(|(tx, _)| tx.clone()),
                     }),
                 );
-                if coalesce {
-                    // Wait-free save path: under coalescing every consumer
-                    // is admitted unconditionally (launched or queued) and
-                    // the admission reply carries nothing the submitter
-                    // does not already know, so blocking on it would only
-                    // add a reactor round-trip to capture-to-return
-                    // latency. Terminal outcomes surface through counters
-                    // and `flush_deliveries`, exactly as before.
-                    sent = admitted;
-                } else {
-                    // Blocking mode: the reply arrives once every flow is
-                    // terminal, preserving one fan-out at a time.
-                    let done = reply_rx.recv().expect("delivery reactor replies");
-                    sent = done.delivered;
-                    fall_back = done.fall_back;
-                    frontier = frontier.max(done.frontier);
+                match reply {
+                    None => sent = admitted,
+                    Some((_, rx)) => {
+                        let done = rx.recv().expect("delivery reactor replies");
+                        sent = done.delivered;
+                        fall_back = done.fall_back;
+                        frontier = frontier.max(done.frontier);
+                    }
                 }
             }
         } else {
-            let mut inline_capture = pipeline_capture;
+            let mut inline_capture = d.pipeline_capture;
             for consumer in consumers {
                 if consumer == endpoint.node() {
                     continue;
@@ -896,7 +803,7 @@ pub(crate) fn deliver(
                     // The raw payload travels as-is, so its encode-time
                     // chunk CRCs apply directly.
                     let mut opts =
-                        ChunkedSend::new(config.chunk_bytes).with_crcs(Arc::clone(payload_crcs));
+                        ChunkedSend::new(config.chunk_bytes).with_crcs(Arc::clone(d.payload_crcs));
                     if inline_capture {
                         let (bw, fixed, once) =
                             chunk_capture_model(&config.profile, route, record.ntensors);
@@ -927,69 +834,25 @@ pub(crate) fn deliver(
             }
         }
     }
-    // Graceful degradation: the wire gave up on at least one consumer, so
-    // make this version durable NOW (not just in the background flush) and
-    // point the notification at the PFS copy — consumers recover via the
-    // repository pull path. The durable copy is always the raw full
-    // encoding, never a framed or delta payload.
-    let mut notify = record.clone();
-    if fall_back {
-        let t0 = telemetry.now_ns();
-        let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
-        if shared
-            .pfs
-            .write(&pfs_path, payload.clone(), record.ntensors)
-            .is_ok()
-        {
-            shared
-                .db
-                .relocate(&record.name, record.version, Tier::Pfs.name(), &pfs_path);
-            notify.location = Tier::Pfs.name().to_string();
-            notify.path = pfs_path;
-            counters.pfs_fallbacks.inc();
-        }
-        telemetry.complete(
-            "producer",
-            "pfs_fallback",
-            track,
-            t0,
-            telemetry.now_ns(),
-            &[("version", record.version.into())],
-        );
-    }
-    charge_at(
-        &shared.clock,
-        frontier,
-        shared.config.profile.notify_latency,
-    );
-    let notified = shared.bus.publish(UPDATE_TOPIC, notify);
-    // Consumer discovery runs on the reactor: nudge every task to drain its
-    // subscription (push mode) or check the metadata DB (poll mode).
-    shared.reactor.wake_all();
+    let relocated = fall_back
+        .then(|| durable_fallback(viper, d.counters, record, payload, d.track))
+        .flatten();
+    let notified = announce(viper, relocated.unwrap_or_else(|| record.clone()), frontier);
     span.arg("pushed", sent.into());
     span.arg("notified", notified.into());
     drop(span);
     sent
 }
 
-/// One in-flight reliable flow owned by the [`DeliveryTask`].
-struct FlowSend {
-    /// The update (task-local sequence number) this flow carries.
-    seq: u64,
-    consumer: String,
-    machine: FlowMachine,
-    /// The wire bytes this flow carries (retransmission source).
-    bytes: Payload,
-    /// Encode-time per-chunk CRCs of `bytes`: retransmission rounds reuse
-    /// them instead of re-checksumming retained chunks.
-    crcs: Option<Arc<Vec<u32>>>,
-    num_chunks: u32,
-    /// This flow is the full-checkpoint retry after a `NeedFull` reply — a
-    /// full can't be rejected for a missing base, so a repeat `NeedFull`
-    /// fails the delivery instead of re-sending.
-    full_retry: bool,
-    /// Envelope kind of `bytes` (trace label on `delta_rejected`).
+/// What an update's current flow to one target carries.
+#[derive(Clone, Copy)]
+struct Sent {
+    /// Envelope kind of the bytes (trace label on `delta_rejected`).
     kind: PayloadKind,
+    /// This is the full-checkpoint send after a `NeedFull` reply or an
+    /// escalation — a full can't be rejected for a missing base, so a
+    /// repeat `NeedFull` fails the delivery instead of re-sending.
+    full_retry: bool,
 }
 
 /// One update the [`DeliveryTask`] is driving. Without coalescing at most
@@ -1004,10 +867,10 @@ struct UpdateState {
     framed_full: Option<FramedBytes>,
     record: ModelRecord,
     track: String,
-    /// Consumer slots not yet resolved (terminal flow or superseded in
-    /// queue). Under relay-tree distribution this counts *flows* the
-    /// producer itself drives — one per tree root, plus one per member
-    /// escalated to a direct send — not subtree members.
+    /// Sends not yet resolved (terminal flow or superseded in queue).
+    /// Under relay-tree distribution this counts sends the producer itself
+    /// drives — one per tree root, plus one per member escalated to a
+    /// direct send — not subtree members.
     remaining: usize,
     delivered: usize,
     fall_back: bool,
@@ -1019,8 +882,10 @@ struct UpdateState {
     /// or a re-parented subtree): excluded from the group resolution when
     /// their root's group ACK lands.
     escalated: HashSet<String>,
-    /// `None` under coalescing: the job was already replied to at
-    /// admission, and a terminal fallback runs on the task instead.
+    /// What is (or was last) on the wire to each target.
+    sent: HashMap<String, Sent>,
+    /// `None` under coalescing: nobody waits, and a terminal fallback runs
+    /// on the task instead.
     reply: Option<Sender<DeliveryDone>>,
 }
 
@@ -1040,65 +905,24 @@ impl UpdateState {
     }
 }
 
-/// A queued outbound send waiting for its lane to free up.
-struct QueuedSend {
-    seq: u64,
-    bytes: Payload,
-    crcs: Option<Arc<Vec<u32>>>,
-    kind: PayloadKind,
-    /// The causal instant the payload became ready (the save frontier at
-    /// admission): the launch starts no earlier, even if the lane frees
-    /// first.
-    ready_at: SimInstant,
-}
-
-/// Per-`(consumer, model)` outbound serialization: one flow in flight,
-/// newer updates queue (collapsing to the latest) behind it.
-struct Lane {
-    /// Sequence number of the update currently on the wire, if any.
-    in_flight: Option<u64>,
-    queue: CoalesceQueue<QueuedSend>,
-    /// Per-consumer superseded counter
-    /// (`producer.{node}.updates_superseded.{consumer}`).
-    superseded: Counter,
-}
-
-/// The producer's reactor task: owns every reliable flow this producer has
-/// in flight as an explicit [`FlowMachine`], driven by feedback mail and
-/// virtual-clock ack timers (timer token = flow id). Replaces the old
-/// blocking loop that parked the save thread on a wall-clock
-/// `recv_timeout(ack_timeout)` per consumer: an `ack_timeout` with no
-/// feedback at all now surfaces as a quiescence-fired timer and
-/// blind-resends the whole flow — charging the identical backoff to the
-/// virtual clock, but holding no thread while "waiting". NACKs retransmit
-/// exactly the missing chunks. Every retransmission round is preceded by a
-/// [`Control::Round`] frame announcing the new generation, so the consumer
-/// echoes it back and feedback from superseded rounds is dropped (and
-/// counted) instead of acted on.
-///
-/// All timing is causal: feedback is processed at its arrival instant and
-/// timers at their deadline, so the schedule a run produces is a pure
-/// function of the configuration and fault seed — never of how the OS
-/// interleaved the reactor with the save thread.
+/// The producer's reactor task: the delivery *policy* over a
+/// [`FlowSender`], which owns the `(consumer, model)` lanes and every
+/// reliable flow this producer has in flight. The engine reports how each
+/// send ended, tagged with the update's sequence number; this task decides
+/// what that means — codec ACK tracking and group resolution on
+/// `Complete`, the full-checkpoint retry on `NeedFull`, re-parenting and
+/// direct fulls when a relay root is lost, and the durable PFS fallback
+/// when a send exhausts its retries with nothing newer queued behind it.
 pub(crate) struct DeliveryTask {
     viper: Viper,
     endpoint: Arc<Endpoint>,
     codec: Arc<PayloadCodec>,
     counters: Arc<DeliveryCounters>,
-    /// Collapse-to-latest coalescing on: admit updates without blocking
-    /// the save path, serializing per lane.
-    coalesce: bool,
-    /// Bound of each lane's coalescing queue.
-    queue_bound: usize,
+    sender: FlowSender<(String, String)>,
     /// Next update sequence number (admission order, strictly increasing —
-    /// doubles as the coalescing queue's version key).
+    /// doubles as the lanes' queue version key and the engine token).
     next_seq: u64,
     updates: HashMap<u64, UpdateState>,
-    /// Flows not yet terminal, plus terminal flows of unfinished updates —
-    /// kept so late feedback is recognized (and counted stale) instead of
-    /// mistaken for an unknown sender.
-    flows: HashMap<u64, FlowSend>,
-    lanes: HashMap<(String, String), Lane>,
     /// Drain barriers waiting for `updates` to empty.
     waiters: Vec<Sender<()>>,
 }
@@ -1111,278 +935,95 @@ impl DeliveryTask {
         counters: Arc<DeliveryCounters>,
     ) -> Self {
         let config = &viper.shared.config;
-        let coalesce = config.coalesce_updates && config.reliable_delivery;
-        let queue_bound = config.coalesce_queue_depth;
+        let sender = FlowSender::new(
+            Arc::clone(&endpoint),
+            config.retry,
+            config.coalesce_queue_depth,
+            config.telemetry.clone(),
+            "producer",
+            SenderCounters {
+                retransmits: counters.retransmits.clone(),
+                stale_feedback: counters.stale_feedback.clone(),
+            },
+        );
         DeliveryTask {
             viper,
             endpoint,
             codec,
             counters,
-            coalesce,
-            queue_bound,
+            sender,
             next_seq: 0,
             updates: HashMap::new(),
-            flows: HashMap::new(),
-            lanes: HashMap::new(),
             waiters: Vec::new(),
         }
     }
 
-    fn lane_mut(&mut self, consumer: &str, model: &str) -> &mut Lane {
-        let key = (consumer.to_string(), model.to_string());
-        if !self.lanes.contains_key(&key) {
-            let counter = self.viper.shared.config.telemetry.counter(&format!(
-                "producer.{}.updates_superseded.{}",
-                self.endpoint.node(),
-                consumer
-            ));
-            self.lanes.insert(
-                key.clone(),
-                Lane {
-                    in_flight: None,
-                    queue: CoalesceQueue::new(self.queue_bound),
-                    superseded: counter,
-                },
-            );
+    /// Hand every outcome the engine has ready to the policy, then
+    /// republish the backlog gauge.
+    fn drain_outcomes(&mut self, ctx: &mut TaskCtx<'_>) {
+        while let Some(outcome) = self.sender.next_outcome(ctx) {
+            self.on_outcome(ctx, outcome);
         }
-        self.lanes.get_mut(&key).expect("just inserted")
+        self.counters.queue_depth.set(self.sender.backlog() as i64);
     }
 
-    fn refresh_queue_gauge(&self) {
-        let depth: usize = self.lanes.values().map(|lane| lane.queue.len()).sum();
-        self.counters.queue_depth.set(depth as i64);
-    }
-
-    /// Arm (or re-arm) a flow's ack timer, `ack_timeout` after the causal
-    /// instant the (re)send completed. Per flow the deadline only ever
-    /// moves forward: a retransmission round completes after the send it
-    /// repairs.
-    fn arm_ack_timer(&self, ctx: &mut TaskCtx<'_>, flow_id: u64, from: SimInstant) {
-        let deadline = from.add(self.viper.shared.config.retry.ack_timeout);
-        ctx.arm_timer_at(flow_id, deadline);
-    }
-
-    /// Launch one flow for update `seq` (initial fan-out, a queued send
-    /// whose lane freed up, or the full retry after `NeedFull`) and
-    /// register its state machine. Returns false if the consumer is gone
-    /// (deregistered mid-shutdown) — a race, not a delivery failure.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_flow(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        seq: u64,
-        consumer: String,
-        bytes: Payload,
-        crcs: Option<Arc<Vec<u32>>>,
-        kind: PayloadKind,
-        opts: &ChunkedSend,
-        full_retry: bool,
-    ) -> bool {
-        let max_retries = self.viper.shared.config.retry.max_retries;
+    /// Update `seq` as a framed full for `to`, ready at `at`: the
+    /// `NeedFull` retry and both escalation paths.
+    fn full_send(&mut self, seq: u64, to: &str, at: SimInstant) -> Outbound {
         let update = self
             .updates
             .get_mut(&seq)
-            .expect("launch requires its update");
-        // Hand the encode-time chunk CRCs to the fabric so the send does
-        // not re-read the payload to checksum it.
-        let opts = match &crcs {
-            Some(c) => opts.clone().with_crcs(Arc::clone(c)),
-            None => opts.clone(),
-        };
-        match self
-            .endpoint
-            .send_chunked(&consumer, &update.tag, bytes.clone(), update.link, &opts)
-        {
-            Ok(report) => {
-                let mut machine = FlowMachine::new(max_retries);
-                machine.on_event(FlowEvent::Sent);
-                self.flows.insert(
-                    report.flow_id,
-                    FlowSend {
-                        seq,
-                        consumer,
-                        machine,
-                        bytes,
-                        crcs,
-                        num_chunks: report.num_chunks,
-                        full_retry,
-                        kind,
-                    },
-                );
-                self.arm_ack_timer(ctx, report.flow_id, report.completed_at);
-                true
-            }
-            Err(_) => false,
+            .expect("a full send belongs to an update");
+        let (full, crcs) = update.full_framed(&self.counters);
+        update.sent.insert(
+            to.to_string(),
+            Sent {
+                kind: PayloadKind::Full,
+                full_retry: true,
+            },
+        );
+        Outbound {
+            token: seq,
+            to: to.to_string(),
+            tag: update.tag.clone(),
+            link: update.link,
+            payload: full,
+            opts: ChunkedSend::new(update.chunk_bytes).with_crcs(crcs),
+            ready_at: at,
+            track: update.track.clone(),
         }
     }
 
-    /// Hand update `seq`'s payload to `consumer`'s lane: launch now if the
-    /// lane is free, else queue it (collapsing older queued versions).
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        seq: u64,
-        consumer: String,
-        bytes: Payload,
-        crcs: Option<Arc<Vec<u32>>>,
-        kind: PayloadKind,
-        capture: &mut Option<(f64, Duration, Duration)>,
-        ready_at: SimInstant,
-    ) {
-        let update = &self.updates[&seq];
-        let model = update.record.name.clone();
-        let chunk_bytes = update.chunk_bytes;
-        let busy = self
-            .lanes
-            .get(&(consumer.clone(), model.clone()))
-            .and_then(|lane| lane.in_flight)
-            .is_some();
-        if !busy {
-            let mut opts = ChunkedSend::new(chunk_bytes).at(ready_at);
-            if let Some((bw, fixed, once)) = *capture {
-                opts = opts.with_capture(bw, fixed, once);
-            }
-            if self.launch_flow(ctx, seq, consumer.clone(), bytes, crcs, kind, &opts, false) {
-                // The snapshot happens once; further flows re-send the
-                // already captured chunks.
-                *capture = None;
-                self.lane_mut(&consumer, &model).in_flight = Some(seq);
-            } else if let Some(update) = self.updates.get_mut(&seq) {
-                update.remaining -= 1;
-            }
-        } else {
-            debug_assert!(self.coalesce, "a lane can only be busy when coalescing");
-            let dropped = self.lane_mut(&consumer, &model).queue.push(
-                seq,
-                QueuedSend {
-                    seq,
-                    bytes,
-                    crcs,
-                    kind,
-                    ready_at,
-                },
-            );
-            for (_, stale) in dropped {
-                self.supersede(&consumer, &model, stale.seq, ready_at);
-            }
-        }
-    }
-
-    /// Update `seq` will never reach `consumer`: a newer version collapsed
-    /// it out of the lane's queue. Count it (aggregate, per consumer, and
-    /// as a trace instant) and resolve the consumer's slot in the update.
-    fn supersede(&mut self, consumer: &str, model: &str, seq: u64, at: SimInstant) {
-        self.counters.updates_superseded.inc();
-        if let Some(lane) = self.lanes.get(&(consumer.to_string(), model.to_string())) {
-            lane.superseded.inc();
-        }
-        let telemetry = &self.viper.shared.config.telemetry;
-        if telemetry.is_enabled() {
-            if let Some(update) = self.updates.get(&seq) {
-                telemetry.instant_at(
-                    "producer",
-                    "update_superseded",
-                    &update.track,
-                    at.as_nanos(),
-                    &[
-                        ("consumer", consumer.into()),
-                        ("version", update.record.version.into()),
-                    ],
-                );
-            }
-        }
-        if let Some(update) = self.updates.get_mut(&seq) {
-            update.remaining -= 1;
-        }
-        self.finish_if_done(seq);
-    }
-
-    /// A flow reached a terminal state (or never launched): free its lane
-    /// and launch the next queued send, no earlier than `at`.
-    fn release_lane(&mut self, ctx: &mut TaskCtx<'_>, consumer: &str, model: &str, at: SimInstant) {
-        let key = (consumer.to_string(), model.to_string());
-        let Some(lane) = self.lanes.get_mut(&key) else {
-            return;
-        };
-        lane.in_flight = None;
-        while let Some((_, queued)) = self.lanes.get_mut(&key).and_then(|lane| lane.queue.pop()) {
-            let Some(chunk_bytes) = self.updates.get(&queued.seq).map(|u| u.chunk_bytes) else {
-                debug_assert!(false, "queued send outlived its update");
-                continue;
-            };
-            let start = queued.ready_at.max(at);
-            let opts = ChunkedSend::new(chunk_bytes).at(start);
-            if self.launch_flow(
-                ctx,
-                queued.seq,
-                consumer.to_string(),
-                queued.bytes,
-                queued.crcs,
-                queued.kind,
-                &opts,
-                false,
-            ) {
-                self.lanes.get_mut(&key).expect("lane exists").in_flight = Some(queued.seq);
-                break;
-            }
-            // Consumer vanished: resolve its slot and keep draining.
-            if let Some(update) = self.updates.get_mut(&queued.seq) {
-                update.remaining -= 1;
-            }
-            self.finish_if_done(queued.seq);
-        }
-        self.refresh_queue_gauge();
-    }
-
-    /// Abort a flow whose consumer vanished mid-delivery (send error):
-    /// remove it entirely — there is no peer left to feed its machine.
-    fn abort_flow(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, at: SimInstant) {
-        ctx.cancel_timer(flow_id);
-        if let Some(flow) = self.flows.remove(&flow_id) {
-            // A vanished relay root still leaves a live subtree behind it:
-            // re-parent and deliver to the orphans directly.
-            if self
-                .updates
-                .get(&flow.seq)
-                .is_some_and(|u| u.groups.contains_key(&flow.consumer))
-            {
-                self.relay_fallback(ctx, flow.seq, &flow.consumer, at);
-            }
-            let model = self
-                .updates
-                .get(&flow.seq)
-                .map(|u| u.record.name.clone())
-                .unwrap_or_default();
-            if let Some(update) = self.updates.get_mut(&flow.seq) {
-                update.remaining -= 1;
-            }
-            self.release_lane(ctx, &flow.consumer, &model, at);
-            self.finish_if_done(flow.seq);
-        }
+    /// Deliver update `seq` to subtree member `member` directly, as a
+    /// framed full on the member's own lane.
+    fn escalate(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, member: &str, at: SimInstant) {
+        let update = self
+            .updates
+            .get_mut(&seq)
+            .expect("an escalation belongs to an update");
+        update.remaining += 1;
+        let lane = (member.to_string(), update.record.name.clone());
+        let send = self.full_send(seq, member, at);
+        self.sender.admit(ctx, lane, seq, send);
     }
 
     /// A relay root failed (exhausted retries or vanished) while `seq`
     /// still owed its subtree the update: record the re-parent in the
-    /// topology and launch direct full flows to every stranded member.
+    /// topology and send direct fulls to every stranded member.
     /// Counted — this is the degraded path, not the design point.
     fn relay_fallback(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, root: &str, at: SimInstant) {
         let Some(update) = self.updates.get_mut(&seq) else {
             return;
         };
-        let Some(members) = update.groups.get(root).cloned() else {
+        let Some(members) = update.groups.get(root) else {
             return;
         };
         let stranded: Vec<String> = members
-            .into_iter()
-            .filter(|m| m != root && !update.escalated.contains(m))
+            .iter()
+            .filter(|m| *m != root && !update.escalated.contains(*m))
+            .cloned()
             .collect();
-        let chunk_bytes = update.chunk_bytes;
-        let track = update.track.clone();
-        let (full, full_crcs) = update.full_framed(&self.counters);
-        for member in &stranded {
-            update.escalated.insert(member.clone());
-        }
+        update.escalated.extend(stranded.iter().cloned());
         self.counters.reparent_events.inc();
         self.viper.shared.distribution.note_failed(root);
         let telemetry = &self.viper.shared.config.telemetry;
@@ -1390,29 +1031,13 @@ impl DeliveryTask {
             telemetry.instant_at(
                 "producer",
                 "reparent",
-                &track,
+                &update.track,
                 at.as_nanos(),
                 &[("root", root.into()), ("stranded", stranded.len().into())],
             );
         }
-        for member in stranded {
-            if let Some(update) = self.updates.get_mut(&seq) {
-                update.remaining += 1;
-            }
-            if !self.launch_flow(
-                ctx,
-                seq,
-                member,
-                full.clone(),
-                Some(Arc::clone(&full_crcs)),
-                PayloadKind::Full,
-                &ChunkedSend::new(chunk_bytes).at(at),
-                true,
-            ) {
-                if let Some(update) = self.updates.get_mut(&seq) {
-                    update.remaining -= 1;
-                }
-            }
+        for member in &stranded {
+            self.escalate(ctx, seq, member, at);
         }
     }
 
@@ -1429,71 +1054,45 @@ impl DeliveryTask {
         member: String,
         at: SimInstant,
     ) {
-        let Some(flow) = self.flows.get(&flow_id) else {
+        // The frame must come from the root the flow went to, about a
+        // member of that root's group not yet escalated.
+        let escalation = self
+            .sender
+            .flow(flow_id)
+            .filter(|(_, root)| *root == from)
+            .and_then(|(seq, root)| {
+                let update = self.updates.get_mut(&seq)?;
+                let in_group = update.groups.get(root)?.contains(&member);
+                (in_group && update.escalated.insert(member.clone())).then_some(seq)
+            });
+        let Some(seq) = escalation else {
             self.counters.stale_feedback.inc();
             return;
         };
-        if flow.consumer != from {
-            self.counters.stale_feedback.inc();
-            return;
-        }
-        let seq = flow.seq;
-        let root = flow.consumer.clone();
-        let Some(update) = self.updates.get_mut(&seq) else {
-            return;
-        };
-        let in_group = update
-            .groups
-            .get(&root)
-            .is_some_and(|members| members.contains(&member));
-        if !in_group || !update.escalated.insert(member.clone()) {
-            // Unknown member, or one already escalated: nothing to do.
-            self.counters.stale_feedback.inc();
-            return;
-        }
-        let chunk_bytes = update.chunk_bytes;
-        let track = update.track.clone();
-        let (full, full_crcs) = update.full_framed(&self.counters);
-        let model = update.record.name.clone();
-        update.remaining += 1;
-        self.codec.forget(&member, &model);
+        let update = &self.updates[&seq];
+        self.codec.forget(&member, &update.record.name);
         self.counters.delta_fallbacks.inc();
         let telemetry = &self.viper.shared.config.telemetry;
         if telemetry.is_enabled() {
             telemetry.instant_at(
                 "producer",
                 "relay_miss",
-                &track,
+                &update.track,
                 at.as_nanos(),
                 &[("member", member.as_str().into()), ("root", from.into())],
             );
         }
-        if !self.launch_flow(
-            ctx,
-            seq,
-            member,
-            full,
-            Some(full_crcs),
-            PayloadKind::Full,
-            &ChunkedSend::new(chunk_bytes).at(at),
-            true,
-        ) {
-            if let Some(update) = self.updates.get_mut(&seq) {
-                update.remaining -= 1;
-            }
-            self.finish_if_done(seq);
-        }
+        self.escalate(ctx, seq, &member, at);
     }
 
-    /// If every consumer slot of update `seq` is resolved, finish it: send
-    /// the job reply (non-coalescing), or run the deferred durable
-    /// fallback (coalescing), and drop its flow records.
+    /// If every send of update `seq` is resolved, finish it: send the job
+    /// reply (blocking mode), or run the deferred durable fallback
+    /// (coalescing).
     fn finish_if_done(&mut self, seq: u64) {
         if self.updates.get(&seq).is_none_or(|u| u.remaining != 0) {
             return;
         }
         let update = self.updates.remove(&seq).expect("checked above");
-        self.flows.retain(|_, flow| flow.seq != seq);
         if let Some(reply) = &update.reply {
             let _ = reply.send(DeliveryDone {
                 delivered: update.delivered,
@@ -1501,7 +1100,19 @@ impl DeliveryTask {
                 frontier: update.frontier,
             });
         } else if update.fall_back {
-            self.durable_fallback(&update);
+            // The wire gave up on at least one consumer with nothing newer
+            // queued behind it: re-publish the notification against the
+            // durable copy.
+            let relocated = durable_fallback(
+                &self.viper,
+                &self.counters,
+                &update.record,
+                &update.payload,
+                &update.track,
+            );
+            if let Some(notify) = relocated {
+                announce(&self.viper, notify, update.frontier);
+            }
         }
         if self.updates.is_empty() {
             for waiter in self.waiters.drain(..) {
@@ -1510,89 +1121,70 @@ impl DeliveryTask {
         }
     }
 
-    /// The coalescing path's deferred graceful degradation: the wire gave
-    /// up on at least one consumer (with nothing newer queued behind it),
-    /// so make the version durable, relocate it, and re-publish the
-    /// notification pointing at the PFS copy — consumers recover via the
-    /// repository pull path.
-    fn durable_fallback(&self, update: &UpdateState) {
-        let shared = &self.viper.shared;
-        let telemetry = &shared.config.telemetry;
-        let record = &update.record;
-        let t0 = telemetry.now_ns();
-        let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
-        if shared
-            .pfs
-            .write(&pfs_path, update.payload.clone(), record.ntensors)
-            .is_ok()
-        {
-            shared
-                .db
-                .relocate(&record.name, record.version, Tier::Pfs.name(), &pfs_path);
-            self.counters.pfs_fallbacks.inc();
-            let mut notify = record.clone();
-            notify.location = Tier::Pfs.name().to_string();
-            notify.path = pfs_path;
-            charge_at(
-                &shared.clock,
-                update.frontier,
-                shared.config.profile.notify_latency,
-            );
-            shared.bus.publish(UPDATE_TOPIC, notify);
-            shared.reactor.wake_all();
-        }
-        telemetry.complete(
-            "producer",
-            "pfs_fallback",
-            &update.track,
-            t0,
-            telemetry.now_ns(),
-            &[("version", record.version.into())],
-        );
-    }
-
-    /// Apply a [`FlowAction`] produced by a flow's state machine. `at` is
-    /// the causal instant the triggering event happened: the feedback
-    /// frame's arrival for mail, the deadline for a timer fire.
-    fn handle_action(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        flow_id: u64,
-        action: FlowAction,
-        at: SimInstant,
-    ) {
+    /// One send of update `seq` ended: apply the delivery policy and
+    /// resolve its slot in the update. `at` is the causal instant of the
+    /// ending (see [`Outcome::at`]).
+    fn on_outcome(&mut self, ctx: &mut TaskCtx<'_>, outcome: Outcome) {
+        let Outcome {
+            token: seq,
+            to,
+            kind,
+            at,
+        } = outcome;
         let shared = Arc::clone(&self.viper.shared);
         let telemetry = &shared.config.telemetry;
-        let retry = shared.config.retry;
-        match action {
-            FlowAction::None => {}
-            FlowAction::DroppedStale => {
-                self.counters.stale_feedback.inc();
+        let Some(update) = self.updates.get_mut(&seq) else {
+            debug_assert!(false, "a send outlived its update");
+            return;
+        };
+        let model = update.record.name.clone();
+        let is_root = update.groups.contains_key(&to);
+        match kind {
+            OutcomeKind::Superseded => {
+                // A newer version collapsed this one out of the lane's
+                // queue: it will never reach `to`.
+                self.counters.updates_superseded.inc();
+                telemetry
+                    .counter(&format!(
+                        "producer.{}.updates_superseded.{to}",
+                        self.endpoint.node()
+                    ))
+                    .inc();
+                if telemetry.is_enabled() {
+                    telemetry.instant_at(
+                        "producer",
+                        "update_superseded",
+                        &update.track,
+                        at.as_nanos(),
+                        &[
+                            ("consumer", to.as_str().into()),
+                            ("version", update.record.version.into()),
+                        ],
+                    );
+                }
             }
-            FlowAction::Complete => {
-                ctx.cancel_timer(flow_id);
-                let flow = &self.flows[&flow_id];
-                let seq = flow.seq;
-                let consumer = flow.consumer.clone();
-                let update = self
-                    .updates
-                    .get_mut(&seq)
-                    .expect("flow belongs to an update");
-                let model = update.record.name.clone();
-                if let Some(members) = update.groups.get(&consumer).cloned() {
+            OutcomeKind::Gone => {
+                // A deregistered consumer raced shutdown — not a delivery
+                // failure. A vanished relay root still leaves a live
+                // subtree behind it, though.
+                if is_root {
+                    self.relay_fallback(ctx, seq, &to, at);
+                }
+            }
+            OutcomeKind::Complete => {
+                let iteration = update.record.iteration;
+                if is_root {
                     // A relay root's group ACK: its entire subtree has
                     // installed the update. One round-trip resolves (and
                     // base-tracks) every member the producer did not have
                     // to escalate to a direct send.
                     self.counters.group_acks.inc();
                     let mut resolved = 0;
-                    for member in &members {
-                        if update.escalated.contains(member) {
-                            continue;
+                    for member in &update.groups[&to] {
+                        if !update.escalated.contains(member) {
+                            self.codec.note_acked(member, &model, iteration);
+                            resolved += 1;
                         }
-                        self.codec
-                            .note_acked(member, &model, update.record.iteration);
-                        resolved += 1;
                     }
                     update.delivered += resolved;
                     if telemetry.is_enabled() {
@@ -1601,245 +1193,74 @@ impl DeliveryTask {
                             "group_ack",
                             &update.track,
                             at.as_nanos(),
-                            &[
-                                ("root", consumer.as_str().into()),
-                                ("members", resolved.into()),
-                            ],
+                            &[("root", to.as_str().into()), ("members", resolved.into())],
                         );
                     }
                 } else {
-                    self.codec
-                        .note_acked(&consumer, &model, update.record.iteration);
+                    self.codec.note_acked(&to, &model, iteration);
                     update.delivered += 1;
                 }
                 update.frontier = update.frontier.max(at);
-                update.remaining -= 1;
-                self.release_lane(ctx, &consumer, &model, at);
-                self.finish_if_done(seq);
             }
-            FlowAction::NeedFull => {
-                ctx.cancel_timer(flow_id);
-                let flow = &self.flows[&flow_id];
-                let seq = flow.seq;
-                let consumer = flow.consumer.clone();
-                let was_full_retry = flow.full_retry;
-                let kind = flow.kind;
-                let update = self
-                    .updates
-                    .get_mut(&seq)
-                    .expect("flow belongs to an update");
-                let model = update.record.name.clone();
+            OutcomeKind::NeedFull => {
                 update.frontier = update.frontier.max(at);
-                if was_full_retry {
-                    // A full can't be rejected for a missing base; treat a
-                    // repeat NeedFull as a failed delivery.
-                    update.remaining -= 1;
-                    self.release_lane(ctx, &consumer, &model, at);
-                    self.finish_if_done(seq);
-                    return;
-                }
-                // The consumer lost the base this delta applies to
-                // (restart, missed flow): reset its tracking and re-send
-                // the update as a full on a fresh flow. The lane stays
-                // held by this update.
-                let chunk_bytes = update.chunk_bytes;
-                let track = update.track.clone();
-                let (full, full_crcs) = update.full_framed(&self.counters);
-                self.codec.forget(&consumer, &model);
-                self.counters.delta_fallbacks.inc();
-                if telemetry.is_enabled() {
-                    telemetry.instant_at(
-                        "producer",
-                        "delta_rejected",
-                        &track,
-                        at.as_nanos(),
-                        &[
-                            ("consumer", consumer.as_str().into()),
-                            ("kind", kind.label().into()),
-                        ],
-                    );
-                }
-                if !self.launch_flow(
-                    ctx,
-                    seq,
-                    consumer.clone(),
-                    full,
-                    Some(full_crcs),
-                    PayloadKind::Full,
-                    &ChunkedSend::new(chunk_bytes).at(at),
-                    true,
-                ) {
-                    if let Some(update) = self.updates.get_mut(&seq) {
-                        update.remaining -= 1;
-                    }
-                    self.release_lane(ctx, &consumer, &model, at);
-                }
-                self.finish_if_done(seq);
-            }
-            FlowAction::Retransmit {
-                generation,
-                missing,
-                attempt,
-            } => {
-                self.counters.retransmits.inc();
-                let flow = &self.flows[&flow_id];
-                let seq = flow.seq;
-                let consumer = flow.consumer.clone();
-                let update = &self.updates[&seq];
-                let model = update.record.name.clone();
-                let missing: Vec<u32> = if missing.is_empty() {
-                    // Blind resend: no NACK narrowed the loss down.
-                    (0..flow.num_chunks).collect()
-                } else {
-                    missing
-                };
-                // Backpressure: a congested lane (updates queuing behind
-                // this flow's consumer) backs off harder, ceding the wire
-                // to healthier consumers.
-                let backlog = self
-                    .lanes
-                    .get(&(consumer.clone(), model.clone()))
-                    .map_or(0, |lane| lane.queue.len());
-                let end = charge_at(
-                    &shared.clock,
-                    at,
-                    retry.backoff_with_pressure(attempt, backlog),
-                );
-                telemetry.complete(
-                    "producer",
-                    "backoff",
-                    &update.track,
-                    at.as_nanos(),
-                    end.as_nanos(),
-                    &[("attempt", attempt.into()), ("backlog", backlog.into())],
-                );
-                // Announce the round before its chunks: the fabric preserves
-                // per-sender order, so the consumer learns the generation
-                // first and stamps it into all further feedback.
-                let round = Control::Round {
-                    flow_id,
-                    generation,
-                };
-                if self
-                    .endpoint
-                    .send_control_at(&consumer, &update.tag, &round, update.link, end)
-                    .is_err()
-                {
-                    self.abort_flow(ctx, flow_id, at);
-                    return;
-                }
-                let flow = &self.flows[&flow_id];
-                let update = &self.updates[&seq];
-                match self.endpoint.retransmit_chunks_at(
-                    &consumer,
-                    &update.tag,
-                    &flow.bytes,
-                    update.link,
-                    flow_id,
-                    update.chunk_bytes,
-                    &missing,
-                    flow.crcs.as_deref().map(Vec::as_slice),
-                    end,
-                ) {
-                    Ok(lane_free) => {
-                        telemetry.complete(
+                let Sent { kind, full_retry } = update.sent[&to];
+                if !full_retry {
+                    // The consumer lost the base this delta applies to
+                    // (restart, missed flow): reset its tracking and
+                    // re-send the update as a full on a fresh flow. The
+                    // lane stays held by this update, and the slot open —
+                    // the retry's own outcome resolves it.
+                    self.codec.forget(&to, &model);
+                    self.counters.delta_fallbacks.inc();
+                    if telemetry.is_enabled() {
+                        telemetry.instant_at(
                             "producer",
-                            "retransmit_round",
+                            "delta_rejected",
                             &update.track,
-                            end.as_nanos(),
-                            lane_free.as_nanos(),
+                            at.as_nanos(),
                             &[
-                                ("attempt", attempt.into()),
-                                ("missing", missing.len().into()),
+                                ("consumer", to.as_str().into()),
+                                ("kind", kind.label().into()),
                             ],
                         );
-                        self.arm_ack_timer(ctx, flow_id, lane_free);
                     }
-                    Err(_) => self.abort_flow(ctx, flow_id, at),
+                    let send = self.full_send(seq, &to, at);
+                    self.sender.relaunch(ctx, (to, model), send);
+                    return;
                 }
             }
-            FlowAction::Exhausted { .. } => {
-                ctx.cancel_timer(flow_id);
+            OutcomeKind::Exhausted { backlog } => {
                 self.counters.exhausted.inc();
-                let flow = &self.flows[&flow_id];
-                let seq = flow.seq;
-                let consumer = flow.consumer.clone();
-                let update = &self.updates[&seq];
-                let model = update.record.name.clone();
-                let track = update.track.clone();
-                self.codec.forget(&consumer, &model);
+                self.codec.forget(&to, &model);
                 if telemetry.is_enabled() {
                     telemetry.instant_at(
                         "producer",
                         "retries_exhausted",
-                        &track,
+                        &update.track,
                         at.as_nanos(),
-                        &[("consumer", consumer.as_str().into())],
+                        &[("consumer", to.as_str().into())],
                     );
-                }
-                // A dead relay root strands its whole subtree: re-parent
-                // the topology and deliver to the orphans directly. The
-                // root itself still takes the durable-fallback path below.
-                if self.updates[&seq].groups.contains_key(&consumer) {
-                    self.relay_fallback(ctx, seq, &consumer, at);
                 }
                 // If a newer version is already queued behind this lane it
                 // supersedes the failed one for this consumer: skip the
                 // durable fallback and let the newer flow launch instead.
-                let newer_queued = self
-                    .lanes
-                    .get(&(consumer.clone(), model.clone()))
-                    .is_some_and(|lane| !lane.queue.is_empty());
-                let update = self
-                    .updates
-                    .get_mut(&seq)
-                    .expect("flow belongs to an update");
-                if !newer_queued {
+                if backlog == 0 {
                     update.fall_back = true;
                 }
                 update.frontier = update.frontier.max(at);
-                update.remaining -= 1;
-                self.release_lane(ctx, &consumer, &model, at);
-                self.finish_if_done(seq);
+                // A dead relay root strands its whole subtree: re-parent
+                // the topology and deliver to the orphans directly. The
+                // root itself still takes the durable-fallback path above.
+                if is_root {
+                    self.relay_fallback(ctx, seq, &to, at);
+                }
             }
         }
-    }
-
-    /// Feed one decoded control frame to its flow's state machine.
-    fn on_control(&mut self, from: &str, control: Control) -> Option<(u64, FlowAction)> {
-        let flow_id = control.flow_id();
-        let event = match control {
-            Control::Ack { generation, .. } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::Ack,
-            },
-            Control::NeedFull { generation, .. } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::NeedFull,
-            },
-            Control::Nack {
-                generation,
-                missing,
-                ..
-            } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::Nack { missing },
-            },
-            // `Round` is a sender-side frame; one arriving here is garbage.
-            // `Miss` is handled before the state machine (`handle_miss`).
-            Control::Round { .. } | Control::Miss { .. } => return None,
-        };
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
-            // Feedback for no known flow: a complaint about a superseded
-            // or finished delivery (e.g. a reap-NACK racing completion).
-            self.counters.stale_feedback.inc();
-            return None;
-        };
-        if flow.consumer != from {
-            self.counters.stale_feedback.inc();
-            return None;
+        if let Some(update) = self.updates.get_mut(&seq) {
+            update.remaining -= 1;
         }
-        Some((flow_id, flow.machine.on_event(event)))
+        self.finish_if_done(seq);
     }
 }
 
@@ -1855,32 +1276,24 @@ impl ReactorTask for DeliveryTask {
                 continue;
             };
             // A relay `Miss` is escalation about a *subtree member*, not
-            // feedback about the root's flow health: it must never feed
+            // feedback about the root's flow health: it must never reach
             // the root flow's state machine.
             if let Control::Miss {
                 flow_id, member, ..
             } = control
             {
                 self.handle_miss(ctx, &msg.from, flow_id, member, msg.arrived_at);
-                continue;
+            } else {
+                self.sender
+                    .on_feedback(ctx, &msg.from, control, msg.arrived_at);
             }
-            if let Some((flow_id, action)) = self.on_control(&msg.from, control) {
-                self.handle_action(ctx, flow_id, action, msg.arrived_at);
-            }
+            self.drain_outcomes(ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, deadline: SimInstant, ctx: &mut TaskCtx<'_>) {
-        // Ack timers fire only at reactor quiescence: every surviving chunk
-        // and feedback frame has been processed, so silence here means the
-        // virtual `ack_timeout` genuinely elapsed with nothing heard. The
-        // wait itself charges nothing — exactly like the old wall-clock
-        // `recv_timeout`, which parked a thread without touching the clock.
-        let Some(flow) = self.flows.get_mut(&token) else {
-            return;
-        };
-        let action = flow.machine.on_event(FlowEvent::AckTimeout);
-        self.handle_action(ctx, token, action, deadline);
+        self.sender.on_timer(ctx, token, deadline);
+        self.drain_outcomes(ctx);
     }
 
     fn on_job(&mut self, job: Box<dyn Any + Send>, ctx: &mut TaskCtx<'_>) {
@@ -1898,26 +1311,24 @@ impl ReactorTask for DeliveryTask {
             }
         };
         debug_assert!(
-            self.coalesce || self.updates.is_empty(),
+            job.reply.is_none() || self.updates.is_empty(),
             "one reliable fan-out per producer at a time without coalescing"
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let admitted = job.consumers.len();
-        // Under coalescing the save path already returned at submit (it
-        // never waits on this channel — the receiver is gone by now, so
-        // the send is a best-effort no-op kept for symmetry); terminal
-        // outcomes surface through counters and the deferred fallback.
-        let reply = if self.coalesce {
-            let _ = job.reply.send(DeliveryDone {
-                delivered: admitted,
-                fall_back: false,
-                frontier: job.frontier,
-            });
-            None
-        } else {
-            Some(job.reply)
-        };
+        let sent = job
+            .consumers
+            .iter()
+            .map(|(consumer, wire)| {
+                let first = Sent {
+                    kind: wire.kind,
+                    full_retry: false,
+                };
+                (consumer.clone(), first)
+            })
+            .collect();
+        let (tag, link, track) = (job.tag.clone(), job.link, job.track.clone());
+        let model = job.record.name.clone();
         self.updates.insert(
             seq,
             UpdateState {
@@ -1928,29 +1339,44 @@ impl ReactorTask for DeliveryTask {
                 framed_full: job.framed_full,
                 record: job.record,
                 track: job.track,
-                remaining: admitted,
+                remaining: job.consumers.len(),
                 delivered: 0,
                 fall_back: false,
                 frontier: job.frontier,
                 groups: job.groups,
                 escalated: HashSet::new(),
-                reply,
+                sent,
+                reply: job.reply,
             },
         );
         let mut capture = job.capture;
-        for (consumer, wire_payload) in job.consumers {
-            self.admit(
-                ctx,
-                seq,
-                consumer,
-                wire_payload.bytes,
-                wire_payload.crcs,
-                wire_payload.kind,
-                &mut capture,
-                job.frontier,
-            );
+        for (consumer, wire) in job.consumers {
+            // Hand the encode-time chunk CRCs to the fabric so the send
+            // does not re-read the payload to checksum it.
+            let mut opts = ChunkedSend::new(job.chunk_bytes);
+            if let Some(crcs) = wire.crcs {
+                opts = opts.with_crcs(crcs);
+            }
+            if let Some((bw, fixed, once)) = capture {
+                opts = opts.with_capture(bw, fixed, once);
+            }
+            let send = Outbound {
+                token: seq,
+                to: consumer.clone(),
+                tag: tag.clone(),
+                link,
+                payload: wire.bytes,
+                opts,
+                ready_at: job.frontier,
+                track: track.clone(),
+            };
+            if self.sender.admit(ctx, (consumer, model.clone()), seq, send) {
+                // The snapshot happens once; further flows re-send the
+                // already captured chunks.
+                capture = None;
+            }
+            self.drain_outcomes(ctx);
         }
-        self.refresh_queue_gauge();
         self.finish_if_done(seq);
     }
 }
@@ -1970,6 +1396,11 @@ mod tests {
         ))
     }
 
+    /// The delta base of a directly served consumer: a group of one.
+    fn base_of(codec: &PayloadCodec, consumer: &str) -> Option<Arc<Checkpoint>> {
+        codec.base_for(&[consumer.to_string()], "m")
+    }
+
     fn active_codec() -> PayloadCodec {
         PayloadCodec::new(&ViperConfig::default().with_delta())
     }
@@ -1981,7 +1412,7 @@ mod tests {
         codec.retain(&ckpt(1));
         codec.note_acked("c", "m", 1);
         assert_eq!(codec.newest_retained("m"), None);
-        assert!(codec.base_for("c", "m").is_none());
+        assert!(base_of(&codec, "c").is_none());
     }
 
     #[test]
@@ -1989,13 +1420,13 @@ mod tests {
         let codec = active_codec();
         codec.retain(&ckpt(1));
         // Retained but never acknowledged: no delta base.
-        assert!(codec.base_for("c", "m").is_none());
+        assert!(base_of(&codec, "c").is_none());
         codec.note_acked("c", "m", 1);
-        assert_eq!(codec.base_for("c", "m").unwrap().iteration, 1);
+        assert_eq!(base_of(&codec, "c").unwrap().iteration, 1);
         // Another consumer's ack is tracked independently.
-        assert!(codec.base_for("other", "m").is_none());
+        assert!(base_of(&codec, "other").is_none());
         codec.forget("c", "m");
-        assert!(codec.base_for("c", "m").is_none());
+        assert!(base_of(&codec, "c").is_none());
     }
 
     #[test]
@@ -2009,9 +1440,9 @@ mod tests {
         assert_eq!(codec.newest_retained("m"), Some(5));
         codec.note_acked("c", "m", 3);
         // Iteration 3 was pruned (only 4 and 5 retained): full fallback.
-        assert!(codec.base_for("c", "m").is_none());
+        assert!(base_of(&codec, "c").is_none());
         codec.note_acked("c", "m", 4);
-        assert!(codec.base_for("c", "m").is_some());
+        assert!(base_of(&codec, "c").is_some());
     }
 
     #[test]
@@ -2035,16 +1466,16 @@ mod tests {
         assert_eq!(save(4), second);
         // A base a delivery still diffs against is pruned but left intact.
         codec.note_acked("c", "m", 3);
-        let in_flight = codec.base_for("c", "m").unwrap();
+        let in_flight = base_of(&codec, "c").unwrap();
         assert_ne!(save(5), first);
         assert_eq!(*in_flight, *ckpt(3));
-        assert!(codec.base_for("c", "m").is_none());
+        assert!(base_of(&codec, "c").is_none());
         assert_eq!(codec.newest_retained("m"), Some(5));
         // An out-of-order save displaces nothing newer than itself.
         let stale = codec.snapshot(&ckpt(2));
         assert_eq!(stale, *ckpt(2));
         codec.note_acked("c", "m", 4);
-        assert!(codec.base_for("c", "m").is_some());
+        assert!(base_of(&codec, "c").is_some());
     }
 
     #[test]

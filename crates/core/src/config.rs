@@ -209,6 +209,34 @@ impl ViperConfig {
         }
     }
 
+    /// Collapse-to-latest coalescing is in effect: its lanes live on the
+    /// reliable path.
+    pub(crate) fn coalescing(&self) -> bool {
+        self.coalesce_updates && self.reliable_delivery
+    }
+
+    /// Updates are delta-encoded (and envelope-framed): a base is only
+    /// "acknowledged" through the reliable path's ACK channel.
+    pub(crate) fn delta_active(&self) -> bool {
+        self.delta_transfer && self.reliable_delivery
+    }
+
+    /// Consumers re-serve updates down a relay tree: relays group-ACK
+    /// over the reliable path's control channel.
+    pub(crate) fn relaying(&self) -> bool {
+        self.relay_tree && self.reliable_delivery
+    }
+
+    /// Chunk size of the wire geometry; 0 ("one chunk") for monolithic
+    /// transfer.
+    pub(crate) fn wire_chunk_bytes(&self) -> u64 {
+        if self.chunked_transfer {
+            self.chunk_bytes
+        } else {
+            0
+        }
+    }
+
     /// Set the transfer strategy (builder style).
     pub fn with_strategy(mut self, route: Route, mode: CaptureMode) -> Self {
         self.strategy = TransferStrategy { route, mode };

@@ -22,8 +22,8 @@ use viper_formats::{
 };
 use viper_hw::{Route, SimInstant, Tier};
 use viper_net::{
-    deterministic_jitter, ChunkedSend, CoalesceQueue, Control, FeedbackKind, FlowAction, FlowEvent,
-    FlowMachine, LinkKind, MessageKind, ReactorTask, TaskCtx,
+    deterministic_jitter, ChunkedSend, Control, Endpoint, FlowSender, LinkKind, MessageKind,
+    Outbound, OutcomeKind, ReactorTask, SenderCounters, TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -103,7 +103,7 @@ pub struct Consumer {
 
 impl Consumer {
     pub(crate) fn attach(viper: Viper, node: &str, model_name: &str) -> Self {
-        let endpoint = viper.shared.fabric.register(node);
+        let endpoint = Arc::new(viper.shared.fabric.register(node));
         viper.shared.consumers.write().push(node.to_string());
         let subscription = viper.shared.bus.subscribe(UPDATE_TOPIC);
 
@@ -133,18 +133,23 @@ impl Consumer {
         // All consumer-side event handling — reassembly, CRC checking,
         // feedback, reaping, discovery — lives on the deployment's reactor.
         // No per-consumer thread, no poll loop.
-        let reliable = viper.shared.config.reliable_delivery;
-        let delta_mode = viper.shared.config.delta_transfer && reliable;
+        let config = &viper.shared.config;
         let relay = RelayState {
             enabled: viper.shared.distribution.enabled(),
-            chunk_bytes: if viper.shared.config.chunked_transfer {
-                viper.shared.config.chunk_bytes
-            } else {
-                0
-            },
+            chunk_bytes: config.wire_chunk_bytes(),
             fans: HashMap::new(),
-            child_flows: HashMap::new(),
-            lanes: HashMap::new(),
+            sender: FlowSender::new(
+                Arc::clone(&endpoint),
+                config.retry,
+                config.coalesce_queue_depth,
+                telemetry.clone(),
+                "relay",
+                SenderCounters {
+                    retransmits: telemetry.counter(&format!("relay.{node}.retransmits")),
+                    stale_feedback: telemetry.counter(&format!("relay.{node}.stale_feedback")),
+                },
+            ),
+            reserves_seen: 0,
         };
         viper.shared.reactor.register(
             node,
@@ -158,8 +163,8 @@ impl Consumer {
                 assembler: viper_net::FlowAssembler::new(),
                 reassembly_copied: 0,
                 apply_free: SimInstant::ZERO,
-                reliable,
-                delta_mode,
+                reliable: config.reliable_delivery,
+                delta_mode: config.delta_active(),
                 generations: HashMap::new(),
                 relay,
             }),
@@ -455,6 +460,11 @@ struct CorruptBatch {
 /// flow per subtree instead of one per consumer. The upstream ACK is
 /// withheld until the whole subtree resolves, so one group ACK at the
 /// producer attests every member installed (the group-level watermark).
+///
+/// The child flows themselves — per-child lanes, ack timers,
+/// retransmission rounds — belong to the same [`FlowSender`] engine the
+/// producer drives; the relay role is the policy over it: fan/slot
+/// accounting, the group ACK, and `Miss` escalation.
 struct RelayState {
     /// Relaying is active (relay tree on *and* reliable delivery on).
     enabled: bool,
@@ -462,13 +472,13 @@ struct RelayState {
     chunk_bytes: u64,
     /// Upstream flows currently fanning out, by upstream flow id.
     fans: HashMap<u64, Fan>,
-    /// Child flows this relay launched, by child flow id (fabric-unique,
-    /// so child flow ids double as reactor timer tokens — they can never
-    /// collide with [`REAP_TIMER`], flow ids start at 1).
-    child_flows: HashMap<u64, ChildServe>,
-    /// Per-child serve lanes: one flow in flight per child, newer
-    /// versions coalesce behind it.
-    lanes: HashMap<String, ChildLane>,
+    /// One lane per child; sends carry the upstream fan id as their token.
+    /// Child flow ids double as reactor timer tokens — fabric-unique and
+    /// starting at 1, they can never collide with [`REAP_TIMER`].
+    sender: FlowSender<String>,
+    /// The engine's launch count already published to
+    /// `relay.{node}.relay_reserves`.
+    reserves_seen: u64,
 }
 
 /// One upstream flow being re-served to this relay's children.
@@ -477,47 +487,12 @@ struct Fan {
     parent: String,
     tag: String,
     link: LinkKind,
-    /// The exact wire bytes received — already framed, re-served as-is
-    /// (zero-copy: cloning shares the reassembled buffer).
-    payload: Payload,
-    /// Per-chunk CRCs of `payload` under this relay's chunk geometry —
-    /// carried over from the received chunk headers when the geometries
-    /// agree, else computed once per fan: every child serve and
-    /// retransmission round reuses them instead of re-checksumming the
-    /// shared bytes.
-    crcs: Arc<Vec<u32>>,
-    /// Coalescing key, parsed from the delivery tag's version suffix.
-    version: u64,
     /// Child slots not yet resolved (acked, escalated, or superseded).
     pending: usize,
     /// Watermark: the latest resolve instant across the subtree so far.
     /// When `pending` hits zero this is the causal instant of the group
     /// ACK — the producer's flush then implies every leaf installed.
     acked_at: SimInstant,
-}
-
-/// One child flow launched by the relay, driven by the same
-/// [`FlowMachine`] the producer uses for its own sends.
-struct ChildServe {
-    /// Upstream flow id (key into [`RelayState::fans`]).
-    fan: u64,
-    child: String,
-    machine: FlowMachine,
-    num_chunks: u32,
-}
-
-/// A re-serve waiting for its child's lane to free up.
-struct QueuedServe {
-    fan: u64,
-    ready_at: SimInstant,
-}
-
-/// Per-child serve lane: one flow in flight, a version-coalescing queue
-/// behind it — the same collapse-to-latest backpressure the producer
-/// applies per consumer, now applied per subtree edge.
-struct ChildLane {
-    in_flight: Option<u64>,
-    queue: CoalesceQueue<QueuedServe>,
 }
 
 /// The consumer's reactor task. Owns everything the old listener thread
@@ -533,7 +508,7 @@ struct ChildLane {
 ///   the polling baseline).
 struct ConsumerTask {
     viper: Viper,
-    endpoint: viper_net::Endpoint,
+    endpoint: Arc<Endpoint>,
     subscription: viper_metastore::Subscription<viper_metastore::ModelRecord>,
     state: Arc<ConsumerState>,
     model_name: String,
@@ -779,7 +754,13 @@ impl ConsumerTask {
                                 self.forward_miss(&msg.from, flow_id, &member, msg.arrived_at);
                             }
                             Some(control) => {
-                                self.on_child_feedback(ctx, &msg.from, control, msg.arrived_at);
+                                self.relay.sender.on_feedback(
+                                    ctx,
+                                    &msg.from,
+                                    control,
+                                    msg.arrived_at,
+                                );
+                                self.drain_relay(ctx);
                             }
                             None => {}
                         }
@@ -961,13 +942,6 @@ impl ConsumerTask {
                 parent: flow.from.clone(),
                 tag: flow.tag.clone(),
                 link: flow.link,
-                payload: flow.payload.clone(),
-                // The CRCs the chunks were just verified against (this
-                // relay re-chunks the way the flow arrived), so forwarding
-                // never re-reads the payload. Every child serve and
-                // retransmit round below shares them.
-                crcs: flow.crcs_for(self.relay.chunk_bytes),
-                version,
                 pending: children.len(),
                 acked_at: serve_at,
             },
@@ -981,146 +955,78 @@ impl ConsumerTask {
                 ("children", children.len().into()),
             ],
         );
+        // Re-serve the exact wire bytes received — already framed, shared
+        // zero-copy — with the CRCs the chunks were just verified against
+        // (this relay re-chunks the way the flow arrived), so neither a
+        // child serve nor a retransmission round re-reads the payload.
+        let opts = ChunkedSend::new(self.relay.chunk_bytes)
+            .with_crcs(flow.crcs_for(self.relay.chunk_bytes));
         for child in children {
-            self.admit_child(ctx, flow.flow_id, child, serve_at);
+            let send = Outbound {
+                token: flow.flow_id,
+                to: child.clone(),
+                tag: flow.tag.clone(),
+                link: flow.link,
+                payload: flow.payload.clone(),
+                opts: opts.clone(),
+                ready_at: serve_at,
+                track: self.state.track.clone(),
+            };
+            self.relay.sender.admit(ctx, child, version, send);
         }
-        // Every child may have resolved synchronously (all gone, or all
-        // superseded): complete the fan now rather than never.
-        self.finish_fan_if_done(flow.flow_id);
+        self.drain_relay(ctx);
         true
     }
 
-    /// Hand fan `fan_id` to `child`'s serve lane: launch now if the lane
-    /// is free, else queue it (collapsing older queued versions).
-    fn admit_child(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        fan_id: u64,
-        child: String,
-        ready_at: SimInstant,
-    ) {
-        let busy = self
-            .relay
-            .lanes
-            .get(&child)
-            .and_then(|lane| lane.in_flight)
-            .is_some();
-        if !busy {
-            self.launch_child(ctx, fan_id, child, ready_at);
-            return;
-        }
-        let version = self.relay.fans[&fan_id].version;
-        let bound = self.viper.shared.config.coalesce_queue_depth;
-        let lane = self
-            .relay
-            .lanes
-            .entry(child.clone())
-            .or_insert_with(|| ChildLane {
-                in_flight: None,
-                queue: CoalesceQueue::new(bound),
-            });
-        let dropped = lane.queue.push(
-            version,
-            QueuedServe {
-                fan: fan_id,
-                ready_at,
-            },
-        );
-        self.publish_queue_depth();
-        for (_, stale) in dropped {
-            // A newer version collapsed this serve out of the lane (or
-            // the push itself was stale): the child gets the newer copy
-            // instead, so the older fan's slot resolves as superseded.
-            self.resolve_slot(stale.fan, ready_at);
-        }
-    }
-
-    /// Launch one child flow re-serving fan `fan_id`'s wire bytes.
-    fn launch_child(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        fan_id: u64,
-        child: String,
-        ready_at: SimInstant,
-    ) {
-        let retry = self.viper.shared.config.retry;
-        let Some(fan) = self.relay.fans.get(&fan_id) else {
-            return;
-        };
-        let opts = ChunkedSend::new(self.relay.chunk_bytes)
-            .at(ready_at)
-            .with_crcs(Arc::clone(&fan.crcs));
-        match self
-            .endpoint
-            .send_chunked(&child, &fan.tag, fan.payload.clone(), fan.link, &opts)
-        {
-            Ok(report) => {
-                self.state.relay_reserves.inc();
-                let mut machine = FlowMachine::new(retry.max_retries);
-                machine.on_event(FlowEvent::Sent);
-                self.relay.child_flows.insert(
-                    report.flow_id,
-                    ChildServe {
-                        fan: fan_id,
-                        child: child.clone(),
-                        machine,
-                        num_chunks: report.num_chunks,
-                    },
-                );
-                let bound = self.viper.shared.config.coalesce_queue_depth;
-                self.relay
-                    .lanes
-                    .entry(child)
-                    .or_insert_with(|| ChildLane {
-                        in_flight: None,
-                        queue: CoalesceQueue::new(bound),
-                    })
-                    .in_flight = Some(report.flow_id);
-                ctx.arm_timer_at(report.flow_id, report.completed_at.add(retry.ack_timeout));
+    /// Apply the relay policy to every child serve the engine reports
+    /// ended, then republish the serve count and backlog.
+    fn drain_relay(&mut self, ctx: &mut TaskCtx<'_>) {
+        while let Some(outcome) = self.relay.sender.next_outcome(ctx) {
+            let (fan_id, child, at) = (outcome.token, outcome.to, outcome.at);
+            match outcome.kind {
+                // Acked; the child deregistered (a shutdown race, not a
+                // delivery failure); or a newer version collapsed this
+                // serve out of the lane and the child gets that instead.
+                OutcomeKind::Complete | OutcomeKind::Gone | OutcomeKind::Superseded => {}
+                // The child's delta base is missing or stale, and a relay
+                // cannot re-encode (it holds wire bytes, not a codec):
+                // degrade the member to a producer-direct full via `Miss`.
+                OutcomeKind::NeedFull => self.escalate_miss(fan_id, &child, at),
+                // The child stopped answering. Everything below it is
+                // stranded too: escalate the whole subtree so the
+                // producer serves those members directly (and, for a
+                // dead relay root, re-parents the topology).
+                OutcomeKind::Exhausted { .. } => {
+                    self.escalate_miss(fan_id, &child, at);
+                    for orphan in self.subtree_below(&child) {
+                        self.escalate_miss(fan_id, &orphan, at);
+                    }
+                }
             }
-            Err(_) => {
-                // The child deregistered mid-flight: resolve its slot
-                // silently and let anything queued behind it drain.
-                self.resolve_slot(fan_id, ready_at);
-                self.release_child_lane(ctx, &child, ready_at);
-            }
+            self.resolve_slot(fan_id, at);
         }
-    }
-
-    /// A child flow finished (acked, escalated, or the child vanished):
-    /// free its lane and launch the next queued serve, if any.
-    fn release_child_lane(&mut self, ctx: &mut TaskCtx<'_>, child: &str, at: SimInstant) {
-        let Some(lane) = self.relay.lanes.get_mut(child) else {
-            return;
-        };
-        lane.in_flight = None;
-        if let Some((_, next)) = lane.queue.pop() {
-            self.publish_queue_depth();
-            self.launch_child(ctx, next.fan, child.to_string(), next.ready_at.max(at));
-        }
+        let launched = self.relay.sender.launched();
+        self.state
+            .relay_reserves
+            .add(launched - self.relay.reserves_seen);
+        self.relay.reserves_seen = launched;
+        self.state
+            .relay_queue_depth
+            .set(self.relay.sender.backlog() as i64);
     }
 
     /// One of fan `fan_id`'s child slots resolved at `at`: advance the
-    /// group watermark and send the group ACK if it was the last.
-    fn resolve_slot(&mut self, fan_id: u64, at: SimInstant) {
-        if let Some(fan) = self.relay.fans.get_mut(&fan_id) {
-            fan.pending -= 1;
-            fan.acked_at = fan.acked_at.max(at);
-        }
-        self.finish_fan_if_done(fan_id);
-    }
-
-    /// If fan `fan_id` has no outstanding slots, send its **group ACK**
-    /// upstream: one control frame at the subtree's watermark instant,
-    /// attesting every non-escalated member installed — the per-consumer
+    /// group watermark and, if it was the last, send the **group ACK**
+    /// upstream — one control frame at the subtree's watermark instant,
+    /// attesting every non-escalated member installed: the per-consumer
     /// round-trips the tree exists to eliminate.
-    fn finish_fan_if_done(&mut self, fan_id: u64) {
-        let done = self
-            .relay
-            .fans
-            .get(&fan_id)
-            .is_some_and(|fan| fan.pending == 0);
-        if !done {
+    fn resolve_slot(&mut self, fan_id: u64, at: SimInstant) {
+        let Some(fan) = self.relay.fans.get_mut(&fan_id) else {
+            return;
+        };
+        fan.pending -= 1;
+        fan.acked_at = fan.acked_at.max(at);
+        if fan.pending != 0 {
             return;
         }
         let fan = self.relay.fans.remove(&fan_id).expect("checked above");
@@ -1141,192 +1047,17 @@ impl ConsumerTask {
         );
     }
 
-    /// Feedback (ACK/NACK/NeedFull) from a child on a flow this relay
-    /// launched. Frames about unknown flows — or spoofing a different
-    /// sender — drop exactly like the producer's stale-feedback path.
-    fn on_child_feedback(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        from: &str,
-        control: Control,
-        at: SimInstant,
-    ) {
-        let flow_id = control.flow_id();
-        let event = match control {
-            Control::Ack { generation, .. } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::Ack,
-            },
-            Control::NeedFull { generation, .. } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::NeedFull,
-            },
-            Control::Nack {
-                generation,
-                missing,
-                ..
-            } => FlowEvent::Feedback {
-                generation,
-                kind: FeedbackKind::Nack { missing },
-            },
-            Control::Round { .. } | Control::Miss { .. } => return,
-        };
-        let Some(cf) = self.relay.child_flows.get_mut(&flow_id) else {
-            return;
-        };
-        if cf.child != from {
-            return;
-        }
-        let action = cf.machine.on_event(event);
-        self.child_action(ctx, flow_id, action, at);
-    }
-
-    /// Act on a child flow's state-machine verdict.
-    fn child_action(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        flow_id: u64,
-        action: FlowAction,
-        at: SimInstant,
-    ) {
-        let retry = self.viper.shared.config.retry;
-        match action {
-            FlowAction::None | FlowAction::DroppedStale => {}
-            FlowAction::Complete => {
-                ctx.cancel_timer(flow_id);
-                let cf = self
-                    .relay
-                    .child_flows
-                    .remove(&flow_id)
-                    .expect("action came from this flow");
-                self.release_child_lane(ctx, &cf.child, at);
-                self.resolve_slot(cf.fan, at);
-            }
-            FlowAction::NeedFull => {
-                // The child's delta base is missing or stale, and a relay
-                // cannot re-encode (it holds wire bytes, not a codec):
-                // degrade the member to a producer-direct full via `Miss`.
-                ctx.cancel_timer(flow_id);
-                let cf = self
-                    .relay
-                    .child_flows
-                    .remove(&flow_id)
-                    .expect("action came from this flow");
-                self.escalate_miss(cf.fan, &cf.child, at);
-                self.release_child_lane(ctx, &cf.child, at);
-                self.resolve_slot(cf.fan, at);
-            }
-            FlowAction::Exhausted { .. } => {
-                // The child stopped answering. Everything below it is
-                // stranded too: escalate the whole subtree so the
-                // producer serves those members directly (and, for a
-                // dead relay root, re-parents the topology).
-                ctx.cancel_timer(flow_id);
-                let cf = self
-                    .relay
-                    .child_flows
-                    .remove(&flow_id)
-                    .expect("action came from this flow");
-                self.escalate_miss(cf.fan, &cf.child, at);
-                for orphan in self.subtree_below(&cf.child) {
-                    self.escalate_miss(cf.fan, &orphan, at);
-                }
-                self.release_child_lane(ctx, &cf.child, at);
-                self.resolve_slot(cf.fan, at);
-            }
-            FlowAction::Retransmit {
-                generation,
-                missing,
-                attempt,
-            } => {
-                let cf = &self.relay.child_flows[&flow_id];
-                let (fan_id, child, num_chunks) = (cf.fan, cf.child.clone(), cf.num_chunks);
-                let Some(fan) = self.relay.fans.get(&fan_id) else {
-                    return;
-                };
-                let (tag, link, payload, crcs) = (
-                    fan.tag.clone(),
-                    fan.link,
-                    fan.payload.clone(),
-                    Arc::clone(&fan.crcs),
-                );
-                let missing: Vec<u32> = if missing.is_empty() {
-                    (0..num_chunks).collect()
-                } else {
-                    missing
-                };
-                // Subtree backpressure: a lane with queued updates backs
-                // off harder, like the producer's per-consumer lanes.
-                let backlog = self
-                    .relay
-                    .lanes
-                    .get(&child)
-                    .map_or(0, |lane| lane.queue.len());
-                let end = at.add(retry.backoff_with_pressure(attempt, backlog));
-                // Round before chunks, so the child stamps its further
-                // feedback with the new generation (fabric preserves
-                // per-sender order).
-                let round = Control::Round {
-                    flow_id,
-                    generation,
-                };
-                if self
-                    .endpoint
-                    .send_control_at(&child, &tag, &round, link, end)
-                    .is_err()
-                {
-                    self.drop_child_flow(ctx, flow_id, at);
-                    return;
-                }
-                match self.endpoint.retransmit_chunks_at(
-                    &child,
-                    &tag,
-                    &payload,
-                    link,
-                    flow_id,
-                    self.relay.chunk_bytes,
-                    &missing,
-                    Some(&crcs),
-                    end,
-                ) {
-                    Ok(lane_free) => {
-                        ctx.arm_timer_at(flow_id, lane_free.add(retry.ack_timeout));
-                    }
-                    Err(_) => self.drop_child_flow(ctx, flow_id, at),
-                }
-            }
-        }
-    }
-
-    /// The child vanished mid-retransmission: give its flow up silently
-    /// (a deregistered consumer is a shutdown race, not a delivery
-    /// failure — mirroring the producer's launch-failure path).
-    fn drop_child_flow(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, at: SimInstant) {
-        ctx.cancel_timer(flow_id);
-        let Some(cf) = self.relay.child_flows.remove(&flow_id) else {
-            return;
-        };
-        self.release_child_lane(ctx, &cf.child, at);
-        self.resolve_slot(cf.fan, at);
-    }
-
     /// Escalate `member` of fan `fan_id` to the producer: a `Miss` frame
     /// travels up the tree (each relay remapping flow ids hop by hop via
     /// [`ConsumerTask::forward_miss`]) until the producer degrades the
     /// member to a direct full checkpoint.
     fn escalate_miss(&mut self, fan_id: u64, member: &str, at: SimInstant) {
-        let generation = self
-            .relay
-            .fans
-            .get(&fan_id)
-            .map(|fan| self.generation_of(&fan.parent, fan_id))
-            .unwrap_or(0);
         let Some(fan) = self.relay.fans.get(&fan_id) else {
             return;
         };
         let miss = Control::Miss {
             flow_id: fan_id,
-            generation,
+            generation: self.generation_of(&fan.parent, fan_id),
             member: member.to_string(),
         };
         let _ = self
@@ -1345,13 +1076,10 @@ impl ConsumerTask {
     /// forward. The child's slot is **not** resolved — the child still
     /// group-acks the rest of its subtree on the same flow.
     fn forward_miss(&mut self, from: &str, child_flow: u64, member: &str, at: SimInstant) {
-        let Some(cf) = self.relay.child_flows.get(&child_flow) else {
-            return;
+        let fan_id = match self.relay.sender.flow(child_flow) {
+            Some((fan_id, child)) if child == from => fan_id,
+            _ => return,
         };
-        if cf.child != from {
-            return;
-        }
-        let fan_id = cf.fan;
         self.escalate_miss(fan_id, member, at);
     }
 
@@ -1364,12 +1092,6 @@ impl ConsumerTask {
             out.push(n);
         }
         out
-    }
-
-    /// Publish the total backlog across this relay's serve lanes.
-    fn publish_queue_depth(&self) {
-        let depth: usize = self.relay.lanes.values().map(|l| l.queue.len()).sum();
-        self.state.relay_queue_depth.set(depth as i64);
     }
 
     /// Run update discovery: repository-staged updates (PFS route) are
@@ -1433,10 +1155,9 @@ impl ReactorTask for ConsumerTask {
         if token != REAP_TIMER {
             // A relay child flow's ack timer (tokens are fabric flow ids,
             // never 0). The drain above may already have resolved it —
-            // then the entry is gone and the timer was a leftover.
-            if let Some(cf) = self.relay.child_flows.get_mut(&token) {
-                let action = cf.machine.on_event(FlowEvent::AckTimeout);
-                self.child_action(ctx, token, action, deadline);
+            // then the flow is gone and the timer was a leftover.
+            if self.relay.sender.on_timer(ctx, token, deadline) {
+                self.drain_relay(ctx);
             }
             return;
         }

@@ -60,10 +60,7 @@ impl Viper {
         bus.set_telemetry(config.telemetry.clone());
         let reactor = Reactor::new(config.reactor_threads, config.telemetry.clone());
         fabric.set_waker(Some(reactor.waker()));
-        let distribution = Distribution::new(
-            config.relay_tree && config.reliable_delivery,
-            config.relay_fanout,
-        );
+        let distribution = Distribution::new(config.relaying(), config.relay_fanout);
         Viper {
             shared: Arc::new(Shared {
                 config,

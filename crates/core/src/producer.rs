@@ -12,7 +12,7 @@
 //! time instead of serializing.
 
 use crate::codec::{
-    deliver, route_label, DeliveryCounters, DeliveryTask, DrainBarrier, PayloadCodec,
+    deliver, route_label, Delivery, DeliveryCounters, DeliveryTask, DrainBarrier, PayloadCodec,
 };
 use crate::context::Viper;
 use crate::Result;
@@ -157,8 +157,7 @@ impl Producer {
                                         ("bytes", (payload.len() as u64).into()),
                                     ],
                                 );
-                                let coalesce = viper.shared.config.coalesce_updates
-                                    && viper.shared.config.reliable_delivery;
+                                let coalesce = viper.shared.config.coalescing();
                                 let stage = stage_time(
                                     &viper.shared.config.profile,
                                     route,
@@ -190,20 +189,20 @@ impl Producer {
                                 };
                                 // The async path captured (and staged) before
                                 // handing off, so chunks are all wire-ready.
-                                deliver(
-                                    &viper,
-                                    &endpoint,
-                                    &codec,
-                                    &record,
-                                    ckpt.as_ref(),
-                                    &payload,
-                                    &crcs,
+                                deliver(&Delivery {
+                                    viper: &viper,
+                                    endpoint: &endpoint,
+                                    codec: &codec,
+                                    counters: &counters,
+                                    record: &record,
+                                    ckpt: ckpt.as_ref(),
+                                    payload: &payload,
+                                    payload_crcs: &crcs,
                                     route,
-                                    false,
-                                    &counters,
-                                    &worker_track,
-                                    staged,
-                                );
+                                    pipeline_capture: false,
+                                    track: &worker_track,
+                                    frontier_base: staged,
+                                });
                             }
                             Job::Flush { record, payload } => {
                                 let _span = telemetry.span_with(
@@ -398,7 +397,7 @@ impl Producer {
         let clock = &shared.clock;
         let telemetry = &shared.config.telemetry;
         let strategy = shared.config.strategy;
-        let coalesce = shared.config.coalesce_updates && shared.config.reliable_delivery;
+        let coalesce = shared.config.coalescing();
         // Under coalescing the save timeline is the producer's private
         // chain (the shared clock races ahead with background deliveries);
         // otherwise the clock frontier is the save's causal start.
@@ -423,11 +422,7 @@ impl Producer {
         // to checksum it. Every downstream consumer (staging tiers, chunk
         // bodies, retransmit rounds, the PFS flush) shares zero-copy views
         // of this one buffer.
-        let chunk_geom = if shared.config.chunked_transfer {
-            shared.config.chunk_bytes
-        } else {
-            0
-        };
+        let chunk_geom = shared.config.wire_chunk_bytes();
         let encoded = {
             let mut arena = self.arena.lock();
             let hint = encoded_size_hint(ckpt);
@@ -468,7 +463,7 @@ impl Producer {
         let meta_factor = self.format.metadata_ops_factor();
         let capture = capture_time(&shared.config.profile, route, bytes, ntensors, meta_factor);
         let is_async = route != Route::PfsStaging && strategy.mode == CaptureMode::Async;
-        let delta_mode = shared.config.delta_transfer && shared.config.reliable_delivery;
+        let delta_mode = shared.config.delta_active();
         // The pipelined sync path overlaps capture with the wire inside the
         // chunked send (the fabric models per-chunk readiness), so the
         // capture is not pre-charged as a lump there. With delta transfer
@@ -565,20 +560,20 @@ impl Producer {
                 frontier: save_done,
             });
         } else {
-            let sent = deliver(
-                &self.viper,
-                &self.endpoint,
-                &self.codec,
-                &record,
-                ckpt_arc.as_ref(),
-                &payload,
-                &crcs,
+            let sent = deliver(&Delivery {
+                viper: &self.viper,
+                endpoint: &self.endpoint,
+                codec: &self.codec,
+                counters: &self.counters,
+                record: &record,
+                ckpt: ckpt_arc.as_ref(),
+                payload: &payload,
+                payload_crcs: &crcs,
                 route,
-                pipelined_sync,
-                &self.counters,
-                &self.track,
-                coalesce.then_some(save_done),
-            );
+                pipeline_capture: pipelined_sync,
+                track: &self.track,
+                frontier_base: coalesce.then_some(save_done),
+            });
             if pipelined_sync && sent == 0 {
                 // Nothing consumed the pipelined capture model: the snapshot
                 // still happened, so bill it directly.

@@ -590,8 +590,8 @@ impl Fabric {
         chunk_bytes: u64,
         indices: &[u32],
         crcs: Option<&[u32]>,
-        at: Option<SimInstant>,
-    ) -> Result<(Duration, SimInstant), NetError> {
+        at: SimInstant,
+    ) -> Result<SimInstant, NetError> {
         let tx = self
             .inner
             .nodes
@@ -603,11 +603,9 @@ impl Fabric {
         let sizes = chunk_sizes(total_bytes, chunk_bytes);
         let num_chunks = sizes.len() as u32;
         let lane = (from.to_string(), to.to_string(), link);
-        // Causal base: the instant this round was decided (post-backoff),
-        // falling back to the clock frontier for the legacy entry point.
-        let base = at.unwrap_or_else(|| self.inner.clock.now());
+        // Causal base: the instant this round was decided (post-backoff).
         let mut busy_map = self.inner.link_busy.lock();
-        let mut lane_free = (*busy_map.get(&lane).unwrap_or(&base)).max(base);
+        let mut lane_free = (*busy_map.get(&lane).unwrap_or(&at)).max(at);
         let mut wire_total = Duration::ZERO;
         let mut msgs = Vec::with_capacity(indices.len());
         for &index in indices {
@@ -689,7 +687,7 @@ impl Fabric {
                 .map_err(|_| NetError::UnknownNode(to.to_string()))?;
         }
         self.notify(to);
-        Ok((wire_total, lane_free))
+        Ok(lane_free)
     }
 }
 
@@ -782,32 +780,13 @@ impl Endpoint {
             .send_chunked_from(&self.node, to, tag, payload.into(), link, opts)
     }
 
-    /// Send a reliability control frame (ACK/NACK). Control frames charge
-    /// their (tiny) wire time like any message but are never fault-injected:
-    /// the feedback channel is modeled as out-of-band.
-    pub fn send_control(
-        &self,
-        to: &str,
-        tag: &str,
-        control: &Control,
-        link: LinkKind,
-    ) -> Result<Duration, NetError> {
-        self.fabric.send_from(
-            &self.node,
-            to,
-            tag,
-            Payload::from(control.encode()),
-            link,
-            MessageKind::Control,
-            None,
-        )
-    }
-
-    /// [`Endpoint::send_control`] with an explicit causal send instant:
-    /// the frame's wire span is charged from `at` (the event that decided
-    /// to send it — a flow completing, a reap deadline firing) rather than
-    /// from the shared clock frontier, which concurrent lanes advance
-    /// racily. Returns the frame's arrival instant.
+    /// Send a reliability control frame (ACK/NACK/`Round`). Control frames
+    /// charge their (tiny) wire time like any message but are never
+    /// fault-injected: the feedback channel is modeled as out-of-band. The
+    /// wire span is charged from `at` (the event that decided to send it —
+    /// a flow completing, a reap deadline firing) rather than from the
+    /// shared clock frontier, which concurrent lanes advance racily.
+    /// Returns the frame's arrival instant.
     pub fn send_control_at(
         &self,
         to: &str,
@@ -833,40 +812,12 @@ impl Endpoint {
     /// `chunk_bytes`). Wire time is charged to the virtual clock and the
     /// fault plan applies — a retransmission can be lost too. `crcs`, when
     /// given, are the flow's encode-time per-chunk CRCs (indexed by chunk
-    /// index) so the round does not re-checksum retained bytes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn retransmit_chunks(
-        &self,
-        to: &str,
-        tag: &str,
-        payload: &Payload,
-        link: LinkKind,
-        flow_id: u64,
-        chunk_bytes: u64,
-        indices: &[u32],
-        crcs: Option<&[u32]>,
-    ) -> Result<Duration, NetError> {
-        self.fabric
-            .retransmit_chunks_from(
-                &self.node,
-                to,
-                tag,
-                payload,
-                link,
-                flow_id,
-                chunk_bytes,
-                indices,
-                crcs,
-                None,
-            )
-            .map(|(wire_total, _)| wire_total)
-    }
-
-    /// [`Endpoint::retransmit_chunks`] with an explicit causal base: the
-    /// round's chunks queue behind `max(lane_busy, at)` instead of the
-    /// shared clock frontier. Returns the instant the last retransmitted
-    /// chunk arrives (the new lane-free point), which is the correct base
-    /// for re-arming the sender's ACK timer.
+    /// index) so the round does not re-checksum retained bytes. The
+    /// round's chunks queue behind `max(lane_busy, at)` — `at` being the
+    /// causal instant the round was decided — never the shared clock
+    /// frontier. Returns the instant the last retransmitted chunk arrives
+    /// (the new lane-free point), which is the correct base for re-arming
+    /// the sender's ACK timer.
     #[allow(clippy::too_many_arguments)]
     pub fn retransmit_chunks_at(
         &self,
@@ -880,20 +831,18 @@ impl Endpoint {
         crcs: Option<&[u32]>,
         at: SimInstant,
     ) -> Result<SimInstant, NetError> {
-        self.fabric
-            .retransmit_chunks_from(
-                &self.node,
-                to,
-                tag,
-                payload,
-                link,
-                flow_id,
-                chunk_bytes,
-                indices,
-                crcs,
-                Some(at),
-            )
-            .map(|(_, lane_free)| lane_free)
+        self.fabric.retransmit_chunks_from(
+            &self.node,
+            to,
+            tag,
+            payload,
+            link,
+            flow_id,
+            chunk_bytes,
+            indices,
+            crcs,
+            at,
+        )
     }
 
     /// Blocking receive with a wall-clock timeout.
@@ -1262,7 +1211,7 @@ mod tests {
             generation: 0,
             missing: vec![1, 2],
         };
-        a.send_control("b", "t", &nack, LinkKind::GpuDirect)
+        a.send_control_at("b", "t", &nack, LinkKind::GpuDirect, SimInstant::ZERO)
             .unwrap();
         let msg = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(msg.kind, MessageKind::Control);
@@ -1300,7 +1249,7 @@ mod tests {
             )
             .unwrap();
         assert!(report.num_chunks > 1);
-        a.retransmit_chunks(
+        a.retransmit_chunks_at(
             "b",
             "t",
             &Payload::from(vec![0u8; 5000]),
@@ -1309,6 +1258,7 @@ mod tests {
             1000,
             &[0, 1],
             None,
+            report.completed_at,
         )
         .unwrap();
         assert_eq!(*woken.lock(), vec!["b", "b", "b"]);
@@ -1412,8 +1362,8 @@ mod tests {
             assert!(matches!(asm.accept(msg), FlowStatus::Buffered));
         }
         let before = clock.now();
-        let wire = a
-            .retransmit_chunks(
+        let lane_free = a
+            .retransmit_chunks_at(
                 "b",
                 "t",
                 &payload,
@@ -1422,10 +1372,11 @@ mod tests {
                 1000,
                 &[1, 3],
                 None,
+                before,
             )
             .unwrap();
-        assert!(wire > Duration::ZERO);
-        assert_eq!(clock.now(), before.add(wire));
+        assert!(lane_free > before);
+        assert_eq!(clock.now(), lane_free);
         let mut complete = None;
         for msg in drain(&b) {
             if let FlowStatus::Complete(flow) = asm.accept(msg) {

@@ -36,6 +36,7 @@ mod fault;
 mod reactor;
 mod relay;
 mod reliability;
+mod sender;
 mod wirebuf;
 
 pub use chunk::{
@@ -52,5 +53,6 @@ pub use relay::{Topology, TopologyError};
 pub use reliability::{
     deterministic_jitter, CoalesceQueue, Control, FlowError, RetryPolicy, CONTROL_MAGIC,
 };
+pub use sender::{FlowSender, Outbound, Outcome, OutcomeKind, SenderCounters};
 pub use viper_formats::Payload;
 pub use wirebuf::{WireBuf, HEAD_BYTES};

@@ -98,7 +98,8 @@ pub enum FlowEvent {
     AckTimeout,
 }
 
-/// What the owner of a [`FlowMachine`] must do after feeding it an event.
+/// What [`FlowSender`](crate::FlowSender) — the one owner of every
+/// [`FlowMachine`] — does after feeding it an event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowAction {
     /// Nothing.
@@ -130,8 +131,8 @@ pub enum FlowAction {
 /// The per-flow reliability state machine:
 /// `Sending → AwaitingAck → Retransmitting{round} → Done/Exhausted`.
 ///
-/// Pure state: the owner performs all sends, timer arms, and clock
-/// charges prescribed by the returned [`FlowAction`]s. Every
+/// Pure state: [`FlowSender`](crate::FlowSender) performs the sends, timer
+/// arms, and backoff prescribed by the returned [`FlowAction`]s. Every
 /// retransmission round bumps the machine's **generation**; feedback
 /// stamped with any other generation is counted in
 /// [`FlowMachine::stale_feedback`] and dropped, so a NACK queued from a
@@ -185,7 +186,7 @@ impl FlowMachine {
         self.stale_feedback
     }
 
-    /// Feed one event; returns the action the owner must perform.
+    /// Feed one event; returns the action to perform.
     pub fn on_event(&mut self, event: FlowEvent) -> FlowAction {
         match event {
             FlowEvent::Sent => {
@@ -213,7 +214,7 @@ impl FlowMachine {
             }
             FlowEvent::AckTimeout => {
                 if self.is_terminal() {
-                    // A timer the owner failed to cancel; never resend.
+                    // A timer that was not cancelled; never resend.
                     return FlowAction::None;
                 }
                 // No feedback at all: resend the whole flow blind.

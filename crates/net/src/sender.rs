@@ -1,0 +1,488 @@
+//! The one reliable sender: lanes, flows, ack timers and retransmission
+//! rounds behind a terminal-outcome interface.
+//!
+//! The paper's transfer engine (§4.4) is one idea — push the bytes to a
+//! peer and know when they landed. [`FlowSender`] is that idea as a
+//! reactor-side component: it owns the per-destination **lanes** (one flow
+//! in flight, a collapse-to-latest [`CoalesceQueue`] behind it) and every
+//! in-flight flow's [`FlowMachine`], performs the sends, arms the ack
+//! timers, announces and executes retransmission rounds with
+//! pressure-scaled backoff, and tells its owner only how each admitted
+//! send *ended* ([`Outcome`]). What an ending means — base tracking, group
+//! ACKs, a full-checkpoint retry, a durable fallback — is the owner's
+//! policy; the engine never asks which owner it is serving.
+//!
+//! All timing is causal. Feedback is handled at its arrival instant and a
+//! timer at its deadline; a round's backoff is added to that instant
+//! (`at + backoff`) rather than charged to the shared clock — the `Round`
+//! frame sent at the resulting instant advances the clock past it anyway —
+//! so the schedule is a pure function of configuration and fault seed.
+
+use crate::chunk::ChunkedSend;
+use crate::fabric::{Endpoint, LinkKind};
+use crate::reactor::{FeedbackKind, FlowAction, FlowEvent, FlowMachine, TaskCtx};
+use crate::reliability::{CoalesceQueue, Control, RetryPolicy};
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
+use std::sync::Arc;
+use std::time::Duration;
+use viper_formats::Payload;
+use viper_hw::SimInstant;
+use viper_telemetry::{Counter, Telemetry};
+
+/// One reliable send handed to [`FlowSender::admit`].
+#[derive(Debug, Clone)]
+pub struct Outbound {
+    /// The owner's opaque handle, echoed in this send's [`Outcome`] (the
+    /// producer's update sequence number, a relay's upstream flow id).
+    pub token: u64,
+    /// Destination node.
+    pub to: String,
+    /// Application tag carried by every chunk and control frame.
+    pub tag: String,
+    /// Link the flow travels.
+    pub link: LinkKind,
+    /// The wire bytes (first send and retransmission source).
+    pub payload: Payload,
+    /// Chunk geometry, encode-time CRCs and — for a send that launches
+    /// immediately — the capture model. The submit instant is set by the
+    /// engine.
+    pub opts: ChunkedSend,
+    /// Causal instant the payload became ready: the flow starts no
+    /// earlier, even if its lane frees first.
+    pub ready_at: SimInstant,
+    /// Telemetry track for this send's `backoff` / `retransmit_round`
+    /// spans.
+    pub track: String,
+}
+
+/// How an admitted send ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutcomeKind {
+    /// The peer acknowledged the flow.
+    Complete,
+    /// The flow reassembled but the peer cannot use the payload (a delta
+    /// whose base it lost). The lane stays held until the owner has seen
+    /// this outcome, so [`FlowSender::relaunch`] can answer on it.
+    NeedFull,
+    /// The retry budget ran out.
+    Exhausted {
+        /// Sends queued behind the flow's lane when it gave up.
+        backlog: usize,
+    },
+    /// The peer is not registered on the fabric (at launch or mid-round).
+    Gone,
+    /// A newer version collapsed this send out of its lane's queue before
+    /// it touched the wire.
+    Superseded,
+}
+
+/// The terminal result of one [`Outbound`]; every admitted send yields
+/// exactly one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcome {
+    /// [`Outbound::token`] of the send.
+    pub token: u64,
+    /// [`Outbound::to`] of the send.
+    pub to: String,
+    /// How it ended.
+    pub kind: OutcomeKind,
+    /// Causal instant of the ending: the feedback frame's arrival, the
+    /// timer deadline, the superseding send's ready instant, or the start
+    /// instant of a launch that found the peer gone.
+    pub at: SimInstant,
+}
+
+/// The two counters the engine maintains on its owner's behalf.
+#[derive(Debug, Clone)]
+pub struct SenderCounters {
+    /// Retransmission rounds performed (NACK-driven or ack-timeout blind).
+    pub retransmits: Counter,
+    /// Feedback frames dropped: unknown or finished flow, wrong peer, or a
+    /// superseded retransmission generation. Counted, never acted on.
+    pub stale_feedback: Counter,
+}
+
+struct Flow<K> {
+    lane: K,
+    send: Outbound,
+    machine: FlowMachine,
+    num_chunks: u32,
+}
+
+struct LaneState {
+    /// Flow holding the lane — until its outcome has been handled, which
+    /// outlasts the flow itself by one [`FlowSender::next_outcome`] call.
+    in_flight: Option<u64>,
+    queue: CoalesceQueue<Outbound>,
+}
+
+/// The reliable sender engine, generic over its owner's lane key.
+///
+/// Driven from a [`ReactorTask`](crate::ReactorTask): route decoded
+/// feedback to [`on_feedback`](Self::on_feedback) and timer fires to
+/// [`on_timer`](Self::on_timer) (timer tokens are fabric flow ids, never
+/// 0), then drain [`next_outcome`](Self::next_outcome) until it returns
+/// `None`.
+pub struct FlowSender<K> {
+    endpoint: Arc<Endpoint>,
+    retry: RetryPolicy,
+    queue_bound: usize,
+    telemetry: Telemetry,
+    /// Trace category of the engine's spans.
+    category: &'static str,
+    counters: SenderCounters,
+    lanes: HashMap<K, LaneState>,
+    flows: HashMap<u64, Flow<K>>,
+    /// Outcomes not yet handed to the owner, each with the lane (and the
+    /// flow id holding it) that its flow still occupies.
+    outcomes: VecDeque<(Outcome, Option<(K, u64)>)>,
+    /// Lane of the outcome most recently handed out, released at the next
+    /// [`FlowSender::next_outcome`] call.
+    settling: Option<(K, u64, SimInstant)>,
+    launched: u64,
+}
+
+impl<K: Clone + Eq + Hash> FlowSender<K> {
+    /// An idle engine sending from `endpoint`. Each lane's queue holds at
+    /// most `queue_bound` pending sends; spans are recorded under trace
+    /// category `category`.
+    pub fn new(
+        endpoint: Arc<Endpoint>,
+        retry: RetryPolicy,
+        queue_bound: usize,
+        telemetry: Telemetry,
+        category: &'static str,
+        counters: SenderCounters,
+    ) -> Self {
+        FlowSender {
+            endpoint,
+            retry,
+            queue_bound,
+            telemetry,
+            category,
+            counters,
+            lanes: HashMap::new(),
+            flows: HashMap::new(),
+            outcomes: VecDeque::new(),
+            settling: None,
+            launched: 0,
+        }
+    }
+
+    /// Hand `send` to `lane`: launch it now if the lane is free, else
+    /// queue it under `version`, collapsing older queued versions (each
+    /// yields [`OutcomeKind::Superseded`]; so does `send` itself when
+    /// `version` is not the lane's newest). Returns whether the flow went
+    /// on the wire now.
+    pub fn admit(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        lane: K,
+        version: u64,
+        mut send: Outbound,
+    ) -> bool {
+        if self.lane_mut(&lane).in_flight.is_none() {
+            let start = send.ready_at;
+            return self.launch_on(ctx, &lane, send, start);
+        }
+        // A queued send launches after its capture finished: nothing left
+        // to overlap with the wire.
+        send.opts.capture_bw = None;
+        send.opts.capture_fixed = Duration::ZERO;
+        send.opts.capture_once = Duration::ZERO;
+        let at = send.ready_at;
+        let dropped = self.lane_mut(&lane).queue.push(version, send);
+        for (_, stale) in dropped {
+            self.outcomes.push_back((
+                Outcome {
+                    token: stale.token,
+                    to: stale.to,
+                    kind: OutcomeKind::Superseded,
+                    at,
+                },
+                None,
+            ));
+        }
+        false
+    }
+
+    /// Launch `send` on `lane` ahead of anything queued, taking over the
+    /// hold of the flow whose outcome the owner is handling (a full retry
+    /// after [`OutcomeKind::NeedFull`]). Returns whether it launched; if
+    /// the peer is gone the lane frees as it would have without the call.
+    pub fn relaunch(&mut self, ctx: &mut TaskCtx<'_>, lane: K, send: Outbound) -> bool {
+        debug_assert!(
+            self.lanes
+                .get(&lane)
+                .and_then(|l| l.in_flight)
+                .is_none_or(|id| !self.flows.contains_key(&id)),
+            "relaunch on a lane with a live flow"
+        );
+        let start = send.ready_at;
+        self.launch_on(ctx, &lane, send, start)
+    }
+
+    /// Put `send` on the wire at `start` and give it `lane`. A peer that
+    /// is not registered yields [`OutcomeKind::Gone`] and leaves the lane
+    /// as it was.
+    fn launch_on(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        lane: &K,
+        mut send: Outbound,
+        start: SimInstant,
+    ) -> bool {
+        send.opts.submit_at = Some(start);
+        let sent = self.endpoint.send_chunked(
+            &send.to,
+            &send.tag,
+            send.payload.clone(),
+            send.link,
+            &send.opts,
+        );
+        let Ok(report) = sent else {
+            self.outcomes.push_back((
+                Outcome {
+                    token: send.token,
+                    to: send.to,
+                    kind: OutcomeKind::Gone,
+                    at: start,
+                },
+                None,
+            ));
+            return false;
+        };
+        self.launched += 1;
+        let mut machine = FlowMachine::new(self.retry.max_retries);
+        machine.on_event(FlowEvent::Sent);
+        self.flows.insert(
+            report.flow_id,
+            Flow {
+                lane: lane.clone(),
+                send,
+                machine,
+                num_chunks: report.num_chunks,
+            },
+        );
+        self.lane_mut(lane).in_flight = Some(report.flow_id);
+        // Per flow the deadline only ever moves forward: a retransmission
+        // round completes after the send it repairs.
+        ctx.arm_timer_at(
+            report.flow_id,
+            report.completed_at.add(self.retry.ack_timeout),
+        );
+        true
+    }
+
+    /// Feed one decoded feedback frame (`Ack` / `Nack` / `NeedFull`) that
+    /// arrived from `from` at `at`. Sender-side frames (`Round`, `Miss`)
+    /// are ignored; feedback naming no live flow of `from` is counted
+    /// stale.
+    pub fn on_feedback(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        from: &str,
+        control: Control,
+        at: SimInstant,
+    ) {
+        let flow_id = control.flow_id();
+        let generation = control.generation();
+        let kind = match control {
+            Control::Ack { .. } => FeedbackKind::Ack,
+            Control::NeedFull { .. } => FeedbackKind::NeedFull,
+            Control::Nack { missing, .. } => FeedbackKind::Nack { missing },
+            Control::Round { .. } | Control::Miss { .. } => return,
+        };
+        match self.flows.get_mut(&flow_id) {
+            Some(flow) if flow.send.to == from => {
+                let action = flow
+                    .machine
+                    .on_event(FlowEvent::Feedback { generation, kind });
+                self.act(ctx, flow_id, action, at);
+            }
+            _ => self.counters.stale_feedback.inc(),
+        }
+    }
+
+    /// Timer `token` fired at `deadline`. Returns `false` when the token
+    /// is not one of this engine's flows (the owner's own timer, or a
+    /// leftover of a flow that just resolved).
+    ///
+    /// Ack timers fire only at reactor quiescence — every surviving chunk
+    /// and feedback frame has been processed — so silence here means the
+    /// virtual `ack_timeout` genuinely elapsed with nothing heard.
+    pub fn on_timer(&mut self, ctx: &mut TaskCtx<'_>, token: u64, deadline: SimInstant) -> bool {
+        let Some(flow) = self.flows.get_mut(&token) else {
+            return false;
+        };
+        let action = flow.machine.on_event(FlowEvent::AckTimeout);
+        self.act(ctx, token, action, deadline);
+        true
+    }
+
+    /// The next terminal outcome, oldest first. The lane of the outcome
+    /// returned by the previous call is released here — after its owner
+    /// reacted to it — and the lane's next queued send launches.
+    pub fn next_outcome(&mut self, ctx: &mut TaskCtx<'_>) -> Option<Outcome> {
+        if let Some((lane, flow_id, at)) = self.settling.take() {
+            self.release(ctx, &lane, flow_id, at);
+        }
+        let (outcome, held) = self.outcomes.pop_front()?;
+        self.settling = held.map(|(lane, flow_id)| (lane, flow_id, outcome.at));
+        Some(outcome)
+    }
+
+    /// The `(token, destination)` of live flow `flow_id`, if any.
+    pub fn flow(&self, flow_id: u64) -> Option<(u64, &str)> {
+        self.flows
+            .get(&flow_id)
+            .map(|flow| (flow.send.token, flow.send.to.as_str()))
+    }
+
+    /// Sends queued behind busy lanes, summed over all lanes.
+    pub fn backlog(&self) -> usize {
+        self.lanes.values().map(|lane| lane.queue.len()).sum()
+    }
+
+    /// Flows put on the wire so far (first sends, not retransmission
+    /// rounds).
+    pub fn launched(&self) -> u64 {
+        self.launched
+    }
+
+    /// Free `lane` if terminal flow `flow_id` still holds it and launch
+    /// the next queued send, no earlier than `at`.
+    fn release(&mut self, ctx: &mut TaskCtx<'_>, lane: &K, flow_id: u64, at: SimInstant) {
+        match self.lanes.get_mut(lane) {
+            Some(held) if held.in_flight == Some(flow_id) => held.in_flight = None,
+            _ => return,
+        }
+        while let Some((_, queued)) = self.lanes.get_mut(lane).and_then(|l| l.queue.pop()) {
+            let start = queued.ready_at.max(at);
+            if self.launch_on(ctx, lane, queued, start) {
+                break;
+            }
+        }
+    }
+
+    /// Flow `flow_id` ended: record the outcome; its lane stays held until
+    /// the owner has seen it.
+    fn finish(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, kind: OutcomeKind, at: SimInstant) {
+        ctx.cancel_timer(flow_id);
+        let flow = self.flows.remove(&flow_id).expect("a live flow ended");
+        self.outcomes.push_back((
+            Outcome {
+                token: flow.send.token,
+                to: flow.send.to,
+                kind,
+                at,
+            },
+            Some((flow.lane, flow_id)),
+        ));
+    }
+
+    /// Perform what a flow's state machine prescribed. `at` is the causal
+    /// instant of the triggering event: the feedback frame's arrival for
+    /// mail, the deadline for a timer fire.
+    fn act(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, action: FlowAction, at: SimInstant) {
+        match action {
+            FlowAction::None => {}
+            FlowAction::DroppedStale => self.counters.stale_feedback.inc(),
+            FlowAction::Complete => self.finish(ctx, flow_id, OutcomeKind::Complete, at),
+            FlowAction::NeedFull => self.finish(ctx, flow_id, OutcomeKind::NeedFull, at),
+            FlowAction::Exhausted { .. } => {
+                let backlog = self.lane_backlog(&self.flows[&flow_id].lane);
+                self.finish(ctx, flow_id, OutcomeKind::Exhausted { backlog }, at);
+            }
+            FlowAction::Retransmit {
+                generation,
+                missing,
+                attempt,
+            } => {
+                self.counters.retransmits.inc();
+                let flow = &self.flows[&flow_id];
+                let send = &flow.send;
+                let missing: Vec<u32> = if missing.is_empty() {
+                    // Blind resend: no NACK narrowed the loss down.
+                    (0..flow.num_chunks).collect()
+                } else {
+                    missing
+                };
+                // Backpressure: a congested lane (sends queuing behind
+                // this flow) backs off harder, ceding the wire to peers
+                // that keep up.
+                let backlog = self.lane_backlog(&flow.lane);
+                let end = at.add(self.retry.backoff_with_pressure(attempt, backlog));
+                self.telemetry.complete(
+                    self.category,
+                    "backoff",
+                    &send.track,
+                    at.as_nanos(),
+                    end.as_nanos(),
+                    &[("attempt", attempt.into()), ("backlog", backlog.into())],
+                );
+                // Announce the round before its chunks: the fabric preserves
+                // per-sender order, so the receiver learns the generation
+                // first and stamps it into all further feedback.
+                let round = Control::Round {
+                    flow_id,
+                    generation,
+                };
+                let resent = self
+                    .endpoint
+                    .send_control_at(&send.to, &send.tag, &round, send.link, end)
+                    .and_then(|_| {
+                        self.endpoint.retransmit_chunks_at(
+                            &send.to,
+                            &send.tag,
+                            &send.payload,
+                            send.link,
+                            flow_id,
+                            send.opts.chunk_bytes,
+                            &missing,
+                            send.opts.crcs.as_deref().map(Vec::as_slice),
+                            end,
+                        )
+                    });
+                match resent {
+                    Ok(lane_free) => {
+                        self.telemetry.complete(
+                            self.category,
+                            "retransmit_round",
+                            &send.track,
+                            end.as_nanos(),
+                            lane_free.as_nanos(),
+                            &[
+                                ("attempt", attempt.into()),
+                                ("missing", missing.len().into()),
+                            ],
+                        );
+                        ctx.arm_timer_at(flow_id, lane_free.add(self.retry.ack_timeout));
+                    }
+                    // The peer deregistered mid-delivery: a shutdown race,
+                    // not a delivery failure.
+                    Err(_) => self.finish(ctx, flow_id, OutcomeKind::Gone, at),
+                }
+            }
+        }
+    }
+
+    fn lane_mut(&mut self, lane: &K) -> &mut LaneState {
+        if !self.lanes.contains_key(lane) {
+            let queue = CoalesceQueue::new(self.queue_bound);
+            self.lanes.insert(
+                lane.clone(),
+                LaneState {
+                    in_flight: None,
+                    queue,
+                },
+            );
+        }
+        self.lanes.get_mut(lane).expect("just inserted")
+    }
+
+    fn lane_backlog(&self, lane: &K) -> usize {
+        self.lanes.get(lane).map_or(0, |l| l.queue.len())
+    }
+}

@@ -260,6 +260,7 @@ fn retransmits_outlive_the_producers_payload_reference() {
     // chunk index has arrived at least once.
     let mut delivered: Vec<Message> = Vec::new();
     let mut have = vec![false; num_chunks as usize];
+    let mut lane_free = report.completed_at;
     for _round in 0..64 {
         for msg in drain(&consumer) {
             let (header, _body) = ChunkHeader::decode_buf(&msg.payload).expect("clean frame");
@@ -270,8 +271,8 @@ fn retransmits_outlive_the_producers_payload_reference() {
         if missing.is_empty() {
             break;
         }
-        producer
-            .retransmit_chunks(
+        lane_free = producer
+            .retransmit_chunks_at(
                 "c",
                 "m:1",
                 &payload,
@@ -280,6 +281,7 @@ fn retransmits_outlive_the_producers_payload_reference() {
                 chunk_bytes,
                 &missing,
                 None,
+                lane_free,
             )
             .expect("retransmit");
     }

@@ -277,6 +277,77 @@ fn seeded_fault_sweep_keeps_every_leaf_exactly_once() {
 }
 
 #[test]
+fn loss_on_a_relay_to_leaf_edge_is_visible_on_the_relay() {
+    // Only the c1 -> c3 edge is lossy (c3 is a leaf under the interior
+    // relay c1 in the fan-out-2 heap over c0..c6). The repair is c1's job
+    // — the producer never hears of it — so it must be c1's metrics and
+    // c1's trace track that show it.
+    for seed in fault_seeds() {
+        let plan = FaultPlan::seeded(seed).for_node(
+            "c3",
+            LinkFaults {
+                drop: 0.5,
+                ..LinkFaults::NONE
+            },
+        );
+        let telemetry = Telemetry::enabled();
+        let config = relay_config(2, fast_retry())
+            .with_faults(plan)
+            .with_telemetry(telemetry.clone());
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let fleet = attach_fleet(&viper, 7);
+
+        let updates = 5u64;
+        for iter in 1..=updates {
+            let sent = big_ckpt(iter, 1_500);
+            producer.save_weights(&sent).unwrap();
+            converge(&fleet, iter);
+            assert_eq!(
+                *fleet[3].current().unwrap(),
+                sent,
+                "seed {seed} iter {iter}"
+            );
+        }
+        for c in &fleet {
+            assert_eq!(
+                c.updates_applied(),
+                updates,
+                "seed {seed} {}: exactly-once install violated",
+                c.node()
+            );
+        }
+
+        let registry = telemetry.metrics().snapshot();
+        let rounds = registry.counter("relay.c1.retransmits");
+        assert!(
+            rounds.is_some_and(|n| n > 0),
+            "seed {seed}: the lossy edge's repair rounds are not counted on its relay ({rounds:?})"
+        );
+        for relay in ["c0", "c2"] {
+            assert_eq!(
+                registry.counter(&format!("relay.{relay}.retransmits")),
+                Some(0),
+                "seed {seed}: {relay}'s edges are clean"
+            );
+        }
+        assert_eq!(producer.retransmits(), 0, "seed {seed}: p -> c0 is clean");
+        let events = telemetry.events();
+        for span in ["backoff", "retransmit_round"] {
+            let on_relay = events
+                .iter()
+                .filter(|e| e.cat == "relay" && e.name == span && e.track == "consumer:c1")
+                .count() as u64;
+            assert_eq!(
+                Some(on_relay),
+                rounds,
+                "seed {seed}: one `{span}` span per round on the relay's track"
+            );
+        }
+    }
+}
+
+#[test]
 fn dead_relay_root_reparents_and_degrades_to_direct_delivery() {
     // The root relay's inbound data link is dead (control frames are
     // modeled out-of-band and never faulted, so only its chunks vanish).
