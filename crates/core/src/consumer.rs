@@ -11,6 +11,7 @@
 use crate::config::DiscoveryMode;
 use crate::context::Viper;
 use crate::producer::{charge_apply, charge_apply_at};
+use crate::relay_role::RelayState;
 use crate::slot::ModelSlot;
 use crate::{Result, ViperError, UPDATE_TOPIC};
 use parking_lot::{Condvar, Mutex};
@@ -22,14 +23,14 @@ use viper_formats::{
 };
 use viper_hw::{Route, SimInstant, Tier};
 use viper_net::{
-    deterministic_jitter, ChunkedSend, Control, Endpoint, FlowSender, LinkKind, MessageKind,
-    Outbound, OutcomeKind, ReactorTask, SenderCounters, TaskCtx,
+    deterministic_jitter, Control, Endpoint, FlowSender, LinkKind, MessageKind, ReactorTask,
+    SenderCounters, TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge};
 
 /// Timer token for the stale-flow reap timer (flow ids are never handed to
 /// the consumer task's timers, so 0 is free).
-const REAP_TIMER: u64 = 0;
+pub(crate) const REAP_TIMER: u64 = 0;
 
 /// Details of the most recent completed model update on the consumer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,7 @@ pub struct UpdateInfo {
     pub swapped_at: SimInstant,
 }
 
-struct ConsumerState {
+pub(crate) struct ConsumerState {
     slot: ModelSlot,
     latest: Mutex<Option<UpdateInfo>>,
     cond: Condvar,
@@ -83,14 +84,14 @@ struct ConsumerState {
     /// Flows this node re-served to relay-tree children from its own
     /// already-framed copy (`relay.{node}.relay_reserves`). Zero for
     /// leaves and with the relay tree off.
-    relay_reserves: Counter,
+    pub(crate) relay_reserves: Counter,
     /// Updates currently queued behind this node's busy relay lanes
     /// (`relay.{node}.queue_depth`) — the subtree backpressure signal.
-    relay_queue_depth: Gauge,
+    pub(crate) relay_queue_depth: Gauge,
     /// Delivery errors observed by the reactor task (abandoned flows etc.).
     errors: Mutex<Vec<ViperError>>,
     /// Telemetry track for this consumer's events.
-    track: String,
+    pub(crate) track: String,
 }
 
 /// A consumer attached to a Viper deployment, serving one model.
@@ -451,50 +452,6 @@ struct CorruptBatch {
     latest: SimInstant,
 }
 
-/// Relay-tree re-serve state owned by the consumer's reactor task.
-///
-/// When the deployment runs with [`crate::ViperConfig::with_relay_tree`],
-/// interior consumers double as relays: a completed upstream flow is
-/// installed locally first, then its exact wire bytes are re-served to
-/// the node's children from the reassembled payload — the producer pays one
-/// flow per subtree instead of one per consumer. The upstream ACK is
-/// withheld until the whole subtree resolves, so one group ACK at the
-/// producer attests every member installed (the group-level watermark).
-///
-/// The child flows themselves — per-child lanes, ack timers,
-/// retransmission rounds — belong to the same [`FlowSender`] engine the
-/// producer drives; the relay role is the policy over it: fan/slot
-/// accounting, the group ACK, and `Miss` escalation.
-struct RelayState {
-    /// Relaying is active (relay tree on *and* reliable delivery on).
-    enabled: bool,
-    /// Chunk size for re-serves, mirroring the producer's wire setup.
-    chunk_bytes: u64,
-    /// Upstream flows currently fanning out, by upstream flow id.
-    fans: HashMap<u64, Fan>,
-    /// One lane per child; sends carry the upstream fan id as their token.
-    /// Child flow ids double as reactor timer tokens — fabric-unique and
-    /// starting at 1, they can never collide with [`REAP_TIMER`].
-    sender: FlowSender<String>,
-    /// The engine's launch count already published to
-    /// `relay.{node}.relay_reserves`.
-    reserves_seen: u64,
-}
-
-/// One upstream flow being re-served to this relay's children.
-struct Fan {
-    /// Who sent the upstream flow (the producer, or a parent relay).
-    parent: String,
-    tag: String,
-    link: LinkKind,
-    /// Child slots not yet resolved (acked, escalated, or superseded).
-    pending: usize,
-    /// Watermark: the latest resolve instant across the subtree so far.
-    /// When `pending` hits zero this is the causal instant of the group
-    /// ACK — the producer's flush then implies every leaf installed.
-    acked_at: SimInstant,
-}
-
 /// The consumer's reactor task. Owns everything the old listener thread
 /// owned — reassembly state, the apply pipeline's causal cursor, the
 /// update subscription — but is driven by events instead of a poll loop:
@@ -506,11 +463,11 @@ struct Fan {
 ///   only while a partial flow exists;
 /// * **wake** (update announcement): run discovery (push subscription or
 ///   the polling baseline).
-struct ConsumerTask {
-    viper: Viper,
-    endpoint: Arc<Endpoint>,
+pub(crate) struct ConsumerTask {
+    pub(crate) viper: Viper,
+    pub(crate) endpoint: Arc<Endpoint>,
     subscription: viper_metastore::Subscription<viper_metastore::ModelRecord>,
-    state: Arc<ConsumerState>,
+    pub(crate) state: Arc<ConsumerState>,
     model_name: String,
     format: Box<dyn CheckpointFormat>,
     /// Chunked flows reassemble here; the double-buffered slot only ever
@@ -534,15 +491,15 @@ struct ConsumerTask {
     /// pruned when the flow completes or is abandoned (for a relayed
     /// flow: when its fan resolves, so the group ACK is stamped with the
     /// producer's *current* round).
-    generations: HashMap<(String, u64), u64>,
+    pub(crate) generations: HashMap<(String, u64), u64>,
     /// Relay-tree re-serve state (inert unless the tree is enabled and
     /// this node has children in the current topology).
-    relay: RelayState,
+    pub(crate) relay: RelayState,
 }
 
 impl ConsumerTask {
     /// The generation to stamp into feedback about `(from, flow_id)`.
-    fn generation_of(&self, from: &str, flow_id: u64) -> u64 {
+    pub(crate) fn generation_of(&self, from: &str, flow_id: u64) -> u64 {
         self.generations
             .get(&(from.to_string(), flow_id))
             .copied()
@@ -890,208 +847,6 @@ impl ConsumerTask {
             }
             None => ctx.cancel_timer(REAP_TIMER),
         }
-    }
-
-    // -----------------------------------------------------------------
-    // Relay-tree re-serving
-    // -----------------------------------------------------------------
-
-    /// Begin re-serving a completed upstream flow to this node's relay
-    /// children. Returns `false` when the node has no relay duty for the
-    /// flow — relaying off, no children in the current topology — and
-    /// the caller should ACK upstream directly. Returns `true` when the
-    /// upstream ACK must be withheld for the fan's group ACK (including
-    /// the duplicate-retransmission case: the producer resent a flow
-    /// whose fan is still in progress).
-    fn start_fan(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        flow: &viper_net::AssembledFlow,
-        serve_at: SimInstant,
-    ) -> bool {
-        if !self.relay.enabled {
-            return false;
-        }
-        if self.relay.fans.contains_key(&flow.flow_id) {
-            // A blind retransmission of a flow we are already fanning
-            // out (our group ACK was slower than the producer's timer):
-            // the re-apply above was idempotent, the fan keeps running.
-            return true;
-        }
-        let children = self
-            .viper
-            .shared
-            .distribution
-            .children_of(self.endpoint.node());
-        if children.is_empty() {
-            return false;
-        }
-        // Coalescing key: the delivery tag's version suffix (the same
-        // field the consumer installs by). A tag that failed to parse
-        // was already counted malformed; fall back to the flow id so
-        // the serve still goes out.
-        let version = flow
-            .tag
-            .rsplit(':')
-            .next()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(flow.flow_id);
-        self.relay.fans.insert(
-            flow.flow_id,
-            Fan {
-                parent: flow.from.clone(),
-                tag: flow.tag.clone(),
-                link: flow.link,
-                pending: children.len(),
-                acked_at: serve_at,
-            },
-        );
-        self.viper.shared.config.telemetry.instant(
-            "relay",
-            "relay_serve",
-            &self.state.track,
-            &[
-                ("flow_id", flow.flow_id.into()),
-                ("children", children.len().into()),
-            ],
-        );
-        // Re-serve the exact wire bytes received — already framed, shared
-        // zero-copy — with the CRCs the chunks were just verified against
-        // (this relay re-chunks the way the flow arrived), so neither a
-        // child serve nor a retransmission round re-reads the payload.
-        let opts = ChunkedSend::new(self.relay.chunk_bytes)
-            .with_crcs(flow.crcs_for(self.relay.chunk_bytes));
-        for child in children {
-            let send = Outbound {
-                token: flow.flow_id,
-                to: child.clone(),
-                tag: flow.tag.clone(),
-                link: flow.link,
-                payload: flow.payload.clone(),
-                opts: opts.clone(),
-                ready_at: serve_at,
-                track: self.state.track.clone(),
-            };
-            self.relay.sender.admit(ctx, child, version, send);
-        }
-        self.drain_relay(ctx);
-        true
-    }
-
-    /// Apply the relay policy to every child serve the engine reports
-    /// ended, then republish the serve count and backlog.
-    fn drain_relay(&mut self, ctx: &mut TaskCtx<'_>) {
-        while let Some(outcome) = self.relay.sender.next_outcome(ctx) {
-            let (fan_id, child, at) = (outcome.token, outcome.to, outcome.at);
-            match outcome.kind {
-                // Acked; the child deregistered (a shutdown race, not a
-                // delivery failure); or a newer version collapsed this
-                // serve out of the lane and the child gets that instead.
-                OutcomeKind::Complete | OutcomeKind::Gone | OutcomeKind::Superseded => {}
-                // The child's delta base is missing or stale, and a relay
-                // cannot re-encode (it holds wire bytes, not a codec):
-                // degrade the member to a producer-direct full via `Miss`.
-                OutcomeKind::NeedFull => self.escalate_miss(fan_id, &child, at),
-                // The child stopped answering. Everything below it is
-                // stranded too: escalate the whole subtree so the
-                // producer serves those members directly (and, for a
-                // dead relay root, re-parents the topology).
-                OutcomeKind::Exhausted { .. } => {
-                    self.escalate_miss(fan_id, &child, at);
-                    for orphan in self.subtree_below(&child) {
-                        self.escalate_miss(fan_id, &orphan, at);
-                    }
-                }
-            }
-            self.resolve_slot(fan_id, at);
-        }
-        let launched = self.relay.sender.launched();
-        self.state
-            .relay_reserves
-            .add(launched - self.relay.reserves_seen);
-        self.relay.reserves_seen = launched;
-        self.state
-            .relay_queue_depth
-            .set(self.relay.sender.backlog() as i64);
-    }
-
-    /// One of fan `fan_id`'s child slots resolved at `at`: advance the
-    /// group watermark and, if it was the last, send the **group ACK**
-    /// upstream — one control frame at the subtree's watermark instant,
-    /// attesting every non-escalated member installed: the per-consumer
-    /// round-trips the tree exists to eliminate.
-    fn resolve_slot(&mut self, fan_id: u64, at: SimInstant) {
-        let Some(fan) = self.relay.fans.get_mut(&fan_id) else {
-            return;
-        };
-        fan.pending -= 1;
-        fan.acked_at = fan.acked_at.max(at);
-        if fan.pending != 0 {
-            return;
-        }
-        let fan = self.relay.fans.remove(&fan_id).expect("checked above");
-        let generation = self.generation_of(&fan.parent, fan_id);
-        let ack = Control::Ack {
-            flow_id: fan_id,
-            generation,
-        };
-        let _ = self
-            .endpoint
-            .send_control_at(&fan.parent, &fan.tag, &ack, fan.link, fan.acked_at);
-        self.generations.remove(&(fan.parent.clone(), fan_id));
-        self.viper.shared.config.telemetry.instant(
-            "relay",
-            "group_ack",
-            &self.state.track,
-            &[("flow_id", fan_id.into())],
-        );
-    }
-
-    /// Escalate `member` of fan `fan_id` to the producer: a `Miss` frame
-    /// travels up the tree (each relay remapping flow ids hop by hop via
-    /// [`ConsumerTask::forward_miss`]) until the producer degrades the
-    /// member to a direct full checkpoint.
-    fn escalate_miss(&mut self, fan_id: u64, member: &str, at: SimInstant) {
-        let Some(fan) = self.relay.fans.get(&fan_id) else {
-            return;
-        };
-        let miss = Control::Miss {
-            flow_id: fan_id,
-            generation: self.generation_of(&fan.parent, fan_id),
-            member: member.to_string(),
-        };
-        let _ = self
-            .endpoint
-            .send_control_at(&fan.parent, &fan.tag, &miss, fan.link, at);
-        self.viper.shared.config.telemetry.instant(
-            "relay",
-            "miss_escalated",
-            &self.state.track,
-            &[("member", member.into())],
-        );
-    }
-
-    /// A child relay escalated a `Miss` for one of *its* subtree members:
-    /// remap the flow id one hop up (child flow → our upstream fan) and
-    /// forward. The child's slot is **not** resolved — the child still
-    /// group-acks the rest of its subtree on the same flow.
-    fn forward_miss(&mut self, from: &str, child_flow: u64, member: &str, at: SimInstant) {
-        let fan_id = match self.relay.sender.flow(child_flow) {
-            Some((fan_id, child)) if child == from => fan_id,
-            _ => return,
-        };
-        self.escalate_miss(fan_id, member, at);
-    }
-
-    /// Every node strictly below `node` in the current topology.
-    fn subtree_below(&self, node: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut stack = self.viper.shared.distribution.children_of(node);
-        while let Some(n) = stack.pop() {
-            stack.extend(self.viper.shared.distribution.children_of(&n));
-            out.push(n);
-        }
-        out
     }
 
     /// Run update discovery: repository-staged updates (PFS route) are

@@ -48,9 +48,11 @@ mod codec;
 mod config;
 mod consumer;
 mod context;
+mod delivery;
 mod distribute;
 mod error;
 mod producer;
+mod relay_role;
 mod slot;
 
 pub mod planner;

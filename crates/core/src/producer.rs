@@ -11,10 +11,11 @@
 //! with `advance_to`, so concurrent background work overlaps in virtual
 //! time instead of serializing.
 
-use crate::codec::{
-    deliver, route_label, Delivery, DeliveryCounters, DeliveryTask, DrainBarrier, PayloadCodec,
-};
+use crate::codec::PayloadCodec;
 use crate::context::Viper;
+use crate::delivery::{
+    deliver, route_label, Delivery, DeliveryCounters, DeliveryTask, DrainBarrier,
+};
 use crate::Result;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
