@@ -23,8 +23,7 @@ use viper_formats::{
 };
 use viper_hw::{Route, SimInstant, Tier};
 use viper_net::{
-    deterministic_jitter, Control, Endpoint, FlowSender, LinkKind, MessageKind, ReactorTask,
-    SenderCounters, TaskCtx,
+    deterministic_jitter, Control, Endpoint, LinkKind, MessageKind, ReactorTask, TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -135,23 +134,7 @@ impl Consumer {
         // feedback, reaping, discovery — lives on the deployment's reactor.
         // No per-consumer thread, no poll loop.
         let config = &viper.shared.config;
-        let relay = RelayState {
-            enabled: viper.shared.distribution.enabled(),
-            chunk_bytes: config.wire_chunk_bytes(),
-            fans: HashMap::new(),
-            sender: FlowSender::new(
-                Arc::clone(&endpoint),
-                config.retry,
-                config.coalesce_queue_depth,
-                telemetry.clone(),
-                "relay",
-                SenderCounters {
-                    retransmits: telemetry.counter(&format!("relay.{node}.retransmits")),
-                    stale_feedback: telemetry.counter(&format!("relay.{node}.stale_feedback")),
-                },
-            ),
-            reserves_seen: 0,
-        };
+        let relay = RelayState::new(&viper, &endpoint);
         viper.shared.reactor.register(
             node,
             Box::new(ConsumerTask {
@@ -711,13 +694,7 @@ impl ConsumerTask {
                                 self.forward_miss(&msg.from, flow_id, &member, msg.arrived_at);
                             }
                             Some(control) => {
-                                self.relay.sender.on_feedback(
-                                    ctx,
-                                    &msg.from,
-                                    control,
-                                    msg.arrived_at,
-                                );
-                                self.drain_relay(ctx);
+                                self.child_feedback(ctx, &msg.from, control, msg.arrived_at);
                             }
                             None => {}
                         }
@@ -911,9 +888,7 @@ impl ReactorTask for ConsumerTask {
             // A relay child flow's ack timer (tokens are fabric flow ids,
             // never 0). The drain above may already have resolved it —
             // then the flow is gone and the timer was a leftover.
-            if self.relay.sender.on_timer(ctx, token, deadline) {
-                self.drain_relay(ctx);
-            }
+            self.child_timer(ctx, token, deadline);
             return;
         }
         if self.assembler.in_progress() == 0 {

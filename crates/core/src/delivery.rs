@@ -381,7 +381,7 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
                 // through counters and `flush_deliveries`. In blocking
                 // mode the reply arrives once every flow is terminal,
                 // preserving one fan-out at a time.
-                let reply = (!config.coalescing()).then(unbounded);
+                let (reply, reply_rx) = (!config.coalescing()).then(unbounded).unzip();
                 shared.reactor.submit(
                     endpoint.node(),
                     Box::new(DeliveryJob {
@@ -398,13 +398,13 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
                         record: record.clone(),
                         track: d.track.to_string(),
                         frontier,
-                        reply: reply.as_ref().map(|(tx, _)| tx.clone()),
+                        reply,
                     }),
                 );
-                match reply {
+                match reply_rx {
                     None => sent = admitted,
-                    Some((_, rx)) => {
-                        let done = rx.recv().expect("delivery reactor replies");
+                    Some(reply_rx) => {
+                        let done = reply_rx.recv().expect("delivery reactor replies");
                         sent = done.delivered;
                         fall_back = done.fall_back;
                         frontier = frontier.max(done.frontier);

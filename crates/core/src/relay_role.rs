@@ -10,9 +10,14 @@
 //! timers here.
 
 use crate::consumer::ConsumerTask;
+use crate::context::Viper;
 use std::collections::HashMap;
+use std::sync::Arc;
 use viper_hw::SimInstant;
-use viper_net::{ChunkedSend, Control, FlowSender, LinkKind, Outbound, OutcomeKind, TaskCtx};
+use viper_net::{
+    ChunkedSend, Control, Endpoint, FlowSender, LinkKind, Outbound, OutcomeKind, SenderCounters,
+    TaskCtx,
+};
 
 /// Relay-tree re-serve state owned by the consumer's reactor task.
 ///
@@ -30,23 +35,23 @@ use viper_net::{ChunkedSend, Control, FlowSender, LinkKind, Outbound, OutcomeKin
 /// accounting, the group ACK, and `Miss` escalation.
 pub(crate) struct RelayState {
     /// Relaying is active (relay tree on *and* reliable delivery on).
-    pub(crate) enabled: bool,
+    enabled: bool,
     /// Chunk size for re-serves, mirroring the producer's wire setup.
-    pub(crate) chunk_bytes: u64,
+    chunk_bytes: u64,
     /// Upstream flows currently fanning out, by upstream flow id.
-    pub(crate) fans: HashMap<u64, Fan>,
+    fans: HashMap<u64, Fan>,
     /// One lane per child; sends carry the upstream fan id as their token.
     /// Child flow ids double as reactor timer tokens — fabric-unique and
     /// starting at 1, they can never collide with the consumer's
     /// [`REAP_TIMER`](crate::consumer::REAP_TIMER).
-    pub(crate) sender: FlowSender<String>,
+    sender: FlowSender<String>,
     /// The engine's launch count already published to
     /// `relay.{node}.relay_reserves`.
-    pub(crate) reserves_seen: u64,
+    reserves_seen: u64,
 }
 
 /// One upstream flow being re-served to this relay's children.
-pub(crate) struct Fan {
+struct Fan {
     /// Who sent the upstream flow (the producer, or a parent relay).
     parent: String,
     tag: String,
@@ -57,6 +62,36 @@ pub(crate) struct Fan {
     /// When `pending` hits zero this is the causal instant of the group
     /// ACK — the producer's flush then implies every leaf installed.
     acked_at: SimInstant,
+}
+
+impl RelayState {
+    /// The relay role of the consumer sending from `endpoint`, idle until
+    /// its first upstream flow completes.
+    pub(crate) fn new(viper: &Viper, endpoint: &Arc<Endpoint>) -> Self {
+        let config = &viper.shared.config;
+        let node = endpoint.node();
+        RelayState {
+            enabled: viper.shared.distribution.enabled(),
+            chunk_bytes: config.wire_chunk_bytes(),
+            fans: HashMap::new(),
+            sender: FlowSender::new(
+                Arc::clone(endpoint),
+                config.retry,
+                config.coalesce_queue_depth,
+                config.telemetry.clone(),
+                "relay",
+                SenderCounters {
+                    retransmits: config
+                        .telemetry
+                        .counter(&format!("relay.{node}.retransmits")),
+                    stale_feedback: config
+                        .telemetry
+                        .counter(&format!("relay.{node}.stale_feedback")),
+                },
+            ),
+            reserves_seen: 0,
+        }
+    }
 }
 
 impl ConsumerTask {
@@ -142,9 +177,30 @@ impl ConsumerTask {
         true
     }
 
+    /// Feedback (ACK/NACK/NeedFull) from `from` on a flow this relay
+    /// launched.
+    pub(crate) fn child_feedback(
+        &mut self,
+        ctx: &mut TaskCtx<'_>,
+        from: &str,
+        control: Control,
+        at: SimInstant,
+    ) {
+        self.relay.sender.on_feedback(ctx, from, control, at);
+        self.drain_relay(ctx);
+    }
+
+    /// Timer `token` — not the reap timer — fired: a child flow's ack
+    /// timer, unless the flow resolved in the meantime.
+    pub(crate) fn child_timer(&mut self, ctx: &mut TaskCtx<'_>, token: u64, deadline: SimInstant) {
+        if self.relay.sender.on_timer(ctx, token, deadline) {
+            self.drain_relay(ctx);
+        }
+    }
+
     /// Apply the relay policy to every child serve the engine reports
     /// ended, then republish the serve count and backlog.
-    pub(crate) fn drain_relay(&mut self, ctx: &mut TaskCtx<'_>) {
+    fn drain_relay(&mut self, ctx: &mut TaskCtx<'_>) {
         while let Some(outcome) = self.relay.sender.next_outcome(ctx) {
             let (fan_id, child, at) = (outcome.token, outcome.to, outcome.at);
             match outcome.kind {

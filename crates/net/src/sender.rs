@@ -183,8 +183,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         mut send: Outbound,
     ) -> bool {
         if self.lane_mut(&lane).in_flight.is_none() {
-            let start = send.ready_at;
-            return self.launch_on(ctx, &lane, send, start);
+            return self.launch_on(ctx, &lane, send);
         }
         // A queued send launches after its capture finished: nothing left
         // to overlap with the wire.
@@ -194,15 +193,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         let at = send.ready_at;
         let dropped = self.lane_mut(&lane).queue.push(version, send);
         for (_, stale) in dropped {
-            self.outcomes.push_back((
-                Outcome {
-                    token: stale.token,
-                    to: stale.to,
-                    kind: OutcomeKind::Superseded,
-                    at,
-                },
-                None,
-            ));
+            self.conclude(stale, OutcomeKind::Superseded, at, None);
         }
         false
     }
@@ -219,21 +210,14 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
                 .is_none_or(|id| !self.flows.contains_key(&id)),
             "relaunch on a lane with a live flow"
         );
-        let start = send.ready_at;
-        self.launch_on(ctx, &lane, send, start)
+        self.launch_on(ctx, &lane, send)
     }
 
-    /// Put `send` on the wire at `start` and give it `lane`. A peer that
-    /// is not registered yields [`OutcomeKind::Gone`] and leaves the lane
-    /// as it was.
-    fn launch_on(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        lane: &K,
-        mut send: Outbound,
-        start: SimInstant,
-    ) -> bool {
-        send.opts.submit_at = Some(start);
+    /// Put `send` on the wire at its ready instant and give it `lane`. A
+    /// peer that is not registered yields [`OutcomeKind::Gone`] and leaves
+    /// the lane as it was.
+    fn launch_on(&mut self, ctx: &mut TaskCtx<'_>, lane: &K, mut send: Outbound) -> bool {
+        send.opts.submit_at = Some(send.ready_at);
         let sent = self.endpoint.send_chunked(
             &send.to,
             &send.tag,
@@ -242,15 +226,8 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             &send.opts,
         );
         let Ok(report) = sent else {
-            self.outcomes.push_back((
-                Outcome {
-                    token: send.token,
-                    to: send.to,
-                    kind: OutcomeKind::Gone,
-                    at: start,
-                },
-                None,
-            ));
+            let at = send.ready_at;
+            self.conclude(send, OutcomeKind::Gone, at, None);
             return false;
         };
         self.launched += 1;
@@ -358,9 +335,9 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             Some(held) if held.in_flight == Some(flow_id) => held.in_flight = None,
             _ => return,
         }
-        while let Some((_, queued)) = self.lanes.get_mut(lane).and_then(|l| l.queue.pop()) {
-            let start = queued.ready_at.max(at);
-            if self.launch_on(ctx, lane, queued, start) {
+        while let Some((_, mut queued)) = self.lanes.get_mut(lane).and_then(|l| l.queue.pop()) {
+            queued.ready_at = queued.ready_at.max(at);
+            if self.launch_on(ctx, lane, queued) {
                 break;
             }
         }
@@ -371,15 +348,25 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     fn finish(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, kind: OutcomeKind, at: SimInstant) {
         ctx.cancel_timer(flow_id);
         let flow = self.flows.remove(&flow_id).expect("a live flow ended");
-        self.outcomes.push_back((
-            Outcome {
-                token: flow.send.token,
-                to: flow.send.to,
-                kind,
-                at,
-            },
-            Some((flow.lane, flow_id)),
-        ));
+        self.conclude(flow.send, kind, at, Some((flow.lane, flow_id)));
+    }
+
+    /// Queue `send`'s one outcome for the owner; `held` names the lane its
+    /// flow still occupies.
+    fn conclude(
+        &mut self,
+        send: Outbound,
+        kind: OutcomeKind,
+        at: SimInstant,
+        held: Option<(K, u64)>,
+    ) {
+        let outcome = Outcome {
+            token: send.token,
+            to: send.to,
+            kind,
+            at,
+        };
+        self.outcomes.push_back((outcome, held));
     }
 
     /// Perform what a flow's state machine prescribed. `at` is the causal
