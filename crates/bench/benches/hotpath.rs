@@ -13,6 +13,12 @@
 //! fast smoke run on a smaller checkpoint, and `--enforce` to exit
 //! non-zero if the fused path regresses more than 10% behind the legacy
 //! path.
+//!
+//! The consumer half is timed the same way: the self-verifying one-pass
+//! `decode` (checksum each block, then copy it out) and `decode_verified`
+//! (footer compared against a CRC the receiver already holds, no checksum
+//! read at all) against the two-pass decode they replaced, rebuilt here
+//! from public parts as a whole-body `crc32` followed by the parse.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -28,7 +34,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "pr10-hw-crc-streaming-diff";
+const HISTORY_LABEL: &str = "pr16-single-touch-decode";
 
 fn sample(elems: usize) -> Checkpoint {
     Checkpoint::new(
@@ -173,6 +179,13 @@ fn fused_path(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize) -> us
         offset += len;
     }
     wire
+}
+
+/// The two-pass decode the one-pass `decode` replaced: one whole read of
+/// the body for its CRC, then the parse-and-copy read.
+fn two_pass_decode(bytes: &[u8]) -> Checkpoint {
+    let body_crc = crc32(&bytes[..bytes.len() - 4]);
+    ViperFormat.decode_verified(bytes, body_crc).unwrap()
 }
 
 /// Extract the number after `"key":` (hand-rolled: no JSON dependency).
@@ -351,6 +364,25 @@ fn main() {
         enc.finish().payload.len()
     });
 
+    // Consumer half: identity first, untimed.
+    let body_crc = crc32(&payload[..bytes - 4]);
+    assert_eq!(ViperFormat.decode(&payload).unwrap(), ckpt);
+    assert_eq!(two_pass_decode(&payload), ckpt);
+    assert_eq!(
+        ViperFormat.decode_verified(&payload, body_crc).unwrap(),
+        ckpt
+    );
+    let decode_two_pass = time(reps, || two_pass_decode(&payload));
+    let decode_one_pass = time(reps, || ViperFormat.decode(&payload).unwrap());
+    let decode_verified = time(reps, || {
+        ViperFormat.decode_verified(&payload, body_crc).unwrap()
+    });
+    let (two_pass_ms, one_pass_ms, verified_ms) = (
+        decode_two_pass * 1e3,
+        decode_one_pass * 1e3,
+        decode_verified * 1e3,
+    );
+
     let (slice16_gib_s, combine_gib_s) = (gib / crc_slice16, gib / crc_combine);
     let hw_gib_s = if hw_available { gib / crc_hw } else { 0.0 };
     let (legacy_ms, fused_ms) = (legacy * 1e3, fused * 1e3);
@@ -363,7 +395,9 @@ fn main() {
             "\"slice16_gib_s\": {s16:.3}, \"combine_gib_s\": {cmb:.3}, ",
             "\"hw_gib_s\": {hw:.3}, \"kernel\": \"{kernel}\", ",
             "\"diff_full_ms\": {dfm:.3}, \"diff_stream_ms\": {dsm:.3}, ",
-            "\"diff_speedup\": {dsp:.2}, \"diff_vs_full_update\": {dusp:.2} }}"
+            "\"diff_speedup\": {dsp:.2}, \"diff_vs_full_update\": {dusp:.2}, ",
+            "\"decode_two_pass_ms\": {d2:.3}, \"decode_one_pass_ms\": {d1:.3}, ",
+            "\"decode_verified_ms\": {dv:.3} }}"
         ),
         label = HISTORY_LABEL,
         lm = legacy_ms,
@@ -377,6 +411,9 @@ fn main() {
         dsm = diff_stream_ms,
         dsp = diff_full / diff_stream,
         dusp = full_update / diff_stream,
+        d2 = two_pass_ms,
+        d1 = one_pass_ms,
+        dv = verified_ms,
     );
 
     // Cargo runs benches with the package dir as cwd; anchor the artifact
@@ -435,6 +472,14 @@ fn main() {
             "    \"speedup\": {dsp:.2},\n",
             "    \"speedup_vs_full_update\": {dusp:.2}\n",
             "  }},\n",
+            "  \"decode\": {{\n",
+            "    \"two_pass_ms\": {d2:.3},\n",
+            "    \"two_pass_gib_s\": {d2g:.3},\n",
+            "    \"one_pass_ms\": {d1:.3},\n",
+            "    \"one_pass_gib_s\": {d1g:.3},\n",
+            "    \"verified_ms\": {dv:.3},\n",
+            "    \"verified_gib_s\": {dvg:.3}\n",
+            "  }},\n",
             "  \"history\": [\n{history}\n  ]\n",
             "}}\n"
         ),
@@ -464,6 +509,12 @@ fn main() {
         dsm = diff_stream_ms,
         dsp = diff_full / diff_stream,
         dusp = full_update / diff_stream,
+        d2 = two_pass_ms,
+        d2g = gib / decode_two_pass,
+        d1 = one_pass_ms,
+        d1g = gib / decode_one_pass,
+        dv = verified_ms,
+        dvg = gib / decode_verified,
         history = history_json,
     );
     std::fs::write(&out, &json).expect("write BENCH_hotpath.json");
@@ -481,9 +532,19 @@ fn main() {
         diff_stream_ms,
         diff_full / diff_stream
     );
+    println!(
+        "decode: {:.2} ms / {:.2} GiB/s (two-pass) -> {:.2} ms / {:.2} GiB/s (one-pass) -> {:.2} ms / {:.2} GiB/s (verified)",
+        two_pass_ms,
+        gib / decode_two_pass,
+        one_pass_ms,
+        gib / decode_one_pass,
+        verified_ms,
+        gib / decode_verified
+    );
     // CI regression gates: the fused pass must never fall more than 10%
-    // behind the legacy three-pass path it replaced, and the streaming
-    // diff must never fall behind the materializing diff it replaced.
+    // behind the legacy three-pass path it replaced, the streaming diff
+    // must never fall behind the materializing diff it replaced, and the
+    // one-pass decode must never fall behind the two-pass decode.
     if enforce && fused_ms > legacy_ms * 1.10 {
         eprintln!(
             "REGRESSION: fused path {fused_ms:.2} ms is more than 10% behind legacy {legacy_ms:.2} ms"
@@ -493,6 +554,12 @@ fn main() {
     if enforce && diff_stream_ms > diff_full_ms * 1.10 {
         eprintln!(
             "REGRESSION: streaming diff {diff_stream_ms:.2} ms is more than 10% behind materializing diff {diff_full_ms:.2} ms"
+        );
+        std::process::exit(1);
+    }
+    if enforce && one_pass_ms > two_pass_ms * 1.10 {
+        eprintln!(
+            "REGRESSION: one-pass decode {one_pass_ms:.2} ms is more than 10% behind two-pass decode {two_pass_ms:.2} ms"
         );
         std::process::exit(1);
     }

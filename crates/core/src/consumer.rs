@@ -23,7 +23,8 @@ use viper_formats::{
 };
 use viper_hw::{Route, SimInstant, Tier};
 use viper_net::{
-    deterministic_jitter, Control, Endpoint, LinkKind, MessageKind, ReactorTask, TaskCtx,
+    deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, MessageKind, ReactorTask,
+    TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -503,12 +504,19 @@ impl ConsumerTask {
     /// apply (base missing or stale): the caller answers the flow with a
     /// `NeedFull` control reply instead of an ACK, and the producer
     /// re-sends the update as a full checkpoint.
+    ///
+    /// `flow` is the chunked flow `payload` was reassembled from, if any:
+    /// its bytes were CRC-verified chunk by chunk on arrival, so the format
+    /// footer is checked against the combination of those chunk CRCs
+    /// ([`AssembledFlow::crc_of`]) and the body is not read a second time.
+    /// A monolithic payload has no such CRCs and self-verifies in `decode`.
     fn apply_payload(
         &mut self,
         link: LinkKind,
         tag: &str,
         payload: &Payload,
         arrived: SimInstant,
+        flow: Option<&AssembledFlow>,
     ) -> bool {
         let viper = &self.viper;
         let state = &self.state;
@@ -542,15 +550,29 @@ impl ConsumerTask {
         } else {
             (PayloadKind::Full, payload.as_slice())
         };
+        // CRC of the body minus its 4-byte footer (of nothing, for a body
+        // too short to have one: the decode then fails as truncated).
+        let body_crc = flow.map(|flow| {
+            let start = payload.len() - body.len();
+            flow.crc_of(start..payload.len().saturating_sub(4).max(start))
+        });
         let ckpt = match kind {
             PayloadKind::Full => {
-                let Ok(ckpt) = self.format.decode(body) else {
+                let decoded = match body_crc {
+                    Some(crc) => self.format.decode_verified(body, crc),
+                    None => self.format.decode(body),
+                };
+                let Ok(ckpt) = decoded else {
                     return false;
                 };
                 ckpt
             }
             PayloadKind::Delta => {
-                let Ok(d) = DeltaCheckpoint::decode(body) else {
+                let decoded = match body_crc {
+                    Some(crc) => DeltaCheckpoint::decode_verified(body, crc),
+                    None => DeltaCheckpoint::decode(body),
+                };
+                let Ok(d) = decoded else {
                     return true;
                 };
                 if d.model_name != self.model_name {
@@ -705,7 +727,8 @@ impl ConsumerTask {
                         // unusable delta is simply dropped (the producer
                         // only delta-encodes on the reliable path anyway).
                         let payload = msg.payload.into_payload();
-                        let _ = self.apply_payload(msg.link, &msg.tag, &payload, msg.arrived_at);
+                        let _ =
+                            self.apply_payload(msg.link, &msg.tag, &payload, msg.arrived_at, None);
                     }
                 }
                 viper_net::FlowStatus::Complete(flow) => {
@@ -716,8 +739,13 @@ impl ConsumerTask {
                     // missing or stale answers `NeedFull` instead — the
                     // producer resets its base tracking and re-sends the
                     // update as a full checkpoint on a fresh flow.
-                    let need_full =
-                        self.apply_payload(flow.link, &flow.tag, &flow.payload, flow.completed_at);
+                    let need_full = self.apply_payload(
+                        flow.link,
+                        &flow.tag,
+                        &flow.payload,
+                        flow.completed_at,
+                        Some(&flow),
+                    );
                     if self.reliable {
                         let generation = self.generation_of(&flow.from, flow.flow_id);
                         // Causal reply instant: the apply this feedback

@@ -101,6 +101,13 @@ impl Viper {
         &self.shared.db
     }
 
+    /// The deployment's fabric. Registering an endpoint of one's own puts a
+    /// raw sender beside the attached producers — how tests stage a peer
+    /// that frames its chunks correctly and lies inside them.
+    pub fn fabric(&self) -> &Fabric {
+        &self.shared.fabric
+    }
+
     /// The shared parallel file system tier.
     pub fn pfs(&self) -> &StorageTier {
         &self.shared.pfs

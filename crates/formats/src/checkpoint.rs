@@ -1,5 +1,6 @@
 //! The in-memory checkpoint representation shared by all formats.
 
+use crate::crc::Crc32;
 use viper_tensor::Tensor;
 
 /// A snapshot of a DNN model's state: named weight tensors plus the
@@ -111,19 +112,59 @@ impl std::fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-/// Little-endian cursor helpers shared by the format implementations.
+/// Little-endian cursor shared by the format implementations. Every length
+/// it meets comes from the bytes being parsed — possibly before their
+/// checksum verdict — so none is added, multiplied or allocated from
+/// without a check against the bytes actually left.
+///
+/// A [`checksummed`](Reader::checksummed) reader also rolls a [`Crc32`]
+/// over the buffer, lazily: header fields are checksummed with the tensor
+/// payload that follows them, and each payload block immediately before it
+/// is copied out — the decode reads every byte from memory once.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Rolling CRC over `buf[..hashed]`; `None` when the caller already
+    /// holds the body's CRC (or, like the partial reader, wants none).
+    crc: Option<Crc32>,
+    hashed: usize,
 }
+
+/// Smallest tensor record on the wire — empty name (4), rank 0 (4), the one
+/// scalar a rank-0 shape holds (4) — the divisor that bounds a tensor
+/// [`count`](Reader::count).
+pub(crate) const MIN_TENSOR_RECORD: usize = 12;
+
+/// Payload bytes checksummed and then copied per step of a checksummed
+/// read: small enough that the copy finds the block the CRC just read still
+/// in L2, large enough that the per-block calls vanish.
+const COPY_BLOCK: usize = 256 * 1024;
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            crc: None,
+            hashed: 0,
+        }
+    }
+
+    /// A reader that checksums `buf` while it is consumed; see
+    /// [`finish_crc`](Self::finish_crc).
+    pub(crate) fn checksummed(buf: &'a [u8]) -> Self {
+        Reader {
+            crc: Some(Crc32::new()),
+            ..Reader::new(buf)
+        }
     }
 
     pub(crate) fn position(&self) -> usize {
         self.pos
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     pub(crate) fn take(
@@ -131,7 +172,7 @@ impl<'a> Reader<'a> {
         n: usize,
         context: &'static str,
     ) -> Result<&'a [u8], FormatError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(FormatError::Truncated { context });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -146,7 +187,24 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, FormatError> {
         let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            b.try_into().expect("take(8) is 8 bytes"),
+        ))
+    }
+
+    /// A `u32` record count, rejected unless `min_record` bytes per record
+    /// are still left to read, so that the caller may size a `Vec` by it
+    /// (4 hostile bytes must not reserve gigabytes).
+    pub(crate) fn count(
+        &mut self,
+        min_record: usize,
+        context: &'static str,
+    ) -> Result<usize, FormatError> {
+        let n = self.u32(context)? as usize;
+        if n > self.remaining() / min_record {
+            return Err(FormatError::Truncated { context });
+        }
+        Ok(n)
     }
 
     pub(crate) fn string(&mut self, context: &'static str) -> Result<String, FormatError> {
@@ -168,6 +226,98 @@ impl<'a> Reader<'a> {
     pub(crate) fn skip(&mut self, n: usize, context: &'static str) -> Result<(), FormatError> {
         self.take(n, context).map(|_| ())
     }
+
+    /// The head of one tensor record — name, rank, dims — and the payload
+    /// size in bytes those dims promise, computed without overflow.
+    pub(crate) fn tensor_header(&mut self) -> Result<(String, Vec<usize>, usize), FormatError> {
+        let name = self.string("tensor name")?;
+        let rank = self.u32("tensor rank")? as usize;
+        if rank > 8 {
+            return Err(FormatError::Corrupt(format!("unreasonable rank {rank}")));
+        }
+        let mut dims = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            let dim = usize::try_from(self.u64("tensor dim")?);
+            dims.push(dim.map_err(|_| FormatError::Corrupt(format!("tensor {name}: huge dim")))?);
+        }
+        let nbytes = if dims.contains(&0) {
+            Some(0)
+        } else {
+            dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d))
+        };
+        let nbytes =
+            nbytes.ok_or_else(|| FormatError::Corrupt(format!("tensor {name}: dims overflow")))?;
+        Ok((name, dims, nbytes))
+    }
+
+    /// One whole tensor record (`name, rank, dims, payload`), the unit both
+    /// the full and the delta layout are made of. The payload crosses into
+    /// the tensor's `Vec<f32>` in one copy.
+    pub(crate) fn tensor(&mut self) -> Result<(String, Tensor), FormatError> {
+        let (name, dims, nbytes) = self.tensor_header()?;
+        let payload = self.take(nbytes, "tensor payload")?;
+        let hashed = self.hashed;
+        let data = match &mut self.crc {
+            None => copy_f32s(payload, |_| {}),
+            Some(crc) => {
+                // Everything parsed since the last payload (this record's
+                // header included) goes in front of the first block.
+                crc.update(&self.buf[hashed..self.pos - nbytes]);
+                self.hashed = self.pos;
+                copy_f32s(payload, |block| crc.update(block))
+            }
+        };
+        let tensor =
+            Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?;
+        Ok((name, tensor))
+    }
+
+    /// CRC32 of the **whole** buffer: what the parse did not reach (it
+    /// stopped early, or failed) is absorbed now, so the verdict never
+    /// depends on how far parsing got. Panics unless the reader is
+    /// [`checksummed`](Self::checksummed).
+    pub(crate) fn finish_crc(&mut self) -> u32 {
+        let crc = self.crc.as_mut().expect("reader is checksummed");
+        crc.update(&self.buf[self.hashed..]);
+        self.hashed = self.buf.len();
+        crc.finalize()
+    }
+}
+
+/// Decode a `body ‖ crc32(body)` stream with `parse`, comparing the stored
+/// footer before anything is returned: against `body_crc` up front when the
+/// caller already holds it (a chunk-verified flow), else against the CRC
+/// the reader rolled while `parse` consumed the body. A mismatch outranks
+/// whatever `parse` found: damaged bytes fail structurally in arbitrary
+/// ways, and the caller is owed the root cause.
+pub(crate) fn decode_footed<T>(
+    bytes: &[u8],
+    body_crc: Option<u32>,
+    parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
+) -> Result<T, FormatError> {
+    let Some(split) = bytes.len().checked_sub(4) else {
+        return Err(FormatError::Truncated {
+            context: "crc footer",
+        });
+    };
+    let (body, footer) = bytes.split_at(split);
+    let stored = u32::from_le_bytes(footer.try_into().expect("footer is 4 bytes"));
+    let check = |computed: u32| match stored == computed {
+        true => Ok(()),
+        false => Err(FormatError::ChecksumMismatch { stored, computed }),
+    };
+    match body_crc {
+        Some(computed) => {
+            check(computed)?;
+            parse(&mut Reader::new(body))
+        }
+        None => {
+            let mut r = Reader::checksummed(body);
+            let parsed = parse(&mut r);
+            check(r.finish_crc())?;
+            parsed
+        }
+    }
 }
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -183,33 +333,103 @@ pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Append `f32`s as little-endian bytes directly onto `out` — no
-/// intermediate `Vec<u8>`. This is the materializing twin of
-/// `StreamingEncoder::put_f32s`; both exist so the legacy encode path
-/// (kept as the byte-identity oracle) writes tensors without the
-/// `f32s_to_bytes` copy it used to make.
+/// Append `f32`s as little-endian bytes. On a little-endian host that is
+/// the slice's own byte view, appended in one `memcpy`.
 pub(crate) fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
-    out.reserve(data.len() * 4);
+    if cfg!(target_endian = "big") {
+        return put_f32s_swapped(out, data);
+    }
+    // SAFETY: an `f32` is 4 initialised bytes with no padding, so the slice
+    // is `size_of_val(data)` readable bytes in one allocation (and `u8` has
+    // no alignment requirement). Same view as `Tensor::as_bytes`.
+    let bytes = unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), size_of_val(data)) };
+    out.extend_from_slice(bytes);
+}
+
+/// [`put_f32s`] for hosts whose `f32`s are not little-endian in memory.
+fn put_f32s_swapped(out: &mut Vec<u8>, data: &[f32]) {
+    out.reserve(size_of_val(data));
     for &x in data {
         out.extend_from_slice(&x.to_le_bytes());
     }
 }
 
+/// Little-endian bytes to `f32`s, the inverse of [`put_f32s`]: one copy
+/// into a `Vec` that is never zero-filled first.
 pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, FormatError> {
     if !bytes.len().is_multiple_of(4) {
         return Err(FormatError::Corrupt(
             "tensor payload not a multiple of 4 bytes".into(),
         ));
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    Ok(copy_f32s(bytes, |_| {}))
+}
+
+/// The copy behind [`bytes_to_f32s`], in [`COPY_BLOCK`] steps with `touch`
+/// called on each block just before it is copied (the checksummed reader's
+/// hook). `bytes.len()` must be a multiple of 4.
+fn copy_f32s(bytes: &[u8], mut touch: impl FnMut(&[u8])) -> Vec<f32> {
+    debug_assert!(bytes.len().is_multiple_of(4));
+    let mut out = Vec::with_capacity(bytes.len() / 4);
+    for block in bytes.chunks(COPY_BLOCK) {
+        touch(block);
+        if cfg!(target_endian = "big") {
+            extend_f32s_swapped(&mut out, block);
+            continue;
+        }
+        let n = block.len() / 4;
+        out.reserve(n);
+        // SAFETY: `reserve` left room for `n` more f32s behind `len`, which
+        // the copy fills with `4 * n` initialised bytes (any bit pattern is
+        // an `f32`) before `set_len` exposes them; `out`'s spare capacity
+        // cannot overlap the borrowed `block`.
+        unsafe {
+            let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+            std::ptr::copy_nonoverlapping(block.as_ptr(), dst, 4 * n);
+            out.set_len(out.len() + n);
+        }
+    }
+    out
+}
+
+/// [`copy_f32s`] for hosts whose `f32`s are not little-endian in memory.
+fn extend_f32s_swapped(out: &mut Vec<f32>, block: &[u8]) {
+    let floats = block.chunks_exact(4);
+    out.extend(floats.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::crc32;
+
+    /// The decode this crate shipped before the single pass, kept as the
+    /// oracle the one-pass [`decode_footed`] is compared against: one whole
+    /// pass over the body for the CRC, then a second one to parse it.
+    pub(crate) fn decode_two_pass<T>(
+        bytes: &[u8],
+        parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
+    ) -> Result<T, FormatError> {
+        if bytes.len() < 4 {
+            return Err(FormatError::Truncated {
+                context: "crc footer",
+            });
+        }
+        let (body, footer) = bytes.split_at(bytes.len() - 4);
+        let stored = u32::from_le_bytes(footer.try_into().unwrap());
+        let computed = crc32(body);
+        if stored != computed {
+            return Err(FormatError::ChecksumMismatch { stored, computed });
+        }
+        parse(&mut Reader::new(body))
+    }
+
+    /// `body` with its CRC footer appended: hostile-but-checksummed input.
+    pub(crate) fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        put_u32(&mut body, crc);
+        body
+    }
 
     #[test]
     fn clone_from_reuses_tensor_buffers_across_layout_changes() {
@@ -280,6 +500,115 @@ mod tests {
         assert_eq!(bytes.len(), v.len() * 4);
         assert_eq!(bytes_to_f32s(&bytes).unwrap(), v);
         assert!(bytes_to_f32s(&[0, 1, 2]).is_err());
+    }
+
+    #[test]
+    fn swapped_fallbacks_agree_with_the_memcpy_paths() {
+        // The big-endian fallbacks are dead code on this host; call them
+        // directly so they stay compiled and correct.
+        let v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.37 - 5.0).collect();
+        let mut want = Vec::new();
+        for x in &v {
+            want.extend_from_slice(&x.to_le_bytes());
+        }
+        let mut swapped = vec![0xAA];
+        put_f32s_swapped(&mut swapped, &v);
+        assert_eq!(swapped[1..], want[..]);
+        let mut fast = vec![0xAA];
+        put_f32s(&mut fast, &v);
+        assert_eq!(fast, swapped);
+
+        let mut back = vec![9.0f32];
+        extend_f32s_swapped(&mut back, &want);
+        assert_eq!(back[1..], v[..]);
+        assert_eq!(bytes_to_f32s(&want).unwrap(), v);
+    }
+
+    #[test]
+    fn copy_f32s_touches_every_block_once_in_order() {
+        let v: Vec<f32> = (0..COPY_BLOCK / 2 + 3).map(|i| i as f32).collect();
+        let mut bytes = Vec::new();
+        put_f32s(&mut bytes, &v);
+        assert!(bytes.len() > 2 * COPY_BLOCK, "spans three blocks");
+        let mut touched = Vec::new();
+        let out = copy_f32s(&bytes, |block| touched.extend_from_slice(block));
+        assert_eq!(out, v);
+        assert_eq!(touched, bytes);
+        assert_eq!(copy_f32s(&[], |_| panic!("no block to touch")), []);
+    }
+
+    #[test]
+    fn checksummed_reader_covers_the_whole_buffer_however_far_parsing_got() {
+        let mut buf = Vec::new();
+        put_string(&mut buf, "w");
+        put_u32(&mut buf, 1);
+        put_u64(&mut buf, 3);
+        put_f32s(&mut buf, &[1.0, 2.0, 3.0]);
+        put_u32(&mut buf, 0xFEED);
+        // Parsed to the end, stopped half way, and not parsed at all.
+        let mut r = Reader::checksummed(&buf);
+        let (name, t) = r.tensor().unwrap();
+        assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
+        assert_eq!(r.u32("tail").unwrap(), 0xFEED);
+        assert_eq!(r.finish_crc(), crc32(&buf));
+        let mut r = Reader::checksummed(&buf);
+        r.tensor().unwrap();
+        assert_eq!(r.finish_crc(), crc32(&buf));
+        let mut r = Reader::checksummed(&buf[..buf.len() - 9]);
+        assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
+        assert_eq!(r.finish_crc(), crc32(&buf[..buf.len() - 9]));
+        assert_eq!(Reader::checksummed(&buf).finish_crc(), crc32(&buf));
+    }
+
+    #[test]
+    fn take_of_a_huge_length_is_truncation_not_wraparound() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        r.take(1, "a").unwrap();
+        // pos + n would wrap to 0 and pass a `pos + n > len` test.
+        for n in [usize::MAX, usize::MAX - 1, 3] {
+            assert!(matches!(r.take(n, "b"), Err(FormatError::Truncated { .. })));
+        }
+        assert_eq!(r.take(2, "c").unwrap(), &[2, 3]);
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0; 24]);
+        assert_eq!(Reader::new(&buf).count(12, "n").unwrap(), 2);
+        assert!(Reader::new(&buf).count(13, "n").is_err());
+        let mut huge = Vec::new();
+        put_u32(&mut huge, u32::MAX);
+        huge.extend_from_slice(&[0; 64]);
+        assert!(matches!(
+            Reader::new(&huge).count(4, "n"),
+            Err(FormatError::Truncated { context: "n" })
+        ));
+    }
+
+    #[test]
+    fn tensor_header_rejects_dims_whose_product_overflows() {
+        let header = |dims: &[u64]| {
+            let mut buf = Vec::new();
+            put_string(&mut buf, "t");
+            put_u32(&mut buf, dims.len() as u32);
+            for &d in dims {
+                put_u64(&mut buf, d);
+            }
+            buf
+        };
+        // 2^63 * 2 wraps to 0 elements; 2^62 elements wrap to 0 bytes.
+        for dims in [&[1 << 63, 2][..], &[1 << 62], &[u64::MAX, u64::MAX]] {
+            let buf = header(dims);
+            let got = Reader::new(&buf).tensor_header();
+            assert!(matches!(got, Err(FormatError::Corrupt(_))), "{dims:?}");
+        }
+        // A zero dim makes any shape empty, and a rank-0 shape one scalar.
+        let buf = header(&[1 << 62, 0]);
+        assert_eq!(Reader::new(&buf).tensor_header().unwrap().2, 0);
+        let buf = header(&[]);
+        assert_eq!(Reader::new(&buf).tensor_header().unwrap().2, 4);
     }
 
     #[test]

@@ -497,6 +497,41 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     CrcShift::new(len_b).apply(crc_a) ^ crc_b
 }
 
+/// Folds the CRCs of consecutive byte runs into the CRC of their
+/// concatenation — [`crc32_combine`] over a sequence, building each shift
+/// operator once: a run as long as the one before it reuses that run's
+/// [`CrcShift`], so a payload cut into equal chunks plus one odd tail costs
+/// two operator builds however many chunks it has.
+#[derive(Clone, Debug, Default)]
+pub struct CrcFold {
+    acc: u32,
+    shift: Option<(u64, CrcShift)>,
+}
+
+impl CrcFold {
+    /// The fold over no bytes; [`crc`](Self::crc) is `crc32(b"")`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append a run of `len` bytes whose CRC32 is `crc`.
+    pub fn push(&mut self, crc: u32, len: u64) {
+        // The shift is linear, so 0 stays 0 over any span: the first run
+        // (acc is still the CRC of the empty prefix) needs no operator.
+        if self.acc != 0 {
+            let built = self.shift.take().filter(|(span, _)| *span == len);
+            let built = built.unwrap_or_else(|| (len, CrcShift::new(len)));
+            self.acc = self.shift.insert(built).1.apply(self.acc);
+        }
+        self.acc ^= crc;
+    }
+
+    /// CRC32 of every run pushed so far, concatenated.
+    pub fn crc(&self) -> u32 {
+        self.acc
+    }
+}
+
 /// Block size for [`crc32_parallel`]: large enough that per-block combine
 /// cost (a handful of matrix ops) is noise, small enough to load-balance.
 const PAR_BLOCK: usize = 1 << 20;
@@ -524,23 +559,12 @@ pub fn crc32_parallel(bytes: &[u8]) -> u32 {
         let end = (start + PAR_BLOCK).min(bytes.len());
         *out = crc32(&bytes[start..end]);
     });
-    // All blocks but the last share a length, so build that shift operator
-    // once and reuse it across the fold.
-    let full = CrcShift::new(PAR_BLOCK as u64);
-    let mut acc = 0u32; // crc32 of the empty prefix
+    let mut fold = CrcFold::new();
     for (i, &crc) in parts.iter().enumerate() {
-        let len = if i + 1 == nblocks {
-            (bytes.len() - i * PAR_BLOCK) as u64
-        } else {
-            PAR_BLOCK as u64
-        };
-        acc = if len == PAR_BLOCK as u64 {
-            full.apply(acc) ^ crc
-        } else {
-            crc32_combine(acc, crc, len)
-        };
+        let start = i * PAR_BLOCK;
+        fold.push(crc, (bytes.len() - start).min(PAR_BLOCK) as u64);
     }
-    acc
+    fold.crc()
 }
 
 #[cfg(test)]
@@ -556,6 +580,31 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn fold_equals_pairwise_combine_and_the_one_shot_crc() {
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        // Equal runs with an odd tail, ragged runs, empty runs, and data
+        // whose leading run checksums to 0 (nothing to shift).
+        for lens in [
+            &[1000usize, 1000, 1000, 1000, 1000][..],
+            &[1024, 1024, 1024, 1024, 904],
+            &[1, 0, 4093, 0, 906],
+            &[5000],
+            &[0, 0],
+            &[],
+        ] {
+            let (mut fold, mut pairwise, mut at) = (CrcFold::new(), 0u32, 0usize);
+            for &len in lens {
+                let crc = crc32(&data[at..at + len]);
+                fold.push(crc, len as u64);
+                pairwise = crc32_combine(pairwise, crc, len as u64);
+                at += len;
+            }
+            assert_eq!(fold.crc(), pairwise, "{lens:?}");
+            assert_eq!(fold.crc(), crc32(&data[..at]), "{lens:?}");
+        }
     }
 
     #[test]

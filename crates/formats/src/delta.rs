@@ -21,7 +21,9 @@
 //! crc32     : u32
 //! ```
 
-use crate::checkpoint::{bytes_to_f32s, put_f32s, put_string, put_u32, put_u64, Reader};
+use crate::checkpoint::{
+    decode_footed, put_f32s, put_string, put_u32, put_u64, Reader, MIN_TENSOR_RECORD,
+};
 use crate::encoder::StreamMark;
 use crate::{crc32, Checkpoint, FormatError, StreamingEncoder};
 use viper_tensor::Tensor;
@@ -117,18 +119,18 @@ impl DeltaCheckpoint {
 
     /// Deserialize and verify a delta.
     pub fn decode(bytes: &[u8]) -> Result<Self, FormatError> {
-        if bytes.len() < 4 {
-            return Err(FormatError::Truncated {
-                context: "crc footer",
-            });
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(footer.try_into().unwrap());
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(FormatError::ChecksumMismatch { stored, computed });
-        }
-        let mut r = Reader::new(body);
+        decode_footed(bytes, None, Self::parse_body)
+    }
+
+    /// [`decode`](Self::decode) against a `body_crc` the caller already
+    /// holds; same contract as
+    /// [`CheckpointFormat::decode_verified`](crate::CheckpointFormat::decode_verified).
+    pub fn decode_verified(bytes: &[u8], body_crc: u32) -> Result<Self, FormatError> {
+        decode_footed(bytes, Some(body_crc), Self::parse_body)
+    }
+
+    /// Everything between the start of the stream and the CRC footer.
+    fn parse_body(r: &mut Reader<'_>) -> Result<Self, FormatError> {
         if r.take(4, "magic")? != MAGIC {
             return Err(FormatError::BadMagic);
         }
@@ -138,25 +140,13 @@ impl DeltaCheckpoint {
         let model_name = r.string("model name")?;
         let base_iteration = r.u64("base iteration")?;
         let iteration = r.u64("iteration")?;
-        let nchanged = r.u32("changed count")? as usize;
+        let nchanged = r.count(MIN_TENSOR_RECORD, "changed count")?;
         let mut changed = Vec::with_capacity(nchanged);
         for _ in 0..nchanged {
-            let name = r.string("tensor name")?;
-            let rank = r.u32("tensor rank")? as usize;
-            if rank > 8 {
-                return Err(FormatError::Corrupt(format!("unreasonable rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r.u64("tensor dim")? as usize);
-            }
-            let n: usize = dims.iter().product();
-            let data = bytes_to_f32s(r.take(n * 4, "tensor payload")?)?;
-            let tensor =
-                Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?;
-            changed.push((name, tensor));
+            changed.push(r.tensor()?);
         }
-        let nsame = r.u32("unchanged count")? as usize;
+        // An unchanged entry is at least its 4-byte name length.
+        let nsame = r.count(4, "unchanged count")?;
         let mut unchanged = Vec::with_capacity(nsame);
         for _ in 0..nsame {
             unchanged.push(r.string("unchanged name")?);
@@ -535,6 +525,7 @@ pub fn apply_owned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{decode_two_pass, sealed};
 
     fn base() -> Checkpoint {
         Checkpoint::new(
@@ -621,6 +612,95 @@ mod tests {
                 "chunk_bytes {chunk_bytes}"
             );
         }
+    }
+
+    /// One-pass `decode` and the two-pass oracle on the same bytes.
+    fn both_ways(bytes: &[u8]) -> [Result<DeltaCheckpoint, FormatError>; 2] {
+        let oracle = decode_two_pass(bytes, DeltaCheckpoint::parse_body);
+        [DeltaCheckpoint::decode(bytes), oracle]
+    }
+
+    #[test]
+    fn decode_verified_agrees_with_decode_and_keeps_the_footer_check() {
+        let d = diff(&base(), &fine_tuned()).unwrap();
+        let bytes = d.encode();
+        let (body, footer) = bytes.split_at(bytes.len() - 4);
+        let footer = u32::from_le_bytes(footer.try_into().unwrap());
+        assert_eq!(DeltaCheckpoint::decode_verified(&bytes, crc32(body)), Ok(d));
+        assert_eq!(
+            DeltaCheckpoint::decode_verified(&bytes, 7),
+            Err(FormatError::ChecksumMismatch {
+                stored: footer,
+                computed: 7
+            })
+        );
+        let mut bad_footer = bytes.clone();
+        *bad_footer.last_mut().unwrap() ^= 0x01;
+        let want = Err(FormatError::ChecksumMismatch {
+            stored: footer ^ 0x0100_0000,
+            computed: crc32(body),
+        });
+        assert_eq!(
+            DeltaCheckpoint::decode_verified(&bad_footer, crc32(body)),
+            want
+        );
+        assert_eq!(DeltaCheckpoint::decode(&bad_footer), want);
+    }
+
+    #[test]
+    fn any_flipped_byte_or_truncation_fails_like_the_oracle() {
+        let bytes = diff(&base(), &fine_tuned()).unwrap().encode();
+        for at in 0..bytes.len() - 4 {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                let [one_pass, oracle] = both_ways(&bad);
+                assert!(
+                    matches!(one_pass, Err(FormatError::ChecksumMismatch { .. })),
+                    "byte {at} ^ {mask:#x}: {one_pass:?}"
+                );
+                assert_eq!(one_pass, oracle, "byte {at} ^ {mask:#x}");
+            }
+        }
+        for len in 0..bytes.len() {
+            let [one_pass, oracle] = both_ways(&bytes[..len]);
+            assert!(one_pass.is_err(), "prefix {len}");
+            assert_eq!(one_pass, oracle, "prefix {len}");
+        }
+    }
+
+    #[test]
+    fn checksummed_hostile_counts_and_dims_are_rejected() {
+        let head = |nchanged: u32| {
+            let mut body = MAGIC.to_vec();
+            put_u32(&mut body, VERSION);
+            put_string(&mut body, "m");
+            put_u64(&mut body, 1);
+            put_u64(&mut body, 2);
+            put_u32(&mut body, nchanged);
+            body
+        };
+        // Counts no stream this short can hold, changed and unchanged.
+        let got = DeltaCheckpoint::decode(&sealed(head(u32::MAX)));
+        assert!(matches!(got, Err(FormatError::Truncated { .. })), "{got:?}");
+        let mut body = head(0);
+        put_u32(&mut body, u32::MAX);
+        let got = DeltaCheckpoint::decode(&sealed(body));
+        assert!(matches!(got, Err(FormatError::Truncated { .. })), "{got:?}");
+        // Dims whose product wraps to zero elements.
+        let mut body = head(1);
+        put_string(&mut body, "t");
+        put_u32(&mut body, 2);
+        put_u64(&mut body, 1 << 63);
+        put_u64(&mut body, 2);
+        put_u32(&mut body, 0);
+        let bytes = sealed(body);
+        let [one_pass, oracle] = both_ways(&bytes);
+        assert!(
+            matches!(one_pass, Err(FormatError::Corrupt(_))),
+            "{one_pass:?}"
+        );
+        assert_eq!(one_pass, oracle);
     }
 
     #[test]

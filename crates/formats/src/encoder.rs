@@ -32,7 +32,8 @@
 //! [`mark`]: StreamingEncoder::mark
 //! [`crc_since`]: StreamingEncoder::crc_since
 
-use crate::crc::{crc32_combine, Crc32};
+use crate::checkpoint::put_f32s;
+use crate::crc::{crc32_combine, Crc32, CrcFold};
 use crate::payload::Payload;
 use std::sync::Arc;
 
@@ -297,20 +298,10 @@ impl StreamingEncoder {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Append `f32`s as little-endian bytes, straight into the buffer —
-    /// no intermediate `Vec<u8>`. Writes through a small stack block so
-    /// the inner loop is branch-light.
+    /// Append `f32`s as little-endian bytes: one `memcpy` of the slice's
+    /// byte view straight into the buffer.
     pub fn put_f32s(&mut self, data: &[f32]) {
-        self.buf.reserve(data.len() * 4);
-        let mut tmp = [0u8; 4096];
-        for block in data.chunks(1024) {
-            let mut n = 0usize;
-            for &x in block {
-                tmp[n..n + 4].copy_from_slice(&x.to_le_bytes());
-                n += 4;
-            }
-            self.buf.extend_from_slice(&tmp[..n]);
-        }
+        put_f32s(&mut self.buf, data);
     }
 
     /// Feed all not-yet-checksummed bytes into the rolling CRC, closing
@@ -342,14 +333,15 @@ impl StreamingEncoder {
     }
 
     /// CRC32 of every byte written so far, folded across chunk boundaries
-    /// with [`crc32_combine`]. Absorbs pending bytes first.
+    /// with a [`CrcFold`]. Absorbs pending bytes first.
     pub fn stream_crc(&mut self) -> u32 {
         self.absorb();
-        let mut acc = 0u32; // crc of the empty prefix
-        for &c in &self.chunk_crcs {
-            acc = crc32_combine(acc, c, self.chunk_bytes);
+        let mut fold = CrcFold::new();
+        for &crc in &self.chunk_crcs {
+            fold.push(crc, self.chunk_bytes);
         }
-        crc32_combine(acc, self.state.finalize(), self.fill)
+        fold.push(self.state.finalize(), self.fill);
+        fold.crc()
     }
 
     /// Snapshot the current position and stream CRC (absorbing pending

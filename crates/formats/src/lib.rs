@@ -34,7 +34,7 @@ pub mod wire;
 pub use checkpoint::{Checkpoint, FormatError};
 pub use crc::{
     active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_parallel, crc32_with, Crc32,
-    Crc32Kernel, CrcShift,
+    Crc32Kernel, CrcFold, CrcShift,
 };
 pub use delta::DeltaCheckpoint;
 pub use encoder::{EncodeArena, EncodedPayload, StreamMark, StreamingEncoder};
@@ -63,6 +63,18 @@ pub trait CheckpointFormat: Send + Sync {
 
     /// Deserialize and verify a checkpoint.
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError>;
+
+    /// [`decode`](Self::decode) for a caller that already holds
+    /// `body_crc`, the CRC32 of `bytes` minus its 4-byte footer — a
+    /// receiver that verified the bytes chunk by chunk has it without
+    /// reading them again (`crc32_combine` over the chunk CRCs). The stored
+    /// footer is still compared, against `body_crc`, and a disagreement is
+    /// still [`FormatError::ChecksumMismatch`]; only the checksum pass over
+    /// the body is skipped. The default ignores the hint and self-verifies.
+    fn decode_verified(&self, bytes: &[u8], body_crc: u32) -> Result<Checkpoint, FormatError> {
+        let _ = body_crc;
+        self.decode(bytes)
+    }
 
     /// How many metadata operations this format costs per tensor, relative
     /// to the lean format (1.0). HDF5-style files touch the superblock,

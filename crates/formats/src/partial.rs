@@ -12,7 +12,7 @@
 //! [`crate::CheckpointFormat::decode`] when integrity matters more than
 //! latency.
 
-use crate::checkpoint::{bytes_to_f32s, Reader};
+use crate::checkpoint::{bytes_to_f32s, Reader, MIN_TENSOR_RECORD};
 use crate::{FormatError, ViperFormat};
 use std::ops::Range;
 use viper_tensor::Tensor;
@@ -52,25 +52,16 @@ impl ViperFormat {
         let _version = r.u32("version")?;
         let _name = r.string("model name")?;
         let _iteration = r.u64("iteration")?;
-        let ntensors = r.u32("tensor count")? as usize;
+        let ntensors = r.count(MIN_TENSOR_RECORD, "tensor count")?;
         let mut entries = Vec::with_capacity(ntensors);
         for _ in 0..ntensors {
-            let name = r.string("tensor name")?;
-            let rank = r.u32("tensor rank")? as usize;
-            if rank > 8 {
-                return Err(FormatError::Corrupt(format!("unreasonable rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r.u64("tensor dim")? as usize);
-            }
-            let n: usize = dims.iter().product();
+            let (name, dims, nbytes) = r.tensor_header()?;
             let start = r.position();
-            r.skip(n * 4, "tensor payload")?;
+            r.skip(nbytes, "tensor payload")?;
             entries.push(TensorEntry {
                 name,
                 dims,
-                payload: start..start + n * 4,
+                payload: start..start + nbytes,
             });
         }
         Ok(entries)

@@ -16,9 +16,10 @@
 //! crc32     : u32 over everything before the footer
 //! ```
 
-use crate::checkpoint::{bytes_to_f32s, put_f32s, put_string, put_u32, put_u64, Reader};
+use crate::checkpoint::{
+    decode_footed, put_f32s, put_string, put_u32, put_u64, Reader, MIN_TENSOR_RECORD,
+};
 use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, StreamingEncoder};
-use viper_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"VIPR";
 const VERSION: u32 = 1;
@@ -78,57 +79,11 @@ impl CheckpointFormat for ViperFormat {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError> {
-        if bytes.len() < 4 {
-            return Err(FormatError::Truncated {
-                context: "crc footer",
-            });
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(footer.try_into().unwrap());
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(FormatError::ChecksumMismatch { stored, computed });
-        }
+        decode_footed(bytes, None, parse_body)
+    }
 
-        let mut r = Reader::new(body);
-        if r.take(4, "magic")? != MAGIC {
-            return Err(FormatError::BadMagic);
-        }
-        if r.u32("version")? != VERSION {
-            return Err(FormatError::BadMagic);
-        }
-        let model_name = r.string("model name")?;
-        let iteration = r.u64("iteration")?;
-        let ntensors = r.u32("tensor count")? as usize;
-        let mut tensors = Vec::with_capacity(ntensors);
-        for _ in 0..ntensors {
-            let name = r.string("tensor name")?;
-            let rank = r.u32("tensor rank")? as usize;
-            if rank > 8 {
-                return Err(FormatError::Corrupt(format!("unreasonable rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r.u64("tensor dim")? as usize);
-            }
-            let n: usize = dims.iter().product();
-            let payload = r.take(n * 4, "tensor payload")?;
-            let data = bytes_to_f32s(payload)?;
-            let tensor =
-                Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?;
-            tensors.push((name, tensor));
-        }
-        if r.position() != body.len() {
-            return Err(FormatError::Corrupt(format!(
-                "{} trailing bytes after last tensor",
-                body.len() - r.position()
-            )));
-        }
-        Ok(Checkpoint {
-            model_name,
-            iteration,
-            tensors,
-        })
+    fn decode_verified(&self, bytes: &[u8], body_crc: u32) -> Result<Checkpoint, FormatError> {
+        decode_footed(bytes, Some(body_crc), parse_body)
     }
 
     fn metadata_ops_factor(&self) -> f64 {
@@ -141,9 +96,47 @@ impl CheckpointFormat for ViperFormat {
     }
 }
 
+/// Everything between the start of the stream and the CRC footer.
+fn parse_body(r: &mut Reader<'_>) -> Result<Checkpoint, FormatError> {
+    if r.take(4, "magic")? != MAGIC {
+        return Err(FormatError::BadMagic);
+    }
+    if r.u32("version")? != VERSION {
+        return Err(FormatError::BadMagic);
+    }
+    let model_name = r.string("model name")?;
+    let iteration = r.u64("iteration")?;
+    let ntensors = r.count(MIN_TENSOR_RECORD, "tensor count")?;
+    let mut tensors = Vec::with_capacity(ntensors);
+    for _ in 0..ntensors {
+        tensors.push(r.tensor()?);
+    }
+    if r.remaining() != 0 {
+        return Err(FormatError::Corrupt(format!(
+            "{} trailing bytes after last tensor",
+            r.remaining()
+        )));
+    }
+    Ok(Checkpoint {
+        model_name,
+        iteration,
+        tensors,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{decode_two_pass, sealed};
+    use proptest::prelude::*;
+    use viper_tensor::Tensor;
+
+    /// One-pass `decode` and the two-pass oracle on the same bytes, with a
+    /// decoded checkpoint compared by its re-encoding (NaN-proof).
+    fn both_ways(bytes: &[u8]) -> [Result<Vec<u8>, FormatError>; 2] {
+        let f = ViperFormat;
+        [f.decode(bytes), decode_two_pass(bytes, parse_body)].map(|r| r.map(|c| f.encode(&c)))
+    }
 
     fn sample() -> Checkpoint {
         Checkpoint::new(
@@ -205,6 +198,142 @@ mod tests {
             f.decode(&bytes),
             Err(FormatError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn decode_verified_agrees_with_decode_and_keeps_the_footer_check() {
+        let f = ViperFormat;
+        let bytes = f.encode(&sample());
+        let (body, footer) = bytes.split_at(bytes.len() - 4);
+        let footer = u32::from_le_bytes(footer.try_into().unwrap());
+        assert_eq!(f.decode_verified(&bytes, crc32(body)).unwrap(), sample());
+        // A body CRC that disagrees with the footer is a mismatch...
+        assert_eq!(
+            f.decode_verified(&bytes, 0xDEAD_BEEF),
+            Err(FormatError::ChecksumMismatch {
+                stored: footer,
+                computed: 0xDEAD_BEEF
+            })
+        );
+        // ...and so is a footer that disagrees with a correct body CRC,
+        // with the fields the self-verifying decode reports.
+        let mut bad_footer = bytes.clone();
+        *bad_footer.last_mut().unwrap() ^= 0x40;
+        let want = Err(FormatError::ChecksumMismatch {
+            stored: footer ^ 0x4000_0000,
+            computed: crc32(body),
+        });
+        assert_eq!(f.decode_verified(&bad_footer, crc32(body)), want);
+        assert_eq!(f.decode(&bad_footer), want);
+        assert!(matches!(
+            f.decode_verified(&[1, 2, 3], 0),
+            Err(FormatError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn any_flipped_byte_is_a_checksum_mismatch_never_a_parse_error() {
+        // Header, names, ranks, dims, payloads: every body byte in turn. A
+        // damaged length or count derails the parse long before the footer,
+        // and the checksum verdict must still win.
+        let bytes = ViperFormat.encode(&sample());
+        for at in 0..bytes.len() - 4 {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                let [one_pass, oracle] = both_ways(&bad);
+                assert!(
+                    matches!(one_pass, Err(FormatError::ChecksumMismatch { .. })),
+                    "byte {at} ^ {mask:#x}: {one_pass:?}"
+                );
+                assert_eq!(one_pass, oracle, "byte {at} ^ {mask:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_fails_like_the_oracle() {
+        let bytes = ViperFormat.encode(&sample());
+        for len in 0..bytes.len() {
+            let [one_pass, oracle] = both_ways(&bytes[..len]);
+            assert!(one_pass.is_err(), "prefix {len}");
+            assert_eq!(one_pass, oracle, "prefix {len}");
+        }
+    }
+
+    #[test]
+    fn checksummed_hostile_bodies_are_rejected_without_panic_or_allocation() {
+        let head = |ntensors: u32| {
+            let mut body = MAGIC.to_vec();
+            put_u32(&mut body, VERSION);
+            put_string(&mut body, "m");
+            put_u64(&mut body, 1);
+            put_u32(&mut body, ntensors);
+            body
+        };
+        let tensor = |body: &mut Vec<u8>, dims: &[u64], floats: usize| {
+            put_string(body, "t");
+            put_u32(body, dims.len() as u32);
+            for &d in dims {
+                put_u64(body, d);
+            }
+            put_f32s(body, &vec![0.5; floats]);
+        };
+        let f = ViperFormat;
+        // A count no stream this short can hold (would reserve ~300 GB).
+        let got = f.decode(&sealed(head(u32::MAX)));
+        assert!(matches!(got, Err(FormatError::Truncated { .. })), "{got:?}");
+        // Dims whose product wraps to 0 elements, or whose bytes wrap.
+        for dims in [&[1u64 << 63, 2][..], &[1 << 62], &[3, u64::MAX]] {
+            let mut body = head(1);
+            tensor(&mut body, dims, 0);
+            let got = f.decode(&sealed(body));
+            assert!(matches!(got, Err(FormatError::Corrupt(_))), "{got:?}");
+        }
+        // A payload length that runs past the end (and nearly wraps pos + n).
+        let mut body = head(1);
+        tensor(&mut body, &[(usize::MAX / 4) as u64], 2);
+        let got = f.decode(&sealed(body));
+        assert!(matches!(got, Err(FormatError::Truncated { .. })), "{got:?}");
+        // Same verdicts from the oracle and from decode_verified.
+        let mut body = head(2);
+        tensor(&mut body, &[2], 2);
+        let bytes = sealed(body);
+        let [one_pass, oracle] = both_ways(&bytes);
+        assert!(matches!(one_pass, Err(FormatError::Truncated { .. })));
+        assert_eq!(one_pass, oracle);
+        let crc = crc32(&bytes[..bytes.len() - 4]);
+        assert_eq!(f.decode_verified(&bytes, crc).map(|c| f.encode(&c)), oracle);
+    }
+
+    proptest! {
+        /// Mutated, truncated or re-sealed after mutation: the one-pass
+        /// decode returns what the two-pass oracle returns, error for error.
+        #[test]
+        fn one_pass_decode_equals_the_two_pass_oracle(
+            floats in prop::collection::vec(prop::collection::vec(-9.0f32..9.0, 0..40), 0..5),
+            edits in prop::collection::vec((0.0f64..1.0, 1u8..=255), 0..4),
+            keep in 0.0f64..=1.0,
+            reseal in 0u8..3,
+        ) {
+            let tensors = floats.into_iter().enumerate().map(|(i, v)| {
+                let dims = [v.len()];
+                (format!("t{i}"), Tensor::from_vec(v, &dims).unwrap())
+            });
+            let mut bytes = ViperFormat.encode(&Checkpoint::new("m", 7, tensors.collect()));
+            for (at, mask) in edits {
+                let at = (at * bytes.len() as f64) as usize;
+                bytes[at] ^= mask;
+            }
+            if reseal == 0 {
+                bytes.truncate(bytes.len() - 4);
+                bytes = sealed(bytes);
+            }
+            // A third of the cases keep every byte.
+            bytes.truncate((keep * 1.5 * bytes.len() as f64) as usize);
+            let [one_pass, oracle] = both_ways(&bytes);
+            prop_assert_eq!(one_pass, oracle);
+        }
     }
 
     #[test]

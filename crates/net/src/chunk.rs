@@ -19,9 +19,10 @@ use crate::reliability::FlowError;
 use crate::wirebuf::WireBuf;
 use crate::{LinkKind, Message, MessageKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
-use viper_formats::{crc32, Payload};
+use viper_formats::{crc32, CrcFold, Payload};
 use viper_hw::SimInstant;
 
 /// Magic bytes at the front of every chunk frame ("VPCH"). Framing sanity
@@ -258,6 +259,36 @@ pub struct AssembledFlow {
 }
 
 impl AssembledFlow {
+    /// CRC32 of `payload[range]` with whole chunks never re-read: a chunk
+    /// that lies inside the range contributes the header CRC it was already
+    /// verified against (folded in with `crc32_combine`'s identity,
+    /// `crc(A ‖ B) = shift(crc(A), len(B)) ^ crc(B)`), and only a chunk the
+    /// range cuts through has its overlap checksummed afresh. Stripping a
+    /// few envelope bytes in front and a CRC footer behind therefore reads
+    /// two chunk edges, not the payload. Equals
+    /// `crc32(&payload[range])`; panics like that slicing if the range is
+    /// out of bounds.
+    pub fn crc_of(&self, range: Range<usize>) -> u32 {
+        assert!(range.start <= range.end && range.end <= self.payload.len());
+        let mut fold = CrcFold::new();
+        let mut start = 0usize;
+        for (&len, &crc) in self.chunk_lens.iter().zip(self.chunk_crcs.iter()) {
+            let end = start + len as usize;
+            let (from, to) = (start.max(range.start), end.min(range.end));
+            if from < to {
+                let whole = from == start && to == end;
+                let crc = if whole {
+                    crc
+                } else {
+                    crc32(&self.payload[from..to])
+                };
+                fold.push(crc, (to - from) as u64);
+            }
+            start = end;
+        }
+        fold.crc()
+    }
+
     /// Per-chunk CRCs for re-serving [`payload`](Self::payload) under the
     /// `chunk_sizes(len, chunk_bytes)` geometry (see
     /// [`ChunkedSend::with_crcs`]): the verified
@@ -1062,6 +1093,41 @@ mod tests {
                 panic!("resend should complete");
             };
             assert_eq!(flow.payload, payload);
+        }
+    }
+
+    #[test]
+    fn range_crc_holds_for_ragged_chunks_a_sender_is_free_to_frame() {
+        // Tiling is all the assembler demands of a sender's geometry: uneven
+        // lengths, an empty chunk mid-flow, a 1-byte tail.
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let lens = [7usize, 300, 0, 1, 691, 1];
+        let mut asm = FlowAssembler::new();
+        let mut status = FlowStatus::Buffered;
+        let mut offset = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            let body = &payload[offset..offset + len];
+            let header = ChunkHeader::for_body(9, i as u32, 6, offset as u64, 1000, body);
+            status = asm.accept(framed_msg(header, Payload::from(body)));
+            offset += len;
+        }
+        let FlowStatus::Complete(flow) = status else {
+            panic!("flow should complete: {status:?}");
+        };
+        for range in [
+            0..1000,
+            5..996,
+            7..307,
+            8..306,
+            307..309,
+            400..400,
+            999..1000,
+        ] {
+            assert_eq!(
+                flow.crc_of(range.clone()),
+                crc32(&payload[range.clone()]),
+                "{range:?}"
+            );
         }
     }
 

@@ -191,6 +191,68 @@ proptest! {
             prop_assert_eq!(aliases_sender, !any_reframed);
         }
     }
+
+    /// The range CRC a receiver derives from the chunk CRCs it verified is
+    /// the CRC of those bytes — for any payload, chunk geometry (a last
+    /// chunk shorter than a CRC footer included), arrival order and range:
+    /// empty, inside one chunk, cutting chunks on both edges, and the
+    /// envelope-to-footer strip the consumer asks for, whose 4-byte footer
+    /// may straddle the last chunk boundary.
+    #[test]
+    fn range_crc_from_chunk_crcs_equals_crc_of_the_bytes(
+        data in prop::collection::vec(0u8..=255, 0..6000),
+        chunk_bytes in 1u64..1500,
+        short_tail in 0usize..4,
+        cuts in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0), 1..6),
+        mix_seed in 0u64..u64::MAX,
+    ) {
+        // Steer some cases to a last chunk of 1-3 bytes.
+        let mut data = data;
+        if short_tail > 0 {
+            let whole = data.len() / chunk_bytes as usize * chunk_bytes as usize;
+            data.resize(whole + short_tail, 0x5A);
+        }
+        let fabric = fabric();
+        let producer = fabric.register("p");
+        let consumer = fabric.register("c");
+        producer
+            .send_chunked("c", "m:1", data.clone(), LinkKind::GpuDirect, &ChunkedSend::new(chunk_bytes))
+            .expect("send");
+        let mut arrivals = drain(&consumer);
+        let mut rng = FaultRng::new(mix_seed);
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut asm = FlowAssembler::new();
+        let mut done = None;
+        for msg in arrivals {
+            if let FlowStatus::Complete(flow) = asm.accept(msg) {
+                done = Some(flow);
+            }
+        }
+        let flow = done.expect("flow completes");
+        let len = data.len();
+        let mut ranges = vec![0..len, 0..0, len..len, len / 2..len / 2];
+        // What `apply_payload` strips: 5 envelope bytes (or none) in front,
+        // the 4-byte footer behind.
+        for envelope in [0, 5] {
+            let end = len.saturating_sub(4).max(envelope.min(len));
+            ranges.push(envelope.min(len)..end);
+        }
+        for (a, b) in cuts {
+            let (a, b) = ((a * len as f64) as usize, (b * len as f64) as usize);
+            ranges.push(a.min(b)..a.max(b));
+            // A short range, usually inside one chunk.
+            ranges.push(a..(a + 3).min(len));
+        }
+        for range in ranges {
+            prop_assert_eq!(
+                flow.crc_of(range.clone()),
+                crc32(&data[range.clone()]),
+                "range {:?} of {} bytes in {}-byte chunks", range, len, chunk_bytes
+            );
+        }
+    }
 }
 
 /// A single-chunk flow is zero-copy end to end: the payload the assembler

@@ -562,6 +562,90 @@ fn corruption_is_detected_nacked_and_repaired() {
     assert!(producer.retransmits() > 0, "NACKs were not serviced");
 }
 
+/// The format footer is still checked on a chunked flow, even though the
+/// consumer no longer re-reads the body to do it: a peer that frames every
+/// chunk with the CRC of the bytes it actually sends — so each chunk
+/// verifies — but seals a wrong `ViperFormat` / `DeltaCheckpoint` footer
+/// inside them installs nothing, and the same bytes under the right footer
+/// install bit-identically.
+#[test]
+fn chunk_clean_flow_with_a_wrong_format_footer_is_never_installed() {
+    use viper_formats::{delta, wire, CheckpointFormat, PayloadKind, ViperFormat};
+    use viper_net::{ChunkedSend, Control, Endpoint};
+
+    /// Ship `wire` as the chunked flow `m:{version}` and return the
+    /// consumer's answer; it applies before it answers.
+    fn push(peer: &Endpoint, version: u64, wire: Vec<u8>) -> Control {
+        let opts = ChunkedSend::new(CHUNK_SMALL);
+        let tag = format!("m:{version}");
+        peer.send_chunked("c", &tag, wire, LinkKind::HostRdma, &opts)
+            .unwrap();
+        let reply = peer.recv_timeout(Duration::from_secs(30)).expect("reply");
+        Control::decode(reply.payload.as_contiguous().unwrap()).expect("control frame")
+    }
+
+    /// `bytes` with the last byte of its CRC footer flipped.
+    fn wrong_footer(mut bytes: Vec<u8>) -> Vec<u8> {
+        *bytes.last_mut().unwrap() ^= 0x01;
+        bytes
+    }
+
+    for with_delta in [false, true] {
+        let mut config = ViperConfig::default()
+            .with_chunked(CHUNK_SMALL)
+            .with_reliable()
+            .with_reactor_threads(reactor_threads());
+        if with_delta {
+            config = config.with_delta();
+        }
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let consumer = viper.consumer("c", "m");
+        let peer = viper.fabric().register("peer");
+        // A delta deployment's wire carries the payload-kind envelope, so
+        // the body the footer covers starts 5 bytes into the first chunk.
+        let framed = |kind, body: Vec<u8>| match with_delta {
+            true => wire::frame(kind, &body),
+            false => body,
+        };
+
+        let v1 = big_ckpt(1, 1_500);
+        let full = ViperFormat.encode(&v1);
+        let reply = push(
+            &peer,
+            1,
+            framed(PayloadKind::Full, wrong_footer(full.clone())),
+        );
+        assert!(matches!(reply, Control::Ack { .. }), "{reply:?}");
+        assert_eq!(consumer.corrupt_chunks(), 0, "every chunk was clean");
+        assert_eq!(consumer.updates_applied(), 0, "delta {with_delta}");
+        assert!(consumer.current().is_none(), "delta {with_delta}");
+
+        push(&peer, 1, framed(PayloadKind::Full, full));
+        assert_eq!(consumer.updates_applied(), 1, "delta {with_delta}");
+        assert_eq!(*consumer.current().unwrap(), v1, "delta {with_delta}");
+
+        if with_delta {
+            let v2 = big_ckpt(2, 1_500);
+            let d = delta::diff(&v1, &v2).unwrap().encode();
+            let reply = push(
+                &peer,
+                2,
+                wire::frame(PayloadKind::Delta, &wrong_footer(d.clone())),
+            );
+            assert!(matches!(reply, Control::NeedFull { .. }), "{reply:?}");
+            assert_eq!(consumer.updates_applied(), 1);
+            assert_eq!(*consumer.current().unwrap(), v1);
+
+            let reply = push(&peer, 2, wire::frame(PayloadKind::Delta, &d));
+            assert!(matches!(reply, Control::Ack { .. }), "{reply:?}");
+            assert_eq!(consumer.deltas_applied(), 1);
+            assert_eq!(*consumer.current().unwrap(), v2);
+        }
+        assert_eq!(consumer.corrupt_chunks(), 0);
+    }
+}
+
 #[test]
 fn retry_exhaustion_falls_back_to_pfs_without_panicking() {
     // A dead memory link (100% drop): the push can never complete, the
