@@ -32,8 +32,8 @@
 //! bit-identical) holds with delta transfer on.
 
 use crate::config::ViperConfig;
-use crate::delivery::{Delivery, DeliveryCounters};
-use crate::producer::charge_at;
+use crate::delivery::DeliveryCounters;
+use crate::producer::{charge_at, ProducerCtx, Update};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -316,23 +316,27 @@ impl PayloadCodec {
 /// when [`PayloadCodec::base_for`] proves it applies at every member;
 /// otherwise they get the memoized framed full. With the codec inactive
 /// this is the identity: the raw full encoding travels unframed,
-/// byte-identical to a build without the codec layer.
+/// byte-identical to a build without the codec layer. A diff pass is
+/// charged from `frontier` — the delivery's causal instant — and moves it.
 pub(crate) fn encode_for(
-    d: &Delivery<'_>,
+    ctx: &ProducerCtx,
+    update: &Update,
     members: &[String],
+    track: &str,
     frontier: &mut SimInstant,
 ) -> WirePayload {
-    let (codec, record, payload, counters) = (d.codec, d.record, d.payload, d.counters);
+    let (codec, counters) = (&ctx.codec, &ctx.counters);
+    let (record, payload) = (&update.record, &update.payload);
     if !codec.active() {
         return WirePayload {
             kind: PayloadKind::Full,
             bytes: payload.clone(),
-            crcs: Some(Arc::clone(d.payload_crcs)),
+            crcs: Some(Arc::clone(&update.crcs)),
         };
     }
-    let shared = &d.viper.shared;
+    let shared = &ctx.viper.shared;
     let chunk_bytes = shared.config.wire_chunk_bytes();
-    if let Some(ckpt) = d.ckpt {
+    if let Some(ckpt) = &update.ckpt {
         if let Some(base) = codec
             .base_for(members, &record.name)
             .filter(|b| b.iteration < ckpt.iteration)
@@ -356,12 +360,12 @@ pub(crate) fn encode_for(
                 *frontier = charge_at(
                     &shared.clock,
                     t0,
-                    stage_time(&shared.config.profile, d.route, payload.len() as u64),
+                    stage_time(&shared.config.profile, update.route, payload.len() as u64),
                 );
                 shared.config.telemetry.complete(
                     "producer",
                     "encode.delta",
-                    d.track,
+                    track,
                     t0.as_nanos(),
                     frontier.as_nanos(),
                     &[

@@ -95,12 +95,11 @@ pub struct ViperConfig {
     /// the consumer's stale-flow reaping, even when `reliable_delivery` is
     /// off, so lost flows cannot pin reassembly buffers forever).
     pub retry: viper_net::RetryPolicy,
-    /// Collapse-to-latest coalescing on the reliable delivery path: each
-    /// consumer gets a bounded outbound queue
-    /// ([`ViperConfig::coalesce_queue_depth`]); while an update is in
-    /// flight to a consumer, newer versions queue behind it and a full
-    /// queue drops the *oldest* pending version (counted per consumer as
-    /// `updates_superseded`, with a `queue_depth` gauge). Saves stop
+    /// Collapse-to-latest coalescing on the reliable delivery path: while
+    /// an update is in flight to a consumer, the newest later version waits
+    /// behind it and every version in between is dropped before it touches
+    /// the wire (counted per consumer as `updates_superseded`, with a
+    /// `queue_depth` gauge). Saves stop
     /// blocking on the slowest consumer — the producer's pipeline runs
     /// ahead while congested consumers skip straight to the newest
     /// version. Off by default: the blocking path stays byte- and
@@ -108,11 +107,6 @@ pub struct ViperConfig {
     /// [`ViperConfig::reliable_delivery`] (enabled by
     /// [`ViperConfig::with_coalescing`]).
     pub coalesce_updates: bool,
-    /// Bound on each consumer's pending outbound queue when
-    /// [`ViperConfig::coalesce_updates`] is on (clamped to at least 1).
-    /// Depth 1 — the default — is pure collapse-to-latest: one update in
-    /// flight, one pending, everything between superseded.
-    pub coalesce_queue_depth: usize,
     /// Distribute reliable memory-route updates through a relay tree
     /// instead of producer point-to-point sends: consumers are organized
     /// into a bounded-fan-out tree ([`viper_net::Topology`]), the producer
@@ -170,7 +164,6 @@ impl Default for ViperConfig {
             delta_transfer: false,
             retry: viper_net::RetryPolicy::default(),
             coalesce_updates: false,
-            coalesce_queue_depth: 1,
             relay_tree: false,
             relay_fanout: 4,
             reactor_threads: 1,
@@ -337,7 +330,6 @@ mod tests {
         assert!(!c.reliable_delivery, "reliability machinery off by default");
         assert!(!c.delta_transfer, "full checkpoints stay the default");
         assert!(!c.coalesce_updates, "blocking delivery stays the default");
-        assert_eq!(c.coalesce_queue_depth, 1, "pure collapse-to-latest");
         assert!(!c.relay_tree, "point-to-point delivery stays the default");
         assert_eq!(c.relay_fanout, 4);
         assert_eq!(c.reactor_threads, 1, "inline CRC verification by default");

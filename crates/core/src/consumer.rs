@@ -10,7 +10,7 @@
 
 use crate::config::DiscoveryMode;
 use crate::context::Viper;
-use crate::producer::{charge_apply, charge_apply_at};
+use crate::producer::charge_apply_at;
 use crate::relay_role::RelayState;
 use crate::slot::ModelSlot;
 use crate::{Result, ViperError, UPDATE_TOPIC};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use viper_formats::{
     delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, Payload, PayloadKind,
 };
-use viper_hw::{Route, SimInstant, Tier};
+use viper_hw::{apply_time, Route, SimInstant, Tier};
 use viper_net::{
     deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, MessageKind, ReactorTask,
     TaskCtx,
@@ -343,36 +343,10 @@ impl Consumer {
             if record.location != Tier::Pfs.name() {
                 continue;
             }
-            let Ok((payload, _)) = self.viper.shared.pfs.read(&record.path) else {
+            // An unreadable or corrupt durable copy: try an older one.
+            if !install_from_pfs(&self.viper, &self.state, &*format, record, "recover") {
                 continue;
-            };
-            let Ok(ckpt) = format.decode(&payload) else {
-                continue; // corrupt durable copy; try an older one
-            };
-            let telemetry = &self.viper.shared.config.telemetry;
-            let t0 = telemetry.now_ns();
-            charge_apply(
-                &self.viper,
-                Route::PfsStaging,
-                payload.len() as u64,
-                ckpt.ntensors(),
-            );
-            // One atomic check-and-swap: recover() may race the listener
-            // thread installing a fresher push, and must never regress the
-            // served model or publish an UpdateInfo for a model that lost
-            // the race.
-            install(&self.viper, &self.state, ckpt, record.version);
-            telemetry.complete(
-                "consumer",
-                "install",
-                &self.state.track,
-                t0,
-                telemetry.now_ns(),
-                &[
-                    ("version", record.version.into()),
-                    ("source", "recover".into()),
-                ],
-            );
+            }
             return self
                 .current()
                 .ok_or_else(|| ViperError::Invalid("recovered model vanished from slot".into()));
@@ -488,6 +462,73 @@ impl ConsumerTask {
             .get(&(from.to_string(), flow_id))
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Answer completed `flow` at `at` — `NeedFull` or an ACK, stamped with
+    /// the flow's current generation — and forget that generation: the
+    /// flow is over.
+    fn answer(&mut self, flow: &AssembledFlow, need_full: bool, at: SimInstant) {
+        let flow_id = flow.flow_id;
+        let generation = self.generation_of(&flow.from, flow_id);
+        let reply = if need_full {
+            Control::NeedFull {
+                flow_id,
+                generation,
+            }
+        } else {
+            Control::Ack {
+                flow_id,
+                generation,
+            }
+        };
+        let _ = self
+            .endpoint
+            .send_control_at(&flow.from, &flow.tag, &reply, flow.link, at);
+        self.generations.remove(&(flow.from.clone(), flow_id));
+    }
+
+    /// NACK chunks `missing` of flow `flow_id` back to `from`, stamped with
+    /// the flow's current generation. The frame leaves at `at` — the causal
+    /// instant of what it reports — plus a deterministic per-(consumer,
+    /// round) jitter, so a fault burst hitting many consumers staggers its
+    /// NACK replies instead of synchronizing a retransmission storm.
+    fn nack(
+        &self,
+        from: &str,
+        tag: &str,
+        link: LinkKind,
+        flow_id: u64,
+        missing: Vec<u32>,
+        at: SimInstant,
+    ) {
+        let generation = self.generation_of(from, flow_id);
+        let missing_count = missing.len();
+        let nack = Control::Nack {
+            flow_id,
+            generation,
+            missing,
+        };
+        let nack_at = at.add(deterministic_jitter(
+            self.endpoint.node(),
+            generation,
+            self.viper.shared.config.retry.feedback_jitter,
+        ));
+        if self
+            .endpoint
+            .send_control_at(from, tag, &nack, link, nack_at)
+            .is_ok()
+        {
+            self.state.nacks_sent.inc();
+            self.viper.shared.config.telemetry.instant(
+                "consumer",
+                "nack",
+                &self.state.track,
+                &[
+                    ("flow_id", flow_id.into()),
+                    ("missing", missing_count.into()),
+                ],
+            );
+        }
     }
 
     /// Verify, apply, and install one whole direct-push payload. The apply
@@ -747,7 +788,6 @@ impl ConsumerTask {
                         Some(&flow),
                     );
                     if self.reliable {
-                        let generation = self.generation_of(&flow.from, flow.flow_id);
                         // Causal reply instant: the apply this feedback
                         // attests has finished (or, for NeedFull, the flow
                         // completed) — never the racy shared clock.
@@ -760,30 +800,15 @@ impl ConsumerTask {
                                 &self.state.track,
                                 &[("flow_id", flow.flow_id.into())],
                             );
-                            let reply = Control::NeedFull {
-                                flow_id: flow.flow_id,
-                                generation,
-                            };
-                            let _ = self.endpoint.send_control_at(
-                                &flow.from, &flow.tag, &reply, flow.link, reply_at,
-                            );
-                            self.generations.remove(&(flow.from.clone(), flow.flow_id));
-                        } else if self.start_fan(ctx, &flow, reply_at) {
-                            // Relay duty: install done, the wire bytes are
-                            // now re-serving to this node's subtree. The
-                            // upstream ACK is withheld — it goes out as the
-                            // group ACK when the last slot resolves, and
-                            // the generation entry stays live so that ACK
-                            // carries the producer's current round.
-                        } else {
-                            let reply = Control::Ack {
-                                flow_id: flow.flow_id,
-                                generation,
-                            };
-                            let _ = self.endpoint.send_control_at(
-                                &flow.from, &flow.tag, &reply, flow.link, reply_at,
-                            );
-                            self.generations.remove(&(flow.from.clone(), flow.flow_id));
+                        }
+                        // Relay duty (`start_fan`): install done, the wire
+                        // bytes are now re-serving to this node's subtree.
+                        // The upstream ACK is withheld — it goes out as the
+                        // group ACK when the last slot resolves, and the
+                        // generation entry stays live so that ACK carries
+                        // the producer's current round.
+                        if need_full || !self.start_fan(ctx, &flow, reply_at) {
+                            self.answer(&flow, need_full, reply_at);
                         }
                     } else {
                         self.generations.remove(&(flow.from.clone(), flow.flow_id));
@@ -791,41 +816,10 @@ impl ConsumerTask {
                 }
             }
         }
-        // One batched NACK per corrupt flow per drain, stamped with the
-        // flow's current generation and sent at the causal arrival of the
-        // damage it reports, plus a deterministic per-consumer jitter so a
-        // fault burst hitting many consumers staggers its NACK replies
-        // instead of synchronizing a retransmission storm.
-        let feedback_jitter = self.viper.shared.config.retry.feedback_jitter;
+        // One batched NACK per corrupt flow per drain, sent at the causal
+        // arrival of the damage it reports.
         for c in corrupt {
-            let generation = self.generation_of(&c.from, c.flow_id);
-            let missing_count = c.chunks.len();
-            let nack = Control::Nack {
-                flow_id: c.flow_id,
-                generation,
-                missing: c.chunks,
-            };
-            let nack_at = c.latest.add(deterministic_jitter(
-                self.endpoint.node(),
-                generation,
-                feedback_jitter,
-            ));
-            if self
-                .endpoint
-                .send_control_at(&c.from, &c.tag, &nack, c.link, nack_at)
-                .is_ok()
-            {
-                self.state.nacks_sent.inc();
-                telemetry.instant(
-                    "consumer",
-                    "nack",
-                    &self.state.track,
-                    &[
-                        ("flow_id", c.flow_id.into()),
-                        ("missing", missing_count.into()),
-                    ],
-                );
-            }
+            self.nack(&c.from, &c.tag, c.link, c.flow_id, c.chunks, c.latest);
         }
         self.update_reap_timer(ctx);
     }
@@ -956,37 +950,8 @@ impl ReactorTask for ConsumerTask {
                     missing: err.missing.len(),
                 });
             } else if self.reliable {
-                let generation = self.generation_of(&err.from, err.flow_id);
-                let missing_count = err.missing.len();
-                let nack = Control::Nack {
-                    flow_id: err.flow_id,
-                    generation,
-                    missing: err.missing,
-                };
-                // Reap-driven NACKs fire causally at the scan deadline,
-                // staggered per (consumer, round) like the corrupt-chunk
-                // path's replies.
-                let nack_at = now.add(deterministic_jitter(
-                    self.endpoint.node(),
-                    generation,
-                    retry.feedback_jitter,
-                ));
-                if self
-                    .endpoint
-                    .send_control_at(&err.from, &err.tag, &nack, err.link, nack_at)
-                    .is_ok()
-                {
-                    self.state.nacks_sent.inc();
-                    telemetry.instant(
-                        "consumer",
-                        "nack",
-                        &self.state.track,
-                        &[
-                            ("flow_id", err.flow_id.into()),
-                            ("missing", missing_count.into()),
-                        ],
-                    );
-                }
+                // Reap-driven NACKs fire causally at the scan deadline.
+                self.nack(&err.from, &err.tag, err.link, err.flow_id, err.missing, now);
             }
         }
         self.update_reap_timer(ctx);
@@ -1013,35 +978,58 @@ fn try_pull_from_pfs(
     if record.version <= already {
         return;
     }
-    if let Ok((payload, _read_time)) = viper.shared.pfs.read(&record.path) {
-        if let Ok(ckpt) = format.decode(&payload) {
-            let telemetry = &viper.shared.config.telemetry;
-            let t0 = telemetry.now_ns();
-            let bytes = payload.len() as u64;
-            charge_apply(viper, Route::PfsStaging, bytes, ckpt.ntensors());
-            install(viper, state, ckpt, record.version);
-            telemetry.complete(
-                "consumer",
-                "install",
-                &state.track,
-                t0,
-                telemetry.now_ns(),
-                &[
-                    ("version", record.version.into()),
-                    ("bytes", bytes.into()),
-                    ("source", "pfs".into()),
-                ],
-            );
-        }
-    }
+    install_from_pfs(viper, state, format, record, "pfs");
 }
 
-fn install(viper: &Viper, state: &ConsumerState, ckpt: Checkpoint, version: u64) {
-    // User-thread installers (recover, PFS pull) charge from the clock's
-    // current frontier; the listener's push path uses `install_at` with a
-    // causally computed instant instead.
-    let swapped_at = viper.shared.clock.now().add(Duration::from_nanos(100));
-    install_at(viper, state, ckpt, version, swapped_at);
+/// Read `record`'s durable copy off the PFS, decode it and install it,
+/// labelling the `install` span with `source`. Returns `false` when the
+/// copy is unreadable or corrupt. This runs for user-thread installers
+/// (`recover`) and repository discovery, which have no causal instant to
+/// start from: the read, the apply and the swap are charged from the
+/// shared clock's current frontier. The push path uses `install_at` with a
+/// causally computed instant instead.
+fn install_from_pfs(
+    viper: &Viper,
+    state: &ConsumerState,
+    format: &dyn CheckpointFormat,
+    record: &viper_metastore::ModelRecord,
+    source: &'static str,
+) -> bool {
+    let shared = &viper.shared;
+    let Ok((payload, _read_time)) = shared.pfs.read(&record.path) else {
+        return false;
+    };
+    let Ok(ckpt) = format.decode(&payload) else {
+        return false;
+    };
+    let telemetry = &shared.config.telemetry;
+    let t0 = telemetry.now_ns();
+    let bytes = payload.len() as u64;
+    let apply = apply_time(
+        &shared.config.profile,
+        Route::PfsStaging,
+        bytes,
+        ckpt.ntensors(),
+    );
+    shared.clock.advance_to(shared.clock.now().add(apply));
+    // One atomic check-and-swap: this may race the reactor installing a
+    // fresher push, and must never regress the served model or publish an
+    // UpdateInfo for a model that lost the race.
+    let swapped_at = shared.clock.now().add(Duration::from_nanos(100));
+    install_at(viper, state, ckpt, record.version, swapped_at);
+    telemetry.complete(
+        "consumer",
+        "install",
+        &state.track,
+        t0,
+        telemetry.now_ns(),
+        &[
+            ("version", record.version.into()),
+            ("bytes", bytes.into()),
+            ("source", source.into()),
+        ],
+    );
+    true
 }
 
 fn install_at(

@@ -29,28 +29,35 @@
 //! fallback when a newer version is already queued behind the same lane —
 //! the newer version supersedes it for that consumer.
 //!
-//! Virtual-time accounting: the whole reliable engine charges *causally* —
-//! feedback is handled at its arrival instant, timers at their deadline,
-//! never at the racy `clock.now()` — so the deterministic-timeline
-//! invariant (disabled vs enabled telemetry is bit-identical) stays
-//! independent of thread scheduling even while a coalescing producer saves
-//! concurrently with in-flight deliveries.
+//! ## Virtual-time accounting
+//!
+//! Every charge on the delivery path is *causal*: it starts at the instant
+//! the [`Update`] carries (`frontier`) and moves that instant forward —
+//! sends go out at it, feedback is handled at its arrival instant, timers
+//! at their deadline, the notification a notify latency after the last of
+//! them. Nothing here reads the racy `clock.now()` — except the durable
+//! fallback's PFS write, because the storage tier charges its own latency
+//! from it — so the timeline is a function of configuration and fault
+//! seed, not of how the save thread, the async worker, the reactor and the
+//! applying consumers interleave.
+//!
+//! [`PayloadCodec`]: crate::codec::PayloadCodec
 
-use crate::codec::{encode_for, frame_streaming, FramedBytes, PayloadCodec, WirePayload};
+use crate::codec::{encode_for, frame_streaming, FramedBytes, WirePayload};
 use crate::context::Viper;
-use crate::producer::charge_at;
+use crate::producer::{charge_at, ProducerCtx, Update};
 use crate::UPDATE_TOPIC;
 use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
-use viper_formats::{Checkpoint, Payload, PayloadKind};
+use viper_formats::PayloadKind;
 use viper_hw::{MachineProfile, Route, SimInstant, Tier};
 use viper_metastore::ModelRecord;
 use viper_net::{
-    ChunkedSend, Control, Endpoint, FlowSender, LinkKind, MessageKind, Outbound, Outcome,
-    OutcomeKind, ReactorTask, SenderCounters, TaskCtx,
+    ChunkedSend, Control, FlowSender, LinkKind, MessageKind, Outbound, Outcome, OutcomeKind,
+    ReactorTask, SenderCounters, TaskCtx,
 };
 use viper_telemetry::{Counter, Gauge, Telemetry};
 
@@ -150,6 +157,11 @@ fn chunk_capture_model(
     )
 }
 
+/// Bound of every lane's pending queue, the producer's and a relay's alike:
+/// pure collapse-to-latest — one update in flight, one pending, everything
+/// between superseded.
+pub(crate) const LANE_QUEUE_BOUND: usize = 1;
+
 /// One reliable fan-out handed to the producer's [`DeliveryTask`] on the
 /// reactor. The caller pre-encodes every target's wire payload (so delta
 /// diff charges stay on the save path's causal frontier) and submits the
@@ -159,6 +171,11 @@ fn chunk_capture_model(
 /// every flow is terminal; with coalescing there is no reply and the task
 /// drives the update to completion (or supersession) in the background.
 pub(crate) struct DeliveryJob {
+    /// The version being delivered; its flows start at `update.frontier`.
+    /// `update.payload` also serves for materializing a framed full on
+    /// `NeedFull`, and for the deferred durable fallback under coalescing.
+    pub(crate) update: Update,
+    pub(crate) link: LinkKind,
     /// `(target node, encoded payload)` in fan-out order. Under
     /// relay-tree distribution these are the tree *roots* only.
     pub(crate) consumers: Vec<(String, WirePayload)>,
@@ -166,23 +183,13 @@ pub(crate) struct DeliveryJob {
     /// Empty on the direct path. A root's ACK resolves (and base-tracks)
     /// every non-escalated member of its group.
     pub(crate) groups: BTreeMap<String, Vec<String>>,
-    pub(crate) tag: String,
-    pub(crate) link: LinkKind,
-    pub(crate) chunk_bytes: u64,
     /// Pipelined-capture model for the first successful send (the snapshot
     /// happens once; later flows re-send already captured chunks).
     pub(crate) capture: Option<(f64, Duration, Duration)>,
-    /// The raw full encoding (for materializing a framed full on
-    /// `NeedFull`, and for the deferred durable fallback under coalescing).
-    pub(crate) payload: Payload,
     /// Already-framed full (with chunk CRCs) from the codec's encode
     /// cache, if one was made.
     pub(crate) framed_full: Option<FramedBytes>,
-    /// Metadata of the version being delivered (fallback relocation and
-    /// notification need the full record, not just name/iteration).
-    pub(crate) record: ModelRecord,
     pub(crate) track: String,
-    pub(crate) frontier: SimInstant,
     /// `None` under coalescing: the save path returned at submit, and a
     /// terminal fallback runs on the task instead.
     pub(crate) reply: Option<Sender<DeliveryDone>>,
@@ -207,64 +214,27 @@ pub(crate) struct DeliveryDone {
     pub(crate) frontier: SimInstant,
 }
 
-/// One update on its way out of `save_weights` (or its async worker), as
-/// [`deliver`] takes it.
-pub(crate) struct Delivery<'a> {
-    pub(crate) viper: &'a Viper,
-    pub(crate) endpoint: &'a Endpoint,
-    pub(crate) codec: &'a PayloadCodec,
-    pub(crate) counters: &'a DeliveryCounters,
-    pub(crate) record: &'a ModelRecord,
-    /// The captured checkpoint, for delta encoding (`None` with delta
-    /// transfer off).
-    pub(crate) ckpt: Option<&'a Arc<Checkpoint>>,
-    /// Always the **raw full encoding** — what the staging tiers, the PFS
-    /// fallback, and the pull path read. What each consumer is actually
-    /// sent is decided by the [`PayloadCodec`] (delta vs framed full vs
-    /// raw passthrough).
-    pub(crate) payload: &'a Payload,
-    /// Encode-time per-chunk CRCs of `payload`.
-    pub(crate) payload_crcs: &'a Arc<Vec<u32>>,
-    pub(crate) route: Route,
-    /// Let the first send model the (not yet charged) capture overlapping
-    /// the wire.
-    pub(crate) pipeline_capture: bool,
-    pub(crate) track: &'a str,
-    /// The causal instant the delivery starts from; `None` reads the
-    /// shared clock (correct whenever the caller just charged its own
-    /// work there). A coalescing producer passes its private save frontier
-    /// instead — the shared clock races ahead with concurrently applying
-    /// consumers, and basing charges on it would make the timeline depend
-    /// on thread scheduling.
-    pub(crate) frontier_base: Option<SimInstant>,
-}
-
 /// Graceful degradation: the wire gave up on at least one consumer, so
 /// make this version durable NOW (not just in the background flush) and
 /// relocate its metadata record. Returns the record pointing at the PFS
 /// copy — consumers recover via the repository pull path — or `None` if
 /// the write failed. The durable copy is always the raw full encoding,
 /// never a framed or delta payload.
-fn durable_fallback(
-    viper: &Viper,
-    counters: &DeliveryCounters,
-    record: &ModelRecord,
-    payload: &Payload,
-    track: &str,
-) -> Option<ModelRecord> {
-    let shared = &viper.shared;
+fn durable_fallback(ctx: &ProducerCtx, update: &Update, track: &str) -> Option<ModelRecord> {
+    let shared = &ctx.viper.shared;
+    let record = &update.record;
     let telemetry = &shared.config.telemetry;
     let t0 = telemetry.now_ns();
     let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
     let written = shared
         .pfs
-        .write(&pfs_path, payload.clone(), record.ntensors)
+        .write(&pfs_path, update.payload.clone(), record.ntensors)
         .is_ok();
     let relocated = written.then(|| {
         shared
             .db
             .relocate(&record.name, record.version, Tier::Pfs.name(), &pfs_path);
-        counters.pfs_fallbacks.inc();
+        ctx.counters.pfs_fallbacks.inc();
         let mut notify = record.clone();
         notify.location = Tier::Pfs.name().to_string();
         notify.path = pfs_path;
@@ -282,10 +252,11 @@ fn durable_fallback(
 }
 
 /// Publish the update notification `frontier` + the notify latency after
-/// the delivery it announces; returns how many subscribers it reached.
-fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> usize {
+/// the delivery it announces; returns how many subscribers it reached and
+/// the instant it did.
+fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> (usize, SimInstant) {
     let shared = &viper.shared;
-    charge_at(
+    let published = charge_at(
         &shared.clock,
         frontier,
         shared.config.profile.notify_latency,
@@ -294,13 +265,14 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> usize {
     // Consumer discovery runs on the reactor: nudge every task to drain its
     // subscription (push mode) or check the metadata DB (poll mode).
     shared.reactor.wake_all();
-    notified
+    (notified, published)
 }
 
-/// Push the update to every attached consumer and publish the update
+/// Push `update` to every attached consumer and publish the update
 /// notification. For the PFS route consumers pull from the shared tier, so
 /// only the notification is sent. With `ViperConfig::chunked_transfer` the
-/// payload travels as a pipelined chunked flow.
+/// payload travels as a pipelined chunked flow; `pipeline_capture` lets the
+/// first send model the (not yet charged) capture overlapping the wire.
 ///
 /// With `ViperConfig::reliable_delivery` every memory-route send is
 /// ACK-gated with NACK-driven retransmission; if a consumer exhausts the
@@ -309,16 +281,22 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> usize {
 /// notification points there, so the consumer's pull path recovers it.
 ///
 /// Returns how many consumers were pushed a payload (admitted, under
-/// coalescing).
-pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
-    let (viper, endpoint, record, payload, route) =
-        (d.viper, d.endpoint, d.record, d.payload, d.route);
-    let shared = &viper.shared;
+/// coalescing) and the instant the caller is done with the update: the
+/// notification is out.
+pub(crate) fn deliver(
+    ctx: &ProducerCtx,
+    update: &Update,
+    pipeline_capture: bool,
+    track: &str,
+) -> (usize, SimInstant) {
+    let (record, payload, route) = (&update.record, &update.payload, update.route);
+    let shared = &ctx.viper.shared;
+    let endpoint = &ctx.endpoint;
     let telemetry = &shared.config.telemetry;
     let mut span = telemetry.span_with(
         "producer",
         "deliver",
-        d.track,
+        track,
         &[
             ("version", record.version.into()),
             ("route", route_label(route).into()),
@@ -331,15 +309,12 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
     };
     let mut sent = 0;
     let mut fall_back = false;
-    // Causal frontier of this delivery: every successful send extends it to
-    // the flow's (or its ACK's) computed completion instant, and the notify
-    // latency is charged from it rather than from `clock.now()` — a
-    // concurrently applying consumer advances the shared clock, and basing
-    // the charge on the racy frontier would make the timeline depend on
-    // thread scheduling.
-    let mut frontier = d.frontier_base.unwrap_or_else(|| shared.clock.now());
+    // Causal frontier of this delivery: every successful send starts at it
+    // and extends it to the flow's (or its ACK's) computed completion
+    // instant, and the notify latency is charged from it.
+    let mut frontier = update.frontier;
     if let Some(link) = link {
-        let tag = format!("{}:{}", record.name, record.version);
+        let tag = update.tag();
         let consumers = shared.consumers.read().clone();
         let config = &shared.config;
         if config.reliable_delivery {
@@ -359,18 +334,20 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
             // relays themselves. On the direct path every consumer is a
             // group of one.
             let groups = shared.distribution.refresh(&eligible).unwrap_or_default();
+            let mut encode =
+                |members: &[String]| encode_for(ctx, update, members, track, &mut frontier);
             let targets: Vec<(String, WirePayload)> = if groups.is_empty() {
                 eligible
                     .into_iter()
                     .map(|consumer| {
-                        let wire = encode_for(d, std::slice::from_ref(&consumer), &mut frontier);
+                        let wire = encode(std::slice::from_ref(&consumer));
                         (consumer, wire)
                     })
                     .collect()
             } else {
                 groups
                     .iter()
-                    .map(|(root, members)| (root.clone(), encode_for(d, members, &mut frontier)))
+                    .map(|(root, members)| (root.clone(), encode(members)))
                     .collect()
             };
             if !targets.is_empty() {
@@ -385,19 +362,20 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
                 shared.reactor.submit(
                     endpoint.node(),
                     Box::new(DeliveryJob {
+                        // The fan-out is encoded: the task diffs nothing,
+                        // and must not keep the base alive past the save.
+                        update: Update {
+                            ckpt: None,
+                            frontier,
+                            ..update.clone()
+                        },
+                        link,
                         consumers: targets,
                         groups,
-                        tag,
-                        link,
-                        chunk_bytes: config.wire_chunk_bytes(),
-                        capture: d
-                            .pipeline_capture
+                        capture: pipeline_capture
                             .then(|| chunk_capture_model(&config.profile, route, record.ntensors)),
-                        payload: payload.clone(),
-                        framed_full: d.codec.cached_full(&record.name, record.iteration),
-                        record: record.clone(),
-                        track: d.track.to_string(),
-                        frontier,
+                        framed_full: ctx.codec.cached_full(&record.name, record.iteration),
+                        track: track.to_string(),
                         reply,
                     }),
                 );
@@ -412,39 +390,33 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
                 }
             }
         } else {
-            let mut inline_capture = d.pipeline_capture;
+            // The unreliable fan-out is serial: each send goes out when the
+            // one before it has arrived.
+            let mut inline_capture = pipeline_capture;
             for consumer in consumers {
                 if consumer == endpoint.node() {
                     continue;
                 }
-                // A deregistered consumer is not an error: it raced shutdown.
-                let delivered = if config.chunked_transfer {
+                let arrived = if config.chunked_transfer {
                     // The raw payload travels as-is, so its encode-time
                     // chunk CRCs apply directly.
-                    let mut opts =
-                        ChunkedSend::new(config.chunk_bytes).with_crcs(Arc::clone(d.payload_crcs));
+                    let mut opts = ChunkedSend::new(config.chunk_bytes)
+                        .with_crcs(Arc::clone(&update.crcs))
+                        .at(frontier);
                     if inline_capture {
                         let (bw, fixed, once) =
                             chunk_capture_model(&config.profile, route, record.ntensors);
                         opts = opts.with_capture(bw, fixed, once);
                     }
-                    match endpoint.send_chunked(&consumer, &tag, payload.clone(), link, &opts) {
-                        Ok(report) => {
-                            frontier = frontier.max(report.completed_at);
-                            true
-                        }
-                        Err(_) => false,
-                    }
+                    endpoint
+                        .send_chunked(&consumer, &tag, payload.clone(), link, &opts)
+                        .map(|report| report.completed_at)
                 } else {
-                    match endpoint.send(&consumer, &tag, payload.clone(), link) {
-                        Ok(wire) => {
-                            frontier = frontier.add(wire);
-                            true
-                        }
-                        Err(_) => false,
-                    }
+                    endpoint.send_at(&consumer, &tag, payload.clone(), link, frontier)
                 };
-                if delivered {
+                // A deregistered consumer is not an error: it raced shutdown.
+                if let Ok(arrived) = arrived {
+                    frontier = frontier.max(arrived);
                     sent += 1;
                     // The snapshot happens once; fan-out to further consumers
                     // re-sends the already captured chunks.
@@ -454,13 +426,13 @@ pub(crate) fn deliver(d: &Delivery<'_>) -> usize {
         }
     }
     let relocated = fall_back
-        .then(|| durable_fallback(viper, d.counters, record, payload, d.track))
+        .then(|| durable_fallback(ctx, update, track))
         .flatten();
-    let notified = announce(viper, relocated.unwrap_or_else(|| record.clone()), frontier);
+    let notify = relocated.unwrap_or_else(|| record.clone());
+    let (notified, frontier) = announce(&ctx.viper, notify, frontier);
     span.arg("pushed", sent.into());
     span.arg("notified", notified.into());
-    drop(span);
-    sent
+    (sent, frontier)
 }
 
 /// What an update's current flow to one target carries.
@@ -479,13 +451,17 @@ struct Sent {
 /// submitting another); with coalescing several proceed concurrently,
 /// serialized per lane.
 struct UpdateState {
-    tag: String,
+    /// The version; `update.frontier` moves forward with every ACK.
+    update: Update,
     link: LinkKind,
-    chunk_bytes: u64,
-    payload: Payload,
     framed_full: Option<FramedBytes>,
-    record: ModelRecord,
     track: String,
+    /// Relay-tree delivery groups (root → subtree); empty on the direct
+    /// path.
+    groups: BTreeMap<String, Vec<String>>,
+    /// `None` under coalescing: nobody waits, and a terminal fallback runs
+    /// on the task instead.
+    reply: Option<Sender<DeliveryDone>>,
     /// Sends not yet resolved (terminal flow or superseded in queue).
     /// Under relay-tree distribution this counts sends the producer itself
     /// drives — one per tree root, plus one per member escalated to a
@@ -493,27 +469,19 @@ struct UpdateState {
     remaining: usize,
     delivered: usize,
     fall_back: bool,
-    frontier: SimInstant,
-    /// Relay-tree delivery groups (root → subtree); empty on the direct
-    /// path.
-    groups: BTreeMap<String, Vec<String>>,
     /// Subtree members escalated to a direct producer send (relay `Miss`
     /// or a re-parented subtree): excluded from the group resolution when
     /// their root's group ACK lands.
     escalated: HashSet<String>,
     /// What is (or was last) on the wire to each target.
     sent: HashMap<String, Sent>,
-    /// `None` under coalescing: nobody waits, and a terminal fallback runs
-    /// on the task instead.
-    reply: Option<Sender<DeliveryDone>>,
 }
 
 impl UpdateState {
     /// Materialize the framed full encoding, at most once per update
-    /// (mirrors [`PayloadCodec::full_framed_cached`], including counters).
-    fn full_framed(&mut self, counters: &DeliveryCounters) -> FramedBytes {
-        let payload = &self.payload;
-        let chunk_bytes = self.chunk_bytes;
+    /// (mirrors `PayloadCodec::full_framed_cached`, including counters).
+    fn full_framed(&mut self, counters: &DeliveryCounters, chunk_bytes: u64) -> FramedBytes {
+        let payload = &self.update.payload;
         self.framed_full
             .get_or_insert_with(|| {
                 counters.bytes_copied.add(payload.len() as u64);
@@ -533,10 +501,7 @@ impl UpdateState {
 /// direct fulls when a relay root is lost, and the durable PFS fallback
 /// when a send exhausts its retries with nothing newer queued behind it.
 pub(crate) struct DeliveryTask {
-    viper: Viper,
-    endpoint: Arc<Endpoint>,
-    codec: Arc<PayloadCodec>,
-    counters: Arc<DeliveryCounters>,
+    ctx: Arc<ProducerCtx>,
     sender: FlowSender<(String, String)>,
     /// Next update sequence number (admission order, strictly increasing —
     /// doubles as the lanes' queue version key and the engine token).
@@ -547,29 +512,21 @@ pub(crate) struct DeliveryTask {
 }
 
 impl DeliveryTask {
-    pub(crate) fn new(
-        viper: Viper,
-        endpoint: Arc<Endpoint>,
-        codec: Arc<PayloadCodec>,
-        counters: Arc<DeliveryCounters>,
-    ) -> Self {
-        let config = &viper.shared.config;
+    pub(crate) fn new(ctx: Arc<ProducerCtx>) -> Self {
+        let config = &ctx.viper.shared.config;
         let sender = FlowSender::new(
-            Arc::clone(&endpoint),
+            Arc::clone(&ctx.endpoint),
             config.retry,
-            config.coalesce_queue_depth,
+            LANE_QUEUE_BOUND,
             config.telemetry.clone(),
             "producer",
             SenderCounters {
-                retransmits: counters.retransmits.clone(),
-                stale_feedback: counters.stale_feedback.clone(),
+                retransmits: ctx.counters.retransmits.clone(),
+                stale_feedback: ctx.counters.stale_feedback.clone(),
             },
         );
         DeliveryTask {
-            viper,
-            endpoint,
-            codec,
-            counters,
+            ctx,
             sender,
             next_seq: 0,
             updates: HashMap::new(),
@@ -583,18 +540,22 @@ impl DeliveryTask {
         while let Some(outcome) = self.sender.next_outcome(ctx) {
             self.on_outcome(ctx, outcome);
         }
-        self.counters.queue_depth.set(self.sender.backlog() as i64);
+        self.ctx
+            .counters
+            .queue_depth
+            .set(self.sender.backlog() as i64);
     }
 
     /// Update `seq` as a framed full for `to`, ready at `at`: the
     /// `NeedFull` retry and both escalation paths.
     fn full_send(&mut self, seq: u64, to: &str, at: SimInstant) -> Outbound {
-        let update = self
+        let state = self
             .updates
             .get_mut(&seq)
             .expect("a full send belongs to an update");
-        let (full, crcs) = update.full_framed(&self.counters);
-        update.sent.insert(
+        let chunk_bytes = self.ctx.viper.shared.config.wire_chunk_bytes();
+        let (full, crcs) = state.full_framed(&self.ctx.counters, chunk_bytes);
+        state.sent.insert(
             to.to_string(),
             Sent {
                 kind: PayloadKind::Full,
@@ -604,24 +565,24 @@ impl DeliveryTask {
         Outbound {
             token: seq,
             to: to.to_string(),
-            tag: update.tag.clone(),
-            link: update.link,
+            tag: state.update.tag(),
+            link: state.link,
             payload: full,
-            opts: ChunkedSend::new(update.chunk_bytes).with_crcs(crcs),
+            opts: ChunkedSend::new(chunk_bytes).with_crcs(crcs),
             ready_at: at,
-            track: update.track.clone(),
+            track: state.track.clone(),
         }
     }
 
     /// Deliver update `seq` to subtree member `member` directly, as a
     /// framed full on the member's own lane.
     fn escalate(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, member: &str, at: SimInstant) {
-        let update = self
+        let state = self
             .updates
             .get_mut(&seq)
             .expect("an escalation belongs to an update");
-        update.remaining += 1;
-        let lane = (member.to_string(), update.record.name.clone());
+        state.remaining += 1;
+        let lane = (member.to_string(), state.update.record.name.clone());
         let send = self.full_send(seq, member, at);
         self.sender.admit(ctx, lane, seq, send);
     }
@@ -631,26 +592,26 @@ impl DeliveryTask {
     /// topology and send direct fulls to every stranded member.
     /// Counted — this is the degraded path, not the design point.
     fn relay_fallback(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, root: &str, at: SimInstant) {
-        let Some(update) = self.updates.get_mut(&seq) else {
+        let Some(state) = self.updates.get_mut(&seq) else {
             return;
         };
-        let Some(members) = update.groups.get(root) else {
+        let Some(members) = state.groups.get(root) else {
             return;
         };
         let stranded: Vec<String> = members
             .iter()
-            .filter(|m| *m != root && !update.escalated.contains(*m))
+            .filter(|m| *m != root && !state.escalated.contains(*m))
             .cloned()
             .collect();
-        update.escalated.extend(stranded.iter().cloned());
-        self.counters.reparent_events.inc();
-        self.viper.shared.distribution.note_failed(root);
-        let telemetry = &self.viper.shared.config.telemetry;
+        state.escalated.extend(stranded.iter().cloned());
+        self.ctx.counters.reparent_events.inc();
+        self.ctx.viper.shared.distribution.note_failed(root);
+        let telemetry = &self.ctx.viper.shared.config.telemetry;
         if telemetry.is_enabled() {
             telemetry.instant_at(
                 "producer",
                 "reparent",
-                &update.track,
+                &state.track,
                 at.as_nanos(),
                 &[("root", root.into()), ("stranded", stranded.len().into())],
             );
@@ -680,23 +641,23 @@ impl DeliveryTask {
             .flow(flow_id)
             .filter(|(_, root)| *root == from)
             .and_then(|(seq, root)| {
-                let update = self.updates.get_mut(&seq)?;
-                let in_group = update.groups.get(root)?.contains(&member);
-                (in_group && update.escalated.insert(member.clone())).then_some(seq)
+                let state = self.updates.get_mut(&seq)?;
+                let in_group = state.groups.get(root)?.contains(&member);
+                (in_group && state.escalated.insert(member.clone())).then_some(seq)
             });
         let Some(seq) = escalation else {
-            self.counters.stale_feedback.inc();
+            self.ctx.counters.stale_feedback.inc();
             return;
         };
-        let update = &self.updates[&seq];
-        self.codec.forget(&member, &update.record.name);
-        self.counters.delta_fallbacks.inc();
-        let telemetry = &self.viper.shared.config.telemetry;
+        let state = &self.updates[&seq];
+        self.ctx.codec.forget(&member, &state.update.record.name);
+        self.ctx.counters.delta_fallbacks.inc();
+        let telemetry = &self.ctx.viper.shared.config.telemetry;
         if telemetry.is_enabled() {
             telemetry.instant_at(
                 "producer",
                 "relay_miss",
-                &update.track,
+                &state.track,
                 at.as_nanos(),
                 &[("member", member.as_str().into()), ("root", from.into())],
             );
@@ -711,26 +672,19 @@ impl DeliveryTask {
         if self.updates.get(&seq).is_none_or(|u| u.remaining != 0) {
             return;
         }
-        let update = self.updates.remove(&seq).expect("checked above");
-        if let Some(reply) = &update.reply {
+        let state = self.updates.remove(&seq).expect("checked above");
+        if let Some(reply) = &state.reply {
             let _ = reply.send(DeliveryDone {
-                delivered: update.delivered,
-                fall_back: update.fall_back,
-                frontier: update.frontier,
+                delivered: state.delivered,
+                fall_back: state.fall_back,
+                frontier: state.update.frontier,
             });
-        } else if update.fall_back {
+        } else if state.fall_back {
             // The wire gave up on at least one consumer with nothing newer
             // queued behind it: re-publish the notification against the
             // durable copy.
-            let relocated = durable_fallback(
-                &self.viper,
-                &self.counters,
-                &update.record,
-                &update.payload,
-                &update.track,
-            );
-            if let Some(notify) = relocated {
-                announce(&self.viper, notify, update.frontier);
+            if let Some(notify) = durable_fallback(&self.ctx, &state.update, &state.track) {
+                announce(&self.ctx.viper, notify, state.update.frontier);
             }
         }
         if self.updates.is_empty() {
@@ -750,34 +704,34 @@ impl DeliveryTask {
             kind,
             at,
         } = outcome;
-        let shared = Arc::clone(&self.viper.shared);
+        let shared = Arc::clone(&self.ctx.viper.shared);
         let telemetry = &shared.config.telemetry;
-        let Some(update) = self.updates.get_mut(&seq) else {
+        let Some(state) = self.updates.get_mut(&seq) else {
             debug_assert!(false, "a send outlived its update");
             return;
         };
-        let model = update.record.name.clone();
-        let is_root = update.groups.contains_key(&to);
+        let model = state.update.record.name.clone();
+        let is_root = state.groups.contains_key(&to);
         match kind {
             OutcomeKind::Superseded => {
                 // A newer version collapsed this one out of the lane's
                 // queue: it will never reach `to`.
-                self.counters.updates_superseded.inc();
+                self.ctx.counters.updates_superseded.inc();
                 telemetry
                     .counter(&format!(
                         "producer.{}.updates_superseded.{to}",
-                        self.endpoint.node()
+                        self.ctx.endpoint.node()
                     ))
                     .inc();
                 if telemetry.is_enabled() {
                     telemetry.instant_at(
                         "producer",
                         "update_superseded",
-                        &update.track,
+                        &state.track,
                         at.as_nanos(),
                         &[
                             ("consumer", to.as_str().into()),
-                            ("version", update.record.version.into()),
+                            ("version", state.update.record.version.into()),
                         ],
                     );
                 }
@@ -791,52 +745,52 @@ impl DeliveryTask {
                 }
             }
             OutcomeKind::Complete => {
-                let iteration = update.record.iteration;
+                let iteration = state.update.record.iteration;
                 if is_root {
                     // A relay root's group ACK: its entire subtree has
                     // installed the update. One round-trip resolves (and
                     // base-tracks) every member the producer did not have
                     // to escalate to a direct send.
-                    self.counters.group_acks.inc();
+                    self.ctx.counters.group_acks.inc();
                     let mut resolved = 0;
-                    for member in &update.groups[&to] {
-                        if !update.escalated.contains(member) {
-                            self.codec.note_acked(member, &model, iteration);
+                    for member in &state.groups[&to] {
+                        if !state.escalated.contains(member) {
+                            self.ctx.codec.note_acked(member, &model, iteration);
                             resolved += 1;
                         }
                     }
-                    update.delivered += resolved;
+                    state.delivered += resolved;
                     if telemetry.is_enabled() {
                         telemetry.instant_at(
                             "producer",
                             "group_ack",
-                            &update.track,
+                            &state.track,
                             at.as_nanos(),
                             &[("root", to.as_str().into()), ("members", resolved.into())],
                         );
                     }
                 } else {
-                    self.codec.note_acked(&to, &model, iteration);
-                    update.delivered += 1;
+                    self.ctx.codec.note_acked(&to, &model, iteration);
+                    state.delivered += 1;
                 }
-                update.frontier = update.frontier.max(at);
+                state.update.frontier = state.update.frontier.max(at);
             }
             OutcomeKind::NeedFull => {
-                update.frontier = update.frontier.max(at);
-                let Sent { kind, full_retry } = update.sent[&to];
+                state.update.frontier = state.update.frontier.max(at);
+                let Sent { kind, full_retry } = state.sent[&to];
                 if !full_retry {
                     // The consumer lost the base this delta applies to
                     // (restart, missed flow): reset its tracking and
                     // re-send the update as a full on a fresh flow. The
                     // lane stays held by this update, and the slot open —
                     // the retry's own outcome resolves it.
-                    self.codec.forget(&to, &model);
-                    self.counters.delta_fallbacks.inc();
+                    self.ctx.codec.forget(&to, &model);
+                    self.ctx.counters.delta_fallbacks.inc();
                     if telemetry.is_enabled() {
                         telemetry.instant_at(
                             "producer",
                             "delta_rejected",
-                            &update.track,
+                            &state.track,
                             at.as_nanos(),
                             &[
                                 ("consumer", to.as_str().into()),
@@ -850,13 +804,13 @@ impl DeliveryTask {
                 }
             }
             OutcomeKind::Exhausted { backlog } => {
-                self.counters.exhausted.inc();
-                self.codec.forget(&to, &model);
+                self.ctx.counters.exhausted.inc();
+                self.ctx.codec.forget(&to, &model);
                 if telemetry.is_enabled() {
                     telemetry.instant_at(
                         "producer",
                         "retries_exhausted",
-                        &update.track,
+                        &state.track,
                         at.as_nanos(),
                         &[("consumer", to.as_str().into())],
                     );
@@ -865,9 +819,9 @@ impl DeliveryTask {
                 // supersedes the failed one for this consumer: skip the
                 // durable fallback and let the newer flow launch instead.
                 if backlog == 0 {
-                    update.fall_back = true;
+                    state.fall_back = true;
                 }
-                update.frontier = update.frontier.max(at);
+                state.update.frontier = state.update.frontier.max(at);
                 // A dead relay root strands its whole subtree: re-parent
                 // the topology and deliver to the orphans directly. The
                 // root itself still takes the durable-fallback path above.
@@ -876,8 +830,8 @@ impl DeliveryTask {
                 }
             }
         }
-        if let Some(update) = self.updates.get_mut(&seq) {
-            update.remaining -= 1;
+        if let Some(state) = self.updates.get_mut(&seq) {
+            state.remaining -= 1;
         }
         self.finish_if_done(seq);
     }
@@ -885,7 +839,7 @@ impl DeliveryTask {
 
 impl ReactorTask for DeliveryTask {
     fn on_mail(&mut self, ctx: &mut TaskCtx<'_>) {
-        while let Some(msg) = self.endpoint.try_recv() {
+        while let Some(msg) = self.ctx.endpoint.try_recv() {
             if msg.kind != MessageKind::Control {
                 continue;
             }
@@ -929,14 +883,23 @@ impl ReactorTask for DeliveryTask {
                 return;
             }
         };
+        let DeliveryJob {
+            update,
+            link,
+            consumers,
+            groups,
+            mut capture,
+            framed_full,
+            track,
+            reply,
+        } = job;
         debug_assert!(
-            job.reply.is_none() || self.updates.is_empty(),
+            reply.is_none() || self.updates.is_empty(),
             "one reliable fan-out per producer at a time without coalescing"
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let sent = job
-            .consumers
+        let sent = consumers
             .iter()
             .map(|(consumer, wire)| {
                 let first = Sent {
@@ -946,33 +909,28 @@ impl ReactorTask for DeliveryTask {
                 (consumer.clone(), first)
             })
             .collect();
-        let (tag, link, track) = (job.tag.clone(), job.link, job.track.clone());
-        let model = job.record.name.clone();
+        let (tag, model, ready_at) = (update.tag(), update.record.name.clone(), update.frontier);
+        let chunk_bytes = self.ctx.viper.shared.config.wire_chunk_bytes();
         self.updates.insert(
             seq,
             UpdateState {
-                tag: job.tag,
-                link: job.link,
-                chunk_bytes: job.chunk_bytes,
-                payload: job.payload,
-                framed_full: job.framed_full,
-                record: job.record,
-                track: job.track,
-                remaining: job.consumers.len(),
+                update,
+                link,
+                framed_full,
+                track: track.clone(),
+                groups,
+                reply,
+                remaining: consumers.len(),
                 delivered: 0,
                 fall_back: false,
-                frontier: job.frontier,
-                groups: job.groups,
                 escalated: HashSet::new(),
                 sent,
-                reply: job.reply,
             },
         );
-        let mut capture = job.capture;
-        for (consumer, wire) in job.consumers {
+        for (consumer, wire) in consumers {
             // Hand the encode-time chunk CRCs to the fabric so the send
             // does not re-read the payload to checksum it.
-            let mut opts = ChunkedSend::new(job.chunk_bytes);
+            let mut opts = ChunkedSend::new(chunk_bytes);
             if let Some(crcs) = wire.crcs {
                 opts = opts.with_crcs(crcs);
             }
@@ -986,7 +944,7 @@ impl ReactorTask for DeliveryTask {
                 link,
                 payload: wire.bytes,
                 opts,
-                ready_at: job.frontier,
+                ready_at,
                 track: track.clone(),
             };
             if self.sender.admit(ctx, (consumer, model.clone()), seq, send) {

@@ -9,13 +9,13 @@
 //!
 //! All hardware durations are charged to the deployment's virtual clock
 //! with `advance_to`, so concurrent background work overlaps in virtual
-//! time instead of serializing.
+//! time instead of serializing — and each from the instant the update
+//! carries ([`charge_at`]), never from wherever the shared clock happens
+//! to stand, so the timeline does not depend on how the threads interleave.
 
 use crate::codec::PayloadCodec;
 use crate::context::Viper;
-use crate::delivery::{
-    deliver, route_label, Delivery, DeliveryCounters, DeliveryTask, DrainBarrier,
-};
+use crate::delivery::{deliver, route_label, DeliveryCounters, DeliveryTask, DrainBarrier};
 use crate::Result;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -45,22 +45,60 @@ pub struct SaveReceipt {
     pub resumed_at: SimInstant,
 }
 
+/// What the producer's three threads of control — the save thread, the
+/// async worker and the reactor's [`DeliveryTask`] — share, built once in
+/// [`Producer::attach`].
+pub(crate) struct ProducerCtx {
+    pub(crate) viper: Viper,
+    pub(crate) endpoint: Arc<Endpoint>,
+    /// Per-consumer wire-codec state (delta bases, acknowledged versions).
+    pub(crate) codec: PayloadCodec,
+    pub(crate) counters: DeliveryCounters,
+}
+
+/// One saved version on its way to the consumers. `save_weights` builds it
+/// once; the async worker's queue holds it, [`deliver`] and
+/// [`encode_for`](crate::codec::encode_for) borrow it, and the reliable
+/// path's [`DeliveryJob`](crate::delivery::DeliveryJob) and the task's
+/// per-update state contain it.
+#[derive(Clone)]
+pub(crate) struct Update {
+    /// Metadata of the version (fallback relocation and notification need
+    /// the full record, not just name/iteration).
+    pub(crate) record: ModelRecord,
+    /// The captured checkpoint, for delta encoding (`None` with delta
+    /// transfer off, and once the fan-out is encoded).
+    pub(crate) ckpt: Option<Arc<Checkpoint>>,
+    /// Always the **raw full encoding** — what the staging tiers, the PFS
+    /// fallback, and the pull path read. What each consumer is actually
+    /// sent is decided by the [`PayloadCodec`] (delta vs framed full vs
+    /// raw passthrough).
+    pub(crate) payload: Payload,
+    /// Encode-time per-chunk CRCs of `payload` under the deployment's
+    /// chunk geometry (computed in the same pass that serialized it).
+    pub(crate) crcs: Arc<Vec<u32>>,
+    pub(crate) route: Route,
+    /// The causal instant at which everything done for this update so far
+    /// has finished: its capture when `save_weights` hands it off, the
+    /// staging copy once the async worker made it, then the encode charges
+    /// and — on the task — the ACK arrivals. Every further charge starts
+    /// here, never at the shared clock: that one races ahead with
+    /// concurrently applying consumers, and a charge based on it would
+    /// make the timeline depend on thread scheduling.
+    pub(crate) frontier: SimInstant,
+}
+
+impl Update {
+    /// The fabric tag of this version's flows (consumers install by its
+    /// version suffix).
+    pub(crate) fn tag(&self) -> String {
+        format!("{}:{}", self.record.name, self.record.version)
+    }
+}
+
 enum Job {
-    Deliver {
-        record: ModelRecord,
-        /// The captured checkpoint, kept for per-consumer delta encoding
-        /// (`None` when delta transfer is off — no need to clone it then).
-        ckpt: Option<Arc<Checkpoint>>,
-        payload: Payload,
-        /// Encode-time per-chunk CRCs of `payload` under the deployment's
-        /// chunk geometry (computed in the same pass that serialized it).
-        crcs: Arc<Vec<u32>>,
-        route: Route,
-        /// Causal frontier of the save that enqueued this job (capture
-        /// finished). Under coalescing the worker charges staging from it
-        /// instead of the racy shared clock.
-        frontier: SimInstant,
-    },
+    /// Stage and deliver an update whose capture finished at its frontier.
+    Deliver(Update),
     Flush {
         record: ModelRecord,
         payload: Payload,
@@ -74,17 +112,15 @@ enum Job {
 
 /// A producer attached to a Viper deployment.
 pub struct Producer {
-    viper: Viper,
+    /// The deployment, this node's endpoint, the wire codec and the
+    /// delivery counters, shared with the worker and the delivery task.
+    ctx: Arc<ProducerCtx>,
     node: String,
     /// Telemetry track for spans emitted from the caller's thread.
     track: String,
-    endpoint: Arc<Endpoint>,
     gpu: Arc<StorageTier>,
     host: Arc<StorageTier>,
     format: Box<dyn CheckpointFormat>,
-    counters: Arc<DeliveryCounters>,
-    /// Per-consumer wire-codec state (delta bases, acknowledged versions).
-    codec: Arc<PayloadCodec>,
     /// The causal end of the previous save's stall. Under coalescing the
     /// producer's timeline is this private chain — each save starts where
     /// the previous stall ended — because the shared clock races ahead
@@ -108,102 +144,65 @@ impl Producer {
             clock.clone(),
         ));
         let format = viper.shared.config.format.build();
-        let endpoint = Arc::new(viper.shared.fabric.register(node));
-
-        let counters = Arc::new(DeliveryCounters::new(&viper.shared.config.telemetry, node));
-        let codec = Arc::new(PayloadCodec::new(&viper.shared.config));
+        let ctx = Arc::new(ProducerCtx {
+            endpoint: Arc::new(viper.shared.fabric.register(node)),
+            counters: DeliveryCounters::new(&viper.shared.config.telemetry, node),
+            codec: PayloadCodec::new(&viper.shared.config),
+            viper,
+        });
+        let shared = &ctx.viper.shared;
         // The reactor task that drives this producer's reliable flows
         // (state machines fed by feedback mail and virtual-clock ack
         // timers). Registered unconditionally: it stays idle unless a
         // DeliveryJob is submitted.
-        viper.shared.reactor.register(
-            node,
-            Box::new(DeliveryTask::new(
-                viper.clone(),
-                Arc::clone(&endpoint),
-                Arc::clone(&codec),
-                Arc::clone(&counters),
-            )),
-        );
+        shared
+            .reactor
+            .register(node, Box::new(DeliveryTask::new(Arc::clone(&ctx))));
         let (tx, rx) = unbounded::<Job>();
         let worker = {
-            let viper = viper.clone();
-            let endpoint = Arc::clone(&endpoint);
-            let counters = Arc::clone(&counters);
-            let codec = Arc::clone(&codec);
-            let node = node.to_string();
+            let ctx = Arc::clone(&ctx);
             // Worker spans live on their own track: Begin/End pairs from
             // two OS threads on one track would interleave arbitrarily.
             let worker_track = format!("producer:{node}/worker");
             std::thread::Builder::new()
                 .name(format!("viper-producer-worker-{node}"))
                 .spawn(move || {
+                    let shared = &ctx.viper.shared;
+                    let telemetry = &shared.config.telemetry;
+                    // The worker is one serial thread: it is free for the
+                    // next update at the frontier its previous delivery
+                    // returned.
+                    let mut worker_free = SimInstant::ZERO;
                     while let Ok(job) = rx.recv() {
-                        let telemetry = viper.shared.config.telemetry.clone();
                         match job {
-                            Job::Deliver {
-                                record,
-                                ckpt,
-                                payload,
-                                crcs,
-                                route,
-                                frontier,
-                            } => {
+                            Job::Deliver(mut update) => {
+                                let bytes = update.payload.len() as u64;
                                 let _span = telemetry.span_with(
                                     "producer",
                                     "deliver.async",
                                     &worker_track,
                                     &[
-                                        ("version", record.version.into()),
-                                        ("bytes", (payload.len() as u64).into()),
+                                        ("version", update.record.version.into()),
+                                        ("bytes", bytes.into()),
                                     ],
                                 );
-                                let coalesce = viper.shared.config.coalescing();
-                                let stage = stage_time(
-                                    &viper.shared.config.profile,
-                                    route,
-                                    payload.len() as u64,
+                                let start = update.frontier.max(worker_free);
+                                update.frontier = charge_at(
+                                    &shared.clock,
+                                    start,
+                                    stage_time(&shared.config.profile, update.route, bytes),
                                 );
-                                let staged = if coalesce {
-                                    let done = charge_at(&viper.shared.clock, frontier, stage);
-                                    telemetry.complete(
-                                        "producer",
-                                        "stage",
-                                        &worker_track,
-                                        frontier.as_nanos(),
-                                        done.as_nanos(),
-                                        &[("bytes", (payload.len() as u64).into())],
-                                    );
-                                    Some(done)
-                                } else {
-                                    let t0 = telemetry.now_ns();
-                                    charge(&viper.shared.clock, stage);
-                                    telemetry.complete(
-                                        "producer",
-                                        "stage",
-                                        &worker_track,
-                                        t0,
-                                        telemetry.now_ns(),
-                                        &[("bytes", (payload.len() as u64).into())],
-                                    );
-                                    None
-                                };
+                                telemetry.complete(
+                                    "producer",
+                                    "stage",
+                                    &worker_track,
+                                    start.as_nanos(),
+                                    update.frontier.as_nanos(),
+                                    &[("bytes", bytes.into())],
+                                );
                                 // The async path captured (and staged) before
                                 // handing off, so chunks are all wire-ready.
-                                deliver(&Delivery {
-                                    viper: &viper,
-                                    endpoint: &endpoint,
-                                    codec: &codec,
-                                    counters: &counters,
-                                    record: &record,
-                                    ckpt: ckpt.as_ref(),
-                                    payload: &payload,
-                                    payload_crcs: &crcs,
-                                    route,
-                                    pipeline_capture: false,
-                                    track: &worker_track,
-                                    frontier_base: staged,
-                                });
+                                (_, worker_free) = deliver(&ctx, &update, false, &worker_track);
                             }
                             Job::Flush { record, payload } => {
                                 let _span = telemetry.span_with(
@@ -214,8 +213,8 @@ impl Producer {
                                 );
                                 let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
                                 let ntensors = record.ntensors;
-                                if viper.shared.pfs.write(&pfs_path, payload, ntensors).is_ok() {
-                                    viper.shared.db.relocate(
+                                if shared.pfs.write(&pfs_path, payload, ntensors).is_ok() {
+                                    shared.db.relocate(
                                         &record.name,
                                         record.version,
                                         Tier::Pfs.name(),
@@ -237,15 +236,12 @@ impl Producer {
 
         let save_frontier = Mutex::new(clock.now());
         Producer {
-            viper,
+            ctx,
             node: node.to_string(),
             track: format!("producer:{node}"),
-            endpoint,
             gpu,
             host,
             format,
-            counters,
-            codec,
             save_frontier,
             arena: Mutex::new(EncodeArena::new()),
             worker_tx: Some(tx),
@@ -256,34 +252,34 @@ impl Producer {
     /// Retransmission rounds performed by reliable delivery (NACK-driven
     /// plus ack-timeout blind resends).
     pub fn retransmits(&self) -> u64 {
-        self.counters.retransmits.get()
+        self.ctx.counters.retransmits.get()
     }
 
     /// Deliveries that exhausted the retransmission budget.
     pub fn deliveries_exhausted(&self) -> u64 {
-        self.counters.exhausted.get()
+        self.ctx.counters.exhausted.get()
     }
 
     /// Updates degraded to the durable PFS route after retry exhaustion.
     pub fn pfs_fallbacks(&self) -> u64 {
-        self.counters.pfs_fallbacks.get()
+        self.ctx.counters.pfs_fallbacks.get()
     }
 
     /// Delta-encoded sends attempted (delta transfer enabled, the consumer
     /// had an acknowledged, retained base).
     pub fn delta_sends(&self) -> u64 {
-        self.counters.delta_sends.get()
+        self.ctx.counters.delta_sends.get()
     }
 
     /// Full-checkpoint sends while delta transfer was enabled: freshly
     /// attached consumer, missing/stale/pruned base, or a `NeedFull` reply.
     pub fn delta_fallbacks(&self) -> u64 {
-        self.counters.delta_fallbacks.get()
+        self.ctx.counters.delta_fallbacks.get()
     }
 
     /// Wire bytes saved by delta encoding relative to full encodings.
     pub fn delta_bytes_saved(&self) -> u64 {
-        self.counters.delta_bytes_saved.get()
+        self.ctx.counters.delta_bytes_saved.get()
     }
 
     /// Payload bytes memcpy'd on the delivery path. Zero on the
@@ -292,14 +288,14 @@ impl Producer {
     /// at-most-once-per-update envelope framing under delta transfer
     /// copies the body.
     pub fn bytes_copied(&self) -> u64 {
-        self.counters.bytes_copied.get()
+        self.ctx.counters.bytes_copied.get()
     }
 
     /// Payload-buffer allocations on the save/delivery path (one per
     /// serialize, plus framed fulls and encoded deltas under delta
     /// transfer).
     pub fn payload_allocs(&self) -> u64 {
-        self.counters.payload_allocs.get()
+        self.ctx.counters.payload_allocs.get()
     }
 
     /// How many saves reused a recycled arena buffer instead of
@@ -323,33 +319,33 @@ impl Producer {
     /// Feedback frames dropped by the delivery reactor because they named
     /// an unknown/finished flow or a superseded retransmission generation.
     pub fn stale_feedback(&self) -> u64 {
-        self.counters.stale_feedback.get()
+        self.ctx.counters.stale_feedback.get()
     }
 
     /// Group ACKs received from relay roots: one per (update, subtree)
     /// with the relay tree on, each resolving every non-escalated member
     /// of the root's subtree in a single round-trip.
     pub fn group_acks(&self) -> u64 {
-        self.counters.group_acks.get()
+        self.ctx.counters.group_acks.get()
     }
 
     /// Relay roots whose delivery died (retries exhausted or the send
     /// failed outright), forcing an in-place re-parent of the topology
     /// and direct fulls to the stranded subtree members.
     pub fn reparent_events(&self) -> u64 {
-        self.counters.reparent_events.get()
+        self.ctx.counters.reparent_events.get()
     }
 
     /// Updates dropped from a congested lane's coalescing queue because a
     /// newer version arrived before they could launch (summed across
     /// consumers; zero unless `ViperConfig::coalesce_updates` is on).
     pub fn updates_superseded(&self) -> u64 {
-        self.counters.updates_superseded.get()
+        self.ctx.counters.updates_superseded.get()
     }
 
     /// Current total backlog across the delivery task's coalescing queues.
     pub fn delivery_queue_depth(&self) -> i64 {
-        self.counters.queue_depth.get()
+        self.ctx.counters.queue_depth.get()
     }
 
     /// Block until all background work this producer started is finished:
@@ -367,7 +363,8 @@ impl Producer {
             }
         }
         let (tx, rx) = unbounded();
-        self.viper
+        self.ctx
+            .viper
             .shared
             .reactor
             .submit(&self.node, Box::new(DrainBarrier { reply: tx }));
@@ -394,14 +391,16 @@ impl Producer {
     /// Blocks (in virtual time) for the strategy's producer stall; the rest
     /// of the delivery happens inline (sync) or in the background (async).
     pub fn save_weights(&self, ckpt: &Checkpoint) -> Result<SaveReceipt> {
-        let shared = &self.viper.shared;
+        let shared = &self.ctx.viper.shared;
         let clock = &shared.clock;
         let telemetry = &shared.config.telemetry;
         let strategy = shared.config.strategy;
         let coalesce = shared.config.coalescing();
         // Under coalescing the save timeline is the producer's private
         // chain (the shared clock races ahead with background deliveries);
-        // otherwise the clock frontier is the save's causal start.
+        // otherwise the clock frontier — the caller's causal present — is
+        // the save's start. This is the one read of the shared clock on the
+        // producer path: everything after is charged from `started_at`.
         let started_at = if coalesce {
             *self.save_frontier.lock()
         } else {
@@ -432,7 +431,7 @@ impl Producer {
             enc.finish_into(&mut arena)
         };
         if !encoded.reused {
-            self.counters.payload_allocs.inc();
+            self.ctx.counters.payload_allocs.inc();
         }
         let payload = encoded.payload;
         let crcs = encoded.chunk_crcs;
@@ -440,7 +439,7 @@ impl Producer {
         let route = self.select_route(strategy.route, bytes);
         if telemetry.is_enabled() {
             // Serialization is pure compute: zero-width in virtual time.
-            let now = telemetry.now_ns();
+            let now = started_at.as_nanos();
             telemetry.complete(
                 "producer",
                 "serialize",
@@ -449,10 +448,11 @@ impl Producer {
                 now,
                 &[("bytes", bytes.into())],
             );
-            telemetry.instant(
+            telemetry.instant_at(
                 "producer",
                 "route_selected",
                 &self.track,
+                now,
                 &[
                     ("configured", route_label(strategy.route).into()),
                     ("chosen", route_label(route).into()),
@@ -480,28 +480,15 @@ impl Producer {
         // Causal frontier of this save's charged work so far.
         let mut save_done = started_at;
         if !pipelined_sync {
-            if coalesce {
-                save_done = charge_at(clock, started_at, capture);
-                telemetry.complete(
-                    "producer",
-                    "capture",
-                    &self.track,
-                    started_at.as_nanos(),
-                    save_done.as_nanos(),
-                    &[("bytes", bytes.into())],
-                );
-            } else {
-                let t0 = telemetry.now_ns();
-                charge(clock, capture);
-                telemetry.complete(
-                    "producer",
-                    "capture",
-                    &self.track,
-                    t0,
-                    telemetry.now_ns(),
-                    &[("bytes", bytes.into())],
-                );
-            }
+            save_done = charge_at(clock, started_at, capture);
+            telemetry.complete(
+                "producer",
+                "capture",
+                &self.track,
+                started_at.as_nanos(),
+                save_done.as_nanos(),
+                &[("bytes", bytes.into())],
+            );
         }
 
         // 2. Cache on the staging tier. Memory tiers are uncharged (the
@@ -533,11 +520,11 @@ impl Producer {
         // displaces. The copy is skipped entirely when delta transfer is
         // off.
         let ckpt_arc = if delta_mode {
-            if let Some(base) = self.codec.newest_retained(&ckpt.model_name) {
+            if let Some(base) = self.ctx.codec.newest_retained(&ckpt.model_name) {
                 record = record.with_base(base);
             }
-            let arc = Arc::new(self.codec.snapshot(ckpt));
-            self.codec.retain(&arc);
+            let arc = Arc::new(self.ctx.codec.snapshot(ckpt));
+            self.ctx.codec.retain(&arc);
             Some(arc)
         } else {
             None
@@ -548,45 +535,34 @@ impl Producer {
         span.arg("route", route_label(route).into());
         span.arg("bytes", bytes.into());
 
+        let update = Update {
+            record,
+            ckpt: ckpt_arc,
+            payload,
+            crcs,
+            route,
+            frontier: save_done,
+        };
+
         // 4. Deliver. The PFS route is always effectively synchronous
         //    (write-through happened in capture); memory routes honour the
         //    configured mode.
         if is_async {
-            self.enqueue(Job::Deliver {
-                record: record.clone(),
-                ckpt: ckpt_arc,
-                payload: payload.clone(),
-                crcs: Arc::clone(&crcs),
-                route,
-                frontier: save_done,
-            });
+            self.enqueue(Job::Deliver(update.clone()));
         } else {
-            let sent = deliver(&Delivery {
-                viper: &self.viper,
-                endpoint: &self.endpoint,
-                codec: &self.codec,
-                counters: &self.counters,
-                record: &record,
-                ckpt: ckpt_arc.as_ref(),
-                payload: &payload,
-                payload_crcs: &crcs,
-                route,
-                pipeline_capture: pipelined_sync,
-                track: &self.track,
-                frontier_base: coalesce.then_some(save_done),
-            });
+            let (sent, frontier) = deliver(&self.ctx, &update, pipelined_sync, &self.track);
             if pipelined_sync && sent == 0 {
                 // Nothing consumed the pipelined capture model: the snapshot
                 // still happened, so bill it directly.
-                charge(clock, capture);
+                charge_at(clock, frontier, capture);
             }
         }
 
         // 5. Background fault-tolerance flush for memory routes.
         if shared.config.flush_to_pfs && route != Route::PfsStaging {
             self.enqueue(Job::Flush {
-                record: record.clone(),
-                payload: payload.clone(),
+                record: update.record,
+                payload: update.payload,
             });
         }
 
@@ -634,9 +610,7 @@ impl Producer {
             }
         }
         let resumed_at = started_at.add(stall);
-        if coalesce {
-            *self.save_frontier.lock() = resumed_at;
-        }
+        *self.save_frontier.lock() = resumed_at;
         Ok(SaveReceipt {
             version,
             bytes,
@@ -651,7 +625,7 @@ impl Producer {
     /// the hierarchy (GPU -> host -> PFS). Disabled via
     /// `ViperConfig::tier_fallback`.
     fn select_route(&self, configured: Route, bytes: u64) -> Route {
-        if !self.viper.shared.config.tier_fallback {
+        if !self.ctx.viper.shared.config.tier_fallback {
             return configured;
         }
         match configured {
@@ -689,7 +663,7 @@ impl Drop for Producer {
         // (ACK, supersession, or the durable fallback) before the task is
         // torn down — otherwise a drop mid-run would silently discard them.
         self.flush_deliveries();
-        self.viper.shared.reactor.deregister(&self.node);
+        self.ctx.viper.shared.reactor.deregister(&self.node);
     }
 }
 
@@ -706,10 +680,6 @@ fn encoded_size_hint(ckpt: &Checkpoint) -> usize {
     tensors + ckpt.model_name.len() + 64
 }
 
-pub(crate) fn charge(clock: &SimClock, dur: Duration) {
-    clock.advance_to(clock.now().add(dur));
-}
-
 /// Charge `dur` from an explicit causal `base` instead of the clock's
 /// current frontier, returning the completion instant. `advance_to` is a
 /// max, so a now-based charge racing a concurrent one from another thread
@@ -719,12 +689,6 @@ pub(crate) fn charge_at(clock: &SimClock, base: SimInstant, dur: Duration) -> Si
     let done = base.add(dur);
     clock.advance_to(done);
     done
-}
-
-/// Consumer-side apply charge, shared with the consumer module.
-pub(crate) fn charge_apply(viper: &Viper, route: Route, bytes: u64, ntensors: usize) {
-    let dur = apply_time(&viper.shared.config.profile, route, bytes, ntensors);
-    charge(&viper.shared.clock, dur);
 }
 
 /// Consumer-side apply charge from an explicit causal base (the payload's

@@ -11,6 +11,7 @@
 
 use crate::consumer::ConsumerTask;
 use crate::context::Viper;
+use crate::delivery::LANE_QUEUE_BOUND;
 use std::collections::HashMap;
 use std::sync::Arc;
 use viper_hw::SimInstant;
@@ -77,7 +78,7 @@ impl RelayState {
             sender: FlowSender::new(
                 Arc::clone(endpoint),
                 config.retry,
-                config.coalesce_queue_depth,
+                LANE_QUEUE_BOUND,
                 config.telemetry.clone(),
                 "relay",
                 SenderCounters {

@@ -281,9 +281,11 @@ impl Stage {
     }
 }
 
-/// Split `bytes` into chunk sizes of at most `chunk_bytes` (last chunk takes
-/// the remainder; zero `chunk_bytes` means one chunk). Mirrors the layout
-/// the fabric's chunked send uses.
+/// Split `bytes` into chunk sizes of at most `chunk_bytes` each (the last
+/// chunk takes the remainder). Always yields at least one chunk, so empty
+/// payloads still travel as a single (empty) chunk. A zero `chunk_bytes`
+/// means "do not split". The one chunk geometry: the fabric's chunked send
+/// splits payloads with this function (as `viper_net::chunk_sizes`).
 pub fn chunk_layout(bytes: u64, chunk_bytes: u64) -> Vec<u64> {
     if bytes == 0 || chunk_bytes == 0 || chunk_bytes >= bytes {
         return vec![bytes];

@@ -672,22 +672,10 @@ pub fn payload_chunk_crcs(payload: &[u8], chunk_bytes: u64) -> Vec<u32> {
     crcs
 }
 
-/// Split `bytes` into chunk sizes of at most `chunk_bytes` each (the last
-/// chunk takes the remainder). Always yields at least one chunk, so empty
-/// payloads still travel as a single (empty) chunk. A zero `chunk_bytes`
-/// means "do not split".
-pub fn chunk_sizes(bytes: u64, chunk_bytes: u64) -> Vec<u64> {
-    if bytes == 0 || chunk_bytes == 0 || chunk_bytes >= bytes {
-        return vec![bytes];
-    }
-    let full = bytes / chunk_bytes;
-    let rest = bytes % chunk_bytes;
-    let mut sizes = vec![chunk_bytes; full as usize];
-    if rest > 0 {
-        sizes.push(rest);
-    }
-    sizes
-}
+/// The chunk geometry of a payload — the cost model's
+/// [`viper_hw::chunk_layout`], so the priced pipeline and the wire can
+/// never disagree on how a payload splits.
+pub use viper_hw::chunk_layout as chunk_sizes;
 
 #[cfg(test)]
 mod tests {

@@ -350,35 +350,58 @@ impl Fabric {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_from(
-        &self,
-        from: &str,
-        to: &str,
-        tag: &str,
-        payload: Payload,
-        link: LinkKind,
-        kind: MessageKind,
-        at: Option<SimInstant>,
-    ) -> Result<Duration, NetError> {
-        let tx = self
-            .inner
+    /// The delivery queue of node `to`.
+    fn queue_of(&self, to: &str) -> Result<Sender<Message>, NetError> {
+        self.inner
             .nodes
             .read()
             .get(to)
             .cloned()
-            .ok_or_else(|| NetError::UnknownNode(to.to_string()))?;
+            .ok_or_else(|| NetError::UnknownNode(to.to_string()))
+    }
+
+    /// The tail of every send: `msgs` are scheduled and the last of them
+    /// arrives at `done`. The clock advances BEFORE they become visible — a
+    /// receiver that picks up the last one immediately must observe a clock
+    /// frontier that already covers this wire time, or its now-based
+    /// charges would race this advance and make the virtual timeline depend
+    /// on thread scheduling. Then the fault plan has its say, what survives
+    /// is queued on `tx`, and the receiver is signaled.
+    fn post(
+        &self,
+        to: &str,
+        tx: &Sender<Message>,
+        msgs: Vec<Message>,
+        done: SimInstant,
+        telemetry: &Telemetry,
+    ) -> Result<(), NetError> {
+        self.inner.clock.advance_to(done);
+        for msg in self.apply_faults(msgs, telemetry) {
+            tx.send(msg)
+                .map_err(|_| NetError::UnknownNode(to.to_string()))?;
+        }
+        self.notify(to);
+        Ok(())
+    }
+
+    /// Send one unchunked message at `at` — the causal instant of the event
+    /// that triggered it, never whatever the shared clock happens to read:
+    /// the clock is a frontier other threads advance concurrently. Returns
+    /// its arrival instant.
+    fn send_from(
+        &self,
+        hop: Hop<'_>,
+        payload: Payload,
+        kind: MessageKind,
+        at: SimInstant,
+    ) -> Result<SimInstant, NetError> {
+        let tx = self.queue_of(hop.to)?;
         let bytes = payload.len() as u64;
-        let wire_time = link.transfer_time(&self.inner.profile, bytes);
-        // A causal send charges from the event instant that triggered it
-        // (`at`), not from whatever the shared clock happens to read — the
-        // clock is a frontier other threads advance concurrently, so
-        // reading it would make the virtual timeline racy.
-        let sent_at = at.unwrap_or_else(|| self.inner.clock.now());
-        let arrived_at = sent_at.add(wire_time);
-        self.inner.clock.advance_to(arrived_at);
+        let wire_time = hop.link.transfer_time(&self.inner.profile, bytes);
+        let msg = hop.message(WireBuf::plain(payload), kind, at, wire_time);
+        let arrived_at = msg.arrived_at;
         let telemetry = self.telemetry();
-        let track = lane_track(from, to, link);
+        let track = lane_track(hop.from, hop.to, hop.link);
         let wire_name = match kind {
             MessageKind::Control => "control",
             _ => "wire",
@@ -387,308 +410,181 @@ impl Fabric {
             "fabric",
             wire_name,
             &track,
-            sent_at.as_nanos(),
+            at.as_nanos(),
             arrived_at.as_nanos(),
-            &[("tag", tag.into()), ("bytes", bytes.into())],
+            &[("tag", hop.tag.into()), ("bytes", bytes.into())],
         );
         telemetry.counter("fabric.msgs_sent").inc();
         telemetry
             .histogram("fabric.wire_us", &WIRE_US_BUCKETS)
             .record(wire_time.as_micros().min(u128::from(u64::MAX)) as u64);
-        telemetry
-            .counter(&format!("fabric.lane.busy_ns.{track}"))
-            .add(wire_time.as_nanos().min(u128::from(u64::MAX)) as u64);
-        let msg = Message {
-            from: from.to_string(),
-            to: to.to_string(),
-            tag: tag.to_string(),
-            payload: WireBuf::plain(payload),
-            kind,
-            link,
-            sent_at,
-            arrived_at,
-            wire_time,
-        };
-        for msg in self.apply_faults(vec![msg], &telemetry) {
-            tx.send(msg)
-                .map_err(|_| NetError::UnknownNode(to.to_string()))?;
-        }
-        self.notify(to);
-        Ok(wire_time)
+        lane_busy(&telemetry, &track, wire_time);
+        self.post(hop.to, &tx, vec![msg], arrived_at, &telemetry)?;
+        Ok(arrived_at)
     }
 
-    /// Split `payload` into chunks and pipeline them over `link`.
-    ///
-    /// Each chunk becomes its own framed [`Message`]. Scheduling models the
-    /// overlap the chunking exists for: chunk `i`'s wire transfer starts
-    /// once the chunk is captured upstream (per `opts`'s capture model) AND
-    /// the `(from, to, link)` lane is free — so same-lane chunks serialize
-    /// while capture and traffic on other lanes overlap in virtual time.
-    /// The clock only advances to the *last* chunk's arrival (the flow
-    /// makespan), not the sum of stage times.
-    fn send_chunked_from(
+    /// The one chunk scheduler: frame `chunks` of `flow` — `(index, body
+    /// CRC, ready instant)` each — put them on the flow's lane, record and
+    /// deliver them. A chunk's wire transfer starts once it is ready AND
+    /// the lane is free, never before `start`. `round` marks a
+    /// retransmission round, which draws `retransmit` spans where a first
+    /// send draws the `flow` and its `wire` chunks. Returns the instant the
+    /// lane frees behind the last chunk and the summed wire time.
+    fn send_chunks(
         &self,
-        from: &str,
-        to: &str,
-        tag: &str,
-        payload: Payload,
-        link: LinkKind,
-        opts: &ChunkedSend,
-    ) -> Result<FlowReport, NetError> {
-        let tx = self
-            .inner
-            .nodes
-            .read()
-            .get(to)
-            .cloned()
-            .ok_or_else(|| NetError::UnknownNode(to.to_string()))?;
-        let flow_id = self.inner.next_flow.fetch_add(1, Ordering::Relaxed) + 1;
-        let submitted_at = opts.submit_at.unwrap_or_else(|| self.inner.clock.now());
-        let total_bytes = payload.len() as u64;
-        let sizes = chunk_sizes(total_bytes, opts.chunk_bytes);
-        let num_chunks = sizes.len() as u32;
-        // Checksum chunk bodies before taking the lane lock: CRCs do not
-        // depend on scheduling, and this is the CPU-heavy part of a send.
-        // A fused encode already produced per-chunk CRCs in the same pass
-        // that serialized the bytes; when the caller hands those in (and
-        // the geometry matches), the send path reads zero payload bytes.
-        let crcs = match &opts.crcs {
-            Some(pre) if pre.len() == sizes.len() => {
-                debug_assert_eq!(
-                    **pre,
-                    chunk_crcs(&payload, &sizes),
-                    "precomputed chunk CRCs disagree with payload bytes"
-                );
-                std::sync::Arc::clone(pre)
-            }
-            _ => std::sync::Arc::new(chunk_crcs(&payload, &sizes)),
-        };
-
+        flow: &ChunkedFlow<'_>,
+        start: SimInstant,
+        chunks: impl Iterator<Item = (u32, u32, SimInstant)>,
+        round: bool,
+    ) -> Result<(SimInstant, Duration), NetError> {
+        let hop = flow.hop;
+        let num_chunks = flow.sizes.len() as u32;
+        let total_bytes = flow.payload.len() as u64;
         // Schedule every chunk under the lane lock so concurrent flows on
         // the same lane serialize deterministically.
-        let lane = (from.to_string(), to.to_string(), link);
+        let lane = (hop.from.to_string(), hop.to.to_string(), hop.link);
         let mut busy_map = self.inner.link_busy.lock();
-        let mut lane_free = *busy_map.get(&lane).unwrap_or(&submitted_at);
-        let mut captured = submitted_at.add(opts.capture_once);
-        let mut offset = 0u64;
+        let mut lane_free = busy_map.get(&lane).map_or(start, |busy| start.max(*busy));
         let mut wire_total = Duration::ZERO;
-        let mut completed_at = submitted_at;
-        let mut msgs = Vec::with_capacity(sizes.len());
-        for (index, &len) in sizes.iter().enumerate() {
-            let ready = match opts.capture_bw {
-                Some(bw) => {
-                    captured = captured
-                        .add(opts.capture_fixed)
-                        .add(Duration::from_secs_f64(len as f64 / bw));
-                    captured
-                }
-                None => submitted_at,
-            };
+        let mut msgs = Vec::with_capacity(chunks.size_hint().0);
+        for (index, crc32, ready) in chunks {
             // Zero-copy framing: the chunk body is a subslice of the
-            // caller's payload; only the 40-byte header is fresh bytes.
-            let body = payload.slice(offset as usize..(offset + len) as usize);
+            // sender's payload; only the 40-byte header is fresh bytes.
+            let (offset, body) = flow.chunk(index).expect("a scheduled chunk is in range");
             let header = ChunkHeader {
-                flow_id,
-                chunk_index: index as u32,
-                num_chunks,
-                offset,
-                total_bytes,
-                crc32: crcs[index],
-            };
-            let frame_len = (ChunkHeader::WIRE_SIZE + body.len()) as u64;
-            let wire_time = link.transfer_time(&self.inner.profile, frame_len);
-            let sent_at = ready.max(lane_free);
-            let arrived_at = sent_at.add(wire_time);
-            lane_free = arrived_at;
-            completed_at = arrived_at;
-            wire_total += wire_time;
-            offset += len;
-            msgs.push(Message {
-                from: from.to_string(),
-                to: to.to_string(),
-                tag: tag.to_string(),
-                payload: WireBuf::framed(header.encode(), body),
-                kind: MessageKind::Chunk,
-                link,
-                sent_at,
-                arrived_at,
-                wire_time,
-            });
-        }
-        busy_map.insert(lane, lane_free);
-        drop(busy_map);
-        let telemetry = self.telemetry();
-        if telemetry.is_enabled() {
-            let track = lane_track(from, to, link);
-            telemetry.complete(
-                "fabric",
-                "flow",
-                &track,
-                submitted_at.as_nanos(),
-                completed_at.as_nanos(),
-                &[
-                    ("tag", tag.into()),
-                    ("flow_id", flow_id.into()),
-                    ("chunks", num_chunks.into()),
-                    ("bytes", total_bytes.into()),
-                ],
-            );
-            let wire_hist = telemetry.histogram("fabric.wire_us", &WIRE_US_BUCKETS);
-            for (index, msg) in msgs.iter().enumerate() {
-                telemetry.complete(
-                    "fabric",
-                    "wire",
-                    &track,
-                    msg.sent_at.as_nanos(),
-                    msg.arrived_at.as_nanos(),
-                    &[("chunk", index.into()), ("bytes", msg.payload.len().into())],
-                );
-                wire_hist.record(msg.wire_time.as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            telemetry
-                .counter(&format!("fabric.lane.busy_ns.{track}"))
-                .add(wire_total.as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        telemetry
-            .counter("fabric.chunks_sent")
-            .add(u64::from(num_chunks));
-        // Advance the clock BEFORE the chunks become visible: a receiver
-        // that picks up the last chunk immediately must observe a clock
-        // frontier that already covers this flow's wire time, or its
-        // now-based charges would race this advance and make the virtual
-        // timeline depend on thread scheduling.
-        self.inner.clock.advance_to(completed_at);
-        for msg in self.apply_faults(msgs, &telemetry) {
-            tx.send(msg)
-                .map_err(|_| NetError::UnknownNode(to.to_string()))?;
-        }
-        self.notify(to);
-        Ok(FlowReport {
-            flow_id,
-            num_chunks,
-            bytes: total_bytes,
-            wire_total,
-            submitted_at,
-            completed_at,
-        })
-    }
-
-    /// Re-send specific chunks of an existing flow (same `flow_id` and
-    /// geometry as the original [`send_chunked`](Endpoint::send_chunked)
-    /// call). Retransmissions serialize on the same lane, charge their wire
-    /// time to the virtual clock — retries are never free — and go through
-    /// the fault plan again, so a retransmission can itself be lost.
-    #[allow(clippy::too_many_arguments)]
-    fn retransmit_chunks_from(
-        &self,
-        from: &str,
-        to: &str,
-        tag: &str,
-        payload: &Payload,
-        link: LinkKind,
-        flow_id: u64,
-        chunk_bytes: u64,
-        indices: &[u32],
-        crcs: Option<&[u32]>,
-        at: SimInstant,
-    ) -> Result<SimInstant, NetError> {
-        let tx = self
-            .inner
-            .nodes
-            .read()
-            .get(to)
-            .cloned()
-            .ok_or_else(|| NetError::UnknownNode(to.to_string()))?;
-        let total_bytes = payload.len() as u64;
-        let sizes = chunk_sizes(total_bytes, chunk_bytes);
-        let num_chunks = sizes.len() as u32;
-        let lane = (from.to_string(), to.to_string(), link);
-        // Causal base: the instant this round was decided (post-backoff).
-        let mut busy_map = self.inner.link_busy.lock();
-        let mut lane_free = (*busy_map.get(&lane).unwrap_or(&at)).max(at);
-        let mut wire_total = Duration::ZERO;
-        let mut msgs = Vec::with_capacity(indices.len());
-        for &index in indices {
-            let Some(&len) = sizes.get(index as usize) else {
-                continue;
-            };
-            let offset: u64 = sizes[..index as usize].iter().sum();
-            // Retransmissions reuse zero-copy subslices of the retained
-            // payload — no round re-frames the bytes — and with encode-time
-            // CRCs on hand they do not re-checksum them either.
-            let body = payload.slice(offset as usize..(offset + len) as usize);
-            let crc = match crcs.and_then(|c| c.get(index as usize)) {
-                Some(&crc) => {
-                    debug_assert_eq!(
-                        crc,
-                        viper_formats::crc32(&body),
-                        "precomputed CRC disagrees with chunk {index} body"
-                    );
-                    crc
-                }
-                None => viper_formats::crc32(&body),
-            };
-            let header = ChunkHeader {
-                flow_id,
+                flow_id: flow.flow_id,
                 chunk_index: index,
                 num_chunks,
                 offset,
                 total_bytes,
-                crc32: crc,
+                crc32,
             };
             let frame_len = (ChunkHeader::WIRE_SIZE + body.len()) as u64;
-            let wire_time = link.transfer_time(&self.inner.profile, frame_len);
-            let sent_at = lane_free;
-            let arrived_at = sent_at.add(wire_time);
-            lane_free = arrived_at;
-            wire_total += wire_time;
-            msgs.push(Message {
-                from: from.to_string(),
-                to: to.to_string(),
-                tag: tag.to_string(),
-                payload: WireBuf::framed(header.encode(), body),
-                kind: MessageKind::Chunk,
-                link,
-                sent_at,
-                arrived_at,
+            let wire_time = hop.link.transfer_time(&self.inner.profile, frame_len);
+            let msg = hop.message(
+                WireBuf::framed(header.encode(), body),
+                MessageKind::Chunk,
+                ready.max(lane_free),
                 wire_time,
-            });
+            );
+            lane_free = msg.arrived_at;
+            wire_total += wire_time;
+            msgs.push(msg);
         }
         busy_map.insert(lane, lane_free);
         drop(busy_map);
         let telemetry = self.telemetry();
         if telemetry.is_enabled() {
-            let track = lane_track(from, to, link);
-            for msg in &msgs {
+            let track = lane_track(hop.from, hop.to, hop.link);
+            if !round {
                 telemetry.complete(
                     "fabric",
-                    "retransmit",
+                    "flow",
                     &track,
-                    msg.sent_at.as_nanos(),
-                    msg.arrived_at.as_nanos(),
+                    start.as_nanos(),
+                    lane_free.as_nanos(),
                     &[
-                        ("flow_id", flow_id.into()),
-                        ("bytes", msg.payload.len().into()),
+                        ("tag", hop.tag.into()),
+                        ("flow_id", flow.flow_id.into()),
+                        ("chunks", num_chunks.into()),
+                        ("bytes", total_bytes.into()),
                     ],
                 );
             }
-            telemetry
-                .counter(&format!("fabric.lane.busy_ns.{track}"))
-                .add(wire_total.as_nanos().min(u128::from(u64::MAX)) as u64);
+            let wire_hist =
+                (!round).then(|| telemetry.histogram("fabric.wire_us", &WIRE_US_BUCKETS));
+            for (position, msg) in msgs.iter().enumerate() {
+                let (name, which) = if round {
+                    ("retransmit", ("flow_id", flow.flow_id.into()))
+                } else {
+                    ("wire", ("chunk", position.into()))
+                };
+                telemetry.complete(
+                    "fabric",
+                    name,
+                    &track,
+                    msg.sent_at.as_nanos(),
+                    msg.arrived_at.as_nanos(),
+                    &[which, ("bytes", msg.payload.len().into())],
+                );
+                if let Some(hist) = &wire_hist {
+                    hist.record(msg.wire_time.as_micros().min(u128::from(u64::MAX)) as u64);
+                }
+            }
+            lane_busy(&telemetry, &track, wire_total);
         }
-        telemetry
-            .counter("fabric.chunks_retransmitted")
-            .add(msgs.len() as u64);
-        // As in `send_chunked_from`: advance before the chunks are visible
-        // so the receiver never observes a clock behind this round's wire.
-        self.inner.clock.advance_to(lane_free);
-        for msg in self.apply_faults(msgs, &telemetry) {
-            tx.send(msg)
-                .map_err(|_| NetError::UnknownNode(to.to_string()))?;
-        }
-        self.notify(to);
-        Ok(lane_free)
+        let sent = if round {
+            "fabric.chunks_retransmitted"
+        } else {
+            "fabric.chunks_sent"
+        };
+        telemetry.counter(sent).add(msgs.len() as u64);
+        self.post(hop.to, &flow.tx, msgs, lane_free, &telemetry)?;
+        Ok((lane_free, wire_total))
     }
+}
+
+/// One directed send: who to whom, under which tag, over which link.
+#[derive(Clone, Copy)]
+struct Hop<'a> {
+    from: &'a str,
+    to: &'a str,
+    tag: &'a str,
+    link: LinkKind,
+}
+
+impl Hop<'_> {
+    /// A message on this hop that occupies the wire from `sent_at` for
+    /// `wire_time`.
+    fn message(
+        &self,
+        payload: WireBuf,
+        kind: MessageKind,
+        sent_at: SimInstant,
+        wire_time: Duration,
+    ) -> Message {
+        Message {
+            from: self.from.to_string(),
+            to: self.to.to_string(),
+            tag: self.tag.to_string(),
+            payload,
+            kind,
+            link: self.link,
+            sent_at,
+            arrived_at: sent_at.add(wire_time),
+            wire_time,
+        }
+    }
+}
+
+/// What the chunks of one flow share, on a first send and on every
+/// retransmission round: the hop and the receiver's queue, the payload they
+/// are views of, the flow id and the chunk geometry.
+struct ChunkedFlow<'a> {
+    hop: Hop<'a>,
+    tx: Sender<Message>,
+    payload: &'a Payload,
+    flow_id: u64,
+    sizes: Vec<u64>,
+}
+
+impl ChunkedFlow<'_> {
+    /// Byte offset and body — a view of the payload — of chunk `index`;
+    /// `None` past the flow's last chunk.
+    fn chunk(&self, index: u32) -> Option<(u64, Payload)> {
+        let len = *self.sizes.get(index as usize)?;
+        // Every chunk before the last has the first one's size.
+        let offset = u64::from(index) * self.sizes[0];
+        let body = self.payload.slice(offset as usize..(offset + len) as usize);
+        Some((offset, body))
+    }
+}
+
+/// Add `wire` to the busy-time counter of the lane drawn on `track`.
+fn lane_busy(telemetry: &Telemetry, track: &str, wire: Duration) {
+    telemetry
+        .counter(&format!("fabric.lane.busy_ns.{track}"))
+        .add(wire.as_nanos().min(u128::from(u64::MAX)) as u64);
 }
 
 /// Per-chunk body CRC32s for a payload split into `sizes`. Large flows
@@ -744,8 +640,20 @@ impl Endpoint {
         &self.node
     }
 
-    /// Send `payload` to node `to` over `link`, blocking for the modeled
-    /// wire time on the virtual clock (returns that duration).
+    /// The hop from this node to `to`.
+    fn hop<'a>(&'a self, to: &'a str, tag: &'a str, link: LinkKind) -> Hop<'a> {
+        Hop {
+            from: &self.node,
+            to,
+            tag,
+            link,
+        }
+    }
+
+    /// Send `payload` to node `to` over `link` from the shared clock's
+    /// current frontier, blocking for the modeled wire time on the virtual
+    /// clock (returns that duration). A caller that knows the causal
+    /// instant of its send uses [`Endpoint::send_at`] instead.
     pub fn send(
         &self,
         to: &str,
@@ -753,21 +661,41 @@ impl Endpoint {
         payload: impl Into<Payload>,
         link: LinkKind,
     ) -> Result<Duration, NetError> {
+        let at = self.fabric.inner.clock.now();
+        self.send_at(to, tag, payload, link, at)
+            .map(|arrived| arrived.since(at))
+    }
+
+    /// Send `payload` to node `to` over `link` at `at`, the causal instant
+    /// the payload became ready — not the shared clock frontier, which
+    /// concurrent lanes and applying consumers advance racily. Returns the
+    /// message's arrival instant.
+    pub fn send_at(
+        &self,
+        to: &str,
+        tag: &str,
+        payload: impl Into<Payload>,
+        link: LinkKind,
+        at: SimInstant,
+    ) -> Result<SimInstant, NetError> {
         self.fabric.send_from(
-            &self.node,
-            to,
-            tag,
+            self.hop(to, tag, link),
             payload.into(),
-            link,
             MessageKind::Data,
-            None,
+            at,
         )
     }
 
-    /// Send `payload` as a pipelined chunked flow (see
-    /// [`ChunkedSend`]): chunks serialize on this `(sender, to, link)` lane
-    /// while upstream capture and other lanes overlap in virtual time. The
+    /// Send `payload` as a pipelined chunked flow (see [`ChunkedSend`]); the
     /// receiver reassembles with a [`crate::FlowAssembler`].
+    ///
+    /// Each chunk becomes its own framed [`Message`]. Scheduling models the
+    /// overlap the chunking exists for: chunk `i`'s wire transfer starts
+    /// once the chunk is captured upstream (per `opts`'s capture model) AND
+    /// this `(sender, to, link)` lane is free — so same-lane chunks
+    /// serialize while capture and traffic on other lanes overlap in
+    /// virtual time. The clock only advances to the *last* chunk's arrival
+    /// (the flow makespan), not the sum of stage times.
     pub fn send_chunked(
         &self,
         to: &str,
@@ -776,8 +704,59 @@ impl Endpoint {
         link: LinkKind,
         opts: &ChunkedSend,
     ) -> Result<FlowReport, NetError> {
-        self.fabric
-            .send_chunked_from(&self.node, to, tag, payload.into(), link, opts)
+        let payload = payload.into();
+        let hop = self.hop(to, tag, link);
+        let fabric = &self.fabric;
+        let tx = fabric.queue_of(to)?;
+        let flow_id = fabric.inner.next_flow.fetch_add(1, Ordering::Relaxed) + 1;
+        let submitted_at = opts.submit_at.unwrap_or_else(|| fabric.inner.clock.now());
+        let total_bytes = payload.len() as u64;
+        let sizes = chunk_sizes(total_bytes, opts.chunk_bytes);
+        // Checksum chunk bodies before taking the lane lock: CRCs do not
+        // depend on scheduling, and this is the CPU-heavy part of a send.
+        // A fused encode already produced per-chunk CRCs in the same pass
+        // that serialized the bytes; when the caller hands those in (and
+        // the geometry matches), the send path reads zero payload bytes.
+        let crcs = match &opts.crcs {
+            Some(pre) if pre.len() == sizes.len() => {
+                debug_assert_eq!(
+                    **pre,
+                    chunk_crcs(&payload, &sizes),
+                    "precomputed chunk CRCs disagree with payload bytes"
+                );
+                std::sync::Arc::clone(pre)
+            }
+            _ => std::sync::Arc::new(chunk_crcs(&payload, &sizes)),
+        };
+        let flow = ChunkedFlow {
+            hop,
+            tx,
+            payload: &payload,
+            flow_id,
+            sizes,
+        };
+        let mut captured = submitted_at.add(opts.capture_once);
+        let chunks = flow.sizes.iter().zip(0u32..).map(|(&len, index)| {
+            let ready = match opts.capture_bw {
+                Some(bw) => {
+                    captured = captured
+                        .add(opts.capture_fixed)
+                        .add(Duration::from_secs_f64(len as f64 / bw));
+                    captured
+                }
+                None => submitted_at,
+            };
+            (index, crcs[index as usize], ready)
+        });
+        let (completed_at, wire_total) = fabric.send_chunks(&flow, submitted_at, chunks, false)?;
+        Ok(FlowReport {
+            flow_id,
+            num_chunks: flow.sizes.len() as u32,
+            bytes: total_bytes,
+            wire_total,
+            submitted_at,
+            completed_at,
+        })
     }
 
     /// Send a reliability control frame (ACK/NACK/`Round`). Control frames
@@ -795,29 +774,27 @@ impl Endpoint {
         link: LinkKind,
         at: SimInstant,
     ) -> Result<SimInstant, NetError> {
-        let wire = self.fabric.send_from(
-            &self.node,
-            to,
-            tag,
+        self.fabric.send_from(
+            self.hop(to, tag, link),
             Payload::from(control.encode()),
-            link,
             MessageKind::Control,
-            Some(at),
-        )?;
-        Ok(at.add(wire))
+            at,
+        )
     }
 
     /// Retransmit the given chunk `indices` of a flow previously sent with
     /// [`Endpoint::send_chunked`] (same `flow_id`, payload, and
-    /// `chunk_bytes`). Wire time is charged to the virtual clock and the
-    /// fault plan applies — a retransmission can be lost too. `crcs`, when
-    /// given, are the flow's encode-time per-chunk CRCs (indexed by chunk
-    /// index) so the round does not re-checksum retained bytes. The
-    /// round's chunks queue behind `max(lane_busy, at)` — `at` being the
-    /// causal instant the round was decided — never the shared clock
-    /// frontier. Returns the instant the last retransmitted chunk arrives
-    /// (the new lane-free point), which is the correct base for re-arming
-    /// the sender's ACK timer.
+    /// `chunk_bytes`): the first send restricted to those chunks, with no
+    /// capture left to overlap. Wire time is charged to the virtual clock —
+    /// retries are never free — and the fault plan applies: a
+    /// retransmission can be lost too. `crcs`, when given, are the flow's
+    /// encode-time per-chunk CRCs (indexed by chunk index) so the round
+    /// does not re-checksum retained bytes. The round's chunks queue behind
+    /// `max(lane_busy, at)` — `at` being the causal instant the round was
+    /// decided (post-backoff) — never the shared clock frontier. Returns
+    /// the instant the last retransmitted chunk arrives (the new lane-free
+    /// point), which is the correct base for re-arming the sender's ACK
+    /// timer.
     #[allow(clippy::too_many_arguments)]
     pub fn retransmit_chunks_at(
         &self,
@@ -831,18 +808,33 @@ impl Endpoint {
         crcs: Option<&[u32]>,
         at: SimInstant,
     ) -> Result<SimInstant, NetError> {
-        self.fabric.retransmit_chunks_from(
-            &self.node,
-            to,
-            tag,
+        let flow = ChunkedFlow {
+            hop: self.hop(to, tag, link),
+            tx: self.fabric.queue_of(to)?,
             payload,
-            link,
             flow_id,
-            chunk_bytes,
-            indices,
-            crcs,
-            at,
-        )
+            sizes: chunk_sizes(payload.len() as u64, chunk_bytes),
+        };
+        // Retransmissions reuse zero-copy subslices of the retained
+        // payload — no round re-frames the bytes — and with encode-time
+        // CRCs on hand they do not re-checksum them either.
+        let chunks = indices.iter().filter_map(|&index| {
+            let (_, body) = flow.chunk(index)?;
+            let crc = match crcs.and_then(|c| c.get(index as usize)) {
+                Some(&crc) => {
+                    debug_assert_eq!(
+                        crc,
+                        viper_formats::crc32(&body),
+                        "precomputed CRC disagrees with chunk {index} body"
+                    );
+                    crc
+                }
+                None => viper_formats::crc32(&body),
+            };
+            Some((index, crc, at))
+        });
+        let (lane_free, _) = self.fabric.send_chunks(&flow, at, chunks, true)?;
+        Ok(lane_free)
     }
 
     /// Blocking receive with a wall-clock timeout.
