@@ -58,8 +58,9 @@ pub(crate) struct WirePayload {
 pub(crate) type FramedBytes = (Payload, Arc<Vec<u32>>);
 
 /// Envelope-frame `body` through the streaming encoder: the one
-/// unavoidable body copy under delta transfer doubles as the chunk CRC
-/// pass, so the bytes are read exactly once.
+/// unavoidable body copy under delta transfer *is* the chunk CRC pass
+/// (`put_bytes` checksums each block as it stores it), so the bytes are
+/// read exactly once.
 pub(crate) fn frame_streaming(kind: PayloadKind, body: &[u8], chunk_bytes: u64) -> FramedBytes {
     let mut enc = StreamingEncoder::new(chunk_bytes);
     enc.put_bytes(&wire::envelope(kind));

@@ -19,12 +19,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viper_formats::{
-    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, Payload, PayloadKind,
+    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, Payload, PayloadKind, Sealed,
 };
 use viper_hw::{apply_time, Route, SimInstant, Tier};
 use viper_net::{
     deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, MessageKind, ReactorTask,
-    TaskCtx,
+    TaskCtx, WholeFlow,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -410,13 +410,31 @@ struct CorruptBatch {
     latest: SimInstant,
 }
 
+/// A whole flow decoded in the same pass that checksummed its chunks
+/// (`ConsumerTask::span`): the parse exists before any chunk CRC has been
+/// compared with its header, so it stays sealed, and is dropped unopened
+/// unless the assembler completes a flow over exactly these bytes.
+struct Spanned {
+    /// The bytes the pass read: the batch's chunk bodies, re-joined.
+    payload: Payload,
+    decoded: SealedBody,
+}
+
+/// The sealed decode of a wire payload, by the kind its envelope declared.
+enum SealedBody {
+    Full(Sealed<Checkpoint>),
+    Delta(Sealed<DeltaCheckpoint>),
+}
+
 /// The consumer's reactor task. Owns everything the old listener thread
 /// owned — reassembly state, the apply pipeline's causal cursor, the
 /// update subscription — but is driven by events instead of a poll loop:
 ///
-/// * **mail** (fabric enqueued messages): drain, CRC-check the batch on
-///   the reactor's worker pool, feed the assembler, reply ACK / NACK /
-///   NeedFull stamped with the flow's current retransmission generation;
+/// * **mail** (fabric enqueued messages): drain, checksum the batch (a
+///   whole flow in the same pass that decodes it, anything else chunk by
+///   chunk on the reactor's worker pool), feed the assembler, reply ACK /
+///   NACK / NeedFull stamped with the flow's current retransmission
+///   generation;
 /// * **timer** (virtual-clock deadline): reap stale partial flows, armed
 ///   only while a partial flow exists;
 /// * **wake** (update announcement): run discovery (push subscription or
@@ -551,6 +569,10 @@ impl ConsumerTask {
     /// footer is checked against the combination of those chunk CRCs
     /// ([`AssembledFlow::crc_of`]) and the body is not read a second time.
     /// A monolithic payload has no such CRCs and self-verifies in `decode`.
+    /// `sealed` is the decode of this very payload that the pass computing
+    /// those CRCs already made, if it made one ([`ConsumerTask::span`]); it
+    /// opens against the same combined CRC, so the body is not even read a
+    /// first time after its verify.
     fn apply_payload(
         &mut self,
         link: LinkKind,
@@ -558,6 +580,7 @@ impl ConsumerTask {
         payload: &Payload,
         arrived: SimInstant,
         flow: Option<&AssembledFlow>,
+        sealed: Option<SealedBody>,
     ) -> bool {
         let viper = &self.viper;
         let state = &self.state;
@@ -599,9 +622,10 @@ impl ConsumerTask {
         });
         let ckpt = match kind {
             PayloadKind::Full => {
-                let decoded = match body_crc {
-                    Some(crc) => self.format.decode_verified(body, crc),
-                    None => self.format.decode(body),
+                let decoded = match (body_crc, sealed) {
+                    (Some(crc), Some(SealedBody::Full(sealed))) => sealed.open(crc),
+                    (Some(crc), _) => self.format.decode_verified(body, crc),
+                    (None, _) => self.format.decode(body),
                 };
                 let Ok(ckpt) = decoded else {
                     return false;
@@ -609,9 +633,10 @@ impl ConsumerTask {
                 ckpt
             }
             PayloadKind::Delta => {
-                let decoded = match body_crc {
-                    Some(crc) => DeltaCheckpoint::decode_verified(body, crc),
-                    None => DeltaCheckpoint::decode(body),
+                let decoded = match (body_crc, sealed) {
+                    (Some(crc), Some(SealedBody::Delta(sealed))) => sealed.open(crc),
+                    (Some(crc), _) => DeltaCheckpoint::decode_verified(body, crc),
+                    (None, _) => DeltaCheckpoint::decode(body),
                 };
                 let Ok(d) = decoded else {
                     return true;
@@ -676,10 +701,41 @@ impl ConsumerTask {
         false
     }
 
-    /// Drain the endpoint completely, CRC-checking the batch on the
-    /// reactor's worker pool, and act on every resulting flow status.
-    /// Draining everything before replying or reaping means chunks already
-    /// delivered but not yet processed are never mistaken for losses.
+    /// One pass over a batch that is exactly one whole flow: the CRC of
+    /// every chunk, in batch (= index) order — what `crc_batch` would
+    /// compute, chunk by chunk — and, from the same read of the bytes, the
+    /// sealed decode `apply_payload` would otherwise re-read them for.
+    /// `None` for any other batch, and for a payload whose envelope does
+    /// not name a kind to decode as.
+    fn span(&self, batch: &[viper_net::Message]) -> Option<(Vec<u32>, Spanned)> {
+        let WholeFlow {
+            payload,
+            chunk_bytes,
+        } = WholeFlow::of(batch)?;
+        let (kind, skip) = if self.delta_mode {
+            let (kind, body) = wire::unframe(&payload).ok()?;
+            (kind, payload.len() - body.len())
+        } else {
+            (PayloadKind::Full, 0)
+        };
+        let (crcs, decoded) = match kind {
+            PayloadKind::Full => {
+                let (crcs, sealed) = self.format.decode_spanned(&payload, skip, chunk_bytes);
+                (crcs, SealedBody::Full(sealed))
+            }
+            PayloadKind::Delta => {
+                let (crcs, sealed) = DeltaCheckpoint::decode_spanned(&payload, skip, chunk_bytes);
+                (crcs, SealedBody::Delta(sealed))
+            }
+        };
+        // One CRC per message, or `drain` could not pair them up.
+        (crcs.len() == batch.len()).then_some((crcs, Spanned { payload, decoded }))
+    }
+
+    /// Drain the endpoint completely, checksum the batch, and act on every
+    /// resulting flow status. Draining everything before replying or
+    /// reaping means chunks already delivered but not yet processed are
+    /// never mistaken for losses.
     fn drain(&mut self, ctx: &mut TaskCtx<'_>) {
         let mut msgs = Vec::new();
         while let Some(msg) = self.endpoint.try_recv() {
@@ -688,9 +744,19 @@ impl ConsumerTask {
         if msgs.is_empty() {
             return;
         }
-        // Checksums fan out to the CRC pool; results come back in input
-        // order, so behavior is independent of the pool's size.
-        let batch = ctx.crc().crc_batch(msgs);
+        // A whole flow is checksummed by the pass that decodes it; any
+        // other batch fans its checksums out to the CRC pool, whose results
+        // come back in input order, so behavior is independent of the
+        // pool's size. Either way the assembler is handed, per message, the
+        // CRC computed over the body that arrived, and compares it with the
+        // chunk header: which pass computed it cannot change an outcome.
+        let (batch, mut spanned) = match self.span(&msgs) {
+            Some((crcs, spanned)) => {
+                let crcs = crcs.into_iter().map(Some);
+                (msgs.into_iter().zip(crcs).collect(), Some(spanned))
+            }
+            None => (ctx.crc().crc_batch(msgs), None),
+        };
         let telemetry = self.viper.shared.config.telemetry.clone();
         let mut corrupt: Vec<CorruptBatch> = Vec::new();
         for (msg, crc) in batch {
@@ -768,8 +834,14 @@ impl ConsumerTask {
                         // unusable delta is simply dropped (the producer
                         // only delta-encodes on the reliable path anyway).
                         let payload = msg.payload.into_payload();
-                        let _ =
-                            self.apply_payload(msg.link, &msg.tag, &payload, msg.arrived_at, None);
+                        let _ = self.apply_payload(
+                            msg.link,
+                            &msg.tag,
+                            &payload,
+                            msg.arrived_at,
+                            None,
+                            None,
+                        );
                     }
                 }
                 viper_net::FlowStatus::Complete(flow) => {
@@ -780,12 +852,20 @@ impl ConsumerTask {
                     // missing or stale answers `NeedFull` instead — the
                     // producer resets its base tracking and re-sends the
                     // update as a full checkpoint on a fresh flow.
+                    // The sealed decode is of the batch's bytes; it stands
+                    // in for a decode of the flow's only if they are the
+                    // very same bytes.
+                    let sealed = spanned
+                        .take()
+                        .filter(|spanned| spanned.payload.same_view(&flow.payload))
+                        .map(|spanned| spanned.decoded);
                     let need_full = self.apply_payload(
                         flow.link,
                         &flow.tag,
                         &flow.payload,
                         flow.completed_at,
                         Some(&flow),
+                        sealed,
                     );
                     if self.reliable {
                         // Causal reply instant: the apply this feedback

@@ -1,6 +1,7 @@
 //! The in-memory checkpoint representation shared by all formats.
 
-use crate::crc::Crc32;
+use crate::crc::ChunkCrcs;
+use std::mem::MaybeUninit;
 use viper_tensor::Tensor;
 
 /// A snapshot of a DNN model's state: named weight tensors plus the
@@ -117,16 +118,18 @@ impl std::error::Error for FormatError {}
 /// checksum verdict — so none is added, multiplied or allocated from
 /// without a check against the bytes actually left.
 ///
-/// A [`checksummed`](Reader::checksummed) reader also rolls a [`Crc32`]
-/// over the buffer, lazily: header fields are checksummed with the tensor
-/// payload that follows them, and each payload block immediately before it
-/// is copied out — the decode reads every byte from memory once.
+/// A [`checksummed`](Reader::checksummed) reader also rolls [`ChunkCrcs`]
+/// over the buffer, lazily: header fields are checksummed just ahead of the
+/// tensor payload that follows them, and the payload in the very pass that
+/// copies it out ([`ChunkCrcs::update_copying`]) — the decode reads every
+/// byte from memory once.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Rolling CRC over `buf[..hashed]`; `None` when the caller already
-    /// holds the body's CRC (or, like the partial reader, wants none).
-    crc: Option<Crc32>,
+    /// Rolling chunk CRCs of `buf[..hashed]` (and of whatever the caller
+    /// fed them before the buffer); `None` when the caller already holds
+    /// the body's CRC (or, like the partial reader, wants none).
+    crcs: Option<ChunkCrcs>,
     hashed: usize,
 }
 
@@ -135,26 +138,21 @@ pub(crate) struct Reader<'a> {
 /// [`count`](Reader::count).
 pub(crate) const MIN_TENSOR_RECORD: usize = 12;
 
-/// Payload bytes checksummed and then copied per step of a checksummed
-/// read: small enough that the copy finds the block the CRC just read still
-/// in L2, large enough that the per-block calls vanish.
-const COPY_BLOCK: usize = 256 * 1024;
-
 impl<'a> Reader<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader {
             buf,
             pos: 0,
-            crc: None,
+            crcs: None,
             hashed: 0,
         }
     }
 
-    /// A reader that checksums `buf` while it is consumed; see
-    /// [`finish_crc`](Self::finish_crc).
-    pub(crate) fn checksummed(buf: &'a [u8]) -> Self {
+    /// A reader that rolls `crcs` on over `buf` while it is consumed; see
+    /// [`finish_crcs`](Self::finish_crcs).
+    pub(crate) fn checksummed(buf: &'a [u8], crcs: ChunkCrcs) -> Self {
         Reader {
-            crc: Some(Crc32::new()),
+            crcs: Some(crcs),
             ..Reader::new(buf)
         }
     }
@@ -256,32 +254,84 @@ impl<'a> Reader<'a> {
     pub(crate) fn tensor(&mut self) -> Result<(String, Tensor), FormatError> {
         let (name, dims, nbytes) = self.tensor_header()?;
         let payload = self.take(nbytes, "tensor payload")?;
-        let hashed = self.hashed;
-        let data = match &mut self.crc {
-            None => copy_f32s(payload, |_| {}),
-            Some(crc) => {
-                // Everything parsed since the last payload (this record's
-                // header included) goes in front of the first block.
-                crc.update(&self.buf[hashed..self.pos - nbytes]);
-                self.hashed = self.pos;
-                copy_f32s(payload, |block| crc.update(block))
-            }
-        };
+        if let Some(crcs) = &mut self.crcs {
+            // Everything parsed since the last payload (this record's
+            // header included) goes in front of it.
+            crcs.update(&self.buf[self.hashed..self.pos - nbytes]);
+            self.hashed = self.pos;
+        }
+        let data = copy_f32s(payload, self.crcs.as_mut());
         let tensor =
             Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?;
         Ok((name, tensor))
     }
 
-    /// CRC32 of the **whole** buffer: what the parse did not reach (it
-    /// stopped early, or failed) is absorbed now, so the verdict never
-    /// depends on how far parsing got. Panics unless the reader is
+    /// The chunk CRCs rolled over the **whole** buffer: what the parse did
+    /// not reach (it stopped early, or failed) is absorbed now, so no
+    /// verdict depends on how far parsing got. Panics unless the reader is
     /// [`checksummed`](Self::checksummed).
-    pub(crate) fn finish_crc(&mut self) -> u32 {
-        let crc = self.crc.as_mut().expect("reader is checksummed");
-        crc.update(&self.buf[self.hashed..]);
-        self.hashed = self.buf.len();
-        crc.finalize()
+    pub(crate) fn finish_crcs(self) -> ChunkCrcs {
+        let mut crcs = self.crcs.expect("reader is checksummed");
+        crcs.update(&self.buf[self.hashed..]);
+        crcs
     }
+}
+
+/// A parse made before its checksum verdict, unreachable until the verdict
+/// is in: [`CheckpointFormat::decode_spanned`](crate::CheckpointFormat::decode_spanned)
+/// parses a payload in the same pass that checksums its chunks, so the
+/// result exists before anyone has compared a CRC. It [`open`](Self::open)s
+/// only against the CRC of the body, which the receiver derives from chunk
+/// CRCs it has by then compared with the chunk headers; dropped unopened,
+/// it was never observable.
+#[derive(Debug)]
+pub struct Sealed<T> {
+    /// The CRC footer stored behind the body; `None` when the parse is its
+    /// own verdict — the stream is too short to hold a footer, or the
+    /// format verified itself.
+    stored: Option<u32>,
+    parsed: Result<T, FormatError>,
+}
+
+impl<T> Sealed<T> {
+    /// A result that carries its own verdict: nothing is left to compare.
+    pub(crate) fn verified(parsed: Result<T, FormatError>) -> Self {
+        Sealed {
+            stored: None,
+            parsed,
+        }
+    }
+
+    /// The parse, if the stored footer equals `body_crc` — the CRC32 of
+    /// the body the footer covers, computed from the bytes that arrived.
+    /// A mismatch is [`FormatError::ChecksumMismatch`] and outranks
+    /// whatever the parse found, exactly as in `decode_verified`.
+    pub fn open(self, body_crc: u32) -> Result<T, FormatError> {
+        if let Some(stored) = self.stored {
+            check_footer(stored, body_crc)?;
+        }
+        self.parsed
+    }
+}
+
+/// The footer comparison every decode makes before it returns anything.
+fn check_footer(stored: u32, computed: u32) -> Result<(), FormatError> {
+    match stored == computed {
+        true => Ok(()),
+        false => Err(FormatError::ChecksumMismatch { stored, computed }),
+    }
+}
+
+/// Split a `body ‖ crc32(body)` stream into the body and the stored footer.
+fn split_footer(bytes: &[u8]) -> Result<(&[u8], u32), FormatError> {
+    let Some(split) = bytes.len().checked_sub(4) else {
+        return Err(FormatError::Truncated {
+            context: "crc footer",
+        });
+    };
+    let (body, footer) = bytes.split_at(split);
+    let stored = u32::from_le_bytes(footer.try_into().expect("footer is 4 bytes"));
+    Ok((body, stored))
 }
 
 /// Decode a `body ‖ crc32(body)` stream with `parse`, comparing the stored
@@ -295,29 +345,52 @@ pub(crate) fn decode_footed<T>(
     body_crc: Option<u32>,
     parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
 ) -> Result<T, FormatError> {
-    let Some(split) = bytes.len().checked_sub(4) else {
-        return Err(FormatError::Truncated {
-            context: "crc footer",
-        });
-    };
-    let (body, footer) = bytes.split_at(split);
-    let stored = u32::from_le_bytes(footer.try_into().expect("footer is 4 bytes"));
-    let check = |computed: u32| match stored == computed {
-        true => Ok(()),
-        false => Err(FormatError::ChecksumMismatch { stored, computed }),
-    };
+    let (body, stored) = split_footer(bytes)?;
     match body_crc {
         Some(computed) => {
-            check(computed)?;
+            check_footer(stored, computed)?;
             parse(&mut Reader::new(body))
         }
         None => {
-            let mut r = Reader::checksummed(body);
+            let mut r = Reader::checksummed(body, ChunkCrcs::new(0));
             let parsed = parse(&mut r);
-            check(r.finish_crc())?;
+            check_footer(stored, r.finish_crcs().stream_crc())?;
             parsed
         }
     }
+}
+
+/// One pass over a whole received payload — `skip` envelope bytes, then a
+/// `body ‖ crc32(body)` stream — that yields both the CRC32 of each of its
+/// `chunk_bytes`-sized chunks (envelope and footer included: exactly what a
+/// per-chunk verify of the same bytes computes) and the body's parse,
+/// [`Sealed`] until the caller has a verdict on those CRCs.
+pub(crate) fn decode_spanned<T>(
+    bytes: &[u8],
+    skip: usize,
+    chunk_bytes: u64,
+    parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
+) -> (Vec<u32>, Sealed<T>) {
+    let (envelope, framed) = bytes.split_at(skip.min(bytes.len()));
+    let mut crcs = ChunkCrcs::new(chunk_bytes);
+    crcs.update(envelope);
+    let sealed = match split_footer(framed) {
+        Ok((body, stored)) => {
+            let mut r = Reader::checksummed(body, crcs);
+            let parsed = parse(&mut r);
+            crcs = r.finish_crcs();
+            crcs.update(&framed[body.len()..]);
+            Sealed {
+                stored: Some(stored),
+                parsed,
+            }
+        }
+        Err(too_short) => {
+            crcs.update(framed);
+            Sealed::verified(Err(too_short))
+        }
+    };
+    (crcs.finish(), sealed)
 }
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -333,17 +406,25 @@ pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Append `f32`s as little-endian bytes. On a little-endian host that is
-/// the slice's own byte view, appended in one `memcpy`.
-pub(crate) fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
+/// The little-endian wire bytes of `data` without a copy: on a
+/// little-endian host the slice's own byte view. `None` elsewhere.
+pub(crate) fn f32s_as_le_bytes(data: &[f32]) -> Option<&[u8]> {
     if cfg!(target_endian = "big") {
-        return put_f32s_swapped(out, data);
+        return None;
     }
     // SAFETY: an `f32` is 4 initialised bytes with no padding, so the slice
     // is `size_of_val(data)` readable bytes in one allocation (and `u8` has
     // no alignment requirement). Same view as `Tensor::as_bytes`.
-    let bytes = unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), size_of_val(data)) };
-    out.extend_from_slice(bytes);
+    Some(unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), size_of_val(data)) })
+}
+
+/// Append `f32`s as little-endian bytes. On a little-endian host that is
+/// the slice's own byte view, appended in one `memcpy`.
+pub(crate) fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
+    match f32s_as_le_bytes(data) {
+        Some(bytes) => out.extend_from_slice(bytes),
+        None => put_f32s_swapped(out, data),
+    }
 }
 
 /// [`put_f32s`] for hosts whose `f32`s are not little-endian in memory.
@@ -362,39 +443,43 @@ pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, FormatError> {
             "tensor payload not a multiple of 4 bytes".into(),
         ));
     }
-    Ok(copy_f32s(bytes, |_| {}))
+    Ok(copy_f32s(bytes, None))
 }
 
-/// The copy behind [`bytes_to_f32s`], in [`COPY_BLOCK`] steps with `touch`
-/// called on each block just before it is copied (the checksummed reader's
-/// hook). `bytes.len()` must be a multiple of 4.
-fn copy_f32s(bytes: &[u8], mut touch: impl FnMut(&[u8])) -> Vec<f32> {
+/// The copy behind [`bytes_to_f32s`]; with `crcs`, the same pass over
+/// `bytes` also rolls them into the chunk CRCs (the checksummed reader's
+/// one touch per byte). `bytes.len()` must be a multiple of 4.
+fn copy_f32s(bytes: &[u8], crcs: Option<&mut ChunkCrcs>) -> Vec<f32> {
     debug_assert!(bytes.len().is_multiple_of(4));
-    let mut out = Vec::with_capacity(bytes.len() / 4);
-    for block in bytes.chunks(COPY_BLOCK) {
-        touch(block);
-        if cfg!(target_endian = "big") {
-            extend_f32s_swapped(&mut out, block);
-            continue;
+    let n = bytes.len() / 4;
+    let mut out = Vec::with_capacity(n);
+    if cfg!(target_endian = "big") {
+        if let Some(crcs) = crcs {
+            crcs.update(bytes);
         }
-        let n = block.len() / 4;
-        out.reserve(n);
-        // SAFETY: `reserve` left room for `n` more f32s behind `len`, which
-        // the copy fills with `4 * n` initialised bytes (any bit pattern is
-        // an `f32`) before `set_len` exposes them; `out`'s spare capacity
-        // cannot overlap the borrowed `block`.
-        unsafe {
-            let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
-            std::ptr::copy_nonoverlapping(block.as_ptr(), dst, 4 * n);
-            out.set_len(out.len() + n);
+        extend_f32s_swapped(&mut out, bytes);
+        return out;
+    }
+    let spare: &mut [MaybeUninit<f32>] = &mut out.spare_capacity_mut()[..n];
+    // SAFETY: the same `4 * n` bytes of spare capacity, viewed as bytes: a
+    // `MaybeUninit<u8>` has no validity or alignment requirement, and the
+    // view borrows `spare` mutably, so nothing aliases it.
+    let dst = unsafe { std::slice::from_raw_parts_mut(spare.as_mut_ptr().cast(), 4 * n) };
+    match crcs {
+        Some(crcs) => crcs.update_copying(bytes, dst),
+        None => {
+            dst.write_copy_of_slice(bytes);
         }
     }
+    // SAFETY: both arms initialised all `4 * n` bytes behind `len` (0), and
+    // any bit pattern is an `f32`.
+    unsafe { out.set_len(n) };
     out
 }
 
 /// [`copy_f32s`] for hosts whose `f32`s are not little-endian in memory.
-fn extend_f32s_swapped(out: &mut Vec<f32>, block: &[u8]) {
-    let floats = block.chunks_exact(4);
+fn extend_f32s_swapped(out: &mut Vec<f32>, bytes: &[u8]) {
+    let floats = bytes.chunks_exact(4);
     out.extend(floats.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
 }
 
@@ -525,16 +610,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn copy_f32s_touches_every_block_once_in_order() {
-        let v: Vec<f32> = (0..COPY_BLOCK / 2 + 3).map(|i| i as f32).collect();
+    fn copy_f32s_checksums_what_it_copies_across_chunk_boundaries() {
+        let v: Vec<f32> = (0..2503).map(|i| i as f32 * 0.37 - 5.0).collect();
         let mut bytes = Vec::new();
         put_f32s(&mut bytes, &v);
-        assert!(bytes.len() > 2 * COPY_BLOCK, "spans three blocks");
-        let mut touched = Vec::new();
-        let out = copy_f32s(&bytes, |block| touched.extend_from_slice(block));
-        assert_eq!(out, v);
-        assert_eq!(touched, bytes);
-        assert_eq!(copy_f32s(&[], |_| panic!("no block to touch")), []);
+        assert_eq!(copy_f32s(&bytes, None), v);
+        // Chunk boundaries inside the copy, behind a prefix already rolled.
+        for chunk in [0u64, 1, 64, 1000, 4096, 1 << 20] {
+            let mut crcs = ChunkCrcs::new(chunk);
+            crcs.update(b"prefix");
+            assert_eq!(copy_f32s(&bytes, Some(&mut crcs)), v, "chunk {chunk}");
+            assert!(copy_f32s(&[], Some(&mut crcs)).is_empty());
+            let mut want = ChunkCrcs::new(chunk);
+            want.update(b"prefix");
+            want.update(&bytes);
+            assert_eq!(crcs.finish(), want.finish(), "chunk {chunk}");
+        }
     }
 
     #[test]
@@ -546,18 +637,20 @@ pub(crate) mod tests {
         put_f32s(&mut buf, &[1.0, 2.0, 3.0]);
         put_u32(&mut buf, 0xFEED);
         // Parsed to the end, stopped half way, and not parsed at all.
-        let mut r = Reader::checksummed(&buf);
+        let checksummed = |buf| Reader::checksummed(buf, ChunkCrcs::new(0));
+        let crc_of = |r: Reader<'_>| r.finish_crcs().stream_crc();
+        let mut r = checksummed(&buf);
         let (name, t) = r.tensor().unwrap();
         assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
         assert_eq!(r.u32("tail").unwrap(), 0xFEED);
-        assert_eq!(r.finish_crc(), crc32(&buf));
-        let mut r = Reader::checksummed(&buf);
+        assert_eq!(crc_of(r), crc32(&buf));
+        let mut r = checksummed(&buf);
         r.tensor().unwrap();
-        assert_eq!(r.finish_crc(), crc32(&buf));
-        let mut r = Reader::checksummed(&buf[..buf.len() - 9]);
+        assert_eq!(crc_of(r), crc32(&buf));
+        let mut r = checksummed(&buf[..buf.len() - 9]);
         assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
-        assert_eq!(r.finish_crc(), crc32(&buf[..buf.len() - 9]));
-        assert_eq!(Reader::checksummed(&buf).finish_crc(), crc32(&buf));
+        assert_eq!(crc_of(r), crc32(&buf[..buf.len() - 9]));
+        assert_eq!(crc_of(checksummed(&buf)), crc32(&buf));
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   (requires the `pclmulqdq` + `sse4.1` CPU features, detected at
 //!   runtime): four 128-bit lanes fold 64 input bytes per iteration,
 //!   an order of magnitude past the table kernels on multi-MiB blocks.
+//!   The same loop, with its stores compiled in, is the *copying* kernel
+//!   behind [`Crc32::update_copying`]: bytes that must be both moved and
+//!   checksummed (a tensor entering the encode buffer, a tensor leaving a
+//!   received payload) are read from memory once instead of twice.
 //! * [`crc32`] via **slice-by-16** — sixteen 256-entry tables consume 16
 //!   input bytes per iteration. The portable kernel, and the forced
 //!   fallback under `VIPER_FORCE_PORTABLE_CRC=1`.
@@ -33,11 +37,16 @@
 //! reads the kernel, so simulated timelines are unaffected.
 //!
 //! [`Crc32`] is the streaming form of [`crc32`]: feed bytes in any split
-//! with [`Crc32::update`] and [`Crc32::finalize`] at the end. The fused
-//! encoder uses it to checksum serialized bytes in the same pass that
-//! produces them. [`crc32_combine`] stitches independently computed CRCs
-//! together (`crc(A ‖ B)` from `crc(A)`, `crc(B)`, `len(B)`), which both
-//! parallel block CRCs and the encoder's footer derivation ride on.
+//! with [`Crc32::update`] (or [`Crc32::update_copying`], which also
+//! writes them to a destination) and [`Crc32::finalize`] at the end.
+//! [`ChunkCrcs`] rolls one over at every chunk boundary of a stream; the
+//! fused encoder and the checksummed decode both checksum through it in
+//! the same pass that moves the bytes. [`crc32_combine`] stitches
+//! independently computed CRCs together (`crc(A ‖ B)` from `crc(A)`,
+//! `crc(B)`, `len(B)`), which both parallel block CRCs and the encoder's
+//! footer derivation ride on.
+
+use std::mem::MaybeUninit;
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -113,6 +122,22 @@ fn update_slice16(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
+/// The portable kernel, optionally copying: slice-by-16 over `src` and,
+/// when `COPY`, the same bytes stored to `dst` (which is then exactly as
+/// long as `src`) a cache-resident block at a time, so the copy re-reads
+/// from L1 what the tables just read from memory.
+fn update_portable<const COPY: bool>(mut crc: u32, src: &[u8], dst: &mut [MaybeUninit<u8>]) -> u32 {
+    if !COPY {
+        return update_slice16(crc, src);
+    }
+    const BLOCK: usize = 16 * 1024;
+    for (from, to) in src.chunks(BLOCK).zip(dst.chunks_mut(BLOCK)) {
+        crc = update_slice16(crc, from);
+        to.write_copy_of_slice(from);
+    }
+    crc
+}
+
 /// PCLMULQDQ carry-less-multiply folding kernel (`x86_64` only).
 ///
 /// The classic Intel white-paper construction for the *reflected* IEEE
@@ -123,8 +148,16 @@ fn update_slice16(mut crc: u32, bytes: &[u8]) -> u32 {
 /// state so it splices into the streaming state machine at any offset;
 /// sub-16-byte heads/tails go through the slice-by-16 table kernel,
 /// which keeps every split byte-exact.
+///
+/// There is one fold loop. `COPY` compiles a store of every block it
+/// loads into it — the copying kernel — and compiles to the plain CRC
+/// kernel without. Either way the loop prefetches ahead of its loads: the
+/// folds form four dependent chains, which alone keep too few cache
+/// misses in flight to stream from DRAM.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
+    use std::mem::MaybeUninit;
+
     /// `x^(4·128+32) mod P` and `x^(4·128-32) mod P` (64-byte fold pair),
     /// reflected-domain, bit-reversed with the implicit +1 — the standard
     /// published constants for CRC-32/IEEE.
@@ -140,34 +173,58 @@ mod clmul {
     const PX: i64 = 0x0001_db71_0641;
     const UP: i64 = 0x0001_f701_1641;
 
+    /// How far ahead of its loads the fold loop prefetches, in bytes.
+    /// Chosen from the `hotpath` bench's cold rows (128 MiB inputs rotated
+    /// through a 1 GiB working set; the sweep is in CHANGES.md, PR 20):
+    /// CRC-only throughput climbs with the distance until 4 KiB and is
+    /// flat beyond, the copying loop is flat from 1 KiB on, and neither
+    /// loses anything on cache-resident input.
+    const PREFETCH_AHEAD: usize = 4096;
+
     /// Whether the host CPU can run this kernel.
     pub(super) fn available() -> bool {
         std::arch::is_x86_feature_detected!("pclmulqdq")
             && std::arch::is_x86_feature_detected!("sse4.1")
     }
 
-    /// Raw-state CRC update over `bytes`. Arbitrary lengths: the aligned
-    /// middle runs the folded SIMD loop, head/tail bytes fall back to the
-    /// table kernel. Safe wrapper — callers need not check CPU features
-    /// beyond [`available`].
-    pub(super) fn update(state: u32, bytes: &[u8]) -> u32 {
-        if bytes.len() < 64 {
-            return super::update_slice16(state, bytes);
+    /// Raw-state CRC update over `src`, also copying it to `dst` when
+    /// `COPY` (`dst` is then exactly as long as `src`; without `COPY` it
+    /// is ignored). Arbitrary lengths: the aligned middle runs the folded
+    /// SIMD loop, head/tail bytes fall back to the table kernel. Safe
+    /// wrapper — callers need not check CPU features beyond [`available`].
+    pub(super) fn update<const COPY: bool>(
+        state: u32,
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> u32 {
+        if src.len() < 64 {
+            return super::update_portable::<COPY>(state, src, dst);
         }
-        let simd_len = bytes.len() & !15;
-        // SAFETY: gated on `available()` by the dispatch layer; the
-        // kernel itself only reads `bytes[..simd_len]` via unaligned
-        // loads, and `simd_len >= 64` and is a multiple of 16 here.
-        let state = unsafe { fold_blocks(state, &bytes[..simd_len]) };
-        super::update_slice16(state, &bytes[simd_len..])
+        let (src, src_tail) = src.split_at(src.len() & !15);
+        let (dst, dst_tail) = dst.split_at_mut(if COPY { src.len() } else { 0 });
+        // SAFETY: gated on `available()` by the dispatch layer; `src` is at
+        // least 64 bytes and a multiple of 16, and with `COPY` `dst` was
+        // just split to the same length.
+        let state = unsafe { fold_blocks::<COPY>(state, src, dst) };
+        super::update_portable::<COPY>(state, src_tail, dst_tail)
     }
 
-    /// The folded SIMD loop. `bytes.len()` must be ≥ 64 and a multiple
-    /// of 16.
+    /// The folded SIMD loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1`; `src.len()` must be
+    /// at least 64 and a multiple of 16; with `COPY`, `dst.len()` must
+    /// equal `src.len()`.
     #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
-    unsafe fn fold_blocks(state: u32, bytes: &[u8]) -> u32 {
+    unsafe fn fold_blocks<const COPY: bool>(
+        state: u32,
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> u32 {
         use std::arch::x86_64::*;
-        debug_assert!(bytes.len() >= 64 && bytes.len().is_multiple_of(16));
+        debug_assert!(src.len() >= 64 && src.len().is_multiple_of(16));
+        debug_assert!(!COPY || dst.len() == src.len());
 
         /// One 128-bit fold: carry the accumulator `a` forward across the
         /// distance encoded by `keys` and absorb the next block `b`.
@@ -179,25 +236,45 @@ mod clmul {
             _mm_xor_si128(_mm_xor_si128(lo, hi), b)
         }
 
-        let mut p = bytes.as_ptr() as *const __m128i;
-        let mut len = bytes.len();
+        /// Load the 16-byte block at `p` and, when `COPY`, store it at `q`.
+        /// `q` advances in step with `p` (wrapping: it is dangling and
+        /// never dereferenced without `COPY`).
+        #[inline]
+        #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+        unsafe fn block<const COPY: bool>(p: *const __m128i, q: *mut __m128i) -> __m128i {
+            let b = _mm_loadu_si128(p);
+            if COPY {
+                _mm_storeu_si128(q, b);
+            }
+            b
+        }
+
+        let mut p = src.as_ptr() as *const __m128i;
+        let mut q = dst.as_mut_ptr() as *mut __m128i;
+        let mut len = src.len();
         // Seed four lanes with the first 64 bytes; the running CRC state
         // folds into the low dword of the first lane.
-        let mut x0 = _mm_loadu_si128(p);
-        let mut x1 = _mm_loadu_si128(p.add(1));
-        let mut x2 = _mm_loadu_si128(p.add(2));
-        let mut x3 = _mm_loadu_si128(p.add(3));
+        let mut x0 = block::<COPY>(p, q);
+        let mut x1 = block::<COPY>(p.add(1), q.wrapping_add(1));
+        let mut x2 = block::<COPY>(p.add(2), q.wrapping_add(2));
+        let mut x3 = block::<COPY>(p.add(3), q.wrapping_add(3));
         x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(state as i32));
         p = p.add(4);
+        q = q.wrapping_add(4);
         len -= 64;
 
         let k1k2 = _mm_set_epi64x(K2, K1);
         while len >= 64 {
-            x0 = fold16(x0, _mm_loadu_si128(p), k1k2);
-            x1 = fold16(x1, _mm_loadu_si128(p.add(1)), k1k2);
-            x2 = fold16(x2, _mm_loadu_si128(p.add(2)), k1k2);
-            x3 = fold16(x3, _mm_loadu_si128(p.add(3)), k1k2);
+            // A prefetch never faults, so running past the end of `src`
+            // is harmless; the address is formed with wrapping arithmetic
+            // because it may lie outside the allocation.
+            _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(PREFETCH_AHEAD));
+            x0 = fold16(x0, block::<COPY>(p, q), k1k2);
+            x1 = fold16(x1, block::<COPY>(p.add(1), q.wrapping_add(1)), k1k2);
+            x2 = fold16(x2, block::<COPY>(p.add(2), q.wrapping_add(2)), k1k2);
+            x3 = fold16(x3, block::<COPY>(p.add(3), q.wrapping_add(3)), k1k2);
             p = p.add(4);
+            q = q.wrapping_add(4);
             len -= 64;
         }
 
@@ -208,8 +285,9 @@ mod clmul {
         x = fold16(x, x2, k3k4);
         x = fold16(x, x3, k3k4);
         while len >= 16 {
-            x = fold16(x, _mm_loadu_si128(p), k3k4);
+            x = fold16(x, block::<COPY>(p, q), k3k4);
             p = p.add(1);
+            q = q.wrapping_add(1);
             len -= 16;
         }
 
@@ -264,19 +342,29 @@ impl Crc32Kernel {
         }
     }
 
-    /// Raw-state update with this specific kernel. Panics if the kernel
-    /// is not [`available`](Self::available) on this host.
-    fn update_state(self, state: u32, bytes: &[u8]) -> u32 {
+    /// Raw-state update with this specific kernel, also copying `src` to
+    /// `dst` when `COPY` (`dst` is then exactly as long as `src`; without
+    /// `COPY` it is ignored). Panics if the kernel is not
+    /// [`available`](Self::available) on this host.
+    fn update_state<const COPY: bool>(
+        self,
+        state: u32,
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) -> u32 {
         match self {
             #[cfg(target_arch = "x86_64")]
-            Crc32Kernel::Clmul => clmul::update(state, bytes),
+            Crc32Kernel::Clmul => clmul::update::<COPY>(state, src, dst),
             #[cfg(not(target_arch = "x86_64"))]
             Crc32Kernel::Clmul => unreachable!("CLMUL kernel is x86_64-only"),
-            Crc32Kernel::Slice16 => update_slice16(state, bytes),
+            Crc32Kernel::Slice16 => update_portable::<COPY>(state, src, dst),
             Crc32Kernel::Bytewise => {
+                if COPY {
+                    dst.write_copy_of_slice(src);
+                }
                 let t = &tables()[0];
                 let mut crc = state;
-                for &b in bytes {
+                for &b in src {
                     crc = (crc >> 8) ^ t[((crc ^ b as u32) & 0xFF) as usize];
                 }
                 crc
@@ -285,12 +373,14 @@ impl Crc32Kernel {
     }
 }
 
-/// Candidate self-test: run `kernel` against the slice-by-16 reference
-/// over lengths straddling every internal boundary (sub-16 tail, sub-64
-/// seed, lane collapse) plus a split-state continuation, and require
-/// bit-identical answers. A kernel that fails is skipped, never selected
-/// — "fastest *proven-identical*".
+/// Candidate self-test: run `kernel`, CRC-only and copying, against the
+/// slice-by-16 reference over lengths straddling every internal boundary
+/// (sub-16 tail, sub-64 seed, lane collapse) plus a split-state
+/// continuation, and require bit-identical checksums, a byte-identical
+/// copy, and untouched bytes either side of the copy's window. A kernel
+/// that fails is skipped, never selected — "fastest *proven-identical*".
 fn proves_identical(kernel: Crc32Kernel) -> bool {
+    const GUARD: u8 = 0xA5;
     let mut data = [0u8; 257];
     let mut s = 0x9E37_79B9_7F4A_7C15u64;
     for b in data.iter_mut() {
@@ -299,15 +389,33 @@ fn proves_identical(kernel: Crc32Kernel) -> bool {
             .wrapping_add(1442695040888963407);
         *b = (s >> 56) as u8;
     }
-    for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 100, 128, 255, 257] {
-        let d = &data[..len];
-        if kernel.update_state(0xFFFF_FFFF, d) != update_slice16(0xFFFF_FFFF, d) {
+    let data = &data;
+    // Mid-stream splice: state from a ragged prefix must continue exactly.
+    let mid = update_slice16(0xFFFF_FFFF, &data[..37]);
+    let lens = [0usize, 1, 15, 16, 17, 63, 64, 65, 100, 128, 255, 257];
+    let cases = lens.iter().map(|&len| (0xFFFF_FFFF, &data[..len]));
+    for (state, src) in cases.chain([(mid, &data[37..])]) {
+        let want = update_slice16(state, src);
+        if kernel.update_state::<false>(state, src, &mut []) != want {
+            return false;
+        }
+        // The copy lands 3 bytes into a guard-filled buffer, so the
+        // destination is not aligned like the source.
+        let mut out = [MaybeUninit::new(GUARD); 3 + 257 + 3];
+        let window = &mut out[3..3 + src.len()];
+        if kernel.update_state::<true>(state, src, window) != want {
+            return false;
+        }
+        // SAFETY: `out` was initialised whole, and a kernel only ever
+        // stores source bytes into it, never `MaybeUninit::uninit()`.
+        let out = out.map(|b| unsafe { b.assume_init() });
+        let (before, rest) = out.split_at(3);
+        let (copy, after) = rest.split_at(src.len());
+        if copy != src || before.iter().chain(after).any(|&b| b != GUARD) {
             return false;
         }
     }
-    // Mid-stream splice: state from a ragged prefix must continue exactly.
-    let mid = update_slice16(0xFFFF_FFFF, &data[..37]);
-    kernel.update_state(mid, &data[37..]) == update_slice16(mid, &data[37..])
+    true
 }
 
 /// The kernel every dispatching entry point uses, chosen once per
@@ -329,20 +437,21 @@ pub fn active_kernel() -> Crc32Kernel {
     })
 }
 
-/// Raw-state update through the process-wide active kernel.
+/// Raw-state update through the process-wide active kernel; see
+/// [`Crc32Kernel::update_state`] for `COPY` and `dst`.
 #[inline]
-fn update_raw(crc: u32, bytes: &[u8]) -> u32 {
+fn update_raw<const COPY: bool>(crc: u32, src: &[u8], dst: &mut [MaybeUninit<u8>]) -> u32 {
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
-        Crc32Kernel::Clmul => clmul::update(crc, bytes),
-        _ => update_slice16(crc, bytes),
+        Crc32Kernel::Clmul => clmul::update::<COPY>(crc, src, dst),
+        _ => update_portable::<COPY>(crc, src, dst),
     }
 }
 
 /// CRC32 of a byte slice, dispatched to the fastest proven kernel (see
 /// [`active_kernel`]).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !update_raw(0xFFFF_FFFF, bytes)
+    !update_raw::<false>(0xFFFF_FFFF, bytes, &mut [])
 }
 
 /// CRC32 of a byte slice with an explicitly chosen kernel. For benches
@@ -354,7 +463,7 @@ pub fn crc32_with(kernel: Crc32Kernel, bytes: &[u8]) -> u32 {
         "kernel {:?} unavailable on this host",
         kernel
     );
-    !kernel.update_state(0xFFFF_FFFF, bytes)
+    !kernel.update_state::<false>(0xFFFF_FFFF, bytes, &mut [])
 }
 
 /// CRC32 of a byte slice, one byte per iteration. Reference implementation;
@@ -386,7 +495,31 @@ impl Crc32 {
     /// Absorb `bytes` (dispatched to the active kernel; see
     /// [`active_kernel`]).
     pub fn update(&mut self, bytes: &[u8]) {
-        self.state = update_raw(self.state, bytes);
+        self.state = update_raw::<false>(self.state, bytes, &mut []);
+    }
+
+    /// [`update`](Self::update) that also copies `src` into `dst` in the
+    /// same pass over memory: with the hardware kernel each 64-byte block
+    /// is stored as it is folded, so bytes that must be both moved and
+    /// checksummed are read once. Every byte of `dst` is initialised on
+    /// return. Panics unless `dst` is exactly as long as `src`.
+    pub fn update_copying(&mut self, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+        self.update_copying_with(active_kernel(), src, dst);
+    }
+
+    /// [`update_copying`](Self::update_copying) with an explicitly chosen
+    /// kernel, as [`crc32_with`] is to [`crc32`]: for benches and
+    /// kernel-equivalence tests. Panics if `kernel` is unavailable on this
+    /// host.
+    pub fn update_copying_with(
+        &mut self,
+        kernel: Crc32Kernel,
+        src: &[u8],
+        dst: &mut [MaybeUninit<u8>],
+    ) {
+        assert!(kernel.available(), "kernel {kernel:?} unavailable");
+        assert_eq!(src.len(), dst.len(), "destination must match the source");
+        self.state = kernel.update_state::<true>(self.state, src, dst);
     }
 
     /// The CRC32 of everything absorbed so far. Non-consuming: the state
@@ -529,6 +662,98 @@ impl CrcFold {
     /// CRC32 of every run pushed so far, concatenated.
     pub fn crc(&self) -> u32 {
         self.acc
+    }
+}
+
+/// CRC32s of the consecutive chunks of a byte stream, rolled as the stream
+/// goes by: one [`Crc32`] that is closed out and restarted at every
+/// multiple of `chunk_bytes`. The result is the chunk geometry the
+/// transport splits a payload into (`chunk_sizes(len, chunk_bytes)`), so
+/// the CRCs slot straight into chunk headers — or are compared with the
+/// ones that arrived in them. The fused encoder rolls one over the bytes
+/// it appends and the checksummed decode over the bytes it consumes, both
+/// through [`update_copying`](Self::update_copying) wherever the bytes are
+/// also being moved.
+#[derive(Debug)]
+pub(crate) struct ChunkCrcs {
+    /// Bytes per chunk; `0` makes the whole stream one chunk.
+    chunk_bytes: u64,
+    /// CRCs of completed (full-sized) chunks.
+    done: Vec<u32>,
+    /// Rolling state of the current, partially-filled chunk.
+    state: Crc32,
+    /// Bytes absorbed into the current partial chunk.
+    fill: u64,
+}
+
+impl ChunkCrcs {
+    pub(crate) fn new(chunk_bytes: u64) -> Self {
+        ChunkCrcs {
+            chunk_bytes,
+            done: Vec::new(),
+            state: Crc32::new(),
+            fill: 0,
+        }
+    }
+
+    /// The chunk size the CRCs are rolled for (`0` = one chunk).
+    pub(crate) fn chunk_bytes(&self) -> u64 {
+        self.chunk_bytes
+    }
+
+    /// Absorb `bytes`, closing out chunks as their boundaries pass.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        self.roll::<false>(bytes, &mut []);
+    }
+
+    /// [`update`](Self::update) that also copies `src` into `dst` in the
+    /// same pass (see [`Crc32::update_copying`]), split at the same chunk
+    /// boundaries. Panics unless `dst` is exactly as long as `src`.
+    pub(crate) fn update_copying(&mut self, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+        assert_eq!(src.len(), dst.len(), "destination must match the source");
+        self.roll::<true>(src, dst);
+    }
+
+    fn roll<const COPY: bool>(&mut self, mut src: &[u8], mut dst: &mut [MaybeUninit<u8>]) {
+        while !src.is_empty() {
+            let room = match self.chunk_bytes {
+                0 => usize::MAX,
+                chunk => usize::try_from(chunk - self.fill).unwrap_or(usize::MAX),
+            };
+            let take = room.min(src.len());
+            let (now, later) = src.split_at(take);
+            let (to, to_later) = std::mem::take(&mut dst).split_at_mut(if COPY { take } else { 0 });
+            self.state.state = update_raw::<COPY>(self.state.state, now, to);
+            (src, dst) = (later, to_later);
+            self.fill += take as u64;
+            if self.fill == self.chunk_bytes {
+                self.done.push(self.state.finalize());
+                self.state = Crc32::new();
+                self.fill = 0;
+            }
+        }
+    }
+
+    /// CRC32 of the whole stream so far, folded across the chunk
+    /// boundaries with a [`CrcFold`]: no byte is read again.
+    pub(crate) fn stream_crc(&self) -> u32 {
+        let mut fold = CrcFold::new();
+        for &crc in &self.done {
+            fold.push(crc, self.chunk_bytes);
+        }
+        fold.push(self.state.finalize(), self.fill);
+        fold.crc()
+    }
+
+    /// Seal the final chunk and return every chunk's CRC, in order. Never
+    /// empty, like `chunk_sizes`: a trailing partial chunk, the single
+    /// chunk of the `chunk_bytes == 0` / short-stream cases, or the empty
+    /// stream's lone empty chunk closes the list.
+    pub(crate) fn finish(mut self) -> Vec<u32> {
+        if self.fill > 0 || self.done.is_empty() {
+            self.done.push(self.state.finalize());
+        }
+        self.done
     }
 }
 
@@ -747,6 +972,25 @@ mod tests {
         }
     }
 
+    /// CRC32 of `src` as `kernel`'s copying variant computes it, having
+    /// checked the copy it made (at a destination `skew` bytes off the
+    /// allocation's alignment) against the source.
+    fn crc32_copying(kernel: Crc32Kernel, src: &[u8], skew: usize) -> u32 {
+        let mut out = Vec::with_capacity(skew + src.len());
+        let mut crc = Crc32::new();
+        crc.update_copying_with(
+            kernel,
+            src,
+            &mut out.spare_capacity_mut()[skew..][..src.len()],
+        );
+        out.spare_capacity_mut()[..skew].fill(MaybeUninit::new(0));
+        // SAFETY: the first `skew` bytes were just filled, and
+        // `update_copying_with` initialised the `src.len()` behind them.
+        unsafe { out.set_len(skew + src.len()) };
+        assert_eq!(&out[skew..], src, "kernel {} copy", kernel.label());
+        crc.finalize()
+    }
+
     #[test]
     fn every_available_kernel_matches_bytewise_oracle() {
         for kernel in [
@@ -763,32 +1007,80 @@ mod tests {
                 0usize, 1, 15, 16, 17, 48, 63, 64, 65, 79, 80, 127, 128, 129, 255, 256, 1000,
             ] {
                 let data = lcg_bytes(0xC0DE + len as u64, len);
+                let want = crc32_bytewise(&data);
+                let label = kernel.label();
+                assert_eq!(crc32_with(kernel, &data), want, "kernel {label} len {len}");
                 assert_eq!(
-                    crc32_with(kernel, &data),
-                    crc32_bytewise(&data),
-                    "kernel {} len {len}",
-                    kernel.label()
+                    crc32_copying(kernel, &data, len % 7),
+                    want,
+                    "copying kernel {label} len {len}"
                 );
             }
-            // Unaligned starts into a large buffer.
+            // Unaligned starts into a large buffer (and, for the copy,
+            // differently unaligned destinations).
             let data = lcg_bytes(0xA11A, 65536 + 7);
             for skip in 0..16usize {
+                let want = crc32_bytewise(&data[skip..]);
+                let label = kernel.label();
                 assert_eq!(
                     crc32_with(kernel, &data[skip..]),
-                    crc32_bytewise(&data[skip..]),
-                    "kernel {} skip {skip}",
-                    kernel.label()
+                    want,
+                    "kernel {label} skip {skip}"
+                );
+                assert_eq!(
+                    crc32_copying(kernel, &data[skip..], 15 - skip),
+                    want,
+                    "copying kernel {label} skip {skip}"
                 );
             }
             // Multi-MiB block (the throughput case the dispatch exists for).
             let big = lcg_bytes(0xB16, 3 * 1024 * 1024 + 9);
+            let want = crc32_bytewise(&big);
+            assert_eq!(crc32_with(kernel, &big), want, "kernel {}", kernel.label());
             assert_eq!(
-                crc32_with(kernel, &big),
-                crc32_bytewise(&big),
-                "kernel {}",
+                crc32_copying(kernel, &big, 3),
+                want,
+                "copying kernel {}",
                 kernel.label()
             );
         }
+    }
+
+    #[test]
+    fn chunk_crcs_roll_over_at_every_boundary_however_the_stream_is_fed() {
+        let data = lcg_bytes(0xC4C5, 5000);
+        for chunk in [0u64, 1, 7, 64, 1000, 1024, 4999, 5000, 5001, 1 << 20] {
+            let want: Vec<u32> = match chunk {
+                0 => vec![crc32(&data)],
+                chunk => data.chunks(chunk as usize).map(crc32).collect(),
+            };
+            for piece in [1usize, 13, 64, 997, 5000] {
+                let mut crcs = ChunkCrcs::new(chunk);
+                let mut copy = Vec::with_capacity(data.len());
+                // Alternate plain and copying updates over the pieces.
+                for (i, src) in data.chunks(piece).enumerate() {
+                    if i % 2 == 0 {
+                        crcs.update(src);
+                        copy.extend_from_slice(src);
+                    } else {
+                        crcs.update_copying(src, &mut copy.spare_capacity_mut()[..src.len()]);
+                        // SAFETY: `update_copying` initialised the
+                        // `src.len()` bytes behind `len`.
+                        unsafe { copy.set_len(copy.len() + src.len()) };
+                    }
+                }
+                assert_eq!(copy, data, "chunk {chunk} piece {piece}");
+                assert_eq!(
+                    crcs.stream_crc(),
+                    crc32(&data),
+                    "chunk {chunk} piece {piece}"
+                );
+                assert_eq!(crcs.finish(), want, "chunk {chunk} piece {piece}");
+            }
+        }
+        // The empty stream is one empty chunk, whatever the geometry.
+        assert_eq!(ChunkCrcs::new(64).finish(), [crc32(b"")]);
+        assert_eq!(ChunkCrcs::new(0).finish(), [crc32(b"")]);
     }
 
     #[test]
@@ -801,9 +1093,10 @@ mod tests {
         }
         let data = lcg_bytes(0x5EED, 10_000);
         for split in [0usize, 1, 16, 37, 64, 100, 4096, 9_999, 10_000] {
-            let mid = Crc32Kernel::Slice16.update_state(0xFFFF_FFFF, &data[..split]);
-            let a = Crc32Kernel::Clmul.update_state(mid, &data[split..]);
-            let b = Crc32Kernel::Slice16.update_state(mid, &data[split..]);
+            let (head, tail) = data.split_at(split);
+            let mid = Crc32Kernel::Slice16.update_state::<false>(0xFFFF_FFFF, head, &mut []);
+            let a = Crc32Kernel::Clmul.update_state::<false>(mid, tail, &mut []);
+            let b = Crc32Kernel::Slice16.update_state::<false>(mid, tail, &mut []);
             assert_eq!(a, b, "split {split}");
         }
     }

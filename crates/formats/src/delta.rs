@@ -22,10 +22,11 @@
 //! ```
 
 use crate::checkpoint::{
-    decode_footed, put_f32s, put_string, put_u32, put_u64, Reader, MIN_TENSOR_RECORD,
+    decode_footed, decode_spanned, put_f32s, put_string, put_u32, put_u64, Reader,
+    MIN_TENSOR_RECORD,
 };
 use crate::encoder::StreamMark;
-use crate::{crc32, Checkpoint, FormatError, StreamingEncoder};
+use crate::{crc32, Checkpoint, FormatError, Sealed, StreamingEncoder};
 use viper_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"VIPD";
@@ -90,8 +91,8 @@ impl DeltaCheckpoint {
 
     /// Streaming twin of [`encode`](Self::encode): writes byte-identical
     /// output into a [`StreamingEncoder`], checksumming each changed tensor
-    /// right after it lands and deriving the CRC footer algebraically — so
-    /// a delta framed behind a wire envelope is still encoded in one pass.
+    /// as it lands and deriving the CRC footer algebraically — so a delta
+    /// framed behind a wire envelope is still encoded in one pass.
     pub fn encode_into(&self, enc: &mut StreamingEncoder) {
         let mark = enc.mark();
         enc.put_bytes(MAGIC);
@@ -107,7 +108,6 @@ impl DeltaCheckpoint {
                 enc.put_u64(d as u64);
             }
             enc.put_f32s(tensor.as_slice());
-            enc.absorb();
         }
         enc.put_u32(self.unchanged.len() as u32);
         for name in &self.unchanged {
@@ -127,6 +127,13 @@ impl DeltaCheckpoint {
     /// [`CheckpointFormat::decode_verified`](crate::CheckpointFormat::decode_verified).
     pub fn decode_verified(bytes: &[u8], body_crc: u32) -> Result<Self, FormatError> {
         decode_footed(bytes, Some(body_crc), Self::parse_body)
+    }
+
+    /// The chunk CRCs of a whole received payload and its [`Sealed`]
+    /// decode from one pass over `bytes`; same contract as
+    /// [`CheckpointFormat::decode_spanned`](crate::CheckpointFormat::decode_spanned).
+    pub fn decode_spanned(bytes: &[u8], skip: usize, chunk_bytes: u64) -> (Vec<u32>, Sealed<Self>) {
+        decode_spanned(bytes, skip, chunk_bytes, Self::parse_body)
     }
 
     /// Everything between the start of the stream and the CRC footer.
@@ -272,7 +279,6 @@ impl<'a> DiffSink<'a> {
             self.enc.put_u64(d as u64);
         }
         self.enc.put_f32s(tensor.as_slice());
-        self.enc.absorb();
     }
 
     /// Close the stream: writes the unchanged-name trailer and the CRC

@@ -5,12 +5,16 @@
 //! serialize into a `Vec`, whole-buffer [`crc32`](crate::crc32) for the
 //! format footer, then per-chunk CRCs (and for wire-framed payloads a
 //! `wire::frame` re-copy) at send time. [`StreamingEncoder`] collapses
-//! that to a single pass: writers append bytes, [`absorb`]
-//! (called after each tensor, while the bytes are cache-hot) feeds them
-//! into a streaming [`Crc32`] that rolls over at every chunk boundary,
-//! and [`finish`] emits an [`EncodedPayload`] whose `chunk_crcs` slot
-//! straight into `ChunkHeader`s downstream — the transport never
-//! re-reads the bytes it ships.
+//! that to a single pass: an append *is* the checksum — [`put_f32s`] and
+//! [`put_bytes`] fold each block of the source into a rolling
+//! [`ChunkCrcs`] as they store it ([`Crc32::update_copying`]), rolling
+//! over at every chunk boundary — and [`finish`] emits an
+//! [`EncodedPayload`] whose `chunk_crcs` slot straight into
+//! `ChunkHeader`s downstream: the transport never re-reads the bytes it
+//! ships, and neither does the encoder. Only the few header bytes the
+//! fixed-width writers push are checksummed after the fact, by
+//! [`absorb`], which every bulk append, [`mark`] and [`finish`] call
+//! first; a writer never has to.
 //!
 //! Format footers (the trailing CRC32 over a format's body) fall out of
 //! the same pass: [`mark`] snapshots the stream CRC at the body start,
@@ -28,12 +32,15 @@
 //! parked; the encoder falls back to a fresh allocation.
 //!
 //! [`absorb`]: StreamingEncoder::absorb
+//! [`put_f32s`]: StreamingEncoder::put_f32s
+//! [`put_bytes`]: StreamingEncoder::put_bytes
+//! [`Crc32::update_copying`]: crate::Crc32::update_copying
 //! [`finish`]: StreamingEncoder::finish
 //! [`mark`]: StreamingEncoder::mark
 //! [`crc_since`]: StreamingEncoder::crc_since
 
-use crate::checkpoint::put_f32s;
-use crate::crc::{crc32_combine, Crc32, CrcFold};
+use crate::checkpoint::{f32s_as_le_bytes, put_f32s};
+use crate::crc::{crc32_combine, ChunkCrcs};
 use crate::payload::Payload;
 use std::sync::Arc;
 
@@ -206,15 +213,11 @@ pub struct StreamMark {
 pub struct StreamingEncoder {
     buf: Vec<u8>,
     reused: bool,
-    chunk_bytes: u64,
-    /// Bytes of `buf` already fed to the CRC state.
+    /// Per-chunk CRCs of `buf[..absorbed]` under the encoder's chunk
+    /// geometry.
+    crcs: ChunkCrcs,
+    /// Bytes of `buf` already fed to `crcs`.
     absorbed: usize,
-    /// CRCs of completed (full-sized) chunks.
-    chunk_crcs: Vec<u32>,
-    /// Rolling state of the current, partially-filled chunk.
-    state: Crc32,
-    /// Bytes absorbed into the current partial chunk.
-    fill: u64,
 }
 
 impl StreamingEncoder {
@@ -224,11 +227,8 @@ impl StreamingEncoder {
         StreamingEncoder {
             buf: Vec::new(),
             reused: false,
-            chunk_bytes,
+            crcs: ChunkCrcs::new(chunk_bytes),
             absorbed: 0,
-            chunk_crcs: Vec::new(),
-            state: Crc32::new(),
-            fill: 0,
         }
     }
 
@@ -245,11 +245,7 @@ impl StreamingEncoder {
         StreamingEncoder {
             buf,
             reused,
-            chunk_bytes,
-            absorbed: 0,
-            chunk_crcs: Vec::new(),
-            state: Crc32::new(),
-            fill: 0,
+            ..StreamingEncoder::new(chunk_bytes)
         }
     }
 
@@ -268,12 +264,19 @@ impl StreamingEncoder {
         self.buf.is_empty()
     }
 
-    /// Append raw bytes. CRC absorption is lazy; call [`absorb`] at
-    /// natural boundaries (per tensor) to checksum while cache-hot.
-    ///
-    /// [`absorb`]: Self::absorb
+    /// Append raw bytes, checksumming them in the same pass over memory:
+    /// whatever small fields are pending are [`absorb`](Self::absorb)ed,
+    /// then each block of `bytes` is folded into the chunk CRCs as it is
+    /// stored. Nothing re-reads the appended bytes afterwards.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.absorb();
+        self.buf.reserve(bytes.len());
+        let spare = &mut self.buf.spare_capacity_mut()[..bytes.len()];
+        self.crcs.update_copying(bytes, spare);
+        self.absorbed += bytes.len();
+        // SAFETY: `reserve` left at least `bytes.len()` bytes of capacity
+        // behind `len`, and `update_copying` initialised exactly those.
+        unsafe { self.buf.set_len(self.absorbed) };
     }
 
     /// Append one byte.
@@ -298,50 +301,30 @@ impl StreamingEncoder {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Append `f32`s as little-endian bytes: one `memcpy` of the slice's
-    /// byte view straight into the buffer.
+    /// Append `f32`s as little-endian bytes: [`put_bytes`](Self::put_bytes)
+    /// of the slice's own byte view, one copy-and-checksum pass.
     pub fn put_f32s(&mut self, data: &[f32]) {
-        put_f32s(&mut self.buf, data);
+        match f32s_as_le_bytes(data) {
+            Some(bytes) => self.put_bytes(bytes),
+            None => put_f32s(&mut self.buf, data),
+        }
     }
 
-    /// Feed all not-yet-checksummed bytes into the rolling CRC, closing
-    /// out chunks as their boundaries pass. Callers sprinkle this after
-    /// each tensor so the CRC reads bytes still resident in cache — the
-    /// "one pass" of the fused design.
+    /// Feed all not-yet-checksummed bytes into the chunk CRCs. Only the
+    /// fixed-width writers (`put_u8` … `put_string`) leave bytes pending —
+    /// a few dozen per tensor record — and every bulk append, every
+    /// [`mark`](Self::mark) and [`finish`](Self::finish) absorbs them
+    /// first, so a format writer has no call to make.
     pub fn absorb(&mut self) {
-        let end = self.buf.len();
-        let mut pos = self.absorbed;
-        if self.chunk_bytes == 0 {
-            self.state.update(&self.buf[pos..end]);
-            self.fill += (end - pos) as u64;
-            self.absorbed = end;
-            return;
-        }
-        while pos < end {
-            let room = (self.chunk_bytes - self.fill) as usize;
-            let take = room.min(end - pos);
-            self.state.update(&self.buf[pos..pos + take]);
-            self.fill += take as u64;
-            pos += take;
-            if self.fill == self.chunk_bytes {
-                self.chunk_crcs.push(self.state.finalize());
-                self.state = Crc32::new();
-                self.fill = 0;
-            }
-        }
-        self.absorbed = end;
+        self.crcs.update(&self.buf[self.absorbed..]);
+        self.absorbed = self.buf.len();
     }
 
     /// CRC32 of every byte written so far, folded across chunk boundaries
-    /// with a [`CrcFold`]. Absorbs pending bytes first.
+    /// (no byte is read again). Absorbs pending bytes first.
     pub fn stream_crc(&mut self) -> u32 {
         self.absorb();
-        let mut fold = CrcFold::new();
-        for &crc in &self.chunk_crcs {
-            fold.push(crc, self.chunk_bytes);
-        }
-        fold.push(self.state.finalize(), self.fill);
-        fold.crc()
+        self.crcs.stream_crc()
     }
 
     /// Snapshot the current position and stream CRC (absorbing pending
@@ -380,20 +363,14 @@ impl StreamingEncoder {
 
     fn finish_inner(mut self, arena: Option<&mut EncodeArena>) -> EncodedPayload {
         self.absorb();
-        // `chunk_sizes` always yields at least one chunk: a trailing
-        // partial chunk, the single chunk of the chunk_bytes == 0 / tiny
-        // payload cases, or the empty payload's lone empty chunk.
-        if self.fill > 0 || self.chunk_crcs.is_empty() {
-            self.chunk_crcs.push(self.state.finalize());
-        }
         let payload = Payload::from(self.buf);
         if let Some(arena) = arena {
             arena.recycle(&payload);
         }
         EncodedPayload {
             payload,
-            chunk_bytes: self.chunk_bytes,
-            chunk_crcs: Arc::new(self.chunk_crcs),
+            chunk_bytes: self.crcs.chunk_bytes(),
+            chunk_crcs: Arc::new(self.crcs.finish()),
             reused: self.reused,
         }
     }

@@ -17,9 +17,10 @@
 //! ```
 
 use crate::checkpoint::{
-    decode_footed, put_f32s, put_string, put_u32, put_u64, Reader, MIN_TENSOR_RECORD,
+    decode_footed, decode_spanned, put_f32s, put_string, put_u32, put_u64, Reader,
+    MIN_TENSOR_RECORD,
 };
-use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, StreamingEncoder};
+use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Sealed, StreamingEncoder};
 
 const MAGIC: &[u8; 4] = b"VIPR";
 const VERSION: u32 = 1;
@@ -55,9 +56,9 @@ impl CheckpointFormat for ViperFormat {
     }
 
     fn encode_into(&self, ckpt: &Checkpoint, enc: &mut StreamingEncoder) {
-        // Byte-identical to `encode`, but each tensor is checksummed right
-        // after it is written (one pass over the bytes), and the CRC footer
-        // is derived from the rolling chunk CRCs via combine — even when a
+        // Byte-identical to `encode`, but each tensor is checksummed while
+        // it is written (one pass over the bytes), and the CRC footer is
+        // derived from the rolling chunk CRCs via combine — even when a
         // wire envelope precedes the body in the same buffer.
         let mark = enc.mark();
         enc.put_bytes(MAGIC);
@@ -72,7 +73,6 @@ impl CheckpointFormat for ViperFormat {
                 enc.put_u64(d as u64);
             }
             enc.put_f32s(tensor.as_slice());
-            enc.absorb();
         }
         let crc = enc.crc_since(mark);
         enc.put_u32(crc);
@@ -84,6 +84,15 @@ impl CheckpointFormat for ViperFormat {
 
     fn decode_verified(&self, bytes: &[u8], body_crc: u32) -> Result<Checkpoint, FormatError> {
         decode_footed(bytes, Some(body_crc), parse_body)
+    }
+
+    fn decode_spanned(
+        &self,
+        bytes: &[u8],
+        skip: usize,
+        chunk_bytes: u64,
+    ) -> (Vec<u32>, Sealed<Checkpoint>) {
+        decode_spanned(bytes, skip, chunk_bytes, parse_body)
     }
 
     fn metadata_ops_factor(&self) -> f64 {

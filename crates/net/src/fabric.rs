@@ -350,6 +350,21 @@ impl Fabric {
         out
     }
 
+    /// Deliver already-framed `msgs` to node `to` as one batch, the way
+    /// every send ends: the clock covers the last arrival, the fault plan
+    /// has its say, the survivors are queued in order, and the receiver is
+    /// signaled once. Nothing is scheduled or priced — the messages carry
+    /// their own instants. For a peer that frames chunks itself: an
+    /// adapter replaying frames it received off a real wire, or a test
+    /// that must decide exactly what one drain of the receiver sees (and
+    /// what each chunk header claims).
+    pub fn deliver(&self, to: &str, msgs: Vec<Message>) -> Result<(), NetError> {
+        let tx = self.queue_of(to)?;
+        let arrivals = msgs.iter().map(|msg| msg.arrived_at);
+        let done = arrivals.max().unwrap_or(SimInstant::ZERO);
+        self.post(to, &tx, msgs, done, &self.telemetry())
+    }
+
     /// The delivery queue of node `to`.
     fn queue_of(&self, to: &str) -> Result<Sender<Message>, NetError> {
         self.inner

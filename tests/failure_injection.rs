@@ -646,6 +646,297 @@ fn chunk_clean_flow_with_a_wrong_format_footer_is_never_installed() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Whole-flow batches. A consumer that drains every chunk of a flow at once
+// checksums and decodes them in one pass over the bytes; any other batch is
+// checksummed chunk by chunk and decoded on completion. Both must reach the
+// same verdicts at the same virtual instants. The fault injector cannot test
+// the one-pass side — a body it damages lands in an allocation of its own
+// and no longer joins its neighbours — so these tests frame chunks by hand
+// and hand the consumer exactly the batch they mean it to drain.
+// ---------------------------------------------------------------------------
+
+mod whole_flow {
+    use super::*;
+    use viper_formats::{CheckpointFormat, ViperFormat};
+    use viper_hw::SimInstant;
+    use viper_net::{
+        chunk_sizes, ChunkHeader, Control, Endpoint, Message, MessageKind, Payload, WireBuf,
+    };
+
+    /// A deployment with one consumer `c` of model `m` and a raw peer. The
+    /// peer answers from the test thread, long after the reactor has gone
+    /// quiescent — which is when its virtual timers fire, so a flow left
+    /// partial is re-NACKed at wall speed until the peer acts. The consumer
+    /// must not abandon it meanwhile.
+    pub(super) fn deployment() -> (Viper, viper::Consumer, Endpoint) {
+        let mut config = ViperConfig::default()
+            .with_chunked(CHUNK_SMALL)
+            .with_reliable()
+            .with_reactor_threads(reactor_threads())
+            .with_retry(RetryPolicy {
+                max_nacks: u32::MAX,
+                ..RetryPolicy::default()
+            });
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let consumer = viper.consumer("c", "m");
+        let peer = viper.fabric().register("peer");
+        (viper, consumer, peer)
+    }
+
+    /// Version `version` of the model on the wire.
+    pub(super) fn encoded(version: u64) -> Payload {
+        Payload::from(ViperFormat.encode(&big_ckpt(version, 1_500)))
+    }
+
+    /// Every chunk of flow `flow_id` carrying `payload` as `m:{version}`,
+    /// framed as the fabric frames them — bodies are adjacent views of
+    /// `payload`, headers carry the CRC of the body — with chunk `i`
+    /// arriving `i` µs after `first_arrival`.
+    pub(super) fn framed(
+        payload: &Payload,
+        flow_id: u64,
+        version: u64,
+        first_arrival: SimInstant,
+    ) -> Vec<Message> {
+        let sizes = chunk_sizes(payload.len() as u64, CHUNK_SMALL);
+        let mut offset = 0u64;
+        let chunks = sizes.iter().zip(0u32..).map(|(&len, index)| {
+            let body = payload.slice(offset as usize..(offset + len) as usize);
+            let (num_chunks, total) = (sizes.len() as u32, payload.len() as u64);
+            let header = ChunkHeader::for_body(flow_id, index, num_chunks, offset, total, &body);
+            offset += len;
+            Message {
+                from: "peer".into(),
+                to: "c".into(),
+                tag: format!("m:{version}"),
+                payload: WireBuf::framed(header.encode(), body),
+                kind: MessageKind::Chunk,
+                link: LinkKind::HostRdma,
+                sent_at: first_arrival,
+                arrived_at: first_arrival.add(Duration::from_micros(u64::from(index))),
+                wire_time: Duration::from_micros(1),
+            }
+        });
+        chunks.collect()
+    }
+
+    /// The consumer's next control frame to the peer, and when it arrived.
+    pub(super) fn reply(peer: &Endpoint) -> (Control, SimInstant) {
+        let msg = peer.recv_timeout(Duration::from_secs(30)).expect("reply");
+        let control = Control::decode(msg.payload.as_contiguous().unwrap()).expect("control");
+        (control, msg.arrived_at)
+    }
+
+    /// The next reply that is not one more NACK of flow `flow_id`'s chunks
+    /// `missing`; every NACK skipped on the way must name exactly those.
+    pub(super) fn reply_past_nacks(
+        peer: &Endpoint,
+        flow_id: u64,
+        missing: &[u32],
+    ) -> (Control, SimInstant) {
+        loop {
+            match reply(peer) {
+                (
+                    Control::Nack {
+                        flow_id: f,
+                        missing: m,
+                        ..
+                    },
+                    _,
+                ) if f == flow_id => {
+                    assert_eq!(m, missing, "a NACK names exactly the chunks not held")
+                }
+                other => return other,
+            }
+        }
+    }
+}
+
+/// One pass or two, each chunk's CRC is computed over the body that arrived
+/// and compared with its header: a whole flow of adjacent views in which one
+/// header claims a CRC its body does not have is never installed, is NACKed
+/// with exactly that index, and installs once that one chunk is resent with
+/// an honest header — by then through the per-chunk path, since the parse
+/// the first pass made was dropped with the batch.
+#[test]
+fn whole_flow_with_one_lying_chunk_header_is_nacked_by_index_then_repaired() {
+    use viper_hw::SimInstant;
+    use viper_net::{ChunkHeader, Control, WireBuf};
+    use whole_flow::*;
+
+    const FLOW: u64 = 77;
+    const LIAR: u32 = 3;
+    let (viper, consumer, peer) = deployment();
+    let payload = encoded(1);
+    let mut batch = framed(&payload, FLOW, 1, SimInstant::from_nanos(1_000_000));
+    let (mut header, body) = ChunkHeader::decode_buf(&batch[LIAR as usize].payload).unwrap();
+    header.crc32 ^= 0x0000_0100;
+    batch[LIAR as usize].payload = WireBuf::framed(header.encode(), body);
+    viper.fabric().deliver("c", batch).unwrap();
+
+    let (nack, nacked_at) = reply(&peer);
+    let missing = vec![LIAR];
+    assert_eq!(
+        nack,
+        Control::Nack {
+            flow_id: FLOW,
+            generation: 0,
+            missing
+        }
+    );
+    assert_eq!(consumer.updates_applied(), 0);
+    assert!(consumer.current().is_none());
+
+    peer.retransmit_chunks_at(
+        "c",
+        "m:1",
+        &payload,
+        LinkKind::HostRdma,
+        FLOW,
+        CHUNK_SMALL,
+        &[LIAR],
+        None,
+        nacked_at,
+    )
+    .unwrap();
+    let (ack, _) = reply_past_nacks(&peer, FLOW, &[LIAR]);
+    assert!(matches!(ack, Control::Ack { flow_id: FLOW, .. }), "{ack:?}");
+    assert_eq!(*consumer.current().unwrap(), big_ckpt(1, 1_500));
+    assert_eq!(consumer.updates_applied(), 1);
+    assert_eq!(consumer.corrupt_chunks(), 1);
+    assert_eq!(consumer.bytes_copied(), 0);
+}
+
+/// Which pass checksummed a batch cannot change a timeline. Each scenario
+/// hands the consumer hand-framed batches and pins every reply, its virtual
+/// instant, the install and the counters to what the parent of the one-pass
+/// drain produced for the same batches, when it checksummed all of them
+/// chunk by chunk: the whole flow (one pass now); four batches that must
+/// still take the per-chunk path — one duplicate, one adjacent swap, two
+/// flows interleaved, the last chunk withheld until it is NACKed; and a
+/// whole flow that finds its first chunk already held, as a view (the
+/// one-pass parse stands in for the flow's decode) and as a copy (it is of
+/// other bytes than the flow's, and is dropped).
+#[test]
+fn hand_framed_batches_keep_their_replies_instants_and_counters() {
+    use viper_hw::SimInstant;
+    use viper_net::{Control, Message, Payload, WireBuf};
+    use whole_flow::*;
+
+    /// The next `acks` ACKs as the peer receives them (NACKs of `missing`
+    /// may come first), then the consumer's end state. How many NACKs and
+    /// reap scans a flow left partial costs depends on how long the test
+    /// thread took to answer, so those two counters are told apart.
+    fn story(
+        peer: &viper_net::Endpoint,
+        consumer: &viper::Consumer,
+        acks: usize,
+        missing: &[u32],
+    ) -> (String, [u64; 2]) {
+        let mut told = String::new();
+        for _ in 0..acks {
+            let (control, at) = reply_past_nacks(peer, 9, missing);
+            let Control::Ack { flow_id, .. } = control else {
+                panic!("{control:?}");
+            };
+            told += &format!("ack {flow_id} @{}; ", at.as_nanos());
+        }
+        let update = consumer.last_update().expect("an install");
+        told += &format!(
+            "v{} i{} @{}; applied {} corrupt {} copied {}",
+            update.version,
+            update.iteration,
+            update.swapped_at.as_nanos(),
+            consumer.updates_applied(),
+            consumer.corrupt_chunks(),
+            consumer.bytes_copied(),
+        );
+        (told, [consumer.nacks_sent(), consumer.reap_scans()])
+    }
+
+    let t0 = SimInstant::from_nanos(1_000_000);
+    let whole = |flow_id, version| framed(&encoded(version), flow_id, version, t0);
+    // Batches that leave nothing partial: no NACK, no reap scan.
+    let one_batch = |batch: Vec<Message>, acks| {
+        let (viper, consumer, peer) = deployment();
+        viper.fabric().deliver("c", batch).unwrap();
+        let (told, nacks_and_reaps) = story(&peer, &consumer, acks, &[]);
+        assert_eq!(nacks_and_reaps, [0, 0], "{told}");
+        told
+    };
+    // Two batches, the first of which leaves flow 9 short of `missing`: the
+    // reap timer NACKs those first, at `first_reap`.
+    let two_batches = |first: Vec<Message>, (first_reap, missing): (u64, &[u32]), second| {
+        let (viper, consumer, peer) = deployment();
+        viper.fabric().deliver("c", first).unwrap();
+        let (nack, nacked_at) = reply(&peer);
+        let want = Control::Nack {
+            flow_id: 9,
+            generation: 0,
+            missing: missing.to_vec(),
+        };
+        assert_eq!((nack, nacked_at.as_nanos()), (want, first_reap));
+        viper.fabric().deliver("c", second).unwrap();
+        story(&peer, &consumer, 1, missing).0
+    };
+    /// Batches of flow 9 that arrive after a NACK of it do so from here on.
+    const SECOND_ARRIVAL: SimInstant = SimInstant(20_000_000);
+
+    assert_eq!(one_batch(whole(9, 1), 1), WHOLE);
+
+    let mut duplicate = whole(9, 1);
+    duplicate.insert(3, duplicate[2].clone());
+    assert_eq!(one_batch(duplicate, 1), WHOLE);
+
+    let mut swapped = whole(9, 1);
+    swapped.swap(2, 3);
+    assert_eq!(one_batch(swapped, 1), WHOLE);
+
+    // Flow 9 carries version 1 and flow 10 version 2, chunk about.
+    let interleaved = whole(9, 1).into_iter().zip(whole(10, 2));
+    let interleaved = interleaved.flat_map(|(a, b)| [a, b]).collect();
+    assert_eq!(one_batch(interleaved, 2), INTERLEAVED);
+
+    let mut withheld = whole(9, 1);
+    let last = Message {
+        arrived_at: SECOND_ARRIVAL,
+        ..withheld.pop().unwrap()
+    };
+    assert_eq!(
+        two_batches(withheld, (9_330_675, &[5]), vec![last]),
+        WITHHELD
+    );
+
+    // Chunk 0 alone, then the whole flow: chunk 0 again is a duplicate, the
+    // flow completes on the batch's last chunk over the batch's own bytes.
+    let payload = encoded(1);
+    let head = framed(&payload, 9, 1, t0).remove(0);
+    let resent = framed(&payload, 9, 1, SECOND_ARRIVAL);
+    let rest = (9_226_568, &[1, 2, 3, 4, 5][..]);
+    assert_eq!(
+        two_batches(vec![head.clone()], rest, resent.clone()),
+        RESENT
+    );
+
+    // The same, but the chunk 0 held is a copy in an allocation of its own:
+    // the completed flow is gathered from it and the batch's other chunks.
+    let (frame, body) = viper_net::ChunkHeader::decode_buf(&head.payload).unwrap();
+    let copied = Message {
+        payload: WireBuf::framed(frame.encode(), Payload::from(body.to_vec())),
+        ..head
+    };
+    assert_eq!(two_batches(vec![copied], rest, resent), GATHERED);
+
+    const WHOLE: &str = "ack 9 @3325610; v1 i1 @3305607; applied 1 corrupt 0 copied 0";
+    const INTERLEAVED: &str =
+        "ack 9 @3325610; ack 10 @5326217; v2 i2 @5306214; applied 2 corrupt 0 copied 0";
+    const WITHHELD: &str = "ack 9 @22320610; v1 i1 @22300607; applied 1 corrupt 0 copied 0";
+    const RESENT: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 0";
+    const GATHERED: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 6082";
+}
+
 #[test]
 fn retry_exhaustion_falls_back_to_pfs_without_panicking() {
     // A dead memory link (100% drop): the push can never complete, the
