@@ -31,7 +31,7 @@
 //! deterministic-timeline invariant (disabled vs enabled telemetry is
 //! bit-identical) holds with delta transfer on.
 
-use crate::config::ViperConfig;
+use crate::config::{Delivery, Reliable};
 use crate::delivery::DeliveryCounters;
 use crate::producer::{charge_at, ProducerCtx, Update};
 use parking_lot::Mutex;
@@ -44,7 +44,7 @@ use viper_hw::{stage_time, SimInstant};
 pub(crate) struct WirePayload {
     /// Body layout the envelope advertises.
     pub(crate) kind: PayloadKind,
-    /// The bytes handed to the fabric (framed when the codec is active,
+    /// The bytes handed to the fabric (framed under delta delivery,
     /// a zero-copy view of the raw full encoding otherwise).
     pub(crate) bytes: Payload,
     /// Per-chunk CRCs of `bytes` under the update's chunk geometry,
@@ -100,11 +100,9 @@ impl ModelWireCache {
 }
 
 /// Per-producer delta state: retained diff bases and per-consumer
-/// acknowledged iterations. Inactive (all methods no-ops, `encode_for`
-/// passes the raw payload through) unless delta transfer is in effect
-/// (`ViperConfig::delta_active`).
+/// acknowledged iterations. Only a save whose plan retains a base fills it,
+/// and only `encode_for` under delta delivery reads it.
 pub(crate) struct PayloadCodec {
-    active: bool,
     keep: usize,
     /// Recently saved checkpoints usable as diff bases: model → iteration
     /// → checkpoint, pruned alongside the metadata DB's version budget.
@@ -116,19 +114,14 @@ pub(crate) struct PayloadCodec {
 }
 
 impl PayloadCodec {
-    pub(crate) fn new(config: &ViperConfig) -> Self {
+    /// A codec retaining at most `keep_versions` bases per model.
+    pub(crate) fn new(keep_versions: usize) -> Self {
         PayloadCodec {
-            active: config.delta_active(),
-            keep: config.keep_versions.max(1),
+            keep: keep_versions.max(1),
             retained: Mutex::new(HashMap::new()),
             acked: Mutex::new(HashMap::new()),
             wire_cache: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Whether updates are delta-encoded (and therefore envelope-framed).
-    pub(crate) fn active(&self) -> bool {
-        self.active
     }
 
     /// A private copy of `ckpt` to [`retain`](Self::retain). Retaining it
@@ -163,9 +156,6 @@ impl PayloadCodec {
     /// base, so a cached encoding against one can never be chosen again —
     /// keeping it would leak one framed payload per pruned version.
     pub(crate) fn retain(&self, ckpt: &Arc<Checkpoint>) {
-        if !self.active {
-            return;
-        }
         let surviving: Vec<u64> = {
             let mut retained = self.retained.lock();
             let bases = retained.entry(ckpt.model_name.clone()).or_default();
@@ -223,9 +213,10 @@ impl PayloadCodec {
         self.retained.lock().get(model)?.get(&it).cloned()
     }
 
-    /// Record that `consumer` acknowledged installing `iteration`.
+    /// Record that `consumer` acknowledged installing `iteration` of a model
+    /// this codec retains bases of; any other ack could never pick a base.
     pub(crate) fn note_acked(&self, consumer: &str, model: &str, iteration: u64) {
-        if !self.active {
+        if !self.retained.lock().contains_key(model) {
             return;
         }
         self.acked
@@ -236,9 +227,6 @@ impl PayloadCodec {
     /// Drop `consumer`'s base tracking (exhausted delivery or `NeedFull`):
     /// the next update falls back to a full checkpoint.
     pub(crate) fn forget(&self, consumer: &str, model: &str) {
-        if !self.active {
-            return;
-        }
         self.acked
             .lock()
             .remove(&(consumer.to_string(), model.to_string()));
@@ -315,7 +303,7 @@ impl PayloadCodec {
 /// served consumer, or a relay group (a tree root plus its whole subtree —
 /// the same bytes are re-served down every level). A delta is chosen only
 /// when [`PayloadCodec::base_for`] proves it applies at every member;
-/// otherwise they get the memoized framed full. With the codec inactive
+/// otherwise they get the memoized framed full. Without delta delivery
 /// this is the identity: the raw full encoding travels unframed,
 /// byte-identical to a build without the codec layer. A diff pass is
 /// charged from `frontier` — the delivery's causal instant — and moves it.
@@ -328,15 +316,15 @@ pub(crate) fn encode_for(
 ) -> WirePayload {
     let (codec, counters) = (&ctx.codec, &ctx.counters);
     let (record, payload) = (&update.record, &update.payload);
-    if !codec.active() {
+    let shared = &ctx.viper.shared;
+    let Delivery::Reliable(Reliable { delta: true, .. }) = shared.config.delivery else {
         return WirePayload {
             kind: PayloadKind::Full,
             bytes: payload.clone(),
             crcs: Some(Arc::clone(&update.crcs)),
         };
-    }
-    let shared = &ctx.viper.shared;
-    let chunk_bytes = shared.config.wire_chunk_bytes();
+    };
+    let chunk_bytes = shared.config.chunking.unwrap_or(0);
     if let Some(ckpt) = &update.ckpt {
         if let Some(base) = codec
             .base_for(members, &record.name)
@@ -426,23 +414,25 @@ mod tests {
         codec.base_for(&[consumer.to_string()], "m")
     }
 
-    fn active_codec() -> PayloadCodec {
-        PayloadCodec::new(&ViperConfig::default().with_delta())
+    fn codec() -> PayloadCodec {
+        PayloadCodec::new(16)
     }
 
     #[test]
-    fn inactive_codec_tracks_nothing() {
-        let codec = PayloadCodec::new(&ViperConfig::default());
-        assert!(!codec.active());
-        codec.retain(&ckpt(1));
+    fn an_ack_without_a_retained_base_is_no_delta_base() {
+        let codec = codec();
         codec.note_acked("c", "m", 1);
         assert_eq!(codec.newest_retained("m"), None);
+        assert!(base_of(&codec, "c").is_none());
+        // Nothing was recorded: retaining the model later does not make it
+        // one either (a non-delta deployment keeps no ack state at all).
+        codec.retain(&ckpt(1));
         assert!(base_of(&codec, "c").is_none());
     }
 
     #[test]
     fn base_requires_ack_and_retention() {
-        let codec = active_codec();
+        let codec = codec();
         codec.retain(&ckpt(1));
         // Retained but never acknowledged: no delta base.
         assert!(base_of(&codec, "c").is_none());
@@ -456,9 +446,7 @@ mod tests {
 
     #[test]
     fn retention_prunes_to_version_budget() {
-        let mut config = ViperConfig::default().with_delta();
-        config.keep_versions = 2;
-        let codec = PayloadCodec::new(&config);
+        let codec = PayloadCodec::new(2);
         for i in 1..=5 {
             codec.retain(&ckpt(i));
         }
@@ -472,9 +460,7 @@ mod tests {
 
     #[test]
     fn snapshot_recycles_the_base_retention_would_prune() {
-        let mut config = ViperConfig::default().with_delta();
-        config.keep_versions = 2;
-        let codec = PayloadCodec::new(&config);
+        let codec = PayloadCodec::new(2);
         let buffer = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();
         let save = |i| {
             let arc = Arc::new(codec.snapshot(&ckpt(i)));
@@ -505,9 +491,7 @@ mod tests {
 
     #[test]
     fn wire_cache_evicts_pruned_bases() {
-        let mut config = ViperConfig::default().with_delta();
-        config.keep_versions = 2;
-        let codec = PayloadCodec::new(&config);
+        let codec = PayloadCodec::new(2);
         codec.retain(&ckpt(1));
         codec.retain(&ckpt(2));
         // Memoize deltas of update 3 against both retained bases (and a
@@ -530,7 +514,7 @@ mod tests {
 
     #[test]
     fn wire_cache_full_is_target_keyed() {
-        let codec = active_codec();
+        let codec = codec();
         let counters = DeliveryCounters::new(&Telemetry::disabled(), "p");
         let payload = Payload::from(vec![7u8; 16]);
         let (framed, crcs) = codec.full_framed_cached("m", 1, &payload, 8, &counters);

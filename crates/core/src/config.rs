@@ -1,5 +1,6 @@
 //! Framework configuration.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 use viper_formats::{CheckpointFormat, H5Lite, ViperFormat};
 use viper_hw::{CaptureMode, MachineProfile, Route, TransferStrategy};
@@ -37,6 +38,62 @@ impl FormatKind {
     }
 }
 
+/// How memory-route updates reach the consumers. Every extension past the
+/// paper's push rides the reliable layer — a delta base is "acknowledged"
+/// only through its ACK channel, the coalescing lanes live in its delivery
+/// reactor, relays group-ACK over its control path — so they are options of
+/// [`Delivery::Reliable`], and a mode the engine does not run cannot be
+/// written down. The PFS route is unaffected: consumers pull from the
+/// shared tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Delivery {
+    /// The paper's push: each attached consumer is sent the payload once,
+    /// one after another. The fault-free fast path, byte- and
+    /// timing-identical to a build without the reliability layer.
+    #[default]
+    BestEffort,
+    /// Per-chunk CRC verification, receiver NACK/ACK feedback and sender
+    /// retransmission with backoff under [`ViperConfig::retry`] (a
+    /// monolithic payload travels as a one-chunk flow). When the retry
+    /// budget is exhausted the producer degrades the update to the durable
+    /// PFS route.
+    Reliable(Reliable),
+}
+
+/// The options of [`Delivery::Reliable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Reliable {
+    /// Encode updates as incremental [`viper_formats::delta`] checkpoints
+    /// when the receiving consumer has acknowledged a retained base
+    /// version, falling back to a full checkpoint for fresh consumers,
+    /// stale bases, and the durable PFS paths (which always store full
+    /// encodings). Wire payloads carry an explicit payload-kind envelope
+    /// ([`viper_formats::wire`]) so the receiver dispatches by header,
+    /// never by sniffing.
+    pub delta: bool,
+    /// Collapse-to-latest coalescing: while an update is in flight to a
+    /// consumer, the newest later version waits behind it and every
+    /// version in between is dropped before it touches the wire (counted
+    /// per consumer as `updates_superseded`, with a `queue_depth` gauge).
+    /// Saves stop blocking on the slowest consumer — the producer's
+    /// pipeline runs ahead while congested consumers skip straight to the
+    /// newest version.
+    pub coalesce: bool,
+    /// Distribute through a relay tree of this fan-out (children per node)
+    /// instead of producer point-to-point sends: consumers are organized
+    /// into a bounded-fan-out tree ([`viper_net::Topology`]), the producer
+    /// ships each update once per tree root, and every relay consumer
+    /// re-serves the already-framed chunk bytes to its children after
+    /// installing the update itself. The producer sees one group-level ACK
+    /// per subtree instead of one round-trip per consumer, so wire time
+    /// and retransmit state on the producer grow with the *fan-out*, not
+    /// the fleet size, and propagation makespan grows with tree depth
+    /// (~`log n`). Relay misses and relay failures degrade to direct
+    /// producer sends, counted by `group_acks`/`reparent_events`. `None`:
+    /// point to point.
+    pub relay_fanout: Option<NonZeroUsize>,
+}
+
 /// Configuration of a Viper deployment.
 #[derive(Debug, Clone)]
 pub struct ViperConfig {
@@ -52,21 +109,15 @@ pub struct ViperConfig {
     pub flush_to_pfs: bool,
     /// How many versions of each model to keep in the metadata DB.
     pub keep_versions: usize,
-    /// Let the Transfer Selector degrade the route down the tier hierarchy
-    /// (GPU → host → PFS) when the configured staging tier is out of
-    /// memory, instead of failing the save (Fig. 7's strategy selection).
-    pub tier_fallback: bool,
     /// How consumers discover updates (push vs baseline polling).
     pub discovery: DiscoveryMode,
-    /// Deliver memory-route checkpoints as a pipelined chunked flow: the
-    /// payload is split into `chunk_bytes` chunks, each its own message, so
-    /// capture, wire, and apply of successive chunks overlap in virtual
-    /// time. The PFS route and the default monolithic path are unaffected.
-    pub chunked_transfer: bool,
-    /// Chunk size for the pipelined path (bytes of original payload per
-    /// chunk). Small chunks pay per-chunk fixed costs; the ~64 MiB default
-    /// keeps those under 1% on the Polaris profile.
-    pub chunk_bytes: u64,
+    /// Deliver memory-route checkpoints as a pipelined chunked flow of
+    /// chunks of this many bytes of payload (0: one chunk), each its own
+    /// message, so capture, wire, and apply of successive chunks overlap in
+    /// virtual time. Small chunks pay per-chunk fixed costs; ~64 MiB keeps
+    /// those under 1% on the Polaris profile. `None` — the default — sends
+    /// one monolithic message. The PFS route is unaffected.
+    pub chunking: Option<u64>,
     /// Persist the PFS tier's objects as files under this directory,
     /// surviving process restarts (see [`crate::Viper::recover_catalog`]).
     pub pfs_dir: Option<std::path::PathBuf>,
@@ -74,59 +125,12 @@ pub struct ViperConfig {
     /// deployment construction (drops, duplicates, reorders, bit flips).
     /// `None` — the default — leaves the fabric untouched.
     pub fault_plan: Option<viper_net::FaultPlan>,
-    /// Reliable delivery for memory routes: per-chunk CRC verification,
-    /// receiver NACK/ACK feedback, and sender retransmission with backoff
-    /// under [`ViperConfig::retry`]. When the retry budget is exhausted the
-    /// producer degrades the update to the durable PFS route. Off by
-    /// default: the fault-free fast path is byte- and timing-identical to a
-    /// build without the reliability layer.
-    pub reliable_delivery: bool,
-    /// Encode memory-route updates as incremental [`viper_formats::delta`]
-    /// checkpoints when the receiving consumer has acknowledged a retained
-    /// base version, falling back to a full checkpoint for fresh consumers,
-    /// stale bases, and the durable PFS paths (which always store full
-    /// encodings). Wire payloads carry an explicit payload-kind envelope
-    /// ([`viper_formats::wire`]) so the receiver dispatches by header, never
-    /// by sniffing. Implies [`ViperConfig::reliable_delivery`]: a base is
-    /// "acknowledged" only through the ACK channel, and the `NeedFull`
-    /// recovery reply rides the same control path.
-    pub delta_transfer: bool,
+    /// How memory-route updates reach the consumers.
+    pub delivery: Delivery,
     /// Retransmission budget and pacing for reliable delivery (also paces
-    /// the consumer's stale-flow reaping, even when `reliable_delivery` is
-    /// off, so lost flows cannot pin reassembly buffers forever).
+    /// the consumer's stale-flow reaping under best-effort delivery, so
+    /// lost flows cannot pin reassembly buffers forever).
     pub retry: viper_net::RetryPolicy,
-    /// Collapse-to-latest coalescing on the reliable delivery path: while
-    /// an update is in flight to a consumer, the newest later version waits
-    /// behind it and every version in between is dropped before it touches
-    /// the wire (counted per consumer as `updates_superseded`, with a
-    /// `queue_depth` gauge). Saves stop
-    /// blocking on the slowest consumer — the producer's pipeline runs
-    /// ahead while congested consumers skip straight to the newest
-    /// version. Off by default: the blocking path stays byte- and
-    /// timing-identical to previous builds. Requires
-    /// [`ViperConfig::reliable_delivery`] (enabled by
-    /// [`ViperConfig::with_coalescing`]).
-    pub coalesce_updates: bool,
-    /// Distribute reliable memory-route updates through a relay tree
-    /// instead of producer point-to-point sends: consumers are organized
-    /// into a bounded-fan-out tree ([`viper_net::Topology`]), the producer
-    /// ships each update once per tree root, and every relay consumer
-    /// re-serves the already-framed chunk bytes to its children after
-    /// installing the update itself. The producer sees one group-level ACK
-    /// per subtree (sent when the whole subtree has installed) instead of
-    /// one round-trip per consumer, so wire time and retransmit state on
-    /// the producer grow with the *fan-out*, not the fleet size, and
-    /// propagation makespan grows with tree depth (~`log n`). Relay
-    /// misses (a subtree member that cannot use the relayed payload) and
-    /// relay failures degrade to direct producer sends, counted by
-    /// `group_acks`/`reparent_events`. Off by default; requires
-    /// [`ViperConfig::reliable_delivery`] (enabled by
-    /// [`ViperConfig::with_relay_tree`]).
-    pub relay_tree: bool,
-    /// Fan-out bound of the relay tree (children per node, clamped to at
-    /// least 1). The default of 4 keeps subtree serve time per level low
-    /// while reaching 100k consumers in 9 levels.
-    pub relay_fanout: usize,
     /// Worker-thread budget for the delivery reactor's CRC pool. The
     /// reactor itself is always one scheduler thread; this only sizes the
     /// pool that checksums incoming chunk batches. `1` (the default) means
@@ -154,18 +158,12 @@ impl Default for ViperConfig {
             format: FormatKind::Viper,
             flush_to_pfs: true,
             keep_versions: 16,
-            tier_fallback: true,
             discovery: DiscoveryMode::Push,
-            chunked_transfer: false,
-            chunk_bytes: 64 * 1024 * 1024,
+            chunking: None,
             pfs_dir: None,
             fault_plan: None,
-            reliable_delivery: false,
-            delta_transfer: false,
+            delivery: Delivery::BestEffort,
             retry: viper_net::RetryPolicy::default(),
-            coalesce_updates: false,
-            relay_tree: false,
-            relay_fanout: 4,
             reactor_threads: 1,
             telemetry: viper_telemetry::Telemetry::disabled(),
         }
@@ -202,34 +200,6 @@ impl ViperConfig {
         }
     }
 
-    /// Collapse-to-latest coalescing is in effect: its lanes live on the
-    /// reliable path.
-    pub(crate) fn coalescing(&self) -> bool {
-        self.coalesce_updates && self.reliable_delivery
-    }
-
-    /// Updates are delta-encoded (and envelope-framed): a base is only
-    /// "acknowledged" through the reliable path's ACK channel.
-    pub(crate) fn delta_active(&self) -> bool {
-        self.delta_transfer && self.reliable_delivery
-    }
-
-    /// Consumers re-serve updates down a relay tree: relays group-ACK
-    /// over the reliable path's control channel.
-    pub(crate) fn relaying(&self) -> bool {
-        self.relay_tree && self.reliable_delivery
-    }
-
-    /// Chunk size of the wire geometry; 0 ("one chunk") for monolithic
-    /// transfer.
-    pub(crate) fn wire_chunk_bytes(&self) -> u64 {
-        if self.chunked_transfer {
-            self.chunk_bytes
-        } else {
-            0
-        }
-    }
-
     /// Set the transfer strategy (builder style).
     pub fn with_strategy(mut self, route: Route, mode: CaptureMode) -> Self {
         self.strategy = TransferStrategy { route, mode };
@@ -239,8 +209,7 @@ impl ViperConfig {
     /// Enable the pipelined chunked transfer path with the given chunk size
     /// (builder style).
     pub fn with_chunked(mut self, chunk_bytes: u64) -> Self {
-        self.chunked_transfer = true;
-        self.chunk_bytes = chunk_bytes;
+        self.chunking = Some(chunk_bytes);
         self
     }
 
@@ -249,24 +218,18 @@ impl ViperConfig {
     /// lose updates.
     pub fn with_faults(mut self, plan: viper_net::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self.reliable_delivery = true;
-        self
+        self.reliable_with(|_| {})
     }
 
     /// Enable reliable delivery without injecting faults (builder style):
     /// CRC verification and ACK-gated sends on an otherwise clean fabric.
-    pub fn with_reliable(mut self) -> Self {
-        self.reliable_delivery = true;
-        self
+    pub fn with_reliable(self) -> Self {
+        self.reliable_with(|_| {})
     }
 
-    /// Enable delta transfer AND reliable delivery (builder style) — the
-    /// per-consumer base tracking that makes a delta safe to send only
-    /// exists on the ACK-gated path.
-    pub fn with_delta(mut self) -> Self {
-        self.delta_transfer = true;
-        self.reliable_delivery = true;
-        self
+    /// Enable delta transfer, on reliable delivery (builder style).
+    pub fn with_delta(self) -> Self {
+        self.reliable_with(|options| options.delta = true)
     }
 
     /// Set the retransmission policy (builder style).
@@ -275,23 +238,28 @@ impl ViperConfig {
         self
     }
 
-    /// Enable collapse-to-latest coalescing AND reliable delivery (builder
-    /// style) — the per-consumer queues live in the reliable delivery
-    /// reactor; the unreliable path has no per-consumer state to bound.
-    pub fn with_coalescing(mut self) -> Self {
-        self.coalesce_updates = true;
-        self.reliable_delivery = true;
-        self
+    /// Enable collapse-to-latest coalescing, on reliable delivery (builder
+    /// style).
+    pub fn with_coalescing(self) -> Self {
+        self.reliable_with(|options| options.coalesce = true)
     }
 
-    /// Enable relay-tree fan-out AND reliable delivery (builder style) —
-    /// relays re-serve flows and group-ACK their subtree over the same
-    /// control channel the reliability layer provides. `fanout` bounds
-    /// the children per node (clamped to at least 1).
-    pub fn with_relay_tree(mut self, fanout: usize) -> Self {
-        self.relay_tree = true;
-        self.relay_fanout = fanout.max(1);
-        self.reliable_delivery = true;
+    /// Enable relay-tree fan-out, on reliable delivery (builder style).
+    /// `fanout` bounds the children per node (clamped to at least 1).
+    pub fn with_relay_tree(self, fanout: usize) -> Self {
+        let fanout = NonZeroUsize::new(fanout).unwrap_or(NonZeroUsize::MIN);
+        self.reliable_with(|options| options.relay_fanout = Some(fanout))
+    }
+
+    /// Switch reliable delivery on — keeping its options if it already is —
+    /// and `set` one of them, so the builders compose in any order.
+    fn reliable_with(mut self, set: impl FnOnce(&mut Reliable)) -> Self {
+        let mut options = match self.delivery {
+            Delivery::BestEffort => Reliable::default(),
+            Delivery::Reliable(options) => options,
+        };
+        set(&mut options);
+        self.delivery = Delivery::Reliable(options);
         self
     }
 
@@ -311,9 +279,101 @@ impl ViperConfig {
     }
 }
 
+/// How a save's capture is billed on the virtual clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CaptureBilling {
+    /// Charged from the save's start, before anything else.
+    Lump,
+    /// Inside the first flow's chunk schedule: chunk `i` leaves once the
+    /// capture has reached it — or, if no flow took the model, as a lump
+    /// after the notification.
+    InFirstFlow,
+}
+
+/// Which thread delivers a saved update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Deliverer {
+    /// The save thread, before `save_weights` returns: it waits until
+    /// every flow is terminal — or, coalescing, admitted to its lane.
+    SaveThread,
+    /// The async worker, after `save_weights` returned at the end of the
+    /// capture.
+    Worker,
+}
+
+/// Which formula prices the stall a save reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StallPricing {
+    /// The capture alone: the save does not wait for the wire.
+    Capture,
+    /// The capture, then the monolithic delivery.
+    CaptureThenDelivery,
+    /// `viper_hw::pipeline_costs` of a sync chunked transfer of the full
+    /// payload at this chunk size.
+    ChunkPipeline(u64),
+}
+
+/// The decisions one save makes, from the delivery mode, the strategy and
+/// the route the Transfer Selector chose — computed once, read by
+/// `save_weights`, the async worker and `deliver`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SavePlan {
+    pub(crate) capture: CaptureBilling,
+    pub(crate) deliverer: Deliverer,
+    /// Keep this version's checkpoint as a future delta base.
+    pub(crate) retain_base: bool,
+    pub(crate) stall: StallPricing,
+}
+
+impl SavePlan {
+    pub(crate) fn new(config: &ViperConfig, route: Route) -> Self {
+        // The PFS route's write-through *is* the capture, and consumers
+        // pull what it wrote: every save on it is synchronous and lump-billed.
+        let memory = route != Route::PfsStaging;
+        let (delta, coalesce) = match config.delivery {
+            Delivery::BestEffort => (false, false),
+            Delivery::Reliable(options) => (options.delta, options.coalesce),
+        };
+        let worker = memory && config.strategy.mode == CaptureMode::Async;
+        let stall = match config.chunking {
+            // Neither an async save nor a coalescing one (its delivery is
+            // admitted, not resolved, before it returns) waits for the wire.
+            _ if !memory || worker || coalesce => StallPricing::Capture,
+            None => StallPricing::CaptureThenDelivery,
+            Some(chunk_bytes) => StallPricing::ChunkPipeline(chunk_bytes),
+        };
+        SavePlan {
+            capture: match stall {
+                // A delta may put far fewer bytes on the wire than the
+                // capture snapshots, so billing the capture inside its
+                // flow would undercharge it: it is a lump — while the stall
+                // stays the full payload's pipeline (DESIGN.md, "Producer
+                // timeline").
+                StallPricing::ChunkPipeline(_) if !delta => CaptureBilling::InFirstFlow,
+                _ => CaptureBilling::Lump,
+            },
+            deliverer: if worker {
+                Deliverer::Worker
+            } else {
+                Deliverer::SaveThread
+            },
+            retain_base: delta,
+            stall,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn reliable(delta: bool, coalesce: bool, relay_fanout: usize) -> Delivery {
+        Delivery::Reliable(Reliable {
+            delta,
+            coalesce,
+            relay_fanout: NonZeroUsize::new(relay_fanout),
+        })
+    }
 
     #[test]
     fn default_is_memory_first_async_push() {
@@ -322,34 +382,25 @@ mod tests {
         assert_eq!(c.strategy.mode, CaptureMode::Async);
         assert_eq!(c.format, FormatKind::Viper);
         assert!(c.flush_to_pfs);
-        assert!(c.tier_fallback);
         assert_eq!(c.discovery, DiscoveryMode::Push);
-        assert!(!c.chunked_transfer, "monolithic delivery stays the default");
-        assert_eq!(c.chunk_bytes, 64 * 1024 * 1024);
+        assert_eq!(c.chunking, None, "monolithic delivery stays the default");
         assert!(c.fault_plan.is_none(), "no faults by default");
-        assert!(!c.reliable_delivery, "reliability machinery off by default");
-        assert!(!c.delta_transfer, "full checkpoints stay the default");
-        assert!(!c.coalesce_updates, "blocking delivery stays the default");
-        assert!(!c.relay_tree, "point-to-point delivery stays the default");
-        assert_eq!(c.relay_fanout, 4);
+        assert_eq!(c.delivery, Delivery::BestEffort, "no reliability layer");
         assert_eq!(c.reactor_threads, 1, "inline CRC verification by default");
     }
 
     #[test]
     fn with_relay_tree_implies_reliability_and_clamps_fanout() {
         let c = ViperConfig::default().with_relay_tree(8);
-        assert!(c.relay_tree);
-        assert_eq!(c.relay_fanout, 8);
-        assert!(c.reliable_delivery);
+        assert_eq!(c.delivery, reliable(false, false, 8));
         let c = ViperConfig::default().with_relay_tree(0);
-        assert_eq!(c.relay_fanout, 1, "fan-out clamps to at least 1");
+        assert_eq!(c.delivery, reliable(false, false, 1), "clamped to 1");
     }
 
     #[test]
     fn with_coalescing_implies_reliability() {
         let c = ViperConfig::default().with_coalescing();
-        assert!(c.coalesce_updates);
-        assert!(c.reliable_delivery);
+        assert_eq!(c.delivery, reliable(false, true, 0));
     }
 
     #[test]
@@ -361,25 +412,72 @@ mod tests {
     #[test]
     fn with_delta_implies_reliability() {
         let c = ViperConfig::default().with_delta();
-        assert!(c.delta_transfer);
-        assert!(c.reliable_delivery);
+        assert_eq!(c.delivery, reliable(true, false, 0));
     }
 
     #[test]
     fn with_faults_enables_reliability() {
-        let c = ViperConfig::default().with_faults(viper_net::FaultPlan::seeded(1).with_drop(0.2));
-        assert!(c.reliable_delivery);
+        let plan = viper_net::FaultPlan::seeded(1).with_drop(0.2);
+        let c = ViperConfig::default().with_faults(plan.clone());
+        assert_eq!(c.delivery, reliable(false, false, 0));
         assert_eq!(c.fault_plan.as_ref().map(|p| p.seed), Some(1));
         let c = ViperConfig::default().with_reliable();
-        assert!(c.reliable_delivery);
+        assert_eq!(c.delivery, reliable(false, false, 0));
         assert!(c.fault_plan.is_none());
+        // Chunking is geometry, not a delivery mode: it keeps reliability.
+        let c = ViperConfig::default().with_faults(plan).with_chunked(1024);
+        assert_eq!(c.delivery, reliable(false, false, 0));
+        assert_eq!(c.chunking, Some(1024));
     }
 
     #[test]
     fn builder_enables_chunking() {
         let c = ViperConfig::default().with_chunked(8 * 1024 * 1024);
-        assert!(c.chunked_transfer);
-        assert_eq!(c.chunk_bytes, 8 * 1024 * 1024);
+        assert_eq!(c.chunking, Some(8 * 1024 * 1024));
+        assert_eq!(c.delivery, Delivery::BestEffort);
+    }
+
+    #[test]
+    fn builder_chains_yield_their_documented_modes() {
+        let d = ViperConfig::default;
+        let chains = [
+            (d().with_reliable().with_delta(), reliable(true, false, 0)),
+            (d().with_delta().with_reliable(), reliable(true, false, 0)),
+            (d().with_delta().with_coalescing(), reliable(true, true, 0)),
+            (
+                d().with_coalescing().with_relay_tree(3),
+                reliable(false, true, 3),
+            ),
+            (
+                d().with_relay_tree(2).with_delta().with_coalescing(),
+                reliable(true, true, 2),
+            ),
+            (
+                d().with_relay_tree(2).with_relay_tree(5),
+                reliable(false, false, 5),
+            ),
+        ];
+        for (config, mode) in chains {
+            assert_eq!(config.delivery, mode);
+        }
+    }
+
+    #[test]
+    fn builders_commute() {
+        let d = ViperConfig::default;
+        assert_eq!(
+            d().with_delta().with_relay_tree(2).delivery,
+            d().with_relay_tree(2).with_delta().delivery
+        );
+        let plan = || viper_net::FaultPlan::seeded(3);
+        assert_eq!(
+            d().with_coalescing().with_faults(plan()).delivery,
+            d().with_faults(plan()).with_coalescing().delivery
+        );
+        assert_eq!(
+            d().with_chunked(64).with_delta().delivery,
+            d().with_delta().with_chunked(64).delivery
+        );
     }
 
     #[test]
@@ -408,5 +506,60 @@ mod tests {
         let c = ViperConfig::default().with_strategy(Route::HostToHost, CaptureMode::Sync);
         assert_eq!(c.strategy.route, Route::HostToHost);
         assert_eq!(c.strategy.mode, CaptureMode::Sync);
+    }
+
+    fn plan(config: ViperConfig, route: Route) -> SavePlan {
+        SavePlan::new(&config, route)
+    }
+
+    #[test]
+    fn a_sync_save_to_memory_waits_for_the_wire() {
+        let sync = || ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+        let mono = plan(sync(), Route::GpuToGpu);
+        assert_eq!(mono.capture, CaptureBilling::Lump);
+        assert_eq!(mono.deliverer, Deliverer::SaveThread);
+        assert_eq!(mono.stall, StallPricing::CaptureThenDelivery);
+        assert!(!mono.retain_base);
+        let chunked = plan(sync().with_chunked(64).with_reliable(), Route::HostToHost);
+        assert_eq!(chunked.capture, CaptureBilling::InFirstFlow);
+        assert_eq!(chunked.stall, StallPricing::ChunkPipeline(64));
+    }
+
+    /// The asymmetry DESIGN.md names: a delta + chunked + sync save bills
+    /// its capture as a lump, yet reports the full payload's pipeline stall.
+    #[test]
+    fn a_chunked_sync_delta_save_bills_a_lump_but_prices_the_pipeline() {
+        let config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+            .with_chunked(64)
+            .with_delta();
+        let delta = plan(config, Route::GpuToGpu);
+        assert_eq!(delta.capture, CaptureBilling::Lump);
+        assert_eq!(delta.stall, StallPricing::ChunkPipeline(64));
+        assert!(delta.retain_base);
+    }
+
+    #[test]
+    fn saves_that_do_not_wait_report_the_capture_alone() {
+        let chunked = || ViperConfig::default().with_chunked(64);
+        let sync = || chunked().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+        let cases = [
+            // Async: the worker delivers.
+            (chunked().with_delta(), Route::GpuToGpu, Deliverer::Worker),
+            // Coalescing: admitted, not resolved, before the save returns.
+            (
+                sync().with_coalescing(),
+                Route::GpuToGpu,
+                Deliverer::SaveThread,
+            ),
+            // The Transfer Selector degraded an async save to the PFS.
+            (chunked(), Route::PfsStaging, Deliverer::SaveThread),
+        ];
+        for (config, route, deliverer) in cases {
+            let p = plan(config, route);
+            assert_eq!(p.stall, StallPricing::Capture);
+            assert_eq!(p.capture, CaptureBilling::Lump);
+            assert_eq!(p.deliverer, deliverer);
+        }
     }
 }

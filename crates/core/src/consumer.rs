@@ -8,7 +8,7 @@
 //! The old listener thread's 2 ms `recv_timeout` poll is gone entirely —
 //! an idle consumer consumes no CPU and performs zero reap scans.
 
-use crate::config::DiscoveryMode;
+use crate::config::{Delivery, DiscoveryMode, Reliable};
 use crate::context::Viper;
 use crate::producer::charge_apply_at;
 use crate::relay_role::RelayState;
@@ -134,7 +134,6 @@ impl Consumer {
         // All consumer-side event handling — reassembly, CRC checking,
         // feedback, reaping, discovery — lives on the deployment's reactor.
         // No per-consumer thread, no poll loop.
-        let config = &viper.shared.config;
         let relay = RelayState::new(&viper, &endpoint);
         viper.shared.reactor.register(
             node,
@@ -148,8 +147,6 @@ impl Consumer {
                 assembler: viper_net::FlowAssembler::new(),
                 reassembly_copied: 0,
                 apply_free: SimInstant::ZERO,
-                reliable: config.reliable_delivery,
-                delta_mode: config.delta_active(),
                 generations: HashMap::new(),
                 relay,
             }),
@@ -404,6 +401,9 @@ struct CorruptBatch {
     flow_id: u64,
     tag: String,
     link: LinkKind,
+    /// The damaged chunk indices, each once: the assembler reports a
+    /// corrupt index once per reap, so a body the link corrupted and then
+    /// duplicated is NACKed once.
     chunks: Vec<u32>,
     /// Latest arrival instant among the batch's corrupt chunks — the
     /// causal instant the NACK can first be sent.
@@ -455,11 +455,6 @@ pub(crate) struct ConsumerTask {
     reassembly_copied: u64,
     /// Virtual instant the previous apply finishes (applies serialize).
     apply_free: SimInstant,
-    reliable: bool,
-    /// Delta wire payloads only exist on the ACK-gated path (a base is
-    /// only "acknowledged" through the ACK channel), mirroring the
-    /// producer-side codec's activation rule.
-    delta_mode: bool,
     /// Current retransmission generation per flow, learned from the
     /// producer's [`Control::Round`] frames (which precede each round's
     /// chunks in fabric order). Echoed back in every feedback frame so the
@@ -601,7 +596,9 @@ impl ConsumerTask {
         // With delta transfer on, the wire carries an explicit payload-kind
         // envelope and the body is dispatched by header — never sniffed.
         // With it off, the bytes are exactly the raw configured format.
-        let (kind, body): (PayloadKind, &[u8]) = if self.delta_mode {
+        let delivery = viper.shared.config.delivery;
+        let enveloped = matches!(delivery, Delivery::Reliable(Reliable { delta: true, .. }));
+        let (kind, body): (PayloadKind, &[u8]) = if enveloped {
             match wire::unframe(payload) {
                 Ok(parts) => parts,
                 Err(e) => {
@@ -712,7 +709,8 @@ impl ConsumerTask {
             payload,
             chunk_bytes,
         } = WholeFlow::of(batch)?;
-        let (kind, skip) = if self.delta_mode {
+        let delivery = self.viper.shared.config.delivery;
+        let (kind, skip) = if matches!(delivery, Delivery::Reliable(Reliable { delta: true, .. })) {
             let (kind, body) = wire::unframe(&payload).ok()?;
             (kind, payload.len() - body.len())
         } else {
@@ -758,6 +756,7 @@ impl ConsumerTask {
             None => (ctx.crc().crc_batch(msgs), None),
         };
         let telemetry = self.viper.shared.config.telemetry.clone();
+        let reliable = matches!(self.viper.shared.config.delivery, Delivery::Reliable(_));
         let mut corrupt: Vec<CorruptBatch> = Vec::new();
         for (msg, crc) in batch {
             let arrived = msg.arrived_at;
@@ -783,7 +782,7 @@ impl ConsumerTask {
                     link,
                 } => {
                     self.state.corrupt_chunks.inc();
-                    if self.reliable {
+                    if reliable {
                         match corrupt
                             .iter_mut()
                             .find(|c| c.flow_id == flow_id && c.from == from)
@@ -867,7 +866,7 @@ impl ConsumerTask {
                         Some(&flow),
                         sealed,
                     );
-                    if self.reliable {
+                    if reliable {
                         // Causal reply instant: the apply this feedback
                         // attests has finished (or, for NeedFull, the flow
                         // completed) — never the racy shared clock.
@@ -1029,7 +1028,7 @@ impl ReactorTask for ConsumerTask {
                     tag: err.tag,
                     missing: err.missing.len(),
                 });
-            } else if self.reliable {
+            } else if matches!(self.viper.shared.config.delivery, Delivery::Reliable(_)) {
                 // Reap-driven NACKs fire causally at the scan deadline.
                 self.nack(&err.from, &err.tag, err.link, err.flow_id, err.missing, now);
             }

@@ -60,7 +60,6 @@ impl Viper {
         bus.set_telemetry(config.telemetry.clone());
         let reactor = Reactor::new(config.reactor_threads, config.telemetry.clone());
         fabric.set_waker(Some(reactor.waker()));
-        let distribution = Distribution::new(config.relaying(), config.relay_fanout);
         Viper {
             shared: Arc::new(Shared {
                 config,
@@ -70,7 +69,7 @@ impl Viper {
                 bus,
                 pfs,
                 consumers: RwLock::new(Vec::new()),
-                distribution,
+                distribution: Distribution::default(),
                 reactor,
             }),
         }

@@ -13,7 +13,7 @@
 //!
 //! ## Backpressure and coalescing
 //!
-//! With [`crate::ViperConfig::coalesce_updates`] the save path does not
+//! With [`crate::Reliable::coalesce`] the save path does not
 //! block at all: admission is unconditional (launch or queue) and its
 //! outcome carries nothing the submitter does not already know, so `save`
 //! returns the moment the job is posted — wait-free capture-to-return. The
@@ -44,6 +44,7 @@
 //! [`PayloadCodec`]: crate::codec::PayloadCodec
 
 use crate::codec::{encode_for, frame_streaming, FramedBytes, WirePayload};
+use crate::config::{CaptureBilling, Delivery};
 use crate::context::Viper;
 use crate::producer::{charge_at, ProducerCtx, Update};
 use crate::UPDATE_TOPIC;
@@ -270,11 +271,12 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> (usize,
 
 /// Push `update` to every attached consumer and publish the update
 /// notification. For the PFS route consumers pull from the shared tier, so
-/// only the notification is sent. With `ViperConfig::chunked_transfer` the
-/// payload travels as a pipelined chunked flow; `pipeline_capture` lets the
-/// first send model the (not yet charged) capture overlapping the wire.
+/// only the notification is sent. With `ViperConfig::chunking` the
+/// payload travels as a pipelined chunked flow; a capture billed
+/// [`CaptureBilling::InFirstFlow`] is modeled by the first send,
+/// overlapping the wire.
 ///
-/// With `ViperConfig::reliable_delivery` every memory-route send is
+/// Under [`Delivery::Reliable`] every memory-route send is
 /// ACK-gated with NACK-driven retransmission; if a consumer exhausts the
 /// retry budget the update degrades to the durable PFS route (written
 /// synchronously, relocated in the metadata DB) and the published
@@ -286,7 +288,7 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> (usize,
 pub(crate) fn deliver(
     ctx: &ProducerCtx,
     update: &Update,
-    pipeline_capture: bool,
+    capture: CaptureBilling,
     track: &str,
 ) -> (usize, SimInstant) {
     let (record, payload, route) = (&update.record, &update.payload, update.route);
@@ -317,110 +319,116 @@ pub(crate) fn deliver(
         let tag = update.tag();
         let consumers = shared.consumers.read().clone();
         let config = &shared.config;
-        if config.reliable_delivery {
-            // Reliability implies the chunked machinery (a monolithic
-            // payload travels as a 1-chunk flow) so every byte is CRC
-            // checked and every flow ACK-gated. The flows themselves are
-            // driven by this producer's reactor task; the save path blocks
-            // here only for the job reply, holding zero threads per
-            // consumer.
-            let eligible: Vec<String> = consumers
-                .into_iter()
-                .filter(|c| c != endpoint.node())
-                .collect();
-            // Relay-tree mode: organize the fleet into the deployment's
-            // topology and target only the tree roots — each root's group
-            // shares one wire image, re-served down the tree by the
-            // relays themselves. On the direct path every consumer is a
-            // group of one.
-            let groups = shared.distribution.refresh(&eligible).unwrap_or_default();
-            let mut encode =
-                |members: &[String]| encode_for(ctx, update, members, track, &mut frontier);
-            let targets: Vec<(String, WirePayload)> = if groups.is_empty() {
-                eligible
+        let first_flow_capture = (capture == CaptureBilling::InFirstFlow)
+            .then(|| chunk_capture_model(&config.profile, route, record.ntensors));
+        match config.delivery {
+            Delivery::Reliable(options) => {
+                // Reliability implies the chunked machinery (a monolithic
+                // payload travels as a 1-chunk flow) so every byte is CRC
+                // checked and every flow ACK-gated. The flows themselves are
+                // driven by this producer's reactor task; the save path blocks
+                // here only for the job reply, holding zero threads per
+                // consumer.
+                let eligible: Vec<String> = consumers
                     .into_iter()
-                    .map(|consumer| {
-                        let wire = encode(std::slice::from_ref(&consumer));
-                        (consumer, wire)
-                    })
-                    .collect()
-            } else {
-                groups
-                    .iter()
-                    .map(|(root, members)| (root.clone(), encode(members)))
-                    .collect()
-            };
-            if !targets.is_empty() {
-                let admitted = targets.len();
-                // Wait-free save path: under coalescing every target is
-                // admitted unconditionally (launched or queued), so there
-                // is nothing to wait for — terminal outcomes surface
-                // through counters and `flush_deliveries`. In blocking
-                // mode the reply arrives once every flow is terminal,
-                // preserving one fan-out at a time.
-                let (reply, reply_rx) = (!config.coalescing()).then(unbounded).unzip();
-                shared.reactor.submit(
-                    endpoint.node(),
-                    Box::new(DeliveryJob {
-                        // The fan-out is encoded: the task diffs nothing,
-                        // and must not keep the base alive past the save.
-                        update: Update {
-                            ckpt: None,
-                            frontier,
-                            ..update.clone()
-                        },
-                        link,
-                        consumers: targets,
-                        groups,
-                        capture: pipeline_capture
-                            .then(|| chunk_capture_model(&config.profile, route, record.ntensors)),
-                        framed_full: ctx.codec.cached_full(&record.name, record.iteration),
-                        track: track.to_string(),
-                        reply,
-                    }),
-                );
-                match reply_rx {
-                    None => sent = admitted,
-                    Some(reply_rx) => {
-                        let done = reply_rx.recv().expect("delivery reactor replies");
-                        sent = done.delivered;
-                        fall_back = done.fall_back;
-                        frontier = frontier.max(done.frontier);
+                    .filter(|c| c != endpoint.node())
+                    .collect();
+                // Relay-tree mode: organize the fleet into the deployment's
+                // topology and target only the tree roots — each root's group
+                // shares one wire image, re-served down the tree by the
+                // relays themselves. On the direct path every consumer is a
+                // group of one.
+                let groups = options
+                    .relay_fanout
+                    .and_then(|fanout| shared.distribution.refresh(&eligible, fanout))
+                    .unwrap_or_default();
+                let mut encode =
+                    |members: &[String]| encode_for(ctx, update, members, track, &mut frontier);
+                let targets: Vec<(String, WirePayload)> = if groups.is_empty() {
+                    eligible
+                        .into_iter()
+                        .map(|consumer| {
+                            let wire = encode(std::slice::from_ref(&consumer));
+                            (consumer, wire)
+                        })
+                        .collect()
+                } else {
+                    groups
+                        .iter()
+                        .map(|(root, members)| (root.clone(), encode(members)))
+                        .collect()
+                };
+                if !targets.is_empty() {
+                    let admitted = targets.len();
+                    // Wait-free save path: under coalescing every target is
+                    // admitted unconditionally (launched or queued), so there
+                    // is nothing to wait for — terminal outcomes surface
+                    // through counters and `flush_deliveries`. In blocking
+                    // mode the reply arrives once every flow is terminal,
+                    // preserving one fan-out at a time.
+                    let (reply, reply_rx) = (!options.coalesce).then(unbounded).unzip();
+                    shared.reactor.submit(
+                        endpoint.node(),
+                        Box::new(DeliveryJob {
+                            // The fan-out is encoded: the task diffs nothing,
+                            // and must not keep the base alive past the save.
+                            update: Update {
+                                ckpt: None,
+                                frontier,
+                                ..update.clone()
+                            },
+                            link,
+                            consumers: targets,
+                            groups,
+                            capture: first_flow_capture,
+                            framed_full: ctx.codec.cached_full(&record.name, record.iteration),
+                            track: track.to_string(),
+                            reply,
+                        }),
+                    );
+                    match reply_rx {
+                        None => sent = admitted,
+                        Some(reply_rx) => {
+                            let done = reply_rx.recv().expect("delivery reactor replies");
+                            sent = done.delivered;
+                            fall_back = done.fall_back;
+                            frontier = frontier.max(done.frontier);
+                        }
                     }
                 }
             }
-        } else {
-            // The unreliable fan-out is serial: each send goes out when the
-            // one before it has arrived.
-            let mut inline_capture = pipeline_capture;
-            for consumer in consumers {
-                if consumer == endpoint.node() {
-                    continue;
-                }
-                let arrived = if config.chunked_transfer {
-                    // The raw payload travels as-is, so its encode-time
-                    // chunk CRCs apply directly.
-                    let mut opts = ChunkedSend::new(config.chunk_bytes)
-                        .with_crcs(Arc::clone(&update.crcs))
-                        .at(frontier);
-                    if inline_capture {
-                        let (bw, fixed, once) =
-                            chunk_capture_model(&config.profile, route, record.ntensors);
-                        opts = opts.with_capture(bw, fixed, once);
+            Delivery::BestEffort => {
+                // The unreliable fan-out is serial: each send goes out when the
+                // one before it has arrived.
+                let mut inline_capture = first_flow_capture;
+                for consumer in consumers {
+                    if consumer == endpoint.node() {
+                        continue;
                     }
-                    endpoint
-                        .send_chunked(&consumer, &tag, payload.clone(), link, &opts)
-                        .map(|report| report.completed_at)
-                } else {
-                    endpoint.send_at(&consumer, &tag, payload.clone(), link, frontier)
-                };
-                // A deregistered consumer is not an error: it raced shutdown.
-                if let Ok(arrived) = arrived {
-                    frontier = frontier.max(arrived);
-                    sent += 1;
-                    // The snapshot happens once; fan-out to further consumers
-                    // re-sends the already captured chunks.
-                    inline_capture = false;
+                    let arrived = match config.chunking {
+                        Some(chunk_bytes) => {
+                            // The raw payload travels as-is, so its encode-time
+                            // chunk CRCs apply directly.
+                            let mut opts = ChunkedSend::new(chunk_bytes)
+                                .with_crcs(Arc::clone(&update.crcs))
+                                .at(frontier);
+                            if let Some((bw, fixed, once)) = inline_capture {
+                                opts = opts.with_capture(bw, fixed, once);
+                            }
+                            endpoint
+                                .send_chunked(&consumer, &tag, payload.clone(), link, &opts)
+                                .map(|report| report.completed_at)
+                        }
+                        None => endpoint.send_at(&consumer, &tag, payload.clone(), link, frontier),
+                    };
+                    // A deregistered consumer is not an error: it raced shutdown.
+                    if let Ok(arrived) = arrived {
+                        frontier = frontier.max(arrived);
+                        sent += 1;
+                        // The snapshot happens once; fan-out to further consumers
+                        // re-sends the already captured chunks.
+                        inline_capture = None;
+                    }
                 }
             }
         }
@@ -553,7 +561,7 @@ impl DeliveryTask {
             .updates
             .get_mut(&seq)
             .expect("a full send belongs to an update");
-        let chunk_bytes = self.ctx.viper.shared.config.wire_chunk_bytes();
+        let chunk_bytes = self.ctx.viper.shared.config.chunking.unwrap_or(0);
         let (full, crcs) = state.full_framed(&self.ctx.counters, chunk_bytes);
         state.sent.insert(
             to.to_string(),
@@ -910,7 +918,7 @@ impl ReactorTask for DeliveryTask {
             })
             .collect();
         let (tag, model, ready_at) = (update.tag(), update.record.name.clone(), update.frontier);
-        let chunk_bytes = self.ctx.viper.shared.config.wire_chunk_bytes();
+        let chunk_bytes = self.ctx.viper.shared.config.chunking.unwrap_or(0);
         self.updates.insert(
             seq,
             UpdateState {

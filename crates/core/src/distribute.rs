@@ -12,17 +12,20 @@
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
+use std::num::NonZeroUsize;
 use viper_net::Topology;
 
 /// The deployment's relay-tree state. Constructed once per deployment
 /// (held in the shared context); all methods are callable from any
-/// thread.
+/// thread. Empty until the first relay-tree delivery
+/// [`refresh`](Distribution::refresh)es it, so every node is a leaf
+/// without a relay fan-out.
+#[derive(Default)]
 pub(crate) struct Distribution {
-    enabled: bool,
-    fanout: usize,
     inner: Mutex<Inner>,
 }
 
+#[derive(Default)]
 struct Inner {
     topology: Option<Topology>,
     /// Members demoted to leaf duty after failing as relays.
@@ -31,35 +34,22 @@ struct Inner {
 }
 
 impl Distribution {
-    pub(crate) fn new(enabled: bool, fanout: usize) -> Self {
-        Distribution {
-            enabled,
-            fanout: fanout.max(1),
-            inner: Mutex::new(Inner {
-                topology: None,
-                demoted: HashSet::new(),
-                reparents: 0,
-            }),
-        }
-    }
-
-    /// Whether relay-tree distribution is on at all.
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Bring the topology up to date with the attached-consumer set and
-    /// return the delivery groups: one entry per tree root, mapping it to
-    /// its whole subtree (root first, BFS order). Returns `None` when
-    /// distribution is disabled or fewer than two consumers are attached
-    /// — the direct path is strictly simpler there.
+    /// Bring the topology — a tree of the deployment's `fanout` — up to
+    /// date with the attached-consumer set and return the delivery groups:
+    /// one entry per tree root, mapping it to its whole subtree (root
+    /// first, BFS order). Returns `None` when fewer than two consumers are
+    /// attached — the direct path is strictly simpler there.
     ///
     /// Determinism: members are sorted before building (demoted members
     /// last, so failed relays become leaves), and the tree is only
     /// rebuilt when the member *set* changed — an in-place reparent from
     /// a failure survives across saves.
-    pub(crate) fn refresh(&self, consumers: &[String]) -> Option<BTreeMap<String, Vec<String>>> {
-        if !self.enabled || consumers.len() < 2 {
+    pub(crate) fn refresh(
+        &self,
+        consumers: &[String],
+        fanout: NonZeroUsize,
+    ) -> Option<BTreeMap<String, Vec<String>>> {
+        if consumers.len() < 2 {
             return None;
         }
         let mut inner = self.inner.lock();
@@ -76,7 +66,7 @@ impl Distribution {
             members.sort_by_key(|m| demoted.contains(m));
             inner.demoted = demoted;
             inner.topology =
-                Some(Topology::build(&members, self.fanout).expect("sorted unique member list"));
+                Some(Topology::build(&members, fanout.get()).expect("sorted unique member list"));
         }
         let topology = inner.topology.as_ref().expect("built above");
         Some(
@@ -89,11 +79,8 @@ impl Distribution {
     }
 
     /// The nodes `node` currently relays to (empty for leaves, unknown
-    /// nodes, and when distribution is off).
+    /// nodes, and before any relay-tree delivery).
     pub(crate) fn children_of(&self, node: &str) -> Vec<String> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let inner = self.inner.lock();
         match &inner.topology {
             Some(t) => t
@@ -132,23 +119,27 @@ mod tests {
         (0..n).map(|i| format!("c{i}")).collect()
     }
 
+    fn fanout(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     #[test]
     fn disabled_or_tiny_fleets_take_the_direct_path() {
-        let off = Distribution::new(false, 4);
-        assert!(off.refresh(&names(10)).is_none());
-        assert!(off.children_of("c0").is_empty());
-        let on = Distribution::new(true, 4);
-        assert!(on.refresh(&names(1)).is_none());
-        assert!(on.refresh(&[]).is_none());
+        // Never refreshed (no relay fan-out): every node is a leaf.
+        let d = Distribution::default();
+        assert!(d.children_of("c0").is_empty());
+        assert!(d.refresh(&names(1), fanout(4)).is_none());
+        assert!(d.refresh(&[], fanout(4)).is_none());
+        assert!(d.children_of("c0").is_empty());
     }
 
     #[test]
     fn refresh_is_deterministic_and_stable_across_saves() {
-        let d = Distribution::new(true, 2);
+        let d = Distribution::default();
         let mut shuffled = names(7);
         shuffled.reverse();
-        let a = d.refresh(&shuffled).unwrap();
-        let b = d.refresh(&names(7)).unwrap();
+        let a = d.refresh(&shuffled, fanout(2)).unwrap();
+        let b = d.refresh(&names(7), fanout(2)).unwrap();
         assert_eq!(a, b, "same member set, same groups, any order");
         assert_eq!(a.len(), 1, "single root");
         let (root, members) = a.iter().next().unwrap();
@@ -159,26 +150,26 @@ mod tests {
 
     #[test]
     fn membership_change_rebuilds() {
-        let d = Distribution::new(true, 2);
-        d.refresh(&names(4)).unwrap();
-        let groups = d.refresh(&names(6)).unwrap();
+        let d = Distribution::default();
+        d.refresh(&names(4), fanout(2)).unwrap();
+        let groups = d.refresh(&names(6), fanout(2)).unwrap();
         assert_eq!(groups.values().next().unwrap().len(), 6);
     }
 
     #[test]
     fn failure_reparents_in_place_and_demotes() {
-        let d = Distribution::new(true, 2);
-        d.refresh(&names(7)).unwrap();
+        let d = Distribution::default();
+        d.refresh(&names(7), fanout(2)).unwrap();
         let moved = d.note_failed("c1").unwrap();
         assert_eq!(moved, vec!["c3", "c4"]);
         assert_eq!(d.reparents(), 1);
         // The reparented tree survives a same-membership refresh minus
         // the failed node...
         let survivors: Vec<String> = names(7).into_iter().filter(|n| n != "c1").collect();
-        let groups = d.refresh(&survivors).unwrap();
+        let groups = d.refresh(&survivors, fanout(2)).unwrap();
         assert_eq!(groups.values().next().unwrap().len(), 6);
         // ...and when c1 rejoins, the rebuild keeps it out of relay duty.
-        let groups = d.refresh(&names(7)).unwrap();
+        let groups = d.refresh(&names(7), fanout(2)).unwrap();
         let root = groups.keys().next().unwrap();
         assert_ne!(root, "c1");
         assert!(
@@ -189,8 +180,8 @@ mod tests {
 
     #[test]
     fn unknown_failures_are_ignored() {
-        let d = Distribution::new(true, 2);
-        d.refresh(&names(3)).unwrap();
+        let d = Distribution::default();
+        d.refresh(&names(3), fanout(2)).unwrap();
         assert!(d.note_failed("ghost").is_none());
         assert_eq!(d.reparents(), 0);
     }

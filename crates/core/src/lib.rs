@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::struct_excessive_bools, clippy::fn_params_excessive_bools)]
 
 mod callback;
 mod codec;
@@ -59,7 +60,7 @@ pub mod planner;
 pub mod shard;
 
 pub use callback::{CheckpointCallback, SchedulePolicy};
-pub use config::{DiscoveryMode, FormatKind, ViperConfig};
+pub use config::{Delivery, DiscoveryMode, FormatKind, Reliable, ViperConfig};
 pub use consumer::Consumer;
 pub use context::Viper;
 pub use error::{Result, ViperError};

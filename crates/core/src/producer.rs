@@ -14,6 +14,7 @@
 //! to stand, so the timeline does not depend on how the threads interleave.
 
 use crate::codec::PayloadCodec;
+use crate::config::{CaptureBilling, Deliverer, Delivery, Reliable, SavePlan, StallPricing};
 use crate::context::Viper;
 use crate::delivery::{deliver, route_label, DeliveryCounters, DeliveryTask, DrainBarrier};
 use crate::Result;
@@ -24,8 +25,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use viper_formats::{Checkpoint, CheckpointFormat, EncodeArena, Payload, StreamingEncoder};
 use viper_hw::{
-    apply_time, capture_time, pipeline_costs, stage_time, CaptureMode, Route, SimClock, SimInstant,
-    StorageTier, Tier, TransferStrategy,
+    apply_time, capture_time, delivery_time, pipeline_costs, stage_time, CaptureMode, Route,
+    SimClock, SimInstant, StorageTier, Tier, TransferStrategy,
 };
 use viper_metastore::ModelRecord;
 use viper_net::Endpoint;
@@ -147,7 +148,7 @@ impl Producer {
         let ctx = Arc::new(ProducerCtx {
             endpoint: Arc::new(viper.shared.fabric.register(node)),
             counters: DeliveryCounters::new(&viper.shared.config.telemetry, node),
-            codec: PayloadCodec::new(&viper.shared.config),
+            codec: PayloadCodec::new(viper.shared.config.keep_versions),
             viper,
         });
         let shared = &ctx.viper.shared;
@@ -202,7 +203,8 @@ impl Producer {
                                 );
                                 // The async path captured (and staged) before
                                 // handing off, so chunks are all wire-ready.
-                                (_, worker_free) = deliver(&ctx, &update, false, &worker_track);
+                                (_, worker_free) =
+                                    deliver(&ctx, &update, CaptureBilling::Lump, &worker_track);
                             }
                             Job::Flush { record, payload } => {
                                 let _span = telemetry.span_with(
@@ -338,7 +340,7 @@ impl Producer {
 
     /// Updates dropped from a congested lane's coalescing queue because a
     /// newer version arrived before they could launch (summed across
-    /// consumers; zero unless `ViperConfig::coalesce_updates` is on).
+    /// consumers; zero unless delivery coalesces, [`crate::Reliable::coalesce`]).
     pub fn updates_superseded(&self) -> u64 {
         self.ctx.counters.updates_superseded.get()
     }
@@ -395,16 +397,14 @@ impl Producer {
         let clock = &shared.clock;
         let telemetry = &shared.config.telemetry;
         let strategy = shared.config.strategy;
-        let coalesce = shared.config.coalescing();
         // Under coalescing the save timeline is the producer's private
         // chain (the shared clock races ahead with background deliveries);
         // otherwise the clock frontier — the caller's causal present — is
         // the save's start. This is the one read of the shared clock on the
         // producer path: everything after is charged from `started_at`.
-        let started_at = if coalesce {
-            *self.save_frontier.lock()
-        } else {
-            clock.now()
+        let started_at = match shared.config.delivery {
+            Delivery::Reliable(Reliable { coalesce: true, .. }) => *self.save_frontier.lock(),
+            _ => clock.now(),
         };
         let mut span = telemetry.span_with(
             "producer",
@@ -422,7 +422,7 @@ impl Producer {
         // to checksum it. Every downstream consumer (staging tiers, chunk
         // bodies, retransmit rounds, the PFS flush) shares zero-copy views
         // of this one buffer.
-        let chunk_geom = shared.config.wire_chunk_bytes();
+        let chunk_geom = shared.config.chunking.unwrap_or(0);
         let encoded = {
             let mut arena = self.arena.lock();
             let hint = encoded_size_hint(ckpt);
@@ -463,23 +463,10 @@ impl Producer {
         let ntensors = ckpt.ntensors();
         let meta_factor = self.format.metadata_ops_factor();
         let capture = capture_time(&shared.config.profile, route, bytes, ntensors, meta_factor);
-        let is_async = route != Route::PfsStaging && strategy.mode == CaptureMode::Async;
-        let delta_mode = shared.config.delta_active();
-        // The pipelined sync path overlaps capture with the wire inside the
-        // chunked send (the fabric models per-chunk readiness), so the
-        // capture is not pre-charged as a lump there. With delta transfer
-        // the wire may carry far fewer bytes than the capture snapshots, so
-        // modeling the capture inside the (delta-sized) chunked flow would
-        // undercharge it: the capture is pre-charged as a lump instead.
-        // Coalescing also excludes the pipelined-capture model: the save
-        // path no longer waits for the flow, so the capture must be billed
-        // to the stall up front, and queued re-launches have no capture to
-        // overlap anyway.
-        let chunked = shared.config.chunked_transfer && route != Route::PfsStaging;
-        let pipelined_sync = chunked && !is_async && !delta_mode && !coalesce;
+        let plan = SavePlan::new(&shared.config, route);
         // Causal frontier of this save's charged work so far.
         let mut save_done = started_at;
-        if !pipelined_sync {
+        if plan.capture == CaptureBilling::Lump {
             save_done = charge_at(clock, started_at, capture);
             telemetry.complete(
                 "producer",
@@ -519,7 +506,7 @@ impl Producer {
         // a base for future diffs, copied into the buffers of the base it
         // displaces. The copy is skipped entirely when delta transfer is
         // off.
-        let ckpt_arc = if delta_mode {
+        let ckpt_arc = if plan.retain_base {
             if let Some(base) = self.ctx.codec.newest_retained(&ckpt.model_name) {
                 record = record.with_base(base);
             }
@@ -547,14 +534,15 @@ impl Producer {
         // 4. Deliver. The PFS route is always effectively synchronous
         //    (write-through happened in capture); memory routes honour the
         //    configured mode.
-        if is_async {
-            self.enqueue(Job::Deliver(update.clone()));
-        } else {
-            let (sent, frontier) = deliver(&self.ctx, &update, pipelined_sync, &self.track);
-            if pipelined_sync && sent == 0 {
-                // Nothing consumed the pipelined capture model: the snapshot
-                // still happened, so bill it directly.
-                charge_at(clock, frontier, capture);
+        match plan.deliverer {
+            Deliverer::Worker => self.enqueue(Job::Deliver(update.clone())),
+            Deliverer::SaveThread => {
+                let (sent, frontier) = deliver(&self.ctx, &update, plan.capture, &self.track);
+                if plan.capture == CaptureBilling::InFirstFlow && sent == 0 {
+                    // Nothing consumed the pipelined capture model: the
+                    // snapshot still happened, so bill it directly.
+                    charge_at(clock, frontier, capture);
+                }
             }
         }
 
@@ -575,40 +563,24 @@ impl Producer {
             self.host.remove(&stale.path);
         }
 
-        // The stall is reported analytically (capture, plus the inline
-        // delivery for synchronous memory routes) rather than read off the
+        // The stall is reported analytically rather than read off the
         // global clock: concurrent background work (flusher, async worker)
         // legitimately advances the shared virtual clock and must not be
         // billed to this save.
-        // Under coalescing the training loop stalls only for the capture:
-        // the delivery job is admitted (not resolved) before the save
-        // returns, so wire time never blocks the producer.
-        let mut stall = capture;
-        if !is_async && route != Route::PfsStaging && !coalesce {
-            if chunked {
-                stall = pipeline_costs(
-                    &shared.config.profile,
-                    TransferStrategy {
-                        route,
-                        mode: CaptureMode::Sync,
-                    },
-                    bytes,
-                    ntensors,
-                    shared.config.chunk_bytes,
-                    meta_factor,
-                )
-                .stall;
-            } else {
-                stall = capture
-                    + viper_hw::delivery_time(
-                        &shared.config.profile,
-                        route,
-                        bytes,
-                        ntensors,
-                        meta_factor,
-                    );
+        let profile = &shared.config.profile;
+        let stall = match plan.stall {
+            StallPricing::Capture => capture,
+            StallPricing::CaptureThenDelivery => {
+                capture + delivery_time(profile, route, bytes, ntensors, meta_factor)
             }
-        }
+            StallPricing::ChunkPipeline(chunk_bytes) => {
+                let sync = TransferStrategy {
+                    route,
+                    mode: CaptureMode::Sync,
+                };
+                pipeline_costs(profile, sync, bytes, ntensors, chunk_bytes, meta_factor).stall
+            }
+        };
         let resumed_at = started_at.add(stall);
         *self.save_frontier.lock() = resumed_at;
         Ok(SaveReceipt {
@@ -622,12 +594,8 @@ impl Producer {
 
     /// The Transfer Selector (Fig. 7): use the configured route unless its
     /// staging tier cannot hold the checkpoint, in which case degrade down
-    /// the hierarchy (GPU -> host -> PFS). Disabled via
-    /// `ViperConfig::tier_fallback`.
+    /// the hierarchy (GPU -> host -> PFS).
     fn select_route(&self, configured: Route, bytes: u64) -> Route {
-        if !self.ctx.viper.shared.config.tier_fallback {
-            return configured;
-        }
         match configured {
             Route::GpuToGpu if !self.gpu.has_capacity_for(bytes) => {
                 if self.host.has_capacity_for(bytes) {

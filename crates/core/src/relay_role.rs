@@ -35,10 +35,6 @@ use viper_net::{
 /// producer drives; the relay role is the policy over it: fan/slot
 /// accounting, the group ACK, and `Miss` escalation.
 pub(crate) struct RelayState {
-    /// Relaying is active (relay tree on *and* reliable delivery on).
-    enabled: bool,
-    /// Chunk size for re-serves, mirroring the producer's wire setup.
-    chunk_bytes: u64,
     /// Upstream flows currently fanning out, by upstream flow id.
     fans: HashMap<u64, Fan>,
     /// One lane per child; sends carry the upstream fan id as their token.
@@ -72,8 +68,6 @@ impl RelayState {
         let config = &viper.shared.config;
         let node = endpoint.node();
         RelayState {
-            enabled: viper.shared.distribution.enabled(),
-            chunk_bytes: config.wire_chunk_bytes(),
             fans: HashMap::new(),
             sender: FlowSender::new(
                 Arc::clone(endpoint),
@@ -98,8 +92,9 @@ impl RelayState {
 impl ConsumerTask {
     /// Begin re-serving a completed upstream flow to this node's relay
     /// children. Returns `false` when the node has no relay duty for the
-    /// flow — relaying off, no children in the current topology — and
-    /// the caller should ACK upstream directly. Returns `true` when the
+    /// flow — no children in the current topology, which is empty without
+    /// a relay fan-out — and the caller should ACK upstream directly.
+    /// Returns `true` when the
     /// upstream ACK must be withheld for the fan's group ACK (including
     /// the duplicate-retransmission case: the producer resent a flow
     /// whose fan is still in progress).
@@ -109,9 +104,6 @@ impl ConsumerTask {
         flow: &viper_net::AssembledFlow,
         serve_at: SimInstant,
     ) -> bool {
-        if !self.relay.enabled {
-            return false;
-        }
         if self.relay.fans.contains_key(&flow.flow_id) {
             // A blind retransmission of a flow we are already fanning
             // out (our group ACK was slower than the producer's timer):
@@ -159,8 +151,8 @@ impl ConsumerTask {
         // zero-copy — with the CRCs the chunks were just verified against
         // (this relay re-chunks the way the flow arrived), so neither a
         // child serve nor a retransmission round re-reads the payload.
-        let opts = ChunkedSend::new(self.relay.chunk_bytes)
-            .with_crcs(flow.crcs_for(self.relay.chunk_bytes));
+        let chunk_bytes = self.viper.shared.config.chunking.unwrap_or(0);
+        let opts = ChunkedSend::new(chunk_bytes).with_crcs(flow.crcs_for(chunk_bytes));
         for child in children {
             let send = Outbound {
                 token: flow.flow_id,

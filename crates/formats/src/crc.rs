@@ -4,11 +4,10 @@
 //! Several kernels compute the same function, and a [`Crc32Kernel`]
 //! dispatch layer picks the fastest one **once, at startup**, after
 //! proving it byte-identical to the table reference on a self-test
-//! corpus. Every public entry point — [`crc32`], the streaming
-//! [`Crc32`], and the block-parallel [`crc32_parallel`] — routes through
-//! the selected kernel, so the fused encoder, the fabric's receive-side
-//! chunk verify, and relay re-serve all ride it with no call-site
-//! changes:
+//! corpus. Every public entry point — [`crc32`] and the streaming
+//! [`Crc32`] — routes through the selected kernel, so the fused encoder,
+//! the fabric's receive-side chunk verify, and relay re-serve all ride it
+//! with no call-site changes:
 //!
 //! * **CLMUL** — PCLMULQDQ carry-less-multiply folding on `x86_64`
 //!   (requires the `pclmulqdq` + `sse4.1` CPU features, detected at
@@ -21,12 +20,6 @@
 //! * [`crc32`] via **slice-by-16** — sixteen 256-entry tables consume 16
 //!   input bytes per iteration. The portable kernel, and the forced
 //!   fallback under `VIPER_FORCE_PORTABLE_CRC=1`.
-//! * [`crc32_parallel`] — splits large inputs into blocks, checksums them
-//!   (with the dispatched kernel) on the rayon pool, and merges the
-//!   partial CRCs algebraically with [`crc32_combine`] — no byte is read
-//!   twice. On hosts without CLMUL this *is* the accelerated path for
-//!   big one-shot checksums: portable block parallelism over the
-//!   combine algebra.
 //! * [`crc32_bytewise`] — the original byte-at-a-time reference, kept as
 //!   the equality oracle for tests, the self-test ladder, and the
 //!   before/after baseline for the `hotpath` bench.
@@ -43,8 +36,8 @@
 //! fused encoder and the checksummed decode both checksum through it in
 //! the same pass that moves the bytes. [`crc32_combine`] stitches
 //! independently computed CRCs together (`crc(A ‖ B)` from `crc(A)`,
-//! `crc(B)`, `len(B)`), which both parallel block CRCs and the encoder's
-//! footer derivation ride on.
+//! `crc(B)`, `len(B)`), which the encoder's footer derivation and the
+//! receiver's range CRCs over verified chunks ride on.
 
 use std::mem::MaybeUninit;
 
@@ -757,41 +750,6 @@ impl ChunkCrcs {
     }
 }
 
-/// Block size for [`crc32_parallel`]: large enough that per-block combine
-/// cost (a handful of matrix ops) is noise, small enough to load-balance.
-const PAR_BLOCK: usize = 1 << 20;
-
-/// Inputs below this run on the caller's thread; rayon dispatch overhead
-/// would dominate.
-const PAR_MIN: usize = 4 * PAR_BLOCK;
-
-/// CRC32 of a byte slice, block-parallel: splits into ~1 MiB blocks,
-/// checksums them concurrently on the rayon pool, then folds the partial
-/// CRCs with [`crc32_combine`]. Falls back to single-threaded [`crc32`]
-/// below 4 MiB. Always returns exactly `crc32(bytes)`.
-pub fn crc32_parallel(bytes: &[u8]) -> u32 {
-    use rayon::prelude::*;
-    if bytes.len() < PAR_MIN {
-        return crc32(bytes);
-    }
-    // The vendored rayon shim parallelizes `for_each` over a mutable
-    // target, so partial CRCs land positionally in a preallocated vec —
-    // the same pattern the chunk-CRC pool uses.
-    let nblocks = bytes.len().div_ceil(PAR_BLOCK);
-    let mut parts = vec![0u32; nblocks];
-    parts.par_iter_mut().enumerate().for_each(|(i, out)| {
-        let start = i * PAR_BLOCK;
-        let end = (start + PAR_BLOCK).min(bytes.len());
-        *out = crc32(&bytes[start..end]);
-    });
-    let mut fold = CrcFold::new();
-    for (i, &crc) in parts.iter().enumerate() {
-        let start = i * PAR_BLOCK;
-        fold.push(crc, (bytes.len() - start).min(PAR_BLOCK) as u64);
-    }
-    fold.crc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,22 +904,6 @@ mod tests {
         let whole = crc32(&data);
         let stripped = whole ^ crc32_combine(crc32(a), 0, b.len() as u64);
         assert_eq!(stripped, crc32(b));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Below, at, and above the parallel threshold; ragged tails.
-        for len in [
-            0usize,
-            1,
-            PAR_MIN - 1,
-            PAR_MIN,
-            PAR_MIN + 1,
-            6 * PAR_BLOCK + 12_345,
-        ] {
-            let data = lcg_bytes(55 + len as u64, len);
-            assert_eq!(crc32_parallel(&data), crc32(&data), "len {len}");
-        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod wire;
 
 pub use checkpoint::{Checkpoint, FormatError, Sealed};
 pub use crc::{
-    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_parallel, crc32_with, Crc32,
-    Crc32Kernel, CrcFold, CrcShift,
+    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_with, Crc32, Crc32Kernel, CrcFold,
+    CrcShift,
 };
 pub use delta::DeltaCheckpoint;
 pub use encoder::{EncodeArena, EncodedPayload, StreamMark, StreamingEncoder};

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use std::mem::MaybeUninit;
-use viper_formats::{
-    active_kernel, crc32_bytewise, crc32_combine, crc32_parallel, crc32_with, Crc32, Crc32Kernel,
-};
+use viper_formats::{active_kernel, crc32_bytewise, crc32_combine, crc32_with, Crc32, Crc32Kernel};
 
 /// Whether this process was started with the portable-kernel override
 /// (mirrors the dispatcher's own parse: set, non-empty, not "0").
@@ -270,16 +268,6 @@ fn dispatched_update_copying_agrees_with_update() {
         short.is_err(),
         "a 9-byte source must not fit an 8-byte destination"
     );
-}
-
-/// The multi-block parallel path (dispatch + combine) on an input big
-/// enough to actually engage it.
-#[test]
-fn parallel_crc_matches_oracle_on_large_input() {
-    let data: Vec<u8> = (0..5 * (1 << 20) + 13usize)
-        .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
-        .collect();
-    assert_eq!(crc32_parallel(&data), crc32_bytewise(&data));
 }
 
 /// The dispatcher's contract: under `VIPER_FORCE_PORTABLE_CRC` the active

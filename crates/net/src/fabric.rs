@@ -1,6 +1,6 @@
 //! The fabric: node registry, endpoints, and modeled point-to-point links.
 
-use crate::chunk::{chunk_sizes, ChunkHeader, ChunkedSend, FlowReport};
+use crate::chunk::{chunk_sizes, payload_chunk_crcs, ChunkHeader, ChunkedSend, FlowReport};
 use crate::fault::{FaultPlan, FaultRng};
 use crate::reliability::Control;
 use crate::wirebuf::WireBuf;
@@ -602,46 +602,6 @@ fn lane_busy(telemetry: &Telemetry, track: &str, wire: Duration) {
         .add(wire.as_nanos().min(u128::from(u64::MAX)) as u64);
 }
 
-/// Per-chunk body CRC32s for a payload split into `sizes`. Large flows
-/// checksum their chunks in parallel on the rayon pool; results land
-/// positionally, so the output is deterministic regardless of worker
-/// interleaving. Each worker runs the dispatched CRC kernel
-/// (`viper_formats::active_kernel`), so relay re-serve and receive-side
-/// verify ride the hardware path whenever the host proves it.
-fn chunk_crcs(payload: &Payload, sizes: &[u64]) -> Vec<u32> {
-    /// Below this, thread spawn overhead beats the win from splitting.
-    const PARALLEL_MIN_BYTES: usize = 4 << 20;
-    if sizes.len() == 1 {
-        // Single chunk: block-split within the chunk and merge the partial
-        // CRCs with crc32_combine — parallel without re-reading any byte.
-        return vec![viper_formats::crc32_parallel(&payload[..])];
-    }
-    let offsets: Vec<u64> = sizes
-        .iter()
-        .scan(0u64, |acc, &len| {
-            let at = *acc;
-            *acc += len;
-            Some(at)
-        })
-        .collect();
-    let crc_of = |i: usize| {
-        let (at, len) = (offsets[i] as usize, sizes[i] as usize);
-        viper_formats::crc32(&payload[at..at + len])
-    };
-    let mut crcs = vec![0u32; sizes.len()];
-    if payload.len() >= PARALLEL_MIN_BYTES {
-        use rayon::prelude::*;
-        crcs.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, c)| *c = crc_of(i));
-    } else {
-        for (i, c) in crcs.iter_mut().enumerate() {
-            *c = crc_of(i);
-        }
-    }
-    crcs
-}
-
 /// A node's attachment to the fabric.
 pub struct Endpoint {
     node: String,
@@ -736,12 +696,12 @@ impl Endpoint {
             Some(pre) if pre.len() == sizes.len() => {
                 debug_assert_eq!(
                     **pre,
-                    chunk_crcs(&payload, &sizes),
+                    payload_chunk_crcs(&payload, opts.chunk_bytes),
                     "precomputed chunk CRCs disagree with payload bytes"
                 );
                 std::sync::Arc::clone(pre)
             }
-            _ => std::sync::Arc::new(chunk_crcs(&payload, &sizes)),
+            _ => std::sync::Arc::new(payload_chunk_crcs(&payload, opts.chunk_bytes)),
         };
         let flow = ChunkedFlow {
             hop,

@@ -22,7 +22,7 @@ use crate::chunk::ChunkedSend;
 use crate::fabric::{Endpoint, LinkKind};
 use crate::reactor::{FeedbackKind, FlowAction, FlowEvent, FlowMachine, TaskCtx};
 use crate::reliability::{CoalesceQueue, Control, RetryPolicy};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Duration;
@@ -255,7 +255,10 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     /// Feed one decoded feedback frame (`Ack` / `Nack` / `NeedFull`) that
     /// arrived from `from` at `at`. Sender-side frames (`Round`, `Miss`)
     /// are ignored; feedback naming no live flow of `from` is counted
-    /// stale.
+    /// stale. A NACK costs what it names, once: before the flow's machine
+    /// sees it, each index is kept once, in the order named, and only if
+    /// the flow has that chunk; a NACK left naming nothing is stale too —
+    /// it must not burn a retry round.
     pub fn on_feedback(
         &mut self,
         ctx: &mut TaskCtx<'_>,
@@ -271,15 +274,27 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             Control::Nack { missing, .. } => FeedbackKind::Nack { missing },
             Control::Round { .. } | Control::Miss { .. } => return,
         };
-        match self.flows.get_mut(&flow_id) {
-            Some(flow) if flow.send.to == from => {
-                let action = flow
-                    .machine
-                    .on_event(FlowEvent::Feedback { generation, kind });
-                self.act(ctx, flow_id, action, at);
+        let Some(flow) = self.flows.get_mut(&flow_id).filter(|f| f.send.to == from) else {
+            self.counters.stale_feedback.inc();
+            return;
+        };
+        let kind = match kind {
+            // An empty list is the blind "resend everything".
+            FeedbackKind::Nack { mut missing } if !missing.is_empty() => {
+                let mut named = HashSet::new();
+                missing.retain(|&index| index < flow.num_chunks && named.insert(index));
+                if missing.is_empty() {
+                    self.counters.stale_feedback.inc();
+                    return;
+                }
+                FeedbackKind::Nack { missing }
             }
-            _ => self.counters.stale_feedback.inc(),
-        }
+            kind => kind,
+        };
+        let action = flow
+            .machine
+            .on_event(FlowEvent::Feedback { generation, kind });
+        self.act(ctx, flow_id, action, at);
     }
 
     /// Timer `token` fired at `deadline`. Returns `false` when the token

@@ -27,9 +27,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use viper_hw::{MachineProfile, SimClock, SimInstant};
 use viper_net::{
-    ChunkHeader, ChunkedSend, Control, Endpoint, Fabric, FaultPlan, FlowAssembler, FlowSender,
-    FlowStatus, LinkKind, MessageKind, Outbound, Outcome, OutcomeKind, Payload, Reactor,
-    ReactorTask, RetryPolicy, SenderCounters, TaskCtx,
+    chunk_body_crc, ChunkHeader, ChunkedSend, Control, Endpoint, Fabric, FaultPlan, FlowAssembler,
+    FlowSender, FlowStatus, LinkKind, MessageKind, Outbound, Outcome, OutcomeKind, Payload,
+    Reactor, ReactorTask, RetryPolicy, SenderCounters, TaskCtx,
 };
 use viper_telemetry::Telemetry;
 
@@ -77,6 +77,13 @@ enum Behaviour {
     /// Pretend these chunk indices of the first round were lost and NACK
     /// them; `Honest` from the first `Round` frame on.
     LoseOnce(Vec<u32>),
+    /// Like `LoseOnce(lost)`, but the NACK names `report` instead: indices
+    /// repeated, or ones the flow does not have.
+    Misreport { lost: Vec<u32>, report: Vec<u32> },
+    /// `Honest`, but NACK every damaged chunk *arrival* — a receiver without
+    /// the assembler's once-per-reap corrupt flag, which names a chunk the
+    /// link corrupted and then duplicated twice.
+    Echo,
     /// ACK complete flows from a *different* node.
     Impostor,
     /// ACK complete flows stamped with a generation the sender never used.
@@ -100,6 +107,8 @@ struct Receiver {
     asm: FlowAssembler,
     generations: HashMap<u64, u64>,
     seen: Arc<Mutex<Vec<Seen>>>,
+    /// The `missing` list of every NACK sent, in send order.
+    nacked: Arc<Mutex<Vec<Vec<u32>>>>,
 }
 
 fn token_of(tag: &str) -> u64 {
@@ -163,7 +172,19 @@ impl ReactorTask for Receiver {
                     complain(header.chunk_index);
                     continue;
                 }
+                Behaviour::Misreport { lost, report }
+                    if first_round && lost.contains(&header.chunk_index) =>
+                {
+                    for &index in report {
+                        complain(index);
+                    }
+                    continue;
+                }
                 _ => {}
+            }
+            if self.behaviour == Behaviour::Echo && chunk_body_crc(&msg) != Some(header.crc32) {
+                complain(header.chunk_index);
+                continue;
             }
             match self.asm.accept(msg.clone()) {
                 FlowStatus::Corrupt { chunk_index, .. } => complain(chunk_index),
@@ -206,6 +227,7 @@ impl ReactorTask for Receiver {
             }
         }
         for (flow_id, (from, tag, missing, at)) in nacks {
+            self.nacked.lock().push(missing.clone());
             let nack = Control::Nack {
                 flow_id,
                 generation: self.generation(flow_id),
@@ -377,6 +399,10 @@ struct Run {
     retransmits: u64,
     stale_feedback: u64,
     timers_fired: u64,
+    /// Every NACK's `missing` list, over all peers.
+    nacked: Vec<Vec<u32>>,
+    /// Chunks the fabric carried in retransmission rounds.
+    chunks_retransmitted: u64,
 }
 
 impl Run {
@@ -388,12 +414,14 @@ impl Run {
 fn run(scenario: &Scenario) -> Run {
     let telemetry = Telemetry::disabled();
     let fabric = Fabric::new(MachineProfile::polaris(), SimClock::new());
+    fabric.set_telemetry(telemetry.clone());
     fabric.set_fault_plan(scenario.plan.clone());
     let reactor = Reactor::new(1, telemetry.clone());
     fabric.set_waker(Some(reactor.waker()));
 
     let mut names: Vec<String> = Vec::new();
     let mut seen = Vec::new();
+    let nacked = Arc::new(Mutex::new(Vec::new()));
     for (i, behaviour) in scenario.peers.iter().enumerate() {
         let name = format!("rx{i}");
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -407,6 +435,7 @@ fn run(scenario: &Scenario) -> Run {
                 asm: FlowAssembler::new(),
                 generations: HashMap::new(),
                 seen: Arc::clone(&log),
+                nacked: Arc::clone(&nacked),
             }),
         );
         names.push(name);
@@ -457,6 +486,7 @@ fn run(scenario: &Scenario) -> Run {
     reactor.deregister("tx");
     drop(reactor);
     let log = std::mem::take(&mut *log.lock());
+    let nacked = std::mem::take(&mut *nacked.lock());
     Run {
         admitted: log.admitted,
         outcomes: log.outcomes,
@@ -465,6 +495,8 @@ fn run(scenario: &Scenario) -> Run {
         retransmits: counters.retransmits.get(),
         stale_feedback: counters.stale_feedback.get(),
         timers_fired: telemetry.counter("reactor.timers_fired").get(),
+        nacked,
+        chunks_retransmitted: telemetry.counter("fabric.chunks_retransmitted").get(),
     }
 }
 
@@ -540,6 +572,73 @@ fn a_nacked_round_resends_exactly_the_missing_chunks() {
     assert_eq!(run.timers_fired, 0, "the NACK beat the ack timer");
     let flow_id = run.seen[0][0].flow_id;
     assert_eq!(after_round(&run.seen[0], flow_id), vec![1, 3]);
+}
+
+#[test]
+fn a_chunk_named_thrice_is_resent_once() {
+    let run = run(&Scenario::new(
+        vec![Behaviour::Misreport {
+            lost: vec![2],
+            report: vec![2, 2, 2],
+        }],
+        vec![one(0, 5)],
+        3,
+    ));
+    assert_eq!(run.nacked, vec![vec![2, 2, 2]]);
+    assert_eq!(run.kinds(), vec![(0, OutcomeKind::Complete)]);
+    assert_eq!(run.retransmits, 1);
+    let flow_id = run.seen[0][0].flow_id;
+    assert_eq!(after_round(&run.seen[0], flow_id), vec![2]);
+    assert_eq!(run.chunks_retransmitted, 1);
+}
+
+#[test]
+fn a_nack_naming_no_chunk_of_the_flow_is_stale_and_spends_no_round() {
+    // One retry in the budget: were the NACK to burn it on a round that
+    // resends nothing, the ack timeout's blind resend could not follow.
+    let run = run(&Scenario::new(
+        vec![Behaviour::Misreport {
+            lost: vec![1],
+            report: vec![u32::MAX],
+        }],
+        vec![one(0, 5)],
+        1,
+    ));
+    assert_eq!(run.kinds(), vec![(0, OutcomeKind::Complete)]);
+    assert_eq!(run.stale_feedback, 1);
+    assert_eq!(run.retransmits, 1, "the blind round, and only it");
+    assert_eq!(run.timers_fired, 1);
+    let flow_id = run.seen[0][0].flow_id;
+    assert_eq!(after_round(&run.seen[0], flow_id), vec![0, 1, 2, 3, 4]);
+}
+
+/// The link corrupts a message before it duplicates it, so a damaged chunk
+/// can land twice in one drain; a receiver that NACKs every damaged arrival
+/// names it twice, and the round still resends it once.
+#[test]
+fn duplicated_corruption_is_resent_once_per_round() {
+    for seed in fault_seeds() {
+        let wave = || (0..3).map(|peer| Admit { peer, chunks: 5 }).collect();
+        let mut scenario = Scenario::new(vec![Behaviour::Echo; 3], vec![wave(), wave()], 16);
+        scenario.plan = Some(
+            FaultPlan::seeded(seed)
+                .with_duplicate(0.5)
+                .with_corrupt(0.5),
+        );
+        let run = run(&scenario);
+        assert_contract(&run);
+        let distinct = |missing: &Vec<u32>| missing.iter().collect::<BTreeSet<_>>().len();
+        assert!(
+            run.nacked.iter().any(|m| distinct(m) < m.len()),
+            "seed {seed}: no chunk was both corrupted and duplicated"
+        );
+        // Nothing is dropped and every damaged arrival is NACKed, so every
+        // round answers exactly one NACK.
+        assert_eq!(run.timers_fired, 0, "seed {seed}");
+        assert_eq!(run.retransmits, run.nacked.len() as u64, "seed {seed}");
+        let named: usize = run.nacked.iter().map(distinct).sum();
+        assert_eq!(run.chunks_retransmitted, named as u64, "seed {seed}");
+    }
 }
 
 #[test]

@@ -199,23 +199,3 @@ fn select_route_degrades_gpu_to_host_to_pfs() {
         "fills the GPU tier, then degrades host → PFS"
     );
 }
-
-#[test]
-fn no_degradation_when_tier_fallback_disabled() {
-    let mut config = base(Route::GpuToGpu, CaptureMode::Sync);
-    config.profile = cramped_profile(9_000, u64::MAX);
-    config.tier_fallback = false;
-    let viper = Viper::new(config);
-    let producer = viper.producer("p");
-    producer.save_weights(&ckpt("m", 1, 1_000)).unwrap();
-    producer.save_weights(&ckpt("m", 2, 1_000)).unwrap();
-    // Third save overflows the GPU tier; with fallback disabled the save
-    // fails instead of silently rerouting.
-    let err = producer.save_weights(&ckpt("m", 3, 1_000)).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("capacity"), "unexpected error: {msg}");
-    // Nothing degraded: every stored version sits on the configured tier.
-    for record in viper.metadata().history("m") {
-        assert_eq!(record.location, Tier::GpuMem.name());
-    }
-}

@@ -86,15 +86,13 @@ fn poisoned_pfs_object_is_skipped_not_fatal() {
 
 #[test]
 fn staging_tier_capacity_exhaustion_fails_save_but_not_training() {
-    // Shrink GPU memory so the checkpoint cannot be cached, and disable the
-    // Transfer Selector's fallback so the failure path is exercised.
+    // Shrink every tier so the checkpoint cannot be cached anywhere: the
+    // Transfer Selector degrades GPU → host → PFS and the PFS refuses it
+    // too, so the failure path is exercised.
     let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
     config.flush_to_pfs = false;
-    config.tier_fallback = false;
     for tier in &mut config.profile.tiers {
-        if tier.tier == Tier::GpuMem {
-            tier.capacity = 64; // bytes — nothing fits
-        }
+        tier.capacity = 64; // bytes — nothing fits
     }
     let viper = Viper::new(config);
     let producer = Arc::new(viper.producer("p"));
@@ -1009,7 +1007,6 @@ fn zero_probability_fault_plan_leaves_makespan_identical() {
     let clean = faulted_latency(base(), PARITY_ELEMS);
     let mut with_plan = base();
     with_plan.fault_plan = Some(FaultPlan::seeded(fault_seeds()[0]));
-    with_plan.reliable_delivery = false;
     let planned = faulted_latency(with_plan, PARITY_ELEMS);
     assert!(
         (planned - clean).abs() / clean < 1e-9,

@@ -3,7 +3,7 @@
 //! background PFS flush provides fault tolerance.
 
 use std::time::Duration;
-use viper::{Consumer, Producer, Viper, ViperConfig};
+use viper::{Consumer, Delivery, Producer, Reliable, Viper, ViperConfig};
 use viper_formats::Checkpoint;
 use viper_hw::{CaptureMode, Route, Tier};
 use viper_tensor::Tensor;
@@ -463,3 +463,331 @@ fn async_coalescing_worker_chains_behind_its_previous_delivery() {
         assert_eq!(stages[k].0, worker_free, "update {k}: {stages:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The delivery lattice: {sync, async} × the 18 modes the engine runs.
+// ---------------------------------------------------------------------------
+
+/// What the lattice saves: one tensor that changes every save and one that
+/// never does, so a delta has something to leave out.
+fn lattice_ckpt(iter: u64) -> Checkpoint {
+    Checkpoint::new(
+        "m",
+        iter,
+        vec![
+            ("w".into(), Tensor::full(&[16 * 1024], iter as f32)),
+            ("frozen".into(), Tensor::full(&[16 * 1024], 0.5)),
+        ],
+    )
+}
+
+/// Five chunks of the 128 KiB lattice checkpoint.
+const LATTICE_CHUNK: u64 = 32 * 1024;
+
+type Builder = fn(ViperConfig) -> ViperConfig;
+
+/// The nine delivery modes, each reached through the builders alone.
+const LATTICE_DELIVERIES: [(&str, Builder); 9] = [
+    ("best-effort", |c| c),
+    ("reliable", ViperConfig::with_reliable),
+    ("delta", ViperConfig::with_delta),
+    ("coalescing", ViperConfig::with_coalescing),
+    ("delta+coalescing", |c| c.with_delta().with_coalescing()),
+    ("relay", |c| c.with_relay_tree(1)),
+    ("relay+delta", |c| c.with_relay_tree(1).with_delta()),
+    ("relay+coalescing", |c| {
+        c.with_relay_tree(1).with_coalescing()
+    }),
+    ("relay+delta+coalescing", |c| {
+        c.with_relay_tree(1).with_delta().with_coalescing()
+    }),
+];
+
+/// What one lattice scenario pins: the four saves' `SaveReceipt::stall`
+/// (ns); then the producer's `delta_sends`, `delta_fallbacks`, `group_acks`
+/// and `bytes_copied`, and the consumers' `relay_reserves` and
+/// `bytes_copied`, summed.
+type LatticePins = ([u64; 4], [u64; 6]);
+
+/// Save-to-swap instants (ns) per save, per consumer.
+type LatticeSwaps = [[u64; 3]; 4];
+
+/// Four saves to three consumers, every consumer installing each save — and
+/// every ACK handled — before the next, so which base a delta diffs against
+/// never depends on how fast the reactor drains. Checks the installs: every
+/// save once on every consumer, or under coalescing, `applied + superseded
+/// == saves` with the newest landing everywhere.
+fn lattice_run(config: ViperConfig) -> (LatticePins, LatticeSwaps) {
+    let coalescing = matches!(
+        config.delivery,
+        Delivery::Reliable(Reliable { coalesce: true, .. })
+    );
+    let viper = Viper::new(config);
+    let producer = viper.producer("p");
+    let consumers: Vec<Consumer> = (0..3)
+        .map(|i| viper.consumer(&format!("c{i}"), "m"))
+        .collect();
+    let (mut stalls, mut swaps) = ([0; 4], [[0; 3]; 4]);
+    for (save, iter) in (1..=4u64).enumerate() {
+        let receipt = producer.save_weights(&lattice_ckpt(iter)).unwrap();
+        stalls[save] = receipt.stall.as_nanos() as u64;
+        for (slot, consumer) in consumers.iter().enumerate() {
+            let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
+            assert_eq!(*got, lattice_ckpt(iter));
+            let swapped = consumer.last_update().unwrap().swapped_at;
+            swaps[save][slot] = swapped.since(receipt.started_at).as_nanos() as u64;
+        }
+        producer.flush_deliveries();
+    }
+    let applied: u64 = consumers.iter().map(Consumer::updates_applied).sum();
+    if coalescing {
+        assert_eq!(applied + producer.updates_superseded(), 4 * 3);
+    } else {
+        assert!(consumers.iter().all(|c| c.updates_applied() == 4));
+    }
+    assert!(consumers.iter().all(|c| c.current_iteration() == Some(4)));
+    let summed = |count: fn(&Consumer) -> u64| consumers.iter().map(count).sum();
+    let counters = [
+        producer.delta_sends(),
+        producer.delta_fallbacks(),
+        producer.group_acks(),
+        producer.bytes_copied(),
+        summed(Consumer::relay_reserves),
+        summed(Consumer::bytes_copied),
+    ];
+    ((stalls, counters), swaps)
+}
+
+/// {sync, async} × {monolithic, chunked} × the nine delivery modes, on the
+/// GPU route: every reported stall, the installs and the delivery counters
+/// are what the parent of the typed `Delivery` produced. Save-to-swap
+/// instants are pinned only where
+/// `virtual_timeline_is_a_function_of_the_scenario` proves one timeline
+/// (async + reliable still races: ROADMAP item 1).
+#[test]
+fn delivery_lattice_keeps_its_stalls_installs_and_counters() {
+    let mut got: Vec<(String, LatticePins)> = Vec::new();
+    for mode in [CaptureMode::Sync, CaptureMode::Async] {
+        for (shape, chunking) in [("mono", None), ("chunked", Some(LATTICE_CHUNK))] {
+            for (delivery, build) in LATTICE_DELIVERIES {
+                let mut config = build(probe_config(mode));
+                config.chunking = chunking;
+                let name = format!("{mode:?} {shape} {delivery}");
+                let (pins, swaps) = lattice_run(config);
+                if let Some((_, want)) = LATTICE_SWAPS.iter().find(|(n, _)| *n == name) {
+                    assert_eq!(swaps, *want, "{name}");
+                }
+                got.push((name, pins));
+            }
+        }
+    }
+    let want: Vec<(String, LatticePins)> = LATTICE
+        .iter()
+        .map(|(name, stalls, counters)| (name.to_string(), (*stalls, *counters)))
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(name, (stalls, counters))| format!("    (\"{name}\", {stalls:?}, {counters:?}),\n"))
+        .collect();
+    assert!(got == want, "the lattice moved; now:\n{rows}");
+
+    // The one asymmetry of the save plan: a delta + chunked + sync save
+    // bills its capture as a lump, yet reports the stall of the full
+    // payload's chunk pipeline — the same one a plain chunked save reports.
+    let stall_of = |name: &str| got.iter().find(|(n, _)| n == name).unwrap().1 .0;
+    assert_eq!(
+        stall_of("Sync chunked delta"),
+        stall_of("Sync chunked reliable")
+    );
+}
+
+const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
+    (
+        "Sync mono best-effort",
+        [47177, 47177, 47177, 47177],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync mono reliable",
+        [47177, 47177, 47177, 47177],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync mono delta",
+        [47177, 47177, 47177, 47177],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Sync mono coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync mono delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Sync mono relay",
+        [47177, 47177, 47177, 47177],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Sync mono relay+delta",
+        [47177, 47177, 47177, 47177],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Sync mono relay+coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Sync mono relay+delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Sync chunked best-effort",
+        [135865, 135865, 135865, 135865],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync chunked reliable",
+        [135865, 135865, 135865, 135865],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync chunked delta",
+        [135865, 135865, 135865, 135865],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Sync chunked coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Sync chunked delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Sync chunked relay",
+        [135865, 135865, 135865, 135865],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Sync chunked relay+delta",
+        [135865, 135865, 135865, 135865],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Sync chunked relay+coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Sync chunked relay+delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Async mono best-effort",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async mono reliable",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async mono delta",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Async mono coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async mono delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Async mono relay",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Async mono relay+delta",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Async mono relay+coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Async mono relay+delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Async chunked best-effort",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async chunked reliable",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async chunked delta",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Async chunked coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "Async chunked delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [9, 3, 0, 131140, 0, 0],
+    ),
+    (
+        "Async chunked relay",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Async chunked relay+delta",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+    (
+        "Async chunked relay+coalescing",
+        [11749, 11749, 11749, 11749],
+        [0, 0, 4, 0, 8, 0],
+    ),
+    (
+        "Async chunked relay+delta+coalescing",
+        [11749, 11749, 11749, 11749],
+        [3, 1, 4, 131140, 8, 0],
+    ),
+];
+
+const LATTICE_SWAPS: [(&str, LatticeSwaps); 5] = [
+    ("Sync mono best-effort", [[359026, 394454, 429882]; 4]),
+    ("Sync chunked best-effort", [[447739, 563192, 678645]; 4]),
+    ("Sync chunked reliable", [[447739, 427302, 427302]; 4]),
+    ("Async mono best-effort", [[365583, 401011, 436439]; 4]),
+    ("Async chunked best-effort", [[445608, 561061, 676514]; 4]),
+];

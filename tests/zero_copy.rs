@@ -29,8 +29,6 @@ fn steady_state_delivery_copies_zero_payload_bytes() {
     let mut config = ViperConfig::default()
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_reliable();
-    // One chunk per flow: the payload fits a single chunk.
-    config.chunk_bytes = 64 * 1024 * 1024;
     config.flush_to_pfs = false;
     let viper = Viper::new(config);
     let producer = viper.producer("p");
@@ -72,7 +70,6 @@ fn arena_recycles_serialize_buffers_once_versions_prune() {
         let mut config = ViperConfig::default()
             .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
             .with_reliable();
-        config.chunk_bytes = 64 * 1024 * 1024;
         if chunked {
             config = config.with_chunked(16 * 1024);
         }
@@ -106,7 +103,6 @@ fn arena_releases_high_water_capacity_when_saves_shrink() {
     let mut config = ViperConfig::default()
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_reliable();
-    config.chunk_bytes = 64 * 1024 * 1024;
     config.flush_to_pfs = false;
     config.keep_versions = 1;
     let viper = Viper::new(config);
