@@ -636,11 +636,12 @@ pub fn render_all() -> String {
     ));
 
     out.push_str("\n### Straggler consumer: FIFO vs collapse-to-latest coalescing\n\n");
-    let rows: Vec<Vec<String>> = straggler_coalescing()
-        .into_iter()
+    let straggler = straggler_coalescing();
+    let rows: Vec<Vec<String>> = straggler
+        .iter()
         .map(|r| {
             vec![
-                r.mode,
+                r.mode.clone(),
                 r.delivered.to_string(),
                 r.superseded.to_string(),
                 format!("{:.1}", r.mean_staleness),
@@ -660,10 +661,26 @@ pub fn render_all() -> String {
         ],
         &rows,
     ));
+    let (fifo, coalesce) = (&straggler[0], &straggler[1]);
+    out.push_str(&format!(
+        "\nOne consumer behind a link dropping 75% of chunks per repair round, {n} versions \
+         produced at a fixed training cadence (the producer never blocks). Unbounded FIFO \
+         delivery ships every version, so the straggler's backlog — and the versions-behind \
+         staleness of every install — grows without bound and it only drains long after \
+         training ends. Collapse-to-latest coalescing (queue bound 1) supersedes {superseded} \
+         stale versions before they hit the wire; staleness stays bounded by a single service \
+         time and the straggler converges {speedup:.1}× sooner. Accounting is exact: delivered \
+         + superseded = {n}. Built from the production `CoalesceQueue` and \
+         `RetryPolicy::backoff_with_pressure`, fully deterministic (seed 7).\n",
+        n = fifo.delivered,
+        superseded = coalesce.superseded,
+        speedup = fifo.makespan / coalesce.makespan,
+    ));
 
     out.push_str("\n### Relay-tree fan-out at fleet scale (fanout 8, churn + 10% stragglers)\n\n");
-    let rows: Vec<Vec<String>> = fanout_tree()
-        .into_iter()
+    let fleets = fanout_tree();
+    let rows: Vec<Vec<String>> = fleets
+        .iter()
         .map(|r| {
             vec![
                 r.consumers.to_string(),
@@ -687,6 +704,19 @@ pub fn render_all() -> String {
             "joins",
         ],
         &rows,
+    ));
+    let depths: Vec<String> = fleets.iter().map(|r| r.depth.to_string()).collect();
+    out.push_str(&format!(
+        "\nOne full TC1-sized model costs ~24 ms per healthy hop; the producer serializes its \
+         sends, so direct unicast pays a makespan linear in the fleet while the fan-out-8 relay \
+         tree pays one or two more levels per 10× (depth {}, `O(fanout · log_fanout n)`). Each \
+         fleet runs 6 update rounds under seeded churn — failures healed in place via \
+         `Topology::reparent`, joins via deterministic rebuild — and 10% straggler links at 8× \
+         slowdown; every round asserts exactly-once coverage (each live member reachable from \
+         exactly one root, once). The runtime counterpart (`tests/relay_tree.rs`) drives \
+         7-consumer trees over the real fault-injected fabric and asserts the same invariant \
+         from the installed-update counters.\n",
+        depths.join(" → ")
     ));
 
     out.push_str("\n### PFS write contention (TC1 checkpoint, concurrent streams)\n\n");
