@@ -4,18 +4,13 @@
 //! evaluation (§5), each exposing a `run()` that returns structured rows
 //! and a `render()` that prints the same table the paper reports.
 //!
-//! Regeneration binaries (see `DESIGN.md` for the experiment index):
+//! Binaries (see `DESIGN.md` for the experiment index):
 //!
-//! | target | reproduces |
+//! | target | produces |
 //! |---|---|
-//! | `fig5_curve_fit` | Fig. 5 — learning-curve fitting for TC1 |
-//! | `fig6_timing_stability` | Fig. 6 — constant per-iteration timings |
-//! | `fig8_update_latency` | Fig. 8a-c — end-to-end update latency |
-//! | `fig9_transfer_benefit` | Fig. 9 — CIL + overhead per strategy |
-//! | `fig10_schedule_cil` | Fig. 10a-c — CIL per schedule |
-//! | `table1_overhead` | Table 1 — checkpoints & training overhead |
+//! | `all_experiments` | every figure and table (Figs. 5, 6, 8-10, Table 1) and the ablations, as EXPERIMENTS.md content |
 //! | `ablations` | sync/async, notify vs poll, format, threshold |
-//! | `all_experiments` | everything above, as EXPERIMENTS.md content |
+//! | `trace_dump` | a fault-injected session's Chrome trace |
 
 pub mod ablations;
 pub mod fig10;

@@ -2,11 +2,13 @@
 //!
 //! [`PayloadCodec`] decides *per delivery group, per update* whether to
 //! ship the full checkpoint or an incremental [`viper_formats::delta`]
-//! against the base version every member last **acknowledged**, and frames
-//! the chosen bytes with an explicit payload-kind envelope
-//! ([`viper_formats::wire`]) so the receiver dispatches by header, never by
-//! sniffing body magics. A directly served consumer is a group of one; a
-//! relay-tree root stands for its whole subtree.
+//! against the base version every member last **acknowledged**. Both travel
+//! behind an explicit payload-kind envelope ([`viper_formats::wire`]) so
+//! the receiver dispatches by header, never by sniffing body magics. The
+//! codec frames only deltas: a full is the save's own buffer, which
+//! `save_weights` wrote envelope-first in its one encode pass. A directly
+//! served consumer is a group of one; a relay-tree root stands for its
+//! whole subtree.
 //! The delivery layer ([`crate::delivery`]) drives the framed payload over
 //! the fabric — chunking, CRC, fault injection, NACK/retransmit, and the
 //! durable PFS fallback all compose with it.
@@ -23,7 +25,8 @@
 //!   on a fresh flow, and its base tracking is reset;
 //! * the durable paths — background PFS flush, exhaustion fallback, and
 //!   everything the recovery/pull code reads — always store **raw, unframed
-//!   full encodings**; the envelope exists only on the wire.
+//!   full encodings**: a zero-copy view past the envelope of the same
+//!   buffer. The envelope exists only on the wire.
 //!
 //! Virtual-time accounting: encoding a delta charges one full-model read
 //! pass (the diff) at the route's staging bandwidth via
@@ -31,8 +34,6 @@
 //! deterministic-timeline invariant (disabled vs enabled telemetry is
 //! bit-identical) holds with delta transfer on.
 
-use crate::config::{Delivery, Reliable};
-use crate::delivery::DeliveryCounters;
 use crate::producer::{charge_at, ProducerCtx, Update};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -44,44 +45,30 @@ use viper_hw::{stage_time, SimInstant};
 pub(crate) struct WirePayload {
     /// Body layout the envelope advertises.
     pub(crate) kind: PayloadKind,
-    /// The bytes handed to the fabric (framed under delta delivery,
-    /// a zero-copy view of the raw full encoding otherwise).
+    /// The bytes handed to the fabric: an encoded delta, or a zero-copy
+    /// view of the update's own wire full.
     pub(crate) bytes: Payload,
     /// Per-chunk CRCs of `bytes` under the update's chunk geometry,
     /// computed in the same pass that serialized them. Handed to the
     /// fabric so neither the initial send nor any retransmission round
     /// re-reads the payload to checksum it.
-    pub(crate) crcs: Option<Arc<Vec<u32>>>,
+    pub(crate) crcs: Arc<Vec<u32>>,
 }
 
-/// A framed wire encoding plus its encode-time per-chunk CRCs.
-pub(crate) type FramedBytes = (Payload, Arc<Vec<u32>>);
+/// A framed delta encoding plus its encode-time per-chunk CRCs.
+type FramedBytes = (Payload, Arc<Vec<u32>>);
 
-/// Envelope-frame `body` through the streaming encoder: the one
-/// unavoidable body copy under delta transfer *is* the chunk CRC pass
-/// (`put_bytes` checksums each block as it stores it), so the bytes are
-/// read exactly once.
-pub(crate) fn frame_streaming(kind: PayloadKind, body: &[u8], chunk_bytes: u64) -> FramedBytes {
-    let mut enc = StreamingEncoder::new(chunk_bytes);
-    enc.put_bytes(&wire::envelope(kind));
-    enc.put_bytes(body);
-    let encoded = enc.finish();
-    (encoded.payload, encoded.chunk_crcs)
-}
-
-/// Per-model memo of encoded wire payloads for the codec's *current*
-/// update: the full framing happens at most once, and a delta against a
-/// given base is diffed/encoded (and its diff pass charged) at most once
-/// even when several consumers share the acknowledged base. The memo is
-/// keyed to one target iteration — a newer save resets it — and delta
-/// entries are evicted when retention prunes their base, so the cache
-/// never accretes encodings that [`PayloadCodec::base_for`] would refuse
-/// to choose again.
+/// Per-model memo of encoded deltas for the codec's *current* update: a
+/// delta against a given base is diffed/encoded (and its diff pass
+/// charged) at most once even when several consumers share the
+/// acknowledged base. The memo is keyed to one target iteration — a newer
+/// save resets it — and entries are evicted when retention prunes their
+/// base, so the cache never accretes encodings that
+/// [`PayloadCodec::base_for`] would refuse to choose again.
 #[derive(Default)]
 struct ModelWireCache {
     /// Iteration the cached encodings were produced for.
     target: u64,
-    full: Option<FramedBytes>,
     /// base iteration → framed delta (with its chunk CRCs); `None` caches
     /// a failed diff (architecture changed), so it is not retried per
     /// consumer.
@@ -91,10 +78,8 @@ struct ModelWireCache {
 impl ModelWireCache {
     fn reset_to(&mut self, target: u64) {
         if self.target != target {
-            *self = ModelWireCache {
-                target,
-                ..ModelWireCache::default()
-            };
+            self.target = target;
+            self.deltas.clear();
         }
     }
 }
@@ -232,33 +217,6 @@ impl PayloadCodec {
             .remove(&(consumer.to_string(), model.to_string()));
     }
 
-    /// Memoized framed-full encoding of `model`'s update `target`,
-    /// producing (and counting) it on first use.
-    fn full_framed_cached(
-        &self,
-        model: &str,
-        target: u64,
-        payload: &Payload,
-        chunk_bytes: u64,
-        counters: &DeliveryCounters,
-    ) -> FramedBytes {
-        let mut caches = self.wire_cache.lock();
-        let entry = caches.entry(model.to_string()).or_default();
-        entry.reset_to(target);
-        entry
-            .full
-            .get_or_insert_with(|| {
-                // The one remaining full-payload copy under delta transfer:
-                // prefixing the envelope header rewrites the body. Done at
-                // most once per update, surfaced in the counters, and fused
-                // with the chunk CRC pass.
-                counters.bytes_copied.add(payload.len() as u64);
-                counters.payload_allocs.inc();
-                frame_streaming(PayloadKind::Full, payload.as_slice(), chunk_bytes)
-            })
-            .clone()
-    }
-
     /// Memoized delta of `model`'s update `target` against `base`,
     /// invoking `make` (which encodes and charges the diff pass) on first
     /// use. A memoized `None` records a failed diff so it is not retried
@@ -276,16 +234,6 @@ impl PayloadCodec {
         entry.deltas.entry(base).or_insert_with(make).clone()
     }
 
-    /// The already-framed full for `model`'s update `target`, if one was
-    /// memoized while encoding the fan-out.
-    pub(crate) fn cached_full(&self, model: &str, target: u64) -> Option<FramedBytes> {
-        self.wire_cache
-            .lock()
-            .get(model)
-            .filter(|entry| entry.target == target)
-            .and_then(|entry| entry.full.clone())
-    }
-
     #[cfg(test)]
     fn cached_delta_bases(&self, model: &str) -> Vec<u64> {
         let mut bases: Vec<u64> = self
@@ -301,12 +249,13 @@ impl PayloadCodec {
 
 /// Choose and encode the *shared* wire payload for `members`: one directly
 /// served consumer, or a relay group (a tree root plus its whole subtree —
-/// the same bytes are re-served down every level). A delta is chosen only
-/// when [`PayloadCodec::base_for`] proves it applies at every member;
-/// otherwise they get the memoized framed full. Without delta delivery
-/// this is the identity: the raw full encoding travels unframed,
-/// byte-identical to a build without the codec layer. A diff pass is
-/// charged from `frontier` — the delivery's causal instant — and moves it.
+/// the same bytes are re-served down every level). A delta needs a
+/// retained capture (`update.ckpt`, kept only under delta delivery) and is
+/// chosen only when [`PayloadCodec::base_for`] proves it applies at every
+/// member; otherwise they get the update's own wire full — the save's
+/// framed buffer under delta delivery, the raw encoding (byte-identical to
+/// a build without the codec layer) otherwise. A diff pass is charged from
+/// `frontier` — the delivery's causal instant — and moves it.
 pub(crate) fn encode_for(
     ctx: &ProducerCtx,
     update: &Update,
@@ -315,16 +264,8 @@ pub(crate) fn encode_for(
     frontier: &mut SimInstant,
 ) -> WirePayload {
     let (codec, counters) = (&ctx.codec, &ctx.counters);
-    let (record, payload) = (&update.record, &update.payload);
+    let record = &update.record;
     let shared = &ctx.viper.shared;
-    let Delivery::Reliable(Reliable { delta: true, .. }) = shared.config.delivery else {
-        return WirePayload {
-            kind: PayloadKind::Full,
-            bytes: payload.clone(),
-            crcs: Some(Arc::clone(&update.crcs)),
-        };
-    };
-    let chunk_bytes = shared.config.chunking.unwrap_or(0);
     if let Some(ckpt) = &update.ckpt {
         if let Some(base) = codec
             .base_for(members, &record.name)
@@ -337,7 +278,7 @@ pub(crate) fn encode_for(
                 // tensors encode directly off the compare pass, so no
                 // DeltaCheckpoint, tensor clone, or intermediate buffer
                 // ever materializes on the send path.
-                let mut enc = StreamingEncoder::new(chunk_bytes);
+                let mut enc = StreamingEncoder::new(shared.config.chunking.unwrap_or(0));
                 enc.put_bytes(&wire::envelope(PayloadKind::Delta));
                 delta::diff_into(&base, ckpt, &mut enc).ok()?;
                 counters.payload_allocs.inc();
@@ -349,7 +290,7 @@ pub(crate) fn encode_for(
                 *frontier = charge_at(
                     &shared.clock,
                     t0,
-                    stage_time(&shared.config.profile, update.route, payload.len() as u64),
+                    stage_time(&shared.config.profile, update.route, record.size_bytes),
                 );
                 shared.config.telemetry.complete(
                     "producer",
@@ -366,37 +307,29 @@ pub(crate) fn encode_for(
             });
             if let Some((bytes, crcs)) = encoded {
                 counters.delta_sends.inc();
-                let full_len = (payload.len() + wire::WIRE_HEADER_BYTES) as u64;
+                let full_len = update.wire_full.len() as u64;
                 counters
                     .delta_bytes_saved
                     .add(full_len.saturating_sub(bytes.len() as u64));
                 return WirePayload {
                     kind: PayloadKind::Delta,
                     bytes,
-                    crcs: Some(crcs),
+                    crcs,
                 };
             }
         }
+        counters.delta_fallbacks.inc();
     }
-    counters.delta_fallbacks.inc();
-    let (bytes, crcs) = codec.full_framed_cached(
-        &record.name,
-        record.iteration,
-        payload,
-        chunk_bytes,
-        counters,
-    );
     WirePayload {
         kind: PayloadKind::Full,
-        bytes,
-        crcs: Some(crcs),
+        bytes: update.wire_full.clone(),
+        crcs: Arc::clone(&update.crcs),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viper_telemetry::Telemetry;
 
     fn ckpt(iteration: u64) -> Arc<Checkpoint> {
         Arc::new(Checkpoint::new(
@@ -509,32 +442,5 @@ mod tests {
         // The memo is target-keyed: a newer update resets it entirely.
         assert!(codec.delta_cached("m", 4, 2, || None).is_none());
         assert_eq!(codec.cached_delta_bases("m"), vec![2]);
-        assert!(codec.cached_full("m", 3).is_none());
-    }
-
-    #[test]
-    fn wire_cache_full_is_target_keyed() {
-        let codec = codec();
-        let counters = DeliveryCounters::new(&Telemetry::disabled(), "p");
-        let payload = Payload::from(vec![7u8; 16]);
-        let (framed, crcs) = codec.full_framed_cached("m", 1, &payload, 8, &counters);
-        // The streamed framing is byte-identical to the legacy copy path,
-        // and its chunk CRCs match fresh CRCs over the framed slices.
-        let legacy = wire::frame(PayloadKind::Full, &payload);
-        assert_eq!(framed.as_slice(), &legacy[..]);
-        assert_eq!(crcs.len(), legacy.len().div_ceil(8));
-        for (i, chunk) in legacy.chunks(8).enumerate() {
-            assert_eq!(crcs[i], viper_formats::crc32(chunk));
-        }
-        assert_eq!(codec.cached_full("m", 1).unwrap().0.len(), framed.len());
-        assert_eq!(counters.payload_allocs.get(), 1);
-        // Same target: memoized, no second framing.
-        codec.full_framed_cached("m", 1, &payload, 8, &counters);
-        assert_eq!(counters.payload_allocs.get(), 1);
-        // New target: the stale full is dropped, a fresh one is framed.
-        assert!(codec.cached_full("m", 2).is_none());
-        codec.full_framed_cached("m", 2, &payload, 8, &counters);
-        assert_eq!(counters.payload_allocs.get(), 2);
-        assert!(codec.cached_full("m", 1).is_none());
     }
 }

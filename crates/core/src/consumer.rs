@@ -19,7 +19,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viper_formats::{
-    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, Payload, PayloadKind, Sealed,
+    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, Payload, PayloadKind,
+    Sealed,
 };
 use viper_hw::{apply_time, Route, SimInstant, Tier};
 use viper_net::{
@@ -593,30 +594,20 @@ impl ConsumerTask {
             )));
             return false;
         };
-        // With delta transfer on, the wire carries an explicit payload-kind
-        // envelope and the body is dispatched by header — never sniffed.
-        // With it off, the bytes are exactly the raw configured format.
-        let delivery = viper.shared.config.delivery;
-        let enveloped = matches!(delivery, Delivery::Reliable(Reliable { delta: true, .. }));
-        let (kind, body): (PayloadKind, &[u8]) = if enveloped {
-            match wire::unframe(payload) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    // CRC-clean flow, broken envelope: unusable as-is, so
-                    // recover by asking for a full checkpoint.
-                    state.errors.lock().push(ViperError::Format(e));
-                    return true;
-                }
+        let (kind, start) = match self.envelope(payload) {
+            Ok(parts) => parts,
+            Err(e) => {
+                // CRC-clean flow, broken envelope: unusable as-is, so
+                // recover by asking for a full checkpoint.
+                state.errors.lock().push(ViperError::Format(e));
+                return true;
             }
-        } else {
-            (PayloadKind::Full, payload.as_slice())
         };
+        let body = &payload[start..];
         // CRC of the body minus its 4-byte footer (of nothing, for a body
         // too short to have one: the decode then fails as truncated).
-        let body_crc = flow.map(|flow| {
-            let start = payload.len() - body.len();
-            flow.crc_of(start..payload.len().saturating_sub(4).max(start))
-        });
+        let body_crc =
+            flow.map(|flow| flow.crc_of(start..payload.len().saturating_sub(4).max(start)));
         let ckpt = match kind {
             PayloadKind::Full => {
                 let decoded = match (body_crc, sealed) {
@@ -698,6 +689,21 @@ impl ConsumerTask {
         false
     }
 
+    /// The body layout of a received wire payload and the length of the
+    /// envelope in front of it. With delta transfer on, the wire carries an
+    /// explicit payload-kind envelope and the body is dispatched by header
+    /// — never sniffed; a payload without a well-formed one is an error.
+    /// With it off, the bytes are exactly the raw configured format.
+    fn envelope(&self, payload: &[u8]) -> std::result::Result<(PayloadKind, usize), FormatError> {
+        match self.viper.shared.config.delivery {
+            Delivery::Reliable(Reliable { delta: true, .. }) => {
+                let (kind, body) = wire::unframe(payload)?;
+                Ok((kind, payload.len() - body.len()))
+            }
+            _ => Ok((PayloadKind::Full, 0)),
+        }
+    }
+
     /// One pass over a batch that is exactly one whole flow: the CRC of
     /// every chunk, in batch (= index) order — what `crc_batch` would
     /// compute, chunk by chunk — and, from the same read of the bytes, the
@@ -709,13 +715,7 @@ impl ConsumerTask {
             payload,
             chunk_bytes,
         } = WholeFlow::of(batch)?;
-        let delivery = self.viper.shared.config.delivery;
-        let (kind, skip) = if matches!(delivery, Delivery::Reliable(Reliable { delta: true, .. })) {
-            let (kind, body) = wire::unframe(&payload).ok()?;
-            (kind, payload.len() - body.len())
-        } else {
-            (PayloadKind::Full, 0)
-        };
+        let (kind, skip) = self.envelope(&payload).ok()?;
         let (crcs, decoded) = match kind {
             PayloadKind::Full => {
                 let (crcs, sealed) = self.format.decode_spanned(&payload, skip, chunk_bytes);

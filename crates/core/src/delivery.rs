@@ -43,7 +43,7 @@
 //!
 //! [`PayloadCodec`]: crate::codec::PayloadCodec
 
-use crate::codec::{encode_for, frame_streaming, FramedBytes, WirePayload};
+use crate::codec::{encode_for, WirePayload};
 use crate::config::{CaptureBilling, Delivery};
 use crate::context::Viper;
 use crate::producer::{charge_at, ProducerCtx, Update};
@@ -81,14 +81,10 @@ pub(crate) struct DeliveryCounters {
     pub(crate) delta_fallbacks: Counter,
     /// Wire bytes saved by delta encoding vs the full encoding.
     pub(crate) delta_bytes_saved: Counter,
-    /// Payload bytes memcpy'd on the delivery path (envelope framing).
-    /// Zero on the steady-state path: chunk bodies are zero-copy subslices
-    /// of the serialized checkpoint, so only the (at-most-once-per-update)
-    /// full-envelope framing under delta transfer copies anything.
-    pub(crate) bytes_copied: Counter,
-    /// Fresh payload-buffer allocations on the delivery path (framed fulls
-    /// and encoded deltas; the per-save serialize allocation is counted by
-    /// the producer).
+    /// Fresh payload-buffer allocations: a serialize that found no
+    /// recycled arena buffer, and every encoded delta. Nothing on the
+    /// delivery path copies a payload — chunk bodies, fan-out and every
+    /// full are zero-copy views of the serialized buffer.
     pub(crate) payload_allocs: Counter,
     /// Feedback frames dropped because they referenced an unknown flow, a
     /// finished flow, or a superseded retransmission generation. Stale
@@ -120,7 +116,6 @@ impl DeliveryCounters {
             delta_sends: telemetry.counter(&format!("producer.{node}.delta_sends")),
             delta_fallbacks: telemetry.counter(&format!("producer.{node}.delta_fallbacks")),
             delta_bytes_saved: telemetry.counter(&format!("producer.{node}.delta_bytes_saved")),
-            bytes_copied: telemetry.counter(&format!("producer.{node}.bytes_copied")),
             payload_allocs: telemetry.counter(&format!("producer.{node}.payload_allocs")),
             stale_feedback: telemetry.counter(&format!("producer.{node}.stale_feedback")),
             updates_superseded: telemetry.counter(&format!("producer.{node}.updates_superseded")),
@@ -173,8 +168,9 @@ pub(crate) const LANE_QUEUE_BOUND: usize = 1;
 /// drives the update to completion (or supersession) in the background.
 pub(crate) struct DeliveryJob {
     /// The version being delivered; its flows start at `update.frontier`.
-    /// `update.payload` also serves for materializing a framed full on
-    /// `NeedFull`, and for the deferred durable fallback under coalescing.
+    /// `update.wire_full` is also what a `NeedFull` retry and an
+    /// escalation re-send, and `update.payload()` what the deferred durable
+    /// fallback writes under coalescing.
     pub(crate) update: Update,
     pub(crate) link: LinkKind,
     /// `(target node, encoded payload)` in fan-out order. Under
@@ -187,9 +183,6 @@ pub(crate) struct DeliveryJob {
     /// Pipelined-capture model for the first successful send (the snapshot
     /// happens once; later flows re-send already captured chunks).
     pub(crate) capture: Option<(f64, Duration, Duration)>,
-    /// Already-framed full (with chunk CRCs) from the codec's encode
-    /// cache, if one was made.
-    pub(crate) framed_full: Option<FramedBytes>,
     pub(crate) track: String,
     /// `None` under coalescing: the save path returned at submit, and a
     /// terminal fallback runs on the task instead.
@@ -229,7 +222,7 @@ fn durable_fallback(ctx: &ProducerCtx, update: &Update, track: &str) -> Option<M
     let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
     let written = shared
         .pfs
-        .write(&pfs_path, update.payload.clone(), record.ntensors)
+        .write(&pfs_path, update.payload(), record.ntensors)
         .is_ok();
     let relocated = written.then(|| {
         shared
@@ -291,7 +284,7 @@ pub(crate) fn deliver(
     capture: CaptureBilling,
     track: &str,
 ) -> (usize, SimInstant) {
-    let (record, payload, route) = (&update.record, &update.payload, update.route);
+    let (record, full, route) = (&update.record, &update.wire_full, update.route);
     let shared = &ctx.viper.shared;
     let endpoint = &ctx.endpoint;
     let telemetry = &shared.config.telemetry;
@@ -381,7 +374,6 @@ pub(crate) fn deliver(
                             consumers: targets,
                             groups,
                             capture: first_flow_capture,
-                            framed_full: ctx.codec.cached_full(&record.name, record.iteration),
                             track: track.to_string(),
                             reply,
                         }),
@@ -407,7 +399,7 @@ pub(crate) fn deliver(
                     }
                     let arrived = match config.chunking {
                         Some(chunk_bytes) => {
-                            // The raw payload travels as-is, so its encode-time
+                            // The full travels as-is, so its encode-time
                             // chunk CRCs apply directly.
                             let mut opts = ChunkedSend::new(chunk_bytes)
                                 .with_crcs(Arc::clone(&update.crcs))
@@ -416,10 +408,10 @@ pub(crate) fn deliver(
                                 opts = opts.with_capture(bw, fixed, once);
                             }
                             endpoint
-                                .send_chunked(&consumer, &tag, payload.clone(), link, &opts)
+                                .send_chunked(&consumer, &tag, full.clone(), link, &opts)
                                 .map(|report| report.completed_at)
                         }
-                        None => endpoint.send_at(&consumer, &tag, payload.clone(), link, frontier),
+                        None => endpoint.send_at(&consumer, &tag, full.clone(), link, frontier),
                     };
                     // A deregistered consumer is not an error: it raced shutdown.
                     if let Ok(arrived) = arrived {
@@ -462,7 +454,6 @@ struct UpdateState {
     /// The version; `update.frontier` moves forward with every ACK.
     update: Update,
     link: LinkKind,
-    framed_full: Option<FramedBytes>,
     track: String,
     /// Relay-tree delivery groups (root → subtree); empty on the direct
     /// path.
@@ -485,21 +476,6 @@ struct UpdateState {
     sent: HashMap<String, Sent>,
 }
 
-impl UpdateState {
-    /// Materialize the framed full encoding, at most once per update
-    /// (mirrors `PayloadCodec::full_framed_cached`, including counters).
-    fn full_framed(&mut self, counters: &DeliveryCounters, chunk_bytes: u64) -> FramedBytes {
-        let payload = &self.update.payload;
-        self.framed_full
-            .get_or_insert_with(|| {
-                counters.bytes_copied.add(payload.len() as u64);
-                counters.payload_allocs.inc();
-                frame_streaming(PayloadKind::Full, payload.as_slice(), chunk_bytes)
-            })
-            .clone()
-    }
-}
-
 /// The producer's reactor task: the delivery *policy* over a
 /// [`FlowSender`], which owns the `(consumer, model)` lanes and every
 /// reliable flow this producer has in flight. The engine reports how each
@@ -508,6 +484,10 @@ impl UpdateState {
 /// `Complete`, the full-checkpoint retry on `NeedFull`, re-parenting and
 /// direct fulls when a relay root is lost, and the durable PFS fallback
 /// when a send exhausts its retries with nothing newer queued behind it.
+///
+/// The task never serializes or copies payload bytes: the save pre-encoded
+/// every wire payload, and each full it re-sends is a view of the update's
+/// own wire full, with its encode-time chunk CRCs.
 pub(crate) struct DeliveryTask {
     ctx: Arc<ProducerCtx>,
     sender: FlowSender<(String, String)>,
@@ -554,7 +534,7 @@ impl DeliveryTask {
             .set(self.sender.backlog() as i64);
     }
 
-    /// Update `seq` as a framed full for `to`, ready at `at`: the
+    /// Update `seq` as its wire full for `to`, ready at `at`: the
     /// `NeedFull` retry and both escalation paths.
     fn full_send(&mut self, seq: u64, to: &str, at: SimInstant) -> Outbound {
         let state = self
@@ -562,7 +542,6 @@ impl DeliveryTask {
             .get_mut(&seq)
             .expect("a full send belongs to an update");
         let chunk_bytes = self.ctx.viper.shared.config.chunking.unwrap_or(0);
-        let (full, crcs) = state.full_framed(&self.ctx.counters, chunk_bytes);
         state.sent.insert(
             to.to_string(),
             Sent {
@@ -575,15 +554,15 @@ impl DeliveryTask {
             to: to.to_string(),
             tag: state.update.tag(),
             link: state.link,
-            payload: full,
-            opts: ChunkedSend::new(chunk_bytes).with_crcs(crcs),
+            payload: state.update.wire_full.clone(),
+            opts: ChunkedSend::new(chunk_bytes).with_crcs(Arc::clone(&state.update.crcs)),
             ready_at: at,
             track: state.track.clone(),
         }
     }
 
-    /// Deliver update `seq` to subtree member `member` directly, as a
-    /// framed full on the member's own lane.
+    /// Deliver update `seq` to subtree member `member` directly, as its
+    /// wire full on the member's own lane.
     fn escalate(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, member: &str, at: SimInstant) {
         let state = self
             .updates
@@ -631,9 +610,9 @@ impl DeliveryTask {
 
     /// A relay escalated a subtree member it could not serve (`Miss`):
     /// the member's delta base is unusable from the relayed bytes, or the
-    /// relay exhausted its own retry budget toward it. Deliver a direct
-    /// framed full from the producer and exclude the member from its
-    /// root's group resolution.
+    /// relay exhausted its own retry budget toward it. Deliver the
+    /// update's wire full directly from the producer and exclude the
+    /// member from its root's group resolution.
     fn handle_miss(
         &mut self,
         ctx: &mut TaskCtx<'_>,
@@ -897,7 +876,6 @@ impl ReactorTask for DeliveryTask {
             consumers,
             groups,
             mut capture,
-            framed_full,
             track,
             reply,
         } = job;
@@ -924,7 +902,6 @@ impl ReactorTask for DeliveryTask {
             UpdateState {
                 update,
                 link,
-                framed_full,
                 track: track.clone(),
                 groups,
                 reply,
@@ -938,10 +915,7 @@ impl ReactorTask for DeliveryTask {
         for (consumer, wire) in consumers {
             // Hand the encode-time chunk CRCs to the fabric so the send
             // does not re-read the payload to checksum it.
-            let mut opts = ChunkedSend::new(chunk_bytes);
-            if let Some(crcs) = wire.crcs {
-                opts = opts.with_crcs(crcs);
-            }
+            let mut opts = ChunkedSend::new(chunk_bytes).with_crcs(wire.crcs);
             if let Some((bw, fixed, once)) = capture {
                 opts = opts.with_capture(bw, fixed, once);
             }

@@ -57,7 +57,6 @@ mod relay_role;
 mod slot;
 
 pub mod planner;
-pub mod shard;
 
 pub use callback::{CheckpointCallback, SchedulePolicy};
 pub use config::{Delivery, DiscoveryMode, FormatKind, Reliable, ViperConfig};

@@ -23,7 +23,9 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use viper_formats::{Checkpoint, CheckpointFormat, EncodeArena, Payload, StreamingEncoder};
+use viper_formats::{
+    wire, Checkpoint, CheckpointFormat, EncodeArena, Payload, PayloadKind, StreamingEncoder,
+};
 use viper_hw::{
     apply_time, capture_time, delivery_time, pipeline_costs, stage_time, CaptureMode, Route,
     SimClock, SimInstant, StorageTier, Tier, TransferStrategy,
@@ -70,12 +72,12 @@ pub(crate) struct Update {
     /// The captured checkpoint, for delta encoding (`None` with delta
     /// transfer off, and once the fan-out is encoded).
     pub(crate) ckpt: Option<Arc<Checkpoint>>,
-    /// Always the **raw full encoding** — what the staging tiers, the PFS
-    /// fallback, and the pull path read. What each consumer is actually
-    /// sent is decided by the [`PayloadCodec`] (delta vs framed full vs
-    /// raw passthrough).
-    pub(crate) payload: Payload,
-    /// Encode-time per-chunk CRCs of `payload` under the deployment's
+    /// The full as consumers are sent it, whenever the [`PayloadCodec`]
+    /// does not choose a delta: the save's one buffer — the raw encoding,
+    /// behind the wire envelope under delta delivery (see
+    /// [`payload`](Self::payload)).
+    pub(crate) wire_full: Payload,
+    /// Encode-time per-chunk CRCs of `wire_full` under the deployment's
     /// chunk geometry (computed in the same pass that serialized it).
     pub(crate) crcs: Arc<Vec<u32>>,
     pub(crate) route: Route,
@@ -94,6 +96,14 @@ impl Update {
     /// version suffix).
     pub(crate) fn tag(&self) -> String {
         format!("{}:{}", self.record.name, self.record.version)
+    }
+
+    /// The **raw full encoding** — what the staging tiers, the PFS flush
+    /// and fallback, and the pull path read: a zero-copy view of the last
+    /// `record.size_bytes` of `wire_full`, past any envelope.
+    pub(crate) fn payload(&self) -> Payload {
+        self.wire_full
+            .slice(self.wire_full.len() - self.record.size_bytes as usize..)
     }
 }
 
@@ -177,7 +187,7 @@ impl Producer {
                     while let Ok(job) = rx.recv() {
                         match job {
                             Job::Deliver(mut update) => {
-                                let bytes = update.payload.len() as u64;
+                                let bytes = update.record.size_bytes;
                                 let _span = telemetry.span_with(
                                     "producer",
                                     "deliver.async",
@@ -284,18 +294,10 @@ impl Producer {
         self.ctx.counters.delta_bytes_saved.get()
     }
 
-    /// Payload bytes memcpy'd on the delivery path. Zero on the
-    /// steady-state path: chunk framing, fan-out, and retransmission all
-    /// ship zero-copy views of the single serialized buffer; only the
-    /// at-most-once-per-update envelope framing under delta transfer
-    /// copies the body.
-    pub fn bytes_copied(&self) -> u64 {
-        self.ctx.counters.bytes_copied.get()
-    }
-
-    /// Payload-buffer allocations on the save/delivery path (one per
-    /// serialize, plus framed fulls and encoded deltas under delta
-    /// transfer).
+    /// Payload-buffer allocations on the save/delivery path: one per
+    /// serialize that found no recycled arena buffer, plus one per encoded
+    /// delta. Chunk framing, fan-out, retransmission and every full —
+    /// enveloped or not — ship zero-copy views of the serialized buffer.
     pub fn payload_allocs(&self) -> u64 {
         self.ctx.counters.payload_allocs.get()
     }
@@ -421,19 +423,29 @@ impl Producer {
         // over the same bytes, so the wire path never re-reads the payload
         // to checksum it. Every downstream consumer (staging tiers, chunk
         // bodies, retransmit rounds, the PFS flush) shares zero-copy views
-        // of this one buffer.
+        // of this one buffer. A save that retains a delta base writes the
+        // wire envelope first, so the buffer is also the framed full its
+        // consumers are sent, with that full's CRCs. Base retention is the
+        // same on every route: the configured route's plan decides it
+        // before the Transfer Selector has the encoded size it needs.
+        let plan = SavePlan::new(&shared.config, strategy.route);
         let chunk_geom = shared.config.chunking.unwrap_or(0);
-        let encoded = {
+        let (encoded, envelope) = {
             let mut arena = self.arena.lock();
             let hint = encoded_size_hint(ckpt);
             let mut enc = StreamingEncoder::from_arena(&mut arena, hint, chunk_geom);
+            if plan.retain_base {
+                enc.put_bytes(&wire::envelope(PayloadKind::Full));
+            }
+            let envelope = enc.len();
             self.format.encode_into(ckpt, &mut enc);
-            enc.finish_into(&mut arena)
+            (enc.finish_into(&mut arena), envelope)
         };
         if !encoded.reused {
             self.ctx.counters.payload_allocs.inc();
         }
-        let payload = encoded.payload;
+        let wire_full = encoded.payload;
+        let payload = wire_full.slice(envelope..);
         let crcs = encoded.chunk_crcs;
         let bytes = payload.len() as u64;
         let route = self.select_route(strategy.route, bytes);
@@ -525,7 +537,7 @@ impl Producer {
         let update = Update {
             record,
             ckpt: ckpt_arc,
-            payload,
+            wire_full,
             crcs,
             route,
             frontier: save_done,
@@ -550,7 +562,7 @@ impl Producer {
         if shared.config.flush_to_pfs && route != Route::PfsStaging {
             self.enqueue(Job::Flush {
                 record: update.record,
-                payload: update.payload,
+                payload,
             });
         }
 
@@ -635,17 +647,18 @@ impl Drop for Producer {
     }
 }
 
-/// Capacity hint for a checkpoint's serialized form: tensor payload bytes
-/// plus a generous per-tensor/header allowance. Only a hint — a fresh
-/// buffer sized from it avoids mid-encode reallocation; a recycled arena
-/// buffer keeps whatever capacity it already grew to.
+/// Capacity hint for a checkpoint's serialized form, wire envelope
+/// included: tensor payload bytes plus a generous per-tensor/header
+/// allowance. Only a hint — a fresh buffer sized from it avoids mid-encode
+/// reallocation; a recycled arena buffer keeps whatever capacity it
+/// already grew to.
 fn encoded_size_hint(ckpt: &Checkpoint) -> usize {
     let tensors: usize = ckpt
         .tensors
         .iter()
         .map(|(name, t)| name.len() + 8 * t.dims().len() + t.byte_len() + 16)
         .sum();
-    tensors + ckpt.model_name.len() + 64
+    tensors + ckpt.model_name.len() + 64 + wire::WIRE_HEADER_BYTES
 }
 
 /// Charge `dur` from an explicit causal `base` instead of the clock's

@@ -1,8 +1,7 @@
 //! Property tests for the core framework's pure components: the
-//! double-buffered model slot and checkpoint sharding.
+//! double-buffered model slot.
 
 use proptest::prelude::*;
-use viper::shard::{self, ShardAssembler};
 use viper::ModelSlot;
 use viper_formats::Checkpoint;
 use viper_tensor::Tensor;
@@ -45,77 +44,5 @@ proptest! {
             }
             c
         });
-    }
-
-    /// Splitting into any shard count partitions the tensors exactly, and
-    /// reassembly in any arrival order reconstructs the full checkpoint.
-    #[test]
-    fn shard_split_assemble_roundtrip(
-        ntensors in 1usize..12,
-        nshards in 1usize..6,
-        iter in 0u64..1000,
-        order_seed in 0usize..720,
-    ) {
-        let full = ckpt("m", iter, ntensors);
-        let mut shards = shard::split(&full, nshards);
-
-        // Tensor partition: every tensor appears exactly once.
-        let mut names: Vec<String> =
-            shards.iter().flat_map(|s| s.tensors.iter().map(|(n, _)| n.clone())).collect();
-        names.sort();
-        let mut expected: Vec<String> = (0..ntensors).map(|i| format!("t{i}")).collect();
-        expected.sort();
-        prop_assert_eq!(names, expected);
-
-        // Pseudo-random arrival order.
-        let mut order: Vec<usize> = (0..nshards).collect();
-        let mut seed = order_seed;
-        for i in (1..nshards).rev() {
-            order.swap(i, seed % (i + 1));
-            seed /= i + 1;
-        }
-
-        let mut asm = ShardAssembler::new("m", nshards);
-        let mut result = None;
-        for (count, &idx) in order.iter().enumerate() {
-            let out = asm.offer(shards[idx].clone());
-            if count + 1 < nshards {
-                prop_assert!(out.is_none(), "completed early");
-            } else {
-                result = out;
-            }
-        }
-        let rebuilt = result.expect("all shards offered");
-        prop_assert_eq!(rebuilt.iteration, iter);
-        prop_assert_eq!(rebuilt.ntensors(), ntensors);
-        for (name, tensor) in &full.tensors {
-            prop_assert_eq!(rebuilt.tensor(name), Some(tensor));
-        }
-        let _ = shards.drain(..);
-    }
-
-    /// Shard payloads are balanced: the heaviest shard carries at most the
-    /// ideal share plus one largest tensor.
-    #[test]
-    fn shard_balance_bound(ntensors in 1usize..12, nshards in 1usize..6) {
-        let full = ckpt("m", 1, ntensors);
-        let shards = shard::split(&full, nshards);
-        let total: u64 = full.payload_bytes();
-        let biggest_tensor =
-            full.tensors.iter().map(|(_, t)| t.byte_len() as u64).max().unwrap_or(0);
-        let heaviest = shards.iter().map(|s| s.payload_bytes()).max().unwrap_or(0);
-        prop_assert!(
-            heaviest <= total / nshards as u64 + biggest_tensor,
-            "heaviest {heaviest}, ideal {}, max tensor {biggest_tensor}",
-            total / nshards as u64
-        );
-    }
-
-    /// Shard names always parse back to their constituents.
-    #[test]
-    fn shard_names_parse(base in "[a-z][a-z0-9_-]{0,20}", idx in 0usize..16, total in 1usize..17) {
-        prop_assume!(idx < total);
-        let n = shard::shard_name(&base, idx, total);
-        prop_assert_eq!(shard::parse_shard_name(&n), Some((base.as_str(), idx, total)));
     }
 }

@@ -1,12 +1,15 @@
 //! End-to-end workflow: a real miniature model trains on the producer
 //! node while a consumer serves inferences from pushed checkpoints —
-//! the full §4.2 flow, including the warm-up → IPP → re-schedule loop.
+//! the full §4.2 flow, including the warm-up → IPP → re-schedule loop —
+//! and data-parallel producers publishing to the same model name.
 
 use std::sync::Arc;
 use std::time::Duration;
 use viper::{planner, CheckpointCallback, Consumer, Producer, SchedulePolicy, Viper, ViperConfig};
 use viper_dnn::{losses, optimizers, FitConfig};
+use viper_formats::Checkpoint;
 use viper_hw::{CaptureMode, Route};
+use viper_tensor::Tensor;
 
 fn deployment(route: Route, mode: CaptureMode) -> (Viper, Arc<Producer>, Consumer) {
     let mut config = ViperConfig::default().with_strategy(route, mode);
@@ -224,4 +227,71 @@ fn load_weights_api_matches_paper_semantics() {
     assert_eq!(receipt2.version, 2);
     let loaded2 = consumer.load_weights(Duration::from_secs(10)).unwrap();
     assert_eq!(loaded2.iteration, 20);
+}
+
+/// A sync GPU-route deployment without the background PFS flush.
+fn sync_gpu() -> Viper {
+    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+    config.flush_to_pfs = false;
+    Viper::new(config)
+}
+
+fn replica(iter: u64, elems: usize) -> Checkpoint {
+    Checkpoint::new(
+        "m",
+        iter,
+        vec![("w".into(), Tensor::full(&[elems], iter as f32))],
+    )
+}
+
+#[test]
+fn data_parallel_producers_interleave_versions() {
+    // Two data-parallel trainers checkpoint replicas of the same model;
+    // the consumer always converges on the newest iteration.
+    let viper = sync_gpu();
+    let p0 = viper.producer("rank0");
+    let p1 = viper.producer("rank1");
+    let consumer = viper.consumer("serving", "m");
+
+    p0.save_weights(&replica(10, 64)).unwrap();
+    consumer.load_weights(Duration::from_secs(10)).unwrap();
+    p1.save_weights(&replica(20, 64)).unwrap();
+    consumer.load_weights(Duration::from_secs(10)).unwrap();
+    p0.save_weights(&replica(30, 64)).unwrap();
+    let last = consumer.load_weights(Duration::from_secs(10)).unwrap();
+
+    assert_eq!(last.iteration, 30);
+    // Versions are globally ordered across producers.
+    let history = viper.metadata().history("m");
+    assert_eq!(
+        history.iter().map(|r| r.version).collect::<Vec<_>>(),
+        vec![1, 2, 3]
+    );
+    assert_eq!(
+        history.iter().map(|r| r.iteration).collect::<Vec<_>>(),
+        vec![10, 20, 30]
+    );
+}
+
+#[test]
+fn concurrent_data_parallel_saves_are_serializable() {
+    let viper = sync_gpu();
+    let consumer = viper.consumer("serving", "m");
+    std::thread::scope(|s| {
+        for rank in 0..4u64 {
+            let viper = viper.clone();
+            s.spawn(move || {
+                let p = viper.producer(&format!("rank{rank}"));
+                for k in 0..5u64 {
+                    p.save_weights(&replica(rank * 5 + k + 1, 16)).unwrap();
+                }
+            });
+        }
+    });
+    // 20 saves -> 20 versions, no gaps, no duplicates (keep_versions is 16,
+    // so the newest 16 remain).
+    let history = viper.metadata().history("m");
+    let versions: Vec<u64> = history.iter().map(|r| r.version).collect();
+    assert_eq!(versions, (5..=20).collect::<Vec<u64>>());
+    let _ = consumer; // consumer kept alive throughout the stampede
 }

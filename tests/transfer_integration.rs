@@ -505,7 +505,7 @@ const LATTICE_DELIVERIES: [(&str, Builder); 9] = [
 
 /// What one lattice scenario pins: the four saves' `SaveReceipt::stall`
 /// (ns); then the producer's `delta_sends`, `delta_fallbacks`, `group_acks`
-/// and `bytes_copied`, and the consumers' `relay_reserves` and
+/// and `payload_allocs`, and the consumers' `relay_reserves` and
 /// `bytes_copied`, summed.
 type LatticePins = ([u64; 4], [u64; 6]);
 
@@ -551,7 +551,7 @@ fn lattice_run(config: ViperConfig) -> (LatticePins, LatticeSwaps) {
         producer.delta_sends(),
         producer.delta_fallbacks(),
         producer.group_acks(),
-        producer.bytes_copied(),
+        producer.payload_allocs(),
         summed(Consumer::relay_reserves),
         summed(Consumer::bytes_copied),
     ];
@@ -605,182 +605,182 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono best-effort",
         [47177, 47177, 47177, 47177],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono reliable",
         [47177, 47177, 47177, 47177],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono delta",
         [47177, 47177, 47177, 47177],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Sync mono coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Sync mono relay",
         [47177, 47177, 47177, 47177],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync mono relay+delta",
         [47177, 47177, 47177, 47177],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Sync mono relay+coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync mono relay+delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Sync chunked best-effort",
         [135865, 135865, 135865, 135865],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync chunked reliable",
         [135865, 135865, 135865, 135865],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync chunked delta",
         [135865, 135865, 135865, 135865],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Sync chunked coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync chunked delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Sync chunked relay",
         [135865, 135865, 135865, 135865],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync chunked relay+delta",
         [135865, 135865, 135865, 135865],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Sync chunked relay+coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync chunked relay+delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Async mono best-effort",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async mono reliable",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async mono delta",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Async mono coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async mono delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Async mono relay",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Async mono relay+delta",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Async mono relay+coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Async mono relay+delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Async chunked best-effort",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async chunked reliable",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async chunked delta",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Async chunked coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4, 0, 0],
     ),
     (
         "Async chunked delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [9, 3, 0, 131140, 0, 0],
+        [9, 3, 0, 7, 0, 0],
     ),
     (
         "Async chunked relay",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Async chunked relay+delta",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
     (
         "Async chunked relay+coalescing",
         [11749, 11749, 11749, 11749],
-        [0, 0, 4, 0, 8, 0],
+        [0, 0, 4, 4, 8, 0],
     ),
     (
         "Async chunked relay+delta+coalescing",
         [11749, 11749, 11749, 11749],
-        [3, 1, 4, 131140, 8, 0],
+        [3, 1, 4, 7, 8, 0],
     ),
 ];
 

@@ -1,8 +1,9 @@
 //! Steady-state deliveries are copy-free: the serialized checkpoint buffer
 //! is the only payload allocation per save, and every downstream stage —
 //! staging-tier cache, chunk framing, fan-out to multiple consumers,
-//! reliable ACK-gated flows, reassembly, install — operates on zero-copy
-//! views of it. The `bytes_copied` counters on both ends assert this
+//! reliable ACK-gated flows, the enveloped full under delta delivery,
+//! reassembly, install — operates on zero-copy views of it. The producer's
+//! `payload_allocs` and the consumers' `bytes_copied` counters assert this
 //! directly, and the delivered models are byte-for-byte intact.
 
 use std::time::Duration;
@@ -45,11 +46,6 @@ fn steady_state_delivery_copies_zero_payload_bytes() {
         assert_eq!(consumer.bytes_copied(), 0, "reassembly must not gather");
     }
     assert_eq!(
-        producer.bytes_copied(),
-        0,
-        "steady-state delivery must not copy payload bytes"
-    );
-    assert_eq!(
         producer.payload_allocs(),
         4,
         "exactly one payload allocation per save (the serialize)"
@@ -84,7 +80,6 @@ fn arena_recycles_serialize_buffers_once_versions_prune() {
         }
         let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
         assert_eq!(model.iteration, 4);
-        assert_eq!(producer.bytes_copied(), 0);
         assert_eq!(consumer.bytes_copied(), 0, "chunked: {chunked}");
         assert_eq!(
             producer.payload_allocs(),
@@ -158,10 +153,73 @@ fn chunked_fanout_frames_without_producer_copies() {
     );
     let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
     assert_eq!(model.iteration, 1);
-    assert_eq!(producer.bytes_copied(), 0, "chunk bodies are subslices");
+    assert_eq!(
+        producer.payload_allocs(),
+        1,
+        "chunk bodies are subslices of the one serialize"
+    );
     assert_eq!(
         consumer.bytes_copied(),
         0,
         "adjacent chunk views are re-joined, not gathered"
     );
+}
+
+/// Under delta delivery a full is the save's own buffer, written
+/// envelope-first by the encode: three fresh consumers' fulls cost the one
+/// serialize allocation and nothing more. A consumer that restarts under
+/// the same name rejects the next delta with `NeedFull`, and the retry
+/// re-sends that save's buffer — no allocation either.
+#[test]
+fn delta_fulls_are_the_saves_own_buffer() {
+    for chunking in [None, Some(16 * 1024)] {
+        let mut config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+            .with_delta();
+        config.chunking = chunking;
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let warm: Vec<_> = (1..3)
+            .map(|i| viper.consumer(&format!("c{i}"), "m"))
+            .collect();
+        {
+            let doomed = viper.consumer("c0", "m");
+            producer.save_weights(&ckpt(1, 50_000)).unwrap();
+            for consumer in warm.iter().chain([&doomed]) {
+                let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
+                assert_eq!(*model, ckpt(1, 50_000), "{chunking:?}");
+            }
+            assert_eq!(
+                producer.delta_fallbacks(),
+                3,
+                "{chunking:?}: fresh consumers"
+            );
+            assert_eq!(
+                producer.payload_allocs(),
+                1,
+                "{chunking:?}: the fulls are views of the serialize"
+            );
+            // `doomed` restarts here; the producer still tracks its base.
+        }
+        let reborn = viper.consumer("c0", "m");
+        producer.save_weights(&ckpt(2, 50_000)).unwrap();
+        for consumer in warm.iter().chain([&reborn]) {
+            let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
+            assert_eq!(*model, ckpt(2, 50_000), "{chunking:?}");
+            assert_eq!(consumer.bytes_copied(), 0, "{chunking:?}");
+        }
+        assert_eq!(
+            reborn.fulls_requested(),
+            1,
+            "{chunking:?}: NeedFull expected"
+        );
+        assert_eq!(producer.delta_sends(), 3, "{chunking:?}");
+        assert_eq!(producer.delta_fallbacks(), 4, "{chunking:?}");
+        assert_eq!(
+            producer.payload_allocs(),
+            3,
+            "{chunking:?}: save 2 is a serialize and one shared delta; the retry allocates nothing"
+        );
+    }
 }
