@@ -253,7 +253,7 @@ pub struct StragglerRow {
 /// blocks); the straggler's link drops 75% of chunks per repair round, so
 /// its per-update service time exceeds the production cadence. Without
 /// coalescing the backlog (and the versions-behind staleness of every
-/// install) grows without bound; with a depth-1 coalescing queue the
+/// install) grows without bound; with the lane's one-slot queue the
 /// straggler skips superseded versions and its staleness stays bounded by
 /// a single service time.
 pub fn straggler_coalescing() -> Vec<StragglerRow> {
@@ -309,11 +309,10 @@ pub fn straggler_coalescing() -> Vec<StragglerRow> {
         }
     }
 
-    let retry = RetryPolicy::default();
     let created_at = |v: u64| v as f64 * DT;
     let run = |coalesce: bool| -> StragglerRow {
         let mut backlog = if coalesce {
-            Backlog::Coalesce(CoalesceQueue::new(1))
+            Backlog::Coalesce(CoalesceQueue::new())
         } else {
             Backlog::Fifo(VecDeque::new())
         };
@@ -346,9 +345,7 @@ pub fn straggler_coalescing() -> Vec<StragglerRow> {
                     .filter(|_| !mix(&mut rng).is_multiple_of(4))
                     .count() as u32;
                 if remaining > 0 {
-                    now += retry
-                        .backoff_with_pressure(attempt, backlog.len())
-                        .as_secs_f64();
+                    now += RetryPolicy::backoff_with_pressure(attempt, backlog.len()).as_secs_f64();
                 }
             }
             delivered += 1;

@@ -82,7 +82,6 @@ fn main() {
             ack_timeout: Duration::from_millis(100),
             nack_after: Duration::from_millis(2),
             max_nacks: 24,
-            ..RetryPolicy::default()
         })
         .with_telemetry(telemetry.clone());
     config.flush_to_pfs = false;

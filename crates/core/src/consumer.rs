@@ -522,11 +522,7 @@ impl ConsumerTask {
             generation,
             missing,
         };
-        let nack_at = at.add(deterministic_jitter(
-            self.endpoint.node(),
-            generation,
-            self.viper.shared.config.retry.feedback_jitter,
-        ));
+        let nack_at = at.add(deterministic_jitter(self.endpoint.node(), generation));
         if self
             .endpoint
             .send_control_at(from, tag, &nack, link, nack_at)
@@ -913,14 +909,10 @@ impl ConsumerTask {
     /// their reap scans, and with them their NACK timing, instead of all
     /// firing at the exact same virtual nanosecond.
     fn update_reap_timer(&mut self, ctx: &mut TaskCtx<'_>) {
-        let retry = self.viper.shared.config.retry;
-        match self.assembler.next_reap_deadline(retry.nack_after) {
+        let nack_after = self.viper.shared.config.retry.nack_after;
+        match self.assembler.next_reap_deadline(nack_after) {
             Some(deadline) => {
-                let jitter = deterministic_jitter(
-                    self.endpoint.node(),
-                    deadline.as_nanos(),
-                    retry.feedback_jitter,
-                );
+                let jitter = deterministic_jitter(self.endpoint.node(), deadline.as_nanos());
                 ctx.arm_timer_at(REAP_TIMER, deadline.add(jitter));
             }
             None => ctx.cancel_timer(REAP_TIMER),

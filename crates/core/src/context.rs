@@ -26,7 +26,7 @@ pub(crate) struct Shared {
     /// consumers for their child lists.
     pub distribution: Distribution,
     /// The delivery reactor: one scheduler thread driving every attached
-    /// node's event-handling task (producer flow state machines, consumer
+    /// node's event-handling task (producer reliable flows, consumer
     /// reassembly/reaping), woken by the fabric on enqueue.
     pub reactor: Reactor,
 }

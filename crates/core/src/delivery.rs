@@ -153,11 +153,6 @@ fn chunk_capture_model(
     )
 }
 
-/// Bound of every lane's pending queue, the producer's and a relay's alike:
-/// pure collapse-to-latest — one update in flight, one pending, everything
-/// between superseded.
-pub(crate) const LANE_QUEUE_BOUND: usize = 1;
-
 /// One reliable fan-out handed to the producer's [`DeliveryTask`] on the
 /// reactor. The caller pre-encodes every target's wire payload (so delta
 /// diff charges stay on the save path's causal frontier) and submits the
@@ -505,7 +500,6 @@ impl DeliveryTask {
         let sender = FlowSender::new(
             Arc::clone(&ctx.endpoint),
             config.retry,
-            LANE_QUEUE_BOUND,
             config.telemetry.clone(),
             "producer",
             SenderCounters {
@@ -837,7 +831,7 @@ impl ReactorTask for DeliveryTask {
             };
             // A relay `Miss` is escalation about a *subtree member*, not
             // feedback about the root's flow health: it must never reach
-            // the root flow's state machine.
+            // the sender engine's handling of the root flow.
             if let Control::Miss {
                 flow_id, member, ..
             } = control

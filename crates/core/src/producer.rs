@@ -163,8 +163,7 @@ impl Producer {
         });
         let shared = &ctx.viper.shared;
         // The reactor task that drives this producer's reliable flows
-        // (state machines fed by feedback mail and virtual-clock ack
-        // timers). Registered unconditionally: it stays idle unless a
+        // (fed by feedback mail and virtual-clock ack timers). Registered unconditionally: it stays idle unless a
         // DeliveryJob is submitted.
         shared
             .reactor

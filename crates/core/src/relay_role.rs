@@ -11,7 +11,6 @@
 
 use crate::consumer::ConsumerTask;
 use crate::context::Viper;
-use crate::delivery::LANE_QUEUE_BOUND;
 use std::collections::HashMap;
 use std::sync::Arc;
 use viper_hw::SimInstant;
@@ -72,7 +71,6 @@ impl RelayState {
             sender: FlowSender::new(
                 Arc::clone(endpoint),
                 config.retry,
-                LANE_QUEUE_BOUND,
                 config.telemetry.clone(),
                 "relay",
                 SenderCounters {

@@ -1,10 +1,11 @@
 //! The double-buffered model slot (§4.2).
 //!
 //! The consumer serves inferences from the *primary* copy while an updated
-//! model is written into the *alternative* copy; when the write finishes
-//! the two are swapped atomically. Readers never block on a load: they
-//! clone an `Arc` under a briefly-held lock, so the swap causes
-//! "imperceptible downtime" exactly as the paper describes.
+//! model is prepared as the *alternative* copy: the decoded checkpoint the
+//! caller hands to [`ModelSlot::install_if_newer`], which promotes it
+//! atomically. Readers never block on a load: they clone an `Arc` under a
+//! briefly-held lock, so the swap causes "imperceptible downtime" exactly
+//! as the paper describes.
 
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -14,8 +15,6 @@ use viper_formats::Checkpoint;
 #[derive(Debug)]
 pub struct ModelSlot {
     primary: RwLock<Option<Arc<Checkpoint>>>,
-    /// The back buffer being prepared (held only during a load).
-    staging: RwLock<Option<Arc<Checkpoint>>>,
     swaps: std::sync::atomic::AtomicU64,
 }
 
@@ -23,7 +22,6 @@ impl Default for ModelSlot {
     fn default() -> Self {
         ModelSlot {
             primary: RwLock::new(None),
-            staging: RwLock::new(None),
             swaps: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -43,43 +41,6 @@ impl ModelSlot {
     /// Version (training iteration) of the current model, if any.
     pub fn current_iteration(&self) -> Option<u64> {
         self.primary.read().as_ref().map(|c| c.iteration)
-    }
-
-    /// Write a new model into the back buffer (does not affect serving).
-    pub fn stage(&self, ckpt: Checkpoint) {
-        *self.staging.write() = Some(Arc::new(ckpt));
-    }
-
-    /// Atomically promote the staged model to primary. Returns whether a
-    /// staged model existed. Stale staging (older iteration than the
-    /// current primary) is discarded.
-    pub fn swap(&self) -> bool {
-        let Some(staged) = self.staging.write().take() else {
-            return false;
-        };
-        let mut primary = self.primary.write();
-        let stale = primary
-            .as_ref()
-            .map(|cur| staged.iteration <= cur.iteration)
-            .unwrap_or(false);
-        if stale {
-            return false;
-        }
-        *primary = Some(staged);
-        self.swaps
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        true
-    }
-
-    /// Convenience: stage + swap in one call.
-    ///
-    /// Note that stage + swap is *two* lock acquisitions: a concurrent
-    /// installer can interleave between them and clobber the staging
-    /// buffer. Paths that may race (the listener thread vs. an explicit
-    /// [`recover`](crate::Consumer::recover) call) must use
-    /// [`ModelSlot::install_if_newer`] instead.
-    pub fn install(&self, ckpt: Checkpoint) -> bool {
-        self.install_if_newer(ckpt).is_some()
     }
 
     /// Atomically install `ckpt` as the primary iff it is strictly newer
@@ -127,13 +88,13 @@ mod tests {
         let s = ModelSlot::new();
         assert!(s.current().is_none());
         assert!(s.current_iteration().is_none());
-        assert!(!s.swap());
+        assert_eq!(s.swap_count(), 0);
     }
 
     #[test]
     fn install_makes_model_current() {
         let s = ModelSlot::new();
-        assert!(s.install(ckpt(1)));
+        assert!(s.install_if_newer(ckpt(1)).is_some());
         assert_eq!(s.current_iteration(), Some(1));
         assert_eq!(s.swap_count(), 1);
     }
@@ -141,28 +102,36 @@ mod tests {
     #[test]
     fn staging_does_not_disturb_serving() {
         let s = ModelSlot::new();
-        s.install(ckpt(1));
-        s.stage(ckpt(2));
-        assert_eq!(s.current_iteration(), Some(1), "staged but not swapped");
-        assert!(s.swap());
+        s.install_if_newer(ckpt(1));
+        // The alternative copy is the caller's decoded checkpoint: serving
+        // is untouched until it is handed in.
+        let alternative = ckpt(2);
+        assert_eq!(s.current_iteration(), Some(1), "prepared but not swapped");
+        assert!(s.install_if_newer(alternative).is_some());
         assert_eq!(s.current_iteration(), Some(2));
     }
 
     #[test]
     fn stale_updates_discarded() {
         let s = ModelSlot::new();
-        s.install(ckpt(5));
-        assert!(!s.install(ckpt(3)), "older model must not replace newer");
+        s.install_if_newer(ckpt(5));
+        assert!(
+            s.install_if_newer(ckpt(3)).is_none(),
+            "older model must not replace newer"
+        );
         assert_eq!(s.current_iteration(), Some(5));
-        assert!(!s.install(ckpt(5)), "equal iteration is also stale");
+        assert!(
+            s.install_if_newer(ckpt(5)).is_none(),
+            "equal iteration is also stale"
+        );
     }
 
     #[test]
     fn readers_keep_old_model_alive_across_swap() {
         let s = ModelSlot::new();
-        s.install(ckpt(1));
+        s.install_if_newer(ckpt(1));
         let held = s.current().unwrap();
-        s.install(ckpt(2));
+        s.install_if_newer(ckpt(2));
         // The reader's Arc still sees the old weights.
         assert_eq!(held.iteration, 1);
         assert_eq!(s.current_iteration(), Some(2));
@@ -211,13 +180,13 @@ mod tests {
     #[test]
     fn concurrent_reads_during_swaps() {
         let s = std::sync::Arc::new(ModelSlot::new());
-        s.install(ckpt(0));
+        s.install_if_newer(ckpt(0));
         std::thread::scope(|scope| {
             let writer = {
                 let s = std::sync::Arc::clone(&s);
                 scope.spawn(move || {
                     for i in 1..=100 {
-                        s.install(ckpt(i));
+                        s.install_if_newer(ckpt(i));
                     }
                 })
             };

@@ -24,7 +24,7 @@ proptest! {
         let slot = ModelSlot::new();
         let mut max_seen: Option<u64> = None;
         for &i in &iters {
-            let installed = slot.install(ckpt("m", i, 1));
+            let installed = slot.install_if_newer(ckpt("m", i, 1)).is_some();
             let is_new_max = max_seen.map(|m| i > m).unwrap_or(true);
             prop_assert_eq!(installed, is_new_max, "iteration {}", i);
             if is_new_max {

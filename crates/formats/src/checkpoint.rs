@@ -128,7 +128,7 @@ pub(crate) struct Reader<'a> {
     pos: usize,
     /// Rolling chunk CRCs of `buf[..hashed]` (and of whatever the caller
     /// fed them before the buffer); `None` when the caller already holds
-    /// the body's CRC (or, like the partial reader, wants none).
+    /// the body's CRC.
     crcs: Option<ChunkCrcs>,
     hashed: usize,
 }

@@ -28,7 +28,6 @@ mod payload;
 mod viper_format;
 
 pub mod delta;
-pub mod partial;
 pub mod wire;
 
 pub use checkpoint::{Checkpoint, FormatError, Sealed};
@@ -39,7 +38,6 @@ pub use crc::{
 pub use delta::DeltaCheckpoint;
 pub use encoder::{EncodeArena, EncodedPayload, StreamMark, StreamingEncoder};
 pub use h5lite::H5Lite;
-pub use partial::TensorEntry;
 pub use payload::Payload;
 pub use viper_format::ViperFormat;
 pub use wire::PayloadKind;

@@ -1,5 +1,5 @@
-//! Event-driven delivery reactor: one scheduler thread owns every
-//! in-flight reliable flow as an explicit state machine.
+//! Event-driven delivery reactor: one scheduler thread drives every
+//! registered task — and with them every in-flight reliable flow.
 //!
 //! Before this module, reliable delivery parked one OS thread per consumer
 //! on a wall-clock `ack_timeout` and every consumer ran a 2 ms
@@ -22,18 +22,15 @@
 //!   the virtual clock, so makespans stay bit-identical to the blocking
 //!   implementation.
 //!
-//! Ten thousand concurrent flows therefore cost ten thousand small
-//! [`FlowMachine`] structs, not ten thousand threads.
+//! A reliable flow is a few words of state inside its task's
+//! [`FlowSender`](crate::FlowSender) — its lane, its payload handle and
+//! its retransmission round — so ten thousand concurrent flows cost ten
+//! thousand map entries, not ten thousand threads.
 //!
 //! Worker threads (`threads` > 1) are used **only** for batch CRC
 //! verification of drained chunk messages ([`CrcPool`]); results are
 //! committed back in input order, so every trace byte and every virtual
 //! timestamp is identical whether the pool has 1, 4, or 16 workers.
-//!
-//! The flow state machine itself ([`FlowMachine`]) is pure — no clocks,
-//! no channels — so its invariants (never double-complete, never
-//! retransmit after `Done`, always drop generation-mismatched feedback)
-//! are property-testable in isolation.
 
 use crate::chunk::chunk_body_crc;
 use crate::Message;
@@ -43,205 +40,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
 use viper_hw::SimInstant;
 use viper_telemetry::Telemetry;
-
-// ---------------------------------------------------------------------------
-// Flow state machine (pure; no I/O, no clock)
-// ---------------------------------------------------------------------------
-
-/// Where a reliable flow is in its life cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowPhase {
-    /// Chunks are being written to the fabric (initial send).
-    Sending,
-    /// All chunks of the current round are on the wire; waiting for
-    /// receiver feedback or the ack timer.
-    AwaitingAck,
-    /// A retransmission round is in flight.
-    Retransmitting {
-        /// 1-based retransmission round number.
-        round: u32,
-    },
-    /// The flow resolved (acked, or receiver asked for a full re-encode).
-    Done,
-    /// The retry budget ran out; the flow was given up.
-    Exhausted,
-}
-
-/// Receiver feedback carried by a generation-stamped control frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FeedbackKind {
-    /// The flow reassembled completely.
-    Ack,
-    /// These chunk indices are missing or corrupt (empty = resend all).
-    Nack {
-        /// Chunk indices to retransmit.
-        missing: Vec<u32>,
-    },
-    /// The flow reassembled but its delta payload was unusable; the
-    /// sender must re-encode a full checkpoint.
-    NeedFull,
-}
-
-/// An input to the flow state machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowEvent {
-    /// The initial send of every chunk completed.
-    Sent,
-    /// A control frame from the receiver.
-    Feedback {
-        /// Retransmit-round generation the frame was stamped with.
-        generation: u64,
-        /// What the receiver said.
-        kind: FeedbackKind,
-    },
-    /// The per-flow ack timer fired with no feedback seen.
-    AckTimeout,
-}
-
-/// What [`FlowSender`](crate::FlowSender) — the one owner of every
-/// [`FlowMachine`] — does after feeding it an event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowAction {
-    /// Nothing.
-    None,
-    /// The flow completed: ack bookkeeping, cancel its timer.
-    Complete,
-    /// The flow completed but the receiver needs a full re-encode.
-    NeedFull,
-    /// Send a `Round` frame stamped `generation`, then retransmit
-    /// `missing` (empty = all chunks).
-    Retransmit {
-        /// Generation to stamp the new round with.
-        generation: u64,
-        /// Chunk indices to resend (empty = every chunk).
-        missing: Vec<u32>,
-        /// 1-based retransmission attempt (drives backoff).
-        attempt: u32,
-    },
-    /// The retry budget is exhausted: give the flow up.
-    Exhausted {
-        /// Retransmission rounds that were actually executed.
-        attempts: u32,
-    },
-    /// The event was stale (wrong generation, or the flow already
-    /// resolved) and was dropped; the machine counted it.
-    DroppedStale,
-}
-
-/// The per-flow reliability state machine:
-/// `Sending → AwaitingAck → Retransmitting{round} → Done/Exhausted`.
-///
-/// Pure state: [`FlowSender`](crate::FlowSender) performs the sends, timer
-/// arms, and backoff prescribed by the returned [`FlowAction`]s. Every
-/// retransmission round bumps the machine's **generation**; feedback
-/// stamped with any other generation is counted in
-/// [`FlowMachine::stale_feedback`] and dropped, so a NACK queued from a
-/// superseded round can never trigger a duplicate retransmission.
-#[derive(Debug, Clone)]
-pub struct FlowMachine {
-    phase: FlowPhase,
-    generation: u64,
-    attempts: u32,
-    max_retries: u32,
-    stale_feedback: u64,
-}
-
-impl FlowMachine {
-    /// A fresh machine in [`FlowPhase::Sending`] at generation 0 with a
-    /// budget of `max_retries` retransmission rounds.
-    pub fn new(max_retries: u32) -> Self {
-        FlowMachine {
-            phase: FlowPhase::Sending,
-            generation: 0,
-            attempts: 0,
-            max_retries,
-            stale_feedback: 0,
-        }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> FlowPhase {
-        self.phase
-    }
-
-    /// Current retransmit-round generation (0 = initial send).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Retransmission rounds requested so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Whether the flow has resolved (no further actions will be
-    /// produced beyond [`FlowAction::DroppedStale`] / [`FlowAction::None`]).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.phase, FlowPhase::Done | FlowPhase::Exhausted)
-    }
-
-    /// How many feedback frames were dropped for carrying a stale
-    /// generation or arriving after the flow resolved.
-    pub fn stale_feedback(&self) -> u64 {
-        self.stale_feedback
-    }
-
-    /// Feed one event; returns the action to perform.
-    pub fn on_event(&mut self, event: FlowEvent) -> FlowAction {
-        match event {
-            FlowEvent::Sent => {
-                if self.phase == FlowPhase::Sending {
-                    self.phase = FlowPhase::AwaitingAck;
-                }
-                FlowAction::None
-            }
-            FlowEvent::Feedback { generation, kind } => {
-                if self.is_terminal() || generation != self.generation {
-                    self.stale_feedback += 1;
-                    return FlowAction::DroppedStale;
-                }
-                match kind {
-                    FeedbackKind::Ack => {
-                        self.phase = FlowPhase::Done;
-                        FlowAction::Complete
-                    }
-                    FeedbackKind::NeedFull => {
-                        self.phase = FlowPhase::Done;
-                        FlowAction::NeedFull
-                    }
-                    FeedbackKind::Nack { missing } => self.next_round(missing),
-                }
-            }
-            FlowEvent::AckTimeout => {
-                if self.is_terminal() {
-                    // A timer that was not cancelled; never resend.
-                    return FlowAction::None;
-                }
-                // No feedback at all: resend the whole flow blind.
-                self.next_round(Vec::new())
-            }
-        }
-    }
-
-    fn next_round(&mut self, missing: Vec<u32>) -> FlowAction {
-        self.attempts += 1;
-        if self.attempts > self.max_retries {
-            self.phase = FlowPhase::Exhausted;
-            return FlowAction::Exhausted {
-                attempts: self.attempts - 1,
-            };
-        }
-        self.generation += 1;
-        self.phase = FlowPhase::Retransmitting {
-            round: self.attempts,
-        };
-        FlowAction::Retransmit {
-            generation: self.generation,
-            missing,
-            attempt: self.attempts,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // CRC worker pool
@@ -682,212 +480,8 @@ fn scheduler_loop(rx: Receiver<Event>, crc: CrcPool, telemetry: Telemetry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    // -- FlowMachine unit tests --------------------------------------------
-
-    #[test]
-    fn happy_path_acks_once() {
-        let mut m = FlowMachine::new(8);
-        assert_eq!(m.on_event(FlowEvent::Sent), FlowAction::None);
-        assert_eq!(m.phase(), FlowPhase::AwaitingAck);
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Ack,
-        });
-        assert_eq!(action, FlowAction::Complete);
-        assert_eq!(m.phase(), FlowPhase::Done);
-        assert!(m.is_terminal());
-        assert_eq!(m.stale_feedback(), 0);
-    }
-
-    #[test]
-    fn nack_drives_a_generation_stamped_round() {
-        let mut m = FlowMachine::new(8);
-        m.on_event(FlowEvent::Sent);
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Nack {
-                missing: vec![2, 5],
-            },
-        });
-        assert_eq!(
-            action,
-            FlowAction::Retransmit {
-                generation: 1,
-                missing: vec![2, 5],
-                attempt: 1
-            }
-        );
-        assert_eq!(m.phase(), FlowPhase::Retransmitting { round: 1 });
-        assert_eq!(m.generation(), 1);
-        // Ack from the new round completes.
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 1,
-            kind: FeedbackKind::Ack,
-        });
-        assert_eq!(action, FlowAction::Complete);
-    }
-
-    #[test]
-    fn stale_generation_feedback_is_dropped_and_counted() {
-        let mut m = FlowMachine::new(8);
-        m.on_event(FlowEvent::Sent);
-        m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Nack { missing: vec![1] },
-        });
-        // A duplicate NACK from the superseded round 0 must not trigger
-        // a second retransmission.
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Nack { missing: vec![1] },
-        });
-        assert_eq!(action, FlowAction::DroppedStale);
-        assert_eq!(m.stale_feedback(), 1);
-        assert_eq!(m.attempts(), 1, "no extra round");
-        // Even a stale ACK is dropped: completion must come from the
-        // current round.
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Ack,
-        });
-        assert_eq!(action, FlowAction::DroppedStale);
-        assert_eq!(m.stale_feedback(), 2);
-        assert!(!m.is_terminal());
-    }
-
-    #[test]
-    fn ack_timeout_resends_blind_until_exhausted() {
-        let mut m = FlowMachine::new(2);
-        m.on_event(FlowEvent::Sent);
-        assert_eq!(
-            m.on_event(FlowEvent::AckTimeout),
-            FlowAction::Retransmit {
-                generation: 1,
-                missing: vec![],
-                attempt: 1
-            }
-        );
-        assert_eq!(
-            m.on_event(FlowEvent::AckTimeout),
-            FlowAction::Retransmit {
-                generation: 2,
-                missing: vec![],
-                attempt: 2
-            }
-        );
-        assert_eq!(
-            m.on_event(FlowEvent::AckTimeout),
-            FlowAction::Exhausted { attempts: 2 }
-        );
-        assert_eq!(m.phase(), FlowPhase::Exhausted);
-        // Terminal: further timers are inert.
-        assert_eq!(m.on_event(FlowEvent::AckTimeout), FlowAction::None);
-    }
-
-    #[test]
-    fn feedback_after_done_never_retransmits() {
-        let mut m = FlowMachine::new(8);
-        m.on_event(FlowEvent::Sent);
-        m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Ack,
-        });
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::Nack { missing: vec![0] },
-        });
-        assert_eq!(action, FlowAction::DroppedStale);
-        assert_eq!(m.stale_feedback(), 1);
-        assert_eq!(m.phase(), FlowPhase::Done);
-    }
-
-    #[test]
-    fn need_full_resolves_the_flow() {
-        let mut m = FlowMachine::new(8);
-        m.on_event(FlowEvent::Sent);
-        let action = m.on_event(FlowEvent::Feedback {
-            generation: 0,
-            kind: FeedbackKind::NeedFull,
-        });
-        assert_eq!(action, FlowAction::NeedFull);
-        assert!(m.is_terminal());
-    }
-
-    // -- FlowMachine property test (satellite: arbitrary interleavings) ----
-
-    fn flow_event_strategy() -> impl Strategy<Value = FlowEvent> {
-        prop_oneof![
-            Just(FlowEvent::Sent),
-            Just(FlowEvent::AckTimeout),
-            (0u64..4, prop_oneof![Just(0u8), Just(1u8), Just(2u8)]).prop_map(|(generation, k)| {
-                let kind = match k {
-                    0 => FeedbackKind::Ack,
-                    1 => FeedbackKind::NeedFull,
-                    _ => FeedbackKind::Nack {
-                        missing: vec![generation as u32],
-                    },
-                };
-                FlowEvent::Feedback { generation, kind }
-            }),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn flow_machine_invariants_hold_under_any_interleaving(
-            max_retries in 0u32..6,
-            events in prop::collection::vec(flow_event_strategy(), 0..64),
-        ) {
-            let mut m = FlowMachine::new(max_retries);
-            let mut completions = 0u32;
-            let mut last_generation = 0u64;
-            for event in events {
-                let stale_before = m.stale_feedback();
-                let terminal_before = m.is_terminal();
-                let generation_before = m.generation();
-                let feedback_generation = match &event {
-                    FlowEvent::Feedback { generation, .. } => Some(*generation),
-                    _ => None,
-                };
-                let action = m.on_event(event);
-                match &action {
-                    FlowAction::Complete | FlowAction::NeedFull => {
-                        completions += 1;
-                        prop_assert!(!terminal_before, "completed a resolved flow");
-                    }
-                    FlowAction::Retransmit { generation, .. } => {
-                        prop_assert!(!terminal_before, "retransmit after Done/Exhausted");
-                        prop_assert!(
-                            *generation > last_generation || last_generation == 0,
-                            "generations must increase"
-                        );
-                        prop_assert_eq!(*generation, m.generation());
-                        last_generation = *generation;
-                    }
-                    FlowAction::Exhausted { attempts } => {
-                        prop_assert!(!terminal_before);
-                        prop_assert_eq!(*attempts, max_retries);
-                    }
-                    _ => {}
-                }
-                // Mismatched-generation feedback — and any feedback on a
-                // resolved flow — is dropped and counted, always.
-                if let Some(generation) = feedback_generation {
-                    if terminal_before || generation != generation_before {
-                        prop_assert_eq!(action, FlowAction::DroppedStale);
-                        prop_assert_eq!(m.stale_feedback(), stale_before + 1);
-                    } else {
-                        prop_assert_ne!(action.clone(), FlowAction::DroppedStale);
-                    }
-                }
-            }
-            prop_assert!(completions <= 1, "flow completed {completions} times");
-        }
-    }
 
     // -- Timer wheel --------------------------------------------------------
 

@@ -9,9 +9,8 @@
 //! makespan grows with tree *depth* (~`log_f n`) rather than with `n`.
 //!
 //! This module is the pure shape: deterministic construction from a
-//! member list ([`Topology::build`]), an explicit-edge constructor with a
-//! typed validation path ([`Topology::from_parents`] — duplicates,
-//! orphans, cycles, fan-out violations), and failure handling
+//! member list ([`Topology::build`], rejecting a zero fan-out bound and
+//! duplicate members with a typed [`TopologyError`]), and failure handling
 //! ([`Topology::reparent`]) that re-homes a failed relay's children
 //! without ever losing or duplicating a subtree member. The runtime that
 //! drives flows over the tree lives in `viper-core`; the invariants live
@@ -27,13 +26,6 @@ pub enum TopologyError {
     ZeroFanout,
     /// The same node name appeared twice in the member list.
     DuplicateMember(String),
-    /// A member names a parent that is not itself a member.
-    Orphan(String),
-    /// A member participates in a parent cycle (and so never reaches a
-    /// root).
-    Cycle(String),
-    /// A member has more children than the fan-out bound allows.
-    FanoutExceeded(String),
     /// The named node is not a member of this topology.
     UnknownMember(String),
 }
@@ -43,9 +35,6 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::ZeroFanout => write!(f, "fan-out bound must be at least 1"),
             TopologyError::DuplicateMember(n) => write!(f, "duplicate member: {n}"),
-            TopologyError::Orphan(n) => write!(f, "orphan member (parent not in tree): {n}"),
-            TopologyError::Cycle(n) => write!(f, "member is part of a parent cycle: {n}"),
-            TopologyError::FanoutExceeded(n) => write!(f, "fan-out bound exceeded at: {n}"),
             TopologyError::UnknownMember(n) => write!(f, "unknown member: {n}"),
         }
     }
@@ -89,61 +78,6 @@ impl Topology {
             let p = (i - 1) / fanout;
             *slot = Some(p);
             children[p].push(i);
-        }
-        Ok(Topology {
-            fanout,
-            members,
-            index,
-            parent,
-            children,
-        })
-    }
-
-    /// Build a topology from explicit `(member, parent)` edges (`None` =
-    /// root). This is the validating constructor: it rejects duplicate
-    /// membership, parents that are not members (orphans), parent cycles,
-    /// and fan-out bound violations with a typed error naming the
-    /// offending node.
-    pub fn from_parents(
-        pairs: &[(String, Option<String>)],
-        fanout: usize,
-    ) -> Result<Topology, TopologyError> {
-        if fanout == 0 {
-            return Err(TopologyError::ZeroFanout);
-        }
-        let members: Vec<String> = pairs.iter().map(|(m, _)| m.clone()).collect();
-        let mut index = HashMap::with_capacity(members.len());
-        for (i, m) in members.iter().enumerate() {
-            if index.insert(m.clone(), i).is_some() {
-                return Err(TopologyError::DuplicateMember(m.clone()));
-            }
-        }
-        let mut parent = vec![None; members.len()];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-        for (i, (m, p)) in pairs.iter().enumerate() {
-            if let Some(p) = p {
-                let Some(&pi) = index.get(p) else {
-                    return Err(TopologyError::Orphan(m.clone()));
-                };
-                parent[i] = Some(pi);
-                children[pi].push(i);
-                if children[pi].len() > fanout {
-                    return Err(TopologyError::FanoutExceeded(pairs[pi].0.clone()));
-                }
-            }
-        }
-        // Every member must reach a root in at most `len` parent hops;
-        // anything that doesn't sits on a cycle.
-        for (i, (m, _)) in pairs.iter().enumerate() {
-            let mut cursor = i;
-            let mut hops = 0;
-            while let Some(p) = parent[cursor] {
-                cursor = p;
-                hops += 1;
-                if hops > pairs.len() {
-                    return Err(TopologyError::Cycle(m.clone()));
-                }
-            }
         }
         Ok(Topology {
             fanout,
@@ -283,7 +217,7 @@ impl Topology {
             };
             pairs.push((m.clone(), p));
         }
-        let mut rebuilt = Topology::from_parents_unchecked(&pairs, self.fanout);
+        let mut rebuilt = Topology::from_edges(&pairs, self.fanout);
         rebuilt.cascade_overflow();
         debug_assert!(rebuilt
             .members
@@ -293,9 +227,10 @@ impl Topology {
         Ok(moved)
     }
 
-    /// `from_parents` without the validation pass, for internal rebuilds
-    /// whose edges are correct by construction.
-    fn from_parents_unchecked(pairs: &[(String, Option<String>)], fanout: usize) -> Topology {
+    /// A topology from explicit `(member, parent)` edges (`None` = root),
+    /// for [`Topology::reparent`]'s rebuild, whose edges are correct by
+    /// construction: no duplicates, orphans or cycles.
+    fn from_edges(pairs: &[(String, Option<String>)], fanout: usize) -> Topology {
         let members: Vec<String> = pairs.iter().map(|(m, _)| m.clone()).collect();
         let index: HashMap<String, usize> = members
             .iter()
@@ -387,60 +322,6 @@ mod tests {
         let empty = Topology::build::<&str>(&[], 2).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.depth(), 0);
-    }
-
-    #[test]
-    fn from_parents_accepts_a_valid_forest() {
-        let t = Topology::from_parents(
-            &[
-                ("r1".into(), None),
-                ("a".into(), Some("r1".into())),
-                ("r2".into(), None),
-                ("b".into(), Some("r2".into())),
-                ("c".into(), Some("a".into())),
-            ],
-            2,
-        )
-        .unwrap();
-        assert_eq!(t.roots(), vec!["r1", "r2"]);
-        assert_eq!(t.subtree_of("r1"), vec!["r1", "a", "c"]);
-    }
-
-    #[test]
-    fn from_parents_rejects_orphans_cycles_duplicates_and_overflow() {
-        assert_eq!(
-            Topology::from_parents(&[("a".into(), Some("ghost".into()))], 2),
-            Err(TopologyError::Orphan("a".into()))
-        );
-        assert_eq!(
-            Topology::from_parents(
-                &[
-                    ("a".into(), Some("b".into())),
-                    ("b".into(), Some("a".into()))
-                ],
-                2
-            ),
-            Err(TopologyError::Cycle("a".into()))
-        );
-        assert_eq!(
-            Topology::from_parents(&[("a".into(), Some("a".into()))], 2),
-            Err(TopologyError::Cycle("a".into()))
-        );
-        assert_eq!(
-            Topology::from_parents(&[("a".into(), None), ("a".into(), None)], 2),
-            Err(TopologyError::DuplicateMember("a".into()))
-        );
-        assert_eq!(
-            Topology::from_parents(
-                &[
-                    ("r".into(), None),
-                    ("a".into(), Some("r".into())),
-                    ("b".into(), Some("r".into())),
-                ],
-                1
-            ),
-            Err(TopologyError::FanoutExceeded("r".into()))
-        );
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! * the receiver ACKs a flow once it reassembles completely (or replies
 //!   `NeedFull` when the reassembled payload was a delta it cannot apply,
 //!   asking the sender to re-encode the update as a full checkpoint);
-//! * the sender retransmits NACKed chunks with exponential backoff (charged
-//!   to the virtual clock — retries are never free) under a bounded
-//!   [`RetryPolicy`]; when the budget is exhausted it gives up and degrades
-//!   to a slower-but-durable route.
+//! * the sender retransmits NACKed chunks after a constant exponential
+//!   backoff (50 µs doubling to a 5 ms cap, plus 100 µs per send queued
+//!   behind the lane, capped at 2 ms — added to the round's virtual
+//!   instant, so retries are never free) within the [`RetryPolicy`]
+//!   budget; when the budget is exhausted it gives up and degrades to a
+//!   slower-but-durable route.
+//!
+//! [`RetryPolicy`] holds only what deployments set: the retry budget, the
+//! ack timeout, the NACK pacing and the NACK budget. Each lane's pending
+//! send is one [`CoalesceQueue`] slot.
 
 use crate::LinkKind;
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Magic bytes marking a reliability control frame ("VPRL").
@@ -223,16 +228,14 @@ impl Control {
     }
 }
 
-/// Sender-side retransmission budget and receiver-side NACK pacing.
+/// Sender-side retransmission budget and receiver-side NACK pacing: the
+/// four knobs a deployment sets. The backoff schedule and the feedback
+/// jitter are constants of the protocol (see
+/// [`RetryPolicy::backoff_with_pressure`] and [`deterministic_jitter`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum retransmission rounds per flow before the sender gives up.
     pub max_retries: u32,
-    /// Virtual-time backoff before the first retransmission; doubles each
-    /// round (see [`viper_hw::retry_backoff`]).
-    pub base_backoff: Duration,
-    /// Upper bound on the per-round backoff.
-    pub backoff_cap: Duration,
     /// Virtual-time window the sender's reactor arms per flow before
     /// resending the whole flow blind (covers "the final chunk was dropped
     /// and the receiver never saw enough to complain"). The timer is a
@@ -248,77 +251,69 @@ pub struct RetryPolicy {
     /// How many times the receiver re-NACKs a stalled flow before
     /// abandoning it (freeing its buffer).
     pub max_nacks: u32,
-    /// Extra virtual-time backoff added per update queued behind a
-    /// congested consumer's in-flight flow (see
-    /// [`RetryPolicy::backoff_with_pressure`]). A consumer whose outbound
-    /// queue is deep is by definition slower than the producer; pushing
-    /// its repair rounds out makes room for the fresh versions that will
-    /// supersede the stragglers anyway.
-    pub backpressure_penalty: Duration,
-    /// Upper bound on the accumulated backpressure penalty, so a deep
-    /// queue cannot push a repair round out indefinitely.
-    pub max_backpressure: Duration,
-    /// Maximum deterministic per-consumer jitter applied to receiver-side
-    /// feedback timers (NACK reap deadlines). Derived from stable
-    /// identifiers via [`deterministic_jitter`] — never from wall time —
-    /// so it spreads synchronized control-frame herds across the virtual
-    /// timeline without breaking reproducibility.
-    pub feedback_jitter: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 8,
-            base_backoff: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(5),
             ack_timeout: Duration::from_millis(200),
             nack_after: Duration::from_millis(8),
             max_nacks: 12,
-            backpressure_penalty: Duration::from_micros(100),
-            max_backpressure: Duration::from_millis(2),
-            feedback_jitter: Duration::from_micros(200),
         }
     }
 }
 
+/// Virtual-time backoff before the first retransmission round; doubles
+/// each round (see [`viper_hw::retry_backoff`]).
+const BASE_BACKOFF: Duration = Duration::from_micros(50);
+/// Upper bound on the per-round backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(5);
+/// Extra backoff per send queued behind a congested lane. A lane whose
+/// queue is occupied is by definition slower than the producer; pushing
+/// its repair rounds out makes room for the fresh versions that will
+/// supersede the stragglers anyway.
+const BACKPRESSURE_PENALTY: Duration = Duration::from_micros(100);
+/// Upper bound on the accumulated backpressure penalty, so a deep backlog
+/// cannot push a repair round out indefinitely.
+const MAX_BACKPRESSURE: Duration = Duration::from_millis(2);
+/// Maximum deterministic per-consumer jitter on receiver-side feedback
+/// timers (NACK sends and reap deadlines).
+const FEEDBACK_JITTER: Duration = Duration::from_micros(200);
+
 impl RetryPolicy {
     /// The virtual-time backoff charged before retransmission round
-    /// `attempt` (**1-based**): exponential from `base_backoff`, capped.
+    /// `attempt` (**1-based**): exponential from 50 µs, capped at 5 ms,
+    /// plus 100 µs per send queued behind the congested lane (`backlog`),
+    /// that penalty capped at 2 ms.
+    pub fn backoff_with_pressure(attempt: u32, backlog: usize) -> Duration {
+        let penalty = BACKPRESSURE_PENALTY
+            .checked_mul(backlog.min(u32::MAX as usize) as u32)
+            .unwrap_or(MAX_BACKPRESSURE)
+            .min(MAX_BACKPRESSURE);
+        Self::backoff(attempt) + penalty
+    }
+
+    /// The exponential part of [`RetryPolicy::backoff_with_pressure`].
     ///
     /// Passing `attempt = 0` is a caller bug (there is no round zero —
     /// the initial send is not a retry); it trips a debug assertion and
     /// is clamped to round 1 in release builds so a miscounted attempt
     /// can never yield a zero-backoff instant retransmit.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    fn backoff(attempt: u32) -> Duration {
         debug_assert!(attempt >= 1, "backoff attempts are 1-based, got 0");
-        viper_hw::retry_backoff(self.base_backoff, attempt.max(1), self.backoff_cap)
-    }
-
-    /// [`RetryPolicy::backoff`] plus a backpressure penalty scaled by how
-    /// many newer updates are queued behind the congested consumer
-    /// (`backlog`), capped at `max_backpressure`.
-    pub fn backoff_with_pressure(&self, attempt: u32, backlog: usize) -> Duration {
-        let penalty = self
-            .backpressure_penalty
-            .checked_mul(backlog.min(u32::MAX as usize) as u32)
-            .unwrap_or(self.max_backpressure)
-            .min(self.max_backpressure);
-        self.backoff(attempt) + penalty
+        viper_hw::retry_backoff(BASE_BACKOFF, attempt.max(1), BACKOFF_CAP)
     }
 }
 
-/// Deterministic per-consumer jitter in `[0, max]`, derived from stable
+/// Deterministic per-consumer jitter in `[0, 200 µs]`, derived from stable
 /// identifiers only: an FNV-1a hash of `node`'s bytes mixed with
 /// `generation` through a SplitMix64 finalizer. The same (node,
-/// generation, max) always yields the same offset — across runs, reactor
+/// generation) always yields the same offset — across runs, reactor
 /// thread counts, and telemetry settings — so jitter spreads synchronized
-/// timer deadlines without ever touching wall time.
-pub fn deterministic_jitter(node: &str, generation: u64, max: Duration) -> Duration {
-    let max_ns = max.as_nanos().min(u64::MAX as u128) as u64;
-    if max_ns == 0 {
-        return Duration::ZERO;
-    }
+/// feedback deadlines without ever touching wall time.
+pub fn deterministic_jitter(node: &str, generation: u64) -> Duration {
+    let max_ns = FEEDBACK_JITTER.as_nanos() as u64;
     // FNV-1a over the node name.
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in node.as_bytes() {
@@ -333,10 +328,10 @@ pub fn deterministic_jitter(node: &str, generation: u64, max: Duration) -> Durat
     Duration::from_nanos(z % (max_ns + 1))
 }
 
-/// A bounded outbound queue that collapses to the latest version when
-/// full: the paper's consumers only ever want the *newest* model, so a
-/// congested consumer's backlog holds fresh updates and drops superseded
-/// ones rather than growing without bound (head-of-line blocking).
+/// A lane's one pending send, collapsing to the latest version: the
+/// paper's consumers only ever want the *newest* model, so a congested
+/// consumer's backlog holds the freshest update and drops superseded ones
+/// rather than growing without bound (head-of-line blocking).
 ///
 /// Invariants, property-tested in `tests/coalesce_proptests.rs`:
 ///
@@ -347,76 +342,58 @@ pub fn deterministic_jitter(node: &str, generation: u64, max: Duration) -> Durat
 ///   [`CoalesceQueue::superseded`]) — exactly once, never both.
 #[derive(Debug)]
 pub struct CoalesceQueue<T> {
-    bound: usize,
-    entries: VecDeque<(u64, T)>,
+    pending: Option<(u64, T)>,
     superseded: u64,
     last_popped: Option<u64>,
 }
 
+impl<T> Default for CoalesceQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> CoalesceQueue<T> {
-    /// A queue holding at most `bound` pending updates (`bound` is clamped
-    /// to at least 1 — a zero-capacity queue could drop the newest
-    /// version, violating the collapse contract).
-    pub fn new(bound: usize) -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         CoalesceQueue {
-            bound: bound.max(1),
-            entries: VecDeque::new(),
+            pending: None,
             superseded: 0,
             last_popped: None,
         }
     }
 
-    /// Enqueue `item` as `version`, returning every update this push
-    /// superseded (already counted). A push that is itself stale — its
-    /// version is not newer than everything queued or already popped —
-    /// comes straight back in the returned vec. When the queue is full
-    /// the *oldest* pending entries are collapsed away.
-    pub fn push(&mut self, version: u64, item: T) -> Vec<(u64, T)> {
-        let newest = self
-            .entries
-            .back()
-            .map(|(v, _)| *v)
-            .or(self.last_popped)
-            .unwrap_or(0);
-        if (self.entries.back().is_some() || self.last_popped.is_some()) && version <= newest {
-            self.superseded += 1;
-            return vec![(version, item)];
-        }
-        self.entries.push_back((version, item));
-        let mut dropped = Vec::new();
-        while self.entries.len() > self.bound {
-            let old = self.entries.pop_front().expect("len > bound >= 1");
-            self.superseded += 1;
-            dropped.push(old);
-        }
+    /// Enqueue `item` as `version`, returning the update this push
+    /// superseded (already counted): the previously pending one, or —
+    /// when `version` is not newer than everything pending or already
+    /// popped — `item` itself.
+    pub fn push(&mut self, version: u64, item: T) -> Option<(u64, T)> {
+        let newest = self.pending.as_ref().map(|(v, _)| *v).or(self.last_popped);
+        let dropped = if newest.is_some_and(|newest| version <= newest) {
+            Some((version, item))
+        } else {
+            self.pending.replace((version, item))
+        };
+        self.superseded += u64::from(dropped.is_some());
         dropped
     }
 
-    /// Dequeue the oldest pending update. Versions come out strictly
-    /// increasing across the queue's lifetime.
+    /// Dequeue the pending update. Versions come out strictly increasing
+    /// across the queue's lifetime.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let (version, item) = self.entries.pop_front()?;
-        debug_assert!(
-            self.last_popped.is_none_or(|last| version > last),
-            "coalesce queue popped out of order"
-        );
+        let (version, item) = self.pending.take()?;
         self.last_popped = Some(version);
         Some((version, item))
     }
 
-    /// Pending updates currently queued.
+    /// Pending updates currently queued (0 or 1).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        usize::from(self.pending.is_some())
     }
 
-    /// Whether no updates are pending.
+    /// Whether no update is pending.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The version of the newest pending update, if any.
-    pub fn newest(&self) -> Option<u64> {
-        self.entries.back().map(|(v, _)| *v)
+        self.pending.is_none()
     }
 
     /// Total updates dropped as superseded over the queue's lifetime.
@@ -568,91 +545,68 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let policy = RetryPolicy {
-            base_backoff: Duration::from_micros(100),
-            backoff_cap: Duration::from_micros(450),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff(1), Duration::from_micros(100));
-        assert_eq!(policy.backoff(2), Duration::from_micros(200));
-        assert_eq!(policy.backoff(3), Duration::from_micros(400));
-        assert_eq!(policy.backoff(4), Duration::from_micros(450));
-        assert_eq!(policy.backoff(30), Duration::from_micros(450));
+        // 50 µs, doubling per round, capped at 5 ms from round 8 on.
+        let backoff = |attempt| RetryPolicy::backoff_with_pressure(attempt, 0);
+        assert_eq!(backoff(1), Duration::from_micros(50));
+        assert_eq!(backoff(2), Duration::from_micros(100));
+        assert_eq!(backoff(3), Duration::from_micros(200));
+        assert_eq!(backoff(7), Duration::from_micros(3_200));
+        assert_eq!(backoff(8), Duration::from_millis(5));
+        assert_eq!(backoff(30), Duration::from_millis(5));
     }
 
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "1-based"))]
     fn backoff_attempt_zero_clamps_to_round_one() {
-        let policy = RetryPolicy::default();
         // Release builds clamp to round 1 instead of yielding ZERO (an
         // instant retransmit); debug builds trip the assertion.
-        assert_eq!(policy.backoff(0), policy.backoff(1));
-        assert_ne!(policy.backoff(0), Duration::ZERO);
+        assert_eq!(RetryPolicy::backoff(0), RetryPolicy::backoff(1));
+        assert_ne!(RetryPolicy::backoff(0), Duration::ZERO);
     }
 
     #[test]
     fn backpressure_penalty_scales_and_caps() {
-        let policy = RetryPolicy {
-            base_backoff: Duration::from_micros(100),
-            backoff_cap: Duration::from_millis(5),
-            backpressure_penalty: Duration::from_micros(100),
-            max_backpressure: Duration::from_micros(250),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_with_pressure(1, 0), policy.backoff(1));
-        assert_eq!(
-            policy.backoff_with_pressure(1, 1),
-            policy.backoff(1) + Duration::from_micros(100)
-        );
-        assert_eq!(
-            policy.backoff_with_pressure(1, 2),
-            policy.backoff(1) + Duration::from_micros(200)
-        );
+        // Each queued send adds 100 µs; the term saturates at 2 ms.
+        let base = RetryPolicy::backoff(1);
+        let pressure = |backlog| RetryPolicy::backoff_with_pressure(1, backlog) - base;
+        assert_eq!(pressure(0), Duration::ZERO);
+        assert_eq!(pressure(1), Duration::from_micros(100));
+        assert_eq!(pressure(2), Duration::from_micros(200));
+        assert_eq!(pressure(20), Duration::from_millis(2));
         // Deep backlogs saturate at the cap — including absurd ones.
-        assert_eq!(
-            policy.backoff_with_pressure(1, 3),
-            policy.backoff(1) + Duration::from_micros(250)
-        );
-        assert_eq!(
-            policy.backoff_with_pressure(1, usize::MAX),
-            policy.backoff(1) + Duration::from_micros(250)
-        );
+        assert_eq!(pressure(21), Duration::from_millis(2));
+        assert_eq!(pressure(usize::MAX), Duration::from_millis(2));
     }
 
     #[test]
     fn jitter_is_deterministic_bounded_and_spread() {
         let max = Duration::from_micros(200);
-        let a1 = deterministic_jitter("consumer-a", 7, max);
-        let a2 = deterministic_jitter("consumer-a", 7, max);
+        let a1 = deterministic_jitter("consumer-a", 7);
+        let a2 = deterministic_jitter("consumer-a", 7);
         assert_eq!(a1, a2, "same inputs must give the same jitter");
         assert!(a1 <= max);
-        assert_eq!(
-            deterministic_jitter("consumer-a", 7, Duration::ZERO),
-            Duration::ZERO
-        );
         // Different nodes (or generations) should not all collapse onto
         // one deadline — that is the thundering herd we are breaking up.
         let offsets: std::collections::BTreeSet<Duration> = (0..64)
-            .map(|i| deterministic_jitter(&format!("consumer-{i}"), 1, max))
+            .map(|i| deterministic_jitter(&format!("consumer-{i}"), 1))
             .collect();
+        assert!(offsets.iter().all(|&offset| offset <= max));
         assert!(offsets.len() > 32, "jitter barely spreads: {offsets:?}");
         let gens: std::collections::BTreeSet<Duration> = (0..16)
-            .map(|g| deterministic_jitter("consumer-a", g, max))
+            .map(|g| deterministic_jitter("consumer-a", g))
             .collect();
         assert!(gens.len() > 8, "generation mixing too weak: {gens:?}");
     }
 
     #[test]
     fn coalesce_queue_collapses_to_latest() {
-        let mut q = CoalesceQueue::new(2);
-        assert!(q.push(1, "v1").is_empty());
-        assert!(q.push(2, "v2").is_empty());
-        // Full: pushing v3 collapses the oldest pending (v1).
-        let dropped = q.push(3, "v3");
-        assert_eq!(dropped, vec![(1, "v1")]);
-        assert_eq!(q.superseded(), 1);
-        assert_eq!(q.newest(), Some(3));
-        assert_eq!(q.pop(), Some((2, "v2")));
+        let mut q = CoalesceQueue::new();
+        assert_eq!(q.push(1, "v1"), None);
+        // One pending send: pushing v2 collapses v1.
+        assert_eq!(q.push(2, "v2"), Some((1, "v1")));
+        assert_eq!(q.push(3, "v3"), Some((2, "v2")));
+        assert_eq!(q.superseded(), 2);
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((3, "v3")));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
@@ -660,24 +614,16 @@ mod tests {
 
     #[test]
     fn coalesce_queue_rejects_stale_pushes() {
-        let mut q = CoalesceQueue::new(4);
-        assert!(q.push(5, "v5").is_empty());
+        let mut q = CoalesceQueue::new();
+        assert_eq!(q.push(5, "v5"), None);
         assert_eq!(q.pop(), Some((5, "v5")));
         // A version at or below the last popped one is itself superseded.
-        assert_eq!(q.push(5, "again"), vec![(5, "again")]);
-        assert_eq!(q.push(3, "older"), vec![(3, "older")]);
+        assert_eq!(q.push(5, "again"), Some((5, "again")));
+        assert_eq!(q.push(3, "older"), Some((3, "older")));
         assert_eq!(q.superseded(), 2);
-        assert!(q.push(6, "v6").is_empty());
-        assert_eq!(q.push(6, "dup"), vec![(6, "dup")]);
+        assert_eq!(q.push(6, "v6"), None);
+        assert_eq!(q.push(6, "dup"), Some((6, "dup")));
         assert_eq!(q.len(), 1);
         assert_eq!(q.superseded(), 3);
-    }
-
-    #[test]
-    fn coalesce_queue_bound_clamps_to_one() {
-        let mut q = CoalesceQueue::new(0);
-        assert!(q.push(1, ()).is_empty());
-        assert_eq!(q.push(2, ()), vec![(1, ())]);
-        assert_eq!(q.newest(), Some(2), "newest version survives bound 0");
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! The paper's transfer engine (§4.4) is one idea — push the bytes to a
 //! peer and know when they landed. [`FlowSender`] is that idea as a
-//! reactor-side component: it owns the per-destination **lanes** (one flow
-//! in flight, a collapse-to-latest [`CoalesceQueue`] behind it) and every
-//! in-flight flow's [`FlowMachine`], performs the sends, arms the ack
-//! timers, announces and executes retransmission rounds with
-//! pressure-scaled backoff, and tells its owner only how each admitted
-//! send *ended* ([`Outcome`]). What an ending means — base tracking, group
+//! reactor-side component and the one place a reliable flow's state
+//! lives: it owns the per-destination **lanes** (one flow in flight, one
+//! collapse-to-latest pending send behind it) and every in-flight flow's
+//! retransmission round, performs the sends, arms the ack timers,
+//! announces and executes retransmission rounds with pressure-scaled
+//! backoff, and tells its owner only how each admitted send *ended*
+//! ([`Outcome`]). What an ending means — base tracking, group
 //! ACKs, a full-checkpoint retry, a durable fallback — is the owner's
 //! policy; the engine never asks which owner it is serving.
 //!
@@ -17,10 +18,17 @@
 //! (`at + backoff`) rather than charged to the shared clock — the `Round`
 //! frame sent at the resulting instant advances the clock past it anyway —
 //! so the schedule is a pure function of configuration and fault seed.
+//!
+//! Every retransmission round bumps its flow's **generation**, announced
+//! to the receiver by a `Round` frame ahead of the round's chunks.
+//! Feedback stamped with any other generation — a NACK queued from a
+//! superseded round — is counted in [`SenderCounters::stale_feedback`] and
+//! dropped, so it can never trigger a duplicate retransmission; so is
+//! feedback for a flow that already ended, since an ended flow is gone.
 
 use crate::chunk::ChunkedSend;
 use crate::fabric::{Endpoint, LinkKind};
-use crate::reactor::{FeedbackKind, FlowAction, FlowEvent, FlowMachine, TaskCtx};
+use crate::reactor::TaskCtx;
 use crate::reliability::{CoalesceQueue, Control, RetryPolicy};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
@@ -106,10 +114,13 @@ pub struct SenderCounters {
 struct Flow<K> {
     lane: K,
     send: Outbound,
-    machine: FlowMachine,
     num_chunks: u32,
+    /// Retransmission rounds run so far, which is also the generation the
+    /// current round was announced with (0 = the first send).
+    round: u32,
 }
 
+#[derive(Default)]
 struct LaneState {
     /// Flow holding the lane — until its outcome has been handled, which
     /// outlasts the flow itself by one [`FlowSender::next_outcome`] call.
@@ -127,7 +138,6 @@ struct LaneState {
 pub struct FlowSender<K> {
     endpoint: Arc<Endpoint>,
     retry: RetryPolicy,
-    queue_bound: usize,
     telemetry: Telemetry,
     /// Trace category of the engine's spans.
     category: &'static str,
@@ -144,13 +154,11 @@ pub struct FlowSender<K> {
 }
 
 impl<K: Clone + Eq + Hash> FlowSender<K> {
-    /// An idle engine sending from `endpoint`. Each lane's queue holds at
-    /// most `queue_bound` pending sends; spans are recorded under trace
-    /// category `category`.
+    /// An idle engine sending from `endpoint`; spans are recorded under
+    /// trace category `category`.
     pub fn new(
         endpoint: Arc<Endpoint>,
         retry: RetryPolicy,
-        queue_bound: usize,
         telemetry: Telemetry,
         category: &'static str,
         counters: SenderCounters,
@@ -158,7 +166,6 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         FlowSender {
             endpoint,
             retry,
-            queue_bound,
             telemetry,
             category,
             counters,
@@ -170,11 +177,11 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         }
     }
 
-    /// Hand `send` to `lane`: launch it now if the lane is free, else
-    /// queue it under `version`, collapsing older queued versions (each
-    /// yields [`OutcomeKind::Superseded`]; so does `send` itself when
-    /// `version` is not the lane's newest). Returns whether the flow went
-    /// on the wire now.
+    /// Hand `send` to `lane`: launch it now if the lane is free, else make
+    /// it the lane's pending send under `version`. The send it collapses
+    /// yields [`OutcomeKind::Superseded`]: the older pending one, or `send`
+    /// itself when `version` is not the lane's newest. Returns whether the
+    /// flow went on the wire now.
     pub fn admit(
         &mut self,
         ctx: &mut TaskCtx<'_>,
@@ -191,8 +198,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         send.opts.capture_fixed = Duration::ZERO;
         send.opts.capture_once = Duration::ZERO;
         let at = send.ready_at;
-        let dropped = self.lane_mut(&lane).queue.push(version, send);
-        for (_, stale) in dropped {
+        if let Some((_, stale)) = self.lane_mut(&lane).queue.push(version, send) {
             self.conclude(stale, OutcomeKind::Superseded, at, None);
         }
         false
@@ -231,15 +237,13 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             return false;
         };
         self.launched += 1;
-        let mut machine = FlowMachine::new(self.retry.max_retries);
-        machine.on_event(FlowEvent::Sent);
         self.flows.insert(
             report.flow_id,
             Flow {
                 lane: lane.clone(),
                 send,
-                machine,
                 num_chunks: report.num_chunks,
+                round: 0,
             },
         );
         self.lane_mut(lane).in_flight = Some(report.flow_id);
@@ -254,11 +258,11 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
 
     /// Feed one decoded feedback frame (`Ack` / `Nack` / `NeedFull`) that
     /// arrived from `from` at `at`. Sender-side frames (`Round`, `Miss`)
-    /// are ignored; feedback naming no live flow of `from` is counted
-    /// stale. A NACK costs what it names, once: before the flow's machine
-    /// sees it, each index is kept once, in the order named, and only if
-    /// the flow has that chunk; a NACK left naming nothing is stale too —
-    /// it must not burn a retry round.
+    /// are ignored; feedback naming no live flow of `from`, or stamped with
+    /// a generation other than the flow's current round, is counted stale.
+    /// A NACK costs what it names, once: each index is kept once, in the
+    /// order named, and only if the flow has that chunk; a NACK left naming
+    /// nothing is stale too — it must not burn a retry round.
     pub fn on_feedback(
         &mut self,
         ctx: &mut TaskCtx<'_>,
@@ -268,33 +272,28 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     ) {
         let flow_id = control.flow_id();
         let generation = control.generation();
-        let kind = match control {
-            Control::Ack { .. } => FeedbackKind::Ack,
-            Control::NeedFull { .. } => FeedbackKind::NeedFull,
-            Control::Nack { missing, .. } => FeedbackKind::Nack { missing },
-            Control::Round { .. } | Control::Miss { .. } => return,
-        };
-        let Some(flow) = self.flows.get_mut(&flow_id).filter(|f| f.send.to == from) else {
-            self.counters.stale_feedback.inc();
-            return;
-        };
-        let kind = match kind {
-            // An empty list is the blind "resend everything".
-            FeedbackKind::Nack { mut missing } if !missing.is_empty() => {
-                let mut named = HashSet::new();
-                missing.retain(|&index| index < flow.num_chunks && named.insert(index));
-                if missing.is_empty() {
-                    self.counters.stale_feedback.inc();
-                    return;
-                }
-                FeedbackKind::Nack { missing }
+        let live = |flow: &Flow<K>| flow.send.to == from && u64::from(flow.round) == generation;
+        match control {
+            Control::Round { .. } | Control::Miss { .. } => {}
+            _ if !self.flows.get(&flow_id).is_some_and(live) => {
+                self.counters.stale_feedback.inc();
             }
-            kind => kind,
-        };
-        let action = flow
-            .machine
-            .on_event(FlowEvent::Feedback { generation, kind });
-        self.act(ctx, flow_id, action, at);
+            Control::Ack { .. } => self.finish(ctx, flow_id, OutcomeKind::Complete, at),
+            Control::NeedFull { .. } => self.finish(ctx, flow_id, OutcomeKind::NeedFull, at),
+            // An empty list is the blind "resend everything".
+            Control::Nack { mut missing, .. } => {
+                if !missing.is_empty() {
+                    let num_chunks = self.flows[&flow_id].num_chunks;
+                    let mut named = HashSet::new();
+                    missing.retain(|&index| index < num_chunks && named.insert(index));
+                    if missing.is_empty() {
+                        self.counters.stale_feedback.inc();
+                        return;
+                    }
+                }
+                self.round(ctx, flow_id, missing, at);
+            }
+        }
     }
 
     /// Timer `token` fired at `deadline`. Returns `false` when the token
@@ -303,13 +302,13 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     ///
     /// Ack timers fire only at reactor quiescence — every surviving chunk
     /// and feedback frame has been processed — so silence here means the
-    /// virtual `ack_timeout` genuinely elapsed with nothing heard.
+    /// virtual `ack_timeout` genuinely elapsed with nothing heard: the
+    /// whole flow is resent blind.
     pub fn on_timer(&mut self, ctx: &mut TaskCtx<'_>, token: u64, deadline: SimInstant) -> bool {
-        let Some(flow) = self.flows.get_mut(&token) else {
+        if !self.flows.contains_key(&token) {
             return false;
-        };
-        let action = flow.machine.on_event(FlowEvent::AckTimeout);
-        self.act(ctx, token, action, deadline);
+        }
+        self.round(ctx, token, Vec::new(), deadline);
         true
     }
 
@@ -384,107 +383,87 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         self.outcomes.push_back((outcome, held));
     }
 
-    /// Perform what a flow's state machine prescribed. `at` is the causal
-    /// instant of the triggering event: the feedback frame's arrival for
-    /// mail, the deadline for a timer fire.
-    fn act(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, action: FlowAction, at: SimInstant) {
-        match action {
-            FlowAction::None => {}
-            FlowAction::DroppedStale => self.counters.stale_feedback.inc(),
-            FlowAction::Complete => self.finish(ctx, flow_id, OutcomeKind::Complete, at),
-            FlowAction::NeedFull => self.finish(ctx, flow_id, OutcomeKind::NeedFull, at),
-            FlowAction::Exhausted { .. } => {
-                let backlog = self.lane_backlog(&self.flows[&flow_id].lane);
-                self.finish(ctx, flow_id, OutcomeKind::Exhausted { backlog }, at);
-            }
-            FlowAction::Retransmit {
-                generation,
-                missing,
-                attempt,
-            } => {
-                self.counters.retransmits.inc();
-                let flow = &self.flows[&flow_id];
-                let send = &flow.send;
-                let missing: Vec<u32> = if missing.is_empty() {
-                    // Blind resend: no NACK narrowed the loss down.
-                    (0..flow.num_chunks).collect()
-                } else {
-                    missing
-                };
-                // Backpressure: a congested lane (sends queuing behind
-                // this flow) backs off harder, ceding the wire to peers
-                // that keep up.
-                let backlog = self.lane_backlog(&flow.lane);
-                let end = at.add(self.retry.backoff_with_pressure(attempt, backlog));
+    /// Run the next retransmission round of live flow `flow_id` —
+    /// resending `missing`, or every chunk when it is empty — or, with the
+    /// retry budget spent, end the flow [`OutcomeKind::Exhausted`]. `at` is
+    /// the causal instant of the trigger: the NACK's arrival, or the ack
+    /// timer's deadline.
+    fn round(&mut self, ctx: &mut TaskCtx<'_>, flow_id: u64, missing: Vec<u32>, at: SimInstant) {
+        let flow = self.flows.get_mut(&flow_id).expect("a live flow");
+        // Backpressure: a congested lane (a send pending behind this flow)
+        // backs off harder, ceding the wire to peers that keep up.
+        let backlog = self.lanes.get(&flow.lane).map_or(0, |l| l.queue.len());
+        if flow.round >= self.retry.max_retries {
+            self.finish(ctx, flow_id, OutcomeKind::Exhausted { backlog }, at);
+            return;
+        }
+        flow.round += 1;
+        let attempt = flow.round;
+        self.counters.retransmits.inc();
+        let send = &flow.send;
+        let missing: Vec<u32> = if missing.is_empty() {
+            // Blind resend: no NACK narrowed the loss down.
+            (0..flow.num_chunks).collect()
+        } else {
+            missing
+        };
+        let end = at.add(RetryPolicy::backoff_with_pressure(attempt, backlog));
+        self.telemetry.complete(
+            self.category,
+            "backoff",
+            &send.track,
+            at.as_nanos(),
+            end.as_nanos(),
+            &[("attempt", attempt.into()), ("backlog", backlog.into())],
+        );
+        // Announce the round before its chunks: the fabric preserves
+        // per-sender order, so the receiver learns the generation first
+        // and stamps it into all further feedback.
+        let round = Control::Round {
+            flow_id,
+            generation: u64::from(attempt),
+        };
+        let resent = self
+            .endpoint
+            .send_control_at(&send.to, &send.tag, &round, send.link, end)
+            .and_then(|_| {
+                self.endpoint.retransmit_chunks_at(
+                    &send.to,
+                    &send.tag,
+                    &send.payload,
+                    send.link,
+                    flow_id,
+                    send.opts.chunk_bytes,
+                    &missing,
+                    send.opts.crcs.as_deref().map(Vec::as_slice),
+                    end,
+                )
+            });
+        match resent {
+            Ok(lane_free) => {
                 self.telemetry.complete(
                     self.category,
-                    "backoff",
+                    "retransmit_round",
                     &send.track,
-                    at.as_nanos(),
                     end.as_nanos(),
-                    &[("attempt", attempt.into()), ("backlog", backlog.into())],
+                    lane_free.as_nanos(),
+                    &[
+                        ("attempt", attempt.into()),
+                        ("missing", missing.len().into()),
+                    ],
                 );
-                // Announce the round before its chunks: the fabric preserves
-                // per-sender order, so the receiver learns the generation
-                // first and stamps it into all further feedback.
-                let round = Control::Round {
-                    flow_id,
-                    generation,
-                };
-                let resent = self
-                    .endpoint
-                    .send_control_at(&send.to, &send.tag, &round, send.link, end)
-                    .and_then(|_| {
-                        self.endpoint.retransmit_chunks_at(
-                            &send.to,
-                            &send.tag,
-                            &send.payload,
-                            send.link,
-                            flow_id,
-                            send.opts.chunk_bytes,
-                            &missing,
-                            send.opts.crcs.as_deref().map(Vec::as_slice),
-                            end,
-                        )
-                    });
-                match resent {
-                    Ok(lane_free) => {
-                        self.telemetry.complete(
-                            self.category,
-                            "retransmit_round",
-                            &send.track,
-                            end.as_nanos(),
-                            lane_free.as_nanos(),
-                            &[
-                                ("attempt", attempt.into()),
-                                ("missing", missing.len().into()),
-                            ],
-                        );
-                        ctx.arm_timer_at(flow_id, lane_free.add(self.retry.ack_timeout));
-                    }
-                    // The peer deregistered mid-delivery: a shutdown race,
-                    // not a delivery failure.
-                    Err(_) => self.finish(ctx, flow_id, OutcomeKind::Gone, at),
-                }
+                ctx.arm_timer_at(flow_id, lane_free.add(self.retry.ack_timeout));
             }
+            // The peer deregistered mid-delivery: a shutdown race, not a
+            // delivery failure.
+            Err(_) => self.finish(ctx, flow_id, OutcomeKind::Gone, at),
         }
     }
 
     fn lane_mut(&mut self, lane: &K) -> &mut LaneState {
         if !self.lanes.contains_key(lane) {
-            let queue = CoalesceQueue::new(self.queue_bound);
-            self.lanes.insert(
-                lane.clone(),
-                LaneState {
-                    in_flight: None,
-                    queue,
-                },
-            );
+            self.lanes.insert(lane.clone(), LaneState::default());
         }
         self.lanes.get_mut(lane).expect("just inserted")
-    }
-
-    fn lane_backlog(&self, lane: &K) -> usize {
-        self.lanes.get(lane).map_or(0, |l| l.queue.len())
     }
 }

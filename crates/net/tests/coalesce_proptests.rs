@@ -1,10 +1,10 @@
 //! Property tests for the collapse-to-latest coalescing queue.
 //!
-//! The queue backs the producer's per-consumer outbound backlog, so its
-//! contract is load-bearing for delivery correctness:
+//! The queue is every lane's one pending send, so its contract is
+//! load-bearing for delivery correctness:
 //!
-//! * the newest version pushed is never dropped — a full queue collapses
-//!   *older* pending entries, and a stale push supersedes *itself*;
+//! * the newest version pushed is never dropped — a push collapses the
+//!   *older* pending entry, and a stale push supersedes *itself*;
 //! * `pop` yields strictly increasing versions (no reordering, no
 //!   duplicate delivery of a version);
 //! * accounting is exact: every push is eventually popped or counted as
@@ -13,17 +13,16 @@
 use proptest::prelude::*;
 use viper_net::CoalesceQueue;
 
-/// A workload: queue bound plus an interleaving of pushes (with possibly
-/// stale/duplicate versions) and pops (`op == 1`).
-fn ops() -> impl Strategy<Value = (usize, Vec<(u8, u64)>)> {
-    (0usize..5, prop::collection::vec((0u8..2, 0u64..40), 0..120))
+/// A workload: an interleaving of pushes (with possibly stale/duplicate
+/// versions) and pops (`op == 1`).
+fn ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..2, 0u64..40), 0..120)
 }
 
 proptest! {
     #[test]
-    fn coalesce_queue_contract(workload in ops()) {
-        let (bound, script) = workload;
-        let mut q = CoalesceQueue::new(bound);
+    fn coalesce_queue_contract(script in ops()) {
+        let mut q = CoalesceQueue::new();
         let mut pushed = 0u64;
         let mut dropped = 0u64;
         let mut popped = Vec::new();
@@ -37,7 +36,7 @@ proptest! {
             } else {
                 pushed += 1;
                 newest_pushed = Some(newest_pushed.map_or(version, |n| n.max(version)));
-                dropped += q.push(version, version).len() as u64;
+                dropped += u64::from(q.push(version, version).is_some());
             }
         }
         // Drain what's left.
@@ -64,24 +63,18 @@ proptest! {
     }
 
     #[test]
-    fn monotone_pushes_never_lose_the_tail(bound in 0usize..4, n in 1u64..50) {
+    fn monotone_pushes_never_lose_the_tail(n in 1u64..50) {
         // The delivery pattern: versions arrive in order, consumer drains
-        // at the end. The queue must hold exactly the newest `max(bound,1)`
-        // versions and have superseded the rest.
-        let mut q = CoalesceQueue::new(bound);
-        let mut dropped = 0u64;
+        // at the end. The queue must hold exactly the newest version and
+        // have superseded the rest, each once, oldest first.
+        let mut q = CoalesceQueue::new();
+        let mut dropped = Vec::new();
         for v in 1..=n {
-            dropped += q.push(v, v).len() as u64;
+            dropped.extend(q.push(v, v).map(|(v, _)| v));
         }
-        let effective = bound.max(1) as u64;
-        let kept = n.min(effective);
-        prop_assert_eq!(q.len() as u64, kept);
-        prop_assert_eq!(dropped, n - kept);
-        let mut expect = n - kept + 1;
-        while let Some((v, _)) = q.pop() {
-            prop_assert_eq!(v, expect);
-            expect += 1;
-        }
-        prop_assert_eq!(expect, n + 1, "tail delivered through version n");
+        prop_assert_eq!(dropped, (1..n).collect::<Vec<_>>());
+        prop_assert_eq!(q.len(), 1);
+        prop_assert_eq!(q.pop(), Some((n, n)), "tail delivered through version n");
+        prop_assert!(q.is_empty());
     }
 }

@@ -82,31 +82,4 @@ proptest! {
             assert_tree_invariants(&t);
         }
     }
-
-    #[test]
-    fn explicit_forests_satisfy_the_invariants(
-        n in 1usize..120,
-        fanout in 1usize..7,
-        picks in prop::collection::vec(0usize..120, 0..120),
-    ) {
-        // Build a random-but-valid forest: each member may only name an
-        // earlier member as parent (so no cycles), respecting the bound.
-        let names = members(n);
-        let mut child_count = vec![0usize; n];
-        let mut pairs: Vec<(String, Option<String>)> = Vec::with_capacity(n);
-        for (i, name) in names.iter().enumerate() {
-            let parent = if i == 0 {
-                None
-            } else {
-                let p = picks.get(i).copied().unwrap_or(0) % i;
-                (child_count[p] < fanout).then(|| {
-                    child_count[p] += 1;
-                    names[p].clone()
-                })
-            };
-            pairs.push((name.clone(), parent));
-        }
-        let t = Topology::from_parents(&pairs, fanout).unwrap();
-        assert_tree_invariants(&t);
-    }
 }

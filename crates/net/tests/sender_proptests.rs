@@ -88,6 +88,10 @@ enum Behaviour {
     Impostor,
     /// ACK complete flows stamped with a generation the sender never used.
     WrongGeneration,
+    /// Like `LoseOnce(lost)`, but every feedback frame goes out twice: the
+    /// NACK's copy lands after the round it asked for began (a superseded
+    /// generation), the ACK's copy after the flow resolved.
+    Replay(Vec<u32>),
 }
 
 /// One frame a receiver drained, in queue order.
@@ -118,6 +122,15 @@ fn token_of(tag: &str) -> u64 {
 impl Receiver {
     fn generation(&self, flow_id: u64) -> u64 {
         self.generations.get(&flow_id).copied().unwrap_or(0)
+    }
+
+    /// How many times each feedback frame is sent.
+    fn copies(&self) -> usize {
+        if matches!(self.behaviour, Behaviour::Replay(_)) {
+            2
+        } else {
+            1
+        }
     }
 }
 
@@ -168,7 +181,9 @@ impl ReactorTask for Receiver {
             match &self.behaviour {
                 Behaviour::Silent => continue,
                 Behaviour::DeafUntilRound if first_round => continue,
-                Behaviour::LoseOnce(lost) if first_round && lost.contains(&header.chunk_index) => {
+                Behaviour::LoseOnce(lost) | Behaviour::Replay(lost)
+                    if first_round && lost.contains(&header.chunk_index) =>
+                {
                     complain(header.chunk_index);
                     continue;
                 }
@@ -217,9 +232,11 @@ impl ReactorTask for Receiver {
                                 .send_control_at(from, &flow.tag, &bogus, LINK, at);
                         }
                         _ => {
-                            let _ = self
-                                .endpoint
-                                .send_control_at(from, &flow.tag, &reply, LINK, at);
+                            for _ in 0..self.copies() {
+                                let _ = self
+                                    .endpoint
+                                    .send_control_at(from, &flow.tag, &reply, LINK, at);
+                            }
                         }
                     }
                 }
@@ -233,7 +250,9 @@ impl ReactorTask for Receiver {
                 generation: self.generation(flow_id),
                 missing,
             };
-            let _ = self.endpoint.send_control_at(&from, &tag, &nack, LINK, at);
+            for _ in 0..self.copies() {
+                let _ = self.endpoint.send_control_at(&from, &tag, &nack, LINK, at);
+            }
         }
     }
 
@@ -372,7 +391,6 @@ struct Scenario {
     /// the first ack timer.
     victims: usize,
     waves: Vec<Vec<Admit>>,
-    queue_bound: usize,
     retry: RetryPolicy,
     plan: Option<FaultPlan>,
 }
@@ -383,7 +401,6 @@ impl Scenario {
             peers,
             victims: 0,
             waves,
-            queue_bound: 1,
             retry: retry(max_retries),
             plan: None,
         }
@@ -463,7 +480,6 @@ fn run(scenario: &Scenario) -> Run {
             sender: FlowSender::new(
                 Arc::clone(&endpoint),
                 scenario.retry,
-                scenario.queue_bound,
                 telemetry.clone(),
                 "test",
                 counters.clone(),
@@ -643,8 +659,8 @@ fn duplicated_corruption_is_resent_once_per_round() {
 
 #[test]
 fn exhaustion_spends_the_whole_budget_and_reports_the_backlog() {
-    // Three versions for one silent peer, queue bound 1: the first takes
-    // the lane, the third collapses the second out of the queue.
+    // Three versions for one silent peer: the first takes the lane, the
+    // third collapses the second out of the lane's one pending slot.
     let waves = vec![
         vec![Admit { peer: 0, chunks: 2 }, Admit { peer: 0, chunks: 2 }],
         one(0, 2),
@@ -686,6 +702,37 @@ fn feedback_from_the_wrong_peer_or_generation_is_counted_never_acted_on() {
         assert_eq!(run.stale_feedback, 1, "{behaviour:?}");
         assert_eq!(run.retransmits, 2, "{behaviour:?}");
     }
+}
+
+#[test]
+fn replayed_feedback_is_counted_stale_and_never_acted_on() {
+    // Two versions on one lane; each loses chunks 1 and 3 once. The replay
+    // receiver repeats its NACK (by then from a superseded generation) and
+    // its ACK (by then for a resolved flow — the second ACK lands while
+    // the next version holds the lane).
+    let waves = vec![one(0, 5), one(0, 5)];
+    let honest = run(&Scenario::new(
+        vec![Behaviour::LoseOnce(vec![1, 3])],
+        waves.clone(),
+        3,
+    ));
+    let replay = run(&Scenario::new(
+        vec![Behaviour::Replay(vec![1, 3])],
+        waves,
+        3,
+    ));
+    let complete = vec![(0, OutcomeKind::Complete), (1, OutcomeKind::Complete)];
+    assert_eq!(honest.kinds(), complete);
+    assert_eq!(replay.kinds(), complete, "one outcome per send");
+    assert_eq!(honest.retransmits, 2, "one NACKed round per send");
+    assert_eq!(replay.retransmits, honest.retransmits, "no extra round");
+    assert_eq!(replay.seen, honest.seen, "the same frames on the wire");
+    assert_eq!(honest.stale_feedback, 0);
+    assert_eq!(
+        replay.stale_feedback, 4,
+        "each send's replayed NACK and replayed ACK"
+    );
+    assert_eq!(replay.timers_fired, 0);
 }
 
 #[test]
@@ -800,7 +847,6 @@ proptest! {
     #[test]
     fn every_admitted_send_ends_exactly_once_and_reproducibly(
         waves in prop::collection::vec(prop::collection::vec(admit_strategy(), 1..5), 1..6),
-        queue_bound in 1usize..4,
         max_retries in 0u32..4,
         drop in probability(),
         duplicate in probability(),
@@ -814,7 +860,6 @@ proptest! {
                 peers: vec![Behaviour::Honest; 3],
                 victims: 0,
                 waves: waves.clone(),
-                queue_bound,
                 retry: retry(max_retries),
                 plan: Some(
                     FaultPlan::seeded(seed.wrapping_add(salt))

@@ -71,7 +71,6 @@ fn patient_retry() -> RetryPolicy {
         ack_timeout: Duration::from_millis(100),
         nack_after: Duration::from_millis(2),
         max_nacks: 64,
-        ..RetryPolicy::default()
     }
 }
 

@@ -386,7 +386,6 @@ fn fast_retry() -> RetryPolicy {
         ack_timeout: Duration::from_millis(100),
         nack_after: Duration::from_millis(2),
         max_nacks: 24,
-        ..RetryPolicy::default()
     }
 }
 
