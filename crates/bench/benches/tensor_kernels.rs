@@ -1,5 +1,5 @@
 //! Criterion bench for the parallel tensor kernels backing real training:
-//! matmul (dense layers) and conv1d/conv2d (the CANDLE/PtychoNN stacks).
+//! matmul (dense layers) and conv1d (the CANDLE/PtychoNN stacks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -27,12 +27,6 @@ fn bench_conv(c: &mut Criterion) {
     let k1 = Tensor::full(&[5, 8, 16], 0.1);
     group.bench_function("conv1d_16x256x8_k5", |b| {
         b.iter(|| black_box(ops::conv::conv1d(&x1, &k1, 1).unwrap()))
-    });
-
-    let x2 = Tensor::full(&[8, 32, 32, 4], 0.5);
-    let k2 = Tensor::full(&[3, 3, 4, 8], 0.1);
-    group.bench_function("conv2d_8x32x32x4_k3", |b| {
-        b.iter(|| black_box(ops::conv2d::conv2d(&x2, &k2, (1, 1)).unwrap()))
     });
     group.finish();
 }

@@ -6,7 +6,6 @@
 mod activations;
 mod batchnorm;
 mod conv;
-mod conv2d;
 mod dense;
 mod dropout;
 mod flatten;
@@ -15,7 +14,6 @@ mod pool;
 pub use activations::{ReLU, Sigmoid, Softmax, Tanh};
 pub use batchnorm::BatchNorm;
 pub use conv::Conv1D;
-pub use conv2d::{Conv2D, MaxPool2D};
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::Flatten;

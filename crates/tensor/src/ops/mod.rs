@@ -1,7 +1,6 @@
 //! Tensor kernels: elementwise maps, reductions, matmul, 1-D convolution.
 
 pub mod conv;
-pub mod conv2d;
 pub mod elementwise;
 pub mod matmul;
 pub mod reduce;

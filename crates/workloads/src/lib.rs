@@ -21,7 +21,6 @@
 pub mod nt3;
 pub mod profiles;
 pub mod ptychonn;
-pub mod ptychonn2d;
 pub mod synth;
 
 /// TC1 lives in its own module for parity with the paper's three apps.
