@@ -1,7 +1,7 @@
 //! Ablation: monolithic vs chunked-pipelined delivery.
 //!
 //! Two views, as in the paper's overlap ablation:
-//!  * model level — `pipeline_time` vs the monolithic stage sum across
+//!  * model level — `pipeline_costs` vs the monolithic stage sum across
 //!    checkpoint sizes × chunk sizes, printed as a virtual-time table;
 //!  * engine level — real chunked save → load round-trips, wall time
 //!    measuring the chunking machinery's own overhead.
@@ -11,15 +11,25 @@ use std::hint::black_box;
 use std::time::Duration;
 use viper::{Viper, ViperConfig};
 use viper_formats::Checkpoint;
-use viper_hw::{pipeline_time, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_net::{FaultPlan, RetryPolicy};
 use viper_tensor::Tensor;
 
 const NTENSORS: usize = 2;
 
+/// Overlapped virtual makespan of one synchronous chunked update.
+fn pipelined(profile: &MachineProfile, route: Route, bytes: u64, chunk_bytes: u64) -> Duration {
+    let strategy = TransferStrategy {
+        route,
+        mode: CaptureMode::Sync,
+    };
+    let costs = pipeline_costs(profile, strategy, bytes, NTENSORS, chunk_bytes, 1.0);
+    costs.stall + costs.post_stall
+}
+
 /// Monolithic virtual latency: the same stages with no overlap (one chunk).
 fn monolithic(profile: &MachineProfile, route: Route, bytes: u64) -> Duration {
-    pipeline_time(profile, route, bytes, NTENSORS, 0)
+    pipelined(profile, route, bytes, 0)
 }
 
 fn bench_model_ablation(c: &mut Criterion) {
@@ -37,12 +47,7 @@ fn bench_model_ablation(c: &mut Criterion) {
         let mono = monolithic(&profile, Route::GpuToGpu, bytes);
         let row: Vec<String> = [64 * 1024u64, 16 << 20, 64 << 20]
             .iter()
-            .map(|&cb| {
-                format!(
-                    "{:>10.3?}",
-                    pipeline_time(&profile, Route::GpuToGpu, bytes, NTENSORS, cb)
-                )
-            })
+            .map(|&cb| format!("{:>10.3?}", pipelined(&profile, Route::GpuToGpu, bytes, cb)))
             .collect();
         println!("{:>8}MB {:>12.3?} {}", ckpt_mb, mono, row.join(" "));
     }
@@ -52,15 +57,7 @@ fn bench_model_ablation(c: &mut Criterion) {
         for chunk_mb in [0u64, 16, 64] {
             let id = BenchmarkId::new(label, format!("chunk{chunk_mb}MB"));
             group.bench_with_input(id, &(route, chunk_mb), |b, &(r, cmb)| {
-                b.iter(|| {
-                    black_box(pipeline_time(
-                        &profile,
-                        r,
-                        black_box(4700u64 << 20),
-                        NTENSORS,
-                        cmb << 20,
-                    ))
-                })
+                b.iter(|| black_box(pipelined(&profile, r, black_box(4700u64 << 20), cmb << 20)))
             });
         }
     }
@@ -68,7 +65,7 @@ fn bench_model_ablation(c: &mut Criterion) {
 
     // Sanity print for the strategy-level costs (stall vs total).
     for route in [Route::GpuToGpu, Route::HostToHost] {
-        let costs = viper_hw::pipeline_costs(
+        let costs = pipeline_costs(
             &profile,
             TransferStrategy {
                 route,

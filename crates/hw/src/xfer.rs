@@ -407,29 +407,6 @@ fn stage_completions(chunks: &[u64], stages: &[Stage]) -> Vec<Duration> {
     done
 }
 
-/// Overlapped makespan of one chunked model update (capture → wire → apply
-/// with synchronous capture): the fill of the first chunk, steady-state at
-/// the bottleneck stage, and the drain of the last chunk. Per-chunk fixed
-/// costs (link latency, I/O setup) penalize overly small chunks; a single
-/// chunk degenerates to the monolithic `capture + delivery + apply` sum
-/// (plus those fixed costs).
-pub fn pipeline_time(
-    profile: &MachineProfile,
-    route: Route,
-    bytes: u64,
-    ntensors: usize,
-    chunk_bytes: u64,
-) -> Duration {
-    let strategy = TransferStrategy {
-        route,
-        mode: CaptureMode::Sync,
-    };
-    let (stages, _) = pipeline_stages(profile, strategy, ntensors, 1.0);
-    *stage_completions(&chunk_layout(bytes, chunk_bytes), &stages)
-        .last()
-        .expect("pipeline has stages")
-}
-
 /// Price one *chunked* model update, the pipelined counterpart of
 /// [`price_update`]: `stall` is when the last chunk clears the producer-side
 /// stages (capture alone for async, capture + wire for sync, the PFS write
@@ -590,6 +567,24 @@ mod tests {
         .as_secs_f64()
     }
 
+    /// Overlapped makespan of a synchronous chunked TC1 update: fill,
+    /// steady state at the bottleneck stage, drain.
+    fn pipelined(route: Route, chunk_bytes: u64) -> Duration {
+        let strategy = TransferStrategy {
+            route,
+            mode: CaptureMode::Sync,
+        };
+        let c = pipeline_costs(
+            &MachineProfile::polaris(),
+            strategy,
+            TC1,
+            TC1_TENSORS,
+            chunk_bytes,
+            1.0,
+        );
+        c.stall + c.post_stall
+    }
+
     #[test]
     fn chunk_layout_covers_payload() {
         assert_eq!(chunk_layout(10, 3), vec![3, 3, 3, 1]);
@@ -601,9 +596,8 @@ mod tests {
 
     #[test]
     fn single_chunk_matches_monolithic_within_fixed_costs() {
-        let p = MachineProfile::polaris();
         for route in [Route::GpuToGpu, Route::HostToHost, Route::PfsStaging] {
-            let pipe = pipeline_time(&p, route, TC1, TC1_TENSORS, TC1).as_secs_f64();
+            let pipe = pipelined(route, TC1).as_secs_f64();
             let mono = monolithic(route);
             // The only differences are per-chunk fixed costs (tier setup
             // latencies, microseconds against seconds of payload time).
@@ -617,9 +611,8 @@ mod tests {
 
     #[test]
     fn four_chunks_strictly_beat_monolithic_on_memory_routes() {
-        let p = MachineProfile::polaris();
         for route in [Route::GpuToGpu, Route::HostToHost] {
-            let pipe = pipeline_time(&p, route, TC1, TC1_TENSORS, TC1 / 4).as_secs_f64();
+            let pipe = pipelined(route, TC1 / 4).as_secs_f64();
             let mono = monolithic(route);
             assert!(
                 pipe < mono,
@@ -630,18 +623,16 @@ mod tests {
 
     #[test]
     fn chunked_pfs_overlaps_write_and_read() {
-        let p = MachineProfile::polaris();
-        let pipe = pipeline_time(&p, Route::PfsStaging, TC1, TC1_TENSORS, TC1 / 8).as_secs_f64();
+        let pipe = pipelined(Route::PfsStaging, TC1 / 8).as_secs_f64();
         assert!(pipe < monolithic(Route::PfsStaging));
     }
 
     #[test]
     fn pipelined_route_ordering_preserved() {
-        let p = MachineProfile::polaris();
         let chunk = 64 * 1024 * 1024;
-        let gpu = pipeline_time(&p, Route::GpuToGpu, TC1, TC1_TENSORS, chunk);
-        let host = pipeline_time(&p, Route::HostToHost, TC1, TC1_TENSORS, chunk);
-        let pfs = pipeline_time(&p, Route::PfsStaging, TC1, TC1_TENSORS, chunk);
+        let gpu = pipelined(Route::GpuToGpu, chunk);
+        let host = pipelined(Route::HostToHost, chunk);
+        let pfs = pipelined(Route::PfsStaging, chunk);
         assert!(gpu < host, "{gpu:?} !< {host:?}");
         assert!(host < pfs, "{host:?} !< {pfs:?}");
     }
@@ -650,10 +641,9 @@ mod tests {
     fn tiny_chunks_pay_their_fixed_costs() {
         // Per-chunk costs (net latency, I/O setup) dominate at small chunk
         // sizes: 64 KiB chunks must be slower than 64 MiB chunks.
-        let p = MachineProfile::polaris();
         for route in [Route::GpuToGpu, Route::HostToHost] {
-            let tiny = pipeline_time(&p, route, TC1, TC1_TENSORS, 64 * 1024);
-            let good = pipeline_time(&p, route, TC1, TC1_TENSORS, 64 * 1024 * 1024);
+            let tiny = pipelined(route, 64 * 1024);
+            let good = pipelined(route, 64 * 1024 * 1024);
             assert!(tiny > good, "{route:?}: {tiny:?} !> {good:?}");
         }
     }
@@ -712,7 +702,7 @@ mod tests {
         let p = MachineProfile::polaris();
         for route in [Route::GpuToGpu, Route::HostToHost, Route::PfsStaging] {
             let chunk = 256 * 1024 * 1024;
-            let pipe = pipeline_time(&p, route, TC1, TC1_TENSORS, chunk).as_secs_f64();
+            let pipe = pipelined(route, chunk).as_secs_f64();
             let wire = delivery_time(&p, route, TC1, TC1_TENSORS, 1.0).as_secs_f64();
             assert!(pipe >= wire, "{route:?}: {pipe} < bottleneck {wire}");
             assert!(
