@@ -38,15 +38,6 @@ pub fn fit_warmup(warmup_losses: &[f64]) -> FittedCurve {
     fit::fit_best(warmup_losses)
 }
 
-/// [`fit_warmup`] with the model-selection decision recorded to the
-/// deployment's telemetry (candidate MSEs, winning family, wall time).
-pub fn fit_warmup_traced(
-    telemetry: &viper_telemetry::Telemetry,
-    warmup_losses: &[f64],
-) -> FittedCurve {
-    fit::fit_best_traced(telemetry, warmup_losses)
-}
-
 /// Produce the near-optimal fixed-interval schedule (Algorithm 2).
 pub fn plan_fixed(
     tlp: &FittedCurve,
@@ -70,34 +61,6 @@ pub fn plan_adaptive(
 ) -> Schedule {
     let thresh = schedule::threshold_from_warmup(warmup_losses);
     schedule::greedy(tlp, params, s_iter, e_iter, total_infers, thresh)
-}
-
-/// [`plan_fixed`] with the interval search recorded to the deployment's
-/// telemetry (a `predictor` span plus a `schedule.selected` instant).
-pub fn plan_fixed_traced(
-    telemetry: &viper_telemetry::Telemetry,
-    tlp: &FittedCurve,
-    params: &CostParams,
-    s_iter: u64,
-    e_iter: u64,
-    total_infers: u64,
-) -> Schedule {
-    schedule::fixed_interval_traced(telemetry, tlp, params, s_iter, e_iter, total_infers)
-}
-
-/// [`plan_adaptive`] with the greedy scan recorded to the deployment's
-/// telemetry (a `predictor` span plus a `schedule.selected` instant).
-pub fn plan_adaptive_traced(
-    telemetry: &viper_telemetry::Telemetry,
-    tlp: &FittedCurve,
-    params: &CostParams,
-    warmup_losses: &[f64],
-    s_iter: u64,
-    e_iter: u64,
-    total_infers: u64,
-) -> Schedule {
-    let thresh = schedule::threshold_from_warmup(warmup_losses);
-    schedule::greedy_traced(telemetry, tlp, params, s_iter, e_iter, total_infers, thresh)
 }
 
 #[cfg(test)]

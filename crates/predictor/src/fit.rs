@@ -33,8 +33,14 @@ impl FittedCurve {
 /// Panics if fewer than 3 observations are supplied — the warm-up stage
 /// always provides at least an epoch of losses.
 pub fn fit_best(losses: &[f64]) -> FittedCurve {
-    let all = fit_all(losses);
-    all.into_iter()
+    least_mse(&fit_all(losses))
+}
+
+/// The candidate with the smallest MSE (the first one on a tie).
+fn least_mse(candidates: &[FittedCurve]) -> FittedCurve {
+    candidates
+        .iter()
+        .copied()
         .min_by(|a, b| {
             a.mse
                 .partial_cmp(&b.mse)
@@ -57,15 +63,7 @@ pub fn fit_best_traced(telemetry: &viper_telemetry::Telemetry, losses: &[f64]) -
         &[("observations", losses.len().into())],
     );
     let all = fit_all(losses);
-    let best = all
-        .iter()
-        .copied()
-        .min_by(|a, b| {
-            a.mse
-                .partial_cmp(&b.mse)
-                .expect("MSE comparison failed (NaN)")
-        })
-        .expect("fit_all returned no candidates");
+    let best = least_mse(&all);
     for candidate in &all {
         telemetry.instant(
             "predictor",

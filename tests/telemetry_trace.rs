@@ -9,6 +9,7 @@ use viper::{Viper, ViperConfig};
 use viper_formats::Checkpoint;
 use viper_hw::{CaptureMode, Route};
 use viper_net::{FaultPlan, RetryPolicy};
+use viper_predictor::{fit, schedule};
 use viper_tensor::Tensor;
 
 /// Multi-chunk checkpoint (~6 KiB at the 1 KiB test chunk size).
@@ -260,7 +261,7 @@ fn predictor_decisions_are_traced() {
     let warmup: Vec<f64> = (0..120)
         .map(|i| 2.0 * (-0.01 * i as f64).exp() + 0.3)
         .collect();
-    let tlp = viper::planner::fit_warmup_traced(&telemetry, &warmup);
+    let tlp = fit::fit_best_traced(&telemetry, &warmup);
     let params = viper::planner::cost_params(
         &viper_hw::MachineProfile::polaris(),
         viper_hw::TransferStrategy {
@@ -273,7 +274,7 @@ fn predictor_decisions_are_traced() {
         0.05,
         0.005,
     );
-    let plan = viper::planner::plan_fixed_traced(&telemetry, &tlp, &params, 120, 600, 10_000);
+    let plan = schedule::fixed_interval_traced(&telemetry, &tlp, &params, 120, 600, 10_000);
     assert!(plan.interval >= 1);
 
     let events = telemetry.events();
