@@ -258,23 +258,13 @@ pub struct StragglerRow {
 /// a single service time.
 pub fn straggler_coalescing() -> Vec<StragglerRow> {
     use std::collections::VecDeque;
-    use viper_net::{CoalesceQueue, RetryPolicy};
+    use viper_net::{CoalesceQueue, FaultRng, RetryPolicy};
 
     const N: u64 = 200; // versions produced
     const DT: f64 = 0.25; // production cadence (s)
     const CHUNKS: u32 = 8; // chunks per update
     const WIRE: f64 = 0.12; // per-repair-round wire time (s)
     const SEED: u64 = 7;
-
-    // SplitMix64 — the same deterministic stream family the fault plan
-    // draws from; a chunk survives a round with probability 1/4.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     enum Backlog {
         Fifo(VecDeque<u64>),
@@ -316,7 +306,9 @@ pub fn straggler_coalescing() -> Vec<StragglerRow> {
         } else {
             Backlog::Fifo(VecDeque::new())
         };
-        let mut rng = SEED;
+        // The fault plan's stream: a chunk survives a round with
+        // probability 1/4.
+        let mut rng = FaultRng::new(SEED);
         let mut now = 0.0f64;
         let mut next_version = 1u64;
         let mut delivered = 0u64;
@@ -342,7 +334,7 @@ pub fn straggler_coalescing() -> Vec<StragglerRow> {
                 attempt += 1;
                 now += WIRE;
                 remaining = (0..remaining)
-                    .filter(|_| !mix(&mut rng).is_multiple_of(4))
+                    .filter(|_| !rng.next_u64().is_multiple_of(4))
                     .count() as u32;
                 if remaining > 0 {
                     now += RetryPolicy::backoff_with_pressure(attempt, backlog.len()).as_secs_f64();
@@ -484,7 +476,7 @@ pub struct FanoutRow {
     pub tree_makespan: f64,
     /// Direct/tree speedup.
     pub speedup: f64,
-    /// Relay failures healed by re-parenting across the run.
+    /// Relay failures healed (by rebuilding the tree) across the run.
     pub reparent_events: usize,
     /// Members that joined across the run.
     pub join_events: usize,
@@ -494,8 +486,8 @@ pub struct FanoutRow {
 /// multicast tree, on the closed-form distribution timeline
 /// ([`viper_des::simulate_fanout`]). One full TC1-sized model costs
 /// ~24 ms per healthy hop (Polaris node-to-node at ~25 GB/s for 600 MB);
-/// each fleet runs several update rounds under seeded churn (failures
-/// healed by re-parenting, joins by rebuild) and 10% straggler links at
+/// each fleet runs several update rounds under seeded churn (failures and
+/// joins, each healed by rebuilding the tree) and 10% straggler links at
 /// 8x slowdown. Direct delivery grows linearly with the fleet; the tree
 /// grows with `fanout · log_fanout n`.
 pub fn fanout_tree() -> Vec<FanoutRow> {
@@ -707,12 +699,12 @@ pub fn render_all() -> String {
         "\nOne full TC1-sized model costs ~24 ms per healthy hop; the producer serializes its \
          sends, so direct unicast pays a makespan linear in the fleet while the fan-out-8 relay \
          tree pays one or two more levels per 10× (depth {}, `O(fanout · log_fanout n)`). Each \
-         fleet runs 6 update rounds under seeded churn — failures healed in place via \
-         `Topology::reparent`, joins via deterministic rebuild — and 10% straggler links at 8× \
-         slowdown; every round asserts exactly-once coverage (each live member reachable from \
-         exactly one root, once). The runtime counterpart (`tests/relay_tree.rs`) drives \
-         7-consumer trees over the real fault-injected fabric and asserts the same invariant \
-         from the installed-update counters.\n",
+         fleet runs 6 update rounds under seeded churn — failures and joins, each healed by \
+         building the tree again over the new member list, as the runtime does — and 10% \
+         straggler links at 8× slowdown; every round asserts exactly-once coverage (each live \
+         member reachable from the root exactly once). The runtime counterpart \
+         (`tests/relay_tree.rs`) drives 7-consumer trees over the real fault-injected fabric \
+         and asserts the same invariant from the installed-update counters.\n",
         depths.join(" → ")
     ));
 
@@ -851,7 +843,7 @@ mod tests {
                 r.consumers,
                 r.speedup
             );
-            assert!(r.reparent_events > 0, "churn must exercise re-parenting");
+            assert!(r.reparent_events > 0, "churn must exercise relay failures");
         }
     }
 

@@ -50,7 +50,7 @@ use crate::producer::{charge_at, ProducerCtx, Update};
 use crate::UPDATE_TOPIC;
 use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use viper_formats::PayloadKind;
@@ -102,8 +102,8 @@ pub(crate) struct DeliveryCounters {
     /// a whole subtree that direct delivery would have ACKed member by
     /// member.
     pub(crate) group_acks: Counter,
-    /// Relay failures that re-parented a subtree (the orphaned members
-    /// were delivered directly as a counted fallback).
+    /// Relay-root failures that rebuilt the tree without the root (the
+    /// orphaned members were delivered directly as a counted fallback).
     pub(crate) reparent_events: Counter,
 }
 
@@ -169,12 +169,12 @@ pub(crate) struct DeliveryJob {
     pub(crate) update: Update,
     pub(crate) link: LinkKind,
     /// `(target node, encoded payload)` in fan-out order. Under
-    /// relay-tree distribution these are the tree *roots* only.
+    /// relay-tree distribution this is the tree's *root* only.
     pub(crate) consumers: Vec<(String, WirePayload)>,
-    /// Relay-tree delivery groups: root → its whole subtree (root first).
-    /// Empty on the direct path. A root's ACK resolves (and base-tracks)
-    /// every non-escalated member of its group.
-    pub(crate) groups: BTreeMap<String, Vec<String>>,
+    /// The relay-tree delivery group: every member, root first. `None` on
+    /// the direct path. The root's ACK resolves (and base-tracks) every
+    /// non-escalated member of the group.
+    pub(crate) group: Option<Vec<String>>,
     /// Pipelined-capture model for the first successful send (the snapshot
     /// happens once; later flows re-send already captured chunks).
     pub(crate) capture: Option<(f64, Duration, Duration)>,
@@ -210,32 +210,19 @@ pub(crate) struct DeliveryDone {
 /// the write failed. The durable copy is always the raw full encoding,
 /// never a framed or delta payload.
 fn durable_fallback(ctx: &ProducerCtx, update: &Update, track: &str) -> Option<ModelRecord> {
-    let shared = &ctx.viper.shared;
-    let record = &update.record;
-    let telemetry = &shared.config.telemetry;
+    let telemetry = &ctx.viper.shared.config.telemetry;
     let t0 = telemetry.now_ns();
-    let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
-    let written = shared
-        .pfs
-        .write(&pfs_path, update.payload(), record.ntensors)
-        .is_ok();
-    let relocated = written.then(|| {
-        shared
-            .db
-            .relocate(&record.name, record.version, Tier::Pfs.name(), &pfs_path);
+    let relocated = ctx.make_durable(&update.record, update.payload());
+    if relocated.is_some() {
         ctx.counters.pfs_fallbacks.inc();
-        let mut notify = record.clone();
-        notify.location = Tier::Pfs.name().to_string();
-        notify.path = pfs_path;
-        notify
-    });
+    }
     telemetry.complete(
         "producer",
         "pfs_fallback",
         track,
         t0,
         telemetry.now_ns(),
-        &[("version", record.version.into())],
+        &[("version", update.record.version.into())],
     );
     relocated
 }
@@ -322,29 +309,24 @@ pub(crate) fn deliver(
                     .filter(|c| c != endpoint.node())
                     .collect();
                 // Relay-tree mode: organize the fleet into the deployment's
-                // topology and target only the tree roots — each root's group
-                // shares one wire image, re-served down the tree by the
-                // relays themselves. On the direct path every consumer is a
-                // group of one.
-                let groups = options
+                // topology and target only the tree root — the group shares
+                // one wire image, re-served down the tree by the relays
+                // themselves. On the direct path every consumer is a group
+                // of one.
+                let group = options
                     .relay_fanout
-                    .and_then(|fanout| shared.distribution.refresh(&eligible, fanout))
-                    .unwrap_or_default();
+                    .and_then(|fanout| shared.distribution.refresh(&eligible, fanout));
                 let mut encode =
                     |members: &[String]| encode_for(ctx, update, members, track, &mut frontier);
-                let targets: Vec<(String, WirePayload)> = if groups.is_empty() {
-                    eligible
+                let targets: Vec<(String, WirePayload)> = match &group {
+                    Some(members) => vec![(members[0].clone(), encode(members))],
+                    None => eligible
                         .into_iter()
                         .map(|consumer| {
                             let wire = encode(std::slice::from_ref(&consumer));
                             (consumer, wire)
                         })
-                        .collect()
-                } else {
-                    groups
-                        .iter()
-                        .map(|(root, members)| (root.clone(), encode(members)))
-                        .collect()
+                        .collect(),
                 };
                 if !targets.is_empty() {
                     let admitted = targets.len();
@@ -367,7 +349,7 @@ pub(crate) fn deliver(
                             },
                             link,
                             consumers: targets,
-                            groups,
+                            group,
                             capture: first_flow_capture,
                             track: track.to_string(),
                             reply,
@@ -450,22 +432,22 @@ struct UpdateState {
     update: Update,
     link: LinkKind,
     track: String,
-    /// Relay-tree delivery groups (root → subtree); empty on the direct
+    /// The relay-tree delivery group, root first; `None` on the direct
     /// path.
-    groups: BTreeMap<String, Vec<String>>,
+    group: Option<Vec<String>>,
     /// `None` under coalescing: nobody waits, and a terminal fallback runs
     /// on the task instead.
     reply: Option<Sender<DeliveryDone>>,
     /// Sends not yet resolved (terminal flow or superseded in queue).
     /// Under relay-tree distribution this counts sends the producer itself
-    /// drives — one per tree root, plus one per member escalated to a
+    /// drives — one to the tree root, plus one per member escalated to a
     /// direct send — not subtree members.
     remaining: usize,
     delivered: usize,
     fall_back: bool,
-    /// Subtree members escalated to a direct producer send (relay `Miss`
-    /// or a re-parented subtree): excluded from the group resolution when
-    /// their root's group ACK lands.
+    /// Group members escalated to a direct producer send (relay `Miss` or
+    /// a failed root): excluded from the group resolution when the root's
+    /// group ACK lands.
     escalated: HashSet<String>,
     /// What is (or was last) on the wire to each target.
     sent: HashMap<String, Sent>,
@@ -476,8 +458,8 @@ struct UpdateState {
 /// reliable flow this producer has in flight. The engine reports how each
 /// send ended, tagged with the update's sequence number; this task decides
 /// what that means — codec ACK tracking and group resolution on
-/// `Complete`, the full-checkpoint retry on `NeedFull`, re-parenting and
-/// direct fulls when a relay root is lost, and the durable PFS fallback
+/// `Complete`, the full-checkpoint retry on `NeedFull`, a topology rebuild
+/// and direct fulls when the relay root is lost, and the durable PFS fallback
 /// when a send exhausts its retries with nothing newer queued behind it.
 ///
 /// The task never serializes or copies payload bytes: the save pre-encoded
@@ -568,20 +550,20 @@ impl DeliveryTask {
         self.sender.admit(ctx, lane, seq, send);
     }
 
-    /// A relay root failed (exhausted retries or vanished) while `seq`
-    /// still owed its subtree the update: record the re-parent in the
-    /// topology and send direct fulls to every stranded member.
+    /// The relay root failed (exhausted retries or vanished) while `seq`
+    /// still owed its group the update: rebuild the topology without it
+    /// and send direct fulls to every stranded member.
     /// Counted — this is the degraded path, not the design point.
     fn relay_fallback(&mut self, ctx: &mut TaskCtx<'_>, seq: u64, root: &str, at: SimInstant) {
         let Some(state) = self.updates.get_mut(&seq) else {
             return;
         };
-        let Some(members) = state.groups.get(root) else {
+        let Some(members) = &state.group else {
             return;
         };
-        let stranded: Vec<String> = members
+        let stranded: Vec<String> = members[1..]
             .iter()
-            .filter(|m| *m != root && !state.escalated.contains(*m))
+            .filter(|m| !state.escalated.contains(*m))
             .cloned()
             .collect();
         state.escalated.extend(stranded.iter().cloned());
@@ -623,8 +605,8 @@ impl DeliveryTask {
             .filter(|(_, root)| *root == from)
             .and_then(|(seq, root)| {
                 let state = self.updates.get_mut(&seq)?;
-                let in_group = state.groups.get(root)?.contains(&member);
-                (in_group && state.escalated.insert(member.clone())).then_some(seq)
+                let group = state.group.as_ref().filter(|g| g[0] == *root)?;
+                (group.contains(&member) && state.escalated.insert(member.clone())).then_some(seq)
             });
         let Some(seq) = escalation else {
             self.ctx.counters.stale_feedback.inc();
@@ -692,7 +674,7 @@ impl DeliveryTask {
             return;
         };
         let model = state.update.record.name.clone();
-        let is_root = state.groups.contains_key(&to);
+        let is_root = state.group.as_ref().is_some_and(|g| g[0] == to);
         match kind {
             OutcomeKind::Superseded => {
                 // A newer version collapsed this one out of the lane's
@@ -734,7 +716,7 @@ impl DeliveryTask {
                     // to escalate to a direct send.
                     self.ctx.counters.group_acks.inc();
                     let mut resolved = 0;
-                    for member in &state.groups[&to] {
+                    for member in state.group.iter().flatten() {
                         if !state.escalated.contains(member) {
                             self.ctx.codec.note_acked(member, &model, iteration);
                             resolved += 1;
@@ -803,9 +785,10 @@ impl DeliveryTask {
                     state.fall_back = true;
                 }
                 state.update.frontier = state.update.frontier.max(at);
-                // A dead relay root strands its whole subtree: re-parent
-                // the topology and deliver to the orphans directly. The
-                // root itself still takes the durable-fallback path above.
+                // A dead relay root strands its whole group: rebuild the
+                // topology without it and deliver to the orphans directly.
+                // The root itself still takes the durable-fallback path
+                // above.
                 if is_root {
                     self.relay_fallback(ctx, seq, &to, at);
                 }
@@ -868,7 +851,7 @@ impl ReactorTask for DeliveryTask {
             update,
             link,
             consumers,
-            groups,
+            group,
             mut capture,
             track,
             reply,
@@ -897,7 +880,7 @@ impl ReactorTask for DeliveryTask {
                 update,
                 link,
                 track: track.clone(),
-                groups,
+                group,
                 reply,
                 remaining: consumers.len(),
                 delivered: 0,

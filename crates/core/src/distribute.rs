@@ -2,16 +2,16 @@
 //! consumers.
 //!
 //! [`Distribution`] owns the deployment's current [`Topology`] and keeps
-//! it deterministic: the tree is rebuilt (in sorted member order) only
-//! when the attached-consumer set actually changes, so repeated saves see
-//! the same shape regardless of attach order, reactor thread count, or
-//! telemetry settings. Relay failures reparent the live tree in place
-//! ([`Distribution::note_failed`]) and demote the failed node to leaf
-//! duty on subsequent rebuilds, so a flaky consumer can rejoin the fleet
-//! without being handed a subtree again.
+//! it deterministic with one build rule: members sorted, relays that
+//! failed (demoted) last. The tree is rebuilt only when the
+//! attached-consumer set changes, so repeated saves see the same shape
+//! regardless of attach order, reactor thread count, or telemetry
+//! settings. A relay failure ([`Distribution::note_failed`]) rebuilds by
+//! the same rule without the failed node, and demotes it, so a flaky
+//! consumer can rejoin the fleet without being handed a subtree again.
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use viper_net::Topology;
 
@@ -30,84 +30,69 @@ struct Inner {
     topology: Option<Topology>,
     /// Members demoted to leaf duty after failing as relays.
     demoted: HashSet<String>,
-    reparents: u64,
+}
+
+impl Inner {
+    /// The build rule: the tree over `members` sorted, demoted members
+    /// last, so failed relays land in the deep (leaf) positions.
+    fn rebuild(&mut self, mut members: Vec<String>, fanout: usize) {
+        members.sort();
+        members.sort_by_key(|m| self.demoted.contains(m));
+        self.topology = Some(Topology::build(&members, fanout).expect("unique member list"));
+    }
 }
 
 impl Distribution {
     /// Bring the topology — a tree of the deployment's `fanout` — up to
-    /// date with the attached-consumer set and return the delivery groups:
-    /// one entry per tree root, mapping it to its whole subtree (root
-    /// first, BFS order). Returns `None` when fewer than two consumers are
-    /// attached — the direct path is strictly simpler there.
-    ///
-    /// Determinism: members are sorted before building (demoted members
-    /// last, so failed relays become leaves), and the tree is only
-    /// rebuilt when the member *set* changed — an in-place reparent from
-    /// a failure survives across saves.
+    /// date with the attached-consumer set and return its one delivery
+    /// group: every member, root first (breadth-first order). Returns
+    /// `None` when fewer than two consumers are attached — the direct path
+    /// is strictly simpler there.
     pub(crate) fn refresh(
         &self,
         consumers: &[String],
         fanout: NonZeroUsize,
-    ) -> Option<BTreeMap<String, Vec<String>>> {
+    ) -> Option<Vec<String>> {
         if consumers.len() < 2 {
             return None;
         }
         let mut inner = self.inner.lock();
-        let stale = match &inner.topology {
-            Some(t) => t.len() != consumers.len() || !consumers.iter().all(|c| t.contains(c)),
-            None => true,
-        };
-        if stale {
-            let mut members: Vec<String> = consumers.to_vec();
-            members.sort();
-            // Stable partition: proven relays (never failed) first, so
-            // demoted members land in the deep/leaf positions.
-            let demoted = std::mem::take(&mut inner.demoted);
-            members.sort_by_key(|m| demoted.contains(m));
-            inner.demoted = demoted;
-            inner.topology =
-                Some(Topology::build(&members, fanout.get()).expect("sorted unique member list"));
+        let current = inner
+            .topology
+            .as_ref()
+            .filter(|t| t.len() == consumers.len() && consumers.iter().all(|c| t.contains(c)));
+        if current.is_none() {
+            inner.rebuild(consumers.to_vec(), fanout.get());
         }
-        let topology = inner.topology.as_ref().expect("built above");
-        Some(
-            topology
-                .roots()
-                .into_iter()
-                .map(|r| (r.to_string(), topology.subtree_of(r)))
-                .collect(),
-        )
+        Some(inner.topology.as_ref()?.members().to_vec())
     }
 
     /// The nodes `node` currently relays to (empty for leaves, unknown
     /// nodes, and before any relay-tree delivery).
     pub(crate) fn children_of(&self, node: &str) -> Vec<String> {
         let inner = self.inner.lock();
-        match &inner.topology {
-            Some(t) => t
-                .children_of(node)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            None => Vec::new(),
-        }
+        let children = inner.topology.as_ref().map(|t| t.children_of(node));
+        children.unwrap_or_default().to_vec()
     }
 
-    /// Record a relay failure: remove `node` from the tree (its children
-    /// are re-homed deterministically) and demote it to leaf duty in
-    /// future rebuilds. Returns the re-homed direct children, or `None`
-    /// if the node was not in the tree.
-    pub(crate) fn note_failed(&self, node: &str) -> Option<Vec<String>> {
+    /// `node`'s whole current subtree, `node` first (empty for unknown
+    /// nodes and before any relay-tree delivery).
+    pub(crate) fn subtree_of(&self, node: &str) -> Vec<String> {
+        let inner = self.inner.lock();
+        let subtree = inner.topology.as_ref().map(|t| t.subtree_of(node));
+        subtree.unwrap_or_default()
+    }
+
+    /// Record a relay failure: demote `node` to leaf duty and rebuild the
+    /// tree over the current members without it. It rejoins the tree, as a
+    /// leaf, at the next refresh that finds it attached.
+    pub(crate) fn note_failed(&self, node: &str) {
         let mut inner = self.inner.lock();
         inner.demoted.insert(node.to_string());
-        let moved = inner.topology.as_mut()?.reparent(node).ok()?;
-        inner.reparents += 1;
-        Some(moved)
-    }
-
-    /// How many in-place reparents failures have forced so far.
-    #[cfg(test)]
-    pub(crate) fn reparents(&self) -> u64 {
-        self.inner.lock().reparents
+        if let Some(t) = inner.topology.take() {
+            let survivors = t.members().iter().filter(|m| *m != node).cloned();
+            inner.rebuild(survivors.collect(), t.fanout());
+        }
     }
 }
 
@@ -140,38 +125,36 @@ mod tests {
         shuffled.reverse();
         let a = d.refresh(&shuffled, fanout(2)).unwrap();
         let b = d.refresh(&names(7), fanout(2)).unwrap();
-        assert_eq!(a, b, "same member set, same groups, any order");
-        assert_eq!(a.len(), 1, "single root");
-        let (root, members) = a.iter().next().unwrap();
-        assert_eq!(root, "c0", "sorted order puts c0 at the root");
-        assert_eq!(members.len(), 7);
+        assert_eq!(a, b, "same member set, same group, any order");
+        assert_eq!(a, names(7), "sorted order puts c0 at the root");
         assert_eq!(d.children_of("c0"), vec!["c1", "c2"]);
+        assert_eq!(d.subtree_of("c1"), vec!["c1", "c3", "c4"]);
     }
 
     #[test]
     fn membership_change_rebuilds() {
         let d = Distribution::default();
         d.refresh(&names(4), fanout(2)).unwrap();
-        let groups = d.refresh(&names(6), fanout(2)).unwrap();
-        assert_eq!(groups.values().next().unwrap().len(), 6);
+        let group = d.refresh(&names(6), fanout(2)).unwrap();
+        assert_eq!(group.len(), 6);
     }
 
     #[test]
     fn failure_reparents_in_place_and_demotes() {
         let d = Distribution::default();
         d.refresh(&names(7), fanout(2)).unwrap();
-        let moved = d.note_failed("c1").unwrap();
-        assert_eq!(moved, vec!["c3", "c4"]);
-        assert_eq!(d.reparents(), 1);
-        // The reparented tree survives a same-membership refresh minus
-        // the failed node...
+        d.note_failed("c1");
+        // The failed relay's children are re-parented at once, by a
+        // rebuild over the survivors...
+        assert!(d.children_of("c1").is_empty());
+        assert_eq!(d.children_of("c0"), vec!["c2", "c3"]);
+        // ...which a same-membership refresh keeps...
         let survivors: Vec<String> = names(7).into_iter().filter(|n| n != "c1").collect();
-        let groups = d.refresh(&survivors, fanout(2)).unwrap();
-        assert_eq!(groups.values().next().unwrap().len(), 6);
+        let group = d.refresh(&survivors, fanout(2)).unwrap();
+        assert_eq!(group, survivors);
         // ...and when c1 rejoins, the rebuild keeps it out of relay duty.
-        let groups = d.refresh(&names(7), fanout(2)).unwrap();
-        let root = groups.keys().next().unwrap();
-        assert_ne!(root, "c1");
+        let group = d.refresh(&names(7), fanout(2)).unwrap();
+        assert_eq!(group.last().map(String::as_str), Some("c1"));
         assert!(
             d.children_of("c1").is_empty(),
             "demoted member serves as leaf"
@@ -179,10 +162,26 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_root_still_attached_rejoins_as_the_last_leaf() {
+        // The root's delivery dies while the root stays attached: the next
+        // refresh finds it again and puts it last, behind the sorted
+        // survivors.
+        let d = Distribution::default();
+        d.refresh(&names(7), fanout(2)).unwrap();
+        d.note_failed("c0");
+        assert_eq!(d.children_of("c1"), vec!["c2", "c3"]);
+        let group = d.refresh(&names(7), fanout(2)).unwrap();
+        assert_eq!(group, ["c1", "c2", "c3", "c4", "c5", "c6", "c0"]);
+        assert_eq!(d.children_of("c1"), vec!["c2", "c3"]);
+        assert_eq!(d.children_of("c3"), vec!["c6", "c0"]);
+    }
+
+    #[test]
     fn unknown_failures_are_ignored() {
         let d = Distribution::default();
         d.refresh(&names(3), fanout(2)).unwrap();
-        assert!(d.note_failed("ghost").is_none());
-        assert_eq!(d.reparents(), 0);
+        d.note_failed("ghost");
+        assert_eq!(d.refresh(&names(3), fanout(2)).unwrap(), names(3));
+        assert_eq!(d.children_of("c0"), vec!["c1", "c2"]);
     }
 }

@@ -57,6 +57,50 @@ pub(crate) struct ProducerCtx {
     /// Per-consumer wire-codec state (delta bases, acknowledged versions).
     pub(crate) codec: PayloadCodec,
     pub(crate) counters: DeliveryCounters,
+    /// Held while a version is made durable: under coalescing the
+    /// background flush and the delivery fallback can race for one version.
+    durable: Mutex<()>,
+}
+
+impl ProducerCtx {
+    /// Make `record`'s version durable: write `payload`, its raw full
+    /// encoding, to `pfs/{name}/v{version}` and point the metadata record
+    /// there. The background flush and the delivery fallback both land
+    /// here, in either order; the second finds the record relocated and
+    /// writes nothing. Returns the record as relocated, or `None` if the
+    /// write failed.
+    pub(crate) fn make_durable(
+        &self,
+        record: &ModelRecord,
+        payload: Payload,
+    ) -> Option<ModelRecord> {
+        let shared = &self.viper.shared;
+        let path = format!("pfs/{}/v{}", record.name, record.version);
+        let _one_writer = self.durable.lock();
+        let relocated = shared
+            .db
+            .get(&record.name, record.version)
+            .is_some_and(|r| r.path == path);
+        if !relocated {
+            shared.pfs.write(&path, payload, record.ntensors).ok()?;
+            shared
+                .db
+                .relocate(&record.name, record.version, Tier::Pfs.name(), &path);
+        }
+        Some(ModelRecord {
+            location: Tier::Pfs.name().to_string(),
+            path,
+            ..record.clone()
+        })
+    }
+}
+
+/// Where the producer on `node` stages `model`'s checkpoint from
+/// `iteration`. The save writes it there and the prune removes it by the
+/// same name: the metadata record's path moves to the PFS copy once the
+/// version is flushed.
+fn staging_path(model: &str, node: &str, iteration: u64) -> String {
+    format!("{model}/{node}/i{iteration}")
 }
 
 /// One saved version on its way to the consumers. `save_weights` builds it
@@ -159,6 +203,7 @@ impl Producer {
             endpoint: Arc::new(viper.shared.fabric.register(node)),
             counters: DeliveryCounters::new(&viper.shared.config.telemetry, node),
             codec: PayloadCodec::new(viper.shared.config.keep_versions),
+            durable: Mutex::new(()),
             viper,
         });
         let shared = &ctx.viper.shared;
@@ -222,16 +267,7 @@ impl Producer {
                                     &worker_track,
                                     &[("version", record.version.into())],
                                 );
-                                let pfs_path = format!("pfs/{}/v{}", record.name, record.version);
-                                let ntensors = record.ntensors;
-                                if shared.pfs.write(&pfs_path, payload, ntensors).is_ok() {
-                                    shared.db.relocate(
-                                        &record.name,
-                                        record.version,
-                                        Tier::Pfs.name(),
-                                        &pfs_path,
-                                    );
-                                }
+                                ctx.make_durable(&record, payload);
                             }
                             Job::Barrier(reply) => {
                                 // All jobs enqueued before the barrier have
@@ -333,8 +369,8 @@ impl Producer {
     }
 
     /// Relay roots whose delivery died (retries exhausted or the send
-    /// failed outright), forcing an in-place re-parent of the topology
-    /// and direct fulls to the stranded subtree members.
+    /// failed outright), forcing a rebuild of the topology without the
+    /// root and direct fulls to the stranded members.
     pub fn reparent_events(&self) -> u64 {
         self.ctx.counters.reparent_events.get()
     }
@@ -495,7 +531,7 @@ impl Producer {
         //    here too to avoid double billing. Paths are scoped by producer
         //    node and training iteration so concurrent (data-parallel)
         //    producers never collide.
-        let path = format!("{}/{}/i{}", ckpt.model_name, self.node, ckpt.iteration);
+        let path = staging_path(&ckpt.model_name, &self.node, ckpt.iteration);
         match route {
             Route::GpuToGpu => self.gpu.put_uncharged(&path, payload.clone(), ntensors)?,
             Route::HostToHost => self.host.put_uncharged(&path, payload.clone(), ntensors)?,
@@ -570,8 +606,9 @@ impl Producer {
             .db
             .prune(&ckpt.model_name, shared.config.keep_versions)
         {
-            self.gpu.remove(&stale.path);
-            self.host.remove(&stale.path);
+            let path = staging_path(&stale.name, &self.node, stale.iteration);
+            self.gpu.remove(&path);
+            self.host.remove(&path);
         }
 
         // The stall is reported analytically rather than read off the

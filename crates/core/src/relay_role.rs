@@ -205,12 +205,12 @@ impl ConsumerTask {
                 OutcomeKind::NeedFull => self.escalate_miss(fan_id, &child, at),
                 // The child stopped answering. Everything below it is
                 // stranded too: escalate the whole subtree so the
-                // producer serves those members directly (and, for a
-                // dead relay root, re-parents the topology).
+                // producer serves those members directly.
                 OutcomeKind::Exhausted { .. } => {
                     self.escalate_miss(fan_id, &child, at);
-                    for orphan in self.subtree_below(&child) {
-                        self.escalate_miss(fan_id, &orphan, at);
+                    let subtree = self.viper.shared.distribution.subtree_of(&child);
+                    for orphan in subtree.iter().skip(1) {
+                        self.escalate_miss(fan_id, orphan, at);
                     }
                 }
             }
@@ -298,16 +298,5 @@ impl ConsumerTask {
             _ => return,
         };
         self.escalate_miss(fan_id, member, at);
-    }
-
-    /// Every node strictly below `node` in the current topology.
-    fn subtree_below(&self, node: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut stack = self.viper.shared.distribution.children_of(node);
-        while let Some(n) = stack.pop() {
-            stack.extend(self.viper.shared.distribution.children_of(&n));
-            out.push(n);
-        }
-        out
     }
 }

@@ -12,15 +12,15 @@
 //!
 //! Fleet realism comes from two knobs swept by the CI fault matrix:
 //! membership churn (seeded joins and failures between update rounds,
-//! failures healed through [`Topology::reparent`] exactly like the
-//! runtime) and asymmetric straggler links (a seeded fraction of
-//! consumers whose inbound link is `straggler_slowdown`× slower). Every
+//! each healed like the runtime heals it: by building the tree again over
+//! the new member list) and asymmetric straggler links (a seeded fraction
+//! of consumers whose inbound link is `straggler_slowdown`× slower). Every
 //! round asserts the delivery invariant the runtime's group ACK protects:
-//! each live member is reachable from exactly one root, exactly once.
+//! each live member is reachable from the root exactly once.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use viper_net::Topology;
+use viper_net::{FaultRng, Topology};
 
 /// Configuration of a fleet fan-out simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,7 +59,8 @@ pub struct FanoutRound {
     pub direct_makespan: f64,
     /// Makespan of relay-tree delivery (seconds).
     pub tree_makespan: f64,
-    /// Relay failures healed by re-parenting before this round.
+    /// Relay failures healed (by a rebuild without the member) before
+    /// this round.
     pub reparents: usize,
     /// Members that joined before this round.
     pub joins: usize,
@@ -70,7 +71,7 @@ pub struct FanoutRound {
 pub struct FanoutResult {
     /// Per-round outcomes, in order.
     pub rounds: Vec<FanoutRound>,
-    /// Total relay failures healed by re-parenting across the run.
+    /// Total relay failures healed across the run.
     pub reparent_events: usize,
     /// Total members that joined across the run.
     pub join_events: usize,
@@ -107,16 +108,6 @@ impl FanoutResult {
     }
 }
 
-/// SplitMix64 — the same deterministic stream family the fault plan
-/// draws from.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// FNV-1a over a member name, for seed-stable per-node draws that
 /// survive membership churn (index-based draws would reshuffle the
 /// straggler set every join).
@@ -131,8 +122,7 @@ fn fnv1a(name: &str) -> u64 {
 
 /// Per-member inbound-link slowdown under `cfg`.
 fn link_slowdown(cfg: &FanoutConfig, member: &str) -> f64 {
-    let mut state = cfg.seed ^ fnv1a(member);
-    let draw = mix(&mut state) as f64 / u64::MAX as f64;
+    let draw = FaultRng::new(cfg.seed ^ fnv1a(member)).next_u64() as f64 / u64::MAX as f64;
     if draw < cfg.straggler_fraction {
         cfg.straggler_slowdown
     } else {
@@ -140,27 +130,25 @@ fn link_slowdown(cfg: &FanoutConfig, member: &str) -> f64 {
     }
 }
 
-/// Arrival instant of the update at every member: the producer
-/// serializes sends to the roots, and each relay serializes re-serves to
-/// its children in deterministic child order. Returns `(makespan,
+/// Arrival instant of the update at every member: the producer sends to
+/// the root, and each relay serializes re-serves to its children in
+/// deterministic child order. Returns `(makespan,
 /// arrivals-in-BFS-order-count)` — the count doubles as the exactly-once
 /// coverage check.
 fn propagate(topo: &Topology, cfg: &FanoutConfig) -> (f64, usize) {
     let mut makespan = 0.0f64;
     let mut reached = 0usize;
-    let mut queue: VecDeque<(String, f64)> = VecDeque::new();
-    let mut clock = 0.0;
-    for root in topo.roots() {
-        clock += cfg.t_send * link_slowdown(cfg, root);
-        queue.push_back((root.to_string(), clock));
+    let mut queue: VecDeque<(&str, f64)> = VecDeque::new();
+    if let Some(root) = topo.root() {
+        queue.push_back((root, cfg.t_send * link_slowdown(cfg, root)));
     }
     while let Some((node, at)) = queue.pop_front() {
         makespan = makespan.max(at);
         reached += 1;
         let mut lane = at;
-        for child in topo.children_of(&node) {
+        for child in topo.children_of(node) {
             lane += cfg.t_send * link_slowdown(cfg, child);
-            queue.push_back((child.to_string(), lane));
+            queue.push_back((child, lane));
         }
     }
     (makespan, reached)
@@ -180,9 +168,9 @@ fn direct_makespan(members: &[String], cfg: &FanoutConfig) -> f64 {
 ///
 /// Churn is applied *between* rounds: round 0 measures the pristine
 /// fleet; before each later round, `churn_per_round` seeded events fire,
-/// alternating member failure (healed via [`Topology::reparent`], like
-/// the runtime's relay-failure path) and member join (healed via a
-/// deterministic rebuild, like the runtime's membership refresh).
+/// alternating member failure and member join. Either one changes the
+/// member list, and the tree is built again over it, like the runtime's
+/// relay-failure path and membership refresh.
 pub fn simulate_fanout(cfg: &FanoutConfig) -> FanoutResult {
     assert!(cfg.consumers >= 1, "need at least one consumer");
     assert!(cfg.fanout >= 1, "fan-out bound must be at least 1");
@@ -197,8 +185,7 @@ pub fn simulate_fanout(cfg: &FanoutConfig) -> FanoutResult {
     );
 
     let mut members: Vec<String> = (0..cfg.consumers).map(|i| format!("c{i}")).collect();
-    let mut topo = Topology::build(&members, cfg.fanout).expect("fresh member list is valid");
-    let mut rng = cfg.seed;
+    let mut rng = FaultRng::new(cfg.seed);
     let mut joined = 0usize;
 
     let mut rounds = Vec::with_capacity(cfg.rounds as usize);
@@ -211,18 +198,12 @@ pub fn simulate_fanout(cfg: &FanoutConfig) -> FanoutResult {
         if round > 0 {
             for k in 0..cfg.churn_per_round {
                 if k % 2 == 0 && members.len() > 1 {
-                    // Failure: a seeded victim drops out; the tree heals
-                    // in place, never losing or duplicating a subtree.
-                    let victim = members[mix(&mut rng) as usize % members.len()].clone();
-                    topo.reparent(&victim).expect("victim is a member");
-                    members.retain(|m| m != &victim);
+                    // Failure: a seeded victim drops out.
+                    members.remove(rng.next_u64() as usize % members.len());
                     reparents += 1;
                 } else {
-                    // Join: membership changed, rebuild deterministically
-                    // (the runtime's refresh path).
                     joined += 1;
                     members.push(format!("j{joined}"));
-                    topo = Topology::build(&members, cfg.fanout).expect("rebuild is valid");
                     joins += 1;
                 }
             }
@@ -230,6 +211,7 @@ pub fn simulate_fanout(cfg: &FanoutConfig) -> FanoutResult {
         reparent_events += reparents;
         join_events += joins;
 
+        let topo = Topology::build(&members, cfg.fanout).expect("member names are unique");
         let (tree, reached) = propagate(&topo, cfg);
         if reached != members.len() {
             delivery_violations += 1;
@@ -314,15 +296,9 @@ mod tests {
     #[test]
     fn churned_fleet_keeps_exactly_once_coverage() {
         // Joins and failures between every round, swept across the fault
-        // seeds: the exactly-once invariant must hold in every round, and
-        // both churn paths (reparent heal, rebuild) must actually fire.
-        // VIPER_REACTOR_THREADS sweeps the runtime axis; the closed-form
-        // timeline must not depend on it, which re-running verifies.
-        let threads = std::env::var("VIPER_REACTOR_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1usize)
-            .max(1);
+        // seeds: the exactly-once invariant must hold in every round, both
+        // churn events must actually fire, and two runs of one
+        // configuration must agree exactly.
         for seed in fault_seeds() {
             let cfg = FanoutConfig {
                 rounds: 12,
@@ -331,10 +307,7 @@ mod tests {
                 straggler_slowdown: 8.0,
                 ..fleet(1_000, seed)
             };
-            let runs: Vec<FanoutResult> = (0..threads.clamp(2, 4))
-                .map(|_| simulate_fanout(&cfg))
-                .collect();
-            let r = &runs[0];
+            let r = simulate_fanout(&cfg);
             assert_eq!(r.delivery_violations, 0, "seed {seed}: coverage broken");
             assert!(r.reparent_events > 0, "seed {seed}: failures never fired");
             assert!(r.join_events > 0, "seed {seed}: joins never fired");
@@ -345,13 +318,11 @@ mod tests {
                     round.round
                 );
             }
-            for other in &runs[1..] {
-                assert_eq!(
-                    format!("{r:?}"),
-                    format!("{other:?}"),
-                    "seed {seed}: simulation must be deterministic"
-                );
-            }
+            assert_eq!(
+                format!("{r:?}"),
+                format!("{:?}", simulate_fanout(&cfg)),
+                "seed {seed}: simulation must be deterministic"
+            );
         }
     }
 

@@ -974,6 +974,49 @@ fn retry_exhaustion_falls_back_to_pfs_without_panicking() {
     assert_eq!(fresh.recover().unwrap().iteration, 3);
 }
 
+#[test]
+fn an_exhausted_update_is_written_to_the_pfs_once() {
+    // Under the shipping default an update that exhausts its retries is
+    // made durable twice over: by the delivery fallback and by the
+    // background flush. Whichever runs second must find the version
+    // written and charge nothing, so the virtual clock ends where it ends
+    // with the flush off.
+    let run = |mode: CaptureMode, flush_to_pfs: bool| -> u64 {
+        let mut config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, mode)
+            .with_chunked(CHUNK_SMALL)
+            .with_faults(FaultPlan::seeded(1).with_drop(1.0))
+            .with_retry(RetryPolicy {
+                max_retries: 1,
+                ack_timeout: Duration::from_millis(20),
+                nack_after: Duration::from_millis(2),
+                ..RetryPolicy::default()
+            });
+        config.flush_to_pfs = flush_to_pfs;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        // It serves another model, so it never pulls the PFS copy (a read
+        // charged to the clock alongside the flush).
+        let _bystander = viper.consumer("c", "other");
+        producer.save_weights(&big_ckpt(1, 1_500)).unwrap();
+        producer.flush_deliveries();
+        assert_eq!(producer.pfs_fallbacks(), 1);
+        let record = viper.metadata().latest("m").unwrap();
+        assert_eq!(
+            (record.location.as_str(), record.path.as_str()),
+            (Tier::Pfs.name(), "pfs/m/v1")
+        );
+        viper.clock().now().as_nanos()
+    };
+    for mode in [CaptureMode::Sync, CaptureMode::Async] {
+        assert_eq!(
+            run(mode, true),
+            run(mode, false),
+            "{mode:?}: the version was written to the PFS twice"
+        );
+    }
+}
+
 /// Virtual-time update latency of one save under `config` (mirrors the
 /// helper in `chunked_transfer.rs`).
 fn faulted_latency(config: ViperConfig, elems: usize) -> f64 {

@@ -150,20 +150,27 @@ fn background_flush_lands_checkpoints_on_pfs() {
 
 #[test]
 fn version_pruning_keeps_bounded_history() {
-    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
-    config.flush_to_pfs = false;
-    config.keep_versions = 3;
-    let viper = Viper::new(config);
-    let producer = viper.producer("p");
-    let _consumer = viper.consumer("c", "m");
-    for i in 1..=10 {
-        producer.save_weights(&ckpt("m", i, 100)).unwrap();
+    // With the shipping default the background flush relocates every
+    // record to its PFS copy before the prune reads it back; the staging
+    // copy must go all the same.
+    for flush_to_pfs in [false, true] {
+        let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+        config.flush_to_pfs = flush_to_pfs;
+        config.keep_versions = 3;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let _consumer = viper.consumer("c", "m");
+        for i in 1..=10 {
+            producer.save_weights(&ckpt("m", i, 100)).unwrap();
+            producer.flush_deliveries();
+        }
+        let history = viper.metadata().history("m");
+        assert_eq!(history.len(), 3);
+        assert_eq!(history.last().unwrap().version, 10);
+        // Staging tier holds at most the kept versions.
+        let staged = producer.gpu_tier().object_count();
+        assert!(staged <= 3, "flush {flush_to_pfs}: {staged} staged objects");
     }
-    let history = viper.metadata().history("m");
-    assert_eq!(history.len(), 3);
-    assert_eq!(history.last().unwrap().version, 10);
-    // Staging tier holds at most the kept versions.
-    assert!(producer.gpu_tier().object_count() <= 3);
 }
 
 #[test]
