@@ -85,11 +85,10 @@ fn bench_model_ablation(c: &mut Criterion) {
 }
 
 fn engine_roundtrip(chunk_bytes: u64, elems: usize) {
-    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+    let mut config = ViperConfig::default()
+        .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+        .with_chunked(chunk_bytes);
     config.flush_to_pfs = false;
-    if chunk_bytes > 0 {
-        config = config.with_chunked(chunk_bytes);
-    }
     let viper = Viper::new(config);
     let producer = viper.producer("p");
     let consumer = viper.consumer("c", "m");

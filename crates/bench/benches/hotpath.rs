@@ -19,9 +19,11 @@
 //! `decode_verified` (footer compared against a CRC the receiver already
 //! holds, no checksum read at all) against the two-pass decode they
 //! replaced, rebuilt here from public parts as a whole-body `crc32`
-//! followed by the parse; and the chunked receive as the consumer runs it,
-//! per-chunk verify then `decode_verified` against the one-pass
-//! `decode_spanned`. The `crc_copy` section prices the primitive under all
+//! followed by the parse; and the chunked receive as the consumer runs it
+//! on a reassembled flow, per-chunk verify then `decode_verified` against
+//! the one-pass `decode_spanned`, each taking its footer verdict from the
+//! flow's verified chunk CRCs (`AssembledFlow::body_crc`) inside the timed
+//! row. The `crc_copy` section prices the primitive under all
 //! of it: `memcpy`, `crc32`, `memcpy` then `crc32`, and
 //! `Crc32::update_copying`, tensor by tensor.
 //!
@@ -42,7 +44,11 @@ use viper_formats::{
     CheckpointFormat, Crc32, Crc32Kernel, EncodeArena, Payload, PayloadKind, StreamingEncoder,
     ViperFormat,
 };
-use viper_net::{chunk_sizes, payload_chunk_crcs, ChunkHeader, WireBuf};
+use viper_hw::{MachineProfile, SimClock};
+use viper_net::{
+    chunk_sizes, payload_chunk_crcs, AssembledFlow, ChunkHeader, ChunkedSend, Fabric,
+    FlowAssembler, FlowStatus, LinkKind, WireBuf,
+};
 use viper_tensor::Tensor;
 
 const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
@@ -215,21 +221,43 @@ fn two_pass_decode(bytes: &[u8]) -> Checkpoint {
     ViperFormat.decode_verified(bytes, body_crc).unwrap()
 }
 
+/// `payload` as the consumer's assembler releases it: sent as a
+/// `CHUNK_BYTES`-chunked flow and reassembled, a view of the same bytes.
+fn assembled(payload: &Payload) -> Box<AssembledFlow> {
+    let fabric = Fabric::new(MachineProfile::polaris(), SimClock::new());
+    let (producer, consumer) = (fabric.register("p"), fabric.register("c"));
+    let opts = ChunkedSend::new(CHUNK_BYTES);
+    producer
+        .send_chunked("c", "m:1", payload.clone(), LinkKind::GpuDirect, &opts)
+        .unwrap();
+    let mut asm = FlowAssembler::new();
+    while let Some(msg) = consumer.try_recv() {
+        if let FlowStatus::Complete(flow) = asm.accept(msg) {
+            return flow;
+        }
+    }
+    panic!("a fault-free flow completes")
+}
+
 /// The chunked receive in two passes, as the consumer runs it on a flow
 /// that did not arrive whole in one drain: every chunk is checksummed (what
-/// `CrcPool::crc_batch` computes, on one thread), then `decode_verified`
-/// reads the payload again to copy it out.
-fn two_pass_receive(bytes: &[u8], body_crc: u32) -> Checkpoint {
-    black_box(payload_chunk_crcs(bytes, CHUNK_BYTES));
-    ViperFormat.decode_verified(bytes, body_crc).unwrap()
+/// `CrcPool::crc_batch` computes, on one thread), then the footer verdict
+/// from the verified chunk CRCs, then `decode_verified` reads the payload
+/// again to copy it out.
+fn two_pass_receive(flow: &AssembledFlow) -> Checkpoint {
+    black_box(payload_chunk_crcs(&flow.payload, CHUNK_BYTES));
+    ViperFormat
+        .decode_verified(&flow.payload, flow.body_crc(0))
+        .unwrap()
 }
 
 /// The chunked receive in one pass (a whole flow in one drain): the same
-/// chunk CRCs and the decode from a single read of the payload.
-fn one_pass_receive(bytes: &[u8], body_crc: u32) -> Checkpoint {
-    let (crcs, sealed) = ViperFormat.decode_spanned(bytes, 0, CHUNK_BYTES);
+/// chunk CRCs and the decode from a single read of the payload, opened by
+/// the footer verdict from those CRCs.
+fn one_pass_receive(flow: &AssembledFlow) -> Checkpoint {
+    let (crcs, sealed) = ViperFormat.decode_spanned(&flow.payload, 0, CHUNK_BYTES);
     black_box(crcs);
-    sealed.open(body_crc).unwrap()
+    sealed.open(flow.body_crc(0)).unwrap()
 }
 
 /// `src` into `dst` a tensor-sized piece at a time — the granularity the
@@ -423,12 +451,17 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     drop(arenas);
 
     // Consumer half: identity first, untimed.
-    let payloads: Vec<Vec<u8>> = ckpts.iter().map(|ckpt| format.encode(ckpt)).collect();
+    let payloads: Vec<Payload> = ckpts
+        .iter()
+        .map(|ckpt| Payload::from(format.encode(ckpt)))
+        .collect();
     let body_crcs: Vec<u32> = payloads.iter().map(|p| crc32(&p[..bytes - 4])).collect();
+    let flows: Vec<Box<AssembledFlow>> = payloads.iter().map(assembled).collect();
+    assert_eq!(flows[0].body_crc(0), body_crcs[0]);
     assert_eq!(ViperFormat.decode(&payloads[0]).unwrap(), ckpts[0]);
     assert_eq!(two_pass_decode(&payloads[0]), ckpts[0]);
-    assert_eq!(two_pass_receive(&payloads[0], body_crcs[0]), ckpts[0]);
-    assert_eq!(one_pass_receive(&payloads[0], body_crcs[0]), ckpts[0]);
+    assert_eq!(two_pass_receive(&flows[0]), ckpts[0]);
+    assert_eq!(one_pass_receive(&flows[0]), ckpts[0]);
     assert_eq!(
         ViperFormat.decode_spanned(&payloads[0], 0, CHUNK_BYTES).0,
         payload_chunk_crcs(&payloads[0], CHUNK_BYTES)
@@ -451,9 +484,10 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         let decoded = ViperFormat.decode_verified(&payloads[set], body_crcs[set]);
         decoded.unwrap()
     });
-    let verify_then_decode = decode(&|set| two_pass_receive(&payloads[set], body_crcs[set]));
-    let decode_spanned = decode(&|set| one_pass_receive(&payloads[set], body_crcs[set]));
+    let verify_then_decode = decode(&|set| two_pass_receive(&flows[set]));
+    let decode_spanned = decode(&|set| one_pass_receive(&flows[set]));
     drop(slot);
+    drop(flows);
 
     // The primitive, tensor-sized piece by piece, into preallocated
     // destinations. Identity: both ways copy the source and roll its CRC.
@@ -463,7 +497,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
             piecewise(&payloads[0], &mut dsts[0], copy),
             crc32(&payloads[0])
         );
-        assert_eq!(dsts[0], payloads[0]);
+        assert_eq!(dsts[0], payloads[0].as_slice());
     }
     let mut copying = |piece: fn(&mut Crc32, &[u8], &mut Vec<u8>)| {
         time(reps, |rep| {
@@ -476,7 +510,8 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
 
     // Checksums alone, over the sources and their copies: `2 * sets`
     // distinct buffers, so the cold mode still rotates 1 GiB.
-    let bufs: Vec<&[u8]> = payloads.iter().chain(&dsts).map(Vec::as_slice).collect();
+    let sources = payloads.iter().map(Payload::as_slice);
+    let bufs: Vec<&[u8]> = sources.chain(dsts.iter().map(Vec::as_slice)).collect();
     let buf = |rep: usize| bufs[rep % bufs.len()];
     let crc_only = time(reps, |rep| {
         let mut crc = Crc32::new();

@@ -7,7 +7,7 @@
 
 use viper_des::{simulate, Discovery, SimConfig};
 use viper_formats::{CheckpointFormat, H5Lite, ViperFormat};
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_predictor::{cilp::CostParams, fit, schedule};
 use viper_workloads::WorkloadProfile;
 
@@ -19,7 +19,7 @@ pub fn sync_vs_async() -> Vec<(String, f64, f64)> {
     for route in [Route::GpuToGpu, Route::HostToHost] {
         for mode in [CaptureMode::Sync, CaptureMode::Async] {
             let s = TransferStrategy { route, mode };
-            let c = price_update(&profile, s, w.model_bytes, w.ntensors, 1.0);
+            let c = pipeline_costs(&profile, s, w.model_bytes, w.ntensors, 0, 1.0);
             rows.push((
                 s.label(),
                 c.stall.as_secs_f64(),
@@ -34,7 +34,14 @@ pub fn sync_vs_async() -> Vec<(String, f64, f64)> {
 pub fn notify_vs_poll() -> Vec<(String, f64, f64)> {
     let w = WorkloadProfile::tc1();
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, crate::gpu_async(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(
+        &profile,
+        crate::gpu_async(),
+        w.model_bytes,
+        w.ntensors,
+        0,
+        1.0,
+    );
     let s = w.warmup_end();
     let sched: Vec<u64> = (1..=w.run_epochs)
         .map(|k| s + k * w.iters_per_epoch)
@@ -75,11 +82,12 @@ pub fn format_overhead() -> Vec<(String, f64, f64)> {
         .into_iter()
         .map(|f| {
             let bytes = f.encoded_size(w.model_bytes, w.ntensors);
-            let costs = price_update(
+            let costs = pipeline_costs(
                 &profile,
                 strategy,
                 bytes,
                 w.ntensors,
+                0,
                 f.metadata_ops_factor(),
             );
             (
@@ -95,7 +103,14 @@ pub fn format_overhead() -> Vec<(String, f64, f64)> {
 pub fn threshold_sensitivity() -> Vec<(f64, usize, f64)> {
     let w = WorkloadProfile::tc1();
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, crate::gpu_async(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(
+        &profile,
+        crate::gpu_async(),
+        w.model_bytes,
+        w.ntensors,
+        0,
+        1.0,
+    );
     let params = CostParams {
         t_train: w.t_train,
         t_infer: w.t_infer,
@@ -133,7 +148,14 @@ pub fn producer_scaling() -> Vec<(usize, f64, f64)> {
     use viper_des::{simulate_multi, ConsumerSpec, MultiSimConfig};
     let w = WorkloadProfile::tc1();
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, crate::gpu_async(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(
+        &profile,
+        crate::gpu_async(),
+        w.model_bytes,
+        w.ntensors,
+        0,
+        1.0,
+    );
     let s = w.warmup_end();
     let schedule: Vec<u64> = (1..=w.run_epochs)
         .map(|k| s + k * w.iters_per_epoch)
@@ -167,7 +189,14 @@ pub fn producer_scaling() -> Vec<(usize, f64, f64)> {
 pub fn scheduler_comparison() -> Vec<(String, usize, f64)> {
     let w = WorkloadProfile::tc1();
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, crate::gpu_async(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(
+        &profile,
+        crate::gpu_async(),
+        w.model_bytes,
+        w.ntensors,
+        0,
+        1.0,
+    );
     let params = CostParams {
         t_train: w.t_train,
         t_infer: w.t_infer,
@@ -446,10 +475,10 @@ pub fn delta_savings() -> DeltaSavings {
             route,
             mode: CaptureMode::Sync,
         };
-        let full_t = price_update(&profile, s, full, next.ntensors(), 1.0)
+        let full_t = pipeline_costs(&profile, s, full, next.ntensors(), 0, 1.0)
             .update_latency()
             .as_secs_f64();
-        let delta_t = price_update(&profile, s, delta_bytes, delta.changed.len().max(1), 1.0)
+        let delta_t = pipeline_costs(&profile, s, delta_bytes, delta.changed.len().max(1), 0, 1.0)
             .update_latency()
             .as_secs_f64();
         (label.to_string(), full_t, delta_t)

@@ -4,7 +4,7 @@
 //! training overhead.
 
 use viper_des::{simulate, Discovery, SimConfig};
-use viper_hw::{price_update, MachineProfile};
+use viper_hw::{pipeline_costs, MachineProfile};
 use viper_predictor::{cilp::CostParams, fit, schedule};
 use viper_workloads::WorkloadProfile;
 
@@ -52,7 +52,7 @@ fn paper_numbers(workload: &str, sched: &str) -> (f64, u64, f64) {
 pub fn run_workload(w: &WorkloadProfile, seed: u64) -> Vec<ScheduleRow> {
     let profile = MachineProfile::polaris();
     let strategy = crate::gpu_async();
-    let costs = price_update(&profile, strategy, w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(&profile, strategy, w.model_bytes, w.ntensors, 0, 1.0);
     let params = CostParams {
         t_train: w.t_train,
         t_infer: w.t_infer,

@@ -2,12 +2,12 @@
 //! approaches, for NT3.A (600 MB), TC1 (4.7 GB), and PtychoNN (4.5 GB).
 //!
 //! Latencies come from the same priced cost model the live engine charges
-//! to its virtual clock (`viper_hw::price_update`), with the format's
+//! to its virtual clock (`viper_hw::pipeline_costs`, one chunk), with the format's
 //! encoded size and metadata factor distinguishing the h5py baseline from
 //! Viper-PFS.
 
 use viper_formats::{CheckpointFormat, H5Lite, ViperFormat};
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_workloads::WorkloadProfile;
 
 /// Paper-reported latencies (seconds) for the shape comparison, in the
@@ -100,11 +100,12 @@ pub fn run_workload(w: &WorkloadProfile) -> Vec<LatencyRow> {
     for (i, (label, strategy, h5)) in approaches().into_iter().enumerate() {
         let format: &dyn CheckpointFormat = if h5 { &H5Lite } else { &ViperFormat };
         let bytes = format.encoded_size(w.model_bytes, w.ntensors);
-        let costs = price_update(
+        let costs = pipeline_costs(
             &profile,
             strategy,
             bytes,
             w.ntensors,
+            0,
             format.metadata_ops_factor(),
         );
         let latency = costs.update_latency().as_secs_f64();

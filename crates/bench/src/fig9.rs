@@ -4,7 +4,7 @@
 //! checkpoints), across the GPU, host, and PFS strategies.
 
 use viper_des::{simulate, Discovery, SimConfig, SimResult};
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_workloads::WorkloadProfile;
 
 /// One strategy's outcome.
@@ -56,7 +56,7 @@ fn lineup() -> [(&'static str, TransferStrategy, f64); 3] {
 pub fn run_strategy(strategy: TransferStrategy) -> SimResult {
     let w = WorkloadProfile::tc1();
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, strategy, w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(&profile, strategy, w.model_bytes, w.ntensors, 0, 1.0);
     let s = w.warmup_end();
     let schedule: Vec<u64> = (1..=w.run_epochs)
         .map(|k| s + k * w.iters_per_epoch)

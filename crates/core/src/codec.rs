@@ -278,7 +278,7 @@ pub(crate) fn encode_for(
                 // tensors encode directly off the compare pass, so no
                 // DeltaCheckpoint, tensor clone, or intermediate buffer
                 // ever materializes on the send path.
-                let mut enc = StreamingEncoder::new(shared.config.chunking.unwrap_or(0));
+                let mut enc = StreamingEncoder::new(shared.config.chunk_bytes);
                 enc.put_bytes(&wire::envelope(PayloadKind::Delta));
                 delta::diff_into(&base, ckpt, &mut enc).ok()?;
                 counters.payload_allocs.inc();

@@ -48,15 +48,17 @@ impl FormatKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Delivery {
     /// The paper's push: each attached consumer is sent the payload once,
-    /// one after another. The fault-free fast path, byte- and
-    /// timing-identical to a build without the reliability layer.
+    /// one after another, as a chunked flow (one chunk unless
+    /// [`ViperConfig::chunk_bytes`] says otherwise) whose chunks carry a
+    /// 40-byte header with their CRC. A chunk that arrives damaged is
+    /// dropped at its CRC and the update is lost to that consumer: no
+    /// feedback, no retransmission.
     #[default]
     BestEffort,
-    /// Per-chunk CRC verification, receiver NACK/ACK feedback and sender
-    /// retransmission with backoff under [`ViperConfig::retry`] (a
-    /// monolithic payload travels as a one-chunk flow). When the retry
-    /// budget is exhausted the producer degrades the update to the durable
-    /// PFS route.
+    /// Receiver NACK/ACK feedback on top of the same flows, and sender
+    /// retransmission with backoff under [`ViperConfig::retry`]. When the
+    /// retry budget is exhausted the producer degrades the update to the
+    /// durable PFS route.
     Reliable(Reliable),
 }
 
@@ -111,13 +113,14 @@ pub struct ViperConfig {
     pub keep_versions: usize,
     /// How consumers discover updates (push vs baseline polling).
     pub discovery: DiscoveryMode,
-    /// Deliver memory-route checkpoints as a pipelined chunked flow of
-    /// chunks of this many bytes of payload (0: one chunk), each its own
-    /// message, so capture, wire, and apply of successive chunks overlap in
-    /// virtual time. Small chunks pay per-chunk fixed costs; ~64 MiB keeps
-    /// those under 1% on the Polaris profile. `None` — the default — sends
-    /// one monolithic message. The PFS route is unaffected.
-    pub chunking: Option<u64>,
+    /// Memory-route checkpoints travel as a pipelined chunked flow of
+    /// chunks of this many bytes of payload, each its own message with a
+    /// 40-byte header carrying its CRC, so capture, wire, and apply of
+    /// successive chunks overlap in virtual time. `0` — the default — is
+    /// one chunk: the monolithic update, priced and sent by the same
+    /// pipeline. Small chunks pay per-chunk fixed costs; ~64 MiB keeps
+    /// those under 1% on the Polaris profile. The PFS route is unaffected.
+    pub chunk_bytes: u64,
     /// Persist the PFS tier's objects as files under this directory,
     /// surviving process restarts (see [`crate::Viper::recover_catalog`]).
     pub pfs_dir: Option<std::path::PathBuf>,
@@ -159,7 +162,7 @@ impl Default for ViperConfig {
             flush_to_pfs: true,
             keep_versions: 16,
             discovery: DiscoveryMode::Push,
-            chunking: None,
+            chunk_bytes: 0,
             pfs_dir: None,
             fault_plan: None,
             delivery: Delivery::BestEffort,
@@ -206,10 +209,10 @@ impl ViperConfig {
         self
     }
 
-    /// Enable the pipelined chunked transfer path with the given chunk size
-    /// (builder style).
+    /// Set the chunk size memory-route flows are cut into (builder style;
+    /// see [`ViperConfig::chunk_bytes`]).
     pub fn with_chunked(mut self, chunk_bytes: u64) -> Self {
-        self.chunking = Some(chunk_bytes);
+        self.chunk_bytes = chunk_bytes;
         self
     }
 
@@ -306,10 +309,8 @@ pub(crate) enum Deliverer {
 pub(crate) enum StallPricing {
     /// The capture alone: the save does not wait for the wire.
     Capture,
-    /// The capture, then the monolithic delivery.
-    CaptureThenDelivery,
-    /// `viper_hw::pipeline_costs` of a sync chunked transfer of the full
-    /// payload at this chunk size.
+    /// `viper_hw::pipeline_costs` of a sync transfer of the full payload
+    /// at this chunk size (0: one chunk).
     ChunkPipeline(u64),
 }
 
@@ -335,12 +336,12 @@ impl SavePlan {
             Delivery::Reliable(options) => (options.delta, options.coalesce),
         };
         let worker = memory && config.strategy.mode == CaptureMode::Async;
-        let stall = match config.chunking {
-            // Neither an async save nor a coalescing one (its delivery is
-            // admitted, not resolved, before it returns) waits for the wire.
-            _ if !memory || worker || coalesce => StallPricing::Capture,
-            None => StallPricing::CaptureThenDelivery,
-            Some(chunk_bytes) => StallPricing::ChunkPipeline(chunk_bytes),
+        // Neither an async save nor a coalescing one (its delivery is
+        // admitted, not resolved, before it returns) waits for the wire.
+        let stall = if !memory || worker || coalesce {
+            StallPricing::Capture
+        } else {
+            StallPricing::ChunkPipeline(config.chunk_bytes)
         };
         SavePlan {
             capture: match stall {
@@ -383,7 +384,7 @@ mod tests {
         assert_eq!(c.format, FormatKind::Viper);
         assert!(c.flush_to_pfs);
         assert_eq!(c.discovery, DiscoveryMode::Push);
-        assert_eq!(c.chunking, None, "monolithic delivery stays the default");
+        assert_eq!(c.chunk_bytes, 0, "one-chunk delivery stays the default");
         assert!(c.fault_plan.is_none(), "no faults by default");
         assert_eq!(c.delivery, Delivery::BestEffort, "no reliability layer");
         assert_eq!(c.reactor_threads, 1, "inline CRC verification by default");
@@ -427,13 +428,13 @@ mod tests {
         // Chunking is geometry, not a delivery mode: it keeps reliability.
         let c = ViperConfig::default().with_faults(plan).with_chunked(1024);
         assert_eq!(c.delivery, reliable(false, false, 0));
-        assert_eq!(c.chunking, Some(1024));
+        assert_eq!(c.chunk_bytes, 1024);
     }
 
     #[test]
     fn builder_enables_chunking() {
         let c = ViperConfig::default().with_chunked(8 * 1024 * 1024);
-        assert_eq!(c.chunking, Some(8 * 1024 * 1024));
+        assert_eq!(c.chunk_bytes, 8 * 1024 * 1024);
         assert_eq!(c.delivery, Delivery::BestEffort);
     }
 
@@ -516,9 +517,9 @@ mod tests {
     fn a_sync_save_to_memory_waits_for_the_wire() {
         let sync = || ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
         let mono = plan(sync(), Route::GpuToGpu);
-        assert_eq!(mono.capture, CaptureBilling::Lump);
+        assert_eq!(mono.capture, CaptureBilling::InFirstFlow);
         assert_eq!(mono.deliverer, Deliverer::SaveThread);
-        assert_eq!(mono.stall, StallPricing::CaptureThenDelivery);
+        assert_eq!(mono.stall, StallPricing::ChunkPipeline(0));
         assert!(!mono.retain_base);
         let chunked = plan(sync().with_chunked(64).with_reliable(), Route::HostToHost);
         assert_eq!(chunked.capture, CaptureBilling::InFirstFlow);

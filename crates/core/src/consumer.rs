@@ -24,8 +24,8 @@ use viper_formats::{
 };
 use viper_hw::{apply_time, Route, SimInstant, Tier};
 use viper_net::{
-    deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, MessageKind, ReactorTask,
-    TaskCtx, WholeFlow,
+    deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, ReactorTask, TaskCtx,
+    WholeFlow,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -541,7 +541,7 @@ impl ConsumerTask {
         }
     }
 
-    /// Verify, apply, and install one whole direct-push payload. The apply
+    /// Verify, apply, and install one reassembled flow. The apply
     /// cost is derived from the link the payload actually traversed, not
     /// the configured default — the Transfer Selector may have rerouted
     /// under pressure. The charge is based on the payload's virtual
@@ -556,24 +556,15 @@ impl ConsumerTask {
     /// `NeedFull` control reply instead of an ACK, and the producer
     /// re-sends the update as a full checkpoint.
     ///
-    /// `flow` is the chunked flow `payload` was reassembled from, if any:
-    /// its bytes were CRC-verified chunk by chunk on arrival, so the format
-    /// footer is checked against the combination of those chunk CRCs
-    /// ([`AssembledFlow::crc_of`]) and the body is not read a second time.
-    /// A monolithic payload has no such CRCs and self-verifies in `decode`.
+    /// The flow's bytes were CRC-verified chunk by chunk on arrival, so the
+    /// format footer's verdict comes from those chunk CRCs
+    /// ([`AssembledFlow::body_crc`]) and the body is not read a second time.
     /// `sealed` is the decode of this very payload that the pass computing
     /// those CRCs already made, if it made one ([`ConsumerTask::span`]); it
-    /// opens against the same combined CRC, so the body is not even read a
+    /// opens against the same verdict, so the body is not even read a
     /// first time after its verify.
-    fn apply_payload(
-        &mut self,
-        link: LinkKind,
-        tag: &str,
-        payload: &Payload,
-        arrived: SimInstant,
-        flow: Option<&AssembledFlow>,
-        sealed: Option<SealedBody>,
-    ) -> bool {
+    fn apply_payload(&mut self, flow: &AssembledFlow, sealed: Option<SealedBody>) -> bool {
+        let (link, tag, payload) = (flow.link, flow.tag.as_str(), &flow.payload);
         let viper = &self.viper;
         let state = &self.state;
         let telemetry = &viper.shared.config.telemetry;
@@ -602,14 +593,12 @@ impl ConsumerTask {
         let body = &payload[start..];
         // CRC of the body minus its 4-byte footer (of nothing, for a body
         // too short to have one: the decode then fails as truncated).
-        let body_crc =
-            flow.map(|flow| flow.crc_of(start..payload.len().saturating_sub(4).max(start)));
+        let body_crc = flow.body_crc(start);
         let ckpt = match kind {
             PayloadKind::Full => {
-                let decoded = match (body_crc, sealed) {
-                    (Some(crc), Some(SealedBody::Full(sealed))) => sealed.open(crc),
-                    (Some(crc), _) => self.format.decode_verified(body, crc),
-                    (None, _) => self.format.decode(body),
+                let decoded = match sealed {
+                    Some(SealedBody::Full(sealed)) => sealed.open(body_crc),
+                    _ => self.format.decode_verified(body, body_crc),
                 };
                 let Ok(ckpt) = decoded else {
                     return false;
@@ -617,10 +606,9 @@ impl ConsumerTask {
                 ckpt
             }
             PayloadKind::Delta => {
-                let decoded = match (body_crc, sealed) {
-                    (Some(crc), Some(SealedBody::Delta(sealed))) => sealed.open(crc),
-                    (Some(crc), _) => DeltaCheckpoint::decode_verified(body, crc),
-                    (None, _) => DeltaCheckpoint::decode(body),
+                let decoded = match sealed {
+                    Some(SealedBody::Delta(sealed)) => sealed.open(body_crc),
+                    _ => DeltaCheckpoint::decode_verified(body, body_crc),
                 };
                 let Ok(d) = decoded else {
                     return true;
@@ -659,7 +647,9 @@ impl ConsumerTask {
         // The consumer acts on the update *notification*, which trails the
         // pushed payload by the pubsub hop — the `notify` term of
         // `UpdateCosts::update_latency`.
-        let notified = arrived.add(viper.shared.config.profile.notify_latency);
+        let notified = flow
+            .completed_at
+            .add(viper.shared.config.profile.notify_latency);
         let start = notified.max(self.apply_free);
         // The +100ns is the §4.2 "negligible" swap, kept visible so trace
         // ordering shows apply-then-swap.
@@ -799,44 +789,28 @@ impl ConsumerTask {
                     }
                 }
                 viper_net::FlowStatus::Passthrough(msg) => {
-                    if msg.kind == MessageKind::Control {
-                        // Sender→receiver frames are `Round` announcements;
-                        // a relay additionally receives its children's
-                        // feedback (ACK/NACK/NeedFull on flows it launched)
-                        // and escalation `Miss` frames from child relays.
-                        // Anything else (a truly misrouted frame) drops.
-                        match Control::decode(msg.payload.as_contiguous().unwrap_or(&[])) {
-                            Some(Control::Round {
-                                flow_id,
-                                generation,
-                            }) => {
-                                self.generations.insert((msg.from, flow_id), generation);
-                            }
-                            Some(Control::Miss {
-                                flow_id, member, ..
-                            }) => {
-                                self.forward_miss(&msg.from, flow_id, &member, msg.arrived_at);
-                            }
-                            Some(control) => {
-                                self.child_feedback(ctx, &msg.from, control, msg.arrived_at);
-                            }
-                            None => {}
+                    // Every non-chunk message is a control frame.
+                    // Sender→receiver frames are `Round` announcements; a
+                    // relay additionally receives its children's feedback
+                    // (ACK/NACK/NeedFull on flows it launched) and
+                    // escalation `Miss` frames from child relays. Anything
+                    // else (a truly misrouted frame) drops.
+                    match Control::decode(msg.payload.as_contiguous().unwrap_or(&[])) {
+                        Some(Control::Round {
+                            flow_id,
+                            generation,
+                        }) => {
+                            self.generations.insert((msg.from, flow_id), generation);
                         }
-                    } else {
-                        // Passthrough payloads are unframed, so this is a
-                        // zero-copy move of the shared body. No feedback
-                        // channel exists for a passthrough payload, so an
-                        // unusable delta is simply dropped (the producer
-                        // only delta-encodes on the reliable path anyway).
-                        let payload = msg.payload.into_payload();
-                        let _ = self.apply_payload(
-                            msg.link,
-                            &msg.tag,
-                            &payload,
-                            msg.arrived_at,
-                            None,
-                            None,
-                        );
+                        Some(Control::Miss {
+                            flow_id, member, ..
+                        }) => {
+                            self.forward_miss(&msg.from, flow_id, &member, msg.arrived_at);
+                        }
+                        Some(control) => {
+                            self.child_feedback(ctx, &msg.from, control, msg.arrived_at);
+                        }
+                        None => {}
                     }
                 }
                 viper_net::FlowStatus::Complete(flow) => {
@@ -854,14 +828,7 @@ impl ConsumerTask {
                         .take()
                         .filter(|spanned| spanned.payload.same_view(&flow.payload))
                         .map(|spanned| spanned.decoded);
-                    let need_full = self.apply_payload(
-                        flow.link,
-                        &flow.tag,
-                        &flow.payload,
-                        flow.completed_at,
-                        Some(&flow),
-                        sealed,
-                    );
+                    let need_full = self.apply_payload(&flow, sealed);
                     if reliable {
                         // Causal reply instant: the apply this feedback
                         // attests has finished (or, for NeedFull, the flow

@@ -246,10 +246,10 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> (usize,
 
 /// Push `update` to every attached consumer and publish the update
 /// notification. For the PFS route consumers pull from the shared tier, so
-/// only the notification is sent. With `ViperConfig::chunking` the
-/// payload travels as a pipelined chunked flow; a capture billed
-/// [`CaptureBilling::InFirstFlow`] is modeled by the first send,
-/// overlapping the wire.
+/// only the notification is sent. The payload travels as a pipelined
+/// chunked flow of `ViperConfig::chunk_bytes` chunks (one chunk at 0); a
+/// capture billed [`CaptureBilling::InFirstFlow`] is modeled by the first
+/// send, overlapping the wire.
 ///
 /// Under [`Delivery::Reliable`] every memory-route send is
 /// ACK-gated with NACK-driven retransmission; if a consumer exhausts the
@@ -298,10 +298,8 @@ pub(crate) fn deliver(
             .then(|| chunk_capture_model(&config.profile, route, record.ntensors));
         match config.delivery {
             Delivery::Reliable(options) => {
-                // Reliability implies the chunked machinery (a monolithic
-                // payload travels as a 1-chunk flow) so every byte is CRC
-                // checked and every flow ACK-gated. The flows themselves are
-                // driven by this producer's reactor task; the save path blocks
+                // Every flow is ACK-gated. The flows themselves are driven
+                // by this producer's reactor task; the save path blocks
                 // here only for the job reply, holding zero threads per
                 // consumer.
                 let eligible: Vec<String> = consumers
@@ -374,22 +372,17 @@ pub(crate) fn deliver(
                     if consumer == endpoint.node() {
                         continue;
                     }
-                    let arrived = match config.chunking {
-                        Some(chunk_bytes) => {
-                            // The full travels as-is, so its encode-time
-                            // chunk CRCs apply directly.
-                            let mut opts = ChunkedSend::new(chunk_bytes)
-                                .with_crcs(Arc::clone(&update.crcs))
-                                .at(frontier);
-                            if let Some((bw, fixed, once)) = inline_capture {
-                                opts = opts.with_capture(bw, fixed, once);
-                            }
-                            endpoint
-                                .send_chunked(&consumer, &tag, full.clone(), link, &opts)
-                                .map(|report| report.completed_at)
-                        }
-                        None => endpoint.send_at(&consumer, &tag, full.clone(), link, frontier),
-                    };
+                    // The full travels as-is, so its encode-time chunk CRCs
+                    // apply directly.
+                    let mut opts = ChunkedSend::new(config.chunk_bytes)
+                        .with_crcs(Arc::clone(&update.crcs))
+                        .at(frontier);
+                    if let Some((bw, fixed, once)) = inline_capture {
+                        opts = opts.with_capture(bw, fixed, once);
+                    }
+                    let arrived = endpoint
+                        .send_chunked(&consumer, &tag, full.clone(), link, &opts)
+                        .map(|report| report.completed_at);
                     // A deregistered consumer is not an error: it raced shutdown.
                     if let Ok(arrived) = arrived {
                         frontier = frontier.max(arrived);
@@ -517,7 +510,7 @@ impl DeliveryTask {
             .updates
             .get_mut(&seq)
             .expect("a full send belongs to an update");
-        let chunk_bytes = self.ctx.viper.shared.config.chunking.unwrap_or(0);
+        let chunk_bytes = self.ctx.viper.shared.config.chunk_bytes;
         state.sent.insert(
             to.to_string(),
             Sent {
@@ -873,7 +866,7 @@ impl ReactorTask for DeliveryTask {
             })
             .collect();
         let (tag, model, ready_at) = (update.tag(), update.record.name.clone(), update.frontier);
-        let chunk_bytes = self.ctx.viper.shared.config.chunking.unwrap_or(0);
+        let chunk_bytes = self.ctx.viper.shared.config.chunk_bytes;
         self.updates.insert(
             seq,
             UpdateState {

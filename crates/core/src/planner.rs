@@ -7,7 +7,7 @@
 //! curve, the bandwidth probes price a model update, and the IPP emits the
 //! schedule the [`crate::CheckpointCallback`] then follows.
 
-use viper_hw::{price_update, MachineProfile, TransferStrategy};
+use viper_hw::{pipeline_costs, MachineProfile, TransferStrategy};
 use viper_predictor::{cilp::CostParams, fit, schedule, FittedCurve, Schedule};
 
 /// Derive the IPP cost parameters for a deployment.
@@ -24,7 +24,7 @@ pub fn cost_params(
     t_train: f64,
     t_infer: f64,
 ) -> CostParams {
-    let costs = price_update(profile, strategy, model_bytes, ntensors, metadata_factor);
+    let costs = pipeline_costs(profile, strategy, model_bytes, ntensors, 0, metadata_factor);
     CostParams {
         t_train,
         t_infer,

@@ -27,8 +27,8 @@ use viper_formats::{
     wire, Checkpoint, CheckpointFormat, EncodeArena, Payload, PayloadKind, StreamingEncoder,
 };
 use viper_hw::{
-    apply_time, capture_time, delivery_time, pipeline_costs, stage_time, CaptureMode, Route,
-    SimClock, SimInstant, StorageTier, Tier, TransferStrategy,
+    apply_time, capture_time, pipeline_costs, stage_time, CaptureMode, Route, SimClock, SimInstant,
+    StorageTier, Tier, TransferStrategy,
 };
 use viper_metastore::ModelRecord;
 use viper_net::Endpoint;
@@ -241,12 +241,14 @@ impl Producer {
                                         ("bytes", bytes.into()),
                                     ],
                                 );
+                                // The staging copy is a write to the staging
+                                // tier: it pays that tier's write latency, as
+                                // the priced pipeline's staging stage does.
+                                let profile = &shared.config.profile;
+                                let stage = stage_time(profile, update.route, bytes)
+                                    + profile.tier(update.route.staging_tier()).write_latency;
                                 let start = update.frontier.max(worker_free);
-                                update.frontier = charge_at(
-                                    &shared.clock,
-                                    start,
-                                    stage_time(&shared.config.profile, update.route, bytes),
-                                );
+                                update.frontier = charge_at(&shared.clock, start, stage);
                                 telemetry.complete(
                                     "producer",
                                     "stage",
@@ -464,11 +466,10 @@ impl Producer {
         // same on every route: the configured route's plan decides it
         // before the Transfer Selector has the encoded size it needs.
         let plan = SavePlan::new(&shared.config, strategy.route);
-        let chunk_geom = shared.config.chunking.unwrap_or(0);
         let (encoded, envelope) = {
             let mut arena = self.arena.lock();
             let hint = encoded_size_hint(ckpt);
-            let mut enc = StreamingEncoder::from_arena(&mut arena, hint, chunk_geom);
+            let mut enc = StreamingEncoder::from_arena(&mut arena, hint, shared.config.chunk_bytes);
             if plan.retain_base {
                 enc.put_bytes(&wire::envelope(PayloadKind::Full));
             }
@@ -618,9 +619,6 @@ impl Producer {
         let profile = &shared.config.profile;
         let stall = match plan.stall {
             StallPricing::Capture => capture,
-            StallPricing::CaptureThenDelivery => {
-                capture + delivery_time(profile, route, bytes, ntensors, meta_factor)
-            }
             StallPricing::ChunkPipeline(chunk_bytes) => {
                 let sync = TransferStrategy {
                     route,

@@ -149,7 +149,7 @@ impl ConsumerTask {
         // zero-copy — with the CRCs the chunks were just verified against
         // (this relay re-chunks the way the flow arrived), so neither a
         // child serve nor a retransmission round re-reads the payload.
-        let chunk_bytes = self.viper.shared.config.chunking.unwrap_or(0);
+        let chunk_bytes = self.viper.shared.config.chunk_bytes;
         let opts = ChunkedSend::new(chunk_bytes).with_crcs(flow.crcs_for(chunk_bytes));
         for child in children {
             let send = Outbound {

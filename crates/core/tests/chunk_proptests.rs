@@ -92,10 +92,10 @@ proptest! {
         prop_assert_eq!(rebuilt, payload);
     }
 
-    /// A data-kind message always passes through the assembler untouched —
+    /// A control frame always passes through the assembler untouched —
     /// even when its payload is byte-for-byte valid chunk framing. Chunk
     /// handling keys on `MessageKind`, never on payload sniffing, so a
-    /// monolithic payload can never be swallowed as a phantom chunk.
+    /// control frame can never be swallowed as a phantom chunk.
     #[test]
     fn adversarial_data_payloads_always_pass_through(
         body in prop::collection::vec(0u8..=255, 0..2048),
@@ -106,21 +106,21 @@ proptest! {
         ).frame(&body);
         prop_assert!(ChunkHeader::decode(&framed).is_some(), "premise: frames as a chunk");
         let mut asm = FlowAssembler::new();
-        match asm.accept(msg("p", framed.clone(), MessageKind::Data)) {
+        match asm.accept(msg("p", framed.clone(), MessageKind::Control)) {
             FlowStatus::Passthrough(m) => prop_assert_eq!(m.payload.to_vec(), framed),
             other => prop_assert!(false, "expected passthrough, got {:?}", std::mem::discriminant(&other)),
         }
         prop_assert_eq!(asm.in_progress(), 0);
     }
 
-    /// Short or unframed payloads can never decode as chunks, and as data
-    /// messages they pass through the assembler untouched.
+    /// Short or unframed payloads can never decode as chunks, and as
+    /// control frames they pass through the assembler untouched.
     #[test]
     fn short_or_unframed_payloads_pass_through(payload in prop::collection::vec(0u8..=255, 0..39)) {
         // Shorter than a header: can never decode as a chunk.
         prop_assert!(ChunkHeader::decode(&payload).is_none());
         let mut asm = FlowAssembler::new();
-        match asm.accept(msg("p", payload.clone(), MessageKind::Data)) {
+        match asm.accept(msg("p", payload.clone(), MessageKind::Control)) {
             FlowStatus::Passthrough(m) => prop_assert_eq!(m.payload.to_vec(), payload),
             other => prop_assert!(false, "expected passthrough, got {:?}", std::mem::discriminant(&other)),
         }

@@ -26,11 +26,11 @@
 //!
 //! ```
 //! use viper_des::{Discovery, SimConfig, simulate};
-//! use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+//! use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 //!
 //! let profile = MachineProfile::polaris();
 //! let strategy = TransferStrategy { route: Route::GpuToGpu, mode: CaptureMode::Async };
-//! let costs = price_update(&profile, strategy, 600_000_000, 16, 1.0);
+//! let costs = pipeline_costs(&profile, strategy, 600_000_000, 16, 0, 1.0);
 //!
 //! let cfg = SimConfig {
 //!     t_train: 0.05,

@@ -4,7 +4,7 @@
 //! full checkpoints ([`crate::ViperFormat`] / [`crate::H5Lite`]) and
 //! [`crate::DeltaCheckpoint`]s (VIPD). The receiver must dispatch on an
 //! explicit header, never by sniffing body magics — the same rule the
-//! chunked transport applies to chunk vs monolithic messages. This module
+//! chunked transport applies to chunk vs control messages. This module
 //! is that header: a 5-byte envelope (`magic` + kind byte) prepended to the
 //! body.
 //!

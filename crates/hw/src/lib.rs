@@ -41,6 +41,6 @@ pub use profile::MachineProfile;
 pub use storage::{StorageError, StorageTier, StoredObject};
 pub use tier::{Tier, TierSpec};
 pub use xfer::{
-    apply_time, capture_time, chunk_layout, delivery_time, pipeline_costs, price_update,
-    retry_backoff, stage_time, CaptureMode, Route, TransferStrategy, UpdateCosts,
+    apply_time, capture_time, chunk_layout, pipeline_costs, retry_backoff, stage_time, CaptureMode,
+    Route, TransferStrategy, UpdateCosts,
 };

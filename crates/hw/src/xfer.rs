@@ -167,26 +167,6 @@ pub fn stage_time(profile: &MachineProfile, route: Route, bytes: u64) -> Duratio
     }
 }
 
-/// Wire/read time for moving the staged checkpoint to the consumer node.
-/// For memory routes this is the RDMA send; for the PFS route it is the
-/// consumer's PFS read.
-pub fn delivery_time(
-    profile: &MachineProfile,
-    route: Route,
-    bytes: u64,
-    ntensors: usize,
-    metadata_factor: f64,
-) -> Duration {
-    match route {
-        Route::GpuToGpu => profile.gpu_transfer_time(bytes),
-        Route::HostToHost => profile.host_transfer_time(bytes),
-        Route::PfsStaging => {
-            let meta_ops = (ntensors as f64 * metadata_factor).ceil() as usize;
-            profile.tier(Tier::Pfs).read_time(bytes, meta_ops)
-        }
-    }
-}
-
 /// Consumer-side apply time: copying the received buffer into the live
 /// model's tensors.
 pub fn apply_time(profile: &MachineProfile, route: Route, bytes: u64, ntensors: usize) -> Duration {
@@ -201,52 +181,6 @@ pub fn apply_time(profile: &MachineProfile, route: Route, bytes: u64, ntensors: 
         Route::HostToHost | Route::PfsStaging => {
             profile.h2d_apply_time(bytes) + Duration::from_millis(1).mul_f64(ntensors as f64)
         }
-    }
-}
-
-/// Price one model update of `bytes` across `ntensors` tensors under
-/// `strategy`. `metadata_factor` scales the per-tensor metadata cost of the
-/// serialization format (1.0 for the lean Viper format, >1 for h5py-style
-/// formats) and only affects the PFS route, where metadata operations hit
-/// the file system.
-pub fn price_update(
-    profile: &MachineProfile,
-    strategy: TransferStrategy,
-    bytes: u64,
-    ntensors: usize,
-    metadata_factor: f64,
-) -> UpdateCosts {
-    let route = strategy.route;
-    let notify = profile.notify_latency;
-    let capture = capture_time(profile, route, bytes, ntensors, metadata_factor);
-    let delivery = delivery_time(profile, route, bytes, ntensors, metadata_factor);
-    let apply = apply_time(profile, route, bytes, ntensors);
-    match route {
-        // The PFS write blocks training regardless of mode: the snapshot
-        // must be durably staged before training mutates the tensors again.
-        Route::PfsStaging => UpdateCosts {
-            stall: capture,
-            post_stall: delivery + apply,
-            apply,
-            notify,
-        },
-        Route::GpuToGpu | Route::HostToHost => match strategy.mode {
-            CaptureMode::Sync => UpdateCosts {
-                stall: capture + delivery,
-                post_stall: apply,
-                apply,
-                notify,
-            },
-            CaptureMode::Async => {
-                let stage = stage_time(profile, route, bytes);
-                UpdateCosts {
-                    stall: capture,
-                    post_stall: stage + delivery + apply,
-                    apply,
-                    notify,
-                }
-            }
-        },
     }
 }
 
@@ -407,11 +341,17 @@ fn stage_completions(chunks: &[u64], stages: &[Stage]) -> Vec<Duration> {
     done
 }
 
-/// Price one *chunked* model update, the pipelined counterpart of
-/// [`price_update`]: `stall` is when the last chunk clears the producer-side
-/// stages (capture alone for async, capture + wire for sync, the PFS write
-/// for the PFS route), and `post_stall` is the remaining drain until the
-/// last chunk is applied. `apply` reports the non-overlapped apply tail.
+/// Price one model update of `bytes` across `ntensors` tensors under
+/// `strategy`, sent as chunks of `chunk_bytes` (0: one chunk — the
+/// monolithic update is this pipeline's degenerate case, not a second
+/// model). `stall` is when the last chunk clears the producer-side stages
+/// (capture alone for async, capture + wire for sync, the PFS write for the
+/// PFS route), and `post_stall` is the remaining drain until the last chunk
+/// is applied. `apply` reports the non-overlapped apply tail (with one
+/// chunk, the whole apply stage). `metadata_factor` scales the per-tensor
+/// metadata cost of the serialization format (1.0 for the lean Viper
+/// format, >1 for h5py-style formats) and only affects the PFS route, where
+/// metadata operations hit the file system.
 pub fn pipeline_costs(
     profile: &MachineProfile,
     strategy: TransferStrategy,
@@ -441,11 +381,12 @@ mod tests {
     const TC1_TENSORS: usize = 20;
 
     fn costs(route: Route, mode: CaptureMode) -> UpdateCosts {
-        price_update(
+        pipeline_costs(
             &MachineProfile::polaris(),
             TransferStrategy { route, mode },
             TC1,
             TC1_TENSORS,
+            0,
             1.0,
         )
     }
@@ -535,11 +476,11 @@ mod tests {
             route: Route::PfsStaging,
             mode: CaptureMode::Sync,
         };
-        let g1 = price_update(&p, s_gpu, TC1, TC1_TENSORS, 1.0);
-        let g4 = price_update(&p, s_gpu, TC1, TC1_TENSORS, 4.0);
+        let g1 = pipeline_costs(&p, s_gpu, TC1, TC1_TENSORS, 0, 1.0);
+        let g4 = pipeline_costs(&p, s_gpu, TC1, TC1_TENSORS, 0, 4.0);
         assert_eq!(g1, g4);
-        let p1 = price_update(&p, s_pfs, TC1, TC1_TENSORS, 1.0);
-        let p4 = price_update(&p, s_pfs, TC1, TC1_TENSORS, 4.0);
+        let p1 = pipeline_costs(&p, s_pfs, TC1, TC1_TENSORS, 0, 1.0);
+        let p4 = pipeline_costs(&p, s_pfs, TC1, TC1_TENSORS, 0, 4.0);
         assert!(p4.update_latency() > p1.update_latency());
     }
 
@@ -558,13 +499,9 @@ mod tests {
         assert_eq!(Route::PfsStaging.staging_tier(), Tier::Pfs);
     }
 
-    /// Monolithic capture → delivery → apply sum for comparison.
+    /// One-chunk (monolithic) capture → delivery → apply, for comparison.
     fn monolithic(route: Route) -> f64 {
-        let p = MachineProfile::polaris();
-        (capture_time(&p, route, TC1, TC1_TENSORS, 1.0)
-            + delivery_time(&p, route, TC1, TC1_TENSORS, 1.0)
-            + apply_time(&p, route, TC1, TC1_TENSORS))
-        .as_secs_f64()
+        pipelined(route, 0).as_secs_f64()
     }
 
     /// Overlapped makespan of a synchronous chunked TC1 update: fill,
@@ -596,16 +533,10 @@ mod tests {
 
     #[test]
     fn single_chunk_matches_monolithic_within_fixed_costs() {
+        // A chunk as large as the payload and `chunk_bytes = 0` are one
+        // geometry, so they are one price, to the nanosecond.
         for route in [Route::GpuToGpu, Route::HostToHost, Route::PfsStaging] {
-            let pipe = pipelined(route, TC1).as_secs_f64();
-            let mono = monolithic(route);
-            // The only differences are per-chunk fixed costs (tier setup
-            // latencies, microseconds against seconds of payload time).
-            let rel = (pipe - mono).abs() / mono;
-            assert!(
-                rel < 0.01,
-                "{route:?}: pipelined {pipe} vs monolithic {mono}"
-            );
+            assert_eq!(pipelined(route, TC1), pipelined(route, 0), "{route:?}");
         }
     }
 
@@ -656,7 +587,7 @@ mod tests {
                 route,
                 mode: CaptureMode::Sync,
             };
-            let mono = price_update(&p, strategy, TC1, TC1_TENSORS, 1.0).stall;
+            let mono = pipeline_costs(&p, strategy, TC1, TC1_TENSORS, 0, 1.0).stall;
             let pipe = pipeline_costs(&p, strategy, TC1, TC1_TENSORS, TC1 / 8, 1.0).stall;
             assert!(pipe < mono, "{route:?}: {pipe:?} !< {mono:?}");
         }
@@ -703,7 +634,12 @@ mod tests {
         for route in [Route::GpuToGpu, Route::HostToHost, Route::PfsStaging] {
             let chunk = 256 * 1024 * 1024;
             let pipe = pipelined(route, chunk).as_secs_f64();
-            let wire = delivery_time(&p, route, TC1, TC1_TENSORS, 1.0).as_secs_f64();
+            let wire = match route {
+                Route::GpuToGpu => p.gpu_transfer_time(TC1),
+                Route::HostToHost => p.host_transfer_time(TC1),
+                Route::PfsStaging => p.tier(Tier::Pfs).read_time(TC1, TC1_TENSORS),
+            }
+            .as_secs_f64();
             assert!(pipe >= wire, "{route:?}: {pipe} < bottleneck {wire}");
             assert!(
                 pipe <= monolithic(route) * 1.01,

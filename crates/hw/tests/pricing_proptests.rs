@@ -2,7 +2,7 @@
 //! every latency number the benchmarks report.
 
 use proptest::prelude::*;
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 
 fn strategies() -> [TransferStrategy; 5] {
     TransferStrategy::fig8_lineup()
@@ -15,8 +15,8 @@ proptest! {
     fn latency_monotone_in_bytes(bytes in 1_000_000u64..10_000_000_000, extra in 1_000_000u64..1_000_000_000) {
         let p = MachineProfile::polaris();
         for s in strategies() {
-            let small = price_update(&p, s, bytes, 20, 1.0).update_latency();
-            let large = price_update(&p, s, bytes + extra, 20, 1.0).update_latency();
+            let small = pipeline_costs(&p, s, bytes, 20, 0, 1.0).update_latency();
+            let large = pipeline_costs(&p, s, bytes + extra, 20, 0, 1.0).update_latency();
             prop_assert!(large > small, "{s:?}");
         }
     }
@@ -26,8 +26,8 @@ proptest! {
     fn latency_monotone_in_tensor_count(bytes in 1_000_000u64..5_000_000_000, n1 in 1usize..100, dn in 1usize..100) {
         let p = MachineProfile::polaris();
         for s in strategies() {
-            let few = price_update(&p, s, bytes, n1, 1.0).update_latency();
-            let many = price_update(&p, s, bytes, n1 + dn, 1.0).update_latency();
+            let few = pipeline_costs(&p, s, bytes, n1, 0, 1.0).update_latency();
+            let many = pipeline_costs(&p, s, bytes, n1 + dn, 0, 1.0).update_latency();
             prop_assert!(many >= few, "{s:?}");
         }
     }
@@ -38,7 +38,7 @@ proptest! {
     fn hierarchy_ordering(bytes in 50_000_000u64..10_000_000_000, ntensors in 1usize..100) {
         let p = MachineProfile::polaris();
         let lat = |route| {
-            price_update(&p, TransferStrategy { route, mode: CaptureMode::Sync }, bytes, ntensors, 1.0)
+            pipeline_costs(&p, TransferStrategy { route, mode: CaptureMode::Sync }, bytes, ntensors, 0, 1.0)
                 .update_latency()
         };
         prop_assert!(lat(Route::GpuToGpu) <= lat(Route::HostToHost));
@@ -50,8 +50,8 @@ proptest! {
     fn async_tradeoff_universal(bytes in 10_000_000u64..10_000_000_000, ntensors in 1usize..100) {
         let p = MachineProfile::polaris();
         for route in [Route::GpuToGpu, Route::HostToHost] {
-            let sync = price_update(&p, TransferStrategy { route, mode: CaptureMode::Sync }, bytes, ntensors, 1.0);
-            let asy = price_update(&p, TransferStrategy { route, mode: CaptureMode::Async }, bytes, ntensors, 1.0);
+            let sync = pipeline_costs(&p, TransferStrategy { route, mode: CaptureMode::Sync }, bytes, ntensors, 0, 1.0);
+            let asy = pipeline_costs(&p, TransferStrategy { route, mode: CaptureMode::Async }, bytes, ntensors, 0, 1.0);
             prop_assert!(asy.stall < sync.stall, "{route:?}");
             prop_assert!(asy.update_latency() >= sync.update_latency(), "{route:?}");
         }
@@ -63,8 +63,8 @@ proptest! {
     fn metadata_factor_effects(bytes in 10_000_000u64..5_000_000_000, ntensors in 1usize..100, factor in 1.0f64..8.0) {
         let p = MachineProfile::polaris();
         for s in strategies() {
-            let lean = price_update(&p, s, bytes, ntensors, 1.0);
-            let heavy = price_update(&p, s, bytes, ntensors, factor);
+            let lean = pipeline_costs(&p, s, bytes, ntensors, 0, 1.0);
+            let heavy = pipeline_costs(&p, s, bytes, ntensors, 0, factor);
             if s.route == Route::PfsStaging {
                 prop_assert!(heavy.update_latency() >= lean.update_latency());
             } else {
@@ -79,7 +79,7 @@ proptest! {
     fn components_sane(bytes in 0u64..10_000_000_000, ntensors in 0usize..200) {
         let p = MachineProfile::polaris();
         for s in strategies() {
-            let c = price_update(&p, s, bytes, ntensors, 1.0);
+            let c = pipeline_costs(&p, s, bytes, ntensors, 0, 1.0);
             prop_assert!(c.apply <= c.post_stall);
             prop_assert!(c.update_latency() >= c.stall);
         }

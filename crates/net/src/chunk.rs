@@ -10,24 +10,27 @@
 //! interleavings of concurrent flows — releasing it only once complete, so
 //! a consumer never observes a partially assembled payload.
 //!
-//! Chunked messages are marked explicitly via
+//! Every application payload travels this way; a monolithic one is a flow
+//! of one chunk. Chunked messages are marked explicitly via
 //! [`MessageKind::Chunk`](crate::MessageKind): the assembler never sniffs
-//! payload bytes, so a monolithic message whose payload happens to start
-//! with [`CHUNK_MAGIC`] passes through untouched.
+//! payload bytes, so a control frame whose payload happens to start with
+//! [`CHUNK_MAGIC`] passes through untouched.
 
 use crate::reliability::FlowError;
 use crate::wirebuf::WireBuf;
 use crate::{LinkKind, Message, MessageKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
-use viper_formats::{crc32, CrcFold, Payload};
+use viper_formats::{crc32, crc32_combine, CrcFold, Payload};
 use viper_hw::SimInstant;
 
 /// Magic bytes at the front of every chunk frame ("VPCH"). Framing sanity
 /// only — chunk identification goes through [`MessageKind::Chunk`].
 pub const CHUNK_MAGIC: u32 = 0x5650_4348;
+
+/// The CRC-32 residue: `crc32(data ‖ le32(crc32(data)))` for every `data`.
+const CRC32_RESIDUE: u32 = 0x2144_DF1C;
 
 /// Wire framing carried at the front of every chunk payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,34 +262,36 @@ pub struct AssembledFlow {
 }
 
 impl AssembledFlow {
-    /// CRC32 of `payload[range]` with whole chunks never re-read: a chunk
-    /// that lies inside the range contributes the header CRC it was already
-    /// verified against (folded in with `crc32_combine`'s identity,
-    /// `crc(A ‖ B) = shift(crc(A), len(B)) ^ crc(B)`), and only a chunk the
-    /// range cuts through has its overlap checksummed afresh. Stripping a
-    /// few envelope bytes in front and a CRC footer behind therefore reads
-    /// two chunk edges, not the payload. Equals
-    /// `crc32(&payload[range])`; panics like that slicing if the range is
-    /// out of bounds.
-    pub fn crc_of(&self, range: Range<usize>) -> u32 {
-        assert!(range.start <= range.end && range.end <= self.payload.len());
+    /// CRC32 of `payload[skip..len - 4]`: the body that a 4-byte CRC
+    /// footer behind `skip` envelope bytes covers. The verdict comes from
+    /// the chunk CRCs the payload was verified against: they fold into the
+    /// CRC of `payload[skip..]` (stripping the envelope reads only its
+    /// bytes), which is the constant CRC-32 residue exactly when the footer
+    /// is the CRC of the body, since a CRC maps the last 32 bits of its
+    /// input one-to-one. A right footer is therefore returned without
+    /// reading the body; only a wrong one makes this read the body, once,
+    /// so the decode reports the CRC it found. A payload too short to hold
+    /// a footer behind `skip` yields the CRC of nothing.
+    pub fn body_crc(&self, skip: usize) -> u32 {
+        let len = self.payload.len();
+        let Some(end) = len.checked_sub(4).filter(|&end| end >= skip) else {
+            return crc32(&[]);
+        };
         let mut fold = CrcFold::new();
-        let mut start = 0usize;
         for (&len, &crc) in self.chunk_lens.iter().zip(self.chunk_crcs.iter()) {
-            let end = start + len as usize;
-            let (from, to) = (start.max(range.start), end.min(range.end));
-            if from < to {
-                let whole = from == start && to == end;
-                let crc = if whole {
-                    crc
-                } else {
-                    crc32(&self.payload[from..to])
-                };
-                fold.push(crc, (to - from) as u64);
-            }
-            start = end;
+            fold.push(crc, len);
         }
-        fold.crc()
+        let mut stream = fold.crc();
+        let prefix = crc32(&self.payload[..skip]);
+        // Shifting 0 gives 0: an empty envelope needs no shift operator.
+        if prefix != 0 {
+            stream ^= crc32_combine(prefix, 0, (len - skip) as u64);
+        }
+        if stream == CRC32_RESIDUE {
+            u32::from_le_bytes(self.payload[end..].try_into().expect("4-byte footer"))
+        } else {
+            crc32(&self.payload[skip..end])
+        }
     }
 
     /// Per-chunk CRCs for re-serving [`payload`](Self::payload) under the
@@ -307,8 +312,8 @@ impl AssembledFlow {
 /// Outcome of feeding one message to a [`FlowAssembler`].
 #[derive(Debug)]
 pub enum FlowStatus {
-    /// Not a chunk (a monolithic data or control message), returned
-    /// untouched — even if its payload bytes imitate chunk framing.
+    /// Not a chunk (a control frame), returned untouched — even if its
+    /// payload bytes imitate chunk framing.
     Passthrough(Message),
     /// A chunk was buffered (or ignored as a duplicate); the flow is still
     /// incomplete.
@@ -818,7 +823,7 @@ mod tests {
             to: "c".into(),
             tag: "t".into(),
             payload: WireBuf::plain(vec![1, 2, 3]),
-            kind: MessageKind::Data,
+            kind: MessageKind::Control,
             link: LinkKind::HostRdma,
             sent_at: SimInstant::ZERO,
             arrived_at: SimInstant::ZERO,
@@ -829,9 +834,9 @@ mod tests {
 
     #[test]
     fn adversarial_monolithic_payload_is_not_swallowed() {
-        // A data message whose payload is byte-for-byte valid chunk framing
-        // must still pass through: chunk handling is keyed on MessageKind,
-        // never on payload sniffing.
+        // A control frame whose payload is byte-for-byte valid chunk
+        // framing must still pass through: chunk handling is keyed on
+        // MessageKind, never on payload sniffing.
         let body = vec![9u8; 64];
         let header = ChunkHeader::for_body(1, 0, 2, 0, 128, &body);
         let adversarial = header.frame(&body);
@@ -842,7 +847,7 @@ mod tests {
             to: "c".into(),
             tag: "t".into(),
             payload: WireBuf::plain(adversarial.clone()),
-            kind: MessageKind::Data,
+            kind: MessageKind::Control,
             link: LinkKind::HostRdma,
             sent_at: SimInstant::ZERO,
             arrived_at: SimInstant::ZERO,
@@ -1013,19 +1018,19 @@ mod tests {
             asm.accept_with_crc(corrupt, Some(bad_crc)),
             FlowStatus::Corrupt { chunk_index: 1, .. }
         ));
-        // Non-chunk messages have no body CRC.
-        let data = Message {
+        // Control frames have no body CRC.
+        let control = Message {
             from: "p".into(),
             to: "c".into(),
             tag: "t".into(),
             payload: WireBuf::plain(vec![1, 2, 3]),
-            kind: MessageKind::Data,
+            kind: MessageKind::Control,
             link: LinkKind::HostRdma,
             sent_at: SimInstant::ZERO,
             arrived_at: SimInstant::ZERO,
             wire_time: Duration::ZERO,
         };
-        assert_eq!(chunk_body_crc(&data), None);
+        assert_eq!(chunk_body_crc(&control), None);
     }
 
     #[test]
@@ -1099,8 +1104,8 @@ mod tests {
             payload: WireBuf::plain(vec![1, 2, 3]),
             ..with_control[0].clone()
         });
-        let mut as_data = whole(1);
-        as_data[0].kind = MessageKind::Data;
+        let mut marked_control = whole(1);
+        marked_control[0].kind = MessageKind::Control;
         let mut broken_frame = whole(1);
         broken_frame[2].payload = WireBuf::plain(vec![0u8; 64]);
         // Views that tile the payload, but not as `chunk_sizes` would cut
@@ -1136,7 +1141,7 @@ mod tests {
             ("foreign sender", foreign_sender),
             ("copied body", copied),
             ("control frame", with_control),
-            ("data message", as_data),
+            ("chunk frame marked control", marked_control),
             ("broken frame", broken_frame),
             ("ragged", ragged),
             ("lopsided", lopsided),
@@ -1248,8 +1253,12 @@ mod tests {
     #[test]
     fn range_crc_holds_for_ragged_chunks_a_sender_is_free_to_frame() {
         // Tiling is all the assembler demands of a sender's geometry: uneven
-        // lengths, an empty chunk mid-flow, a 1-byte tail.
-        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        // lengths, an empty chunk mid-flow, a 1-byte tail. The payload is a
+        // 7-byte envelope, a body and its CRC footer, which straddles the
+        // last two chunks.
+        let mut payload: Vec<u8> = (0..=255u8).cycle().take(996).collect();
+        let footer = crc32(&payload[7..]);
+        payload.extend_from_slice(&footer.to_le_bytes());
         let lens = [7usize, 300, 0, 1, 691, 1];
         let mut asm = FlowAssembler::new();
         let mut status = FlowStatus::Buffered;
@@ -1263,20 +1272,20 @@ mod tests {
         let FlowStatus::Complete(flow) = status else {
             panic!("flow should complete: {status:?}");
         };
-        for range in [
-            0..1000,
-            5..996,
-            7..307,
-            8..306,
-            307..309,
-            400..400,
-            999..1000,
-        ] {
-            assert_eq!(
-                flow.crc_of(range.clone()),
-                crc32(&payload[range.clone()]),
-                "{range:?}"
-            );
+        assert_eq!(flow.body_crc(7), footer, "the footer, unread");
+        // The verdict rests on the verified chunk CRCs alone: bytes that
+        // changed behind them are not read.
+        let mut blind = (*flow).clone();
+        let mut changed = payload.clone();
+        changed[500] ^= 1;
+        blind.payload = Payload::from(changed);
+        assert_eq!(blind.body_crc(7), footer, "the body is never read");
+        // Any other envelope length reads a wrong footer: the body's CRC.
+        for skip in [0, 5, 8, 307, 996] {
+            assert_eq!(flow.body_crc(skip), crc32(&payload[skip..996]), "{skip}");
+        }
+        for skip in [997, 1000] {
+            assert_eq!(flow.body_crc(skip), crc32(&[]), "no room for a footer");
         }
     }
 

@@ -70,12 +70,12 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// What a [`Message`]'s payload is — chunk handling and the reliability
-/// protocol key on this marker, never on payload byte patterns, so an
-/// application payload that imitates chunk framing is still just data.
+/// protocol key on this marker, never on payload byte patterns, so a
+/// control frame that imitates chunk framing is still a control frame.
+/// Every application payload travels as a chunked flow (a monolithic one
+/// as a flow of one chunk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
-    /// A monolithic application payload.
-    Data,
     /// One chunk of a chunked flow (payload carries a
     /// [`ChunkHeader`](crate::ChunkHeader) frame).
     Chunk,
@@ -95,7 +95,7 @@ pub struct Message {
     /// Payload bytes (inline chunk header, if framed, plus a shared body
     /// view — see [`WireBuf`]).
     pub payload: WireBuf,
-    /// What the payload is (data, chunk frame, or control frame).
+    /// What the payload is (chunk frame or control frame).
     pub kind: MessageKind,
     /// Link the message traversed.
     pub link: LinkKind,
@@ -207,7 +207,7 @@ impl Fabric {
     }
 
     /// Install (or clear, with `None`) a deterministic fault-injection
-    /// plan. Data and chunk messages sent afterwards are perturbed per the
+    /// plan. Chunk messages sent afterwards are perturbed per the
     /// plan's probabilities; control frames never are. With no plan — or a
     /// plan whose probabilities are all zero — delivery and timing are
     /// bit-identical to a fabric that never heard of faults.
@@ -399,31 +399,27 @@ impl Fabric {
         Ok(())
     }
 
-    /// Send one unchunked message at `at` — the causal instant of the event
+    /// Send one control frame at `at` — the causal instant of the event
     /// that triggered it, never whatever the shared clock happens to read:
-    /// the clock is a frontier other threads advance concurrently. Returns
-    /// its arrival instant.
+    /// the clock is a frontier other threads advance concurrently. Control
+    /// frames take no lane: they do not queue behind chunks. Returns the
+    /// frame's arrival instant.
     fn send_from(
         &self,
         hop: Hop<'_>,
         payload: Payload,
-        kind: MessageKind,
         at: SimInstant,
     ) -> Result<SimInstant, NetError> {
         let tx = self.queue_of(hop.to)?;
         let bytes = payload.len() as u64;
         let wire_time = hop.link.transfer_time(&self.inner.profile, bytes);
-        let msg = hop.message(WireBuf::plain(payload), kind, at, wire_time);
+        let msg = hop.message(WireBuf::plain(payload), MessageKind::Control, at, wire_time);
         let arrived_at = msg.arrived_at;
         let telemetry = self.telemetry();
         let track = lane_track(hop.from, hop.to, hop.link);
-        let wire_name = match kind {
-            MessageKind::Control => "control",
-            _ => "wire",
-        };
         telemetry.complete(
             "fabric",
-            wire_name,
+            "control",
             &track,
             at.as_nanos(),
             arrived_at.as_nanos(),
@@ -625,10 +621,12 @@ impl Endpoint {
         }
     }
 
-    /// Send `payload` to node `to` over `link` from the shared clock's
-    /// current frontier, blocking for the modeled wire time on the virtual
-    /// clock (returns that duration). A caller that knows the causal
-    /// instant of its send uses [`Endpoint::send_at`] instead.
+    /// Send `payload` to node `to` over `link` as a one-chunk flow from the
+    /// shared clock's current frontier (checksummed here), blocking for its
+    /// makespan on the virtual clock; returns that duration. A caller that
+    /// knows the causal instant of its send, or holds the payload's CRCs,
+    /// uses [`Endpoint::send_chunked`]. This shorthand goes when the
+    /// benchmark's stage replay, its one caller outside tests, does.
     pub fn send(
         &self,
         to: &str,
@@ -636,29 +634,8 @@ impl Endpoint {
         payload: impl Into<Payload>,
         link: LinkKind,
     ) -> Result<Duration, NetError> {
-        let at = self.fabric.inner.clock.now();
-        self.send_at(to, tag, payload, link, at)
-            .map(|arrived| arrived.since(at))
-    }
-
-    /// Send `payload` to node `to` over `link` at `at`, the causal instant
-    /// the payload became ready — not the shared clock frontier, which
-    /// concurrent lanes and applying consumers advance racily. Returns the
-    /// message's arrival instant.
-    pub fn send_at(
-        &self,
-        to: &str,
-        tag: &str,
-        payload: impl Into<Payload>,
-        link: LinkKind,
-        at: SimInstant,
-    ) -> Result<SimInstant, NetError> {
-        self.fabric.send_from(
-            self.hop(to, tag, link),
-            payload.into(),
-            MessageKind::Data,
-            at,
-        )
+        self.send_chunked(to, tag, payload, link, &ChunkedSend::new(0))
+            .map(|report| report.makespan())
     }
 
     /// Send `payload` as a pipelined chunked flow (see [`ChunkedSend`]); the
@@ -749,12 +726,8 @@ impl Endpoint {
         link: LinkKind,
         at: SimInstant,
     ) -> Result<SimInstant, NetError> {
-        self.fabric.send_from(
-            self.hop(to, tag, link),
-            Payload::from(control.encode()),
-            MessageKind::Control,
-            at,
-        )
+        self.fabric
+            .send_from(self.hop(to, tag, link), Payload::from(control.encode()), at)
     }
 
     /// Retransmit the given chunk `indices` of a flow previously sent with
@@ -855,8 +828,11 @@ mod tests {
         let msg = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(msg.from, "a");
         assert_eq!(msg.to, "b");
-        assert_eq!(msg.kind, MessageKind::Data);
-        assert_eq!(msg.payload, *payload);
+        assert_eq!(msg.kind, MessageKind::Chunk, "a one-chunk flow");
+        match FlowAssembler::new().accept(msg) {
+            FlowStatus::Complete(flow) => assert_eq!(flow.payload, *payload),
+            other => panic!("one chunk completes its flow: {other:?}"),
+        }
     }
 
     #[test]
@@ -943,7 +919,8 @@ mod tests {
         }
         for i in 0..10u8 {
             let msg = b.recv_timeout(Duration::from_secs(1)).unwrap();
-            assert_eq!(msg.payload.to_vec()[0], i);
+            let (_, body) = ChunkHeader::decode_buf(&msg.payload).unwrap();
+            assert_eq!(body[0], i);
         }
     }
 

@@ -1,9 +1,9 @@
 //! Deterministic, seed-driven fault injection for the fabric.
 //!
-//! A [`FaultPlan`] attaches to a [`Fabric`](crate::Fabric) and perturbs data
-//! messages on their way into the destination's queue: chunks (and
-//! monolithic payloads) can be dropped, duplicated, reordered with their
-//! successor, or bit-corrupted in the body. Control messages (ACK/NACK) are
+//! A [`FaultPlan`] attaches to a [`Fabric`](crate::Fabric) and perturbs
+//! chunks on their way into the destination's queue (every payload is a
+//! chunked flow, a monolithic one of one chunk): a chunk can be dropped,
+//! duplicated, reordered with its successor, or bit-corrupted in the body. Control messages (ACK/NACK) are
 //! never faulted — the reliability layer's feedback channel is modeled as
 //! out-of-band.
 //!

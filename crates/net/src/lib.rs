@@ -6,26 +6,34 @@
 //! primitives over two direct channels: GPU-to-GPU (GPUDirect RDMA /
 //! NVLink) and host-to-host (InfiniBand verbs), §4.4. This crate provides
 //! the equivalent message-passing substrate: named nodes register
-//! endpoints on a [`Fabric`]; `send` transfers real bytes through a
+//! endpoints on a [`Fabric`]; a send transfers real bytes through a
 //! crossbeam channel while charging the *modeled* wire time (from the
 //! [`viper_hw::MachineProfile`] link characteristics) to the shared
-//! virtual clock.
+//! virtual clock. Every payload travels as a chunked flow — a monolithic
+//! one as a flow of one chunk — that a [`FlowAssembler`] verifies and
+//! reassembles.
 //!
 //! ## Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use viper_hw::{MachineProfile, SimClock};
-//! use viper_net::{Fabric, LinkKind};
+//! use viper_net::{ChunkHeader, ChunkedSend, Fabric, FlowAssembler, FlowStatus, LinkKind};
 //!
 //! let fabric = Fabric::new(MachineProfile::polaris(), SimClock::new());
 //! let producer = fabric.register("producer");
 //! let consumer = fabric.register("consumer");
 //!
-//! producer.send("consumer", "model-v1", Arc::new(vec![0u8; 1024]), LinkKind::GpuDirect).unwrap();
+//! let one_chunk = ChunkedSend::new(0);
+//! let payload = Arc::new(vec![0u8; 1024]);
+//! producer.send_chunked("consumer", "model-v1", payload, LinkKind::GpuDirect, &one_chunk).unwrap();
 //! let msg = consumer.recv_timeout(std::time::Duration::from_secs(1)).unwrap();
 //! assert_eq!(msg.tag, "model-v1");
-//! assert_eq!(msg.payload.len(), 1024);
+//! assert_eq!(msg.payload.len(), ChunkHeader::WIRE_SIZE + 1024);
+//! let FlowStatus::Complete(flow) = FlowAssembler::new().accept(msg) else {
+//!     panic!("one chunk completes its flow");
+//! };
+//! assert_eq!(flow.payload.len(), 1024);
 //! ```
 
 #![warn(missing_docs)]

@@ -22,7 +22,7 @@ pub const HEAD_BYTES: usize = ChunkHeader::WIRE_SIZE;
 /// A message payload on the wire: optional inline chunk-frame header plus
 /// a shared, immutable body.
 ///
-/// Monolithic data and control payloads are `plain` (no head); chunk
+/// Control payloads are `plain` (no head); chunk
 /// frames carry their encoded [`ChunkHeader`] inline so the body can stay
 /// a zero-copy subslice of the parent payload.
 #[derive(Clone)]
@@ -32,7 +32,7 @@ pub struct WireBuf {
 }
 
 impl WireBuf {
-    /// An unframed payload (monolithic data or control bytes).
+    /// An unframed payload (a control frame's bytes).
     pub fn plain(body: impl Into<Payload>) -> Self {
         WireBuf {
             head: None,

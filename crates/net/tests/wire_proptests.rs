@@ -7,15 +7,75 @@
 //! payload-kind-enveloped bodies with CRC footers. And because chunk
 //! bodies are shared views of the sender's buffer rather than owned
 //! copies, the buffer must stay valid through retransmit rounds even
-//! after the producer drops its last strong reference.
+//! after the producer drops its last strong reference. Every payload
+//! crosses the chunk framing and every reply the control framing, so
+//! neither parser may panic or over-allocate on hostile bytes.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use viper_formats::{crc32, wire, PayloadKind};
-use viper_hw::{MachineProfile, SimClock};
+use viper_hw::{MachineProfile, SimClock, SimInstant};
 use viper_net::{
-    chunk_sizes, payload_chunk_crcs, ChunkHeader, ChunkedSend, Fabric, FaultPlan, FaultRng,
-    FlowAssembler, FlowStatus, LinkKind, Message, Payload, WireBuf,
+    chunk_sizes, payload_chunk_crcs, ChunkHeader, ChunkedSend, Control, Fabric, FaultPlan,
+    FaultRng, FlowAssembler, FlowStatus, LinkKind, Message, MessageKind, Payload, WireBuf,
+    CHUNK_MAGIC, CONTROL_MAGIC,
 };
+
+/// The system allocator, recording the largest single request each thread
+/// makes (const-initialised `Cell`: the thread-local itself never allocates).
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// touches only a thread-local `Cell<usize>`.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(new_size)));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
+
+/// Run `f`, asserting no single allocation inside it exceeds the bound the
+/// format decoders are held to: a small multiple of `input_len`.
+fn bounded<T>(input_len: usize, f: impl FnOnce() -> T) -> T {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= 4096 + 16 * input_len,
+        "a {input_len}-byte input made the decoder request {largest} bytes at once"
+    );
+    out
+}
+
+/// `bytes` as the fabric would hand them over, marked as a chunk.
+fn as_chunk(bytes: Vec<u8>) -> Message {
+    Message {
+        from: "p".into(),
+        to: "c".into(),
+        tag: "m:1".into(),
+        payload: WireBuf::plain(bytes),
+        kind: MessageKind::Chunk,
+        link: LinkKind::GpuDirect,
+        sent_at: SimInstant::ZERO,
+        arrived_at: SimInstant::ZERO,
+        wire_time: std::time::Duration::ZERO,
+    }
+}
 
 fn fabric() -> Fabric {
     Fabric::new(MachineProfile::polaris(), SimClock::new())
@@ -192,66 +252,136 @@ proptest! {
         }
     }
 
-    /// The range CRC a receiver derives from the chunk CRCs it verified is
-    /// the CRC of those bytes — for any payload, chunk geometry (a last
-    /// chunk shorter than a CRC footer included), arrival order and range:
-    /// empty, inside one chunk, cutting chunks on both edges, and the
-    /// envelope-to-footer strip the consumer asks for, whose 4-byte footer
-    /// may straddle the last chunk boundary.
+    /// The body CRC a receiver derives from the chunk CRCs it verified is
+    /// the CRC of those bytes, and so is its footer verdict — for any
+    /// payload, chunk geometry (one chunk, and a last chunk shorter than
+    /// the footer, included), arrival order, envelope (none, or 5 bytes),
+    /// and footer: right, wrong by one flipped byte, or absent.
     #[test]
     fn range_crc_from_chunk_crcs_equals_crc_of_the_bytes(
         data in prop::collection::vec(0u8..=255, 0..6000),
         chunk_bytes in 1u64..1500,
-        short_tail in 0usize..4,
-        cuts in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0), 1..6),
+        geometry in 0usize..6,
+        footed in 0u8..2,
+        flip in 0usize..5,
         mix_seed in 0u64..u64::MAX,
     ) {
-        // Steer some cases to a last chunk of 1-3 bytes.
-        let mut data = data;
-        if short_tail > 0 {
-            let whole = data.len() / chunk_bytes as usize * chunk_bytes as usize;
-            data.resize(whole + short_tail, 0x5A);
-        }
-        let fabric = fabric();
-        let producer = fabric.register("p");
-        let consumer = fabric.register("c");
-        producer
-            .send_chunked("c", "m:1", data.clone(), LinkKind::GpuDirect, &ChunkedSend::new(chunk_bytes))
-            .expect("send");
-        let mut arrivals = drain(&consumer);
-        let mut rng = FaultRng::new(mix_seed);
-        for i in (1..arrivals.len()).rev() {
-            arrivals.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let mut asm = FlowAssembler::new();
-        let mut done = None;
-        for msg in arrivals {
-            if let FlowStatus::Complete(flow) = asm.accept(msg) {
-                done = Some(flow);
+        let footed = footed == 1;
+        for envelope in [0usize, 5] {
+            let mut payload = data.clone();
+            if footed {
+                let body_crc = crc32(&data[envelope.min(data.len())..]);
+                payload.extend_from_slice(&body_crc.to_le_bytes());
+            }
+            let len = payload.len();
+            if flip > 0 && len >= flip {
+                payload[len - flip] ^= 0x20;
+            }
+            // 0: one chunk (`chunk_bytes` past the payload's end); 1-3: a
+            // last chunk of that many bytes; otherwise the drawn size.
+            let chunk_bytes = match geometry {
+                0 => chunk_bytes + len as u64,
+                short if short < 4 && len > short => (len - short) as u64,
+                _ => chunk_bytes,
+            };
+            let fabric = fabric();
+            let producer = fabric.register("p");
+            let consumer = fabric.register("c");
+            let opts = ChunkedSend::new(chunk_bytes);
+            producer
+                .send_chunked("c", "m:1", payload.clone(), LinkKind::GpuDirect, &opts)
+                .expect("send");
+            let mut arrivals = drain(&consumer);
+            let mut rng = FaultRng::new(mix_seed);
+            for i in (1..arrivals.len()).rev() {
+                arrivals.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut asm = FlowAssembler::new();
+            let mut done = None;
+            for msg in arrivals {
+                if let FlowStatus::Complete(flow) = asm.accept(msg) {
+                    done = Some(flow);
+                }
+            }
+            let flow = done.expect("flow completes");
+            // What `apply_payload` checks: the envelope in front stripped,
+            // the 4-byte footer behind.
+            let start = envelope.min(len);
+            let end = len.saturating_sub(4).max(start);
+            let body_crc = flow.body_crc(envelope);
+            prop_assert_eq!(body_crc, crc32(&payload[start..end]), "{} B in {} B chunks", len, chunk_bytes);
+            if len >= envelope + 4 {
+                let footer = u32::from_le_bytes(payload[len - 4..].try_into().unwrap());
+                let right = crc32(&payload[envelope..len - 4]) == footer;
+                prop_assert_eq!(body_crc == footer, right);
+                prop_assert_eq!(right, footed && flip == 0);
             }
         }
-        let flow = done.expect("flow completes");
-        let len = data.len();
-        let mut ranges = vec![0..len, 0..0, len..len, len / 2..len / 2];
-        // What `apply_payload` strips: 5 envelope bytes (or none) in front,
-        // the 4-byte footer behind.
-        for envelope in [0, 5] {
-            let end = len.saturating_sub(4).max(envelope.min(len));
-            ranges.push(envelope.min(len)..end);
+    }
+}
+
+proptest! {
+    /// No bytes make the chunk or control parser panic, and a frame the
+    /// parser cannot read is refused, not guessed at: arbitrary bytes, a
+    /// valid frame cut short, and a valid header claiming any geometry or
+    /// count over any tail. A chunk header that does parse describes a body
+    /// inside its flow, and a control frame that parses re-encodes to the
+    /// very bytes it came from; its `Nack`/`Miss` bodies are sized by the
+    /// bytes, never by the claimed count.
+    #[test]
+    fn hostile_framing_never_panics_or_over_allocates(
+        bytes in prop::collection::vec(0u8..=255, 0..200),
+        cut in 0usize..80,
+        kind in 0u8..6,
+        count in prop_oneof![0u32..8, Just(u32::MAX), 0u32..=u32::MAX],
+        fields in prop::collection::vec(0u8..=255, 36..37),
+        tail in prop::collection::vec(0u8..=255, 0..64),
+    ) {
+        // Arbitrary bytes, and the same bytes behind either magic.
+        let chunk_magic = [&CHUNK_MAGIC.to_le_bytes()[..], &bytes].concat();
+        let control_magic = [&CONTROL_MAGIC.to_le_bytes()[..], &bytes].concat();
+        for buf in [&bytes, &chunk_magic, &control_magic] {
+            let parsed = ChunkHeader::decode_buf(&WireBuf::plain(buf.clone()));
+            if let Some((header, body)) = &parsed {
+                prop_assert!(header.chunk_index < header.num_chunks);
+                prop_assert!(header.offset + body.len() as u64 <= header.total_bytes);
+            } else {
+                let status = FlowAssembler::new().accept(as_chunk(buf.clone()));
+                prop_assert!(matches!(status, FlowStatus::Malformed), "{:?}", status);
+            }
+            if let Some(control) = bounded(buf.len(), || Control::decode(buf)) {
+                prop_assert_eq!(&control.encode(), buf);
+            }
         }
-        for (a, b) in cuts {
-            let (a, b) = ((a * len as f64) as usize, (b * len as f64) as usize);
-            ranges.push(a.min(b)..a.max(b));
-            // A short range, usually inside one chunk.
-            ranges.push(a..(a + 3).min(len));
+        // A valid chunk frame cut short: no header, no frame.
+        let body = &bytes[..bytes.len() / 2];
+        let frame = ChunkHeader::for_body(1, 0, 1, 0, body.len() as u64, body).frame(body);
+        let short = frame[..cut.min(ChunkHeader::WIRE_SIZE - 1)].to_vec();
+        prop_assert!(ChunkHeader::decode_buf(&WireBuf::plain(short.clone())).is_none());
+        let status = FlowAssembler::new().accept(as_chunk(short));
+        prop_assert!(matches!(status, FlowStatus::Malformed), "{:?}", status);
+        // A chunk header with arbitrary fields over any body.
+        let head = [&CHUNK_MAGIC.to_le_bytes()[..], &fields[..36]].concat();
+        let framed = [&head[..], &tail].concat();
+        if let Some((header, body)) = ChunkHeader::decode_buf(&WireBuf::plain(framed)) {
+            prop_assert!(header.chunk_index < header.num_chunks);
+            prop_assert!(header.offset + body.len() as u64 <= header.total_bytes);
         }
-        for range in ranges {
-            prop_assert_eq!(
-                flow.crc_of(range.clone()),
-                crc32(&data[range.clone()]),
-                "range {:?} of {} bytes in {}-byte chunks", range, len, chunk_bytes
-            );
+        // A control header with any kind and count over any tail, and every
+        // prefix of a valid control frame.
+        let mut control = CONTROL_MAGIC.to_le_bytes().to_vec();
+        control.push(kind);
+        control.extend_from_slice(&fields[..16]);
+        control.extend_from_slice(&count.to_le_bytes());
+        control.extend_from_slice(&tail);
+        if let Some(decoded) = bounded(control.len(), || Control::decode(&control)) {
+            prop_assert_eq!(decoded.encode(), control);
         }
+        let missing = tail.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()));
+        let nack = Control::Nack { flow_id: 7, generation: 2, missing: missing.collect() };
+        let valid = nack.encode();
+        let short = &valid[..cut.min(valid.len() - 1)];
+        prop_assert_eq!(bounded(short.len(), || Control::decode(short)), None);
     }
 }
 

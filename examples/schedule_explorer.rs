@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example schedule_explorer`
 
 use viper_des::{simulate, Discovery, SimConfig};
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_predictor::{cilp::CostParams, fit, schedule};
 use viper_workloads::WorkloadProfile;
 
@@ -55,7 +55,7 @@ fn main() {
         let tlp = fit::fit_best(&warmup);
         println!("  selected: {}", tlp.model.family());
 
-        let costs = price_update(&profile, strategy, w.model_bytes, w.ntensors, 1.0);
+        let costs = pipeline_costs(&profile, strategy, w.model_bytes, w.ntensors, 0, 1.0);
         let params = CostParams {
             t_train: w.t_train,
             t_infer: w.t_infer,

@@ -557,6 +557,32 @@ fn corruption_is_detected_nacked_and_repaired() {
     assert!(consumer.corrupt_chunks() > 0, "CRC never fired");
     assert!(consumer.nacks_sent() > 0, "corrupt chunks were not NACKed");
     assert!(producer.retransmits() > 0, "NACKs were not serviced");
+
+    // Best effort, one chunk: a damaged monolithic payload is rejected at
+    // its chunk CRC, before any format decode — and, with no feedback
+    // channel, simply lost: the slot never swaps.
+    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+    config.flush_to_pfs = false;
+    config.fault_plan = Some(FaultPlan::seeded(fault_seeds()[0]).with_corrupt(1.0));
+    let viper = Viper::new(config);
+    let producer = viper.producer("p");
+    let consumer = viper.consumer("c", "m");
+    for iter in 1..=3u64 {
+        producer.save_weights(&big_ckpt(iter, 1_500)).unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while consumer.corrupt_chunks() < 3 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(consumer.corrupt_chunks(), 3, "one chunk per payload");
+    assert_eq!(consumer.malformed_chunks(), 0);
+    assert_eq!(consumer.updates_applied(), 0);
+    assert_eq!(
+        consumer.current_iteration(),
+        None,
+        "a damaged payload swapped in"
+    );
+    assert_eq!(producer.retransmits(), 0, "best effort never retransmits");
 }
 
 /// The format footer is still checked on a chunked flow, even though the

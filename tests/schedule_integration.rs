@@ -4,7 +4,7 @@
 
 use viper::planner;
 use viper_des::{simulate, Discovery, SimConfig};
-use viper_hw::{price_update, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_predictor::schedule;
 use viper_workloads::WorkloadProfile;
 
@@ -18,7 +18,7 @@ fn gpu_strategy() -> TransferStrategy {
 /// Ground-truth CIL of a checkpoint list under the DES.
 fn simulate_cil(w: &WorkloadProfile, checkpoints: Vec<u64>) -> f64 {
     let profile = MachineProfile::polaris();
-    let costs = price_update(&profile, gpu_strategy(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(&profile, gpu_strategy(), w.model_bytes, w.ntensors, 0, 1.0);
     let cfg = SimConfig {
         t_train: w.t_train,
         t_infer: w.t_infer,
@@ -146,7 +146,7 @@ fn faster_transfer_gives_lower_cil_in_sim() {
             mode: CaptureMode::Sync,
         },
     ] {
-        let costs = price_update(&profile, strategy, w.model_bytes, w.ntensors, 1.0);
+        let costs = pipeline_costs(&profile, strategy, w.model_bytes, w.ntensors, 0, 1.0);
         let cfg = SimConfig {
             t_train: w.t_train,
             t_infer: w.t_infer,
@@ -176,7 +176,7 @@ fn push_notification_beats_slow_polling() {
     let baseline: Vec<u64> = (1..=w.run_epochs)
         .map(|k| s + k * w.iters_per_epoch)
         .collect();
-    let costs = price_update(&profile, gpu_strategy(), w.model_bytes, w.ntensors, 1.0);
+    let costs = pipeline_costs(&profile, gpu_strategy(), w.model_bytes, w.ntensors, 0, 1.0);
     let mk = |discovery| SimConfig {
         t_train: w.t_train,
         t_infer: w.t_infer,

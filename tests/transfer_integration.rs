@@ -75,7 +75,7 @@ fn virtual_latencies_order_like_fig8() {
 #[test]
 fn live_engine_latency_matches_priced_model() {
     // The two fidelities must agree: the live engine's virtual-time update
-    // latency should track `price_update` for the same payload. (The live
+    // latency should track `pipeline_costs` for the same payload. (The live
     // engine adds format framing and scheduling jitter; allow 25%.)
     for (route, mode) in [
         (Route::GpuToGpu, CaptureMode::Sync),
@@ -92,11 +92,12 @@ fn live_engine_latency_matches_priced_model() {
             .swapped_at
             .since(receipt.started_at)
             .as_secs_f64();
-        let predicted = viper_hw::price_update(
+        let predicted = viper_hw::pipeline_costs(
             &viper_hw::MachineProfile::polaris(),
             viper_hw::TransferStrategy { route, mode },
             receipt.bytes,
             2,
+            0,
             1.0,
         )
         .update_latency()
@@ -362,12 +363,13 @@ fn virtual_timeline_is_a_function_of_the_scenario() {
         // The unreliable fan-out is serial: consumer 0 is served exactly as
         // a lone consumer would be, each further one a wire time later.
         let first_install = match mode {
-            CaptureMode::Sync => 367_938,
-            CaptureMode::Async => 381_048,
+            CaptureMode::Sync => 377_943,
+            CaptureMode::Async => 391_053,
         };
         assert_eq!(single.1[0], [0, first_install], "{mode:?} monolithic x1");
+        let frame = fanout.0 + viper_net::ChunkHeader::WIRE_SIZE as u64;
         let wire = viper_hw::MachineProfile::polaris()
-            .gpu_transfer_time(fanout.0)
+            .gpu_transfer_time(frame)
             .as_nanos() as u64;
         assert_eq!(
             fanout.1[0],
@@ -575,10 +577,10 @@ fn lattice_run(config: ViperConfig) -> (LatticePins, LatticeSwaps) {
 fn delivery_lattice_keeps_its_stalls_installs_and_counters() {
     let mut got: Vec<(String, LatticePins)> = Vec::new();
     for mode in [CaptureMode::Sync, CaptureMode::Async] {
-        for (shape, chunking) in [("mono", None), ("chunked", Some(LATTICE_CHUNK))] {
+        for (shape, chunk_bytes) in [("mono", 0), ("chunked", LATTICE_CHUNK)] {
             for (delivery, build) in LATTICE_DELIVERIES {
                 let mut config = build(probe_config(mode));
-                config.chunking = chunking;
+                config.chunk_bytes = chunk_bytes;
                 let name = format!("{mode:?} {shape} {delivery}");
                 let (pins, swaps) = lattice_run(config);
                 if let Some((_, want)) = LATTICE_SWAPS.iter().find(|(n, _)| *n == name) {
@@ -611,17 +613,17 @@ fn delivery_lattice_keeps_its_stalls_installs_and_counters() {
 const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono best-effort",
-        [47177, 47177, 47177, 47177],
+        [57177, 57177, 57177, 57177],
         [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono reliable",
-        [47177, 47177, 47177, 47177],
+        [57177, 57177, 57177, 57177],
         [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono delta",
-        [47177, 47177, 47177, 47177],
+        [57177, 57177, 57177, 57177],
         [9, 3, 0, 7, 0, 0],
     ),
     (
@@ -636,12 +638,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     ),
     (
         "Sync mono relay",
-        [47177, 47177, 47177, 47177],
+        [57177, 57177, 57177, 57177],
         [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync mono relay+delta",
-        [47177, 47177, 47177, 47177],
+        [57177, 57177, 57177, 57177],
         [3, 1, 4, 7, 8, 0],
     ),
     (
@@ -792,9 +794,9 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
 ];
 
 const LATTICE_SWAPS: [(&str, LatticeSwaps); 5] = [
-    ("Sync mono best-effort", [[359026, 394454, 429882]; 4]),
+    ("Sync mono best-effort", [[369031, 404464, 439897]; 4]),
     ("Sync chunked best-effort", [[447739, 563192, 678645]; 4]),
     ("Sync chunked reliable", [[447739, 427302, 427302]; 4]),
-    ("Async mono best-effort", [[365583, 401011, 436439]; 4]),
-    ("Async chunked best-effort", [[445608, 561061, 676514]; 4]),
+    ("Async mono best-effort", [[375588, 411021, 446454]; 4]),
+    ("Async chunked best-effort", [[455608, 571061, 686514]; 4]),
 ];

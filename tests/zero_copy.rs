@@ -172,11 +172,11 @@ fn chunked_fanout_frames_without_producer_copies() {
 /// re-sends that save's buffer — no allocation either.
 #[test]
 fn delta_fulls_are_the_saves_own_buffer() {
-    for chunking in [None, Some(16 * 1024)] {
+    for chunk_bytes in [0, 16 * 1024] {
         let mut config = ViperConfig::default()
             .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
             .with_delta();
-        config.chunking = chunking;
+        config.chunk_bytes = chunk_bytes;
         config.flush_to_pfs = false;
         let viper = Viper::new(config);
         let producer = viper.producer("p");
@@ -188,17 +188,17 @@ fn delta_fulls_are_the_saves_own_buffer() {
             producer.save_weights(&ckpt(1, 50_000)).unwrap();
             for consumer in warm.iter().chain([&doomed]) {
                 let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
-                assert_eq!(*model, ckpt(1, 50_000), "{chunking:?}");
+                assert_eq!(*model, ckpt(1, 50_000), "{chunk_bytes}");
             }
             assert_eq!(
                 producer.delta_fallbacks(),
                 3,
-                "{chunking:?}: fresh consumers"
+                "{chunk_bytes}: fresh consumers"
             );
             assert_eq!(
                 producer.payload_allocs(),
                 1,
-                "{chunking:?}: the fulls are views of the serialize"
+                "{chunk_bytes}: the fulls are views of the serialize"
             );
             // `doomed` restarts here; the producer still tracks its base.
         }
@@ -206,20 +206,20 @@ fn delta_fulls_are_the_saves_own_buffer() {
         producer.save_weights(&ckpt(2, 50_000)).unwrap();
         for consumer in warm.iter().chain([&reborn]) {
             let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
-            assert_eq!(*model, ckpt(2, 50_000), "{chunking:?}");
-            assert_eq!(consumer.bytes_copied(), 0, "{chunking:?}");
+            assert_eq!(*model, ckpt(2, 50_000), "{chunk_bytes}");
+            assert_eq!(consumer.bytes_copied(), 0, "{chunk_bytes}");
         }
         assert_eq!(
             reborn.fulls_requested(),
             1,
-            "{chunking:?}: NeedFull expected"
+            "{chunk_bytes}: NeedFull expected"
         );
-        assert_eq!(producer.delta_sends(), 3, "{chunking:?}");
-        assert_eq!(producer.delta_fallbacks(), 4, "{chunking:?}");
+        assert_eq!(producer.delta_sends(), 3, "{chunk_bytes}");
+        assert_eq!(producer.delta_fallbacks(), 4, "{chunk_bytes}");
         assert_eq!(
             producer.payload_allocs(),
             3,
-            "{chunking:?}: save 2 is a serialize and one shared delta; the retry allocates nothing"
+            "{chunk_bytes}: save 2 is a serialize and one shared delta; the retry allocates nothing"
         );
     }
 }
