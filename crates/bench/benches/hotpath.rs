@@ -23,9 +23,13 @@
 //! on a reassembled flow, per-chunk verify then `decode_verified` against
 //! the one-pass `decode_spanned`, each taking its footer verdict from the
 //! flow's verified chunk CRCs (`AssembledFlow::body_crc`) inside the timed
-//! row. The `crc_copy` section prices the primitive under all
-//! of it: `memcpy`, `crc32`, `memcpy` then `crc32`, and
-//! `Crc32::update_copying`, tensor by tensor.
+//! row. These rows time the copy a decode makes where it cannot view the
+//! bytes: their payloads start one byte past a 4-byte boundary
+//! ([`misaligned`]). `spanned_view_ms` is the spanned decode as the
+//! consumer meets it, over a 4-aligned shared payload: every tensor is a
+//! view of the payload, so the pass only checksums. The `crc_copy` section
+//! prices the primitive under all of it: `memcpy`, `crc32`, `memcpy` then
+//! `crc32`, and `Crc32::update_copying`, tensor by tensor.
 //!
 //! Every section runs **hot** — one input, revisited by every repetition,
 //! so at the 24 MiB full size (2 MiB under `--test`) it sits in a large
@@ -55,7 +59,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "pr20-one-touch-per-side";
+const HISTORY_LABEL: &str = "install-by-view";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -215,10 +219,21 @@ fn fused_path(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize) -> us
 }
 
 /// The two-pass decode the one-pass `decode` replaced: one whole read of
-/// the body for its CRC, then the parse-and-copy read.
-fn two_pass_decode(bytes: &[u8]) -> Checkpoint {
+/// the body for its CRC, then the parse-and-copy read (of a [`misaligned`]
+/// payload, which cannot be viewed).
+fn two_pass_decode(bytes: &Payload) -> Checkpoint {
     let body_crc = crc32(&bytes[..bytes.len() - 4]);
     ViperFormat.decode_verified(bytes, body_crc).unwrap()
+}
+
+/// `bytes` in a shared payload that starts one byte past a 4-byte
+/// boundary, so that no tensor payload in it is 4-aligned: a decode of it
+/// copies every tensor out, as it does bytes it cannot view.
+fn misaligned(bytes: &[u8]) -> Payload {
+    let mut buf = Vec::with_capacity(bytes.len() + 1);
+    buf.push(0);
+    buf.extend_from_slice(bytes);
+    Payload::from(buf).slice(1..)
 }
 
 /// `payload` as the consumer's assembler releases it: sent as a
@@ -412,6 +427,7 @@ struct Rows {
     decode_verified: f64,
     verify_then_decode: f64,
     decode_spanned: f64,
+    decode_spanned_view: f64,
 }
 
 /// Time every section on checkpoints of `elems` f32s. `sets` distinct
@@ -450,18 +466,23 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     });
     drop(arenas);
 
-    // Consumer half: identity first, untimed.
+    // Consumer half: identity first, untimed. The copy rows decode
+    // misaligned payloads.
     let payloads: Vec<Payload> = ckpts
         .iter()
-        .map(|ckpt| Payload::from(format.encode(ckpt)))
+        .map(|ckpt| misaligned(&format.encode(ckpt)))
         .collect();
     let body_crcs: Vec<u32> = payloads.iter().map(|p| crc32(&p[..bytes - 4])).collect();
     let flows: Vec<Box<AssembledFlow>> = payloads.iter().map(assembled).collect();
+    let shared_tensors = |c: &Checkpoint| c.tensors.iter().filter(|(_, t)| t.is_shared()).count();
     assert_eq!(flows[0].body_crc(0), body_crcs[0]);
     assert_eq!(ViperFormat.decode(&payloads[0]).unwrap(), ckpts[0]);
     assert_eq!(two_pass_decode(&payloads[0]), ckpts[0]);
     assert_eq!(two_pass_receive(&flows[0]), ckpts[0]);
-    assert_eq!(one_pass_receive(&flows[0]), ckpts[0]);
+    let copied = one_pass_receive(&flows[0]);
+    assert_eq!(copied, ckpts[0]);
+    assert_eq!(shared_tensors(&copied), 0, "the copy rows copy");
+    drop(copied);
     assert_eq!(
         ViperFormat.decode_spanned(&payloads[0], 0, CHUNK_BYTES).0,
         payload_chunk_crcs(&payloads[0], CHUNK_BYTES)
@@ -470,7 +491,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     // The last `sets` decoded checkpoints stay alive, as a consumer's slot
     // keeps the versions it serves: outputs rotate like inputs.
     let mut slot: Vec<Option<Checkpoint>> = (0..sets).map(|_| None).collect();
-    let mut decode = |how: &dyn Fn(usize) -> Checkpoint| {
+    let decode = |slot: &mut Vec<Option<Checkpoint>>, how: &dyn Fn(usize) -> Checkpoint| {
         // One untimed visit per set first: whichever row runs first would
         // otherwise pay for the allocator finding its steady state.
         for (set, served) in slot.iter_mut().enumerate() {
@@ -478,16 +499,32 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         }
         time(reps, |rep| slot[rep % sets] = Some(how(rep % sets)))
     };
-    let decode_two_pass = decode(&|set| two_pass_decode(&payloads[set]));
-    let decode_one_pass = decode(&|set| ViperFormat.decode(&payloads[set]).unwrap());
-    let decode_verified = decode(&|set| {
+    let decode_two_pass = decode(&mut slot, &|set| two_pass_decode(&payloads[set]));
+    let decode_one_pass = decode(&mut slot, &|set| {
+        ViperFormat.decode(&payloads[set]).unwrap()
+    });
+    let decode_verified = decode(&mut slot, &|set| {
         let decoded = ViperFormat.decode_verified(&payloads[set], body_crcs[set]);
         decoded.unwrap()
     });
-    let verify_then_decode = decode(&|set| two_pass_receive(&flows[set]));
-    let decode_spanned = decode(&|set| one_pass_receive(&flows[set]));
-    drop(slot);
+    let verify_then_decode = decode(&mut slot, &|set| two_pass_receive(&flows[set]));
+    let decode_spanned = decode(&mut slot, &|set| one_pass_receive(&flows[set]));
     drop(flows);
+    // The view row decodes the same bytes from aligned buffers of their
+    // own, allocated once the copy rows' outputs are gone: its outputs are
+    // views of them, so the mode's peak does not grow.
+    slot.fill_with(|| None);
+    let shared: Vec<Box<AssembledFlow>> = payloads
+        .iter()
+        .map(|p| assembled(&Payload::from(p.to_vec())))
+        .collect();
+    let viewed = one_pass_receive(&shared[0]);
+    assert_eq!(viewed, ViperFormat.decode(&payloads[0]).unwrap());
+    assert_eq!(shared_tensors(&viewed), TENSORS, "the view row views");
+    drop(viewed);
+    let decode_spanned_view = decode(&mut slot, &|set| one_pass_receive(&shared[set]));
+    drop(slot);
+    drop(shared);
 
     // The primitive, tensor-sized piece by piece, into preallocated
     // destinations. Identity: both ways copy the source and roll its CRC.
@@ -600,6 +637,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         decode_verified,
         verify_then_decode,
         decode_spanned,
+        decode_spanned_view,
     }
 }
 
@@ -695,6 +733,12 @@ impl Rows {
                 "spanned_speedup",
                 ratio(self.verify_then_decode, self.decode_spanned),
             ),
+            ("spanned_view_ms", ms(self.decode_spanned_view)),
+            ("spanned_view_gib_s", gib_s(self.decode_spanned_view)),
+            (
+                "spanned_view_speedup",
+                ratio(self.decode_spanned, self.decode_spanned_view),
+            ),
         ];
         vec![
             ("crc", object(indent, &crc)),
@@ -748,6 +792,7 @@ fn main() {
         ("decode_one_pass_ms", ms(hot.decode_one_pass)),
         ("decode_verified_ms", ms(hot.decode_verified)),
         ("decode_spanned_ms", ms(hot.decode_spanned)),
+        ("decode_spanned_view_ms", ms(hot.decode_spanned_view)),
         ("copying_gib_s", hot.gib_s(hot.update_copying)),
     ];
     if let Some(cold) = &cold {
@@ -755,6 +800,7 @@ fn main() {
             ("cold_fused_ms", ms(cold.fused)),
             ("cold_verify_then_decode_ms", ms(cold.verify_then_decode)),
             ("cold_decode_spanned_ms", ms(cold.decode_spanned)),
+            ("cold_decode_spanned_view_ms", ms(cold.decode_spanned_view)),
             ("cold_memcpy_gib_s", cold.gib_s(cold.memcpy)),
             (
                 "cold_memcpy_then_crc32_gib_s",
@@ -834,13 +880,14 @@ fn main() {
             r.memcpy_then_crc / r.update_copying
         );
         println!(
-            "{mode} decode: {} ms (two-pass) -> {} ms (one-pass) -> {} ms (verified)  chunked: {} ms (verify, then decode) -> {} ms (spanned)  ({:.2}x)",
+            "{mode} decode: {} ms (two-pass) -> {} ms (one-pass) -> {} ms (verified)  chunked: {} ms (verify, then decode) -> {} ms (spanned)  ({:.2}x) -> {} ms (spanned view)",
             ms(r.decode_two_pass),
             ms(r.decode_one_pass),
             ms(r.decode_verified),
             ms(r.verify_then_decode),
             ms(r.decode_spanned),
-            r.verify_then_decode / r.decode_spanned
+            r.verify_then_decode / r.decode_spanned,
+            ms(r.decode_spanned_view)
         );
     }
     // CI regression gates, all on the hot rows (the only ones a smoke run

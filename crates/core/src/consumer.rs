@@ -562,7 +562,11 @@ impl ConsumerTask {
     /// `sealed` is the decode of this very payload that the pass computing
     /// those CRCs already made, if it made one ([`ConsumerTask::span`]); it
     /// opens against the same verdict, so the body is not even read a
-    /// first time after its verify.
+    /// first time after its verify. Either decode installs each tensor as a
+    /// view of `flow.payload` where its bytes are 4-aligned (always, for a
+    /// buffer the allocator handed out): nothing is copied, and the
+    /// installed model pins the payload's allocation until it is displaced
+    /// (DESIGN.md, "Payload ownership").
     fn apply_payload(&mut self, flow: &AssembledFlow, sealed: Option<SealedBody>) -> bool {
         let (link, tag, payload) = (flow.link, flow.tag.as_str(), &flow.payload);
         let viper = &self.viper;
@@ -590,7 +594,7 @@ impl ConsumerTask {
                 return true;
             }
         };
-        let body = &payload[start..];
+        let body = payload.slice(start..);
         // CRC of the body minus its 4-byte footer (of nothing, for a body
         // too short to have one: the decode then fails as truncated).
         let body_crc = flow.body_crc(start);
@@ -598,7 +602,7 @@ impl ConsumerTask {
             PayloadKind::Full => {
                 let decoded = match sealed {
                     Some(SealedBody::Full(sealed)) => sealed.open(body_crc),
-                    _ => self.format.decode_verified(body, body_crc),
+                    _ => self.format.decode_verified(&body, body_crc),
                 };
                 let Ok(ckpt) = decoded else {
                     return false;
@@ -608,7 +612,7 @@ impl ConsumerTask {
             PayloadKind::Delta => {
                 let decoded = match sealed {
                     Some(SealedBody::Delta(sealed)) => sealed.open(body_crc),
-                    _ => DeltaCheckpoint::decode_verified(body, body_crc),
+                    _ => DeltaCheckpoint::decode_verified(&body, body_crc),
                 };
                 let Ok(d) = decoded else {
                     return true;
@@ -629,7 +633,8 @@ impl ConsumerTask {
                 }
                 // The decoded delta is owned, so reconstruction *moves*
                 // changed tensors into the new checkpoint; only unchanged
-                // tensors are cloned from the base.
+                // tensors are cloned from the base, and a base tensor that
+                // views a received payload is shared, not copied.
                 let Ok((ckpt, stats)) = delta::apply_owned(&base, d) else {
                     return true;
                 };

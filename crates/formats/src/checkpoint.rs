@@ -1,7 +1,9 @@
 //! The in-memory checkpoint representation shared by all formats.
 
 use crate::crc::ChunkCrcs;
+use crate::Payload;
 use std::mem::MaybeUninit;
+use std::sync::Arc;
 use viper_tensor::Tensor;
 
 /// A snapshot of a DNN model's state: named weight tensors plus the
@@ -113,6 +115,47 @@ impl std::fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+/// Bytes to decode, and the shared allocation they lie in when the caller
+/// has one: a received [`Payload`] is decoded into views of itself, a bare
+/// slice into copies.
+#[derive(Clone, Copy)]
+pub(crate) struct Source<'a> {
+    bytes: &'a [u8],
+    /// The allocation `bytes` lies in, and the offset of `bytes[0]` in it.
+    owner: Option<(&'a Arc<Vec<u8>>, usize)>,
+}
+
+impl<'a> Source<'a> {
+    /// Bytes no one shares: every tensor is copied out of them.
+    pub(crate) fn slice(bytes: &'a [u8]) -> Self {
+        Source { bytes, owner: None }
+    }
+
+    /// The bytes of `payload`, which tensors may view in place.
+    pub(crate) fn payload(payload: &'a Payload) -> Self {
+        Source {
+            bytes: payload.as_slice(),
+            owner: Some((payload.backing(), payload.start())),
+        }
+    }
+
+    /// `self` split at `mid` (clamped to the length).
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (head, tail) = self.bytes.split_at(mid.min(self.bytes.len()));
+        let tail_owner = self.owner.map(|(buf, start)| (buf, start + head.len()));
+        (
+            Source {
+                bytes: head,
+                ..self
+            },
+            Source {
+                bytes: tail,
+                owner: tail_owner,
+            },
+        )
+    }
+}
+
 /// Little-endian cursor shared by the format implementations. Every length
 /// it meets comes from the bytes being parsed — possibly before their
 /// checksum verdict — so none is added, multiplied or allocated from
@@ -120,11 +163,17 @@ impl std::error::Error for FormatError {}
 ///
 /// A [`checksummed`](Reader::checksummed) reader also rolls [`ChunkCrcs`]
 /// over the buffer, lazily: header fields are checksummed just ahead of the
-/// tensor payload that follows them, and the payload in the very pass that
-/// copies it out ([`ChunkCrcs::update_copying`]) — the decode reads every
-/// byte from memory once.
+/// tensor payload that follows them, and a copied payload in the very pass
+/// that copies it out ([`ChunkCrcs::update_copying`]) — the decode reads
+/// every byte from memory once.
+///
+/// A reader over a shared [`Source`] installs a 4-aligned tensor payload as
+/// a view of the source's allocation ([`Tensor::from_shared`]) instead of
+/// copying it: a checksummed reader then reads the payload once, for its
+/// CRC, and one whose caller already holds the body's CRC not at all.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
+    owner: Option<(&'a Arc<Vec<u8>>, usize)>,
     pos: usize,
     /// Rolling chunk CRCs of `buf[..hashed]` (and of whatever the caller
     /// fed them before the buffer); `None` when the caller already holds
@@ -140,20 +189,26 @@ pub(crate) const MIN_TENSOR_RECORD: usize = 12;
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader::over(Source::slice(buf))
+    }
+
+    /// A reader over `src`, viewing its payloads where `src` is shared.
+    pub(crate) fn over(src: Source<'a>) -> Self {
         Reader {
-            buf,
+            buf: src.bytes,
+            owner: src.owner,
             pos: 0,
             crcs: None,
             hashed: 0,
         }
     }
 
-    /// A reader that rolls `crcs` on over `buf` while it is consumed; see
+    /// A reader that rolls `crcs` on over `src` while it is consumed; see
     /// [`finish_crcs`](Self::finish_crcs).
-    pub(crate) fn checksummed(buf: &'a [u8], crcs: ChunkCrcs) -> Self {
+    pub(crate) fn checksummed(src: Source<'a>, crcs: ChunkCrcs) -> Self {
         Reader {
             crcs: Some(crcs),
-            ..Reader::new(buf)
+            ..Reader::over(src)
         }
     }
 
@@ -238,31 +293,43 @@ impl<'a> Reader<'a> {
             let dim = usize::try_from(self.u64("tensor dim")?);
             dims.push(dim.map_err(|_| FormatError::Corrupt(format!("tensor {name}: huge dim")))?);
         }
-        let nbytes = if dims.contains(&0) {
-            Some(0)
-        } else {
-            dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d))
-        };
-        let nbytes =
-            nbytes.ok_or_else(|| FormatError::Corrupt(format!("tensor {name}: dims overflow")))?;
+        let nbytes = f32_bytes(&dims)
+            .ok_or_else(|| FormatError::Corrupt(format!("tensor {name}: dims overflow")))?;
         Ok((name, dims, nbytes))
     }
 
-    /// One whole tensor record (`name, rank, dims, payload`), the unit both
-    /// the full and the delta layout are made of. The payload crosses into
-    /// the tensor's `Vec<f32>` in one copy.
+    /// One whole tensor record (`name, rank, dims, pad, payload`), the unit
+    /// both the full and the delta layout are made of. The 0-3 pad bytes,
+    /// all zero, put the payload at a 4-byte boundary of the buffer. The
+    /// payload becomes a view of the shared source where its address is
+    /// 4-aligned, and otherwise crosses into the tensor's `Vec<f32>` in one
+    /// copy.
     pub(crate) fn tensor(&mut self) -> Result<(String, Tensor), FormatError> {
         let (name, dims, nbytes) = self.tensor_header()?;
+        let pad = self.take(pad_len(self.pos), "tensor pad")?;
+        if pad.iter().any(|&b| b != 0) {
+            return Err(FormatError::Corrupt(format!("tensor {name}: nonzero pad")));
+        }
+        let at = self.pos;
         let payload = self.take(nbytes, "tensor payload")?;
+        let view = self
+            .owner
+            .and_then(|(buf, start)| Tensor::from_shared(Arc::clone(buf), start + at, &dims));
         if let Some(crcs) = &mut self.crcs {
             // Everything parsed since the last payload (this record's
-            // header included) goes in front of it.
-            crcs.update(&self.buf[self.hashed..self.pos - nbytes]);
+            // header and pad included) goes in front of it; a viewed
+            // payload goes with it, a copied one with its copy.
+            let end = if view.is_some() { self.pos } else { at };
+            crcs.update(&self.buf[self.hashed..end]);
             self.hashed = self.pos;
         }
-        let data = copy_f32s(payload, self.crcs.as_mut());
-        let tensor =
-            Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?;
+        let tensor = match view {
+            Some(tensor) => tensor,
+            None => {
+                let data = copy_f32s(payload, self.crcs.as_mut());
+                Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?
+            }
+        };
         Ok((name, tensor))
     }
 
@@ -323,14 +390,14 @@ fn check_footer(stored: u32, computed: u32) -> Result<(), FormatError> {
 }
 
 /// Split a `body ‖ crc32(body)` stream into the body and the stored footer.
-fn split_footer(bytes: &[u8]) -> Result<(&[u8], u32), FormatError> {
-    let Some(split) = bytes.len().checked_sub(4) else {
+fn split_footer(src: Source<'_>) -> Result<(Source<'_>, u32), FormatError> {
+    let Some(split) = src.bytes.len().checked_sub(4) else {
         return Err(FormatError::Truncated {
             context: "crc footer",
         });
     };
-    let (body, footer) = bytes.split_at(split);
-    let stored = u32::from_le_bytes(footer.try_into().expect("footer is 4 bytes"));
+    let (body, footer) = src.split_at(split);
+    let stored = u32::from_le_bytes(footer.bytes.try_into().expect("footer is 4 bytes"));
     Ok((body, stored))
 }
 
@@ -341,15 +408,15 @@ fn split_footer(bytes: &[u8]) -> Result<(&[u8], u32), FormatError> {
 /// whatever `parse` found: damaged bytes fail structurally in arbitrary
 /// ways, and the caller is owed the root cause.
 pub(crate) fn decode_footed<T>(
-    bytes: &[u8],
+    src: Source<'_>,
     body_crc: Option<u32>,
     parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
 ) -> Result<T, FormatError> {
-    let (body, stored) = split_footer(bytes)?;
+    let (body, stored) = split_footer(src)?;
     match body_crc {
         Some(computed) => {
             check_footer(stored, computed)?;
-            parse(&mut Reader::new(body))
+            parse(&mut Reader::over(body))
         }
         None => {
             let mut r = Reader::checksummed(body, ChunkCrcs::new(0));
@@ -366,31 +433,52 @@ pub(crate) fn decode_footed<T>(
 /// per-chunk verify of the same bytes computes) and the body's parse,
 /// [`Sealed`] until the caller has a verdict on those CRCs.
 pub(crate) fn decode_spanned<T>(
-    bytes: &[u8],
+    src: Source<'_>,
     skip: usize,
     chunk_bytes: u64,
     parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
 ) -> (Vec<u32>, Sealed<T>) {
-    let (envelope, framed) = bytes.split_at(skip.min(bytes.len()));
+    let (envelope, framed) = src.split_at(skip);
     let mut crcs = ChunkCrcs::new(chunk_bytes);
-    crcs.update(envelope);
+    crcs.update(envelope.bytes);
     let sealed = match split_footer(framed) {
         Ok((body, stored)) => {
             let mut r = Reader::checksummed(body, crcs);
             let parsed = parse(&mut r);
             crcs = r.finish_crcs();
-            crcs.update(&framed[body.len()..]);
+            crcs.update(&framed.bytes[body.bytes.len()..]);
             Sealed {
                 stored: Some(stored),
                 parsed,
             }
         }
         Err(too_short) => {
-            crcs.update(framed);
+            crcs.update(framed.bytes);
             Sealed::verified(Err(too_short))
         }
     };
     (crcs.finish(), sealed)
+}
+
+/// The payload size in bytes of `f32`s shaped `dims`, `None` where it
+/// overflows: a zero dim makes any shape empty, however large the others.
+pub(crate) fn f32_bytes(dims: &[usize]) -> Option<usize> {
+    match dims.contains(&0) {
+        true => Some(0),
+        false => dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d)),
+    }
+}
+
+/// Zero bytes that bring `pos` bytes of a body to a 4-byte boundary: the
+/// pad in front of every tensor payload (0-3 bytes).
+pub(crate) fn pad_len(pos: usize) -> usize {
+    pos.wrapping_neg() % 4
+}
+
+/// Append the pad in front of a tensor payload, for a body that starts at
+/// `out[0]`.
+pub(crate) fn put_pad(out: &mut Vec<u8>) {
+    out.resize(out.len() + pad_len(out.len()), 0);
 }
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -628,29 +716,90 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn checksummed_reader_covers_the_whole_buffer_however_far_parsing_got() {
+    /// One tensor record (`w`, dims `[3]`, the pad, 1 2 3), then a `u32`.
+    fn record() -> Vec<u8> {
         let mut buf = Vec::new();
         put_string(&mut buf, "w");
         put_u32(&mut buf, 1);
         put_u64(&mut buf, 3);
+        put_pad(&mut buf);
         put_f32s(&mut buf, &[1.0, 2.0, 3.0]);
         put_u32(&mut buf, 0xFEED);
-        // Parsed to the end, stopped half way, and not parsed at all.
-        let checksummed = |buf| Reader::checksummed(buf, ChunkCrcs::new(0));
-        let crc_of = |r: Reader<'_>| r.finish_crcs().stream_crc();
-        let mut r = checksummed(&buf);
-        let (name, t) = r.tensor().unwrap();
-        assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
-        assert_eq!(r.u32("tail").unwrap(), 0xFEED);
-        assert_eq!(crc_of(r), crc32(&buf));
-        let mut r = checksummed(&buf);
-        r.tensor().unwrap();
-        assert_eq!(crc_of(r), crc32(&buf));
-        let mut r = checksummed(&buf[..buf.len() - 9]);
-        assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
-        assert_eq!(crc_of(r), crc32(&buf[..buf.len() - 9]));
-        assert_eq!(crc_of(checksummed(&buf)), crc32(&buf));
+        buf
+    }
+
+    #[test]
+    fn checksummed_reader_covers_the_whole_buffer_however_far_parsing_got() {
+        let buf = record();
+        // From a bare slice (a copy) and from a shared payload (a view
+        // where the payload's address is 4-aligned): the same CRCs.
+        let shared = Payload::from(buf.clone());
+        for src in [Source::slice(&buf), Source::payload(&shared)] {
+            // Parsed to the end, stopped half way, and not parsed at all.
+            let checksummed = |src| Reader::checksummed(src, ChunkCrcs::new(0));
+            let crc_of = |r: Reader<'_>| r.finish_crcs().stream_crc();
+            let mut r = checksummed(src);
+            let (name, t) = r.tensor().unwrap();
+            assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
+            assert_eq!(r.u32("tail").unwrap(), 0xFEED);
+            assert_eq!(crc_of(r), crc32(&buf));
+            let mut r = checksummed(src);
+            r.tensor().unwrap();
+            assert_eq!(crc_of(r), crc32(&buf));
+            let (cut, _) = src.split_at(buf.len() - 9);
+            let mut r = checksummed(cut);
+            assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
+            assert_eq!(crc_of(r), crc32(&buf[..buf.len() - 9]));
+            assert_eq!(crc_of(checksummed(src)), crc32(&buf));
+        }
+    }
+
+    #[test]
+    fn a_shared_source_is_viewed_where_aligned_and_copied_elsewhere() {
+        let buf = record();
+        // The record behind 0-7 bytes of lead: the payload's address takes
+        // every residue mod 4, and only 0 is viewed.
+        for lead in 0..8 {
+            let mut bytes = vec![0xAB; lead];
+            bytes.extend_from_slice(&buf);
+            let shared = Payload::from(bytes).slice(lead..);
+            let (_, t) = Reader::over(Source::payload(&shared)).tensor().unwrap();
+            assert_eq!(t.as_slice(), &[1.0, 2.0, 3.0]);
+            let at = shared.as_ptr().wrapping_add(20);
+            assert_eq!(t.is_shared(), at.align_offset(4) == 0, "lead {lead}");
+            if t.is_shared() {
+                assert_eq!(t.as_bytes().as_ptr(), at, "a view of the bytes in place");
+                assert_eq!(shared.ref_count(), 2, "the view holds the allocation");
+            }
+            let (_, copy) = Reader::new(&shared).tensor().unwrap();
+            assert!(!copy.is_shared());
+        }
+    }
+
+    #[test]
+    fn pads_must_be_present_and_zero() {
+        let buf = record();
+        // `w` ends the name at 5, the rank at 9, the dim at 17: 3 pad bytes.
+        assert_eq!(&buf[17..20], &[0, 0, 0]);
+        for at in 17..20 {
+            let mut bad = buf.clone();
+            bad[at] = 1;
+            let got = Reader::new(&bad).tensor();
+            assert!(matches!(got, Err(FormatError::Corrupt(_))), "{got:?}");
+        }
+        for len in 17..20 {
+            let got = Reader::new(&buf[..len]).tensor();
+            assert_eq!(
+                got,
+                Err(FormatError::Truncated {
+                    context: "tensor pad"
+                })
+            );
+        }
+        assert_eq!(
+            (0..8).map(pad_len).collect::<Vec<_>>(),
+            [0, 3, 2, 1, 0, 3, 2, 1]
+        );
     }
 
     #[test]

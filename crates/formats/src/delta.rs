@@ -12,25 +12,29 @@
 //!
 //! ```text
 //! magic     : b"VIPD"
-//! version   : u32 (= 1)
+//! version   : u32 (= 2)
 //! name      : string
 //! base_iter : u64      iteration of the base checkpoint
 //! iteration : u64      iteration of the reconstructed checkpoint
-//! nchanged  : u32, then per tensor: name, rank, dims, payload
+//! nchanged  : u32, then per tensor: name, rank, dims, pad, payload
 //! nsame     : u32, then per tensor: name
 //! crc32     : u32
 //! ```
+//!
+//! As in the full layout (version 2), `pad` is 0-3 zero bytes that start
+//! each payload at a multiple of 4 bytes from the start of the stream, so
+//! a received delta's changed tensors are views of the wire bytes.
 
 use crate::checkpoint::{
-    decode_footed, decode_spanned, put_f32s, put_string, put_u32, put_u64, Reader,
+    decode_footed, decode_spanned, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
 use crate::encoder::StreamMark;
-use crate::{crc32, Checkpoint, FormatError, Sealed, StreamingEncoder};
+use crate::{crc32, Checkpoint, FormatError, Payload, Sealed, StreamingEncoder};
 use viper_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"VIPD";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The difference between two checkpoints of the same model.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +82,7 @@ impl DeltaCheckpoint {
             for &d in tensor.dims() {
                 put_u64(&mut out, d as u64);
             }
+            put_pad(&mut out);
             put_f32s(&mut out, tensor.as_slice());
         }
         put_u32(&mut out, self.unchanged.len() as u32);
@@ -107,6 +112,7 @@ impl DeltaCheckpoint {
             for &d in tensor.dims() {
                 enc.put_u64(d as u64);
             }
+            enc.put_pad(mark);
             enc.put_f32s(tensor.as_slice());
         }
         enc.put_u32(self.unchanged.len() as u32);
@@ -119,21 +125,26 @@ impl DeltaCheckpoint {
 
     /// Deserialize and verify a delta.
     pub fn decode(bytes: &[u8]) -> Result<Self, FormatError> {
-        decode_footed(bytes, None, Self::parse_body)
+        decode_footed(Source::slice(bytes), None, Self::parse_body)
     }
 
     /// [`decode`](Self::decode) against a `body_crc` the caller already
-    /// holds; same contract as
+    /// holds, with the changed tensors viewing `bytes`' allocation; same
+    /// contract as
     /// [`CheckpointFormat::decode_verified`](crate::CheckpointFormat::decode_verified).
-    pub fn decode_verified(bytes: &[u8], body_crc: u32) -> Result<Self, FormatError> {
-        decode_footed(bytes, Some(body_crc), Self::parse_body)
+    pub fn decode_verified(bytes: &Payload, body_crc: u32) -> Result<Self, FormatError> {
+        decode_footed(Source::payload(bytes), Some(body_crc), Self::parse_body)
     }
 
     /// The chunk CRCs of a whole received payload and its [`Sealed`]
     /// decode from one pass over `bytes`; same contract as
     /// [`CheckpointFormat::decode_spanned`](crate::CheckpointFormat::decode_spanned).
-    pub fn decode_spanned(bytes: &[u8], skip: usize, chunk_bytes: u64) -> (Vec<u32>, Sealed<Self>) {
-        decode_spanned(bytes, skip, chunk_bytes, Self::parse_body)
+    pub fn decode_spanned(
+        bytes: &Payload,
+        skip: usize,
+        chunk_bytes: u64,
+    ) -> (Vec<u32>, Sealed<Self>) {
+        decode_spanned(Source::payload(bytes), skip, chunk_bytes, Self::parse_body)
     }
 
     /// Everything between the start of the stream and the CRC footer.
@@ -278,6 +289,7 @@ impl<'a> DiffSink<'a> {
         for &d in tensor.dims() {
             self.enc.put_u64(d as u64);
         }
+        self.enc.put_pad(self.mark);
         self.enc.put_f32s(tensor.as_slice());
     }
 
@@ -464,15 +476,17 @@ pub fn apply(base: &Checkpoint, delta: &DeltaCheckpoint) -> Result<Checkpoint, F
 
 /// Allocation accounting from [`apply_owned`]: how many tensors were moved
 /// into the reconstruction (zero new allocations) versus copied out of the
-/// base. The borrowed [`apply`] copies *every* tensor
-/// (`moved + copied` of them); the drop to `copied` is the win this
-/// counter proves.
+/// base. The borrowed [`apply`] clones *every* tensor; the drop to
+/// `copied` is the win this counter proves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Changed tensors moved out of the delta — allocation reused as-is.
     pub tensors_moved: usize,
-    /// Unchanged tensors cloned from the base (the base stays live behind
-    /// an `Arc` on the consumer, so its allocations cannot be stolen).
+    /// Unchanged tensors whose elements were copied out of the base (the
+    /// base stays live behind an `Arc` on the consumer, so its allocations
+    /// cannot be stolen). A base tensor that views a shared buffer
+    /// ([`Tensor::is_shared`]) is cloned by a reference-count bump, which
+    /// is not a copy and is not counted.
     pub tensors_copied: usize,
 }
 
@@ -514,7 +528,7 @@ pub fn apply_owned(
             stats.tensors_moved += 1;
             tensors.push((name.clone(), t));
         } else if unchanged.contains(name.as_str()) {
-            stats.tensors_copied += 1;
+            stats.tensors_copied += usize::from(!base_tensor.is_shared());
             tensors.push((name.clone(), base_tensor.clone()));
         } else {
             return Err(FormatError::Corrupt(format!(
@@ -632,9 +646,12 @@ mod tests {
         let bytes = d.encode();
         let (body, footer) = bytes.split_at(bytes.len() - 4);
         let footer = u32::from_le_bytes(footer.try_into().unwrap());
-        assert_eq!(DeltaCheckpoint::decode_verified(&bytes, crc32(body)), Ok(d));
         assert_eq!(
-            DeltaCheckpoint::decode_verified(&bytes, 7),
+            DeltaCheckpoint::decode_verified(&bytes.clone().into(), crc32(body)),
+            Ok(d)
+        );
+        assert_eq!(
+            DeltaCheckpoint::decode_verified(&bytes.clone().into(), 7),
             Err(FormatError::ChecksumMismatch {
                 stored: footer,
                 computed: 7
@@ -647,7 +664,7 @@ mod tests {
             computed: crc32(body),
         });
         assert_eq!(
-            DeltaCheckpoint::decode_verified(&bad_footer, crc32(body)),
+            DeltaCheckpoint::decode_verified(&bad_footer.clone().into(), crc32(body)),
             want
         );
         assert_eq!(DeltaCheckpoint::decode(&bad_footer), want);
@@ -878,6 +895,31 @@ mod tests {
                 tensors_copied: 1
             }
         );
+    }
+
+    #[test]
+    fn apply_owned_over_a_view_backed_base_copies_nothing() {
+        use crate::{CheckpointFormat, ViperFormat};
+        // The base as a consumer installs it: views of a received payload
+        // (heap buffers are at least 4-aligned, so every payload is one).
+        let wire = Payload::from(ViperFormat.encode(&base()));
+        let body_crc = crc32(&wire[..wire.len() - 4]);
+        let viewed = ViperFormat.decode_verified(&wire, body_crc).unwrap();
+        assert!(viewed.tensors.iter().all(|(_, t)| t.is_shared()));
+        let d = diff(&base(), &fine_tuned()).unwrap();
+        let (via_owned, stats) = apply_owned(&viewed, d.clone()).unwrap();
+        assert_eq!(via_owned, apply(&viewed, &d).unwrap());
+        assert_eq!(via_owned, fine_tuned());
+        // The frozen backbone is shared with the base, not copied.
+        assert_eq!(
+            stats,
+            ApplyStats {
+                tensors_moved: 2,
+                tensors_copied: 0
+            }
+        );
+        let frozen = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();
+        assert_eq!(frozen(&via_owned), frozen(&viewed));
     }
 
     #[test]

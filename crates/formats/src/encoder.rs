@@ -39,7 +39,7 @@
 //! [`mark`]: StreamingEncoder::mark
 //! [`crc_since`]: StreamingEncoder::crc_since
 
-use crate::checkpoint::{f32s_as_le_bytes, put_f32s};
+use crate::checkpoint::{f32s_as_le_bytes, pad_len, put_f32s};
 use crate::crc::{crc32_combine, ChunkCrcs};
 use crate::payload::Payload;
 use std::sync::Arc;
@@ -310,11 +310,20 @@ impl StreamingEncoder {
         }
     }
 
+    /// Append the 0-3 zero bytes that bring the body begun at `mark` to a
+    /// 4-byte boundary: the pad in front of every tensor payload, so that a
+    /// receiver can view the payload in place as `f32`s. Matches
+    /// `checkpoint::put_pad` for a body that starts at `mark`.
+    pub fn put_pad(&mut self, mark: StreamMark) {
+        let pad = pad_len(self.buf.len() - mark.pos);
+        self.buf.resize(self.buf.len() + pad, 0);
+    }
+
     /// Feed all not-yet-checksummed bytes into the chunk CRCs. Only the
-    /// fixed-width writers (`put_u8` … `put_string`) leave bytes pending —
-    /// a few dozen per tensor record — and every bulk append, every
-    /// [`mark`](Self::mark) and [`finish`](Self::finish) absorbs them
-    /// first, so a format writer has no call to make.
+    /// fixed-width writers (`put_u8` … `put_string`, `put_pad`) leave
+    /// bytes pending — a few dozen per tensor record — and every bulk
+    /// append, every [`mark`](Self::mark) and [`finish`](Self::finish)
+    /// absorbs them first, so a format writer has no call to make.
     pub fn absorb(&mut self) {
         self.crcs.update(&self.buf[self.absorbed..]);
         self.absorbed = self.buf.len();

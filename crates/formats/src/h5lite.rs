@@ -16,7 +16,7 @@
 //! footer          : u32 dataset count + crc32
 //! ```
 
-use crate::checkpoint::{bytes_to_f32s, put_f32s, put_string, put_u32, put_u64, Reader};
+use crate::checkpoint::{bytes_to_f32s, f32_bytes, put_f32s, put_string, put_u32, put_u64, Reader};
 use crate::{crc32, Checkpoint, CheckpointFormat, FormatError};
 use viper_tensor::Tensor;
 
@@ -120,7 +120,8 @@ impl CheckpointFormat for H5Lite {
         let _version = r.u32("superblock version")?;
         let model_name = r.string("model name")?;
         let iteration = r.u64("iteration")?;
-        let ntensors = r.u32("dataset count")? as usize;
+        // Every dataset costs at least its object header and chunk count.
+        let ntensors = r.count(OBJECT_HEADER_SIZE + 4, "dataset count")?;
         r.skip(SUPERBLOCK_SIZE - r.position(), "superblock padding")?;
 
         let mut tensors = Vec::with_capacity(ntensors);
@@ -133,17 +134,24 @@ impl CheckpointFormat for H5Lite {
             }
             let mut dims = Vec::with_capacity(rank);
             for _ in 0..rank {
-                dims.push(r.u64("dataset dim")? as usize);
+                let dim = usize::try_from(r.u64("dataset dim")?);
+                dims.push(dim.map_err(|_| FormatError::Corrupt(format!("{name}: huge dim")))?);
             }
             let _dtype = r.string("dtype attribute")?;
             let _fill = r.u64("fill attribute")?;
-            r.skip(
-                header_start + OBJECT_HEADER_SIZE - r.position(),
-                "object header padding",
-            )?;
+            let header_left = (header_start + OBJECT_HEADER_SIZE).checked_sub(r.position());
+            let header_left = header_left.ok_or_else(|| {
+                FormatError::Corrupt(format!("dataset {name}: object header overflows"))
+            })?;
+            r.skip(header_left, "object header padding")?;
 
-            let n: usize = dims.iter().product();
-            let expected_payload = n * 4;
+            let expected_payload = f32_bytes(&dims)
+                .ok_or_else(|| FormatError::Corrupt(format!("dataset {name}: dims overflow")))?;
+            if expected_payload > r.remaining() {
+                return Err(FormatError::Truncated {
+                    context: "dataset payload",
+                });
+            }
             let nchunks = r.u32("chunk count")? as usize;
             let mut payload = Vec::with_capacity(expected_payload);
             if expected_payload == 0 {

@@ -67,8 +67,13 @@ pub trait CheckpointFormat: Send + Sync {
     /// reading them again (`crc32_combine` over the chunk CRCs). The stored
     /// footer is still compared, against `body_crc`, and a disagreement is
     /// still [`FormatError::ChecksumMismatch`]; only the checksum pass over
-    /// the body is skipped. The default ignores the hint and self-verifies.
-    fn decode_verified(&self, bytes: &[u8], body_crc: u32) -> Result<Checkpoint, FormatError> {
+    /// the body is skipped. A format whose tensor payloads are 4-aligned
+    /// returns tensors that view `bytes`' allocation
+    /// ([`Tensor::from_shared`](viper_tensor::Tensor::from_shared)) where
+    /// the host allows it, so the body is not read at all; they keep the
+    /// allocation alive. The default ignores the hint and self-verifies a
+    /// copy.
+    fn decode_verified(&self, bytes: &Payload, body_crc: u32) -> Result<Checkpoint, FormatError> {
         let _ = body_crc;
         self.decode(bytes)
     }
@@ -81,12 +86,15 @@ pub trait CheckpointFormat: Send + Sync {
     /// is the length of a wire envelope in front of the encoding),
     /// [`Sealed`] until the receiver opens it with the body CRC those
     /// comparisons vouch for. Opened with the CRC32 of the encoding minus
-    /// its 4-byte footer, the result is exactly
-    /// [`decode`](Self::decode)`(&bytes[skip..])`. The default makes two
-    /// passes: the chunk CRCs, then the self-verifying `decode`.
+    /// its 4-byte footer, the result equals
+    /// [`decode`](Self::decode)`(&bytes[skip..])`; as in
+    /// [`decode_verified`](Self::decode_verified), its tensors may be views
+    /// of `bytes`' allocation, and then the one pass only checksums them.
+    /// The default makes two passes: the chunk CRCs, then the
+    /// self-verifying `decode`.
     fn decode_spanned(
         &self,
-        bytes: &[u8],
+        bytes: &Payload,
         skip: usize,
         chunk_bytes: u64,
     ) -> (Vec<u32>, Sealed<Checkpoint>) {

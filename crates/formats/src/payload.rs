@@ -120,6 +120,12 @@ impl Payload {
     pub(crate) fn backing(&self) -> &Arc<Vec<u8>> {
         &self.buf
     }
+
+    /// Where this view starts in [`backing`](Self::backing): a decode turns
+    /// a payload's tensors into views of the allocation at this offset.
+    pub(crate) fn start(&self) -> usize {
+        self.start
+    }
 }
 
 impl Deref for Payload {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic     : b"VIPR"
-//! version   : u32 (= 1)
+//! version   : u32 (= 2)
 //! name      : u32 len + bytes
 //! iteration : u64
 //! ntensors  : u32
@@ -12,18 +12,26 @@
 //!   name    : u32 len + bytes
 //!   rank    : u32
 //!   dims    : rank x u64
+//!   pad     : 0-3 zero bytes, so that the payload starts 4-aligned
 //!   payload : num_elements x f32
 //! crc32     : u32 over everything before the footer
 //! ```
+//!
+//! Version 2 added the pad: every payload sits at a multiple of 4 bytes
+//! from the start of the stream, so a receiver whose buffer starts
+//! 4-aligned (the wire envelope is 8 bytes for the same reason) installs
+//! each tensor as a view of the received bytes instead of a copy. Nonzero
+//! pad bytes are [`FormatError::Corrupt`]; a version 1 stream is
+//! [`FormatError::BadMagic`].
 
 use crate::checkpoint::{
-    decode_footed, decode_spanned, put_f32s, put_string, put_u32, put_u64, Reader,
+    decode_footed, decode_spanned, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
-use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Sealed, StreamingEncoder};
+use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Payload, Sealed, StreamingEncoder};
 
 const MAGIC: &[u8; 4] = b"VIPR";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The lean Viper binary format: "only the model weights and closely
 /// related metadata" (§5.3).
@@ -48,6 +56,7 @@ impl CheckpointFormat for ViperFormat {
             for &d in tensor.dims() {
                 put_u64(&mut out, d as u64);
             }
+            put_pad(&mut out);
             put_f32s(&mut out, tensor.as_slice());
         }
         let crc = crc32(&out);
@@ -72,6 +81,7 @@ impl CheckpointFormat for ViperFormat {
             for &d in tensor.dims() {
                 enc.put_u64(d as u64);
             }
+            enc.put_pad(mark);
             enc.put_f32s(tensor.as_slice());
         }
         let crc = enc.crc_since(mark);
@@ -79,20 +89,20 @@ impl CheckpointFormat for ViperFormat {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError> {
-        decode_footed(bytes, None, parse_body)
+        decode_footed(Source::slice(bytes), None, parse_body)
     }
 
-    fn decode_verified(&self, bytes: &[u8], body_crc: u32) -> Result<Checkpoint, FormatError> {
-        decode_footed(bytes, Some(body_crc), parse_body)
+    fn decode_verified(&self, bytes: &Payload, body_crc: u32) -> Result<Checkpoint, FormatError> {
+        decode_footed(Source::payload(bytes), Some(body_crc), parse_body)
     }
 
     fn decode_spanned(
         &self,
-        bytes: &[u8],
+        bytes: &Payload,
         skip: usize,
         chunk_bytes: u64,
     ) -> (Vec<u32>, Sealed<Checkpoint>) {
-        decode_spanned(bytes, skip, chunk_bytes, parse_body)
+        decode_spanned(Source::payload(bytes), skip, chunk_bytes, parse_body)
     }
 
     fn metadata_ops_factor(&self) -> f64 {
@@ -215,10 +225,14 @@ mod tests {
         let bytes = f.encode(&sample());
         let (body, footer) = bytes.split_at(bytes.len() - 4);
         let footer = u32::from_le_bytes(footer.try_into().unwrap());
-        assert_eq!(f.decode_verified(&bytes, crc32(body)).unwrap(), sample());
+        assert_eq!(
+            f.decode_verified(&bytes.clone().into(), crc32(body))
+                .unwrap(),
+            sample()
+        );
         // A body CRC that disagrees with the footer is a mismatch...
         assert_eq!(
-            f.decode_verified(&bytes, 0xDEAD_BEEF),
+            f.decode_verified(&bytes.clone().into(), 0xDEAD_BEEF),
             Err(FormatError::ChecksumMismatch {
                 stored: footer,
                 computed: 0xDEAD_BEEF
@@ -232,10 +246,13 @@ mod tests {
             stored: footer ^ 0x4000_0000,
             computed: crc32(body),
         });
-        assert_eq!(f.decode_verified(&bad_footer, crc32(body)), want);
+        assert_eq!(
+            f.decode_verified(&bad_footer.clone().into(), crc32(body)),
+            want
+        );
         assert_eq!(f.decode(&bad_footer), want);
         assert!(matches!(
-            f.decode_verified(&[1, 2, 3], 0),
+            f.decode_verified(&vec![1, 2, 3].into(), 0),
             Err(FormatError::Truncated { .. })
         ));
     }
@@ -286,6 +303,7 @@ mod tests {
             for &d in dims {
                 put_u64(body, d);
             }
+            put_pad(body);
             put_f32s(body, &vec![0.5; floats]);
         };
         let f = ViperFormat;
@@ -312,7 +330,11 @@ mod tests {
         assert!(matches!(one_pass, Err(FormatError::Truncated { .. })));
         assert_eq!(one_pass, oracle);
         let crc = crc32(&bytes[..bytes.len() - 4]);
-        assert_eq!(f.decode_verified(&bytes, crc).map(|c| f.encode(&c)), oracle);
+        assert_eq!(
+            f.decode_verified(&bytes.clone().into(), crc)
+                .map(|c| f.encode(&c)),
+            oracle
+        );
     }
 
     proptest! {
@@ -366,6 +388,11 @@ mod tests {
         let crc = crc32(&foreign);
         foreign.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(f.decode(&foreign), Err(FormatError::BadMagic)));
+        // A version 1 stream (no pads) is not this layout either.
+        let mut v1 = f.encode(&sample());
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        v1.truncate(v1.len() - 4);
+        assert_eq!(f.decode(&sealed(v1)), Err(FormatError::BadMagic));
     }
 
     #[test]

@@ -5,8 +5,19 @@
 //! [`crate::DeltaCheckpoint`]s (VIPD). The receiver must dispatch on an
 //! explicit header, never by sniffing body magics — the same rule the
 //! chunked transport applies to chunk vs control messages. This module
-//! is that header: a 5-byte envelope (`magic` + kind byte) prepended to the
-//! body.
+//! is that header: an 8-byte envelope prepended to the body.
+//!
+//! ```text
+//! magic    : b"VPWP"
+//! kind     : u8 (0 = full, 1 = delta)
+//! reserved : 3 zero bytes
+//! ```
+//!
+//! The reserved bytes make the envelope a multiple of 4 bytes long, so a
+//! body behind it starts as 4-aligned as the buffer does, and its tensor
+//! payloads (4-aligned within the body, see [`crate::ViperFormat`]) can be
+//! viewed in place by the receiver. Nonzero reserved bytes are
+//! [`FormatError::Corrupt`].
 //!
 //! The envelope exists **only on the wire** and only when the deployment's
 //! delta transfer is enabled; durable PFS copies and staging-tier caches
@@ -19,8 +30,8 @@ use crate::FormatError;
 /// Magic bytes opening a wire payload envelope ("VPWP").
 pub const WIRE_MAGIC: &[u8; 4] = b"VPWP";
 
-/// Envelope size prepended to the body (magic + kind byte).
-pub const WIRE_HEADER_BYTES: usize = 5;
+/// Envelope size prepended to the body (magic, kind byte, 3 reserved).
+pub const WIRE_HEADER_BYTES: usize = 8;
 
 /// What byte layout a framed wire payload's body uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +97,11 @@ pub fn unframe(bytes: &[u8]) -> Result<(PayloadKind, &[u8]), FormatError> {
     }
     let kind = PayloadKind::from_byte(bytes[4])
         .ok_or_else(|| FormatError::Corrupt(format!("unknown payload kind {}", bytes[4])))?;
+    if bytes[5..WIRE_HEADER_BYTES] != [0; 3] {
+        return Err(FormatError::Corrupt(
+            "nonzero reserved envelope bytes".into(),
+        ));
+    }
     Ok((kind, &bytes[WIRE_HEADER_BYTES..]))
 }
 
@@ -137,6 +153,17 @@ mod tests {
         let mut bad = frame(PayloadKind::Delta, b"x");
         bad[4] = 7;
         assert!(matches!(unframe(&bad), Err(FormatError::Corrupt(_))));
+        for reserved in 5..WIRE_HEADER_BYTES {
+            let mut bad = frame(PayloadKind::Full, b"x");
+            bad[reserved] = 1;
+            assert!(matches!(unframe(&bad), Err(FormatError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn the_envelope_keeps_the_body_4_aligned() {
+        assert_eq!(WIRE_HEADER_BYTES % 4, 0);
+        assert_eq!(envelope(PayloadKind::Delta), *b"VPWP\x01\x00\x00\x00");
     }
 
     #[test]

@@ -3,15 +3,21 @@
 //! and no input — mutated, truncated, or crafted and then sealed with a
 //! *valid* CRC, which is what a hostile sender can always produce — makes
 //! `ViperFormat::decode`, `DeltaCheckpoint::decode`, their `decode_spanned`
-//! (which parses before *any* verdict) or `wire::unframe` panic or allocate
-//! beyond a small multiple of the bytes it was handed.
+//! (which parses before *any* verdict), `H5Lite::decode` or `wire::unframe`
+//! panic or allocate beyond a small multiple of the bytes it was handed.
+//!
+//! `decode_verified` and `decode_spanned` take a shared [`Payload`] and
+//! return tensors that view it wherever a tensor payload's address is
+//! 4-aligned, copies elsewhere: both outcomes are decoded here, by placing
+//! the same bytes at every offset mod 4 of their allocation, and must equal
+//! each other and the two-pass oracle.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use viper_formats::{
-    crc32, delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, PayloadKind,
-    ViperFormat,
+    crc32, delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, H5Lite,
+    Payload, PayloadKind, ViperFormat,
 };
 use viper_tensor::Tensor;
 
@@ -84,8 +90,9 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
         })
 }
 
-/// A full encoding and a delta encoding of the same arbitrary model.
-fn arb_encodings() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+/// A full encoding and a delta encoding of the same arbitrary model, as
+/// shared payloads.
+fn arb_encodings() -> impl Strategy<Value = (Payload, Payload)> {
     (arb_checkpoint(), prop::collection::vec(0u8..2, 6..7)).prop_map(|(base, touch)| {
         let mut new = base.clone();
         new.iteration += 1;
@@ -95,13 +102,14 @@ fn arb_encodings() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
             }
         }
         let d = delta::diff(&base, &new).unwrap();
-        (ViperFormat.encode(&new), d.encode())
+        (ViperFormat.encode(&new).into(), d.encode().into())
     })
 }
 
 /// Damage `bytes`: XOR some positions, optionally re-seal the body with a
 /// correct CRC footer (so the damage reaches the parser), optionally cut.
-fn damage(mut bytes: Vec<u8>, edits: &[(f64, u8)], reseal: bool, keep: f64) -> Vec<u8> {
+fn damage(bytes: &[u8], edits: &[(f64, u8)], reseal: bool, keep: f64) -> Payload {
+    let mut bytes = bytes.to_vec();
     for &(at, mask) in edits {
         if !bytes.is_empty() {
             let at = (at * bytes.len() as f64) as usize;
@@ -114,7 +122,22 @@ fn damage(mut bytes: Vec<u8>, edits: &[(f64, u8)], reseal: bool, keep: f64) -> V
         bytes.extend_from_slice(&crc.to_le_bytes());
     }
     bytes.truncate((keep * bytes.len() as f64) as usize);
-    bytes
+    bytes.into()
+}
+
+/// `bytes` as a payload that starts `lead` bytes into its allocation (heap
+/// buffers are at least 4-aligned, so `lead % 4` is the payload's offset
+/// from a 4-byte boundary).
+fn shared_at(bytes: &[u8], lead: usize) -> Payload {
+    let mut buf = vec![0xA5; lead];
+    buf.extend_from_slice(bytes);
+    Payload::from(buf).slice(lead..)
+}
+
+/// Whether each of `tensors` is a view of the bytes it was decoded from
+/// exactly when `aligned`.
+fn viewed_iff<'a>(mut tensors: impl Iterator<Item = &'a Tensor>, aligned: bool) -> bool {
+    tensors.all(|t| t.is_shared() == aligned)
 }
 
 /// The CRC a chunk-verified receiver would hand `decode_verified`.
@@ -133,13 +156,18 @@ fn chunk_crcs(bytes: &[u8], chunk: u64) -> Vec<u32> {
     bytes.chunks(chunk as usize).map(crc32).collect()
 }
 
-/// `body` as it travels: behind the 5-byte payload-kind envelope of a delta
+/// `body` as it travels: behind the 8-byte payload-kind envelope of a delta
 /// deployment, or bare. Returns the wire bytes and the envelope length.
 fn on_the_wire(kind: PayloadKind, body: &[u8], enveloped: bool) -> (Vec<u8>, usize) {
     match enveloped {
         true => (wire::frame(kind, body), wire::WIRE_HEADER_BYTES),
         false => (body.to_vec(), 0),
     }
+}
+
+/// `bytes` as a payload of their own.
+fn p(bytes: &[u8]) -> Payload {
+    bytes.into()
 }
 
 /// Decoded values compared by re-encoding, so NaN payloads compare equal.
@@ -173,8 +201,8 @@ proptest! {
         keep in prop_oneof![Just(1.0), 0.0f64..1.0],
         chunk in 1u64..200,
     ) {
-        let f = damage(enc.0, &edits, reseal == 1, keep);
-        let d = damage(enc.1, &edits, reseal == 1, keep);
+        let f = damage(&enc.0, &edits, reseal == 1, keep);
+        let d = damage(&enc.1, &edits, reseal == 1, keep);
         let self_verified = bounded(f.len(), || full(ViperFormat.decode(&f)));
         let hinted = bounded(f.len(), || full(ViperFormat.decode_verified(&f, body_crc(&f))));
         prop_assert_eq!(&self_verified, &hinted);
@@ -192,8 +220,84 @@ proptest! {
         bounded(d.len(), || ViperFormat.decode(&d).is_ok());
         bounded(f.len(), || DeltaCheckpoint::decode(&f).is_ok());
         bounded(d.len(), || ViperFormat.decode_spanned(&d, 0, chunk).1.open(0).is_ok());
-        bounded(f.len(), || DeltaCheckpoint::decode_spanned(&f, 5, chunk).1.open(0).is_ok());
+        bounded(f.len(), || DeltaCheckpoint::decode_spanned(&f, 8, chunk).1.open(0).is_ok());
         bounded(f.len(), || wire::unframe(&f).is_ok());
+        bounded(f.len(), || H5Lite.decode(&f).is_ok());
+    }
+
+    /// The h5py-style baseline under the same harness: whatever happened
+    /// to its bytes, no panic and no over-allocation, and undamaged bytes
+    /// decode to what was encoded.
+    #[test]
+    fn damaged_h5lite_never_panics_or_over_allocates(
+        model in arb_checkpoint(),
+        edits in prop::collection::vec((0.0f64..1.0, 1u8..=255), 0..4),
+        reseal in 0u8..2,
+        keep in prop_oneof![Just(1.0), 0.0f64..1.0],
+    ) {
+        let h = H5Lite.encode(&model);
+        prop_assert_eq!(full(H5Lite.decode(&h)), Ok(ViperFormat.encode(&model)));
+        let h = damage(&h, &edits, reseal == 1, keep);
+        bounded(h.len(), || H5Lite.decode(&h).is_ok());
+    }
+
+    /// Whether a tensor becomes a view or a copy changes nothing else: over
+    /// damaged and undamaged bytes, behind arbitrary envelope lengths, at
+    /// every offset mod 4 of the allocation, the view decode, the copy
+    /// decode and the two-pass oracle (every chunk's CRC, then the
+    /// self-verifying copying `decode` of the body) agree, error for error.
+    #[test]
+    fn view_decode_equals_copy_decode_equals_the_two_pass_oracle(
+        enc in arb_encodings(),
+        edits in prop::collection::vec((0.0f64..1.0, 1u8..=255), 0..3),
+        reseal in 0u8..2,
+        keep in prop_oneof![Just(1.0), 0.0f64..1.0],
+        envelope in prop::collection::vec(0u8..=255, 0..13),
+        chunk in prop_oneof![1u64..64, Just(0u64)],
+    ) {
+        let damaged = |body: &Payload| damage(body, &edits, reseal == 1, keep);
+        for (kind, body) in [(PayloadKind::Full, damaged(&enc.0)), (PayloadKind::Delta, damaged(&enc.1))] {
+            let skip = envelope.len();
+            let mut bytes = envelope.clone();
+            bytes.extend_from_slice(&body);
+            let oracle_crcs = chunk_crcs(&bytes, chunk);
+            let oracle = match kind {
+                PayloadKind::Full => full(ViperFormat.decode(&body)),
+                PayloadKind::Delta => dlt(DeltaCheckpoint::decode(&body)),
+            };
+            let mut shared = [false; 4];
+            for lead in 0..8 {
+                let wire = shared_at(&bytes, lead);
+                let body = wire.slice(skip..);
+                let crc = body_crc(&body);
+                // Views exactly where the body starts 4-aligned.
+                let aligned = body.as_ptr().align_offset(4) == 0;
+                let (crcs, opened) = match kind {
+                    PayloadKind::Full => {
+                        let (crcs, sealed) = ViperFormat.decode_spanned(&wire, skip, chunk);
+                        let opened = [sealed.open(crc), ViperFormat.decode_verified(&body, crc)];
+                        for c in opened.iter().flatten() {
+                            prop_assert!(viewed_iff(c.tensors.iter().map(|(_, t)| t), aligned));
+                        }
+                        (crcs, opened.map(full))
+                    }
+                    PayloadKind::Delta => {
+                        let (crcs, sealed) = DeltaCheckpoint::decode_spanned(&wire, skip, chunk);
+                        let opened = [sealed.open(crc), DeltaCheckpoint::decode_verified(&body, crc)];
+                        for d in opened.iter().flatten() {
+                            prop_assert!(viewed_iff(d.changed.iter().map(|(_, t)| t), aligned));
+                        }
+                        (crcs, opened.map(dlt))
+                    }
+                };
+                prop_assert_eq!(&crcs, &oracle_crcs, "lead {}", lead);
+                for got in opened {
+                    prop_assert_eq!(&got, &oracle, "lead {}", lead);
+                }
+                shared[lead % 4] = aligned;
+            }
+            prop_assert_eq!(shared.iter().filter(|&&a| a).count(), 1);
+        }
     }
 
     /// One pass, both halves of a chunked receive: exactly the CRCs a
@@ -208,14 +312,14 @@ proptest! {
         chunk in prop_oneof![1u64..64, 1u64..2000, Just(0u64)],
     ) {
         let (f, skip) = on_the_wire(PayloadKind::Full, &enc.0, enveloped == 1);
-        let (crcs, sealed) = ViperFormat.decode_spanned(&f, skip, chunk);
+        let (crcs, sealed) = ViperFormat.decode_spanned(&p(&f), skip, chunk);
         prop_assert_eq!(crcs, chunk_crcs(&f, chunk));
         let got = full(sealed.open(body_crc(&enc.0)));
         prop_assert_eq!(got.as_deref(), Ok(&enc.0[..]));
         prop_assert_eq!(got, full(ViperFormat.decode(&enc.0)));
 
         let (d, skip) = on_the_wire(PayloadKind::Delta, &enc.1, enveloped == 1);
-        let (crcs, sealed) = DeltaCheckpoint::decode_spanned(&d, skip, chunk);
+        let (crcs, sealed) = DeltaCheckpoint::decode_spanned(&p(&d), skip, chunk);
         prop_assert_eq!(crcs, chunk_crcs(&d, chunk));
         let got = dlt(sealed.open(body_crc(&enc.1)));
         prop_assert_eq!(got.as_deref(), Ok(&enc.1[..]));
@@ -235,29 +339,101 @@ proptest! {
         envelope in prop::collection::vec(0u8..=255, 0..8),
     ) {
         let mut body = if delta_layout == 1 { b"VIPD".to_vec() } else { b"VIPR".to_vec() };
-        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&2u32.to_le_bytes());
         body.extend_from_slice(&(name.len() as u32).to_le_bytes());
         body.extend_from_slice(name.as_bytes());
         body.extend_from_slice(&tail);
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
-        let verdict = if delta_layout == 1 {
-            bounded(body.len(), || DeltaCheckpoint::decode(&body).err())
+        let shared = Payload::from(body.clone());
+        let crc = body_crc(&body);
+        let [verdict, viewed] = if delta_layout == 1 {
+            [
+                bounded(body.len(), || DeltaCheckpoint::decode(&body).err()),
+                bounded(body.len(), || DeltaCheckpoint::decode_verified(&shared, crc).err()),
+            ]
         } else {
-            bounded(body.len(), || ViperFormat.decode(&body).err())
+            [
+                bounded(body.len(), || ViperFormat.decode(&body).err()),
+                bounded(body.len(), || ViperFormat.decode_verified(&shared, crc).err()),
+            ]
         };
         // The CRC is right, so whatever is wrong is not the checksum.
         let is_mismatch = matches!(verdict, Some(FormatError::ChecksumMismatch { .. }));
         prop_assert!(!is_mismatch);
+        prop_assert_eq!(verdict, viewed);
+        bounded(body.len(), || H5Lite.decode(&body).is_ok());
         bounded(envelope.len(), || wire::unframe(&envelope).is_ok());
         let framed = wire::frame(viper_formats::PayloadKind::Delta, &envelope);
         prop_assert_eq!(wire::unframe(&framed).map(|(_, b)| b), Ok(&envelope[..]));
     }
 }
 
+proptest! {
+    /// One tensor record whose pad — the 0-3 bytes a name of any length
+    /// leaves before the payload — holds arbitrary bytes or is cut short,
+    /// sealed with a valid CRC: a nonzero pad byte is `Corrupt`, a cut one
+    /// `Truncated`, from the copy decode and the view decodes alike, with
+    /// no panic and no over-allocation.
+    #[test]
+    fn nonzero_or_truncated_pads_are_rejected_without_panic_or_over_allocation(
+        delta_layout in 0u8..2,
+        name in "[a-z]{0,7}",
+        pad_bytes in prop::collection::vec(prop_oneof![Just(0u8), 0u8..=255], 3..4),
+        cut in 0usize..4,
+    ) {
+        let mut body = if delta_layout == 1 { b"VIPD".to_vec() } else { b"VIPR".to_vec() };
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(b'm');
+        body.extend_from_slice(&7u64.to_le_bytes());
+        if delta_layout == 1 {
+            body.extend_from_slice(&8u64.to_le_bytes());
+        }
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        body.extend_from_slice(name.as_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&2u64.to_le_bytes());
+        let pad = &pad_bytes[..body.len().wrapping_neg() % 4];
+        let want = if cut < pad.len() {
+            body.extend_from_slice(&pad[..cut]);
+            Some(FormatError::Truncated { context: "tensor pad" })
+        } else {
+            body.extend_from_slice(pad);
+            body.extend_from_slice(&[0; 8]);
+            if delta_layout == 1 {
+                body.extend_from_slice(&0u32.to_le_bytes());
+            }
+            pad.iter().any(|&b| b != 0).then(|| FormatError::Corrupt(format!("tensor {name}: nonzero pad")))
+        };
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let shared = p(&body);
+        let verdicts = if delta_layout == 1 {
+            [
+                bounded(body.len(), || DeltaCheckpoint::decode(&body).err()),
+                bounded(body.len(), || DeltaCheckpoint::decode_verified(&shared, crc).err()),
+                bounded(body.len(), || {
+                    DeltaCheckpoint::decode_spanned(&shared, 0, 5).1.open(crc).err()
+                }),
+            ]
+        } else {
+            [
+                bounded(body.len(), || ViperFormat.decode(&body).err()),
+                bounded(body.len(), || ViperFormat.decode_verified(&shared, crc).err()),
+                bounded(body.len(), || ViperFormat.decode_spanned(&shared, 0, 5).1.open(crc).err()),
+            ]
+        };
+        for verdict in verdicts {
+            prop_assert_eq!(&verdict, &want);
+        }
+    }
+}
+
 /// A small model whose encodings the exhaustive tests below can afford to
 /// damage byte by byte.
-fn small_encodings() -> (Vec<u8>, Vec<u8>) {
+fn small_encodings() -> (Payload, Payload) {
     let tensor = |v: f32| Tensor::from_vec(vec![v, -v, 0.5], &[3]).unwrap();
     let named = |v| {
         vec![
@@ -268,7 +444,7 @@ fn small_encodings() -> (Vec<u8>, Vec<u8>) {
     let base = Checkpoint::new("m", 4, named(2.0));
     let new = Checkpoint::new("m", 5, named(3.0));
     let d = delta::diff(&base, &new).unwrap();
-    (ViperFormat.encode(&new), d.encode())
+    (ViperFormat.encode(&new).into(), d.encode().into())
 }
 
 /// The sealed parse opens only against the CRC of the body it was parsed
@@ -282,7 +458,7 @@ fn spanned_decode_opens_only_against_the_right_crc() {
             let (wire, skip) = on_the_wire(PayloadKind::Full, &f, enveloped);
             let right = body_crc(&f);
             let stored = u32::from_le_bytes(f[f.len() - 4..].try_into().unwrap());
-            let sealed = ViperFormat.decode_spanned(&wire, skip, chunk).1;
+            let sealed = ViperFormat.decode_spanned(&p(&wire), skip, chunk).1;
             let mismatch = Err(FormatError::ChecksumMismatch {
                 stored,
                 computed: right ^ 1,
@@ -297,7 +473,7 @@ fn spanned_decode_opens_only_against_the_right_crc() {
             // and the parse must stay unreachable.
             let mut bad = wire.clone();
             *bad.last_mut().unwrap() ^= 0x40;
-            let (crcs, sealed) = ViperFormat.decode_spanned(&bad, skip, chunk);
+            let (crcs, sealed) = ViperFormat.decode_spanned(&p(&bad), skip, chunk);
             assert_eq!(crcs, chunk_crcs(&bad, chunk));
             let mismatch = FormatError::ChecksumMismatch {
                 stored: stored ^ 0x4000_0000,
@@ -307,14 +483,14 @@ fn spanned_decode_opens_only_against_the_right_crc() {
 
             let (wire, skip) = on_the_wire(PayloadKind::Delta, &d, enveloped);
             let right = body_crc(&d);
-            let sealed = DeltaCheckpoint::decode_spanned(&wire, skip, chunk).1;
+            let sealed = DeltaCheckpoint::decode_spanned(&p(&wire), skip, chunk).1;
             assert!(matches!(
                 sealed.open(!right),
                 Err(FormatError::ChecksumMismatch { .. })
             ));
             let mut bad = wire.clone();
             *bad.last_mut().unwrap() ^= 0x01;
-            let sealed = DeltaCheckpoint::decode_spanned(&bad, skip, chunk).1;
+            let sealed = DeltaCheckpoint::decode_spanned(&p(&bad), skip, chunk).1;
             assert!(matches!(
                 sealed.open(right),
                 Err(FormatError::ChecksumMismatch { .. })
@@ -324,7 +500,7 @@ fn spanned_decode_opens_only_against_the_right_crc() {
     // Too short to hold a footer: truncated whatever it is opened with, and
     // the chunk CRCs still cover every byte that arrived.
     for len in 0..4 {
-        let (crcs, sealed) = ViperFormat.decode_spanned(&f[..len], 0, 2);
+        let (crcs, sealed) = ViperFormat.decode_spanned(&f.slice(..len), 0, 2);
         assert_eq!(crcs, chunk_crcs(&f[..len], 2));
         assert!(matches!(sealed.open(0), Err(FormatError::Truncated { .. })));
     }
@@ -345,8 +521,10 @@ fn every_single_byte_flip_changes_the_crc_of_the_chunk_it_lands_in() {
         for (kind, body) in [(PayloadKind::Full, &f), (PayloadKind::Delta, &d)] {
             let (wire, skip) = on_the_wire(kind, body, true);
             let spanned = |bytes: &[u8]| match kind {
-                PayloadKind::Full => ViperFormat.decode_spanned(bytes, skip, chunk as u64).0,
-                PayloadKind::Delta => DeltaCheckpoint::decode_spanned(bytes, skip, chunk as u64).0,
+                PayloadKind::Full => ViperFormat.decode_spanned(&p(bytes), skip, chunk as u64).0,
+                PayloadKind::Delta => {
+                    DeltaCheckpoint::decode_spanned(&p(bytes), skip, chunk as u64).0
+                }
             };
             let clean = spanned(&wire);
             for at in 0..wire.len() {

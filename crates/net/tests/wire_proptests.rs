@@ -255,8 +255,8 @@ proptest! {
     /// The body CRC a receiver derives from the chunk CRCs it verified is
     /// the CRC of those bytes, and so is its footer verdict — for any
     /// payload, chunk geometry (one chunk, and a last chunk shorter than
-    /// the footer, included), arrival order, envelope (none, or 5 bytes),
-    /// and footer: right, wrong by one flipped byte, or absent.
+    /// the footer, included), arrival order, envelope (none, an odd 5
+    /// bytes, or the 8 of the payload-kind envelope), and footer: right, wrong by one flipped byte, or absent.
     #[test]
     fn range_crc_from_chunk_crcs_equals_crc_of_the_bytes(
         data in prop::collection::vec(0u8..=255, 0..6000),
@@ -267,7 +267,7 @@ proptest! {
         mix_seed in 0u64..u64::MAX,
     ) {
         let footed = footed == 1;
-        for envelope in [0usize, 5] {
+        for envelope in [0usize, 5, 8] {
             let mut payload = data.clone();
             if footed {
                 let body_crc = crc32(&data[envelope.min(data.len())..]);

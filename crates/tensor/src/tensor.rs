@@ -2,18 +2,74 @@
 
 use crate::{ops, Initializer, Result, Shape, TensorError};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A contiguous, row-major, dense `f32` tensor.
 ///
 /// This is the value type flowing through the whole Viper stack: layer
 /// parameters, activations, gradients, and checkpoint payloads.
-#[derive(Debug, PartialEq)]
+///
+/// The elements live in one of two storages. Most tensors own a
+/// `Vec<f32>`. A tensor built by [`Tensor::from_shared`] is instead a
+/// read-only view of a byte buffer it shares with others (a received,
+/// checksum-verified wire payload): cloning it is a reference-count bump,
+/// and the first `&mut` access copies the elements out into an owned
+/// buffer (copy-on-write), so no write ever reaches the shared bytes.
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Storage,
     shape: Shape,
 }
 
+/// Where a tensor's elements live. `clone` copies an owned buffer and
+/// bumps a shared one's reference count.
+#[derive(Clone)]
+enum Storage {
+    Owned(Vec<f32>),
+    /// `len` little-endian `f32`s at byte `offset` of `buf`. The
+    /// constructor ([`Tensor::from_shared`]) checks that the range is in
+    /// bounds, that its address is 4-aligned, and that the host is
+    /// little-endian; nothing in this module takes a `&mut` to `buf`, and
+    /// no other holder can while this one exists, so the checks hold for
+    /// the view's lifetime.
+    Shared {
+        buf: Arc<Vec<u8>>,
+        offset: usize,
+        len: usize,
+    },
+}
+
+impl Storage {
+    fn as_slice(&self) -> &[f32] {
+        match self {
+            Storage::Owned(v) => v,
+            Storage::Shared { buf, offset, len } => {
+                // SAFETY: `from_shared` checked that `offset + 4 * len`
+                // bytes lie inside `buf`, that `buf[offset..]` is 4-aligned,
+                // and that `f32`s are little-endian in memory, so the range
+                // is `len` valid `f32`s (any bit pattern is one). The `Arc`
+                // keeps `buf` alive and unmoved for the borrow of `self`,
+                // and no other holder can mutate it: `Arc::get_mut` and
+                // `Arc::try_unwrap` fail while this view holds a reference.
+                unsafe { std::slice::from_raw_parts(buf.as_ptr().add(*offset).cast(), *len) }
+            }
+        }
+    }
+
+    /// The owned buffer, copying a shared view out first.
+    fn make_mut(&mut self) -> &mut Vec<f32> {
+        if let Storage::Shared { .. } = self {
+            *self = Storage::Owned(self.as_slice().to_vec());
+        }
+        match self {
+            Storage::Owned(v) => v,
+            Storage::Shared { .. } => unreachable!("a shared view was just copied out"),
+        }
+    }
+}
+
 impl Clone for Tensor {
+    /// A deep copy of an owned tensor; a view of a shared buffer is cloned
+    /// as another view of it, without touching the elements.
     fn clone(&self) -> Self {
         Tensor {
             data: self.data.clone(),
@@ -21,12 +77,34 @@ impl Clone for Tensor {
         }
     }
 
-    /// Overwrites `self` in place: the element buffer is reused whenever
-    /// its capacity suffices, so cloning into a tensor of the same size
-    /// allocates nothing.
+    /// Overwrites `self` in place: an owned element buffer is reused
+    /// whenever its capacity suffices, so cloning into a tensor of the same
+    /// size allocates nothing.
     fn clone_from(&mut self, source: &Self) {
-        self.data.clone_from(&source.data);
+        match &mut self.data {
+            Storage::Owned(v) => {
+                v.clear();
+                v.extend_from_slice(source.as_slice());
+            }
+            Storage::Shared { .. } => self.data = source.data.clone(),
+        }
         self.shape.clone_from(&source.shape);
+    }
+}
+
+impl PartialEq for Tensor {
+    /// Same shape and same elements, whichever storage holds them.
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tensor")
+            .field("data", &self.as_slice())
+            .field("shape", &self.shape)
+            .finish()
     }
 }
 
@@ -40,14 +118,43 @@ impl Tensor {
                 expected: shape.num_elements(),
             });
         }
-        Ok(Tensor { data, shape })
+        Ok(Tensor {
+            data: Storage::Owned(data),
+            shape,
+        })
+    }
+
+    /// A read-only view of `dims`' elements stored as little-endian `f32`s
+    /// at byte `offset` of `buf`, sharing the buffer instead of copying it.
+    /// `None` when the range does not lie inside `buf`, when its address is
+    /// not 4-byte aligned, or on a big-endian host: the caller then copies.
+    /// Writes through the view copy its elements out first (see the type's
+    /// docs); the view keeps `buf` alive.
+    pub fn from_shared(buf: Arc<Vec<u8>>, offset: usize, dims: &[usize]) -> Option<Tensor> {
+        let len = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+        let end = len.checked_mul(4)?.checked_add(offset)?;
+        let aligned = buf.as_ptr().wrapping_add(offset).cast::<f32>().is_aligned();
+        if end > buf.len() || !aligned || cfg!(target_endian = "big") {
+            return None;
+        }
+        Some(Tensor {
+            data: Storage::Shared { buf, offset, len },
+            shape: Shape::new(dims),
+        })
+    }
+
+    /// Whether the elements are a view of a shared buffer
+    /// ([`from_shared`](Self::from_shared)), so that `clone` shares them
+    /// rather than copying them.
+    pub fn is_shared(&self) -> bool {
+        matches!(self.data, Storage::Shared { .. })
     }
 
     /// An all-zeros tensor.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: vec![0.0; shape.num_elements()],
+            data: Storage::Owned(vec![0.0; shape.num_elements()]),
             shape,
         }
     }
@@ -61,7 +168,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: vec![value; shape.num_elements()],
+            data: Storage::Owned(vec![value; shape.num_elements()]),
             shape,
         }
     }
@@ -69,8 +176,9 @@ impl Tensor {
     /// The `n x n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let data = t.as_mut_slice();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
         t
     }
@@ -79,7 +187,7 @@ impl Tensor {
     /// when the RNG is seeded).
     pub fn init<R: Rng + ?Sized>(dims: &[usize], init: Initializer, rng: &mut R) -> Self {
         let shape = Shape::new(dims);
-        let data = init.sample(&shape, rng);
+        let data = Storage::Owned(init.sample(&shape, rng));
         Tensor { data, shape }
     }
 
@@ -98,25 +206,26 @@ impl Tensor {
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.as_slice().len()
     }
 
     /// Whether the tensor has zero elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Borrow the underlying row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.data.as_slice()
     }
 
-    /// Mutably borrow the underlying row-major data.
+    /// Mutably borrow the underlying row-major data. A view of a shared
+    /// buffer is copied out into an owned one first.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.data.make_mut()
     }
 
     /// Borrow the data as the raw bytes of the `f32` slice (native memory
@@ -125,37 +234,34 @@ impl Tensor {
     /// `memcmp`-class block compares instead of per-lane float compares.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
+        let data = self.as_slice();
         // SAFETY: f32 has no padding or invalid bit patterns when viewed
         // as bytes; length is len * size_of::<f32>() within one allocation.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.data.as_ptr() as *const u8,
-                self.data.len() * std::mem::size_of::<f32>(),
-            )
-        }
+        unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), size_of_val(data)) }
     }
 
-    /// Consume the tensor, returning its raw data.
+    /// Consume the tensor, returning its raw data (a view of a shared
+    /// buffer is copied out).
     #[inline]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(self.data.make_mut())
     }
 
     /// Size of the tensor payload in bytes (`4 * len`).
     #[inline]
     pub fn byte_len(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        self.len() * std::mem::size_of::<f32>()
     }
 
     /// Element at a multi-dimensional index.
     pub fn get(&self, index: &[usize]) -> Result<f32> {
-        Ok(self.data[self.shape.offset(index)?])
+        Ok(self.as_slice()[self.shape.offset(index)?])
     }
 
     /// Set the element at a multi-dimensional index.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
         Ok(())
     }
 
@@ -177,21 +283,21 @@ impl Tensor {
     /// Apply `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         Tensor {
-            data: ops::elementwise::map(&self.data, f),
+            data: Storage::Owned(ops::elementwise::map(self.as_slice(), f)),
             shape: self.shape.clone(),
         }
     }
 
     /// Apply `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        ops::elementwise::map_inplace(&mut self.data, f);
+        ops::elementwise::map_inplace(self.as_mut_slice(), f);
     }
 
     /// Elementwise binary op against a same-shaped tensor.
     pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
         self.check_same_shape(rhs, "zip")?;
         Ok(Tensor {
-            data: ops::elementwise::zip(&self.data, &rhs.data, f),
+            data: Storage::Owned(ops::elementwise::zip(self.as_slice(), rhs.as_slice(), f)),
             shape: self.shape.clone(),
         })
     }
@@ -215,7 +321,7 @@ impl Tensor {
     /// optimizers).
     pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) -> Result<()> {
         self.check_same_shape(rhs, "axpy")?;
-        ops::elementwise::axpy(&mut self.data, alpha, &rhs.data);
+        ops::elementwise::axpy(self.as_mut_slice(), alpha, rhs.as_slice());
         Ok(())
     }
 
@@ -226,37 +332,37 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        ops::reduce::sum(&self.data)
+        ops::reduce::sum(self.as_slice())
     }
 
     /// Mean of all elements (0 for empty tensors).
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f32
+            self.sum() / self.len() as f32
         }
     }
 
     /// Maximum element (negative infinity for empty tensors).
     pub fn max(&self) -> f32 {
-        ops::reduce::max(&self.data)
+        ops::reduce::max(self.as_slice())
     }
 
     /// Index of the maximum element in a flat view.
     pub fn argmax(&self) -> usize {
-        ops::reduce::argmax(&self.data)
+        ops::reduce::argmax(self.as_slice())
     }
 
     /// Dot product of two same-shaped tensors viewed flat.
     pub fn dot(&self, rhs: &Tensor) -> Result<f32> {
         self.check_same_shape(rhs, "dot")?;
-        Ok(ops::reduce::dot(&self.data, &rhs.data))
+        Ok(ops::reduce::dot(self.as_slice(), rhs.as_slice()))
     }
 
     /// L2 norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
-        ops::reduce::dot(&self.data, &self.data).sqrt()
+        ops::reduce::dot(self.as_slice(), self.as_slice()).sqrt()
     }
 
     /// 2-D matrix multiplication: `self (m,k) x rhs (k,n) -> (m,n)`.
@@ -305,6 +411,122 @@ mod tests {
         let big = Tensor::full(&[4, 4], 2.0);
         dst.clone_from(&big);
         assert_eq!(dst, big);
+    }
+
+    /// `values` as little-endian bytes behind `lead` bytes of padding, in
+    /// a buffer to share.
+    fn wire(lead: usize, values: &[f32]) -> Arc<Vec<u8>> {
+        let mut bytes = vec![0xEE; lead];
+        values
+            .iter()
+            .for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
+        Arc::new(bytes)
+    }
+
+    #[test]
+    fn from_shared_views_the_buffer_in_place() {
+        let buf = wire(4, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let t = Tensor::from_shared(Arc::clone(&buf), 4, &[2, 3]).unwrap();
+        assert!(t.is_shared());
+        assert_eq!(t.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(t.as_bytes().as_ptr(), buf[4..].as_ptr());
+        assert_eq!(t, Tensor::from_vec(t.as_slice().to_vec(), &[2, 3]).unwrap());
+        assert_eq!(
+            (t.len(), t.byte_len(), t.get(&[1, 0]).unwrap()),
+            (6, 24, 4.0)
+        );
+        // A view of nothing is in bounds anywhere, even at the very end.
+        assert!(Tensor::from_shared(Arc::clone(&buf), 28, &[0, 5])
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn from_shared_refuses_what_it_cannot_view() {
+        let buf = wire(4, &[1.0, 2.0]);
+        // Past the end, by a byte or by a wrapping length.
+        assert!(Tensor::from_shared(Arc::clone(&buf), 8, &[1, 1]).is_some());
+        assert!(Tensor::from_shared(Arc::clone(&buf), 8, &[2]).is_none());
+        assert!(Tensor::from_shared(Arc::clone(&buf), usize::MAX - 3, &[1]).is_none());
+        assert!(Tensor::from_shared(Arc::clone(&buf), 0, &[usize::MAX, 2]).is_none());
+        // Not 4-aligned: whichever of two neighbouring offsets is odd.
+        let odd = if buf.as_ptr().align_offset(4) == 1 {
+            0
+        } else {
+            1
+        };
+        assert!(Tensor::from_shared(Arc::clone(&buf), odd, &[1]).is_none());
+        assert_eq!(Arc::strong_count(&buf), 1, "refusals keep no reference");
+    }
+
+    #[test]
+    fn a_write_to_a_view_copies_it_out_and_leaves_the_buffer_and_siblings_alone() {
+        let buf = wire(0, &[1.0, 2.0, 3.0, 4.0]);
+        let view = || Tensor::from_shared(Arc::clone(&buf), 0, &[4]).unwrap();
+        let sibling = view();
+        let writes: [fn(&mut Tensor); 5] = [
+            |t| t.as_mut_slice()[0] = 9.0,
+            |t| t.set(&[0], 9.0).unwrap(),
+            |t| t.map_inplace(|x| x + 8.0),
+            |t| {
+                t.axpy(
+                    8.0,
+                    &Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0], &[4]).unwrap(),
+                )
+                .unwrap()
+            },
+            |t| *t = Tensor::from_vec(t.clone().into_vec(), &[4]).unwrap(),
+        ];
+        for write in writes {
+            let mut t = view();
+            let before = t.as_slice().as_ptr();
+            write(&mut t);
+            assert!(!t.is_shared());
+            assert_ne!(t.as_slice().as_ptr(), before, "the write went to a copy");
+            assert_eq!(sibling.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+            assert_eq!(&buf[..4], &1.0f32.to_le_bytes());
+        }
+        let mut t = view();
+        t.set(&[3], -1.0).unwrap();
+        assert_eq!(t.as_slice(), &[1.0, 2.0, 3.0, -1.0]);
+        assert_eq!(view().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn a_clone_of_a_view_shares_its_elements() {
+        let buf = wire(0, &[1.0, 2.0, 3.0]);
+        let t = Tensor::from_shared(Arc::clone(&buf), 0, &[3]).unwrap();
+        let c = t.clone();
+        assert!(c.is_shared());
+        assert_eq!(
+            c.as_slice().as_ptr(),
+            t.as_slice().as_ptr(),
+            "no element copy"
+        );
+        assert_eq!(Arc::strong_count(&buf), 3);
+        let r = t.reshape(&[1, 3]).unwrap();
+        assert_eq!(r.as_slice().as_ptr(), t.as_slice().as_ptr());
+        // An owned tensor's clone is still a deep copy.
+        let owned = Tensor::zeros(&[3]);
+        assert_ne!(owned.clone().as_slice().as_ptr(), owned.as_slice().as_ptr());
+        // clone_from into an owned tensor copies into its buffer; into a
+        // view, it takes the source's storage.
+        let mut into_owned = Tensor::zeros(&[3]);
+        let buffer = into_owned.as_slice().as_ptr();
+        into_owned.clone_from(&t);
+        assert_eq!(
+            (into_owned.as_slice().as_ptr(), into_owned.is_shared()),
+            (buffer, false)
+        );
+        assert_eq!(into_owned, t);
+        let mut into_view = c;
+        into_view.clone_from(&owned);
+        assert_eq!(
+            (into_view.is_shared(), into_view.as_slice()),
+            (false, &[0.0; 3][..])
+        );
+        drop((t, r, into_view));
+        assert_eq!(Arc::strong_count(&buf), 1, "the views released the buffer");
     }
 
     #[test]

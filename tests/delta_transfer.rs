@@ -141,24 +141,29 @@ fn delta_apply_moves_changed_tensors_instead_of_copying() {
     // are *moved* out of the wire payload into the new checkpoint, and
     // only the tensors inherited unchanged from the live base are cloned.
     // The finetune shape has 3 tensors of which exactly 1 (the backbone)
-    // is unchanged, so each delta apply must clone exactly one tensor —
-    // not all three, as a full rebuild would.
+    // is unchanged. The base's tensors are views of the payload they
+    // arrived in, so that clone is a reference-count bump: no apply
+    // copies a tensor, and the backbone every version serves is the one
+    // the first (full) update installed, in place.
     let viper = Viper::new(delta_config(Route::GpuToGpu));
     let producer = viper.producer("p");
     let consumer = viper.consumer("c", "m");
 
     let applies = 5u64;
+    let mut backbone = None;
     for iter in 1..=(1 + applies) {
         let sent = finetune_ckpt(iter, 20_000);
         producer.save_weights(&sent).unwrap();
         let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
         assert_eq!(*got, sent, "iter {iter}: reconstruction differs");
+        let served = got.tensors[0].1.as_slice().as_ptr();
+        assert_eq!(*backbone.get_or_insert(served), served, "iter {iter}");
     }
     assert_eq!(consumer.deltas_applied(), applies);
     assert_eq!(
         consumer.apply_tensor_copies(),
-        applies,
-        "each apply clones only the 1 unchanged backbone tensor (of 3)"
+        0,
+        "the 1 unchanged backbone tensor (of 3) is shared, not copied"
     );
 }
 

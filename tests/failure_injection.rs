@@ -626,7 +626,7 @@ fn chunk_clean_flow_with_a_wrong_format_footer_is_never_installed() {
         let consumer = viper.consumer("c", "m");
         let peer = viper.fabric().register("peer");
         // A delta deployment's wire carries the payload-kind envelope, so
-        // the body the footer covers starts 5 bytes into the first chunk.
+        // the body the footer covers starts 8 bytes into the first chunk.
         let framed = |kind, body: Vec<u8>| match with_delta {
             true => wire::frame(kind, &body),
             false => body,
@@ -957,7 +957,7 @@ fn hand_framed_batches_keep_their_replies_instants_and_counters() {
         "ack 9 @3325610; ack 10 @5326217; v2 i2 @5306214; applied 2 corrupt 0 copied 0";
     const WITHHELD: &str = "ack 9 @22320610; v1 i1 @22300607; applied 1 corrupt 0 copied 0";
     const RESENT: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 0";
-    const GATHERED: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 6082";
+    const GATHERED: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 6084";
 }
 
 #[test]

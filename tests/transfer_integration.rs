@@ -613,17 +613,17 @@ fn delivery_lattice_keeps_its_stalls_installs_and_counters() {
 const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono best-effort",
-        [57177, 57177, 57177, 57177],
+        [57178, 57178, 57178, 57178],
         [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono reliable",
-        [57177, 57177, 57177, 57177],
+        [57178, 57178, 57178, 57178],
         [0, 0, 0, 4, 0, 0],
     ),
     (
         "Sync mono delta",
-        [57177, 57177, 57177, 57177],
+        [57178, 57178, 57178, 57178],
         [9, 3, 0, 7, 0, 0],
     ),
     (
@@ -638,12 +638,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     ),
     (
         "Sync mono relay",
-        [57177, 57177, 57177, 57177],
+        [57178, 57178, 57178, 57178],
         [0, 0, 4, 4, 8, 0],
     ),
     (
         "Sync mono relay+delta",
-        [57177, 57177, 57177, 57177],
+        [57178, 57178, 57178, 57178],
         [3, 1, 4, 7, 8, 0],
     ),
     (

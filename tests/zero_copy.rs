@@ -4,7 +4,8 @@
 //! reliable ACK-gated flows, the enveloped full under delta delivery,
 //! reassembly, install — operates on zero-copy views of it. The producer's
 //! `payload_allocs` and the consumers' `bytes_copied` counters assert this
-//! directly, and the delivered models are byte-for-byte intact.
+//! directly, the installed tensors are shown to lie inside the producer's
+//! buffer, and the delivered models are byte-for-byte intact.
 
 use std::time::Duration;
 use viper::{Viper, ViperConfig};
@@ -52,14 +53,56 @@ fn steady_state_delivery_copies_zero_payload_bytes() {
     );
 }
 
+/// Install without a copy: on a relay fan-out (6 consumers, fan-out 2, so
+/// all but the tree's root receive the update re-served by a relay), every
+/// member's installed tensors are views of the producer's one serialize
+/// buffer — the bytes the staging tier holds — whether it arrived as one
+/// chunk or several.
+#[test]
+fn relay_members_install_views_of_the_producers_buffer() {
+    for chunk_bytes in [0, 16 * 1024] {
+        let mut config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+            .with_relay_tree(2);
+        config.chunk_bytes = chunk_bytes;
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let consumers: Vec<_> = (0..6)
+            .map(|i| viper.consumer(&format!("c{i}"), "m"))
+            .collect();
+        producer.save_weights(&ckpt(1, 50_000)).unwrap();
+        let keys = producer.gpu_tier().keys();
+        assert_eq!(keys.len(), 1, "{chunk_bytes}: one staged version");
+        let (staged, _) = producer.gpu_tier().read(&keys[0]).unwrap();
+        let buffer = staged.as_ptr_range();
+        for consumer in &consumers {
+            let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
+            assert_eq!(*model, ckpt(1, 50_000), "{chunk_bytes}");
+            for (name, tensor) in &model.tensors {
+                let bytes = tensor.as_bytes().as_ptr_range();
+                assert!(
+                    tensor.is_shared() && buffer.start <= bytes.start && bytes.end <= buffer.end,
+                    "{chunk_bytes}: {name} is not a view of the serialize"
+                );
+            }
+            assert_eq!(consumer.bytes_copied(), 0, "{chunk_bytes}");
+        }
+        let reserves: u64 = consumers.iter().map(|c| c.relay_reserves()).sum();
+        assert_eq!(reserves, 5, "{chunk_bytes}: relays served the rest");
+        assert_eq!(producer.payload_allocs(), 1, "{chunk_bytes}");
+    }
+}
+
 /// Arena amortization: once retention prunes an old version's staging
 /// copies (and its flows are terminal), the serialize buffer is recycled
 /// for a later save instead of reallocated. With `keep_versions = 1` the
 /// steady state is two buffers ping-ponging: only the first two saves
 /// allocate, every later save reuses a reclaimed arena slot. That holds
 /// with chunking on too: the consumer reassembles a multi-chunk flow as a
-/// joined view of the producer's buffer, which pins it only until the
-/// install is done — not past the prune that hands it back to the arena.
+/// joined view of the producer's buffer and installs views of it, which
+/// pin it only until the slot displaces that model — not past the prune
+/// that hands it back to the arena.
 #[test]
 fn arena_recycles_serialize_buffers_once_versions_prune() {
     for chunked in [false, true] {
