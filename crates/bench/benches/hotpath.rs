@@ -20,16 +20,16 @@
 //! holds, no checksum read at all) against the two-pass decode they
 //! replaced, rebuilt here from public parts as a whole-body `crc32`
 //! followed by the parse; and the chunked receive as the consumer runs it
-//! on a reassembled flow, per-chunk verify then `decode_verified` against
-//! the one-pass `decode_spanned`, each taking its footer verdict from the
-//! flow's verified chunk CRCs (`AssembledFlow::body_crc`) inside the timed
-//! row. These rows time the copy a decode makes where it cannot view the
-//! bytes: their payloads start one byte past a 4-byte boundary
-//! ([`misaligned`]). `spanned_view_ms` is the spanned decode as the
-//! consumer meets it, over a 4-aligned shared payload: every tensor is a
-//! view of the payload, so the pass only checksums. The `crc_copy` section
-//! prices the primitive under all of it: `memcpy`, `crc32`, `memcpy` then
-//! `crc32`, and `Crc32::update_copying`, tensor by tensor.
+//! on a reassembled flow, per-chunk verify then `decode_verified`, taking
+//! its footer verdict from the flow's verified chunk CRCs
+//! (`AssembledFlow::body_crc`) inside the timed row. These rows time the
+//! copy a decode makes where it cannot view the bytes: their payloads start
+//! one byte past a 4-byte boundary ([`misaligned`]). `verify_then_view_ms`
+//! is the same receive as the consumer meets it, over a 4-aligned shared
+//! payload: every tensor is a view of the payload, so the receive only
+//! checksums. The `crc_copy` section prices the primitive under all of it:
+//! `memcpy`, `crc32`, `memcpy` then `crc32`, and `Crc32::update_copying`,
+//! tensor by tensor.
 //!
 //! Every section runs **hot** — one input, revisited by every repetition,
 //! so at the 24 MiB full size (2 MiB under `--test`) it sits in a large
@@ -59,7 +59,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "install-by-view";
+const HISTORY_LABEL: &str = "one-receive-path";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -254,25 +254,16 @@ fn assembled(payload: &Payload) -> Box<AssembledFlow> {
     panic!("a fault-free flow completes")
 }
 
-/// The chunked receive in two passes, as the consumer runs it on a flow
-/// that did not arrive whole in one drain: every chunk is checksummed (what
-/// `CrcPool::crc_batch` computes, on one thread), then the footer verdict
-/// from the verified chunk CRCs, then `decode_verified` reads the payload
-/// again to copy it out.
+/// The chunked receive as the consumer runs it on every flow: every chunk
+/// is checksummed (what `CrcPool::crc_batch` computes, on one thread), then
+/// the footer verdict from the verified chunk CRCs, then `decode_verified`,
+/// which views each 4-aligned tensor payload and reads the payload again
+/// only to copy out the others.
 fn two_pass_receive(flow: &AssembledFlow) -> Checkpoint {
     black_box(payload_chunk_crcs(&flow.payload, CHUNK_BYTES));
     ViperFormat
         .decode_verified(&flow.payload, flow.body_crc(0))
         .unwrap()
-}
-
-/// The chunked receive in one pass (a whole flow in one drain): the same
-/// chunk CRCs and the decode from a single read of the payload, opened by
-/// the footer verdict from those CRCs.
-fn one_pass_receive(flow: &AssembledFlow) -> Checkpoint {
-    let (crcs, sealed) = ViperFormat.decode_spanned(&flow.payload, 0, CHUNK_BYTES);
-    black_box(crcs);
-    sealed.open(flow.body_crc(0)).unwrap()
 }
 
 /// `src` into `dst` a tensor-sized piece at a time — the granularity the
@@ -426,8 +417,7 @@ struct Rows {
     decode_one_pass: f64,
     decode_verified: f64,
     verify_then_decode: f64,
-    decode_spanned: f64,
-    decode_spanned_view: f64,
+    verify_then_view: f64,
 }
 
 /// Time every section on checkpoints of `elems` f32s. `sets` distinct
@@ -478,14 +468,14 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     assert_eq!(flows[0].body_crc(0), body_crcs[0]);
     assert_eq!(ViperFormat.decode(&payloads[0]).unwrap(), ckpts[0]);
     assert_eq!(two_pass_decode(&payloads[0]), ckpts[0]);
-    assert_eq!(two_pass_receive(&flows[0]), ckpts[0]);
-    let copied = one_pass_receive(&flows[0]);
+    let copied = two_pass_receive(&flows[0]);
     assert_eq!(copied, ckpts[0]);
     assert_eq!(shared_tensors(&copied), 0, "the copy rows copy");
     drop(copied);
     assert_eq!(
-        ViperFormat.decode_spanned(&payloads[0], 0, CHUNK_BYTES).0,
-        payload_chunk_crcs(&payloads[0], CHUNK_BYTES)
+        payload_chunk_crcs(&payloads[0], CHUNK_BYTES),
+        *flows[0].chunk_crcs,
+        "the receive checksums what the assembler verified"
     );
     drop(ckpts);
     // The last `sets` decoded checkpoints stay alive, as a consumer's slot
@@ -508,7 +498,6 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         decoded.unwrap()
     });
     let verify_then_decode = decode(&mut slot, &|set| two_pass_receive(&flows[set]));
-    let decode_spanned = decode(&mut slot, &|set| one_pass_receive(&flows[set]));
     drop(flows);
     // The view row decodes the same bytes from aligned buffers of their
     // own, allocated once the copy rows' outputs are gone: its outputs are
@@ -518,11 +507,11 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         .iter()
         .map(|p| assembled(&Payload::from(p.to_vec())))
         .collect();
-    let viewed = one_pass_receive(&shared[0]);
+    let viewed = two_pass_receive(&shared[0]);
     assert_eq!(viewed, ViperFormat.decode(&payloads[0]).unwrap());
     assert_eq!(shared_tensors(&viewed), TENSORS, "the view row views");
     drop(viewed);
-    let decode_spanned_view = decode(&mut slot, &|set| one_pass_receive(&shared[set]));
+    let verify_then_view = decode(&mut slot, &|set| two_pass_receive(&shared[set]));
     drop(slot);
     drop(shared);
 
@@ -636,8 +625,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         decode_one_pass,
         decode_verified,
         verify_then_decode,
-        decode_spanned,
-        decode_spanned_view,
+        verify_then_view,
     }
 }
 
@@ -727,18 +715,8 @@ impl Rows {
             ("verified_gib_s", gib_s(self.decode_verified)),
             ("verify_then_decode_ms", ms(self.verify_then_decode)),
             ("verify_then_decode_gib_s", gib_s(self.verify_then_decode)),
-            ("spanned_ms", ms(self.decode_spanned)),
-            ("spanned_gib_s", gib_s(self.decode_spanned)),
-            (
-                "spanned_speedup",
-                ratio(self.verify_then_decode, self.decode_spanned),
-            ),
-            ("spanned_view_ms", ms(self.decode_spanned_view)),
-            ("spanned_view_gib_s", gib_s(self.decode_spanned_view)),
-            (
-                "spanned_view_speedup",
-                ratio(self.decode_spanned, self.decode_spanned_view),
-            ),
+            ("verify_then_view_ms", ms(self.verify_then_view)),
+            ("verify_then_view_gib_s", gib_s(self.verify_then_view)),
         ];
         vec![
             ("crc", object(indent, &crc)),
@@ -791,16 +769,14 @@ fn main() {
         ("decode_two_pass_ms", ms(hot.decode_two_pass)),
         ("decode_one_pass_ms", ms(hot.decode_one_pass)),
         ("decode_verified_ms", ms(hot.decode_verified)),
-        ("decode_spanned_ms", ms(hot.decode_spanned)),
-        ("decode_spanned_view_ms", ms(hot.decode_spanned_view)),
+        ("verify_then_view_ms", ms(hot.verify_then_view)),
         ("copying_gib_s", hot.gib_s(hot.update_copying)),
     ];
     if let Some(cold) = &cold {
         entry.extend([
             ("cold_fused_ms", ms(cold.fused)),
             ("cold_verify_then_decode_ms", ms(cold.verify_then_decode)),
-            ("cold_decode_spanned_ms", ms(cold.decode_spanned)),
-            ("cold_decode_spanned_view_ms", ms(cold.decode_spanned_view)),
+            ("cold_verify_then_view_ms", ms(cold.verify_then_view)),
             ("cold_memcpy_gib_s", cold.gib_s(cold.memcpy)),
             (
                 "cold_memcpy_then_crc32_gib_s",
@@ -880,14 +856,12 @@ fn main() {
             r.memcpy_then_crc / r.update_copying
         );
         println!(
-            "{mode} decode: {} ms (two-pass) -> {} ms (one-pass) -> {} ms (verified)  chunked: {} ms (verify, then decode) -> {} ms (spanned)  ({:.2}x) -> {} ms (spanned view)",
+            "{mode} decode: {} ms (two-pass) -> {} ms (one-pass) -> {} ms (verified)  chunked: {} ms (verify, then decode) -> {} ms (verify, then view)",
             ms(r.decode_two_pass),
             ms(r.decode_one_pass),
             ms(r.decode_verified),
             ms(r.verify_then_decode),
-            ms(r.decode_spanned),
-            r.verify_then_decode / r.decode_spanned,
-            ms(r.decode_spanned_view)
+            ms(r.verify_then_view)
         );
     }
     // CI regression gates, all on the hot rows (the only ones a smoke run

@@ -19,13 +19,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viper_formats::{
-    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, Payload, PayloadKind,
-    Sealed,
+    delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, PayloadKind,
 };
 use viper_hw::{apply_time, Route, SimInstant, Tier};
 use viper_net::{
     deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, ReactorTask, TaskCtx,
-    WholeFlow,
 };
 use viper_telemetry::{Counter, Gauge};
 
@@ -411,29 +409,12 @@ struct CorruptBatch {
     latest: SimInstant,
 }
 
-/// A whole flow decoded in the same pass that checksummed its chunks
-/// (`ConsumerTask::span`): the parse exists before any chunk CRC has been
-/// compared with its header, so it stays sealed, and is dropped unopened
-/// unless the assembler completes a flow over exactly these bytes.
-struct Spanned {
-    /// The bytes the pass read: the batch's chunk bodies, re-joined.
-    payload: Payload,
-    decoded: SealedBody,
-}
-
-/// The sealed decode of a wire payload, by the kind its envelope declared.
-enum SealedBody {
-    Full(Sealed<Checkpoint>),
-    Delta(Sealed<DeltaCheckpoint>),
-}
-
 /// The consumer's reactor task. Owns everything the old listener thread
 /// owned — reassembly state, the apply pipeline's causal cursor, the
 /// update subscription — but is driven by events instead of a poll loop:
 ///
-/// * **mail** (fabric enqueued messages): drain, checksum the batch (a
-///   whole flow in the same pass that decodes it, anything else chunk by
-///   chunk on the reactor's worker pool), feed the assembler, reply ACK /
+/// * **mail** (fabric enqueued messages): drain, checksum the batch chunk
+///   by chunk on the reactor's worker pool, feed the assembler, reply ACK /
 ///   NACK / NeedFull stamped with the flow's current retransmission
 ///   generation;
 /// * **timer** (virtual-clock deadline): reap stale partial flows, armed
@@ -558,16 +539,12 @@ impl ConsumerTask {
     ///
     /// The flow's bytes were CRC-verified chunk by chunk on arrival, so the
     /// format footer's verdict comes from those chunk CRCs
-    /// ([`AssembledFlow::body_crc`]) and the body is not read a second time.
-    /// `sealed` is the decode of this very payload that the pass computing
-    /// those CRCs already made, if it made one ([`ConsumerTask::span`]); it
-    /// opens against the same verdict, so the body is not even read a
-    /// first time after its verify. Either decode installs each tensor as a
-    /// view of `flow.payload` where its bytes are 4-aligned (always, for a
-    /// buffer the allocator handed out): nothing is copied, and the
-    /// installed model pins the payload's allocation until it is displaced
-    /// (DESIGN.md, "Payload ownership").
-    fn apply_payload(&mut self, flow: &AssembledFlow, sealed: Option<SealedBody>) -> bool {
+    /// ([`AssembledFlow::body_crc`]) and the body is not read a second time:
+    /// the decode installs each tensor as a view of `flow.payload` where its
+    /// bytes are 4-aligned (always, for a buffer the allocator handed out).
+    /// Nothing is copied, and the installed model pins the payload's
+    /// allocation until it is displaced (DESIGN.md, "Payload ownership").
+    fn apply_payload(&mut self, flow: &AssembledFlow) -> bool {
         let (link, tag, payload) = (flow.link, flow.tag.as_str(), &flow.payload);
         let viper = &self.viper;
         let state = &self.state;
@@ -600,21 +577,13 @@ impl ConsumerTask {
         let body_crc = flow.body_crc(start);
         let ckpt = match kind {
             PayloadKind::Full => {
-                let decoded = match sealed {
-                    Some(SealedBody::Full(sealed)) => sealed.open(body_crc),
-                    _ => self.format.decode_verified(&body, body_crc),
-                };
-                let Ok(ckpt) = decoded else {
+                let Ok(ckpt) = self.format.decode_verified(&body, body_crc) else {
                     return false;
                 };
                 ckpt
             }
             PayloadKind::Delta => {
-                let decoded = match sealed {
-                    Some(SealedBody::Delta(sealed)) => sealed.open(body_crc),
-                    _ => DeltaCheckpoint::decode_verified(&body, body_crc),
-                };
-                let Ok(d) = decoded else {
+                let Ok(d) = DeltaCheckpoint::decode_verified(&body, body_crc) else {
                     return true;
                 };
                 if d.model_name != self.model_name {
@@ -695,32 +664,6 @@ impl ConsumerTask {
         }
     }
 
-    /// One pass over a batch that is exactly one whole flow: the CRC of
-    /// every chunk, in batch (= index) order — what `crc_batch` would
-    /// compute, chunk by chunk — and, from the same read of the bytes, the
-    /// sealed decode `apply_payload` would otherwise re-read them for.
-    /// `None` for any other batch, and for a payload whose envelope does
-    /// not name a kind to decode as.
-    fn span(&self, batch: &[viper_net::Message]) -> Option<(Vec<u32>, Spanned)> {
-        let WholeFlow {
-            payload,
-            chunk_bytes,
-        } = WholeFlow::of(batch)?;
-        let (kind, skip) = self.envelope(&payload).ok()?;
-        let (crcs, decoded) = match kind {
-            PayloadKind::Full => {
-                let (crcs, sealed) = self.format.decode_spanned(&payload, skip, chunk_bytes);
-                (crcs, SealedBody::Full(sealed))
-            }
-            PayloadKind::Delta => {
-                let (crcs, sealed) = DeltaCheckpoint::decode_spanned(&payload, skip, chunk_bytes);
-                (crcs, SealedBody::Delta(sealed))
-            }
-        };
-        // One CRC per message, or `drain` could not pair them up.
-        (crcs.len() == batch.len()).then_some((crcs, Spanned { payload, decoded }))
-    }
-
     /// Drain the endpoint completely, checksum the batch, and act on every
     /// resulting flow status. Draining everything before replying or
     /// reaping means chunks already delivered but not yet processed are
@@ -733,19 +676,12 @@ impl ConsumerTask {
         if msgs.is_empty() {
             return;
         }
-        // A whole flow is checksummed by the pass that decodes it; any
-        // other batch fans its checksums out to the CRC pool, whose results
+        // Every batch fans its checksums out to the CRC pool, whose results
         // come back in input order, so behavior is independent of the
-        // pool's size. Either way the assembler is handed, per message, the
-        // CRC computed over the body that arrived, and compares it with the
-        // chunk header: which pass computed it cannot change an outcome.
-        let (batch, mut spanned) = match self.span(&msgs) {
-            Some((crcs, spanned)) => {
-                let crcs = crcs.into_iter().map(Some);
-                (msgs.into_iter().zip(crcs).collect(), Some(spanned))
-            }
-            None => (ctx.crc().crc_batch(msgs), None),
-        };
+        // pool's size and of how a flow's chunks were split across drains.
+        // The assembler is handed, per message, the CRC computed over the
+        // body that arrived, and compares it with the chunk header.
+        let batch = ctx.crc().crc_batch(msgs);
         let telemetry = self.viper.shared.config.telemetry.clone();
         let reliable = matches!(self.viper.shared.config.delivery, Delivery::Reliable(_));
         let mut corrupt: Vec<CorruptBatch> = Vec::new();
@@ -826,14 +762,7 @@ impl ConsumerTask {
                     // missing or stale answers `NeedFull` instead — the
                     // producer resets its base tracking and re-sends the
                     // update as a full checkpoint on a fresh flow.
-                    // The sealed decode is of the batch's bytes; it stands
-                    // in for a decode of the flow's only if they are the
-                    // very same bytes.
-                    let sealed = spanned
-                        .take()
-                        .filter(|spanned| spanned.payload.same_view(&flow.payload))
-                        .map(|spanned| spanned.decoded);
-                    let need_full = self.apply_payload(&flow, sealed);
+                    let need_full = self.apply_payload(&flow);
                     if reliable {
                         // Causal reply instant: the apply this feedback
                         // attests has finished (or, for NeedFull, the flow

@@ -1,7 +1,6 @@
 //! The in-memory checkpoint representation shared by all formats.
 
-use crate::crc::ChunkCrcs;
-use crate::Payload;
+use crate::{Crc32, Payload};
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 use viper_tensor::Tensor;
@@ -161,24 +160,24 @@ impl<'a> Source<'a> {
 /// checksum verdict — so none is added, multiplied or allocated from
 /// without a check against the bytes actually left.
 ///
-/// A [`checksummed`](Reader::checksummed) reader also rolls [`ChunkCrcs`]
-/// over the buffer, lazily: header fields are checksummed just ahead of the
-/// tensor payload that follows them, and a copied payload in the very pass
-/// that copies it out ([`ChunkCrcs::update_copying`]) — the decode reads
-/// every byte from memory once.
+/// A [`checksummed`](Reader::checksummed) reader, over bytes no one
+/// shares, also rolls a [`Crc32`] over the buffer, lazily: header fields
+/// are checksummed just ahead of the tensor payload that follows them, and
+/// a payload in the very pass that copies it out
+/// ([`Crc32::update_copying`]) — the decode reads every byte from memory
+/// once.
 ///
-/// A reader over a shared [`Source`] installs a 4-aligned tensor payload as
-/// a view of the source's allocation ([`Tensor::from_shared`]) instead of
-/// copying it: a checksummed reader then reads the payload once, for its
-/// CRC, and one whose caller already holds the body's CRC not at all.
+/// A reader over a shared [`Source`] — whose caller already holds the
+/// body's CRC — installs a 4-aligned tensor payload as a view of the
+/// source's allocation ([`Tensor::from_shared`]) instead of copying it,
+/// and does not read the payload at all.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     owner: Option<(&'a Arc<Vec<u8>>, usize)>,
     pos: usize,
-    /// Rolling chunk CRCs of `buf[..hashed]` (and of whatever the caller
-    /// fed them before the buffer); `None` when the caller already holds
-    /// the body's CRC.
-    crcs: Option<ChunkCrcs>,
+    /// Rolling CRC of `buf[..hashed]`; `None` when the caller already
+    /// holds the body's CRC.
+    crc: Option<Crc32>,
     hashed: usize,
 }
 
@@ -198,17 +197,17 @@ impl<'a> Reader<'a> {
             buf: src.bytes,
             owner: src.owner,
             pos: 0,
-            crcs: None,
+            crc: None,
             hashed: 0,
         }
     }
 
-    /// A reader that rolls `crcs` on over `src` while it is consumed; see
-    /// [`finish_crcs`](Self::finish_crcs).
-    pub(crate) fn checksummed(src: Source<'a>, crcs: ChunkCrcs) -> Self {
+    /// A reader that rolls the CRC of `buf` while it is consumed, copying
+    /// every tensor out; see [`finish_crc`](Self::finish_crc).
+    pub(crate) fn checksummed(buf: &'a [u8]) -> Self {
         Reader {
-            crcs: Some(crcs),
-            ..Reader::over(src)
+            crc: Some(Crc32::new()),
+            ..Reader::new(buf)
         }
     }
 
@@ -315,69 +314,31 @@ impl<'a> Reader<'a> {
         let view = self
             .owner
             .and_then(|(buf, start)| Tensor::from_shared(Arc::clone(buf), start + at, &dims));
-        if let Some(crcs) = &mut self.crcs {
+        if let Some(crc) = &mut self.crc {
             // Everything parsed since the last payload (this record's
-            // header and pad included) goes in front of it; a viewed
-            // payload goes with it, a copied one with its copy.
-            let end = if view.is_some() { self.pos } else { at };
-            crcs.update(&self.buf[self.hashed..end]);
+            // header and pad included) goes in front of it; the payload
+            // goes with its copy (a checksummed reader views nothing).
+            crc.update(&self.buf[self.hashed..at]);
             self.hashed = self.pos;
         }
         let tensor = match view {
             Some(tensor) => tensor,
             None => {
-                let data = copy_f32s(payload, self.crcs.as_mut());
+                let data = copy_f32s(payload, self.crc.as_mut());
                 Tensor::from_vec(data, &dims).map_err(|e| FormatError::Corrupt(e.to_string()))?
             }
         };
         Ok((name, tensor))
     }
 
-    /// The chunk CRCs rolled over the **whole** buffer: what the parse did
-    /// not reach (it stopped early, or failed) is absorbed now, so no
-    /// verdict depends on how far parsing got. Panics unless the reader is
+    /// The CRC rolled over the **whole** buffer: what the parse did not
+    /// reach (it stopped early, or failed) is absorbed now, so no verdict
+    /// depends on how far parsing got. Panics unless the reader is
     /// [`checksummed`](Self::checksummed).
-    pub(crate) fn finish_crcs(self) -> ChunkCrcs {
-        let mut crcs = self.crcs.expect("reader is checksummed");
-        crcs.update(&self.buf[self.hashed..]);
-        crcs
-    }
-}
-
-/// A parse made before its checksum verdict, unreachable until the verdict
-/// is in: [`CheckpointFormat::decode_spanned`](crate::CheckpointFormat::decode_spanned)
-/// parses a payload in the same pass that checksums its chunks, so the
-/// result exists before anyone has compared a CRC. It [`open`](Self::open)s
-/// only against the CRC of the body, which the receiver derives from chunk
-/// CRCs it has by then compared with the chunk headers; dropped unopened,
-/// it was never observable.
-#[derive(Debug)]
-pub struct Sealed<T> {
-    /// The CRC footer stored behind the body; `None` when the parse is its
-    /// own verdict — the stream is too short to hold a footer, or the
-    /// format verified itself.
-    stored: Option<u32>,
-    parsed: Result<T, FormatError>,
-}
-
-impl<T> Sealed<T> {
-    /// A result that carries its own verdict: nothing is left to compare.
-    pub(crate) fn verified(parsed: Result<T, FormatError>) -> Self {
-        Sealed {
-            stored: None,
-            parsed,
-        }
-    }
-
-    /// The parse, if the stored footer equals `body_crc` — the CRC32 of
-    /// the body the footer covers, computed from the bytes that arrived.
-    /// A mismatch is [`FormatError::ChecksumMismatch`] and outranks
-    /// whatever the parse found, exactly as in `decode_verified`.
-    pub fn open(self, body_crc: u32) -> Result<T, FormatError> {
-        if let Some(stored) = self.stored {
-            check_footer(stored, body_crc)?;
-        }
-        self.parsed
+    pub(crate) fn finish_crc(self) -> u32 {
+        let mut crc = self.crc.expect("reader is checksummed");
+        crc.update(&self.buf[self.hashed..]);
+        crc.finalize()
     }
 }
 
@@ -404,7 +365,8 @@ fn split_footer(src: Source<'_>) -> Result<(Source<'_>, u32), FormatError> {
 /// Decode a `body ‖ crc32(body)` stream with `parse`, comparing the stored
 /// footer before anything is returned: against `body_crc` up front when the
 /// caller already holds it (a chunk-verified flow), else against the CRC
-/// the reader rolled while `parse` consumed the body. A mismatch outranks
+/// the reader rolled while `parse` consumed, and copied out, the body. The
+/// tensors view `src`'s allocation only in the first case. A mismatch outranks
 /// whatever `parse` found: damaged bytes fail structurally in arbitrary
 /// ways, and the caller is owed the root cause.
 pub(crate) fn decode_footed<T>(
@@ -419,45 +381,12 @@ pub(crate) fn decode_footed<T>(
             parse(&mut Reader::over(body))
         }
         None => {
-            let mut r = Reader::checksummed(body, ChunkCrcs::new(0));
+            let mut r = Reader::checksummed(body.bytes);
             let parsed = parse(&mut r);
-            check_footer(stored, r.finish_crcs().stream_crc())?;
+            check_footer(stored, r.finish_crc())?;
             parsed
         }
     }
-}
-
-/// One pass over a whole received payload — `skip` envelope bytes, then a
-/// `body ‖ crc32(body)` stream — that yields both the CRC32 of each of its
-/// `chunk_bytes`-sized chunks (envelope and footer included: exactly what a
-/// per-chunk verify of the same bytes computes) and the body's parse,
-/// [`Sealed`] until the caller has a verdict on those CRCs.
-pub(crate) fn decode_spanned<T>(
-    src: Source<'_>,
-    skip: usize,
-    chunk_bytes: u64,
-    parse: impl FnOnce(&mut Reader<'_>) -> Result<T, FormatError>,
-) -> (Vec<u32>, Sealed<T>) {
-    let (envelope, framed) = src.split_at(skip);
-    let mut crcs = ChunkCrcs::new(chunk_bytes);
-    crcs.update(envelope.bytes);
-    let sealed = match split_footer(framed) {
-        Ok((body, stored)) => {
-            let mut r = Reader::checksummed(body, crcs);
-            let parsed = parse(&mut r);
-            crcs = r.finish_crcs();
-            crcs.update(&framed.bytes[body.bytes.len()..]);
-            Sealed {
-                stored: Some(stored),
-                parsed,
-            }
-        }
-        Err(too_short) => {
-            crcs.update(framed.bytes);
-            Sealed::verified(Err(too_short))
-        }
-    };
-    (crcs.finish(), sealed)
 }
 
 /// The payload size in bytes of `f32`s shaped `dims`, `None` where it
@@ -534,16 +463,16 @@ pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, FormatError> {
     Ok(copy_f32s(bytes, None))
 }
 
-/// The copy behind [`bytes_to_f32s`]; with `crcs`, the same pass over
-/// `bytes` also rolls them into the chunk CRCs (the checksummed reader's
-/// one touch per byte). `bytes.len()` must be a multiple of 4.
-fn copy_f32s(bytes: &[u8], crcs: Option<&mut ChunkCrcs>) -> Vec<f32> {
+/// The copy behind [`bytes_to_f32s`]; with `crc`, the same pass over
+/// `bytes` also rolls them into the CRC (the checksummed reader's one
+/// touch per byte). `bytes.len()` must be a multiple of 4.
+fn copy_f32s(bytes: &[u8], crc: Option<&mut Crc32>) -> Vec<f32> {
     debug_assert!(bytes.len().is_multiple_of(4));
     let n = bytes.len() / 4;
     let mut out = Vec::with_capacity(n);
     if cfg!(target_endian = "big") {
-        if let Some(crcs) = crcs {
-            crcs.update(bytes);
+        if let Some(crc) = crc {
+            crc.update(bytes);
         }
         extend_f32s_swapped(&mut out, bytes);
         return out;
@@ -553,8 +482,8 @@ fn copy_f32s(bytes: &[u8], crcs: Option<&mut ChunkCrcs>) -> Vec<f32> {
     // `MaybeUninit<u8>` has no validity or alignment requirement, and the
     // view borrows `spare` mutably, so nothing aliases it.
     let dst = unsafe { std::slice::from_raw_parts_mut(spare.as_mut_ptr().cast(), 4 * n) };
-    match crcs {
-        Some(crcs) => crcs.update_copying(bytes, dst),
+    match crc {
+        Some(crc) => crc.update_copying(bytes, dst),
         None => {
             dst.write_copy_of_slice(bytes);
         }
@@ -703,16 +632,22 @@ pub(crate) mod tests {
         let mut bytes = Vec::new();
         put_f32s(&mut bytes, &v);
         assert_eq!(copy_f32s(&bytes, None), v);
-        // Chunk boundaries inside the copy, behind a prefix already rolled.
-        for chunk in [0u64, 1, 64, 1000, 4096, 1 << 20] {
-            let mut crcs = ChunkCrcs::new(chunk);
-            crcs.update(b"prefix");
-            assert_eq!(copy_f32s(&bytes, Some(&mut crcs)), v, "chunk {chunk}");
-            assert!(copy_f32s(&[], Some(&mut crcs)).is_empty());
-            let mut want = ChunkCrcs::new(chunk);
-            want.update(b"prefix");
-            want.update(&bytes);
-            assert_eq!(crcs.finish(), want.finish(), "chunk {chunk}");
+        // The bytes cut into chunks, each copied by a call of its own (as
+        // the reader copies tensor by tensor), behind a prefix already
+        // rolled: one CRC of the prefix and every copied byte.
+        let mut want = Crc32::new();
+        want.update(b"prefix");
+        want.update(&bytes);
+        for chunk in [4usize, 64, 1000, 4096, 1 << 20] {
+            let mut crc = Crc32::new();
+            crc.update(b"prefix");
+            let copied: Vec<f32> = bytes
+                .chunks(chunk)
+                .flat_map(|piece| copy_f32s(piece, Some(&mut crc)))
+                .collect();
+            assert_eq!(copied, v, "chunk {chunk}");
+            assert!(copy_f32s(&[], Some(&mut crc)).is_empty());
+            assert_eq!(crc.finalize(), want.finalize(), "chunk {chunk}");
         }
     }
 
@@ -731,27 +666,21 @@ pub(crate) mod tests {
     #[test]
     fn checksummed_reader_covers_the_whole_buffer_however_far_parsing_got() {
         let buf = record();
-        // From a bare slice (a copy) and from a shared payload (a view
-        // where the payload's address is 4-aligned): the same CRCs.
-        let shared = Payload::from(buf.clone());
-        for src in [Source::slice(&buf), Source::payload(&shared)] {
-            // Parsed to the end, stopped half way, and not parsed at all.
-            let checksummed = |src| Reader::checksummed(src, ChunkCrcs::new(0));
-            let crc_of = |r: Reader<'_>| r.finish_crcs().stream_crc();
-            let mut r = checksummed(src);
-            let (name, t) = r.tensor().unwrap();
-            assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
-            assert_eq!(r.u32("tail").unwrap(), 0xFEED);
-            assert_eq!(crc_of(r), crc32(&buf));
-            let mut r = checksummed(src);
-            r.tensor().unwrap();
-            assert_eq!(crc_of(r), crc32(&buf));
-            let (cut, _) = src.split_at(buf.len() - 9);
-            let mut r = checksummed(cut);
-            assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
-            assert_eq!(crc_of(r), crc32(&buf[..buf.len() - 9]));
-            assert_eq!(crc_of(checksummed(src)), crc32(&buf));
-        }
+        // Parsed to the end, stopped half way, and not parsed at all.
+        let mut r = Reader::checksummed(&buf);
+        let (name, t) = r.tensor().unwrap();
+        assert_eq!((name.as_str(), t.as_slice()), ("w", &[1.0, 2.0, 3.0][..]));
+        assert!(!t.is_shared(), "a checksummed reader copies");
+        assert_eq!(r.u32("tail").unwrap(), 0xFEED);
+        assert_eq!(r.finish_crc(), crc32(&buf));
+        let mut r = Reader::checksummed(&buf);
+        r.tensor().unwrap();
+        assert_eq!(r.finish_crc(), crc32(&buf));
+        let cut = &buf[..buf.len() - 9];
+        let mut r = Reader::checksummed(cut);
+        assert!(matches!(r.tensor(), Err(FormatError::Truncated { .. })));
+        assert_eq!(r.finish_crc(), crc32(cut));
+        assert_eq!(Reader::checksummed(&buf).finish_crc(), crc32(&buf));
     }
 
     #[test]

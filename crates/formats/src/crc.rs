@@ -15,8 +15,9 @@
 //!   an order of magnitude past the table kernels on multi-MiB blocks.
 //!   The same loop, with its stores compiled in, is the *copying* kernel
 //!   behind [`Crc32::update_copying`]: bytes that must be both moved and
-//!   checksummed (a tensor entering the encode buffer, a tensor leaving a
-//!   received payload) are read from memory once instead of twice.
+//!   checksummed (a tensor entering the encode buffer, a tensor copied
+//!   out by a self-verifying decode) are read from memory once instead of
+//!   twice.
 //! * [`crc32`] via **slice-by-16** — sixteen 256-entry tables consume 16
 //!   input bytes per iteration. The portable kernel, and the forced
 //!   fallback under `VIPER_FORCE_PORTABLE_CRC=1`.
@@ -33,11 +34,12 @@
 //! with [`Crc32::update`] (or [`Crc32::update_copying`], which also
 //! writes them to a destination) and [`Crc32::finalize`] at the end.
 //! [`ChunkCrcs`] rolls one over at every chunk boundary of a stream; the
-//! fused encoder and the checksummed decode both checksum through it in
-//! the same pass that moves the bytes. [`crc32_combine`] stitches
-//! independently computed CRCs together (`crc(A ‖ B)` from `crc(A)`,
-//! `crc(B)`, `len(B)`), which the encoder's footer derivation and the
-//! receiver's range CRCs over verified chunks ride on.
+//! fused encoder checksums through it in the same pass that moves the
+//! bytes, as the self-verifying decode does through one [`Crc32`].
+//! [`crc32_combine`] stitches independently computed CRCs together
+//! (`crc(A ‖ B)` from `crc(A)`, `crc(B)`, `len(B)`), which the encoder's
+//! footer derivation and the receiver's range CRCs over verified chunks
+//! ride on.
 
 use std::mem::MaybeUninit;
 
@@ -662,11 +664,10 @@ impl CrcFold {
 /// goes by: one [`Crc32`] that is closed out and restarted at every
 /// multiple of `chunk_bytes`. The result is the chunk geometry the
 /// transport splits a payload into (`chunk_sizes(len, chunk_bytes)`), so
-/// the CRCs slot straight into chunk headers — or are compared with the
-/// ones that arrived in them. The fused encoder rolls one over the bytes
-/// it appends and the checksummed decode over the bytes it consumes, both
-/// through [`update_copying`](Self::update_copying) wherever the bytes are
-/// also being moved.
+/// the CRCs slot straight into chunk headers. The fused encoder rolls one
+/// over the bytes it appends, through
+/// [`update_copying`](Self::update_copying) wherever the bytes are also
+/// being moved.
 #[derive(Debug)]
 pub(crate) struct ChunkCrcs {
     /// Bytes per chunk; `0` makes the whole stream one chunk.

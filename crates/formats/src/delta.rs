@@ -26,11 +26,11 @@
 //! a received delta's changed tensors are views of the wire bytes.
 
 use crate::checkpoint::{
-    decode_footed, decode_spanned, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
+    decode_footed, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
 use crate::encoder::StreamMark;
-use crate::{crc32, Checkpoint, FormatError, Payload, Sealed, StreamingEncoder};
+use crate::{crc32, Checkpoint, FormatError, Payload, StreamingEncoder};
 use viper_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"VIPD";
@@ -134,17 +134,6 @@ impl DeltaCheckpoint {
     /// [`CheckpointFormat::decode_verified`](crate::CheckpointFormat::decode_verified).
     pub fn decode_verified(bytes: &Payload, body_crc: u32) -> Result<Self, FormatError> {
         decode_footed(Source::payload(bytes), Some(body_crc), Self::parse_body)
-    }
-
-    /// The chunk CRCs of a whole received payload and its [`Sealed`]
-    /// decode from one pass over `bytes`; same contract as
-    /// [`CheckpointFormat::decode_spanned`](crate::CheckpointFormat::decode_spanned).
-    pub fn decode_spanned(
-        bytes: &Payload,
-        skip: usize,
-        chunk_bytes: u64,
-    ) -> (Vec<u32>, Sealed<Self>) {
-        decode_spanned(Source::payload(bytes), skip, chunk_bytes, Self::parse_body)
     }
 
     /// Everything between the start of the stream and the CRC footer.

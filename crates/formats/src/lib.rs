@@ -30,7 +30,7 @@ mod viper_format;
 pub mod delta;
 pub mod wire;
 
-pub use checkpoint::{Checkpoint, FormatError, Sealed};
+pub use checkpoint::{Checkpoint, FormatError};
 pub use crc::{
     active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_with, Crc32, Crc32Kernel, CrcFold,
     CrcShift,
@@ -76,32 +76,6 @@ pub trait CheckpointFormat: Send + Sync {
     fn decode_verified(&self, bytes: &Payload, body_crc: u32) -> Result<Checkpoint, FormatError> {
         let _ = body_crc;
         self.decode(bytes)
-    }
-
-    /// One pass over a whole received payload that yields both halves of a
-    /// chunked receive: the CRC32 of each `chunk_bytes`-sized chunk of
-    /// `bytes` (`chunk_bytes == 0`: of `bytes` whole) — what a per-chunk
-    /// verify of the same bytes would compute, for the receiver to compare
-    /// with the chunk headers — and the decode of `bytes[skip..]` (`skip`
-    /// is the length of a wire envelope in front of the encoding),
-    /// [`Sealed`] until the receiver opens it with the body CRC those
-    /// comparisons vouch for. Opened with the CRC32 of the encoding minus
-    /// its 4-byte footer, the result equals
-    /// [`decode`](Self::decode)`(&bytes[skip..])`; as in
-    /// [`decode_verified`](Self::decode_verified), its tensors may be views
-    /// of `bytes`' allocation, and then the one pass only checksums them.
-    /// The default makes two passes: the chunk CRCs, then the
-    /// self-verifying `decode`.
-    fn decode_spanned(
-        &self,
-        bytes: &Payload,
-        skip: usize,
-        chunk_bytes: u64,
-    ) -> (Vec<u32>, Sealed<Checkpoint>) {
-        let mut crcs = crc::ChunkCrcs::new(chunk_bytes);
-        crcs.update(bytes);
-        let decoded = self.decode(&bytes[skip.min(bytes.len())..]);
-        (crcs.finish(), Sealed::verified(decoded))
     }
 
     /// How many metadata operations this format costs per tensor, relative

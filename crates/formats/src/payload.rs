@@ -95,12 +95,6 @@ impl Payload {
         })
     }
 
-    /// Whether `self` and `other` are the same window of the same
-    /// allocation: the very same immutable bytes, not merely equal ones.
-    pub fn same_view(&self, other: &Payload) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf) && self.start == other.start && self.len == other.len
-    }
-
     /// Copy this view out into an owned vector. The one deliberate copy;
     /// callers on the delivery path account for it in `bytes_copied`.
     pub fn to_vec(&self) -> Vec<u8> {

@@ -25,10 +25,10 @@
 //! [`FormatError::BadMagic`].
 
 use crate::checkpoint::{
-    decode_footed, decode_spanned, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
+    decode_footed, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
-use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Payload, Sealed, StreamingEncoder};
+use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Payload, StreamingEncoder};
 
 const MAGIC: &[u8; 4] = b"VIPR";
 const VERSION: u32 = 2;
@@ -94,15 +94,6 @@ impl CheckpointFormat for ViperFormat {
 
     fn decode_verified(&self, bytes: &Payload, body_crc: u32) -> Result<Checkpoint, FormatError> {
         decode_footed(Source::payload(bytes), Some(body_crc), parse_body)
-    }
-
-    fn decode_spanned(
-        &self,
-        bytes: &Payload,
-        skip: usize,
-        chunk_bytes: u64,
-    ) -> (Vec<u32>, Sealed<Checkpoint>) {
-        decode_spanned(Source::payload(bytes), skip, chunk_bytes, parse_body)
     }
 
     fn metadata_ops_factor(&self) -> f64 {

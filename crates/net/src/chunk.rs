@@ -644,80 +644,12 @@ impl FlowAssembler {
     }
 }
 
-/// A drained batch that is exactly one whole flow, as every fault-free
-/// in-process send arrives: each of the flow's chunks once, in index order,
-/// the bodies adjacent views of one allocation that tile the payload under
-/// the uniform `chunk_sizes` geometry. A receiver holding one can make a
-/// single pass over [`payload`](Self::payload) that both checksums every
-/// chunk and decodes the payload, instead of reading the chunks to verify
-/// them and the assembled payload again to decode it — provided it then
-/// hands the computed CRCs to [`FlowAssembler::accept_with_crc`] message by
-/// message, where each is still compared with its chunk header, and treats
-/// the decode as untrusted until the flow comes back
-/// [`FlowStatus::Complete`]. Whether a batch qualifies is a function of the
-/// batch alone; a hole, a duplicate, a reorder, a second flow, a control
-/// frame or a body from another allocation (a corrupted or otherwise
-/// copied one) disqualifies it, and the per-chunk path is always correct.
-#[derive(Debug, Clone)]
-pub struct WholeFlow {
-    /// The chunk bodies, in order, re-joined into the one view they window.
-    pub payload: Payload,
-    /// The geometry the bodies tile the payload under: their lengths are
-    /// exactly `chunk_sizes(payload.len(), chunk_bytes)`.
-    pub chunk_bytes: u64,
-}
-
-impl WholeFlow {
-    /// `batch` as one whole flow, if it is one (see the type).
-    pub fn of(batch: &[Message]) -> Option<WholeFlow> {
-        let sender = &batch.first()?.from;
-        let mut chunks = Vec::with_capacity(batch.len());
-        for msg in batch {
-            if msg.kind != MessageKind::Chunk || msg.from != *sender {
-                return None;
-            }
-            chunks.push(ChunkHeader::decode_buf(&msg.payload)?);
-        }
-        // The assembler's own conditions, on the batch: one flow under its
-        // first-seen geometry, every index once and in order, each body
-        // starting where the one before it ended — and every body of the
-        // first one's size, but for a shorter, non-empty last.
-        let (geometry, chunk_bytes) = (chunks[0].0, chunks[0].1.len() as u64);
-        let mut end = 0u64;
-        for (index, (header, body)) in chunks.iter().enumerate() {
-            let len = body.len() as u64;
-            let short_last = index + 1 == chunks.len() && (1..chunk_bytes).contains(&len);
-            let in_place = header.flow_id == geometry.flow_id
-                && header.num_chunks == geometry.num_chunks
-                && header.total_bytes == geometry.total_bytes
-                && header.num_chunks as usize == chunks.len()
-                && header.chunk_index as usize == index
-                && header.offset == end
-                && (len == chunk_bytes || short_last);
-            if !in_place {
-                return None;
-            }
-            end += len;
-        }
-        if end != geometry.total_bytes {
-            return None;
-        }
-        let mut bodies = chunks.iter().map(|(_, body)| body);
-        let first = bodies.next()?.clone();
-        let payload = bodies.try_fold(first, |joined, next| joined.try_join(next))?;
-        Some(WholeFlow {
-            payload,
-            chunk_bytes,
-        })
-    }
-}
-
 /// CRC32 of a chunk message's body, or `None` when the message is not a
 /// well-formed chunk frame (non-chunk kinds, broken framing). This is the
 /// exact checksum [`FlowAssembler::accept`] would compute inline; the
-/// reactor's [`CrcPool`](crate::CrcPool) batches it across worker threads
-/// and feeds the result back through
-/// [`FlowAssembler::accept_with_crc`].
+/// reactor's [`CrcPool`](crate::CrcPool) computes it for every chunk a
+/// consumer drains, batched across worker threads, and the consumer feeds
+/// the result back through [`FlowAssembler::accept_with_crc`].
 pub fn chunk_body_crc(msg: &Message) -> Option<u32> {
     if msg.kind != MessageKind::Chunk {
         return None;
@@ -1059,99 +991,6 @@ mod tests {
         let rechunked = flow.crcs_for(2500);
         assert!(!Arc::ptr_eq(&rechunked, &flow.chunk_crcs));
         assert_eq!(*rechunked, payload_chunk_crcs(&sent, 2500));
-    }
-
-    #[test]
-    fn a_batch_is_a_whole_flow_only_when_it_is_exactly_one() {
-        let sent = Payload::from((0..=255u8).cycle().take(10_000).collect::<Vec<_>>());
-        let whole = |flow_id| -> Vec<Message> {
-            (0..4).map(|i| view_msg(flow_id, i, &sent, 3000)).collect()
-        };
-        let flow = WholeFlow::of(&whole(1)).expect("every chunk, in order, adjacent");
-        assert!(flow.payload.same_view(&sent), "the bodies re-joined");
-        assert_eq!(flow.chunk_bytes, 3000);
-        // A last chunk as long as the others.
-        let even: Vec<Message> = (0..4).map(|i| view_msg(4, i, &sent, 2500)).collect();
-        assert_eq!(WholeFlow::of(&even).expect("even cut").chunk_bytes, 2500);
-        // One chunk, and the empty payload's one empty chunk.
-        let single = WholeFlow::of(&[view_msg(2, 0, &sent, 0)]).expect("one chunk");
-        assert!(single.payload.same_view(&sent));
-        assert_eq!(single.chunk_bytes, 10_000);
-        let empty = WholeFlow::of(&[view_msg(3, 0, &Payload::empty(), 64)]).expect("empty");
-        assert_eq!((empty.payload.len(), empty.chunk_bytes), (0, 0));
-
-        let mut duplicate = whole(1);
-        duplicate.insert(2, duplicate[1].clone());
-        let mut swapped = whole(1);
-        swapped.swap(1, 2);
-        let mut withheld = whole(1);
-        withheld.pop();
-        let mut headless = whole(1);
-        headless.remove(0);
-        let mut interleaved = whole(1);
-        interleaved.splice(2..2, whole(2));
-        let mut two_flows = whole(1);
-        two_flows.extend(whole(2));
-        let mut foreign_sender = whole(1);
-        foreign_sender[3].from = "q".into();
-        // Same bytes, but chunk 1 sits in an allocation of its own — what
-        // the fault injector leaves behind a bit flip.
-        let mut copied = whole(1);
-        copied[1] = chunk_msg(1, 1, 4, &sent, 3000);
-        let mut with_control = whole(1);
-        with_control.push(Message {
-            kind: MessageKind::Control,
-            payload: WireBuf::plain(vec![1, 2, 3]),
-            ..with_control[0].clone()
-        });
-        let mut marked_control = whole(1);
-        marked_control[0].kind = MessageKind::Control;
-        let mut broken_frame = whole(1);
-        broken_frame[2].payload = WireBuf::plain(vec![0u8; 64]);
-        // Views that tile the payload, but not as `chunk_sizes` would cut
-        // it: a longer middle chunk, and a 1-byte first one.
-        let cut = |lens: &[usize]| -> Vec<Message> {
-            let mut at = 0;
-            let frames = lens.iter().zip(0u32..).map(|(&len, i)| {
-                let body = sent.slice(at..at + len);
-                let n = lens.len() as u32;
-                let header = ChunkHeader::for_body(5, i, n, at as u64, 10_000, &body);
-                at += len;
-                framed_msg(header, body)
-            });
-            frames.collect()
-        };
-        let (ragged, lopsided) = (cut(&[3000, 4000, 3000]), cut(&[1, 9_999]));
-        // Adjacent views of every chunk, claiming a longer payload.
-        let short: Vec<Message> = (0..4)
-            .map(|i| {
-                let (mut header, body) = ChunkHeader::decode_buf(&whole(1)[i].payload).unwrap();
-                header.total_bytes += 1;
-                framed_msg(header, body)
-            })
-            .collect();
-        for (name, batch) in [
-            ("empty", vec![]),
-            ("duplicate", duplicate),
-            ("swapped", swapped),
-            ("withheld", withheld),
-            ("headless", headless),
-            ("interleaved", interleaved),
-            ("two flows", two_flows),
-            ("foreign sender", foreign_sender),
-            ("copied body", copied),
-            ("control frame", with_control),
-            ("chunk frame marked control", marked_control),
-            ("broken frame", broken_frame),
-            ("ragged", ragged),
-            ("lopsided", lopsided),
-            ("short", short),
-        ] {
-            assert!(
-                WholeFlow::of(&batch).is_none(),
-                "{name} batch is no whole flow"
-            );
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod wirebuf;
 
 pub use chunk::{
     chunk_body_crc, chunk_sizes, payload_chunk_crcs, AssembledFlow, ChunkHeader, ChunkedSend,
-    FlowAssembler, FlowReport, FlowStatus, WholeFlow, CHUNK_MAGIC,
+    FlowAssembler, FlowReport, FlowStatus, CHUNK_MAGIC,
 };
 pub use fabric::{Endpoint, Fabric, LinkKind, Message, MessageKind, NetError, Waker};
 pub use fault::{FaultPlan, FaultRng, LinkFaults};

@@ -28,9 +28,10 @@
 //! thousand map entries, not ten thousand threads.
 //!
 //! Worker threads (`threads` > 1) are used **only** for batch CRC
-//! verification of drained chunk messages ([`CrcPool`]); results are
-//! committed back in input order, so every trace byte and every virtual
-//! timestamp is identical whether the pool has 1, 4, or 16 workers.
+//! verification of drained chunk messages ([`CrcPool`]), which every
+//! drained batch goes through; results are committed back in input order,
+//! so every trace byte and every virtual timestamp is identical whether
+//! the pool has 1, 4, or 16 workers.
 
 use crate::chunk::chunk_body_crc;
 use crate::Message;
@@ -99,26 +100,22 @@ impl CrcPool {
 
     /// Compute the chunk-body CRC of every message, returning the
     /// messages **in their input order** paired with the computed CRC
-    /// (`None` for non-chunk messages, which have no CRC to check).
+    /// (`None` for non-chunk messages, which have no CRC to check). Every
+    /// batch a consumer drains is checksummed here, whole flow or not; a
+    /// pool without workers, or a batch of one, is checksummed inline.
     pub fn crc_batch(&self, msgs: Vec<Message>) -> Vec<(Message, Option<u32>)> {
-        let Some(tx) = &self.tx else {
-            return msgs
-                .into_iter()
-                .map(|m| {
-                    let crc = chunk_body_crc(&m);
-                    (m, crc)
-                })
-                .collect();
+        let tx = match &self.tx {
+            Some(tx) if msgs.len() >= 2 => tx,
+            _ => {
+                return msgs
+                    .into_iter()
+                    .map(|m| {
+                        let crc = chunk_body_crc(&m);
+                        (m, crc)
+                    })
+                    .collect();
+            }
         };
-        if msgs.len() < 2 {
-            return msgs
-                .into_iter()
-                .map(|m| {
-                    let crc = chunk_body_crc(&m);
-                    (m, crc)
-                })
-                .collect();
-        }
         let n = msgs.len();
         let (reply_tx, reply_rx) = unbounded::<CrcResult>();
         for (idx, msg) in msgs.into_iter().enumerate() {

@@ -670,13 +670,14 @@ fn chunk_clean_flow_with_a_wrong_format_footer_is_never_installed() {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-flow batches. A consumer that drains every chunk of a flow at once
-// checksums and decodes them in one pass over the bytes; any other batch is
-// checksummed chunk by chunk and decoded on completion. Both must reach the
-// same verdicts at the same virtual instants. The fault injector cannot test
-// the one-pass side — a body it damages lands in an allocation of its own
-// and no longer joins its neighbours — so these tests frame chunks by hand
-// and hand the consumer exactly the batch they mean it to drain.
+// Hand-framed batches. A consumer checksums every drained batch chunk by
+// chunk and decodes a flow on completion, whether the batch is one whole
+// flow, part of one, or pieces of several. One path must reach the same
+// verdicts at the same virtual instants however a flow's chunks are split
+// across drains. The fault injector cannot choose the split — a body it
+// damages lands in an allocation of its own, and it never holds a batch
+// back — so these tests frame chunks by hand and hand the consumer exactly
+// the batch they mean it to drain.
 // ---------------------------------------------------------------------------
 
 mod whole_flow {
@@ -777,12 +778,11 @@ mod whole_flow {
     }
 }
 
-/// One pass or two, each chunk's CRC is computed over the body that arrived
-/// and compared with its header: a whole flow of adjacent views in which one
-/// header claims a CRC its body does not have is never installed, is NACKed
-/// with exactly that index, and installs once that one chunk is resent with
-/// an honest header — by then through the per-chunk path, since the parse
-/// the first pass made was dropped with the batch.
+/// Each chunk's CRC is computed over the body that arrived and compared with
+/// its header, also when the batch is a whole flow of adjacent views: one
+/// in which one header claims a CRC its body does not have is never
+/// installed, is NACKed with exactly that index, and installs once that one
+/// chunk is resent with an honest header, in a batch of its own.
 #[test]
 fn whole_flow_with_one_lying_chunk_header_is_nacked_by_index_then_repaired() {
     use viper_hw::SimInstant;
@@ -832,16 +832,14 @@ fn whole_flow_with_one_lying_chunk_header_is_nacked_by_index_then_repaired() {
     assert_eq!(consumer.bytes_copied(), 0);
 }
 
-/// Which pass checksummed a batch cannot change a timeline. Each scenario
-/// hands the consumer hand-framed batches and pins every reply, its virtual
-/// instant, the install and the counters to what the parent of the one-pass
-/// drain produced for the same batches, when it checksummed all of them
-/// chunk by chunk: the whole flow (one pass now); four batches that must
-/// still take the per-chunk path — one duplicate, one adjacent swap, two
-/// flows interleaved, the last chunk withheld until it is NACKed; and a
-/// whole flow that finds its first chunk already held, as a view (the
-/// one-pass parse stands in for the flow's decode) and as a copy (it is of
-/// other bytes than the flow's, and is dropped).
+/// How a flow's chunks are split across drains cannot change a timeline.
+/// Each scenario hands the consumer hand-framed batches and pins every
+/// reply, its virtual instant, the install and the counters: the whole flow
+/// in one batch; one duplicate; one adjacent swap; two flows interleaved;
+/// the last chunk withheld until it is NACKed; and a whole flow that finds
+/// its first chunk already held, as a view (the flow completes over the
+/// sender's own bytes) and as a copy (it is gathered, and the copy counted).
+/// The whole flow, the duplicate and the swap share one pin.
 #[test]
 fn hand_framed_batches_keep_their_replies_instants_and_counters() {
     use viper_hw::SimInstant;
