@@ -255,7 +255,7 @@ fn assembled(payload: &Payload) -> Box<AssembledFlow> {
 }
 
 /// The chunked receive as the consumer runs it on every flow: every chunk
-/// is checksummed (what `CrcPool::crc_batch` computes, on one thread), then
+/// is checksummed (what `FlowAssembler::accept` computes inline), then
 /// the footer verdict from the verified chunk CRCs, then `decode_verified`,
 /// which views each 4-aligned tensor payload and reads the payload again
 /// only to copy out the others.
@@ -558,7 +558,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     };
     // Split-and-combine: per-block CRCs (under the dispatched kernel, as
     // production runs it) merged algebraically — the path viper-net's
-    // chunk CRC merge and the CrcPool ride.
+    // chunk CRC merge rides.
     let crc_combine = time(reps, |rep| {
         const BLOCK: usize = 256 * 1024;
         let mut acc = 0u32;

@@ -134,13 +134,6 @@ pub struct ViperConfig {
     /// the consumer's stale-flow reaping under best-effort delivery, so
     /// lost flows cannot pin reassembly buffers forever).
     pub retry: viper_net::RetryPolicy,
-    /// Worker-thread budget for the delivery reactor's CRC pool. The
-    /// reactor itself is always one scheduler thread; this only sizes the
-    /// pool that checksums incoming chunk batches. `1` (the default) means
-    /// inline verification with no extra threads. Any value produces
-    /// bit-identical virtual timings and traces — results are merged
-    /// positionally, never by completion order.
-    pub reactor_threads: usize,
     /// Telemetry handle shared by every component of the deployment
     /// (producers, consumers, fabric, pub/sub broker, predictor calls).
     /// Disabled by default — the disabled path records nothing and never
@@ -167,7 +160,6 @@ impl Default for ViperConfig {
             fault_plan: None,
             delivery: Delivery::BestEffort,
             retry: viper_net::RetryPolicy::default(),
-            reactor_threads: 1,
             telemetry: viper_telemetry::Telemetry::disabled(),
         }
     }
@@ -263,13 +255,6 @@ impl ViperConfig {
         };
         set(&mut options);
         self.delivery = Delivery::Reliable(options);
-        self
-    }
-
-    /// Set the delivery reactor's CRC worker budget (builder style).
-    /// Clamped to at least 1 at deployment construction.
-    pub fn with_reactor_threads(mut self, threads: usize) -> Self {
-        self.reactor_threads = threads;
         self
     }
 
@@ -387,7 +372,6 @@ mod tests {
         assert_eq!(c.chunk_bytes, 0, "one-chunk delivery stays the default");
         assert!(c.fault_plan.is_none(), "no faults by default");
         assert_eq!(c.delivery, Delivery::BestEffort, "no reliability layer");
-        assert_eq!(c.reactor_threads, 1, "inline CRC verification by default");
     }
 
     #[test]
@@ -402,12 +386,6 @@ mod tests {
     fn with_coalescing_implies_reliability() {
         let c = ViperConfig::default().with_coalescing();
         assert_eq!(c.delivery, reliable(false, true, 0));
-    }
-
-    #[test]
-    fn builder_sets_reactor_threads() {
-        let c = ViperConfig::default().with_reactor_threads(4);
-        assert_eq!(c.reactor_threads, 4);
     }
 
     #[test]

@@ -413,10 +413,9 @@ struct CorruptBatch {
 /// owned — reassembly state, the apply pipeline's causal cursor, the
 /// update subscription — but is driven by events instead of a poll loop:
 ///
-/// * **mail** (fabric enqueued messages): drain, checksum the batch chunk
-///   by chunk on the reactor's worker pool, feed the assembler, reply ACK /
-///   NACK / NeedFull stamped with the flow's current retransmission
-///   generation;
+/// * **mail** (fabric enqueued messages): drain, verify and assemble each
+///   chunk in arrival order, reply ACK / NACK / NeedFull stamped with the
+///   flow's current retransmission generation;
 /// * **timer** (virtual-clock deadline): reap stale partial flows, armed
 ///   only while a partial flow exists;
 /// * **wake** (update announcement): run discovery (push subscription or
@@ -664,10 +663,10 @@ impl ConsumerTask {
         }
     }
 
-    /// Drain the endpoint completely, checksum the batch, and act on every
-    /// resulting flow status. Draining everything before replying or
-    /// reaping means chunks already delivered but not yet processed are
-    /// never mistaken for losses.
+    /// Drain the endpoint completely, verify each message in arrival
+    /// order, and act on every resulting flow status. Draining everything
+    /// before replying or reaping means chunks already delivered but not
+    /// yet processed are never mistaken for losses.
     fn drain(&mut self, ctx: &mut TaskCtx<'_>) {
         let mut msgs = Vec::new();
         while let Some(msg) = self.endpoint.try_recv() {
@@ -676,18 +675,15 @@ impl ConsumerTask {
         if msgs.is_empty() {
             return;
         }
-        // Every batch fans its checksums out to the CRC pool, whose results
-        // come back in input order, so behavior is independent of the
-        // pool's size and of how a flow's chunks were split across drains.
-        // The assembler is handed, per message, the CRC computed over the
-        // body that arrived, and compares it with the chunk header.
-        let batch = ctx.crc().crc_batch(msgs);
         let telemetry = self.viper.shared.config.telemetry.clone();
         let reliable = matches!(self.viper.shared.config.delivery, Delivery::Reliable(_));
         let mut corrupt: Vec<CorruptBatch> = Vec::new();
-        for (msg, crc) in batch {
+        for msg in msgs {
             let arrived = msg.arrived_at;
-            let status = self.assembler.accept_with_crc(msg, crc);
+            // `accept` checksums the body that arrived and compares it with
+            // the chunk header, so behavior is independent of how a flow's
+            // chunks were split across drains.
+            let status = self.assembler.accept(msg);
             // Publish reassembly copies before acting on the status: a
             // completed flow notifies waiters, and the counter must already
             // cover the gather that produced it.

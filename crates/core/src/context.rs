@@ -58,7 +58,7 @@ impl Viper {
         };
         let bus = PubSub::new();
         bus.set_telemetry(config.telemetry.clone());
-        let reactor = Reactor::new(config.reactor_threads, config.telemetry.clone());
+        let reactor = Reactor::new(1, config.telemetry.clone());
         fabric.set_waker(Some(reactor.waker()));
         Viper {
             shared: Arc::new(Shared {

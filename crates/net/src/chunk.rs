@@ -474,7 +474,8 @@ impl FlowAssembler {
     }
 
     /// [`FlowAssembler::accept`] with an optionally precomputed body CRC
-    /// (from [`chunk_body_crc`], e.g. batch-verified on a worker pool).
+    /// (from [`chunk_body_crc`], for callers that time the verify apart
+    /// from assembly).
     /// `None` computes the CRC inline; a precomputed value must come from
     /// [`chunk_body_crc`] on the same message or corruption detection is
     /// undefined. Either way the digest runs on the runtime-dispatched
@@ -646,18 +647,15 @@ impl FlowAssembler {
 
 /// CRC32 of a chunk message's body, or `None` when the message is not a
 /// well-formed chunk frame (non-chunk kinds, broken framing). This is the
-/// exact checksum [`FlowAssembler::accept`] would compute inline; the
-/// reactor's [`CrcPool`](crate::CrcPool) computes it for every chunk a
-/// consumer drains, batched across worker threads, and the consumer feeds
-/// the result back through [`FlowAssembler::accept_with_crc`].
+/// exact checksum [`FlowAssembler::accept`] computes inline, which is how
+/// the consumer verifies every chunk it drains. This function and
+/// [`FlowAssembler::accept_with_crc`] serve callers that time the verify
+/// separately from assembly.
 pub fn chunk_body_crc(msg: &Message) -> Option<u32> {
     if msg.kind != MessageKind::Chunk {
         return None;
     }
     let (_, body) = ChunkHeader::decode_buf(&msg.payload)?;
-    // On the calling thread: the CrcPool already spreads a batch of chunks
-    // across its workers, so splitting one chunk further would only spawn
-    // threads per chunk.
     Some(crc32(&body))
 }
 

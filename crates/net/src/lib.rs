@@ -53,7 +53,7 @@ pub use chunk::{
 };
 pub use fabric::{Endpoint, Fabric, LinkKind, Message, MessageKind, NetError, Waker};
 pub use fault::{FaultPlan, FaultRng, LinkFaults};
-pub use reactor::{CrcPool, Reactor, ReactorTask, TaskCtx};
+pub use reactor::{Reactor, ReactorTask, TaskCtx};
 pub use relay::{Topology, TopologyError};
 pub use reliability::{
     deterministic_jitter, CoalesceQueue, Control, FlowError, RetryPolicy, CONTROL_MAGIC,

@@ -26,122 +26,13 @@
 //! [`FlowSender`](crate::FlowSender) — its lane, its payload handle and
 //! its retransmission round — so ten thousand concurrent flows cost ten
 //! thousand map entries, not ten thousand threads.
-//!
-//! Worker threads (`threads` > 1) are used **only** for batch CRC
-//! verification of drained chunk messages ([`CrcPool`]), which every
-//! drained batch goes through; results are committed back in input order,
-//! so every trace byte and every virtual timestamp is identical whether
-//! the pool has 1, 4, or 16 workers.
 
-use crate::chunk::chunk_body_crc;
-use crate::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
 use viper_hw::SimInstant;
 use viper_telemetry::Telemetry;
-
-// ---------------------------------------------------------------------------
-// CRC worker pool
-// ---------------------------------------------------------------------------
-
-type CrcResult = (usize, Message, Option<u32>);
-type CrcJob = (usize, Message, Sender<CrcResult>);
-
-/// A pool of persistent worker threads that verifies chunk CRCs for the
-/// scheduler.
-///
-/// This is the **only** place the reactor's worker-thread budget buys
-/// parallelism: workers compute [`chunk_body_crc`] for each drained
-/// message and the scheduler commits the results back **in input
-/// order**, so the observable event sequence — and therefore every
-/// virtual timestamp and trace byte — is identical at any thread count.
-/// A budget of 0 or 1 spawns no workers and computes inline.
-pub struct CrcPool {
-    tx: Option<Sender<CrcJob>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl CrcPool {
-    /// Build a pool with `threads` workers (0/1 = inline, no threads).
-    pub fn new(threads: usize) -> Self {
-        if threads <= 1 {
-            return CrcPool {
-                tx: None,
-                workers: Vec::new(),
-            };
-        }
-        let (tx, rx) = unbounded::<CrcJob>();
-        let workers = (0..threads)
-            .map(|i| {
-                let rx: Receiver<CrcJob> = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("viper-reactor-crc-{i}"))
-                    .spawn(move || {
-                        for (idx, msg, reply) in rx.iter() {
-                            let crc = chunk_body_crc(&msg);
-                            let _ = reply.send((idx, msg, crc));
-                        }
-                    })
-                    .expect("spawn crc worker")
-            })
-            .collect();
-        CrcPool {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    /// Number of worker threads (0 when computing inline).
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Compute the chunk-body CRC of every message, returning the
-    /// messages **in their input order** paired with the computed CRC
-    /// (`None` for non-chunk messages, which have no CRC to check). Every
-    /// batch a consumer drains is checksummed here, whole flow or not; a
-    /// pool without workers, or a batch of one, is checksummed inline.
-    pub fn crc_batch(&self, msgs: Vec<Message>) -> Vec<(Message, Option<u32>)> {
-        let tx = match &self.tx {
-            Some(tx) if msgs.len() >= 2 => tx,
-            _ => {
-                return msgs
-                    .into_iter()
-                    .map(|m| {
-                        let crc = chunk_body_crc(&m);
-                        (m, crc)
-                    })
-                    .collect();
-            }
-        };
-        let n = msgs.len();
-        let (reply_tx, reply_rx) = unbounded::<CrcResult>();
-        for (idx, msg) in msgs.into_iter().enumerate() {
-            tx.send((idx, msg, reply_tx.clone()))
-                .expect("crc workers alive");
-        }
-        drop(reply_tx);
-        let mut slots: Vec<Option<(Message, Option<u32>)>> = (0..n).map(|_| None).collect();
-        for (idx, msg, crc) in reply_rx.iter().take(n) {
-            slots[idx] = Some((msg, crc));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index returned"))
-            .collect()
-    }
-}
-
-impl Drop for CrcPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Timer wheel
@@ -211,7 +102,6 @@ impl TimerWheel {
 pub struct TaskCtx<'a> {
     node: &'a str,
     timers: &'a mut TimerWheel,
-    crc: &'a CrcPool,
 }
 
 impl TaskCtx<'_> {
@@ -235,11 +125,6 @@ impl TaskCtx<'_> {
     /// The deadline timer `token` is currently armed for, if any.
     pub fn timer_deadline(&self, token: u64) -> Option<SimInstant> {
         self.timers.deadline(self.node, token)
-    }
-
-    /// The shared CRC verification pool.
-    pub fn crc(&self) -> &CrcPool {
-        self.crc
     }
 }
 
@@ -285,38 +170,31 @@ enum Event {
 }
 
 /// Handle to the delivery reactor: one scheduler thread driving every
-/// registered [`ReactorTask`], plus a [`CrcPool`] of `threads` CRC
-/// workers.
+/// registered [`ReactorTask`]. Tasks verify what they drain inline, on
+/// that thread.
 ///
 /// Dropping the handle shuts the scheduler down and joins it (which in
-/// turn drops every task and joins the CRC workers).
+/// turn drops every task).
 pub struct Reactor {
     tx: Sender<Event>,
     scheduler: Option<JoinHandle<()>>,
-    threads: usize,
 }
 
 impl Reactor {
-    /// Start a reactor whose CRC pool uses `threads` worker threads
-    /// (clamped to at least 1; 1 means inline, no extra threads).
+    /// Start a reactor: one scheduler thread, no workers. `threads` must
+    /// be 1. The parameter goes when `benchmark/e2e/src/replay.rs`, its
+    /// last caller outside this workspace, drops it.
     pub fn new(threads: usize, telemetry: Telemetry) -> Self {
-        let threads = threads.max(1);
+        assert_eq!(threads, 1, "the reactor runs exactly one thread");
         let (tx, rx) = unbounded::<Event>();
-        let pool = CrcPool::new(threads);
         let scheduler = std::thread::Builder::new()
             .name("viper-reactor".into())
-            .spawn(move || scheduler_loop(rx, pool, telemetry))
+            .spawn(move || scheduler_loop(rx, telemetry))
             .expect("spawn reactor scheduler");
         Reactor {
             tx,
             scheduler: Some(scheduler),
-            threads,
         }
-    }
-
-    /// The configured worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Tell the scheduler that `node`'s endpoint has mail to drain.
@@ -387,7 +265,6 @@ impl Drop for Reactor {
 fn dispatch<F>(
     tasks: &mut BTreeMap<String, Box<dyn ReactorTask>>,
     timers: &mut TimerWheel,
-    crc: &CrcPool,
     node: &str,
     f: F,
 ) where
@@ -395,13 +272,13 @@ fn dispatch<F>(
 {
     // Remove/reinsert so the task can borrow the wheel through its ctx.
     if let Some(mut task) = tasks.remove(node) {
-        let mut ctx = TaskCtx { node, timers, crc };
+        let mut ctx = TaskCtx { node, timers };
         f(task.as_mut(), &mut ctx);
         tasks.insert(node.to_string(), task);
     }
 }
 
-fn scheduler_loop(rx: Receiver<Event>, crc: CrcPool, telemetry: Telemetry) {
+fn scheduler_loop(rx: Receiver<Event>, telemetry: Telemetry) {
     let mut tasks: BTreeMap<String, Box<dyn ReactorTask>> = BTreeMap::new();
     let mut timers = TimerWheel::default();
     loop {
@@ -424,7 +301,7 @@ fn scheduler_loop(rx: Receiver<Event>, crc: CrcPool, telemetry: Telemetry) {
                             ],
                         );
                     }
-                    dispatch(&mut tasks, &mut timers, &crc, &node, |task, ctx| {
+                    dispatch(&mut tasks, &mut timers, &node, |task, ctx| {
                         task.on_timer(token, deadline, ctx)
                     });
                     continue;
@@ -438,19 +315,19 @@ fn scheduler_loop(rx: Receiver<Event>, crc: CrcPool, telemetry: Telemetry) {
         };
         match event {
             Event::Mail(node) => {
-                dispatch(&mut tasks, &mut timers, &crc, &node, |task, ctx| {
+                dispatch(&mut tasks, &mut timers, &node, |task, ctx| {
                     task.on_mail(ctx)
                 });
             }
             Event::Submit { node, job } => {
-                dispatch(&mut tasks, &mut timers, &crc, &node, |task, ctx| {
+                dispatch(&mut tasks, &mut timers, &node, |task, ctx| {
                     task.on_job(job, ctx)
                 });
             }
             Event::Wake => {
                 let names: Vec<String> = tasks.keys().cloned().collect();
                 for node in names {
-                    dispatch(&mut tasks, &mut timers, &crc, &node, |task, ctx| {
+                    dispatch(&mut tasks, &mut timers, &node, |task, ctx| {
                         task.on_wake(ctx)
                     });
                 }
@@ -459,7 +336,7 @@ fn scheduler_loop(rx: Receiver<Event>, crc: CrcPool, telemetry: Telemetry) {
                 tasks.insert(node.clone(), task);
                 // Initial wake covers "a record was announced before this
                 // task attached" (late-attach discovery).
-                dispatch(&mut tasks, &mut timers, &crc, &node, |task, ctx| {
+                dispatch(&mut tasks, &mut timers, &node, |task, ctx| {
                     task.on_wake(ctx)
                 });
                 let _ = ack.send(());
@@ -615,39 +492,5 @@ mod tests {
         reactor.deregister("n");
         assert_eq!(telemetry.counter("reactor.timers_fired").get(), 1);
         drop(reactor);
-    }
-
-    #[test]
-    fn crc_pool_is_positionally_deterministic() {
-        use crate::ChunkHeader;
-        use viper_formats::Payload;
-        let make = |i: u32| {
-            let body = vec![i as u8; 64 + i as usize];
-            let header = ChunkHeader::for_body(u64::from(i), 0, 1, 0, body.len() as u64, &body);
-            Message {
-                from: "a".into(),
-                to: "b".into(),
-                tag: "t".into(),
-                payload: crate::WireBuf::framed(header.encode(), Payload::from(body)),
-                kind: crate::MessageKind::Chunk,
-                link: crate::LinkKind::HostRdma,
-                sent_at: SimInstant::ZERO,
-                arrived_at: SimInstant::ZERO,
-                wire_time: std::time::Duration::ZERO,
-            }
-        };
-        let msgs: Vec<Message> = (0..32).map(make).collect();
-        let inline = CrcPool::new(1);
-        let pooled = CrcPool::new(4);
-        assert_eq!(inline.threads(), 0);
-        assert_eq!(pooled.threads(), 4);
-        let a = inline.crc_batch(msgs.clone());
-        let b = pooled.crc_batch(msgs);
-        assert_eq!(a.len(), b.len());
-        for (i, ((ma, ca), (mb, cb))) in a.iter().zip(b.iter()).enumerate() {
-            assert!(ca.is_some(), "chunk {i} must have a body crc");
-            assert_eq!(ma.payload.to_vec(), mb.payload.to_vec(), "msg {i} order");
-            assert_eq!(ca, cb, "crc {i}");
-        }
     }
 }

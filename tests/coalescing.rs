@@ -36,14 +36,6 @@ fn fault_seeds() -> Vec<u64> {
         .unwrap_or_else(|| vec![7, 42])
 }
 
-/// Reactor CRC-pool width (`VIPER_REACTOR_THREADS` in CI's reactor axis).
-fn reactor_threads() -> usize {
-    std::env::var("VIPER_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 /// Multi-element checkpoint spanning several chunks at `CHUNK_SMALL`.
 fn big_ckpt(iter: u64, elems: usize) -> Checkpoint {
     Checkpoint::new(
@@ -93,7 +85,6 @@ fn straggler_config(seed: u64) -> ViperConfig {
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_chunked(CHUNK_SMALL)
         .with_faults(straggler_plan(seed, 0.60))
-        .with_reactor_threads(reactor_threads())
         .with_retry(patient_retry());
     config.flush_to_pfs = false;
     config

@@ -58,22 +58,11 @@ fn patient_retry() -> RetryPolicy {
     }
 }
 
-/// Reactor CRC-pool width (`VIPER_REACTOR_THREADS` in CI's reactor axis,
-/// inline verification locally). The pool width must never change observable
-/// behavior, so CI sweeps it across the same fault seeds.
-fn reactor_threads() -> usize {
-    std::env::var("VIPER_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 fn delta_config(route: Route) -> ViperConfig {
     let mut config = ViperConfig::default()
         .with_strategy(route, CaptureMode::Sync)
         .with_chunked(1024)
         .with_delta()
-        .with_reactor_threads(reactor_threads())
         .with_retry(patient_retry());
     config.flush_to_pfs = false;
     config
@@ -220,7 +209,6 @@ fn delta_transfer_survives_fault_sweep_byte_identical() {
             .with_chunked(1024)
             .with_delta()
             .with_faults(plan)
-            .with_reactor_threads(reactor_threads())
             .with_retry(fast_retry());
         config.flush_to_pfs = false;
         let viper = Viper::new(config);

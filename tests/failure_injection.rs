@@ -406,22 +406,11 @@ fn big_ckpt(iter: u64, elems: usize) -> Checkpoint {
 
 const CHUNK_SMALL: u64 = 1024; // ~7 chunks for a 1500-element checkpoint
 
-/// Reactor CRC-pool width (`VIPER_REACTOR_THREADS` in CI's reactor axis,
-/// inline verification locally). The pool width must never change observable
-/// behavior, so CI sweeps it across the same fault seeds.
-fn reactor_threads() -> usize {
-    std::env::var("VIPER_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 fn reliable_config(route: Route, plan: FaultPlan) -> ViperConfig {
     let mut config = ViperConfig::default()
         .with_strategy(route, CaptureMode::Sync)
         .with_chunked(CHUNK_SMALL)
         .with_faults(plan)
-        .with_reactor_threads(reactor_threads())
         .with_retry(fast_retry());
     config.flush_to_pfs = false;
     config
@@ -616,8 +605,7 @@ fn chunk_clean_flow_with_a_wrong_format_footer_is_never_installed() {
     for with_delta in [false, true] {
         let mut config = ViperConfig::default()
             .with_chunked(CHUNK_SMALL)
-            .with_reliable()
-            .with_reactor_threads(reactor_threads());
+            .with_reliable();
         if with_delta {
             config = config.with_delta();
         }
@@ -697,7 +685,6 @@ mod whole_flow {
         let mut config = ViperConfig::default()
             .with_chunked(CHUNK_SMALL)
             .with_reliable()
-            .with_reactor_threads(reactor_threads())
             .with_retry(RetryPolicy {
                 max_nacks: u32::MAX,
                 ..RetryPolicy::default()

@@ -31,14 +31,6 @@ fn fault_seeds() -> Vec<u64> {
         .unwrap_or_else(|| vec![7, 42])
 }
 
-/// Reactor CRC-pool width (`VIPER_REACTOR_THREADS` in CI's reactor axis).
-fn reactor_threads() -> usize {
-    std::env::var("VIPER_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 /// Wall-clock-fast retries for the fault sweeps.
 fn fast_retry() -> RetryPolicy {
     RetryPolicy {
@@ -78,7 +70,6 @@ fn relay_config(fanout: usize, retry: RetryPolicy) -> ViperConfig {
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_chunked(CHUNK_SMALL)
         .with_relay_tree(fanout)
-        .with_reactor_threads(reactor_threads())
         .with_retry(retry);
     config.flush_to_pfs = false;
     config

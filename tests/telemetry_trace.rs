@@ -204,17 +204,15 @@ fn disabled_telemetry_leaves_virtual_makespan_bit_identical() {
     );
 }
 
-/// One faulted reliable run at a given reactor CRC-pool width; returns the
-/// final virtual-clock reading (the makespan) and the exact Chrome-trace
-/// export bytes.
-fn faulted_run(reactor_threads: usize) -> (u64, String) {
+/// One faulted reliable run; returns the final virtual-clock reading (the
+/// makespan) and the exact Chrome-trace export bytes.
+fn faulted_run() -> (u64, String) {
     let telemetry = Telemetry::enabled();
     let mut config = ViperConfig::default()
         .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
         .with_chunked(1024)
         .with_faults(FaultPlan::seeded(7).with_drop(0.15).with_reorder(0.15))
         .with_retry(fast_retry())
-        .with_reactor_threads(reactor_threads)
         .with_telemetry(telemetry.clone());
     config.flush_to_pfs = false;
     let viper = Viper::new(config);
@@ -228,30 +226,24 @@ fn faulted_run(reactor_threads: usize) -> (u64, String) {
 }
 
 #[test]
-fn faulted_reactor_runs_are_bit_identical_across_thread_counts() {
-    // The reactor's determinism contract: the CRC worker pool only changes
-    // wall-clock throughput, never the virtual timeline or the trace. The
-    // same seed and fault plan must yield a bit-identical virtual makespan
-    // AND bit-identical Chrome-trace bytes — across repeated runs and
-    // across CRC pool widths of 1, 4, and 16.
-    let (reference_makespan, reference_trace) = faulted_run(1);
+fn faulted_reactor_runs_are_bit_identical_across_runs() {
+    // The reactor's determinism contract: thread interleaving only changes
+    // wall-clock time, never the virtual timeline or the trace. The same
+    // seed and fault plan must yield a bit-identical virtual makespan AND
+    // bit-identical Chrome-trace bytes on every run.
+    let (reference_makespan, reference_trace) = faulted_run();
     assert!(
         reference_makespan > 0,
         "faulted run must consume virtual time"
     );
     chrome::validate_json(&reference_trace).expect("reference trace is valid JSON");
-    for threads in [1usize, 4, 16] {
-        for run in 0..10 {
-            let (makespan, trace) = faulted_run(threads);
-            assert_eq!(
-                makespan, reference_makespan,
-                "threads={threads} run={run}: virtual makespan diverged"
-            );
-            assert_eq!(
-                trace, reference_trace,
-                "threads={threads} run={run}: trace bytes diverged"
-            );
-        }
+    for run in 0..10 {
+        let (makespan, trace) = faulted_run();
+        assert_eq!(
+            makespan, reference_makespan,
+            "run={run}: virtual makespan diverged"
+        );
+        assert_eq!(trace, reference_trace, "run={run}: trace bytes diverged");
     }
 }
 

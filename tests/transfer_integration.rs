@@ -267,14 +267,6 @@ fn two_consumers_both_receive_updates() {
     );
 }
 
-/// Reactor CRC-pool width (`VIPER_REACTOR_THREADS` in CI's reactor axis).
-fn reactor_threads() -> usize {
-    std::env::var("VIPER_REACTOR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 /// One 256 KiB tensor: small enough that hundreds of deployments run in
 /// seconds, several chunks at `PROBE_CHUNK`.
 fn probe_ckpt(iter: u64) -> Checkpoint {
@@ -288,11 +280,9 @@ fn probe_ckpt(iter: u64) -> Checkpoint {
 const PROBE_CHUNK: u64 = 64 * 1024;
 
 /// A GPU-route deployment for the timeline tests below: no background
-/// flusher, the CI axis' CRC pool width.
+/// flusher.
 fn probe_config(mode: CaptureMode) -> ViperConfig {
-    let mut config = ViperConfig::default()
-        .with_strategy(Route::GpuToGpu, mode)
-        .with_reactor_threads(reactor_threads());
+    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, mode);
     config.flush_to_pfs = false;
     config
 }
