@@ -3,7 +3,7 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 use viper_formats::{CheckpointFormat, H5Lite, ViperFormat};
-use viper_hw::{CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 
 /// How consumers learn about new model versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,18 +183,6 @@ impl ViperConfig {
         }
     }
 
-    /// Viper through the PFS (lean format, same tier as the baseline).
-    pub fn viper_pfs() -> Self {
-        ViperConfig {
-            strategy: TransferStrategy {
-                route: Route::PfsStaging,
-                mode: CaptureMode::Sync,
-            },
-            flush_to_pfs: false,
-            ..Self::default()
-        }
-    }
-
     /// Set the transfer strategy (builder style).
     pub fn with_strategy(mut self, route: Route, mode: CaptureMode) -> Self {
         self.strategy = TransferStrategy { route, mode };
@@ -289,26 +277,20 @@ pub(crate) enum Deliverer {
     Worker,
 }
 
-/// Which formula prices the stall a save reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallPricing {
-    /// The capture alone: the save does not wait for the wire.
-    Capture,
-    /// `viper_hw::pipeline_costs` of a sync transfer of the full payload
-    /// at this chunk size (0: one chunk).
-    ChunkPipeline(u64),
-}
-
 /// The decisions one save makes, from the delivery mode, the strategy and
 /// the route the Transfer Selector chose — computed once, read by
-/// `save_weights`, the async worker and `deliver`.
+/// `save_weights`, the async worker, `deliver` and the planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SavePlan {
     pub(crate) capture: CaptureBilling,
     pub(crate) deliverer: Deliverer,
     /// Keep this version's checkpoint as a future delta base.
     pub(crate) retain_base: bool,
-    pub(crate) stall: StallPricing,
+    /// The pipeline whose `viper_hw::pipeline_costs` stall the save
+    /// reports: `(Sync, chunk_bytes)` when it waits for the wire (0: one
+    /// chunk), `(Async, 0)` — the one-chunk capture alone — when it does
+    /// not.
+    pub(crate) stall: (CaptureMode, u64),
 }
 
 impl SavePlan {
@@ -323,20 +305,16 @@ impl SavePlan {
         let worker = memory && config.strategy.mode == CaptureMode::Async;
         // Neither an async save nor a coalescing one (its delivery is
         // admitted, not resolved, before it returns) waits for the wire.
-        let stall = if !memory || worker || coalesce {
-            StallPricing::Capture
-        } else {
-            StallPricing::ChunkPipeline(config.chunk_bytes)
-        };
+        let waits = memory && !worker && !coalesce;
         SavePlan {
-            capture: match stall {
-                // A delta may put far fewer bytes on the wire than the
-                // capture snapshots, so billing the capture inside its
-                // flow would undercharge it: it is a lump — while the stall
-                // stays the full payload's pipeline (DESIGN.md, "Producer
-                // timeline").
-                StallPricing::ChunkPipeline(_) if !delta => CaptureBilling::InFirstFlow,
-                _ => CaptureBilling::Lump,
+            // A delta may put far fewer bytes on the wire than the capture
+            // snapshots, so billing the capture inside its flow would
+            // undercharge it: it is a lump — while the stall stays the full
+            // payload's pipeline (DESIGN.md, "Producer timeline").
+            capture: if waits && !delta {
+                CaptureBilling::InFirstFlow
+            } else {
+                CaptureBilling::Lump
             },
             deliverer: if worker {
                 Deliverer::Worker
@@ -344,8 +322,35 @@ impl SavePlan {
                 Deliverer::SaveThread
             },
             retain_base: delta,
-            stall,
+            stall: if waits {
+                (CaptureMode::Sync, config.chunk_bytes)
+            } else {
+                (CaptureMode::Async, 0)
+            },
         }
+    }
+
+    /// The stall this save reports for `bytes` over `ntensors` tensors on
+    /// `route`: the producer-side stages of its priced pipeline.
+    pub(crate) fn stall_price(
+        &self,
+        profile: &MachineProfile,
+        route: Route,
+        bytes: u64,
+        ntensors: usize,
+        metadata_factor: f64,
+    ) -> Duration {
+        let (mode, chunk_bytes) = self.stall;
+        let strategy = TransferStrategy { route, mode };
+        pipeline_costs(
+            profile,
+            strategy,
+            bytes,
+            ntensors,
+            chunk_bytes,
+            metadata_factor,
+        )
+        .stall
     }
 }
 
@@ -497,11 +502,11 @@ mod tests {
         let mono = plan(sync(), Route::GpuToGpu);
         assert_eq!(mono.capture, CaptureBilling::InFirstFlow);
         assert_eq!(mono.deliverer, Deliverer::SaveThread);
-        assert_eq!(mono.stall, StallPricing::ChunkPipeline(0));
+        assert_eq!(mono.stall, (CaptureMode::Sync, 0));
         assert!(!mono.retain_base);
         let chunked = plan(sync().with_chunked(64).with_reliable(), Route::HostToHost);
         assert_eq!(chunked.capture, CaptureBilling::InFirstFlow);
-        assert_eq!(chunked.stall, StallPricing::ChunkPipeline(64));
+        assert_eq!(chunked.stall, (CaptureMode::Sync, 64));
     }
 
     /// The asymmetry DESIGN.md names: a delta + chunked + sync save bills
@@ -514,7 +519,7 @@ mod tests {
             .with_delta();
         let delta = plan(config, Route::GpuToGpu);
         assert_eq!(delta.capture, CaptureBilling::Lump);
-        assert_eq!(delta.stall, StallPricing::ChunkPipeline(64));
+        assert_eq!(delta.stall, (CaptureMode::Sync, 64));
         assert!(delta.retain_base);
     }
 
@@ -536,7 +541,7 @@ mod tests {
         ];
         for (config, route, deliverer) in cases {
             let p = plan(config, route);
-            assert_eq!(p.stall, StallPricing::Capture);
+            assert_eq!(p.stall, (CaptureMode::Async, 0));
             assert_eq!(p.capture, CaptureBilling::Lump);
             assert_eq!(p.deliverer, deliverer);
         }

@@ -52,9 +52,8 @@ use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 use viper_formats::PayloadKind;
-use viper_hw::{MachineProfile, Route, SimInstant, Tier};
+use viper_hw::{capture_stage, Route, SimInstant, Stage};
 use viper_metastore::ModelRecord;
 use viper_net::{
     ChunkedSend, Control, FlowSender, LinkKind, MessageKind, Outbound, Outcome, OutcomeKind,
@@ -134,25 +133,6 @@ pub(crate) fn route_label(route: Route) -> &'static str {
         Route::PfsStaging => "pfs-staging",
     }
 }
-/// The producer-side capture model for a memory route, as the fabric's
-/// chunked send expects it: `(bandwidth, per-chunk fixed, per-flow fixed)`.
-fn chunk_capture_model(
-    profile: &MachineProfile,
-    route: Route,
-    ntensors: usize,
-) -> (f64, Duration, Duration) {
-    let (bw, tier) = match route {
-        Route::GpuToGpu => (profile.gpu_capture_bw, Tier::GpuMem),
-        _ => (profile.d2h_capture_bw, Tier::HostMem),
-    };
-    let spec = profile.tier(tier);
-    (
-        bw,
-        spec.write_latency,
-        spec.per_tensor_write.mul_f64(ntensors as f64),
-    )
-}
-
 /// One reliable fan-out handed to the producer's [`DeliveryTask`] on the
 /// reactor. The caller pre-encodes every target's wire payload (so delta
 /// diff charges stay on the save path's causal frontier) and submits the
@@ -177,7 +157,7 @@ pub(crate) struct DeliveryJob {
     pub(crate) group: Option<Vec<String>>,
     /// Pipelined-capture model for the first successful send (the snapshot
     /// happens once; later flows re-send already captured chunks).
-    pub(crate) capture: Option<(f64, Duration, Duration)>,
+    pub(crate) capture: Option<Stage>,
     pub(crate) track: String,
     /// `None` under coalescing: the save path returned at submit, and a
     /// terminal fallback runs on the task instead.
@@ -294,8 +274,9 @@ pub(crate) fn deliver(
         let tag = update.tag();
         let consumers = shared.consumers.read().clone();
         let config = &shared.config;
+        // Memory routes price no format metadata: the factor is moot.
         let first_flow_capture = (capture == CaptureBilling::InFirstFlow)
-            .then(|| chunk_capture_model(&config.profile, route, record.ntensors));
+            .then(|| capture_stage(&config.profile, route, record.ntensors, 1.0));
         match config.delivery {
             Delivery::Reliable(options) => {
                 // Every flow is ACK-gated. The flows themselves are driven
@@ -377,8 +358,8 @@ pub(crate) fn deliver(
                     let mut opts = ChunkedSend::new(config.chunk_bytes)
                         .with_crcs(Arc::clone(&update.crcs))
                         .at(frontier);
-                    if let Some((bw, fixed, once)) = inline_capture {
-                        opts = opts.with_capture(bw, fixed, once);
+                    if let Some(stage) = inline_capture {
+                        opts = opts.with_capture(stage);
                     }
                     let arrived = endpoint
                         .send_chunked(&consumer, &tag, full.clone(), link, &opts)
@@ -886,8 +867,8 @@ impl ReactorTask for DeliveryTask {
             // Hand the encode-time chunk CRCs to the fabric so the send
             // does not re-read the payload to checksum it.
             let mut opts = ChunkedSend::new(chunk_bytes).with_crcs(wire.crcs);
-            if let Some((bw, fixed, once)) = capture {
-                opts = opts.with_capture(bw, fixed, once);
+            if let Some(stage) = capture {
+                opts = opts.with_capture(stage);
             }
             let send = Outbound {
                 token: seq,

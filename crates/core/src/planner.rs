@@ -1,35 +1,50 @@
 //! Glue between the framework and the Inference Performance Predictor:
-//! derive [`viper_predictor::CostParams`] from the deployment's measured
-//! bandwidths and produce a checkpoint schedule from warm-up losses.
+//! derive [`viper_predictor::CostParams`] from the deployment's save plan
+//! and produce a checkpoint schedule from warm-up losses.
 //!
 //! This is the "Adjust checkpoint interval" loop of Fig. 3: the warm-up
 //! runs with a provisional policy, the observed losses fit a learning
-//! curve, the bandwidth probes price a model update, and the IPP emits the
-//! schedule the [`crate::CheckpointCallback`] then follows.
+//! curve, the transfer pipeline the engine runs prices a model update, and
+//! the IPP emits the schedule the [`crate::CheckpointCallback`] then
+//! follows.
 
-use viper_hw::{pipeline_costs, MachineProfile, TransferStrategy};
+use crate::config::{SavePlan, ViperConfig};
+use viper_hw::pipeline_costs;
 use viper_predictor::{cilp::CostParams, fit, schedule, FittedCurve, Schedule};
 
-/// Derive the IPP cost parameters for a deployment.
+/// Derive the IPP cost parameters for a deployment of `config`.
 ///
-/// `t_train`/`t_infer` come from profiling one epoch (constant per Fig. 6);
-/// the stall and load terms come from pricing one model update of
-/// `model_bytes` under the configured strategy.
+/// `t_train`/`t_infer` come from profiling one epoch (constant per Fig. 6).
+/// `t_stall` is the stall a save of `model_bytes` over `ntensors` tensors
+/// reports on the configured route (its save plan), and `t_load` the
+/// rest of the update latency of the configured pipeline (strategy and
+/// chunking), both priced by `viper_hw::pipeline_costs` as the engine
+/// charges them.
 pub fn cost_params(
-    profile: &MachineProfile,
-    strategy: TransferStrategy,
+    config: &ViperConfig,
     model_bytes: u64,
     ntensors: usize,
-    metadata_factor: f64,
     t_train: f64,
     t_infer: f64,
 ) -> CostParams {
-    let costs = pipeline_costs(profile, strategy, model_bytes, ntensors, 0, metadata_factor);
+    let (profile, route) = (&config.profile, config.strategy.route);
+    let meta = config.format.build().metadata_ops_factor();
+    let stall =
+        SavePlan::new(config, route).stall_price(profile, route, model_bytes, ntensors, meta);
+    let latency = pipeline_costs(
+        profile,
+        config.strategy,
+        model_bytes,
+        ntensors,
+        config.chunk_bytes,
+        meta,
+    )
+    .update_latency();
     CostParams {
         t_train,
         t_infer,
-        t_stall: costs.stall.as_secs_f64(),
-        t_load: (costs.post_stall + costs.notify).as_secs_f64(),
+        t_stall: stall.as_secs_f64(),
+        t_load: latency.saturating_sub(stall).as_secs_f64(),
     }
 }
 
@@ -68,29 +83,11 @@ mod tests {
     use super::*;
     use viper_hw::{CaptureMode, Route};
 
-    fn strategy() -> TransferStrategy {
-        TransferStrategy {
-            route: Route::GpuToGpu,
-            mode: CaptureMode::Async,
-        }
-    }
-
     #[test]
     fn cost_params_reflect_strategy_speed() {
-        let profile = MachineProfile::polaris();
-        let gpu = cost_params(&profile, strategy(), 4_700_000_000, 20, 1.0, 0.06, 0.005);
-        let pfs = cost_params(
-            &profile,
-            TransferStrategy {
-                route: Route::PfsStaging,
-                mode: CaptureMode::Sync,
-            },
-            4_700_000_000,
-            20,
-            1.0,
-            0.06,
-            0.005,
-        );
+        let gpu = cost_params(&ViperConfig::default(), 4_700_000_000, 20, 0.06, 0.005);
+        let pfs = ViperConfig::default().with_strategy(Route::PfsStaging, CaptureMode::Sync);
+        let pfs = cost_params(&pfs, 4_700_000_000, 20, 0.06, 0.005);
         assert!(gpu.t_stall < pfs.t_stall);
         assert!(gpu.t_load < pfs.t_load);
         assert_eq!(gpu.t_train, 0.06);
@@ -102,8 +99,7 @@ mod tests {
             .map(|i| 2.0 * (-0.01 * i as f64).exp() + 0.3)
             .collect();
         let tlp = fit_warmup(&warmup);
-        let profile = MachineProfile::polaris();
-        let params = cost_params(&profile, strategy(), 1_700_000_000, 16, 1.0, 0.3, 0.005);
+        let params = cost_params(&ViperConfig::default(), 1_700_000_000, 16, 0.3, 0.005);
         let fixed = plan_fixed(&tlp, &params, 200, 800, 25_000);
         let adaptive = plan_adaptive(&tlp, &params, &warmup, 200, 800, 25_000);
         assert!(fixed.interval >= 1);

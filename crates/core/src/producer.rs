@@ -14,7 +14,7 @@
 //! to stand, so the timeline does not depend on how the threads interleave.
 
 use crate::codec::PayloadCodec;
-use crate::config::{CaptureBilling, Deliverer, Delivery, Reliable, SavePlan, StallPricing};
+use crate::config::{CaptureBilling, Deliverer, Delivery, Reliable, SavePlan};
 use crate::context::Viper;
 use crate::delivery::{deliver, route_label, DeliveryCounters, DeliveryTask, DrainBarrier};
 use crate::Result;
@@ -27,8 +27,7 @@ use viper_formats::{
     wire, Checkpoint, CheckpointFormat, EncodeArena, Payload, PayloadKind, StreamingEncoder,
 };
 use viper_hw::{
-    apply_time, capture_time, pipeline_costs, stage_time, CaptureMode, Route, SimClock, SimInstant,
-    StorageTier, Tier, TransferStrategy,
+    apply_time, capture_time, staging_copy_time, Route, SimClock, SimInstant, StorageTier, Tier,
 };
 use viper_metastore::ModelRecord;
 use viper_net::Endpoint;
@@ -241,12 +240,9 @@ impl Producer {
                                         ("bytes", bytes.into()),
                                     ],
                                 );
-                                // The staging copy is a write to the staging
-                                // tier: it pays that tier's write latency, as
-                                // the priced pipeline's staging stage does.
-                                let profile = &shared.config.profile;
-                                let stage = stage_time(profile, update.route, bytes)
-                                    + profile.tier(update.route.staging_tier()).write_latency;
+                                // The priced pipeline's staging stage.
+                                let stage =
+                                    staging_copy_time(&shared.config.profile, update.route, bytes);
                                 let start = update.frontier.max(worker_free);
                                 update.frontier = charge_at(&shared.clock, start, stage);
                                 telemetry.complete(
@@ -616,17 +612,7 @@ impl Producer {
         // global clock: concurrent background work (flusher, async worker)
         // legitimately advances the shared virtual clock and must not be
         // billed to this save.
-        let profile = &shared.config.profile;
-        let stall = match plan.stall {
-            StallPricing::Capture => capture,
-            StallPricing::ChunkPipeline(chunk_bytes) => {
-                let sync = TransferStrategy {
-                    route,
-                    mode: CaptureMode::Sync,
-                };
-                pipeline_costs(profile, sync, bytes, ntensors, chunk_bytes, meta_factor).stall
-            }
-        };
+        let stall = plan.stall_price(&shared.config.profile, route, bytes, ntensors, meta_factor);
         let resumed_at = started_at.add(stall);
         *self.save_frontier.lock() = resumed_at;
         Ok(SaveReceipt {

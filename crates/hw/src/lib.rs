@@ -29,18 +29,16 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod probe;
 mod profile;
 mod storage;
 mod tier;
 mod xfer;
 
 pub use clock::{SimClock, SimInstant};
-pub use probe::BandwidthProbe;
 pub use profile::MachineProfile;
 pub use storage::{StorageError, StorageTier, StoredObject};
 pub use tier::{Tier, TierSpec};
 pub use xfer::{
-    apply_time, capture_time, chunk_layout, pipeline_costs, retry_backoff, stage_time, CaptureMode,
-    Route, TransferStrategy, UpdateCosts,
+    apply_time, capture_stage, capture_time, chunk_layout, pipeline_costs, retry_backoff,
+    stage_time, staging_copy_time, CaptureMode, Route, Stage, TransferStrategy, UpdateCosts,
 };

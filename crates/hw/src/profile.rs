@@ -145,24 +145,6 @@ impl MachineProfile {
     pub fn host_transfer_time(&self, bytes: u64) -> Duration {
         self.net_latency + Duration::from_secs_f64(bytes as f64 / self.host_rdma_bw)
     }
-
-    /// Modeled duration of capturing `bytes` of scattered tensors from GPU
-    /// memory into host memory.
-    pub fn d2h_capture_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.d2h_capture_bw)
-    }
-
-    /// Modeled duration of applying a contiguous `bytes` buffer from host
-    /// memory into the live GPU model.
-    pub fn h2d_apply_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.h2d_apply_bw)
-    }
-
-    /// Modeled duration of snapshotting `bytes` of scattered tensors inside
-    /// GPU memory.
-    pub fn gpu_capture_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.gpu_capture_bw)
-    }
 }
 
 #[cfg(test)]
@@ -190,8 +172,8 @@ mod tests {
         let p = MachineProfile::polaris();
         let bytes = 4_700_000_000u64; // TC1
         let gpu = p.gpu_transfer_time(bytes);
-        let host =
-            p.d2h_capture_time(bytes) + p.host_transfer_time(bytes) + p.h2d_apply_time(bytes);
+        let secs = |bw: f64| Duration::from_secs_f64(bytes as f64 / bw);
+        let host = secs(p.d2h_capture_bw) + p.host_transfer_time(bytes) + secs(p.h2d_apply_bw);
         let pfs = p.tier(Tier::Pfs).write_time(bytes, 20) + p.tier(Tier::Pfs).read_time(bytes, 20);
         assert!(gpu < host, "{gpu:?} !< {host:?}");
         assert!(host < pfs, "{host:?} !< {pfs:?}");

@@ -1,18 +1,26 @@
 //! Transfer-strategy cost composition.
 //!
 //! One model update = capture on the producer + delivery to the consumer +
-//! apply into the live model (§4.4). This module composes those phases for
-//! each of the paper's strategies so that the framework runtime, the
-//! discrete-event simulator, and the benchmarks all price updates
-//! identically:
+//! apply into the live model (§4.4). One table of stages — each a
+//! bandwidth, a per-chunk latency and a per-flow metadata cost — says what
+//! every phase costs on each route, and [`pipeline_costs`] pushes an
+//! update's chunks through the strategy's lineup of them, so that the
+//! framework runtime, the planner, the discrete-event simulator and the
+//! benchmarks all price updates identically:
 //!
-//! | strategy          | producer stall (blocks training)       | post-stall delivery        |
-//! |-------------------|------------------------------------------|----------------------------|
-//! | GPU sync          | GPU capture + GPU-RDMA send              | apply (D2D)                |
-//! | GPU async         | GPU capture                              | stage copy + send + apply  |
-//! | Host sync         | D2H capture + IB send                    | apply (H2D + tensor update)|
-//! | Host async        | D2H capture                              | stage copy + send + apply  |
-//! | PFS (either fmt)  | PFS write                                | PFS read + apply           |
+//! | strategy   | producer stall (blocks training) | post-stall delivery          |
+//! |------------|----------------------------------|------------------------------|
+//! | GPU sync   | capture + GPU-RDMA wire          | apply (D2D)                  |
+//! | GPU async  | capture                          | staging copy + wire + apply  |
+//! | Host sync  | D2H capture + IB wire            | apply (H2D + tensor update)  |
+//! | Host async | D2H capture                      | staging copy + wire + apply  |
+//! | PFS (any)  | PFS write                        | PFS read + apply (H2D)       |
+//!
+//! The engine's own charges are one-chunk lookups of the same table:
+//! [`capture_time`] (a lump capture, or the PFS write),
+//! [`staging_copy_time`] (the async worker's copy) and [`apply_time`] (the
+//! consumer's install), and a sync save's in-flow capture is
+//! [`capture_stage`] itself.
 //!
 //! The *update latency* the paper measures end-to-end (Fig. 8) is
 //! `stall + post + notify`; the *training overhead* per update (Fig. 9 /
@@ -125,8 +133,9 @@ impl UpdateCosts {
 }
 
 /// Producer-side capture time: the snapshot copy out of the live training
-/// tensors. For the PFS route this is the (blocking) PFS write itself;
-/// `metadata_factor` scales its per-tensor metadata cost.
+/// tensors, as one chunk through the route's capture stage. For the PFS
+/// route this is the (blocking) PFS write itself; `metadata_factor` scales
+/// its per-tensor metadata cost.
 pub fn capture_time(
     profile: &MachineProfile,
     route: Route,
@@ -134,54 +143,47 @@ pub fn capture_time(
     ntensors: usize,
     metadata_factor: f64,
 ) -> Duration {
-    match route {
-        Route::GpuToGpu => {
-            profile.gpu_capture_time(bytes)
-                + profile
-                    .tier(Tier::GpuMem)
-                    .per_tensor_write
-                    .mul_f64(ntensors as f64)
-        }
-        Route::HostToHost => {
-            profile.d2h_capture_time(bytes)
-                + profile
-                    .tier(Tier::HostMem)
-                    .per_tensor_write
-                    .mul_f64(ntensors as f64)
-        }
-        Route::PfsStaging => {
-            let meta_ops = (ntensors as f64 * metadata_factor).ceil() as usize;
-            profile.tier(Tier::Pfs).write_time(bytes, meta_ops)
-        }
-    }
+    capture_stage(profile, route, ntensors, metadata_factor).time(bytes, true)
 }
 
-/// Extra staging copy performed by the asynchronous producer before handing
-/// the snapshot to the background delivery thread. Zero for the PFS route
+/// The route's capture stage: what the fabric's chunked send overlaps with
+/// the wire when a sync save bills its capture inside the flow.
+pub fn capture_stage(
+    profile: &MachineProfile,
+    route: Route,
+    ntensors: usize,
+    metadata_factor: f64,
+) -> Stage {
+    route_stages(profile, route, ntensors, metadata_factor).capture
+}
+
+/// The asynchronous producer's staging copy, made before it hands the
+/// snapshot to the background delivery thread: one chunk through the
+/// route's staging stage. Zero for the PFS route, which stages nothing
 /// (its write is always blocking).
+pub fn staging_copy_time(profile: &MachineProfile, route: Route, bytes: u64) -> Duration {
+    route_stages(profile, route, 0, 1.0)
+        .staging
+        .map_or(Duration::ZERO, |stage| stage.time(bytes, true))
+}
+
+/// One read pass over `bytes` at the route's staging bandwidth, with no
+/// fixed cost: the delta diff's compare pass, which is not a pipeline
+/// stage. Zero for the PFS route.
 pub fn stage_time(profile: &MachineProfile, route: Route, bytes: u64) -> Duration {
-    match route {
-        Route::GpuToGpu => Duration::from_secs_f64(bytes as f64 / profile.gpu_async_stage_bw),
-        Route::HostToHost => Duration::from_secs_f64(bytes as f64 / profile.host_async_stage_bw),
-        Route::PfsStaging => Duration::ZERO,
-    }
+    route_stages(profile, route, 0, 1.0)
+        .staging
+        .map_or(Duration::ZERO, |stage| {
+            Duration::from_secs_f64(bytes as f64 / stage.bw)
+        })
 }
 
 /// Consumer-side apply time: copying the received buffer into the live
-/// model's tensors.
+/// model's tensors, as one chunk through the route's apply stage.
 pub fn apply_time(profile: &MachineProfile, route: Route, bytes: u64, ntensors: usize) -> Duration {
-    match route {
-        Route::GpuToGpu => {
-            profile.gpu_capture_time(bytes)
-                + profile
-                    .tier(Tier::GpuMem)
-                    .per_tensor_read
-                    .mul_f64(ntensors as f64)
-        }
-        Route::HostToHost | Route::PfsStaging => {
-            profile.h2d_apply_time(bytes) + Duration::from_millis(1).mul_f64(ntensors as f64)
-        }
-    }
+    route_stages(profile, route, ntensors, 1.0)
+        .apply
+        .time(bytes, true)
 }
 
 /// Virtual-time backoff before retransmission round `attempt` (1-based):
@@ -201,15 +203,20 @@ pub fn retry_backoff(base: Duration, attempt: u32, cap: Duration) -> Duration {
 /// One stage of the chunked transfer pipeline: a bandwidth, a fixed cost
 /// paid per chunk, and a one-time cost paid once per flow (per-tensor
 /// metadata, charged with the first chunk).
-#[derive(Debug, Clone, Copy)]
-struct Stage {
-    bw: f64,
-    per_chunk: Duration,
-    once: Duration,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stage {
+    /// Bytes per second.
+    pub bw: f64,
+    /// Fixed cost every chunk pays (a tier or link latency).
+    pub per_chunk: Duration,
+    /// Fixed cost the flow's first chunk pays (per-tensor metadata).
+    pub once: Duration,
 }
 
 impl Stage {
-    fn time(&self, chunk: u64, first: bool) -> Duration {
+    /// Time this stage takes over one chunk of `chunk` bytes; `first`
+    /// marks the flow's first chunk, which also pays `once`.
+    pub fn time(&self, chunk: u64, first: bool) -> Duration {
         let once = if first { self.once } else { Duration::ZERO };
         self.per_chunk + once + Duration::from_secs_f64(chunk as f64 / self.bw)
     }
@@ -231,6 +238,97 @@ pub fn chunk_layout(bytes: u64, chunk_bytes: u64) -> Vec<u64> {
     sizes
 }
 
+/// Every stage an update on a route can pass through, in pipeline order:
+/// the one table of what a capture, a staging copy, a transit (the wire,
+/// or the PFS read) and an apply cost.
+struct RouteStages {
+    capture: Stage,
+    /// The async producer's staging copy (memory routes only).
+    staging: Option<Stage>,
+    transit: Stage,
+    apply: Stage,
+}
+
+fn route_stages(
+    profile: &MachineProfile,
+    route: Route,
+    ntensors: usize,
+    metadata_factor: f64,
+) -> RouteStages {
+    let n = ntensors as f64;
+    let host = profile.tier(Tier::HostMem);
+    // The host-side apply: a contiguous H2D copy plus per-tensor setup.
+    let h2d_apply = Stage {
+        bw: profile.h2d_apply_bw,
+        per_chunk: host.read_latency,
+        once: Duration::from_millis(1).mul_f64(n),
+    };
+    match route {
+        Route::GpuToGpu | Route::HostToHost => {
+            let gpu = route == Route::GpuToGpu;
+            let tier = profile.tier(route.staging_tier());
+            let (capture_bw, stage_bw, wire_bw) = if gpu {
+                (
+                    profile.gpu_capture_bw,
+                    profile.gpu_async_stage_bw,
+                    profile.gpu_rdma_bw,
+                )
+            } else {
+                (
+                    profile.d2h_capture_bw,
+                    profile.host_async_stage_bw,
+                    profile.host_rdma_bw,
+                )
+            };
+            RouteStages {
+                capture: Stage {
+                    bw: capture_bw,
+                    per_chunk: tier.write_latency,
+                    once: tier.per_tensor_write.mul_f64(n),
+                },
+                staging: Some(Stage {
+                    bw: stage_bw,
+                    per_chunk: tier.write_latency,
+                    once: Duration::ZERO,
+                }),
+                transit: Stage {
+                    bw: wire_bw,
+                    per_chunk: profile.net_latency,
+                    once: Duration::ZERO,
+                },
+                apply: if gpu {
+                    // Device to device, at the capture's bandwidth.
+                    Stage {
+                        bw: capture_bw,
+                        per_chunk: tier.read_latency,
+                        once: tier.per_tensor_read.mul_f64(n),
+                    }
+                } else {
+                    h2d_apply
+                },
+            }
+        }
+        Route::PfsStaging => {
+            let pfs = profile.tier(Tier::Pfs);
+            let meta_ops = (n * metadata_factor).ceil();
+            RouteStages {
+                capture: Stage {
+                    bw: pfs.write_bw,
+                    per_chunk: pfs.write_latency,
+                    once: pfs.per_tensor_write.mul_f64(meta_ops),
+                },
+                staging: None,
+                transit: Stage {
+                    bw: pfs.read_bw,
+                    per_chunk: pfs.read_latency,
+                    once: pfs.per_tensor_read.mul_f64(meta_ops),
+                },
+                apply: h2d_apply,
+            }
+        }
+    }
+}
+
 /// The pipeline's stage lineup for a strategy, plus how many leading stages
 /// run on the producer (and therefore bound the training stall).
 fn pipeline_stages(
@@ -239,89 +337,24 @@ fn pipeline_stages(
     ntensors: usize,
     metadata_factor: f64,
 ) -> (Vec<Stage>, usize) {
-    let n = ntensors as f64;
-    let gpu = profile.tier(Tier::GpuMem);
-    let host = profile.tier(Tier::HostMem);
-    let pfs = profile.tier(Tier::Pfs);
-    match strategy.route {
-        Route::GpuToGpu | Route::HostToHost => {
-            let (capture_bw, stage_bw, wire_bw, apply_bw, tier) =
-                if strategy.route == Route::GpuToGpu {
-                    (
-                        profile.gpu_capture_bw,
-                        profile.gpu_async_stage_bw,
-                        profile.gpu_rdma_bw,
-                        profile.gpu_capture_bw,
-                        gpu,
-                    )
-                } else {
-                    (
-                        profile.d2h_capture_bw,
-                        profile.host_async_stage_bw,
-                        profile.host_rdma_bw,
-                        profile.h2d_apply_bw,
-                        host,
-                    )
-                };
-            let apply_once = match strategy.route {
-                Route::GpuToGpu => tier.per_tensor_read.mul_f64(n),
-                _ => Duration::from_millis(1).mul_f64(n),
-            };
-            let mut stages = vec![Stage {
-                bw: capture_bw,
-                per_chunk: tier.write_latency,
-                once: tier.per_tensor_write.mul_f64(n),
-            }];
-            if strategy.mode == CaptureMode::Async {
-                stages.push(Stage {
-                    bw: stage_bw,
-                    per_chunk: tier.write_latency,
-                    once: Duration::ZERO,
-                });
-            }
-            stages.push(Stage {
-                bw: wire_bw,
-                per_chunk: profile.net_latency,
-                once: Duration::ZERO,
-            });
-            stages.push(Stage {
-                bw: apply_bw,
-                per_chunk: tier.read_latency,
-                once: apply_once,
-            });
-            // Sync: training resumes once the last chunk clears the wire.
-            // Async: only the capture blocks; staging onward is background.
-            let producer_stages = if strategy.mode == CaptureMode::Sync {
-                2
-            } else {
-                1
-            };
-            (stages, producer_stages)
-        }
-        Route::PfsStaging => {
-            let meta = pfs.per_tensor_write.mul_f64((n * metadata_factor).ceil());
-            let meta_read = pfs.per_tensor_read.mul_f64((n * metadata_factor).ceil());
-            let stages = vec![
-                Stage {
-                    bw: pfs.write_bw,
-                    per_chunk: pfs.write_latency,
-                    once: meta,
-                },
-                Stage {
-                    bw: pfs.read_bw,
-                    per_chunk: pfs.read_latency,
-                    once: meta_read,
-                },
-                Stage {
-                    bw: profile.h2d_apply_bw,
-                    per_chunk: host.read_latency,
-                    once: Duration::from_millis(1).mul_f64(n),
-                },
-            ];
-            // The PFS write blocks training regardless of mode.
-            (stages, 1)
-        }
-    }
+    let route = route_stages(profile, strategy.route, ntensors, metadata_factor);
+    let staging = route
+        .staging
+        .filter(|_| strategy.mode == CaptureMode::Async);
+    let stages: Vec<Stage> = [
+        Some(route.capture),
+        staging,
+        Some(route.transit),
+        Some(route.apply),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    // Sync memory saves: training resumes once the last chunk clears the
+    // wire. Async: only the capture blocks; staging onward is background.
+    // The PFS write blocks training regardless of mode.
+    let memory_sync = strategy.route != Route::PfsStaging && strategy.mode == CaptureMode::Sync;
+    (stages, if memory_sync { 2 } else { 1 })
 }
 
 /// Completion time of each stage after pushing every chunk through the

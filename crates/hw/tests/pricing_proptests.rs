@@ -2,7 +2,9 @@
 //! every latency number the benchmarks report.
 
 use proptest::prelude::*;
-use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{
+    apply_time, capture_time, pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy,
+};
 
 fn strategies() -> [TransferStrategy; 5] {
     TransferStrategy::fig8_lineup()
@@ -82,6 +84,19 @@ proptest! {
             let c = pipeline_costs(&p, s, bytes, ntensors, 0, 1.0);
             prop_assert!(c.apply <= c.post_stall);
             prop_assert!(c.update_latency() >= c.stall);
+        }
+    }
+
+    /// The lump capture and the whole-payload apply the engine charges are
+    /// the one-chunk pipeline's capture and apply stages, to the
+    /// nanosecond, on every route.
+    #[test]
+    fn capture_and_apply_are_one_chunk_stages(bytes in 0u64..10_000_000_000, ntensors in 0usize..200, factor in 1.0f64..8.0) {
+        let p = MachineProfile::polaris();
+        for route in [Route::GpuToGpu, Route::HostToHost, Route::PfsStaging] {
+            let one_chunk = pipeline_costs(&p, TransferStrategy { route, mode: CaptureMode::Async }, bytes, ntensors, 0, factor);
+            prop_assert_eq!(capture_time(&p, route, bytes, ntensors, factor), one_chunk.stall, "{:?}", route);
+            prop_assert_eq!(apply_time(&p, route, bytes, ntensors), one_chunk.apply, "{:?}", route);
         }
     }
 }

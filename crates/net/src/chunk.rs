@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 use viper_formats::{crc32, crc32_combine, CrcFold, Payload};
-use viper_hw::SimInstant;
+use viper_hw::{SimInstant, Stage};
 
 /// Magic bytes at the front of every chunk frame ("VPCH"). Framing sanity
 /// only — chunk identification goes through [`MessageKind::Chunk`].
@@ -151,15 +151,10 @@ pub struct ChunkedSend {
     /// Maximum bytes of original payload per chunk (the last chunk may be
     /// smaller). Zero means "one chunk".
     pub chunk_bytes: u64,
-    /// Upstream capture bandwidth (bytes/s): chunk `i`'s wire transfer
-    /// cannot start before chunks `0..=i` have been captured at this rate.
-    /// `None` models an already-captured payload (all chunks ready at
-    /// submission).
-    pub capture_bw: Option<f64>,
-    /// Fixed upstream cost per captured chunk (snapshot call overhead).
-    pub capture_fixed: Duration,
-    /// One-time upstream cost before the first chunk (per-tensor metadata).
-    pub capture_once: Duration,
+    /// Upstream capture stage: chunk `i`'s wire transfer cannot start
+    /// before the stage has passed chunks `0..=i`. `None` models an
+    /// already-captured payload (all chunks ready at submission).
+    pub capture: Option<Stage>,
     /// Pin the flow's submission to a known virtual instant instead of the
     /// clock's current time — lets concurrent actors model flows that start
     /// together and overlap on different links.
@@ -176,9 +171,7 @@ impl ChunkedSend {
     pub fn new(chunk_bytes: u64) -> Self {
         ChunkedSend {
             chunk_bytes,
-            capture_bw: None,
-            capture_fixed: Duration::ZERO,
-            capture_once: Duration::ZERO,
+            capture: None,
             submit_at: None,
             crcs: None,
         }
@@ -191,13 +184,10 @@ impl ChunkedSend {
         self
     }
 
-    /// Overlap the wire with an upstream capture pipeline: chunks become
-    /// ready at `bw` bytes/s with `fixed` per-chunk and `once` per-flow
-    /// overhead.
-    pub fn with_capture(mut self, bw: f64, fixed: Duration, once: Duration) -> Self {
-        self.capture_bw = Some(bw);
-        self.capture_fixed = fixed;
-        self.capture_once = once;
+    /// Overlap the wire with an upstream capture stage: each chunk becomes
+    /// ready once `stage` has passed it.
+    pub fn with_capture(mut self, stage: Stage) -> Self {
+        self.capture = Some(stage);
         self
     }
 

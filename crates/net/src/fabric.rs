@@ -21,10 +21,6 @@ pub enum LinkKind {
     GpuDirect,
     /// Host-to-host RDMA (InfiniBand verbs, no GPUDirect).
     HostRdma,
-    /// Intra-node PCIe device-to-host capture (scattered tensors).
-    PcieD2h,
-    /// Intra-node PCIe host-to-device apply (contiguous buffer).
-    PcieH2d,
 }
 
 impl LinkKind {
@@ -33,8 +29,6 @@ impl LinkKind {
         match self {
             LinkKind::GpuDirect => "gpu",
             LinkKind::HostRdma => "rdma",
-            LinkKind::PcieD2h => "d2h",
-            LinkKind::PcieH2d => "h2d",
         }
     }
 
@@ -43,8 +37,6 @@ impl LinkKind {
         match self {
             LinkKind::GpuDirect => profile.gpu_transfer_time(bytes),
             LinkKind::HostRdma => profile.host_transfer_time(bytes),
-            LinkKind::PcieD2h => profile.d2h_capture_time(bytes),
-            LinkKind::PcieH2d => profile.h2d_apply_time(bytes),
         }
     }
 }
@@ -687,13 +679,11 @@ impl Endpoint {
             flow_id,
             sizes,
         };
-        let mut captured = submitted_at.add(opts.capture_once);
+        let mut captured = submitted_at;
         let chunks = flow.sizes.iter().zip(0u32..).map(|(&len, index)| {
-            let ready = match opts.capture_bw {
-                Some(bw) => {
-                    captured = captured
-                        .add(opts.capture_fixed)
-                        .add(Duration::from_secs_f64(len as f64 / bw));
+            let ready = match opts.capture {
+                Some(stage) => {
+                    captured = captured.add(stage.time(len, index == 0));
                     captured
                 }
                 None => submitted_at,
@@ -812,6 +802,7 @@ mod tests {
     use super::*;
     use crate::fault::LinkFaults;
     use crate::{FlowAssembler, FlowStatus};
+    use viper_hw::Stage;
 
     fn fabric() -> Fabric {
         Fabric::new(MachineProfile::polaris(), SimClock::new())
@@ -866,21 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_path_faster_than_host_path_end_to_end() {
-        // The raw IB wire is fast; what makes the host route slow is the
-        // PCIe capture and apply bracketing it. Compare full paths.
-        let p = MachineProfile::polaris();
-        let bytes = 4_700_000_000;
-        let gpu = LinkKind::GpuDirect.transfer_time(&p, bytes);
-        let host = LinkKind::PcieD2h.transfer_time(&p, bytes)
-            + LinkKind::HostRdma.transfer_time(&p, bytes)
-            + LinkKind::PcieH2d.transfer_time(&p, bytes);
-        assert!(gpu < host);
-        // 4.7 GB over 8.5 GB/s ≈ 0.553 s.
-        assert!((gpu.as_secs_f64() - 0.5529).abs() < 0.01, "{gpu:?}");
-    }
-
-    #[test]
     fn virtual_clock_charged_for_wire_time() {
         let clock = SimClock::new();
         let f = Fabric::new(MachineProfile::polaris(), clock.clone());
@@ -902,7 +878,7 @@ mod tests {
         let f = fabric();
         let a = f.register("a");
         let b = f.register("b");
-        a.send("b", "t", Arc::new(vec![0u8; 1024]), LinkKind::PcieD2h)
+        a.send("b", "t", Arc::new(vec![0u8; 1024]), LinkKind::HostRdma)
             .unwrap();
         let msg = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(msg.arrived_at.since(msg.sent_at), msg.wire_time);
@@ -989,11 +965,11 @@ mod tests {
         let a = f.register("a");
         let _b = f.register("b");
         let bytes = 100_000_000u64;
-        let opts = ChunkedSend::new(10_000_000).with_capture(
-            p.d2h_capture_bw,
-            Duration::ZERO,
-            Duration::ZERO,
-        );
+        let opts = ChunkedSend::new(10_000_000).with_capture(Stage {
+            bw: p.d2h_capture_bw,
+            per_chunk: Duration::ZERO,
+            once: Duration::ZERO,
+        });
         let report = a
             .send_chunked(
                 "b",

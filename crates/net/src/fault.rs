@@ -241,15 +241,15 @@ mod tests {
     #[test]
     fn link_overrides_apply() {
         let plan = FaultPlan::seeded(1).with_drop(0.1).for_link(
-            LinkKind::PcieD2h,
+            LinkKind::HostRdma,
             LinkFaults {
                 corrupt: 1.0,
                 ..LinkFaults::NONE
             },
         );
         assert_eq!(plan.faults_for(LinkKind::GpuDirect).drop, 0.1);
-        assert_eq!(plan.faults_for(LinkKind::PcieD2h).drop, 0.0);
-        assert_eq!(plan.faults_for(LinkKind::PcieD2h).corrupt, 1.0);
+        assert_eq!(plan.faults_for(LinkKind::HostRdma).drop, 0.0);
+        assert_eq!(plan.faults_for(LinkKind::HostRdma).corrupt, 1.0);
         assert!(plan.any());
         assert!(!FaultPlan::seeded(2).any());
     }

@@ -75,6 +75,7 @@ impl TimerWheel {
         }
     }
 
+    #[cfg(test)]
     fn deadline(&self, node: &str, token: u64) -> Option<SimInstant> {
         self.by_token
             .get(&(node.to_string(), token))
@@ -120,11 +121,6 @@ impl TaskCtx<'_> {
     /// Cancel this task's timer `token` (no-op if not armed).
     pub fn cancel_timer(&mut self, token: u64) {
         self.timers.cancel(self.node, token);
-    }
-
-    /// The deadline timer `token` is currently armed for, if any.
-    pub fn timer_deadline(&self, token: u64) -> Option<SimInstant> {
-        self.timers.deadline(self.node, token)
     }
 }
 

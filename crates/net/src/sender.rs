@@ -33,7 +33,6 @@ use crate::reliability::{CoalesceQueue, Control, RetryPolicy};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::Duration;
 use viper_formats::Payload;
 use viper_hw::SimInstant;
 use viper_telemetry::{Counter, Telemetry};
@@ -194,9 +193,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         }
         // A queued send launches after its capture finished: nothing left
         // to overlap with the wire.
-        send.opts.capture_bw = None;
-        send.opts.capture_fixed = Duration::ZERO;
-        send.opts.capture_once = Duration::ZERO;
+        send.opts.capture = None;
         let at = send.ready_at;
         if let Some((_, stale)) = self.lane_mut(&lane).queue.push(version, send) {
             self.conclude(stale, OutcomeKind::Superseded, at, None);

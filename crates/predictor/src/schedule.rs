@@ -240,38 +240,6 @@ pub fn fixed_interval_traced(
     plan
 }
 
-/// [`greedy`] with the scan recorded to telemetry, analogous to
-/// [`fixed_interval_traced`].
-pub fn greedy_traced(
-    telemetry: &viper_telemetry::Telemetry,
-    tlp: &FittedCurve,
-    params: &CostParams,
-    s_iter: u64,
-    e_iter: u64,
-    total_infers: u64,
-    thresh: f64,
-) -> Schedule {
-    let wall = std::time::Instant::now();
-    let mut span = telemetry.span_with(
-        "predictor",
-        "schedule.greedy",
-        "predictor",
-        &[
-            ("s_iter", s_iter.into()),
-            ("e_iter", e_iter.into()),
-            ("total_infers", total_infers.into()),
-            ("thresh", thresh.into()),
-        ],
-    );
-    let plan = greedy(tlp, params, s_iter, e_iter, total_infers, thresh);
-    span.arg("checkpoints", plan.num_checkpoints().into());
-    span.arg("predicted_cil", plan.predicted_cil.into());
-    span.arg("wall_us", (wall.elapsed().as_micros() as u64).into());
-    drop(span);
-    record_schedule(telemetry, &plan);
-    plan
-}
-
 /// Derive the greedy threshold from warm-up losses: the mean plus one
 /// standard deviation of the improvements between consecutive training
 /// losses (§4.3).

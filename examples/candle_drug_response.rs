@@ -40,7 +40,10 @@ impl Callback for ConsumerProbe<'_> {
 
 /// Train the TC1 miniature under one checkpoint policy; report the mean
 /// *consumer-side* test loss across the run (lower = fresher replicas).
-fn run_policy(label: &str, policy_for: impl Fn(&[f64], u64, u64) -> SchedulePolicy) -> f64 {
+fn run_policy(
+    label: &str,
+    policy_for: impl Fn(&ViperConfig, &[f64], u64, u64) -> SchedulePolicy,
+) -> f64 {
     let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
     config.flush_to_pfs = false;
     let viper = Viper::new(config);
@@ -85,7 +88,7 @@ fn run_policy(label: &str, policy_for: impl Fn(&[f64], u64, u64) -> SchedulePoli
     let fine_epochs = 8u64;
     let s_iter = model.iteration();
     let e_iter = s_iter + fine_epochs * iters_per_epoch;
-    callback.set_policy(policy_for(&warmup, s_iter, e_iter));
+    callback.set_policy(policy_for(viper.config(), &warmup, s_iter, e_iter));
 
     let mut probe = ConsumerProbe {
         consumer: &consumer,
@@ -121,28 +124,17 @@ fn run_policy(label: &str, policy_for: impl Fn(&[f64], u64, u64) -> SchedulePoli
 fn main() {
     println!("CANDLE TC1 (18-way tumor classification), fine-tuning with live serving\n");
 
-    let baseline = run_policy("epoch-baseline", |_w, _s, _e| {
+    let baseline = run_policy("epoch-baseline", |_c, _w, _s, _e| {
         // One checkpoint per epoch (the traditional strategy).
         SchedulePolicy::EveryN(14) // iters_per_epoch of the miniature at scale 0.05
     });
 
-    let planned = run_policy("ipp-fixed", |warmup, s, e| {
+    let planned = run_policy("ipp-fixed", |config, warmup, s, e| {
         let tlp = planner::fit_warmup(warmup);
         // Price updates for the *miniature's* actual checkpoint (~0.5 MB)
         // and this machine's iteration times — the IPP optimizes the system
         // it actually runs on.
-        let params = planner::cost_params(
-            &viper_hw::MachineProfile::polaris(),
-            viper_hw::TransferStrategy {
-                route: Route::GpuToGpu,
-                mode: CaptureMode::Sync,
-            },
-            500_000,
-            10,
-            1.0,
-            0.002,
-            0.0005,
-        );
+        let params = planner::cost_params(config, 500_000, 10, 0.002, 0.0005);
         let plan = planner::plan_fixed(&tlp, &params, s, e, 50_000);
         println!(
             "  (IPP chose interval {} -> {} checkpoints)",

@@ -74,11 +74,9 @@ fn main() {
     let iters_per_epoch = (train.len() as u64).div_ceil(16);
     let e_iter = s_iter + fine_tune_epochs * iters_per_epoch;
     let params = planner::cost_params(
-        &viper_hw::MachineProfile::polaris(),
-        viper.config().strategy,
+        viper.config(),
         4_500_000_000, // paper-scale PtychoNN checkpoint
         60,
-        1.0,
         0.06,
         0.005,
     );

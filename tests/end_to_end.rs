@@ -133,7 +133,7 @@ fn consumer_serves_inferences_while_updates_stream() {
 
 #[test]
 fn warmup_then_replan_with_ipp() {
-    let (_viper, producer, _consumer) = deployment(Route::GpuToGpu, CaptureMode::Sync);
+    let (viper, producer, _consumer) = deployment(Route::GpuToGpu, CaptureMode::Sync);
 
     // Warm-up: observe losses without checkpointing.
     let mut model = viper_workloads::nt3::build_model(3);
@@ -161,18 +161,7 @@ fn warmup_then_replan_with_ipp() {
     let tlp = planner::fit_warmup(&warmup_losses);
     let s_iter = model.iteration();
     let e_iter = s_iter + 100;
-    let params = planner::cost_params(
-        &viper_hw::MachineProfile::polaris(),
-        viper_hw::TransferStrategy {
-            route: Route::GpuToGpu,
-            mode: CaptureMode::Sync,
-        },
-        1_700_000_000,
-        16,
-        1.0,
-        0.05,
-        0.005,
-    );
+    let params = planner::cost_params(viper.config(), 1_700_000_000, 16, 0.05, 0.005);
     let fixed = planner::plan_fixed(&tlp, &params, s_iter, e_iter, 10_000);
     let adaptive = planner::plan_adaptive(&tlp, &params, &warmup_losses, s_iter, e_iter, 10_000);
 

@@ -937,12 +937,12 @@ fn hand_framed_batches_keep_their_replies_instants_and_counters() {
     };
     assert_eq!(two_batches(vec![copied], rest, resent), GATHERED);
 
-    const WHOLE: &str = "ack 9 @3325610; v1 i1 @3305607; applied 1 corrupt 0 copied 0";
+    const WHOLE: &str = "ack 9 @3330610; v1 i1 @3310607; applied 1 corrupt 0 copied 0";
     const INTERLEAVED: &str =
-        "ack 9 @3325610; ack 10 @5326217; v2 i2 @5306214; applied 2 corrupt 0 copied 0";
-    const WITHHELD: &str = "ack 9 @22320610; v1 i1 @22300607; applied 1 corrupt 0 copied 0";
-    const RESENT: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 0";
-    const GATHERED: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 6084";
+        "ack 9 @3330610; ack 10 @5336217; v2 i2 @5316214; applied 2 corrupt 0 copied 0";
+    const WITHHELD: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 0";
+    const RESENT: &str = "ack 9 @22330610; v1 i1 @22310607; applied 1 corrupt 0 copied 0";
+    const GATHERED: &str = "ack 9 @22330610; v1 i1 @22310607; applied 1 corrupt 0 copied 6084";
 }
 
 #[test]

@@ -2,17 +2,19 @@
 //! from warm-up observations, must hold up against the ground-truth
 //! discrete-event simulation — the §5.4 claims.
 
-use viper::planner;
+use viper::{planner, ViperConfig};
 use viper_des::{simulate, Discovery, SimConfig};
 use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_predictor::schedule;
 use viper_workloads::WorkloadProfile;
 
+/// The deployment the schedules are planned for: GPU route, async capture.
+fn gpu_config() -> ViperConfig {
+    ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Async)
+}
+
 fn gpu_strategy() -> TransferStrategy {
-    TransferStrategy {
-        route: Route::GpuToGpu,
-        mode: CaptureMode::Async,
-    }
+    gpu_config().strategy
 }
 
 /// Ground-truth CIL of a checkpoint list under the DES.
@@ -38,13 +40,10 @@ fn simulate_cil(w: &WorkloadProfile, checkpoints: Vec<u64>) -> f64 {
 fn run_fig10(w: &WorkloadProfile) -> (f64, f64, f64, usize, usize) {
     let warmup = w.warmup_losses(42);
     let tlp = planner::fit_warmup(&warmup);
-    let profile = MachineProfile::polaris();
     let params = planner::cost_params(
-        &profile,
-        gpu_strategy(),
+        &gpu_config(),
         w.model_bytes,
         w.ntensors,
-        1.0,
         w.t_train,
         w.t_infer,
     );
@@ -99,13 +98,10 @@ fn predictor_cil_tracks_simulated_cil() {
     let w = WorkloadProfile::tc1();
     let warmup = w.warmup_losses(42);
     let tlp = planner::fit_warmup(&warmup);
-    let profile = MachineProfile::polaris();
     let params = planner::cost_params(
-        &profile,
-        gpu_strategy(),
+        &gpu_config(),
         w.model_bytes,
         w.ntensors,
-        1.0,
         w.t_train,
         w.t_infer,
     );

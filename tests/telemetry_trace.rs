@@ -254,18 +254,7 @@ fn predictor_decisions_are_traced() {
         .map(|i| 2.0 * (-0.01 * i as f64).exp() + 0.3)
         .collect();
     let tlp = fit::fit_best_traced(&telemetry, &warmup);
-    let params = viper::planner::cost_params(
-        &viper_hw::MachineProfile::polaris(),
-        viper_hw::TransferStrategy {
-            route: Route::GpuToGpu,
-            mode: CaptureMode::Async,
-        },
-        1_000_000,
-        4,
-        1.0,
-        0.05,
-        0.005,
-    );
+    let params = viper::planner::cost_params(&ViperConfig::default(), 1_000_000, 4, 0.05, 0.005);
     let plan = schedule::fixed_interval_traced(&telemetry, &tlp, &params, 120, 600, 10_000);
     assert!(plan.interval >= 1);
 
