@@ -5,9 +5,9 @@
 //! * **lean format vs h5lite** — encoded size and PFS metadata cost;
 //! * **greedy threshold sensitivity** — checkpoints/CIL vs threshold scale.
 
-use viper_des::{simulate, Discovery, SimConfig};
+use viper_des::{simulate, simulate_fanout, Discovery, FanoutConfig, FanoutResult, SimConfig};
 use viper_formats::{CheckpointFormat, H5Lite, ViperFormat};
-use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
+use viper_hw::{fanout_hop, pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
 use viper_predictor::{cilp::CostParams, fit, schedule};
 use viper_workloads::WorkloadProfile;
 
@@ -493,60 +493,39 @@ pub fn delta_savings() -> DeltaSavings {
     }
 }
 
-/// Measured result of one fleet size in [`fanout_tree`].
-pub struct FanoutRow {
-    /// Fleet size (consumers).
-    pub consumers: usize,
-    /// Relay-tree depth (levels).
-    pub depth: usize,
-    /// Worst-round direct-unicast makespan (seconds).
-    pub direct_makespan: f64,
-    /// Worst-round relay-tree makespan (seconds).
-    pub tree_makespan: f64,
-    /// Direct/tree speedup.
-    pub speedup: f64,
-    /// Relay failures healed (by rebuilding the tree) across the run.
-    pub reparent_events: usize,
-    /// Members that joined across the run.
-    pub join_events: usize,
-}
-
 /// Relay-tree fan-out at fleet scale: direct unicast vs the cache-assisted
 /// multicast tree, on the closed-form distribution timeline
-/// ([`viper_des::simulate_fanout`]). One full TC1-sized model costs
-/// ~24 ms per healthy hop (Polaris node-to-node at ~25 GB/s for 600 MB);
-/// each fleet runs several update rounds under seeded churn (failures and
-/// joins, each healed by rebuilding the tree) and 10% straggler links at
-/// 8x slowdown. Direct delivery grows linearly with the fleet; the tree
-/// grows with `fanout · log_fanout n`.
-pub fn fanout_tree() -> Vec<FanoutRow> {
-    use viper_des::{simulate_fanout, FanoutConfig};
+/// ([`viper_des::simulate_fanout`]), one configuration and result per fleet
+/// size. Each member is priced by the engine's stage table
+/// ([`viper_hw::fanout_hop`]) for the 600 MB NT3-A model in one chunk over
+/// GPUDirect: one more flow on the sender's link, and a relay re-serves
+/// once it has installed. Each fleet runs several update rounds under
+/// seeded churn (failures and joins, each healed by rebuilding the tree)
+/// and 10% straggler links at 8x slowdown. Direct delivery grows linearly
+/// with the fleet; the tree grows with `fanout · log_fanout n`.
+pub fn fanout_tree() -> Vec<(FanoutConfig, FanoutResult)> {
+    let w = WorkloadProfile::nt3_a();
+    let profile = MachineProfile::polaris();
+    let hop = fanout_hop(&profile, Route::GpuToGpu, w.model_bytes, w.ntensors, 0);
     [1_000usize, 10_000, 100_000]
         .into_iter()
         .map(|consumers| {
-            let r = simulate_fanout(&FanoutConfig {
+            let cfg = FanoutConfig {
                 consumers,
                 fanout: 8,
-                t_send: 0.024,
+                hop,
                 rounds: 6,
                 churn_per_round: 4,
                 straggler_fraction: 0.1,
-                straggler_slowdown: 8.0,
+                straggler_slowdown: 8,
                 seed: 7,
-            });
+            };
+            let r = simulate_fanout(&cfg);
             assert_eq!(
                 r.delivery_violations, 0,
                 "coverage must hold at {consumers}"
             );
-            FanoutRow {
-                consumers,
-                depth: r.max_depth(),
-                direct_makespan: r.direct_makespan(),
-                tree_makespan: r.tree_makespan(),
-                speedup: r.speedup(),
-                reparent_events: r.reparent_events,
-                join_events: r.join_events,
-            }
+            (cfg, r)
         })
         .collect()
 }
@@ -699,13 +678,13 @@ pub fn render_all() -> String {
     let fleets = fanout_tree();
     let rows: Vec<Vec<String>> = fleets
         .iter()
-        .map(|r| {
+        .map(|(cfg, r)| {
             vec![
-                r.consumers.to_string(),
-                r.depth.to_string(),
-                format!("{:.1}", r.direct_makespan),
-                format!("{:.3}", r.tree_makespan),
-                format!("{:.0}x", r.speedup),
+                cfg.consumers.to_string(),
+                r.max_depth().to_string(),
+                format!("{:.1}", r.direct_makespan()),
+                format!("{:.3}", r.tree_makespan()),
+                format!("{:.0}x", r.speedup()),
                 r.reparent_events.to_string(),
                 r.join_events.to_string(),
             ]
@@ -723,18 +702,27 @@ pub fn render_all() -> String {
         ],
         &rows,
     ));
-    let depths: Vec<String> = fleets.iter().map(|r| r.depth.to_string()).collect();
+    let depths: Vec<String> = fleets
+        .iter()
+        .map(|(_, r)| r.max_depth().to_string())
+        .collect();
+    let hop = fleets[0].0.hop;
     out.push_str(&format!(
-        "\nOne full TC1-sized model costs ~24 ms per healthy hop; the producer serializes its \
-         sends, so direct unicast pays a makespan linear in the fleet while the fan-out-8 relay \
-         tree pays one or two more levels per 10× (depth {}, `O(fanout · log_fanout n)`). Each \
+        "\nEach member is priced by the engine's stage table (`viper_hw::fanout_hop`): one full \
+         600 MB NT3-A model in one chunk over GPUDirect is {wire:.1} ms on a healthy link, and \
+         {tail:.1} ms more to notify, apply and swap. Every node serializes its sends; a relay \
+         re-serves after it installs. So direct unicast pays a makespan linear in the fleet \
+         while the fan-out-8 relay tree pays one or two more levels per 10× (depth {depths}, \
+         `O(fanout · log_fanout n)`). Each \
          fleet runs 6 update rounds under seeded churn — failures and joins, each healed by \
          building the tree again over the new member list, as the runtime does — and 10% \
          straggler links at 8× slowdown; every round asserts exactly-once coverage (each live \
          member reachable from the root exactly once). The runtime counterpart \
          (`tests/relay_tree.rs`) drives 7-consumer trees over the real fault-injected fabric \
          and asserts the same invariant from the installed-update counters.\n",
-        depths.join(" → ")
+        wire = hop.wire.as_secs_f64() * 1e3,
+        tail = hop.tail.as_secs_f64() * 1e3,
+        depths = depths.join(" → ")
     ));
 
     out.push_str("\n### PFS write contention (TC1 checkpoint, concurrent streams)\n\n");
@@ -854,24 +842,21 @@ mod tests {
 
     #[test]
     fn fanout_tree_makespan_grows_sublinearly() {
-        let rows = fanout_tree();
+        let rows: Vec<FanoutResult> = fanout_tree().into_iter().map(|(_, r)| r).collect();
         assert_eq!(rows.len(), 3);
         for pair in rows.windows(2) {
             // 10x the fleet: direct pays ~10x, the tree pays one or two
             // more levels.
-            let direct_growth = pair[1].direct_makespan / pair[0].direct_makespan;
-            let tree_growth = pair[1].tree_makespan / pair[0].tree_makespan;
+            let direct_growth = pair[1].direct_makespan() / pair[0].direct_makespan();
+            let tree_growth = pair[1].tree_makespan() / pair[0].tree_makespan();
             assert!(direct_growth > 5.0, "direct grew only {direct_growth:.1}x");
             assert!(tree_growth < 2.0, "tree grew {tree_growth:.1}x");
-            assert!(pair[1].depth >= pair[0].depth);
+            assert!(pair[1].speedup() > pair[0].speedup(), "speed-ups must grow");
         }
+        let depths: Vec<usize> = rows.iter().map(FanoutResult::max_depth).collect();
+        assert_eq!(depths, [5, 6, 7]);
         for r in &rows {
-            assert!(
-                r.speedup > 10.0,
-                "{}: speedup {:.0}",
-                r.consumers,
-                r.speedup
-            );
+            assert!(r.speedup() > 10.0, "speedup {:.0}", r.speedup());
             assert!(r.reparent_events > 0, "churn must exercise relay failures");
         }
     }

@@ -260,10 +260,10 @@ impl ViperConfig {
 pub(crate) enum CaptureBilling {
     /// Charged from the save's start, before anything else.
     Lump,
-    /// Inside the first flow's chunk schedule: chunk `i` leaves once the
-    /// capture has reached it — or, if no flow took the model, as a lump
-    /// after the notification.
-    InFirstFlow,
+    /// Inside every flow's chunk schedule: chunk `i` leaves once the
+    /// capture has reached it (and the sender's link is free) — or, if no
+    /// flow took the model, as a lump after the notification.
+    InFlow,
 }
 
 /// Which thread delivers a saved update.
@@ -312,7 +312,7 @@ impl SavePlan {
             // undercharge it: it is a lump — while the stall stays the full
             // payload's pipeline (DESIGN.md, "Producer timeline").
             capture: if waits && !delta {
-                CaptureBilling::InFirstFlow
+                CaptureBilling::InFlow
             } else {
                 CaptureBilling::Lump
             },
@@ -500,12 +500,12 @@ mod tests {
     fn a_sync_save_to_memory_waits_for_the_wire() {
         let sync = || ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
         let mono = plan(sync(), Route::GpuToGpu);
-        assert_eq!(mono.capture, CaptureBilling::InFirstFlow);
+        assert_eq!(mono.capture, CaptureBilling::InFlow);
         assert_eq!(mono.deliverer, Deliverer::SaveThread);
         assert_eq!(mono.stall, (CaptureMode::Sync, 0));
         assert!(!mono.retain_base);
         let chunked = plan(sync().with_chunked(64).with_reliable(), Route::HostToHost);
-        assert_eq!(chunked.capture, CaptureBilling::InFirstFlow);
+        assert_eq!(chunked.capture, CaptureBilling::InFlow);
         assert_eq!(chunked.stall, (CaptureMode::Sync, 64));
     }
 

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use viper_formats::{
     delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, PayloadKind,
 };
-use viper_hw::{apply_time, Route, SimInstant, Tier};
+use viper_hw::{apply_time, Route, SimInstant, Tier, SWAP_NUDGE};
 use viper_net::{
     deterministic_jitter, AssembledFlow, Control, Endpoint, LinkKind, ReactorTask, TaskCtx,
 };
@@ -624,10 +624,7 @@ impl ConsumerTask {
             .completed_at
             .add(viper.shared.config.profile.notify_latency);
         let start = notified.max(self.apply_free);
-        // The +100ns is the §4.2 "negligible" swap, kept visible so trace
-        // ordering shows apply-then-swap.
-        let done = charge_apply_at(viper, route, bytes, ckpt.ntensors(), start)
-            .add(Duration::from_nanos(100));
+        let done = charge_apply_at(viper, route, bytes, ckpt.ntensors(), start).add(SWAP_NUDGE);
         self.apply_free = done;
         install_at(viper, state, ckpt, version, done);
         // A Complete (X) event rather than Begin/End: recover() on the
@@ -983,7 +980,7 @@ fn install_from_pfs(
     // One atomic check-and-swap: this may race the reactor installing a
     // fresher push, and must never regress the served model or publish an
     // UpdateInfo for a model that lost the race.
-    let swapped_at = shared.clock.now().add(Duration::from_nanos(100));
+    let swapped_at = shared.clock.now().add(SWAP_NUDGE);
     install_at(viper, state, ckpt, record.version, swapped_at);
     telemetry.complete(
         "consumer",

@@ -155,8 +155,9 @@ pub(crate) struct DeliveryJob {
     /// the direct path. The root's ACK resolves (and base-tracks) every
     /// non-escalated member of the group.
     pub(crate) group: Option<Vec<String>>,
-    /// Pipelined-capture model for the first successful send (the snapshot
-    /// happens once; later flows re-send already captured chunks).
+    /// Pipelined-capture model every flow's chunks become ready by: the
+    /// save's one snapshot, which the sender's lane serializes the flows
+    /// behind.
     pub(crate) capture: Option<Stage>,
     pub(crate) track: String,
     /// `None` under coalescing: the save path returned at submit, and a
@@ -228,8 +229,10 @@ fn announce(viper: &Viper, notify: ModelRecord, frontier: SimInstant) -> (usize,
 /// notification. For the PFS route consumers pull from the shared tier, so
 /// only the notification is sent. The payload travels as a pipelined
 /// chunked flow of `ViperConfig::chunk_bytes` chunks (one chunk at 0); a
-/// capture billed [`CaptureBilling::InFirstFlow`] is modeled by the first
-/// send, overlapping the wire.
+/// capture billed [`CaptureBilling::InFlow`] is every flow's chunk
+/// schedule, overlapping the wire. Every flow starts at the update's
+/// frontier: the fabric queues a fan-out on the producer's link, so
+/// consumer `k` is served one flow after consumer `k-1`.
 ///
 /// Under [`Delivery::Reliable`] every memory-route send is
 /// ACK-gated with NACK-driven retransmission; if a consumer exhausts the
@@ -275,7 +278,7 @@ pub(crate) fn deliver(
         let consumers = shared.consumers.read().clone();
         let config = &shared.config;
         // Memory routes price no format metadata: the factor is moot.
-        let first_flow_capture = (capture == CaptureBilling::InFirstFlow)
+        let capture = (capture == CaptureBilling::InFlow)
             .then(|| capture_stage(&config.profile, route, record.ntensors, 1.0));
         match config.delivery {
             Delivery::Reliable(options) => {
@@ -329,7 +332,7 @@ pub(crate) fn deliver(
                             link,
                             consumers: targets,
                             group,
-                            capture: first_flow_capture,
+                            capture,
                             track: track.to_string(),
                             reply,
                         }),
@@ -346,20 +349,17 @@ pub(crate) fn deliver(
                 }
             }
             Delivery::BestEffort => {
-                // The unreliable fan-out is serial: each send goes out when the
-                // one before it has arrived.
-                let mut inline_capture = first_flow_capture;
+                // The full travels as-is, so its encode-time chunk CRCs
+                // apply directly.
+                let mut opts = ChunkedSend::new(config.chunk_bytes)
+                    .with_crcs(Arc::clone(&update.crcs))
+                    .at(update.frontier);
+                if let Some(stage) = capture {
+                    opts = opts.with_capture(stage);
+                }
                 for consumer in consumers {
                     if consumer == endpoint.node() {
                         continue;
-                    }
-                    // The full travels as-is, so its encode-time chunk CRCs
-                    // apply directly.
-                    let mut opts = ChunkedSend::new(config.chunk_bytes)
-                        .with_crcs(Arc::clone(&update.crcs))
-                        .at(frontier);
-                    if let Some(stage) = inline_capture {
-                        opts = opts.with_capture(stage);
                     }
                     let arrived = endpoint
                         .send_chunked(&consumer, &tag, full.clone(), link, &opts)
@@ -368,9 +368,6 @@ pub(crate) fn deliver(
                     if let Ok(arrived) = arrived {
                         frontier = frontier.max(arrived);
                         sent += 1;
-                        // The snapshot happens once; fan-out to further consumers
-                        // re-sends the already captured chunks.
-                        inline_capture = None;
                     }
                 }
             }
@@ -826,7 +823,7 @@ impl ReactorTask for DeliveryTask {
             link,
             consumers,
             group,
-            mut capture,
+            capture,
             track,
             reply,
         } = job;
@@ -880,11 +877,7 @@ impl ReactorTask for DeliveryTask {
                 ready_at,
                 track: track.clone(),
             };
-            if self.sender.admit(ctx, (consumer, model.clone()), seq, send) {
-                // The snapshot happens once; further flows re-send the
-                // already captured chunks.
-                capture = None;
-            }
+            self.sender.admit(ctx, (consumer, model.clone()), seq, send);
             self.drain_outcomes(ctx);
         }
         self.finish_if_done(seq);

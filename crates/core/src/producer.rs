@@ -582,7 +582,7 @@ impl Producer {
             Deliverer::Worker => self.enqueue(Job::Deliver(update.clone())),
             Deliverer::SaveThread => {
                 let (sent, frontier) = deliver(&self.ctx, &update, plan.capture, &self.track);
-                if plan.capture == CaptureBilling::InFirstFlow && sent == 0 {
+                if plan.capture == CaptureBilling::InFlow && sent == 0 {
                     // Nothing consumed the pipelined capture model: the
                     // snapshot still happened, so bill it directly.
                     charge_at(clock, frontier, capture);

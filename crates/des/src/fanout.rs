@@ -2,12 +2,11 @@
 //!
 //! The runtime (`viper` core) drives the relay tree over a real fabric,
 //! but it tops out at fleets of tens of consumers per test budget. This
-//! module replays the *shape* of distribution at paper-fleet scale
-//! (1k–100k consumers) on a closed-form timeline: a producer serializes
-//! sends onto its NIC, every relay node serializes re-serves to its
-//! children, and a full-model transfer costs `t_send` per hop (scaled by
-//! the receiver's link quality). Direct unicast therefore pays a makespan
-//! linear in the fleet size, while the bounded-fan-out tree pays
+//! module replays distribution at paper-fleet scale (1k–100k consumers)
+//! with the engine's own price, [`viper_hw::FanoutHop::installs`]: every
+//! node serializes its sends on its one link, and a relay re-serves to its
+//! children once it has installed. Direct unicast therefore pays a
+//! makespan linear in the fleet size, while the bounded-fan-out tree pays
 //! `O(fanout · log_fanout n)` — the claim the ablation records.
 //!
 //! Fleet realism comes from two knobs swept by the CI fault matrix:
@@ -19,7 +18,7 @@
 //! each live member is reachable from the root exactly once.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use viper_hw::FanoutHop;
 use viper_net::{FaultRng, Topology};
 
 /// Configuration of a fleet fan-out simulation.
@@ -29,8 +28,9 @@ pub struct FanoutConfig {
     pub consumers: usize,
     /// Relay-tree fan-out bound (must be >= 1).
     pub fanout: usize,
-    /// Seconds to ship one full model across one healthy hop.
-    pub t_send: f64,
+    /// What one member costs: its flow on a healthy link, and its install
+    /// tail ([`viper_hw::fanout_hop`]).
+    pub hop: FanoutHop,
     /// Update rounds to simulate (each round delivers one model version).
     pub rounds: u64,
     /// Membership-churn events between consecutive rounds (alternating
@@ -38,8 +38,8 @@ pub struct FanoutConfig {
     pub churn_per_round: usize,
     /// Fraction of members whose inbound link is degraded.
     pub straggler_fraction: f64,
-    /// Slowdown multiplier for straggler links (1.0 = healthy).
-    pub straggler_slowdown: f64,
+    /// Slowdown multiplier for straggler links (1 = healthy).
+    pub straggler_slowdown: u32,
     /// Seed for churn victim selection and straggler placement.
     pub seed: u64,
 }
@@ -59,11 +59,6 @@ pub struct FanoutRound {
     pub direct_makespan: f64,
     /// Makespan of relay-tree delivery (seconds).
     pub tree_makespan: f64,
-    /// Relay failures healed (by a rebuild without the member) before
-    /// this round.
-    pub reparents: usize,
-    /// Members that joined before this round.
-    pub joins: usize,
 }
 
 /// Result of a fleet fan-out simulation.
@@ -121,47 +116,22 @@ fn fnv1a(name: &str) -> u64 {
 }
 
 /// Per-member inbound-link slowdown under `cfg`.
-fn link_slowdown(cfg: &FanoutConfig, member: &str) -> f64 {
+fn link_slowdown(cfg: &FanoutConfig, member: &str) -> u32 {
     let draw = FaultRng::new(cfg.seed ^ fnv1a(member)).next_u64() as f64 / u64::MAX as f64;
     if draw < cfg.straggler_fraction {
         cfg.straggler_slowdown
     } else {
-        1.0
+        1
     }
 }
 
-/// Arrival instant of the update at every member: the producer sends to
-/// the root, and each relay serializes re-serves to its children in
-/// deterministic child order. Returns `(makespan,
-/// arrivals-in-BFS-order-count)` — the count doubles as the exactly-once
-/// coverage check.
-fn propagate(topo: &Topology, cfg: &FanoutConfig) -> (f64, usize) {
-    let mut makespan = 0.0f64;
-    let mut reached = 0usize;
-    let mut queue: VecDeque<(&str, f64)> = VecDeque::new();
-    if let Some(root) = topo.root() {
-        queue.push_back((root, cfg.t_send * link_slowdown(cfg, root)));
-    }
-    while let Some((node, at)) = queue.pop_front() {
-        makespan = makespan.max(at);
-        reached += 1;
-        let mut lane = at;
-        for child in topo.children_of(node) {
-            lane += cfg.t_send * link_slowdown(cfg, child);
-            queue.push_back((child, lane));
-        }
-    }
-    (makespan, reached)
-}
-
-/// Makespan of direct unicast: the producer serializes one full send per
-/// member onto its NIC, so the last member's arrival is the sum of every
-/// per-member transfer.
-fn direct_makespan(members: &[String], cfg: &FanoutConfig) -> f64 {
-    members
-        .iter()
-        .map(|m| cfg.t_send * link_slowdown(cfg, m))
-        .sum()
+/// Makespan (seconds) of one round over `members`: the last install, served
+/// directly (`fanout: None`) or down the relay tree.
+fn makespan(cfg: &FanoutConfig, members: &[String], fanout: Option<usize>) -> f64 {
+    let installs = cfg
+        .hop
+        .installs(members.len(), fanout, |i| link_slowdown(cfg, &members[i]));
+    installs.into_iter().max().unwrap_or_default().as_secs_f64()
 }
 
 /// Run the fleet fan-out simulation.
@@ -174,69 +144,49 @@ fn direct_makespan(members: &[String], cfg: &FanoutConfig) -> f64 {
 pub fn simulate_fanout(cfg: &FanoutConfig) -> FanoutResult {
     assert!(cfg.consumers >= 1, "need at least one consumer");
     assert!(cfg.fanout >= 1, "fan-out bound must be at least 1");
-    assert!(cfg.t_send > 0.0, "per-hop send time must be positive");
+    assert!(!cfg.hop.wire.is_zero(), "a flow must take wire time");
     assert!(
         (0.0..=1.0).contains(&cfg.straggler_fraction),
         "straggler fraction must be a probability"
     );
     assert!(
-        cfg.straggler_slowdown >= 1.0,
+        cfg.straggler_slowdown >= 1,
         "a straggler link cannot be faster than healthy"
     );
 
     let mut members: Vec<String> = (0..cfg.consumers).map(|i| format!("c{i}")).collect();
     let mut rng = FaultRng::new(cfg.seed);
-    let mut joined = 0usize;
-
-    let mut rounds = Vec::with_capacity(cfg.rounds as usize);
-    let mut reparent_events = 0usize;
-    let mut join_events = 0usize;
-    let mut delivery_violations = 0usize;
-
+    let mut result = FanoutResult {
+        rounds: Vec::with_capacity(cfg.rounds as usize),
+        reparent_events: 0,
+        join_events: 0,
+        delivery_violations: 0,
+    };
     for round in 0..cfg.rounds {
-        let (mut reparents, mut joins) = (0usize, 0usize);
-        if round > 0 {
-            for k in 0..cfg.churn_per_round {
-                if k % 2 == 0 && members.len() > 1 {
-                    // Failure: a seeded victim drops out.
-                    members.remove(rng.next_u64() as usize % members.len());
-                    reparents += 1;
-                } else {
-                    joined += 1;
-                    members.push(format!("j{joined}"));
-                    joins += 1;
-                }
+        let churn = if round > 0 { cfg.churn_per_round } else { 0 };
+        for k in 0..churn {
+            if k % 2 == 0 && members.len() > 1 {
+                // Failure: a seeded victim drops out.
+                members.remove(rng.next_u64() as usize % members.len());
+                result.reparent_events += 1;
+            } else {
+                result.join_events += 1;
+                members.push(format!("j{}", result.join_events));
             }
         }
-        reparent_events += reparents;
-        join_events += joins;
-
         let topo = Topology::build(&members, cfg.fanout).expect("member names are unique");
-        let (tree, reached) = propagate(&topo, cfg);
-        if reached != members.len() {
-            delivery_violations += 1;
-        }
-        rounds.push(FanoutRound {
+        let reached = topo.root().map_or(0, |root| topo.subtree_of(root).len());
+        result.delivery_violations += usize::from(reached != members.len());
+        result.rounds.push(FanoutRound {
             round,
             members: members.len(),
             depth: topo.depth(),
-            stragglers: members
-                .iter()
-                .filter(|m| link_slowdown(cfg, m) > 1.0)
-                .count(),
-            direct_makespan: direct_makespan(&members, cfg),
-            tree_makespan: tree,
-            reparents,
-            joins,
+            stragglers: members.iter().filter(|m| link_slowdown(cfg, m) > 1).count(),
+            direct_makespan: makespan(cfg, &members, None),
+            tree_makespan: makespan(cfg, &members, Some(cfg.fanout)),
         });
     }
-
-    FanoutResult {
-        rounds,
-        reparent_events,
-        join_events,
-        delivery_violations,
-    }
+    result
 }
 
 #[cfg(test)]
@@ -257,15 +207,21 @@ mod tests {
             .unwrap_or_else(|| vec![7, 42])
     }
 
+    /// A 600 MB, 16-tensor model in one chunk over GPUDirect.
+    fn hop() -> FanoutHop {
+        let polaris = viper_hw::MachineProfile::polaris();
+        viper_hw::fanout_hop(&polaris, viper_hw::Route::GpuToGpu, 600_000_000, 16, 0)
+    }
+
     fn fleet(consumers: usize, seed: u64) -> FanoutConfig {
         FanoutConfig {
             consumers,
             fanout: 8,
-            t_send: 0.024,
+            hop: hop(),
             rounds: 4,
             churn_per_round: 0,
             straggler_fraction: 0.0,
-            straggler_slowdown: 1.0,
+            straggler_slowdown: 1,
             seed,
         }
     }
@@ -304,7 +260,7 @@ mod tests {
                 rounds: 12,
                 churn_per_round: 5,
                 straggler_fraction: 0.1,
-                straggler_slowdown: 8.0,
+                straggler_slowdown: 8,
                 ..fleet(1_000, seed)
             };
             let r = simulate_fanout(&cfg);
@@ -334,7 +290,7 @@ mod tests {
         let clean = simulate_fanout(&fleet(1_000, 7));
         let slow = simulate_fanout(&FanoutConfig {
             straggler_fraction: 0.1,
-            straggler_slowdown: 8.0,
+            straggler_slowdown: 8,
             ..fleet(1_000, 7)
         });
         let direct_penalty = slow.direct_makespan() - clean.direct_makespan();
@@ -353,12 +309,15 @@ mod tests {
         let solo = simulate_fanout(&fleet(1, 7));
         assert_eq!(solo.delivery_violations, 0);
         assert!((solo.tree_makespan() - solo.direct_makespan()).abs() < 1e-12);
-        // Fan-out 1 degenerates to a chain: tree == direct.
+        // Fan-out 1 degenerates to a chain: the same 64 flows as direct
+        // delivery, but each relay installs before it re-serves, so every
+        // hop past the root adds an install tail.
         let chain = simulate_fanout(&FanoutConfig {
             fanout: 1,
             ..fleet(64, 7)
         });
-        assert!((chain.tree_makespan() - chain.direct_makespan()).abs() < 1e-9);
+        let tails = 63.0 * hop().tail.as_secs_f64();
+        assert!((chain.tree_makespan() - chain.direct_makespan() - tails).abs() < 1e-9);
         assert_eq!(chain.max_depth(), 64);
     }
 }

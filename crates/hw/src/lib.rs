@@ -39,6 +39,7 @@ pub use profile::MachineProfile;
 pub use storage::{StorageError, StorageTier, StoredObject};
 pub use tier::{Tier, TierSpec};
 pub use xfer::{
-    apply_time, capture_stage, capture_time, chunk_layout, pipeline_costs, retry_backoff,
-    stage_time, staging_copy_time, CaptureMode, Route, Stage, TransferStrategy, UpdateCosts,
+    apply_time, capture_stage, capture_time, chunk_layout, fanout_hop, pipeline_costs,
+    retry_backoff, stage_time, staging_copy_time, CaptureMode, FanoutHop, Route, Stage,
+    TransferStrategy, UpdateCosts, CHUNK_HEADER_BYTES, SWAP_NUDGE,
 };

@@ -20,7 +20,9 @@
 //! [`capture_time`] (a lump capture, or the PFS write),
 //! [`staging_copy_time`] (the async worker's copy) and [`apply_time`] (the
 //! consumer's install), and a sync save's in-flow capture is
-//! [`capture_stage`] itself.
+//! [`capture_stage`] itself. Past one consumer, [`fanout_hop`] prices
+//! each further member from the same table: one more flow on the sender's
+//! link, and one more install tail per relay level.
 //!
 //! The *update latency* the paper measures end-to-end (Fig. 8) is
 //! `stall + post + notify`; the *training overhead* per update (Fig. 9 /
@@ -184,6 +186,76 @@ pub fn apply_time(profile: &MachineProfile, route: Route, bytes: u64, ntensors: 
     route_stages(profile, route, ntensors, 1.0)
         .apply
         .time(bytes, true)
+}
+
+/// The fabric's chunk header: bytes every chunk carries ahead of its body.
+pub const CHUNK_HEADER_BYTES: u64 = 40;
+
+/// The consumer's slot swap after an apply: §4.2's "negligible" step.
+pub const SWAP_NUDGE: Duration = Duration::from_nanos(100);
+
+/// What one more member of a fan-out costs, read off the stage table: a
+/// node's flows queue on its one link, and a member re-serves (as a relay)
+/// only once it has installed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FanoutHop {
+    /// One flow's time on the sender's link: every chunk with its header,
+    /// back to back through the route's transit stage.
+    pub wire: Duration,
+    /// From a flow's arrival to its receiver's swap: the notification, the
+    /// apply and the swap nudge.
+    pub tail: Duration,
+}
+
+/// The [`FanoutHop`] of a memory-route update of `bytes` across `ntensors`
+/// tensors, sent as chunks of `chunk_bytes` (0: one chunk).
+pub fn fanout_hop(
+    profile: &MachineProfile,
+    route: Route,
+    bytes: u64,
+    ntensors: usize,
+    chunk_bytes: u64,
+) -> FanoutHop {
+    let transit = route_stages(profile, route, ntensors, 1.0).transit;
+    let frames = chunk_layout(bytes, chunk_bytes).into_iter();
+    FanoutHop {
+        wire: frames
+            .map(|chunk| transit.time(chunk + CHUNK_HEADER_BYTES, false))
+            .sum(),
+        tail: profile.notify_latency + apply_time(profile, route, bytes, ntensors) + SWAP_NUDGE,
+    }
+}
+
+impl FanoutHop {
+    /// When each of `n` members installs, from the instant the producer's
+    /// link is free for member 0. With no `fanout` the producer serves every
+    /// member in turn; with one, it serves the root of the relay tree's
+    /// heap (member `i`'s parent is `(i - 1) / fanout`), and each relay
+    /// serves its children in turn once it has installed: child `j`
+    /// (1-based) of `p` at `install(p) + j·wire + tail`. Member `i`'s flow
+    /// takes `slowdown(i)` times the healthy wire time.
+    pub fn installs(
+        &self,
+        n: usize,
+        fanout: Option<usize>,
+        slowdown: impl Fn(usize) -> u32,
+    ) -> Vec<Duration> {
+        let mut installs: Vec<Duration> = Vec::with_capacity(n);
+        // The sender serving member `i` (`None`: the producer) and the
+        // instant its link frees. A heap's children are contiguous, so each
+        // sender's turn is one run of members.
+        let (mut sender, mut link) = (None, Duration::ZERO);
+        for i in 0..n {
+            let parent = fanout.filter(|_| i > 0).map(|f| (i - 1) / f);
+            if parent != sender {
+                sender = parent;
+                link = parent.map_or(Duration::ZERO, |p| installs[p]);
+            }
+            link += self.wire * slowdown(i);
+            installs.push(link + self.tail);
+        }
+        installs
+    }
 }
 
 /// Virtual-time backoff before retransmission round `attempt` (1-based):
@@ -643,6 +715,39 @@ mod tests {
             pipe.stall
         );
         assert!(pipe.post_stall > Duration::ZERO);
+    }
+
+    #[test]
+    fn fanout_installs_queue_on_each_senders_link() {
+        let hop = FanoutHop {
+            wire: Duration::from_nanos(10),
+            tail: Duration::from_nanos(3),
+        };
+        let ns = |installs: Vec<Duration>| -> Vec<u128> {
+            installs.iter().map(Duration::as_nanos).collect()
+        };
+        // Direct: one flow after another on the producer's link.
+        assert_eq!(ns(hop.installs(4, None, |_| 1)), [13, 23, 33, 43]);
+        // A straggler's flow holds the link longer, delaying every later one.
+        assert_eq!(ns(hop.installs(3, None, |i| [1, 4, 1][i])), [13, 53, 63]);
+        // Fan-out 2: the root's children go out one after the other once
+        // it installed (13), then each child's own children likewise.
+        assert_eq!(
+            ns(hop.installs(7, Some(2), |_| 1)),
+            [13, 26, 36, 39, 49, 49, 59]
+        );
+        // Fan-out 1 is a chain: every hop pays the tail.
+        assert_eq!(ns(hop.installs(3, Some(1), |_| 1)), [13, 26, 39]);
+    }
+
+    #[test]
+    fn fanout_hop_is_the_wire_and_apply_stages() {
+        let p = MachineProfile::polaris();
+        let hop = fanout_hop(&p, Route::GpuToGpu, 10_000, 2, 4_000);
+        let frames = [4_040, 4_040, 2_040].map(|b| p.gpu_transfer_time(b));
+        assert_eq!(hop.wire, frames.iter().sum());
+        let apply = apply_time(&p, Route::GpuToGpu, 10_000, 2);
+        assert_eq!(hop.tail, p.notify_latency + apply + SWAP_NUDGE);
     }
 
     #[test]

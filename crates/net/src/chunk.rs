@@ -50,8 +50,11 @@ pub struct ChunkHeader {
     pub crc32: u32,
 }
 
+const _: () = assert!(ChunkHeader::WIRE_SIZE as u64 == viper_hw::CHUNK_HEADER_BYTES);
+
 impl ChunkHeader {
-    /// Encoded header size in bytes.
+    /// Encoded header size in bytes: `viper_hw::CHUNK_HEADER_BYTES`, which
+    /// the fan-out price charges per chunk.
     pub const WIRE_SIZE: usize = 4 + 8 + 4 + 4 + 8 + 8 + 4;
 
     /// Serialize the header (little-endian fields after the magic).

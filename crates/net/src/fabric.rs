@@ -110,10 +110,11 @@ struct FabricInner {
     nodes: RwLock<HashMap<String, Sender<Message>>>,
     /// Monotonic id source for chunked flows.
     next_flow: AtomicU64,
-    /// Per-link occupancy: the virtual instant each directed `(from, to,
-    /// link)` lane is busy until. Chunks on the same lane serialize behind
-    /// it; traffic on other lanes overlaps freely in virtual time.
-    link_busy: Mutex<HashMap<(String, String, LinkKind), SimInstant>>,
+    /// Per-link occupancy: the virtual instant each sender's `(from, link)`
+    /// lane is busy until. A node's outbound chunks — to any receiver —
+    /// serialize behind it, so a fan-out queues on its sender's link;
+    /// different senders and links overlap freely in virtual time.
+    link_busy: Mutex<HashMap<(String, LinkKind), SimInstant>>,
     /// Fault-injection state, when a plan is installed.
     faults: Mutex<Option<FaultState>>,
     /// Telemetry sink for lane spans and fabric counters. Disabled by
@@ -131,7 +132,8 @@ struct FabricInner {
 /// after messages land in its queue (see [`Fabric::set_waker`]).
 pub type Waker = Arc<dyn Fn(&str) + Send + Sync>;
 
-/// Telemetry track name for a directed `(from, to, link)` lane.
+/// Telemetry track name for a directed `(from, to, link)` hop: one
+/// receiver's share of its sender's lane.
 fn lane_track(from: &str, to: &str, link: LinkKind) -> String {
     format!("lane:{from}->{to}/{}", link.label())
 }
@@ -445,7 +447,7 @@ impl Fabric {
         let total_bytes = flow.payload.len() as u64;
         // Schedule every chunk under the lane lock so concurrent flows on
         // the same lane serialize deterministically.
-        let lane = (hop.from.to_string(), hop.to.to_string(), hop.link);
+        let lane = (hop.from.to_string(), hop.link);
         let mut busy_map = self.inner.link_busy.lock();
         let mut lane_free = busy_map.get(&lane).map_or(start, |busy| start.max(*busy));
         let mut wire_total = Duration::ZERO;
@@ -636,10 +638,11 @@ impl Endpoint {
     /// Each chunk becomes its own framed [`Message`]. Scheduling models the
     /// overlap the chunking exists for: chunk `i`'s wire transfer starts
     /// once the chunk is captured upstream (per `opts`'s capture model) AND
-    /// this `(sender, to, link)` lane is free — so same-lane chunks
-    /// serialize while capture and traffic on other lanes overlap in
-    /// virtual time. The clock only advances to the *last* chunk's arrival
-    /// (the flow makespan), not the sum of stage times.
+    /// this sender's `(from, link)` lane is free — so this node's chunks
+    /// serialize, to whichever receiver, while capture and other senders'
+    /// traffic overlap in virtual time. The clock only advances to the
+    /// *last* chunk's arrival (the flow makespan), not the sum of stage
+    /// times.
     pub fn send_chunked(
         &self,
         to: &str,
@@ -994,30 +997,31 @@ mod tests {
 
     #[test]
     fn concurrent_flows_on_distinct_lanes_overlap() {
-        // Two flows pinned to the same submit instant: on different lanes
-        // they finish at max(w1, w2); on the same lane they serialize to
+        // A lane is a sender's link. Two flows pinned to the same submit
+        // instant from distinct senders finish at max(w1, w2); one sender's
+        // flows queue on its link, to whichever receiver, and serialize to
         // w1 + w2.
         use crate::ChunkedSend;
         let clock = SimClock::new();
         let f = Fabric::new(MachineProfile::polaris(), clock.clone());
         let a = f.register("a");
-        let _b = f.register("b");
+        let b = f.register("b");
         let _c = f.register("c");
         let t0 = clock.now();
         let payload = Arc::new(vec![0u8; 50_000_000]);
         let opts = ChunkedSend::new(10_000_000).at(t0);
         let r1 = a
-            .send_chunked("b", "t", payload.clone(), LinkKind::GpuDirect, &opts)
-            .unwrap();
-        let r2 = a
             .send_chunked("c", "t", payload.clone(), LinkKind::GpuDirect, &opts)
             .unwrap();
-        // Distinct destinations = distinct lanes: both flows span their own
-        // wire time from t0 and the clock holds the max, not the sum.
+        let r2 = b
+            .send_chunked("c", "t", payload.clone(), LinkKind::GpuDirect, &opts)
+            .unwrap();
+        // Distinct senders = distinct lanes: both flows span their own wire
+        // time from t0 and the clock holds the max, not the sum.
         assert_eq!(r1.makespan(), r1.wire_total);
         assert_eq!(r2.makespan(), r2.wire_total);
         assert_eq!(clock.now(), t0.add(r1.wire_total.max(r2.wire_total)));
-        // Same lane as flow 1: serializes behind it.
+        // Same sender as flow 1, another receiver: queues behind it.
         let r3 = a
             .send_chunked("b", "t", payload, LinkKind::GpuDirect, &opts)
             .unwrap();

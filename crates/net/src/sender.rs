@@ -179,15 +179,8 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     /// Hand `send` to `lane`: launch it now if the lane is free, else make
     /// it the lane's pending send under `version`. The send it collapses
     /// yields [`OutcomeKind::Superseded`]: the older pending one, or `send`
-    /// itself when `version` is not the lane's newest. Returns whether the
-    /// flow went on the wire now.
-    pub fn admit(
-        &mut self,
-        ctx: &mut TaskCtx<'_>,
-        lane: K,
-        version: u64,
-        mut send: Outbound,
-    ) -> bool {
+    /// itself when `version` is not the lane's newest.
+    pub fn admit(&mut self, ctx: &mut TaskCtx<'_>, lane: K, version: u64, mut send: Outbound) {
         if self.lane_mut(&lane).in_flight.is_none() {
             return self.launch_on(ctx, &lane, send);
         }
@@ -198,14 +191,13 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         if let Some((_, stale)) = self.lane_mut(&lane).queue.push(version, send) {
             self.conclude(stale, OutcomeKind::Superseded, at, None);
         }
-        false
     }
 
     /// Launch `send` on `lane` ahead of anything queued, taking over the
     /// hold of the flow whose outcome the owner is handling (a full retry
-    /// after [`OutcomeKind::NeedFull`]). Returns whether it launched; if
-    /// the peer is gone the lane frees as it would have without the call.
-    pub fn relaunch(&mut self, ctx: &mut TaskCtx<'_>, lane: K, send: Outbound) -> bool {
+    /// after [`OutcomeKind::NeedFull`]). If the peer is gone the lane frees
+    /// as it would have without the call.
+    pub fn relaunch(&mut self, ctx: &mut TaskCtx<'_>, lane: K, send: Outbound) {
         debug_assert!(
             self.lanes
                 .get(&lane)
@@ -219,7 +211,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
     /// Put `send` on the wire at its ready instant and give it `lane`. A
     /// peer that is not registered yields [`OutcomeKind::Gone`] and leaves
     /// the lane as it was.
-    fn launch_on(&mut self, ctx: &mut TaskCtx<'_>, lane: &K, mut send: Outbound) -> bool {
+    fn launch_on(&mut self, ctx: &mut TaskCtx<'_>, lane: &K, mut send: Outbound) {
         send.opts.submit_at = Some(send.ready_at);
         let sent = self.endpoint.send_chunked(
             &send.to,
@@ -231,7 +223,7 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
         let Ok(report) = sent else {
             let at = send.ready_at;
             self.conclude(send, OutcomeKind::Gone, at, None);
-            return false;
+            return;
         };
         self.launched += 1;
         self.flows.insert(
@@ -250,7 +242,6 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             report.flow_id,
             report.completed_at.add(self.retry.ack_timeout),
         );
-        true
     }
 
     /// Feed one decoded feedback frame (`Ack` / `Nack` / `NeedFull`) that
@@ -346,11 +337,9 @@ impl<K: Clone + Eq + Hash> FlowSender<K> {
             Some(held) if held.in_flight == Some(flow_id) => held.in_flight = None,
             _ => return,
         }
-        while let Some((_, mut queued)) = self.lanes.get_mut(lane).and_then(|l| l.queue.pop()) {
+        if let Some((_, mut queued)) = self.lanes.get_mut(lane).and_then(|l| l.queue.pop()) {
             queued.ready_at = queued.ready_at.max(at);
-            if self.launch_on(ctx, lane, queued) {
-                break;
-            }
+            self.launch_on(ctx, lane, queued);
         }
     }
 

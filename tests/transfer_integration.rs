@@ -340,23 +340,35 @@ fn virtual_timeline_is_a_function_of_the_scenario() {
             assert_eq!(reliable.len(), 1, "Sync reliable x3: {reliable:#?}");
             continue;
         }
-        // The residue (ROADMAP item 3). An async save returns before its
-        // delivery resolves, so when the loop above calls the next save the
-        // previous update's ACK and notify bookkeeping may or may not have
-        // advanced the shared clock yet — and the start of a non-coalescing
-        // save is the one instant still read from it. That start then
-        // decides whether the update finds the worker idle or queues behind
-        // the previous delivery. Pinning it needs the seeded whole-system
-        // driver; everything downstream of it is already one function: an
-        // update costs the idle latency, or lands one fixed period after
-        // the previous install.
+        // The residue. An async save returns before its delivery resolves,
+        // so when the loop above calls the next save the previous update's
+        // ACK and notify bookkeeping may or may not have advanced the
+        // shared clock yet — and the start of a non-coalescing save is the
+        // one instant still read from it. That start then decides whether
+        // the update finds the worker idle or queues behind the previous
+        // delivery. Pinning it needs the seeded whole-system driver;
+        // everything downstream of it is already one function: an update
+        // costs the idle latency, or lands one fixed period after the
+        // previous install, and its flows queue on the producer's link one
+        // flow's wire time apart.
+        let hop = viper_hw::fanout_hop(
+            &viper_hw::MachineProfile::polaris(),
+            Route::GpuToGpu,
+            fanout.0,
+            1,
+            PROBE_CHUNK,
+        );
+        let wire = hop.wire.as_nanos() as u64;
         let mut idle = std::collections::BTreeSet::new();
         let mut queued_period = std::collections::BTreeSet::new();
         for (_, rows) in &reliable {
             idle.insert(rows[0][1] - rows[0][0]);
+            for row in rows {
+                let gaps: Vec<u64> = row[1..].windows(2).map(|w| w[1] - w[0]).collect();
+                assert_eq!(gaps, [wire, wire], "{row:?}");
+            }
             for pair in rows.windows(2) {
                 let (prev, row) = (&pair[0], &pair[1]);
-                assert!(row[1..].iter().all(|at| *at == row[1]), "{row:?}");
                 let latency = row[1] - row[0];
                 if !idle.contains(&latency) {
                     queued_period.insert(row[1] - prev[1]);
@@ -393,8 +405,9 @@ fn async_coalescing_worker_chains_behind_its_previous_delivery() {
             .collect();
         producer.flush_deliveries();
         // Which versions a busy lane collapses is still decided by when the
-        // reactor admits them in wall time (ROADMAP item 3a), so only the
-        // sum is exact — and the newest always lands.
+        // reactor admits them in wall time (until the seeded whole-system
+        // driver pins it), so only the sum is exact — and the newest always
+        // lands.
         assert_eq!(
             consumer.updates_applied() + producer.updates_superseded(),
             SAVES
@@ -524,7 +537,8 @@ fn lattice_run(config: ViperConfig) -> (LatticePins, LatticeSwaps) {
 /// are what the parent of the typed `Delivery` produced. Save-to-swap
 /// instants are pinned only where
 /// `virtual_timeline_is_a_function_of_the_scenario` proves one timeline
-/// (async + reliable still races: ROADMAP item 1).
+/// (async + reliable still races until the seeded whole-system driver
+/// lands).
 #[test]
 fn delivery_lattice_keeps_its_stalls_installs_and_counters() {
     let mut got: Vec<(String, LatticePins)> = Vec::new();
@@ -748,7 +762,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
 const LATTICE_SWAPS: [(&str, LatticeSwaps); 5] = [
     ("Sync mono best-effort", [[379031, 414464, 449897]; 4]),
     ("Sync chunked best-effort", [[457739, 573192, 688645]; 4]),
-    ("Sync chunked reliable", [[457739, 437302, 437302]; 4]),
+    ("Sync chunked reliable", [[457739, 573192, 688645]; 4]),
     ("Async mono best-effort", [[395588, 431021, 466454]; 4]),
     ("Async chunked best-effort", [[475608, 591061, 706514]; 4]),
 ];
@@ -901,3 +915,98 @@ const CHUNKED_GAPS: [(&str, i64); 18] = [
     ("Async chunked relay+coalescing", 18104),
     ("Async chunked relay+delta+coalescing", 18105),
 ];
+
+// ---------------------------------------------------------------------------
+// One link per sender: a fleet's installs are the fan-out price.
+// ---------------------------------------------------------------------------
+
+/// The fan-outs the fleet check runs: a name, the builder, and the relay
+/// fan-out `viper_hw::FanoutHop::installs` lays the members out by.
+const FLEET_SHAPES: [(&str, Builder, Option<usize>); 4] = [
+    ("best-effort", |c| c, None),
+    ("reliable", ViperConfig::with_reliable, None),
+    ("relay f=2", |c| c.with_relay_tree(2), Some(2)),
+    ("relay f=3", |c| c.with_relay_tree(3), Some(3)),
+];
+
+/// One save of the probe checkpoint to `n` fresh consumers, fault-free:
+/// the payload size, then each consumer's save-to-swap latency (ns) in
+/// member order (the relay tree sorts its members by name, and `c0` ..
+/// `c6` sort in attach order).
+fn fleet_update(config: ViperConfig, n: usize) -> (u64, Vec<u64>) {
+    let viper = Viper::new(config);
+    let producer = viper.producer("p");
+    let consumers: Vec<Consumer> = (0..n)
+        .map(|i| viper.consumer(&format!("c{i}"), "m"))
+        .collect();
+    let receipt = producer.save_weights(&probe_ckpt(1)).unwrap();
+    let swaps = consumers
+        .iter()
+        .map(|consumer| {
+            consumer.load_weights(Duration::from_secs(10)).unwrap();
+            let swapped = consumer.last_update().unwrap().swapped_at;
+            swapped.since(receipt.started_at).as_nanos() as u64
+        })
+        .collect();
+    (receipt.bytes, swaps)
+}
+
+/// Every node's flows queue on its one link, and a relay re-serves once it
+/// has installed, so past the first member a fleet's installs are
+/// `viper_hw::fanout_hop`'s price to the nanosecond: on every row, each
+/// member's swap minus the first member's is the price's. A reliable
+/// fan-out is served exactly like a best-effort one.
+#[test]
+fn fleet_installs_are_the_fanout_price() {
+    const REPS: usize = 20;
+    let profile = viper_hw::MachineProfile::polaris();
+    let mut racing = Vec::new();
+    let mut timelines = std::collections::BTreeMap::new();
+    for mode in [CaptureMode::Sync, CaptureMode::Async] {
+        for (shape, chunk_bytes) in [("mono", 0), ("chunked", PROBE_CHUNK)] {
+            for (delivery, build, fanout) in FLEET_SHAPES {
+                for n in [2, 3, 6, 7] {
+                    let mut config = build(probe_config(mode));
+                    config.chunk_bytes = chunk_bytes;
+                    let name = format!("{mode:?} {shape} {delivery} x{n}");
+                    let seen = distinct(REPS, || fleet_update(config.clone(), n));
+                    if seen.len() > 1 {
+                        racing.push(name);
+                        continue;
+                    }
+                    let (bytes, swaps) = seen.into_iter().next().unwrap();
+                    let hop =
+                        viper_hw::fanout_hop(&profile, Route::GpuToGpu, bytes, 1, chunk_bytes);
+                    let price = hop.installs(n, fanout, |_| 1);
+                    let want: Vec<i64> = price
+                        .iter()
+                        .map(|at| (*at - price[0]).as_nanos() as i64)
+                        .collect();
+                    let got: Vec<i64> = swaps
+                        .iter()
+                        .map(|at| *at as i64 - swaps[0] as i64)
+                        .collect();
+                    assert_eq!(got, want, "{name}: installs after the first member's");
+                    timelines.insert(name, swaps);
+                }
+            }
+        }
+    }
+    assert_eq!(racing, FLEET_RACING, "rows with more than one timeline");
+    for (name, swaps) in &timelines {
+        if let Some(best_effort) = name
+            .contains(" reliable ")
+            .then(|| name.replace(" reliable ", " best-effort "))
+        {
+            assert_eq!(swaps, &timelines[&best_effort], "{name} vs best-effort");
+        }
+    }
+    assert_eq!(
+        timelines["Sync mono relay f=2 x7"],
+        [387_943, 757_390, 808_241, 1_126_837, 1_177_688, 1_177_688, 1_228_539]
+    );
+}
+
+/// Fleet rows whose first update takes more than one timeline: named here,
+/// not priced.
+const FLEET_RACING: [&str; 0] = [];
