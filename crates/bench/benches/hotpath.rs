@@ -59,7 +59,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "one-receive-path";
+const HISTORY_LABEL: &str = "diff-by-ownership";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -90,10 +90,14 @@ fn sample(elems: usize) -> Checkpoint {
 /// carries (1% of them change between iterations).
 const DIFF_TENSORS: usize = 200;
 
-/// Base/new pair for the streaming-diff benchmark: `DIFF_TENSORS` tensors
-/// totalling `elems` f32s, with 1% of the tensors changed in `new` — the
-/// fine-tuning shape where a delta is tiny but the compare is O(N).
-fn diff_pair(elems: usize) -> (Checkpoint, Checkpoint, usize) {
+/// Base and targets for the streaming-diff benchmark: `DIFF_TENSORS`
+/// tensors totalling `elems` f32s, with 1% of the tensors changed in the
+/// targets — the fine-tuning shape where a delta is tiny. The first target
+/// holds every tensor as an equal copy of its own, so the compare is O(N)
+/// byte reads; the second is the save path's shape, `base.clone()` with
+/// the same tensors rewritten, whose unchanged tensors share the base's
+/// storage and are never read.
+fn diff_pair(elems: usize) -> (Checkpoint, Checkpoint, Checkpoint, usize) {
     let per = elems / DIFF_TENSORS;
     let tensors: Vec<(String, Tensor)> = (0..DIFF_TENSORS)
         .map(|i| {
@@ -104,17 +108,18 @@ fn diff_pair(elems: usize) -> (Checkpoint, Checkpoint, usize) {
         })
         .collect();
     let base = Checkpoint::new("bench", 1, tensors);
-    let mut new = base.clone();
-    new.iteration = 2;
+    let mut shared = base.clone();
+    shared.iteration = 2;
     let changed = (DIFF_TENSORS / 100).max(1);
-    for (_, t) in new.tensors.iter_mut().take(changed) {
-        let mut data = t.as_slice().to_vec();
-        for x in data.iter_mut() {
-            *x += 1.0;
-        }
-        *t = Tensor::from_vec(data, t.dims()).unwrap();
+    for (_, t) in shared.tensors.iter_mut().take(changed) {
+        t.map_inplace(|x| x + 1.0);
     }
-    (base, new, changed)
+    let copies = shared.tensors.iter().map(|(name, t)| {
+        let copy = Tensor::from_vec(t.as_slice().to_vec(), t.dims()).unwrap();
+        (name.clone(), copy)
+    });
+    let copied = Checkpoint::new("bench", 2, copies.collect());
+    (base, copied, shared, changed)
 }
 
 /// The materializing diff path: build a `DeltaCheckpoint` (cloning every
@@ -127,9 +132,10 @@ fn full_diff_path(base: &Checkpoint, new: &Checkpoint) -> usize {
     enc.finish().payload.len()
 }
 
-/// The streaming diff path as the codec now runs it: block-wise byte
-/// compare flags changed tensors, `DiffSink` streams just those regions
-/// into the framed wire form — no intermediate `DeltaCheckpoint`.
+/// The streaming diff path as the codec runs it: tensors sharing the
+/// base's storage are unchanged unread, a block-wise byte compare flags the
+/// rest, and `DiffSink` streams just the changed regions into the framed
+/// wire form — no intermediate `DeltaCheckpoint`.
 fn stream_diff_path(base: &Checkpoint, new: &Checkpoint) -> usize {
     let mut enc = StreamingEncoder::new(CHUNK_BYTES);
     enc.put_bytes(&wire::envelope(PayloadKind::Delta));
@@ -412,6 +418,7 @@ struct Rows {
     diff_changed: usize,
     diff_full: f64,
     diff_stream: f64,
+    diff_shared: f64,
     full_update: f64,
     decode_two_pass: f64,
     decode_one_pass: f64,
@@ -572,10 +579,10 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     drop(payloads);
 
     // Streaming diff at 1% changed tensors: identity first, untimed.
-    let pairs: Vec<(Checkpoint, Checkpoint, usize)> = (0..sets).map(|_| diff_pair(elems)).collect();
-    let diff_changed = pairs[0].2;
+    let pairs: Vec<_> = (0..sets).map(|_| diff_pair(elems)).collect();
+    let diff_changed = pairs[0].3;
     {
-        let (diff_base, diff_new, _) = &pairs[0];
+        let (diff_base, diff_new, diff_shared, _) = &pairs[0];
         let mut full = StreamingEncoder::new(CHUNK_BYTES);
         full.put_bytes(&wire::envelope(PayloadKind::Delta));
         delta::diff(diff_base, diff_new)
@@ -591,10 +598,19 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
             "streaming diff wire bytes must match the materializing oracle"
         );
         assert_eq!(full.chunk_crcs, stream.chunk_crcs);
+        let mut shared = StreamingEncoder::new(CHUNK_BYTES);
+        shared.put_bytes(&wire::envelope(PayloadKind::Delta));
+        delta::diff_into(diff_base, diff_shared, &mut shared).unwrap();
+        let shared = shared.finish();
+        assert_eq!(shared.payload.as_slice(), stream.payload.as_slice());
+        assert_eq!(shared.chunk_crcs, stream.chunk_crcs);
     }
     let pair = |rep: usize| (&pairs[rep % sets].0, &pairs[rep % sets].1);
     let diff_full = time(reps, |rep| full_diff_path(pair(rep).0, pair(rep).1));
     let diff_stream = time(reps, |rep| stream_diff_path(pair(rep).0, pair(rep).1));
+    let diff_shared = time(reps, |rep| {
+        stream_diff_path(&pairs[rep % sets].0, &pairs[rep % sets].2)
+    });
     // Context row: what shipping this update costs with no delta base at
     // all — the fused full-checkpoint encode the codec falls back to.
     let full_update = time(reps, |rep| {
@@ -620,6 +636,7 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         diff_changed,
         diff_full,
         diff_stream,
+        diff_shared,
         full_update,
         decode_two_pass,
         decode_one_pass,
@@ -700,7 +717,9 @@ impl Rows {
             ("full_update_ms", ms(self.full_update)),
             ("full_ms", ms(self.diff_full)),
             ("stream_ms", ms(self.diff_stream)),
+            ("shared_ms", ms(self.diff_shared)),
             ("speedup", ratio(self.diff_full, self.diff_stream)),
+            ("shared_speedup", ratio(self.diff_stream, self.diff_shared)),
             (
                 "speedup_vs_full_update",
                 ratio(self.full_update, self.diff_stream),
@@ -766,6 +785,7 @@ fn main() {
         ("kernel", format!("\"{}\"", active_kernel().label())),
         ("diff_full_ms", ms(hot.diff_full)),
         ("diff_stream_ms", ms(hot.diff_stream)),
+        ("diff_shared_ms", ms(hot.diff_shared)),
         ("decode_two_pass_ms", ms(hot.decode_two_pass)),
         ("decode_one_pass_ms", ms(hot.decode_one_pass)),
         ("decode_verified_ms", ms(hot.decode_verified)),
@@ -777,6 +797,8 @@ fn main() {
             ("cold_fused_ms", ms(cold.fused)),
             ("cold_verify_then_decode_ms", ms(cold.verify_then_decode)),
             ("cold_verify_then_view_ms", ms(cold.verify_then_view)),
+            ("cold_diff_stream_ms", ms(cold.diff_stream)),
+            ("cold_diff_shared_ms", ms(cold.diff_shared)),
             ("cold_memcpy_gib_s", cold.gib_s(cold.memcpy)),
             (
                 "cold_memcpy_then_crc32_gib_s",
@@ -839,13 +861,13 @@ fn main() {
             r.legacy / r.fused
         );
         println!(
-            "{mode} crc kernel: {} (slice16 {} GiB/s, hw {} GiB/s)  diff 1%: {} ms (full) -> {} ms (stream)  ({:.2}x)",
+            "{mode} crc kernel: {} (slice16 {} GiB/s, hw {} GiB/s)  diff 1%: {} ms (full) -> {} ms (stream) -> {} ms (shared)",
             active_kernel().label(),
             r.gib_s(r.crc_slice16),
             r.gib_s(r.crc_hw),
             ms(r.diff_full),
             ms(r.diff_stream),
-            r.diff_full / r.diff_stream
+            ms(r.diff_shared)
         );
         println!(
             "{mode} crc_copy: memcpy {} GiB/s  crc32 {}  memcpy then crc32 {}  update_copying {}  ({:.2}x)",

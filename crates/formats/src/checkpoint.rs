@@ -6,8 +6,10 @@ use std::sync::Arc;
 use viper_tensor::Tensor;
 
 /// A snapshot of a DNN model's state: named weight tensors plus the
-/// training iteration it was captured at.
-#[derive(Debug, PartialEq)]
+/// training iteration it was captured at. A clone shares every tensor's
+/// elements (see [`Tensor`]): it costs no element copy, and a later write
+/// to either side copies only the tensor it touches.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Model name.
     pub model_name: String,
@@ -15,32 +17,6 @@ pub struct Checkpoint {
     pub iteration: u64,
     /// Named weight tensors, in layer order.
     pub tensors: Vec<(String, Tensor)>,
-}
-
-impl Clone for Checkpoint {
-    fn clone(&self) -> Self {
-        Checkpoint {
-            model_name: self.model_name.clone(),
-            iteration: self.iteration,
-            tensors: self.tensors.clone(),
-        }
-    }
-
-    /// Overwrites `self` tensor by tensor, reusing each tensor's buffer
-    /// (and each name's) where `self` already has one: re-snapshotting a
-    /// model of unchanged layout into a spent snapshot allocates nothing,
-    /// where `clone` allocates the whole model afresh.
-    fn clone_from(&mut self, source: &Self) {
-        self.model_name.clone_from(&source.model_name);
-        self.iteration = source.iteration;
-        self.tensors.truncate(source.tensors.len());
-        for ((name, tensor), (src_name, src)) in self.tensors.iter_mut().zip(&source.tensors) {
-            name.clone_from(src_name);
-            tensor.clone_from(src);
-        }
-        let have = self.tensors.len();
-        self.tensors.extend_from_slice(&source.tensors[have..]);
-    }
 }
 
 impl Checkpoint {
@@ -534,29 +510,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn clone_from_reuses_tensor_buffers_across_layout_changes() {
-        let ckpt = |iteration, sizes: &[usize]| {
-            let tensors = sizes.iter().enumerate();
-            let tensors = tensors.map(|(i, &n)| (format!("t{i}"), Tensor::full(&[n], i as f32)));
-            Checkpoint::new("m", iteration, tensors.collect())
+    fn a_clone_shares_every_tensor_until_one_is_written() {
+        let tensors = (0..3).map(|i| (format!("t{i}"), Tensor::full(&[8], i as f32)));
+        let source = Checkpoint::new("m", 9, tensors.collect());
+        let mut copy = source.clone();
+        let shared = |a: &Checkpoint, b: &Checkpoint| -> Vec<bool> {
+            let pairs = a.tensors.iter().zip(&b.tensors);
+            pairs.map(|((_, x), (_, y))| x.same_storage(y)).collect()
         };
-        let source = ckpt(9, &[8, 8, 4]);
-        // Same layout: every tensor lands in the buffer that was there.
-        let mut spent = ckpt(7, &[8, 8, 4]);
-        let buffers = |c: &Checkpoint| -> Vec<*const f32> {
-            let tensors = c.tensors.iter();
-            tensors.map(|(_, t)| t.as_slice().as_ptr()).collect()
-        };
-        let before = buffers(&spent);
-        spent.clone_from(&source);
-        assert_eq!(spent, source);
-        assert_eq!(buffers(&spent), before);
-        // Fewer, more, renamed or resized tensors: still an exact clone.
-        for mut other in [ckpt(1, &[8]), ckpt(2, &[2, 2, 2, 2, 2]), ckpt(3, &[])] {
-            other.model_name = "other".into();
-            other.clone_from(&source);
-            assert_eq!(other, source);
-        }
+        assert_eq!(copy, source);
+        assert_eq!(shared(&copy, &source), [true; 3]);
+        // A write copies the one tensor it touches; the source is intact.
+        copy.tensors[1].1.as_mut_slice()[0] = -1.0;
+        assert_eq!(shared(&copy, &source), [true, false, true]);
+        assert_eq!(source.tensors[1].1, Tensor::full(&[8], 1.0));
     }
 
     #[test]

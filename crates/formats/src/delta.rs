@@ -319,13 +319,15 @@ pub struct DiffStats {
 /// `enc`, byte-identical to encoding the materialized delta, without
 /// cloning a single tensor or building an intermediate buffer.
 ///
-/// The compare pass is still O(N) over both checkpoints — deciding that a
-/// tensor is unchanged requires reading it — but it runs as block-wise
-/// byte comparison ([`Tensor::as_bytes`], `memcmp`-class) instead of
-/// per-lane float compares, and everything after it is O(ε): only changed
-/// payloads are encoded, and the encoder checksums them in the same pass.
-/// On an ε-sized delta of an N-byte checkpoint the send path therefore
-/// does O(N) reads but O(ε) allocation and encode work.
+/// A tensor of `new` that shares its base tensor's storage
+/// ([`Tensor::same_storage`]) is unchanged without being read: a write to
+/// either side would have copied it first. Every other tensor is compared
+/// as block-wise bytes ([`Tensor::as_bytes`], `memcmp`-class), and
+/// everything after the compare is O(ε): only changed payloads are
+/// encoded, and the encoder checksums them in the same pass. When `new` is
+/// the base's clone with ε bytes of tensors rewritten, the send path
+/// therefore reads, allocates and encodes O(ε) bytes; the same bytes
+/// compared as equal copies cost O(N) reads.
 pub fn diff_into(
     base: &Checkpoint,
     new: &Checkpoint,
@@ -371,10 +373,11 @@ pub fn diff_into(
 
 /// Shared compare pass: per-tensor change flags for `new` against `base`
 /// (1 = changed, 2 = unchanged), or an error if the tensor sets differ.
-/// The comparison runs on raw byte views in parallel blocks — bit-pattern
-/// equality of f32 data *is* byte equality, so `memcmp`-class compares
-/// give the same answer as per-lane `to_bits` checks at a fraction of the
-/// cost, with the NaN/negative-zero semantics unchanged.
+/// Tensors sharing storage are unchanged unread; the rest are compared as
+/// raw byte views in parallel blocks — bit-pattern equality of f32 data
+/// *is* byte equality, so `memcmp`-class compares give the same answer as
+/// per-lane `to_bits` checks at a fraction of the cost, with the
+/// NaN/negative-zero semantics unchanged.
 fn diff_flags(base: &Checkpoint, new: &Checkpoint) -> Result<Vec<u8>, FormatError> {
     if base.model_name != new.model_name {
         return Err(FormatError::Corrupt(format!(
@@ -398,7 +401,12 @@ fn diff_flags(base: &Checkpoint, new: &Checkpoint) -> Result<Vec<u8>, FormatErro
             let (name, tensor) = &new.tensors[i];
             *flag = match base_by_name.get(name.as_str()) {
                 None => 0,
-                Some(bt) if bt.dims() == tensor.dims() && bt.as_bytes() == tensor.as_bytes() => 2,
+                Some(bt)
+                    if bt.dims() == tensor.dims()
+                        && (bt.same_storage(tensor) || bt.as_bytes() == tensor.as_bytes()) =>
+                {
+                    2
+                }
                 Some(_) => 1,
             };
         });
@@ -463,32 +471,22 @@ pub fn apply(base: &Checkpoint, delta: &DeltaCheckpoint) -> Result<Checkpoint, F
     ))
 }
 
-/// Allocation accounting from [`apply_owned`]: how many tensors were moved
-/// into the reconstruction (zero new allocations) versus copied out of the
-/// base. The borrowed [`apply`] clones *every* tensor; the drop to
-/// `copied` is the win this counter proves.
+/// Accounting from [`apply_owned`]: how many tensors were moved into the
+/// reconstruction. The unchanged rest are clones of the base's tensors,
+/// which share its elements (a reference-count bump, never a copy).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Changed tensors moved out of the delta — allocation reused as-is.
     pub tensors_moved: usize,
-    /// Unchanged tensors whose elements were copied out of the base (the
-    /// base stays live behind an `Arc` on the consumer, so its allocations
-    /// cannot be stolen). A base tensor that views a shared buffer
-    /// ([`Tensor::is_shared`]) is cloned by a reference-count bump, which
-    /// is not a copy and is not counted.
-    pub tensors_copied: usize,
 }
 
 /// Reconstruct the new checkpoint from `base` and an *owned* `delta`.
 ///
 /// The consumer decodes each delta from the wire and owns it, so the
-/// changed tensors' allocations can move straight into the reconstructed
-/// checkpoint instead of being cloned the way [`apply`] must — for a
-/// mostly-changed delta that eliminates nearly all reconstruction copies
-/// (and for the frozen-backbone case it costs nothing: unchanged tensors
-/// were never in the delta). Validation and ordering semantics are
-/// identical to [`apply`]; the extra [`ApplyStats`] reports the move/copy
-/// split.
+/// changed tensors move straight into the reconstructed checkpoint, where
+/// [`apply`] clones them. Neither copies an element: every clone shares
+/// its source's storage. Validation and ordering semantics are identical
+/// to [`apply`]; the extra [`ApplyStats`] counts the moves.
 pub fn apply_owned(
     base: &Checkpoint,
     delta: DeltaCheckpoint,
@@ -517,7 +515,6 @@ pub fn apply_owned(
             stats.tensors_moved += 1;
             tensors.push((name.clone(), t));
         } else if unchanged.contains(name.as_str()) {
-            stats.tensors_copied += usize::from(!base_tensor.is_shared());
             tensors.push((name.clone(), base_tensor.clone()));
         } else {
             return Err(FormatError::Corrupt(format!(
@@ -868,6 +865,42 @@ mod tests {
         assert!(diff_into(&base(), &swapped, &mut enc).is_err());
     }
 
+    /// The save path's shape: `new` is the retained base's clone with one
+    /// tensor rewritten, so the others share the base's storage and are
+    /// never read. The stream and its CRCs must equal those of the same
+    /// bytes held as equal copies, which the byte compare decides.
+    #[test]
+    fn diff_into_is_byte_identical_over_shared_and_copied_tensors() {
+        let base = base();
+        let mut shared = base.clone();
+        shared.iteration = 101;
+        shared.tensors[1].1.as_mut_slice()[3] = -7.0;
+        let copies = shared.tensors.iter().map(|(name, t)| {
+            let copy = Tensor::from_vec(t.as_slice().to_vec(), t.dims()).unwrap();
+            (name.clone(), copy)
+        });
+        let copied = Checkpoint::new("m", 101, copies.collect());
+        let sharing = |c: &Checkpoint| -> Vec<bool> {
+            let pairs = c.tensors.iter().zip(&base.tensors);
+            pairs.map(|((_, t), (_, b))| t.same_storage(b)).collect()
+        };
+        assert_eq!(sharing(&shared), [true, false, true]);
+        assert_eq!(sharing(&copied), [false; 3]);
+        for chunk_bytes in [0u64, 16, 64, 1 << 20] {
+            let stream = |new: &Checkpoint| {
+                let mut enc = StreamingEncoder::new(chunk_bytes);
+                let stats = diff_into(&base, new, &mut enc).unwrap();
+                let encoded = enc.finish();
+                let crcs = encoded.chunk_crcs.to_vec();
+                (stats, encoded.payload.as_slice().to_vec(), crcs)
+            };
+            let (stats, bytes, crcs) = stream(&shared);
+            assert_eq!(stream(&copied), (stats, bytes.clone(), crcs));
+            assert_eq!((stats.nchanged, stats.nunchanged), (1, 2));
+            assert_eq!(bytes, diff(&base, &copied).unwrap().encode());
+        }
+    }
+
     #[test]
     fn apply_owned_matches_apply_and_moves_changed() {
         let d = diff(&base(), &fine_tuned()).unwrap();
@@ -875,15 +908,12 @@ mod tests {
         let (via_owned, stats) = apply_owned(&base(), d).unwrap();
         assert_eq!(via_owned, via_ref);
         assert_eq!(via_owned, fine_tuned());
-        // 2 changed tensors moved, only the frozen backbone copied — the
-        // borrowed path would have copied all 3.
-        assert_eq!(
-            stats,
-            ApplyStats {
-                tensors_moved: 2,
-                tensors_copied: 1
-            }
-        );
+        // 2 changed tensors moved; the frozen backbone shares the base's
+        // elements rather than copying them.
+        assert_eq!(stats, ApplyStats { tensors_moved: 2 });
+        let base = base();
+        let (rebuilt, _) = apply_owned(&base, diff(&base, &fine_tuned()).unwrap()).unwrap();
+        assert!(rebuilt.tensors[0].1.same_storage(&base.tensors[0].1));
     }
 
     #[test]
@@ -900,13 +930,7 @@ mod tests {
         assert_eq!(via_owned, apply(&viewed, &d).unwrap());
         assert_eq!(via_owned, fine_tuned());
         // The frozen backbone is shared with the base, not copied.
-        assert_eq!(
-            stats,
-            ApplyStats {
-                tensors_moved: 2,
-                tensors_copied: 0
-            }
-        );
+        assert_eq!(stats, ApplyStats { tensors_moved: 2 });
         let frozen = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();
         assert_eq!(frozen(&via_owned), frozen(&viewed));
     }

@@ -132,10 +132,12 @@ struct FabricInner {
 /// after messages land in its queue (see [`Fabric::set_waker`]).
 pub type Waker = Arc<dyn Fn(&str) + Send + Sync>;
 
-/// Telemetry track name for a directed `(from, to, link)` hop: one
-/// receiver's share of its sender's lane.
-fn lane_track(from: &str, to: &str, link: LinkKind) -> String {
-    format!("lane:{from}->{to}/{}", link.label())
+/// Telemetry track name for a sender's `(from, link)` lane, the unit of
+/// occupancy ([`FabricInner::link_busy`]): every chunk the sender puts on
+/// the link, to any receiver, is drawn on it. Spans and instants name
+/// their receiver in a `to` arg.
+fn lane_track(from: &str, link: LinkKind) -> String {
+    format!("lane:{from}/{}", link.label())
 }
 
 /// Bucket bounds (µs) for the per-chunk wire-time histogram.
@@ -301,9 +303,9 @@ impl Fabric {
                 telemetry.instant_at(
                     "fault",
                     "corrupt",
-                    &lane_track(&msg.from, &msg.to, msg.link),
+                    &lane_track(&msg.from, msg.link),
                     msg.arrived_at.as_nanos(),
-                    &[],
+                    &[("to", msg.to.as_str().into())],
                 );
             }
             if drop {
@@ -313,9 +315,9 @@ impl Fabric {
                 telemetry.instant_at(
                     "fault",
                     "drop",
-                    &lane_track(&msg.from, &msg.to, msg.link),
+                    &lane_track(&msg.from, msg.link),
                     msg.arrived_at.as_nanos(),
-                    &[],
+                    &[("to", msg.to.as_str().into())],
                 );
                 continue;
             }
@@ -396,8 +398,9 @@ impl Fabric {
     /// Send one control frame at `at` — the causal instant of the event
     /// that triggered it, never whatever the shared clock happens to read:
     /// the clock is a frontier other threads advance concurrently. Control
-    /// frames take no lane: they do not queue behind chunks. Returns the
-    /// frame's arrival instant.
+    /// frames take no lane: they do not queue behind chunks, and their
+    /// wire time is not the lane's busy time. Returns the frame's arrival
+    /// instant.
     fn send_from(
         &self,
         hop: Hop<'_>,
@@ -410,20 +413,23 @@ impl Fabric {
         let msg = hop.message(WireBuf::plain(payload), MessageKind::Control, at, wire_time);
         let arrived_at = msg.arrived_at;
         let telemetry = self.telemetry();
-        let track = lane_track(hop.from, hop.to, hop.link);
+        let track = lane_track(hop.from, hop.link);
         telemetry.complete(
             "fabric",
             "control",
             &track,
             at.as_nanos(),
             arrived_at.as_nanos(),
-            &[("tag", hop.tag.into()), ("bytes", bytes.into())],
+            &[
+                ("to", hop.to.into()),
+                ("tag", hop.tag.into()),
+                ("bytes", bytes.into()),
+            ],
         );
         telemetry.counter("fabric.msgs_sent").inc();
         telemetry
             .histogram("fabric.wire_us", &WIRE_US_BUCKETS)
             .record(wire_time.as_micros().min(u128::from(u64::MAX)) as u64);
-        lane_busy(&telemetry, &track, wire_time);
         self.post(hop.to, &tx, vec![msg], arrived_at, &telemetry)?;
         Ok(arrived_at)
     }
@@ -480,7 +486,7 @@ impl Fabric {
         drop(busy_map);
         let telemetry = self.telemetry();
         if telemetry.is_enabled() {
-            let track = lane_track(hop.from, hop.to, hop.link);
+            let track = lane_track(hop.from, hop.link);
             if !round {
                 telemetry.complete(
                     "fabric",
@@ -489,6 +495,7 @@ impl Fabric {
                     start.as_nanos(),
                     lane_free.as_nanos(),
                     &[
+                        ("to", hop.to.into()),
                         ("tag", hop.tag.into()),
                         ("flow_id", flow.flow_id.into()),
                         ("chunks", num_chunks.into()),
@@ -516,7 +523,9 @@ impl Fabric {
                     hist.record(msg.wire_time.as_micros().min(u128::from(u64::MAX)) as u64);
                 }
             }
-            lane_busy(&telemetry, &track, wire_total);
+            telemetry
+                .counter(&format!("fabric.lane.busy_ns.{track}"))
+                .add(wire_total.as_nanos().min(u128::from(u64::MAX)) as u64);
         }
         let sent = if round {
             "fabric.chunks_retransmitted"
@@ -583,13 +592,6 @@ impl ChunkedFlow<'_> {
         let body = self.payload.slice(offset as usize..(offset + len) as usize);
         Some((offset, body))
     }
-}
-
-/// Add `wire` to the busy-time counter of the lane drawn on `track`.
-fn lane_busy(telemetry: &Telemetry, track: &str, wire: Duration) {
-    telemetry
-        .counter(&format!("fabric.lane.busy_ns.{track}"))
-        .add(wire.as_nanos().min(u128::from(u64::MAX)) as u64);
 }
 
 /// A node's attachment to the fabric.

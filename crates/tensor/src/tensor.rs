@@ -9,22 +9,24 @@ use std::sync::Arc;
 /// This is the value type flowing through the whole Viper stack: layer
 /// parameters, activations, gradients, and checkpoint payloads.
 ///
-/// The elements live in one of two storages. Most tensors own a
+/// The elements live in one of two storages, both reference-counted:
+/// cloning a tensor is a reference-count bump, never an element copy, and
+/// the first `&mut` access of a tensor whose elements another holder
+/// shares copies them out into a buffer of its own (copy-on-write), so no
+/// write ever reaches another holder's elements. Most tensors own a
 /// `Vec<f32>`. A tensor built by [`Tensor::from_shared`] is instead a
-/// read-only view of a byte buffer it shares with others (a received,
-/// checksum-verified wire payload): cloning it is a reference-count bump,
-/// and the first `&mut` access copies the elements out into an owned
-/// buffer (copy-on-write), so no write ever reaches the shared bytes.
+/// read-only view of a byte buffer (a received, checksum-verified wire
+/// payload).
+#[derive(Clone)]
 pub struct Tensor {
     data: Storage,
     shape: Shape,
 }
 
-/// Where a tensor's elements live. `clone` copies an owned buffer and
-/// bumps a shared one's reference count.
+/// Where a tensor's elements live. `clone` bumps a reference count.
 #[derive(Clone)]
 enum Storage {
-    Owned(Vec<f32>),
+    Owned(Arc<Vec<f32>>),
     /// `len` little-endian `f32`s at byte `offset` of `buf`. The
     /// constructor ([`Tensor::from_shared`]) checks that the range is in
     /// bounds, that its address is 4-aligned, and that the host is
@@ -39,6 +41,10 @@ enum Storage {
 }
 
 impl Storage {
+    fn owned(elements: Vec<f32>) -> Storage {
+        Storage::Owned(Arc::new(elements))
+    }
+
     fn as_slice(&self) -> &[f32] {
         match self {
             Storage::Owned(v) => v,
@@ -55,40 +61,16 @@ impl Storage {
         }
     }
 
-    /// The owned buffer, copying a shared view out first.
+    /// An owned buffer no other holder shares, copying the elements out
+    /// first when a view or another clone shares them.
     fn make_mut(&mut self) -> &mut Vec<f32> {
         if let Storage::Shared { .. } = self {
-            *self = Storage::Owned(self.as_slice().to_vec());
+            *self = Storage::owned(self.as_slice().to_vec());
         }
         match self {
-            Storage::Owned(v) => v,
+            Storage::Owned(v) => Arc::make_mut(v),
             Storage::Shared { .. } => unreachable!("a shared view was just copied out"),
         }
-    }
-}
-
-impl Clone for Tensor {
-    /// A deep copy of an owned tensor; a view of a shared buffer is cloned
-    /// as another view of it, without touching the elements.
-    fn clone(&self) -> Self {
-        Tensor {
-            data: self.data.clone(),
-            shape: self.shape.clone(),
-        }
-    }
-
-    /// Overwrites `self` in place: an owned element buffer is reused
-    /// whenever its capacity suffices, so cloning into a tensor of the same
-    /// size allocates nothing.
-    fn clone_from(&mut self, source: &Self) {
-        match &mut self.data {
-            Storage::Owned(v) => {
-                v.clear();
-                v.extend_from_slice(source.as_slice());
-            }
-            Storage::Shared { .. } => self.data = source.data.clone(),
-        }
-        self.shape.clone_from(&source.shape);
     }
 }
 
@@ -119,7 +101,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: Storage::Owned(data),
+            data: Storage::owned(data),
             shape,
         })
     }
@@ -143,18 +125,37 @@ impl Tensor {
         })
     }
 
-    /// Whether the elements are a view of a shared buffer
-    /// ([`from_shared`](Self::from_shared)), so that `clone` shares them
-    /// rather than copying them.
+    /// Whether the elements are a view of a shared byte buffer
+    /// ([`from_shared`](Self::from_shared)) rather than an owned buffer.
     pub fn is_shared(&self) -> bool {
         matches!(self.data, Storage::Shared { .. })
+    }
+
+    /// Whether `self` and `other` read the very same elements: clones of
+    /// one owned buffer, or views of one byte buffer at the same offset and
+    /// length. Such tensors are bit-identical without reading them, because
+    /// a write through either copies first. Equal elements in distinct
+    /// storage are not the same storage.
+    pub fn same_storage(&self, other: &Tensor) -> bool {
+        match (&self.data, &other.data) {
+            (Storage::Owned(a), Storage::Owned(b)) => Arc::ptr_eq(a, b),
+            (
+                Storage::Shared { buf, offset, len },
+                Storage::Shared {
+                    buf: other_buf,
+                    offset: other_offset,
+                    len: other_len,
+                },
+            ) => Arc::ptr_eq(buf, other_buf) && (offset, len) == (other_offset, other_len),
+            _ => false,
+        }
     }
 
     /// An all-zeros tensor.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: Storage::Owned(vec![0.0; shape.num_elements()]),
+            data: Storage::owned(vec![0.0; shape.num_elements()]),
             shape,
         }
     }
@@ -168,7 +169,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: Storage::Owned(vec![value; shape.num_elements()]),
+            data: Storage::owned(vec![value; shape.num_elements()]),
             shape,
         }
     }
@@ -187,7 +188,7 @@ impl Tensor {
     /// when the RNG is seeded).
     pub fn init<R: Rng + ?Sized>(dims: &[usize], init: Initializer, rng: &mut R) -> Self {
         let shape = Shape::new(dims);
-        let data = Storage::Owned(init.sample(&shape, rng));
+        let data = Storage::owned(init.sample(&shape, rng));
         Tensor { data, shape }
     }
 
@@ -283,7 +284,7 @@ impl Tensor {
     /// Apply `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         Tensor {
-            data: Storage::Owned(ops::elementwise::map(self.as_slice(), f)),
+            data: Storage::owned(ops::elementwise::map(self.as_slice(), f)),
             shape: self.shape.clone(),
         }
     }
@@ -297,7 +298,7 @@ impl Tensor {
     pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
         self.check_same_shape(rhs, "zip")?;
         Ok(Tensor {
-            data: Storage::Owned(ops::elementwise::zip(self.as_slice(), rhs.as_slice(), f)),
+            data: Storage::owned(ops::elementwise::zip(self.as_slice(), rhs.as_slice(), f)),
             shape: self.shape.clone(),
         })
     }
@@ -400,17 +401,53 @@ mod tests {
     }
 
     #[test]
-    fn clone_from_reuses_the_element_buffer() {
-        let src = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
-        let mut dst = Tensor::zeros(&[3, 2]);
-        let buffer = dst.as_slice().as_ptr();
-        dst.clone_from(&src);
-        assert_eq!(dst, src);
-        assert_eq!(dst.as_slice().as_ptr(), buffer);
-        // A larger source still yields an equal tensor (the buffer grows).
-        let big = Tensor::full(&[4, 4], 2.0);
-        dst.clone_from(&big);
-        assert_eq!(dst, big);
+    fn a_clone_shares_its_storage_until_a_write_through_either_side_copies() {
+        let ptr = |t: &Tensor| t.as_slice().as_ptr();
+        let original = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+        let mut clone = original.clone();
+        assert!(clone.same_storage(&original) && !clone.is_shared());
+        assert_eq!(ptr(&clone), ptr(&original), "no element copy");
+        // A write through the clone copies; the original keeps its bytes.
+        clone.set(&[0], 9.0).unwrap();
+        assert!(!clone.same_storage(&original));
+        assert_ne!(ptr(&clone), ptr(&original));
+        assert_eq!(
+            (original.as_slice(), clone.as_slice()),
+            (&[1.0, 2.0, 3.0][..], &[9.0, 2.0, 3.0][..])
+        );
+        // A write through the original side copies too, leaving the clone.
+        let mut original = original;
+        let kept = original.clone();
+        original.map_inplace(|x| -x);
+        assert_eq!(kept.as_slice(), &[1.0, 2.0, 3.0]);
+        assert_eq!(original.as_slice(), &[-1.0, -2.0, -3.0]);
+        // A buffer no other holder shares is written in place.
+        let before = ptr(&original);
+        original.as_mut_slice()[1] = 0.0;
+        assert_eq!(ptr(&original), before);
+        assert_eq!(original.into_vec(), vec![-1.0, 0.0, -3.0]);
+    }
+
+    #[test]
+    fn same_storage_is_identity_not_equality() {
+        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+        let b = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+        assert_eq!(a, b);
+        assert!(!a.same_storage(&b), "equal bytes in distinct buffers");
+        assert!(a.same_storage(&a.clone()) && a.same_storage(&a.reshape(&[1, 2]).unwrap()));
+        let buf = wire(0, &[1.0, 2.0, 1.0, 2.0]);
+        let view = |offset, n| Tensor::from_shared(Arc::clone(&buf), offset, &[n]).unwrap();
+        assert!(view(0, 2).same_storage(&view(0, 2)));
+        assert_eq!(view(0, 2), view(8, 2));
+        assert!(
+            !view(0, 2).same_storage(&view(8, 2)),
+            "one buffer, two offsets"
+        );
+        assert!(
+            !view(0, 2).same_storage(&view(0, 1)),
+            "one offset, two lengths"
+        );
+        assert!(!view(0, 2).same_storage(&a) && !a.same_storage(&view(0, 2)));
     }
 
     /// `values` as little-endian bytes behind `lead` bytes of padding, in
@@ -506,26 +543,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&buf), 3);
         let r = t.reshape(&[1, 3]).unwrap();
         assert_eq!(r.as_slice().as_ptr(), t.as_slice().as_ptr());
-        // An owned tensor's clone is still a deep copy.
-        let owned = Tensor::zeros(&[3]);
-        assert_ne!(owned.clone().as_slice().as_ptr(), owned.as_slice().as_ptr());
-        // clone_from into an owned tensor copies into its buffer; into a
-        // view, it takes the source's storage.
-        let mut into_owned = Tensor::zeros(&[3]);
-        let buffer = into_owned.as_slice().as_ptr();
-        into_owned.clone_from(&t);
-        assert_eq!(
-            (into_owned.as_slice().as_ptr(), into_owned.is_shared()),
-            (buffer, false)
-        );
-        assert_eq!(into_owned, t);
-        let mut into_view = c;
-        into_view.clone_from(&owned);
-        assert_eq!(
-            (into_view.is_shared(), into_view.as_slice()),
-            (false, &[0.0; 3][..])
-        );
-        drop((t, r, into_view));
+        drop((t, r, c));
         assert_eq!(Arc::strong_count(&buf), 1, "the views released the buffer");
     }
 

@@ -84,7 +84,7 @@ fn fault_free_chunk_wire_spans_sum_to_flow_makespan() {
     chrome::validate_json(&json).expect("export is valid JSON");
     assert!(json.contains("\"clockDomain\":\"virtual\""));
 
-    let lane = "lane:p->c/gpu";
+    let lane = "lane:p/gpu";
     let flows: Vec<&TraceEvent> = events
         .iter()
         .filter(|e| e.track == lane && e.name == "flow")
@@ -102,6 +102,12 @@ fn fault_free_chunk_wire_spans_sum_to_flow_makespan() {
         wire_sum, flow_dur,
         "chunk wire spans must tile the flow span exactly"
     );
+    // The sender link's busy counter is its chunks' wire time.
+    let busy = telemetry
+        .metrics()
+        .snapshot()
+        .counter("fabric.lane.busy_ns.lane:p/gpu");
+    assert_eq!(busy, Some(wire_sum));
 }
 
 #[test]
@@ -153,6 +159,17 @@ fn faulted_run_decomposes_makespan_into_phases() {
     if consumer.nacks_sent() > 0 {
         assert!(names.contains("nack"), "NACKs sent but not traced");
     }
+    // Control frames are drawn on their sender's link and name their
+    // receiver. They take no lane, so the consumer's link, which carries
+    // only its ACKs and NACKs, is never busy.
+    let controls: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "control").collect();
+    assert!(controls
+        .iter()
+        .all(|e| e.args.iter().any(|(k, _)| *k == "to")));
+    let acks = controls.iter().filter(|e| e.track == "lane:c/gpu").count();
+    assert!(acks >= 5, "one ACK per update at least, got {acks}");
+    let registry = telemetry.metrics().snapshot();
+    assert_eq!(registry.counter("fabric.lane.busy_ns.lane:c/gpu"), None);
 
     // Every recorded phase lies inside the measured virtual window.
     for ev in events.iter() {
