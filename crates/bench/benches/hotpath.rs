@@ -59,7 +59,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "diff-by-ownership";
+const HISTORY_LABEL: &str = "full-update-through-arena";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -134,13 +134,23 @@ fn full_diff_path(base: &Checkpoint, new: &Checkpoint) -> usize {
 
 /// The streaming diff path as the codec runs it: tensors sharing the
 /// base's storage are unchanged unread, a block-wise byte compare flags the
-/// rest, and `DiffSink` streams just the changed regions into the framed
-/// wire form — no intermediate `DeltaCheckpoint`.
+/// rest, and just the changed regions stream into the framed wire form —
+/// no intermediate `DeltaCheckpoint`.
 fn stream_diff_path(base: &Checkpoint, new: &Checkpoint) -> usize {
     let mut enc = StreamingEncoder::new(CHUNK_BYTES);
     enc.put_bytes(&wire::envelope(PayloadKind::Delta));
     delta::diff_into(base, new, &mut enc).unwrap();
     enc.finish().payload.len()
+}
+
+/// The full the codec falls back to with no delta base, encoded as
+/// `save_weights` encodes it under delta delivery: the VPWP envelope, then
+/// the fused encode, into a (recycled) arena buffer.
+fn framed_full_path(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize) -> usize {
+    let mut enc = StreamingEncoder::from_arena(arena, capacity, CHUNK_BYTES);
+    enc.put_bytes(&wire::envelope(PayloadKind::Full));
+    ViperFormat.encode_into(ckpt, &mut enc);
+    enc.finish_into(arena).payload.len()
 }
 
 /// Median of `reps` timed runs of `f`, in seconds. `f` is handed the
@@ -612,12 +622,16 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         stream_diff_path(&pairs[rep % sets].0, &pairs[rep % sets].2)
     });
     // Context row: what shipping this update costs with no delta base at
-    // all — the fused full-checkpoint encode the codec falls back to.
+    // all — the fused full-checkpoint encode the codec falls back to,
+    // through per-set arenas warmed by one untimed repetition, as the
+    // `fused` row runs.
+    let mut arenas: Vec<EncodeArena> = (0..sets).map(|_| EncodeArena::new()).collect();
+    let full_bytes = framed_full_path(pair(0).1, &mut arenas[0], 0);
+    for (set, arena) in arenas.iter_mut().enumerate().skip(1) {
+        framed_full_path(pair(set).1, arena, full_bytes);
+    }
     let full_update = time(reps, |rep| {
-        let mut enc = StreamingEncoder::new(CHUNK_BYTES);
-        enc.put_bytes(&wire::envelope(PayloadKind::Full));
-        ViperFormat.encode_into(pair(rep).1, &mut enc);
-        enc.finish().payload.len()
+        framed_full_path(pair(rep).1, &mut arenas[rep % sets], full_bytes)
     });
 
     Rows {
@@ -786,6 +800,7 @@ fn main() {
         ("diff_full_ms", ms(hot.diff_full)),
         ("diff_stream_ms", ms(hot.diff_stream)),
         ("diff_shared_ms", ms(hot.diff_shared)),
+        ("full_update_ms", ms(hot.full_update)),
         ("decode_two_pass_ms", ms(hot.decode_two_pass)),
         ("decode_one_pass_ms", ms(hot.decode_one_pass)),
         ("decode_verified_ms", ms(hot.decode_verified)),
@@ -799,6 +814,7 @@ fn main() {
             ("cold_verify_then_view_ms", ms(cold.verify_then_view)),
             ("cold_diff_stream_ms", ms(cold.diff_stream)),
             ("cold_diff_shared_ms", ms(cold.diff_shared)),
+            ("cold_full_update_ms", ms(cold.full_update)),
             ("cold_memcpy_gib_s", cold.gib_s(cold.memcpy)),
             (
                 "cold_memcpy_then_crc32_gib_s",

@@ -28,11 +28,16 @@
 //!   full encodings**: a zero-copy view past the envelope of the same
 //!   buffer. The envelope exists only on the wire.
 //!
+//! One `deliver` call encodes an update for all of its targets, so the
+//! deltas it encodes live in a [`DeltaMemo`] local to that call: a delta
+//! against a given base is diffed once however many consumers share the
+//! base, and nothing encoded outlives the update.
+//!
 //! Virtual-time accounting: encoding a delta charges one full-model read
 //! pass (the diff) at the route's staging bandwidth via
-//! [`viper_hw::stage_time`], from the delivery's causal frontier, so the
-//! deterministic-timeline invariant (disabled vs enabled telemetry is
-//! bit-identical) holds with delta transfer on.
+//! [`viper_hw::stage_time`], from the delivery's causal frontier, once per
+//! (update, base), so the deterministic-timeline invariant (disabled vs
+//! enabled telemetry is bit-identical) holds with delta transfer on.
 
 use crate::producer::{charge_at, ProducerCtx, Update};
 use parking_lot::Mutex;
@@ -55,34 +60,15 @@ pub(crate) struct WirePayload {
     pub(crate) crcs: Arc<Vec<u32>>,
 }
 
-/// A framed delta encoding plus its encode-time per-chunk CRCs.
-type FramedBytes = (Payload, Arc<Vec<u32>>);
-
-/// Per-model memo of encoded deltas for the codec's *current* update: a
-/// delta against a given base is diffed/encoded (and its diff pass
-/// charged) at most once even when several consumers share the
-/// acknowledged base. The memo is keyed to one target iteration — a newer
-/// save resets it — and entries are evicted when retention prunes their
-/// base, so the cache never accretes encodings that
-/// [`PayloadCodec::base_for`] would refuse to choose again.
-#[derive(Default)]
-struct ModelWireCache {
-    /// Iteration the cached encodings were produced for.
-    target: u64,
-    /// base iteration → framed delta (with its chunk CRCs); `None` caches
-    /// a failed diff (architecture changed), so it is not retried per
-    /// consumer.
-    deltas: HashMap<u64, Option<FramedBytes>>,
-}
-
-impl ModelWireCache {
-    fn reset_to(&mut self, target: u64) {
-        if self.target != target {
-            self.target = target;
-            self.deltas.clear();
-        }
-    }
-}
+/// The deltas of one update already encoded in its `deliver` call: base
+/// iteration → framed delta and its chunk CRCs, or `None` for a failed
+/// diff (architecture changed), so several consumers sharing an
+/// acknowledged base cost one diff pass and a failure is not retried per
+/// consumer. Every send of an update is encoded in that one call (a
+/// `NeedFull` retry, a relay `Miss` and a relay fallback all resend the
+/// update's wire full), so the memo lives exactly as long as it can be
+/// used.
+pub(crate) type DeltaMemo = HashMap<u64, Option<(Payload, Arc<Vec<u32>>)>>;
 
 /// Per-producer delta state: retained diff bases and per-consumer
 /// acknowledged iterations. Only a save whose plan retains a base fills it,
@@ -94,8 +80,6 @@ pub(crate) struct PayloadCodec {
     retained: Mutex<HashMap<String, BTreeMap<u64, Arc<Checkpoint>>>>,
     /// Last iteration each (consumer, model) pair ACKed an install of.
     acked: Mutex<HashMap<(String, String), u64>>,
-    /// Encoded-payload memo per model (see [`ModelWireCache`]).
-    wire_cache: Mutex<HashMap<String, ModelWireCache>>,
 }
 
 impl PayloadCodec {
@@ -105,7 +89,6 @@ impl PayloadCodec {
             keep: keep_versions.max(1),
             retained: Mutex::new(HashMap::new()),
             acked: Mutex::new(HashMap::new()),
-            wire_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -114,44 +97,14 @@ impl PayloadCodec {
     /// of the trainer's checkpoint shares its tensors, so retaining copies
     /// nothing, and the trainer's next write to a tensor copies that one
     /// tensor (see [`viper_tensor::Tensor`]). A diff against the base then
-    /// reads only the tensors written since. Pruning also evicts the wire
-    /// cache's delta entries for the pruned bases: `base_for` refuses a pruned
-    /// base, so a cached encoding against one can never be chosen again —
-    /// keeping it would leak one framed payload per pruned version.
+    /// reads only the tensors written since.
     pub(crate) fn retain(&self, ckpt: &Arc<Checkpoint>) {
-        let surviving: Vec<u64> = {
-            let mut retained = self.retained.lock();
-            let bases = retained.entry(ckpt.model_name.clone()).or_default();
-            bases.insert(ckpt.iteration, Arc::clone(ckpt));
-            while bases.len() > self.keep {
-                let oldest = *bases.keys().next().expect("non-empty");
-                bases.remove(&oldest);
-            }
-            bases.keys().copied().collect()
-        };
-        let mut caches = self.wire_cache.lock();
-        if let Some(cache) = caches.get_mut(&ckpt.model_name) {
-            cache
-                .deltas
-                .retain(|base, _| surviving.binary_search(base).is_ok());
-            debug_assert!(
-                cache
-                    .deltas
-                    .keys()
-                    .all(|base| surviving.binary_search(base).is_ok()),
-                "wire cache must never hold a delta whose base was pruned"
-            );
+        let mut retained = self.retained.lock();
+        let bases = retained.entry(ckpt.model_name.clone()).or_default();
+        bases.insert(ckpt.iteration, Arc::clone(ckpt));
+        while bases.len() > self.keep {
+            bases.pop_first();
         }
-    }
-
-    /// Newest retained iteration for `model` — the base a delta of the
-    /// *next* save would diff against (recorded as the new version's
-    /// `base_iteration` hint).
-    pub(crate) fn newest_retained(&self, model: &str) -> Option<u64> {
-        self.retained
-            .lock()
-            .get(model)
-            .and_then(|bases| bases.keys().next_back().copied())
     }
 
     /// The base checkpoint a delta for `members` must diff against: the
@@ -194,35 +147,6 @@ impl PayloadCodec {
             .lock()
             .remove(&(consumer.to_string(), model.to_string()));
     }
-
-    /// Memoized delta of `model`'s update `target` against `base`,
-    /// invoking `make` (which encodes and charges the diff pass) on first
-    /// use. A memoized `None` records a failed diff so it is not retried
-    /// per consumer.
-    fn delta_cached(
-        &self,
-        model: &str,
-        target: u64,
-        base: u64,
-        make: impl FnOnce() -> Option<FramedBytes>,
-    ) -> Option<FramedBytes> {
-        let mut caches = self.wire_cache.lock();
-        let entry = caches.entry(model.to_string()).or_default();
-        entry.reset_to(target);
-        entry.deltas.entry(base).or_insert_with(make).clone()
-    }
-
-    #[cfg(test)]
-    fn cached_delta_bases(&self, model: &str) -> Vec<u64> {
-        let mut bases: Vec<u64> = self
-            .wire_cache
-            .lock()
-            .get(model)
-            .map(|entry| entry.deltas.keys().copied().collect())
-            .unwrap_or_default();
-        bases.sort_unstable();
-        bases
-    }
 }
 
 /// Choose and encode the *shared* wire payload for `members`: one directly
@@ -233,13 +157,15 @@ impl PayloadCodec {
 /// member; otherwise they get the update's own wire full — the save's
 /// framed buffer under delta delivery, the raw encoding (byte-identical to
 /// a build without the codec layer) otherwise. A diff pass is charged from
-/// `frontier` — the delivery's causal instant — and moves it.
+/// `frontier` — the delivery's causal instant — and moves it, once per base
+/// the update's `memo` has not seen.
 pub(crate) fn encode_for(
     ctx: &ProducerCtx,
     update: &Update,
     members: &[String],
     track: &str,
     frontier: &mut SimInstant,
+    memo: &mut DeltaMemo,
 ) -> WirePayload {
     let (codec, counters) = (&ctx.codec, &ctx.counters);
     let record = &update.record;
@@ -249,7 +175,7 @@ pub(crate) fn encode_for(
             .base_for(members, &record.name)
             .filter(|b| b.iteration < ckpt.iteration)
         {
-            let encoded = codec.delta_cached(&record.name, ckpt.iteration, base.iteration, || {
+            let encoded = memo.entry(base.iteration).or_insert_with(|| {
                 // The delta streams straight into its framed wire form:
                 // envelope, diff payload, and chunk CRCs in one pass. The
                 // diff itself is streaming too (`diff_into`): changed
@@ -283,7 +209,7 @@ pub(crate) fn encode_for(
                 );
                 Some((encoded.payload, encoded.chunk_crcs))
             });
-            if let Some((bytes, crcs)) = encoded {
+            if let Some((bytes, crcs)) = encoded.clone() {
                 counters.delta_sends.inc();
                 let full_len = update.wire_full.len() as u64;
                 counters
@@ -333,7 +259,6 @@ mod tests {
     fn an_ack_without_a_retained_base_is_no_delta_base() {
         let codec = codec();
         codec.note_acked("c", "m", 1);
-        assert_eq!(codec.newest_retained("m"), None);
         assert!(base_of(&codec, "c").is_none());
         // Nothing was recorded: retaining the model later does not make it
         // one either (a non-delta deployment keeps no ack state at all).
@@ -361,12 +286,13 @@ mod tests {
         for i in 1..=5 {
             codec.retain(&ckpt(i));
         }
-        assert_eq!(codec.newest_retained("m"), Some(5));
         codec.note_acked("c", "m", 3);
         // Iteration 3 was pruned (only 4 and 5 retained): full fallback.
         assert!(base_of(&codec, "c").is_none());
-        codec.note_acked("c", "m", 4);
-        assert!(base_of(&codec, "c").is_some());
+        for kept in [4, 5] {
+            codec.note_acked("c", "m", kept);
+            assert_eq!(base_of(&codec, "c").unwrap().iteration, kept);
+        }
     }
 
     /// The trainer's loop: save, rewrite one tensor in place, save. The
@@ -409,27 +335,5 @@ mod tests {
         };
         let sent = wire::WIRE_HEADER_BYTES + one_tensor.encode().len();
         assert_eq!(producer.delta_bytes_saved(), full - sent as u64);
-    }
-
-    #[test]
-    fn wire_cache_evicts_pruned_bases() {
-        let codec = PayloadCodec::new(2);
-        codec.retain(&ckpt(1));
-        codec.retain(&ckpt(2));
-        // Memoize deltas of update 3 against both retained bases (and a
-        // failed diff against base 1, which memoizes as None).
-        let body = (Payload::from(vec![9u8; 8]), Arc::new(vec![0u32]));
-        assert!(codec
-            .delta_cached("m", 3, 1, || Some(body.clone()))
-            .is_some());
-        assert!(codec.delta_cached("m", 3, 2, || None).is_none());
-        assert_eq!(codec.cached_delta_bases("m"), vec![1, 2]);
-        // Retaining 3 prunes base 1 (budget 2 keeps {2, 3}): its cached
-        // delta — including the memoized failure — must go with it.
-        codec.retain(&ckpt(3));
-        assert_eq!(codec.cached_delta_bases("m"), vec![2]);
-        // The memo is target-keyed: a newer update resets it entirely.
-        assert!(codec.delta_cached("m", 4, 2, || None).is_none());
-        assert_eq!(codec.cached_delta_bases("m"), vec![2]);
     }
 }

@@ -289,7 +289,9 @@ impl Consumer {
     /// call returns a strictly newer version (possibly skipping
     /// intermediate ones if several arrived in between).
     ///
-    /// `timeout` is wall-clock (the listener runs on a real thread).
+    /// `timeout` is wall-clock: the caller's thread waits for the
+    /// deployment's reactor thread, which installs each update, to signal
+    /// the swap.
     pub fn load_weights(&self, timeout: Duration) -> Result<Arc<Checkpoint>> {
         let deadline = Instant::now() + timeout;
         let mut last_loaded = self.state.last_loaded.lock();

@@ -43,7 +43,7 @@
 //!
 //! [`PayloadCodec`]: crate::codec::PayloadCodec
 
-use crate::codec::{encode_for, WirePayload};
+use crate::codec::{encode_for, DeltaMemo, WirePayload};
 use crate::config::{CaptureBilling, Delivery};
 use crate::context::Viper;
 use crate::producer::{charge_at, ProducerCtx, Update};
@@ -298,8 +298,10 @@ pub(crate) fn deliver(
                 let group = options
                     .relay_fanout
                     .and_then(|fanout| shared.distribution.refresh(&eligible, fanout));
-                let mut encode =
-                    |members: &[String]| encode_for(ctx, update, members, track, &mut frontier);
+                let mut memo = DeltaMemo::new();
+                let mut encode = |members: &[String]| {
+                    encode_for(ctx, update, members, track, &mut frontier, &mut memo)
+                };
                 let targets: Vec<(String, WirePayload)> = match &group {
                     Some(members) => vec![(members[0].clone(), encode(members))],
                     None => eligible
@@ -383,17 +385,6 @@ pub(crate) fn deliver(
     (sent, frontier)
 }
 
-/// What an update's current flow to one target carries.
-#[derive(Clone, Copy)]
-struct Sent {
-    /// Envelope kind of the bytes (trace label on `delta_rejected`).
-    kind: PayloadKind,
-    /// This is the full-checkpoint send after a `NeedFull` reply or an
-    /// escalation — a full can't be rejected for a missing base, so a
-    /// repeat `NeedFull` fails the delivery instead of re-sending.
-    full_retry: bool,
-}
-
 /// One update the [`DeliveryTask`] is driving. Without coalescing at most
 /// one exists at a time (the save path blocks on the reply before
 /// submitting another); with coalescing several proceed concurrently,
@@ -420,8 +411,8 @@ struct UpdateState {
     /// a failed root): excluded from the group resolution when the root's
     /// group ACK lands.
     escalated: HashSet<String>,
-    /// What is (or was last) on the wire to each target.
-    sent: HashMap<String, Sent>,
+    /// The kind of what is (or was last) on the wire to each target.
+    sent: HashMap<String, PayloadKind>,
 }
 
 /// The producer's reactor task: the delivery *policy* over a
@@ -489,13 +480,7 @@ impl DeliveryTask {
             .get_mut(&seq)
             .expect("a full send belongs to an update");
         let chunk_bytes = self.ctx.viper.shared.config.chunk_bytes;
-        state.sent.insert(
-            to.to_string(),
-            Sent {
-                kind: PayloadKind::Full,
-                full_retry: true,
-            },
-        );
+        state.sent.insert(to.to_string(), PayloadKind::Full);
         Outbound {
             token: seq,
             to: to.to_string(),
@@ -711,8 +696,9 @@ impl DeliveryTask {
             }
             OutcomeKind::NeedFull => {
                 state.update.frontier = state.update.frontier.max(at);
-                let Sent { kind, full_retry } = state.sent[&to];
-                if !full_retry {
+                // Only the consumer's envelope check refuses a full, and it
+                // would refuse the same bytes again: that send fails here.
+                if state.sent[&to] == PayloadKind::Delta {
                     // The consumer lost the base this delta applies to
                     // (restart, missed flow): reset its tracking and
                     // re-send the update as a full on a fresh flow. The
@@ -728,7 +714,7 @@ impl DeliveryTask {
                             at.as_nanos(),
                             &[
                                 ("consumer", to.as_str().into()),
-                                ("kind", kind.label().into()),
+                                ("kind", PayloadKind::Delta.label().into()),
                             ],
                         );
                     }
@@ -835,13 +821,7 @@ impl ReactorTask for DeliveryTask {
         self.next_seq += 1;
         let sent = consumers
             .iter()
-            .map(|(consumer, wire)| {
-                let first = Sent {
-                    kind: wire.kind,
-                    full_retry: false,
-                };
-                (consumer.clone(), first)
-            })
+            .map(|(consumer, wire)| (consumer.clone(), wire.kind))
             .collect();
         let (tag, model, ready_at) = (update.tag(), update.record.name.clone(), update.frontier);
         let chunk_bytes = self.ctx.viper.shared.config.chunk_bytes;

@@ -545,20 +545,14 @@ impl Producer {
             path.clone(),
         )
         .at_iteration(ckpt.iteration);
-        // Delta mode: record what a delta of this version diffs against
-        // (the previous retained checkpoint) and retain this checkpoint as
-        // a base for future diffs. The clone shares the caller's tensors;
-        // the caller's next write to one copies it.
-        let ckpt_arc = if plan.retain_base {
-            if let Some(base) = self.ctx.codec.newest_retained(&ckpt.model_name) {
-                record = record.with_base(base);
-            }
+        // Delta mode: retain this checkpoint as a base for future diffs.
+        // The clone shares the caller's tensors; the caller's next write to
+        // one copies it.
+        let ckpt_arc = plan.retain_base.then(|| {
             let arc = Arc::new(ckpt.clone());
             self.ctx.codec.retain(&arc);
-            Some(arc)
-        } else {
-            None
-        };
+            arc
+        });
         let version = shared.db.put(record.clone());
         record.version = version;
         span.arg("version", version.into());

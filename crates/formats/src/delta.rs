@@ -99,28 +99,13 @@ impl DeltaCheckpoint {
     /// as it lands and deriving the CRC footer algebraically — so a delta
     /// framed behind a wire envelope is still encoded in one pass.
     pub fn encode_into(&self, enc: &mut StreamingEncoder) {
-        let mark = enc.mark();
-        enc.put_bytes(MAGIC);
-        enc.put_u32(VERSION);
-        enc.put_string(&self.model_name);
-        enc.put_u64(self.base_iteration);
-        enc.put_u64(self.iteration);
-        enc.put_u32(self.changed.len() as u32);
+        let nchanged = self.changed.len() as u32;
+        let (base, iteration) = (self.base_iteration, self.iteration);
+        let mut sink = DiffSink::begin(enc, &self.model_name, base, iteration, nchanged);
         for (name, tensor) in &self.changed {
-            enc.put_string(name);
-            enc.put_u32(tensor.dims().len() as u32);
-            for &d in tensor.dims() {
-                enc.put_u64(d as u64);
-            }
-            enc.put_pad(mark);
-            enc.put_f32s(tensor.as_slice());
+            sink.changed(name, tensor);
         }
-        enc.put_u32(self.unchanged.len() as u32);
-        for name in &self.unchanged {
-            enc.put_string(name);
-        }
-        let crc = enc.crc_since(mark);
-        enc.put_u32(crc);
+        sink.finish(self.unchanged.iter().map(String::as_str));
     }
 
     /// Deserialize and verify a delta.
@@ -225,19 +210,14 @@ pub fn diff(base: &Checkpoint, new: &Checkpoint) -> Result<DeltaCheckpoint, Form
     })
 }
 
-/// A streaming writer for the VIPD delta wire form: emits the exact bytes
-/// of [`DeltaCheckpoint::encode`] into a [`StreamingEncoder`] one changed
-/// tensor at a time, without ever materializing a `DeltaCheckpoint` or an
-/// intermediate byte buffer. The caller supplies the changed/unchanged
-/// counts up front (the wire layout stores them before the payloads), then
-/// feeds each changed tensor with [`changed`](Self::changed) and closes
-/// with [`finish`](Self::finish), which writes the unchanged-name trailer
-/// and derives the CRC footer from the encoder's running checksum.
-///
-/// [`diff_into`] drives this for the producer's send path; the type is
-/// public so other emitters (e.g. synthetic-delta generators in benches)
-/// can target the same wire form.
-pub struct DiffSink<'a> {
+/// The one VIPD writer: emits the bytes of [`DeltaCheckpoint::encode`]
+/// into a [`StreamingEncoder`] one changed tensor at a time, checksumming
+/// each as it lands. The layout stores the changed count before the
+/// payloads, so [`begin`](Self::begin) takes it; [`finish`](Self::finish)
+/// writes the unchanged-name trailer and derives the CRC footer from the
+/// encoder's running checksum. [`DeltaCheckpoint::encode_into`] and
+/// [`diff_into`] both drive it.
+struct DiffSink<'a> {
     enc: &'a mut StreamingEncoder,
     mark: StreamMark,
     nchanged: u32,
@@ -247,7 +227,7 @@ pub struct DiffSink<'a> {
 impl<'a> DiffSink<'a> {
     /// Open the delta stream: writes the VIPD header through the changed
     /// count. `nchanged` changed tensors must follow.
-    pub fn begin(
+    fn begin(
         enc: &'a mut StreamingEncoder,
         model_name: &str,
         base_iteration: u64,
@@ -269,9 +249,8 @@ impl<'a> DiffSink<'a> {
         }
     }
 
-    /// Emit one changed tensor (name, shape, payload), checksummed as it
-    /// lands.
-    pub fn changed(&mut self, name: &str, tensor: &Tensor) {
+    /// Emit one changed tensor (name, shape, payload).
+    fn changed(&mut self, name: &str, tensor: &Tensor) {
         self.emitted += 1;
         self.enc.put_string(name);
         self.enc.put_u32(tensor.dims().len() as u32);
@@ -287,7 +266,7 @@ impl<'a> DiffSink<'a> {
     /// does not match the `nchanged` promised to [`begin`](Self::begin) —
     /// the count is already on the wire, so a mismatch is an encoding bug,
     /// not a recoverable condition.
-    pub fn finish<'n>(self, unchanged: impl ExactSizeIterator<Item = &'n str>) {
+    fn finish<'n>(self, unchanged: impl ExactSizeIterator<Item = &'n str>) {
         assert_eq!(
             self.emitted, self.nchanged,
             "DiffSink: promised {} changed tensors, emitted {}",
@@ -300,18 +279,6 @@ impl<'a> DiffSink<'a> {
         let crc = self.enc.crc_since(self.mark);
         self.enc.put_u32(crc);
     }
-}
-
-/// What [`diff_into`] found, for telemetry and size accounting — the
-/// streaming path never materializes a [`DeltaCheckpoint`] to ask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiffStats {
-    /// Tensors whose payload changed (encoded into the stream).
-    pub nchanged: usize,
-    /// Tensors identical to the base (only their names are encoded).
-    pub nunchanged: usize,
-    /// Payload bytes carried by the changed tensors.
-    pub changed_bytes: u64,
 }
 
 /// Streaming twin of [`diff`] ∘ [`DeltaCheckpoint::encode_into`]: computes
@@ -332,43 +299,20 @@ pub fn diff_into(
     base: &Checkpoint,
     new: &Checkpoint,
     enc: &mut StreamingEncoder,
-) -> Result<DiffStats, FormatError> {
+) -> Result<(), FormatError> {
     let flags = diff_flags(base, new)?;
-    let mut stats = DiffStats {
-        nchanged: 0,
-        nunchanged: 0,
-        changed_bytes: 0,
-    };
-    for (flag, (_, tensor)) in flags.iter().zip(&new.tensors) {
-        if *flag == 1 {
-            stats.nchanged += 1;
-            stats.changed_bytes += tensor.byte_len() as u64;
-        } else {
-            stats.nunchanged += 1;
-        }
+    let tagged = || flags.iter().zip(&new.tensors);
+    let nchanged = tagged().filter(|(f, _)| **f == 1).count() as u32;
+    let (base_iteration, iteration) = (base.iteration, new.iteration);
+    let mut sink = DiffSink::begin(enc, &new.model_name, base_iteration, iteration, nchanged);
+    for (_, (name, tensor)) in tagged().filter(|(f, _)| **f == 1) {
+        sink.changed(name, tensor);
     }
-    let mut sink = DiffSink::begin(
-        enc,
-        &new.model_name,
-        base.iteration,
-        new.iteration,
-        stats.nchanged as u32,
-    );
-    for (flag, (name, tensor)) in flags.iter().zip(&new.tensors) {
-        if *flag == 1 {
-            sink.changed(name, tensor);
-        }
-    }
-    sink.finish(
-        flags
-            .iter()
-            .zip(&new.tensors)
-            .filter(|(f, _)| **f == 2)
-            .map(|(_, (name, _))| name.as_str())
-            .collect::<Vec<_>>()
-            .into_iter(),
-    );
-    Ok(stats)
+    let unchanged = tagged()
+        .filter(|(f, _)| **f == 2)
+        .map(|(_, (name, _))| name.as_str());
+    sink.finish(unchanged.collect::<Vec<_>>().into_iter());
+    Ok(())
 }
 
 /// Shared compare pass: per-tensor change flags for `new` against `base`
@@ -432,45 +376,6 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Reconstruct the new checkpoint from `base` and `delta`.
-pub fn apply(base: &Checkpoint, delta: &DeltaCheckpoint) -> Result<Checkpoint, FormatError> {
-    if base.model_name != delta.model_name {
-        return Err(FormatError::Corrupt(format!(
-            "delta for {} applied to {}",
-            delta.model_name, base.model_name
-        )));
-    }
-    if base.iteration != delta.base_iteration {
-        return Err(FormatError::Corrupt(format!(
-            "delta expects base iteration {}, got {}",
-            delta.base_iteration, base.iteration
-        )));
-    }
-    // Index both sides once so the reconstruction loop is O(n), not O(n·m).
-    let changed: std::collections::HashMap<&str, &Tensor> =
-        delta.changed.iter().map(|(n, t)| (n.as_str(), t)).collect();
-    let unchanged: std::collections::HashSet<&str> =
-        delta.unchanged.iter().map(String::as_str).collect();
-    let mut tensors = Vec::with_capacity(delta.changed.len() + delta.unchanged.len());
-    // Preserve the base's tensor order (layer order matters to consumers).
-    for (name, base_tensor) in &base.tensors {
-        if let Some(&t) = changed.get(name.as_str()) {
-            tensors.push((name.clone(), t.clone()));
-        } else if unchanged.contains(name.as_str()) {
-            tensors.push((name.clone(), base_tensor.clone()));
-        } else {
-            return Err(FormatError::Corrupt(format!(
-                "tensor {name} mentioned by neither side of the delta"
-            )));
-        }
-    }
-    Ok(Checkpoint::new(
-        delta.model_name.clone(),
-        delta.iteration,
-        tensors,
-    ))
-}
-
 /// Accounting from [`apply_owned`]: how many tensors were moved into the
 /// reconstruction. The unchanged rest are clones of the base's tensors,
 /// which share its elements (a reference-count bump, never a copy).
@@ -480,13 +385,13 @@ pub struct ApplyStats {
     pub tensors_moved: usize,
 }
 
-/// Reconstruct the new checkpoint from `base` and an *owned* `delta`.
+/// Reconstruct the new checkpoint from `base` and an owned `delta`, in
+/// the base's tensor order (layer order matters to consumers).
 ///
 /// The consumer decodes each delta from the wire and owns it, so the
-/// changed tensors move straight into the reconstructed checkpoint, where
-/// [`apply`] clones them. Neither copies an element: every clone shares
-/// its source's storage. Validation and ordering semantics are identical
-/// to [`apply`]; the extra [`ApplyStats`] counts the moves.
+/// changed tensors move straight into the reconstructed checkpoint, and
+/// the unchanged ones are clones of the base's, which share its storage:
+/// no element is copied. [`ApplyStats`] counts the moves.
 pub fn apply_owned(
     base: &Checkpoint,
     delta: DeltaCheckpoint,
@@ -509,7 +414,6 @@ pub fn apply_owned(
         delta.unchanged.iter().map(String::as_str).collect();
     let mut stats = ApplyStats::default();
     let mut tensors = Vec::with_capacity(changed.len() + unchanged.len());
-    // Preserve the base's tensor order (layer order matters to consumers).
     for (name, base_tensor) in &base.tensors {
         if let Some(t) = changed.remove(name.as_str()) {
             stats.tensors_moved += 1;
@@ -543,6 +447,18 @@ mod tests {
                 ("head/bias".into(), Tensor::full(&[10], 0.0)),
             ],
         )
+    }
+
+    /// Reconstruct through [`apply_owned`], dropping its accounting.
+    fn apply(base: &Checkpoint, d: &DeltaCheckpoint) -> Result<Checkpoint, FormatError> {
+        apply_owned(base, d.clone()).map(|(rebuilt, _)| rebuilt)
+    }
+
+    /// What the VIPD bytes of a stream carry: changed count, unchanged
+    /// count and changed payload bytes, decoded back.
+    fn carried(bytes: &[u8]) -> (usize, usize, u64) {
+        let d = DeltaCheckpoint::decode(bytes).unwrap();
+        (d.changed.len(), d.unchanged.len(), d.payload_bytes())
     }
 
     fn fine_tuned() -> Checkpoint {
@@ -806,15 +722,10 @@ mod tests {
         let legacy = d.encode();
         for chunk_bytes in [0u64, 16, 64, 1 << 20] {
             let mut enc = StreamingEncoder::new(chunk_bytes);
-            let stats = diff_into(&base(), &fine_tuned(), &mut enc).unwrap();
-            assert_eq!(
-                enc.finish().payload.as_slice(),
-                &legacy[..],
-                "chunk_bytes {chunk_bytes}"
-            );
-            assert_eq!(stats.nchanged, d.changed.len());
-            assert_eq!(stats.nunchanged, d.unchanged.len());
-            assert_eq!(stats.changed_bytes, d.payload_bytes());
+            diff_into(&base(), &fine_tuned(), &mut enc).unwrap();
+            let payload = enc.finish().payload;
+            assert_eq!(payload.as_slice(), &legacy[..], "chunk_bytes {chunk_bytes}");
+            assert_eq!(carried(&payload), (2, 1, 20 * 4));
         }
     }
 
@@ -824,10 +735,10 @@ mod tests {
         same.iteration = 101;
         let legacy = diff(&base(), &same).unwrap().encode();
         let mut enc = StreamingEncoder::new(64);
-        let stats = diff_into(&base(), &same, &mut enc).unwrap();
-        assert_eq!(enc.finish().payload.as_slice(), &legacy[..]);
-        assert_eq!(stats.nchanged, 0);
-        assert_eq!(stats.changed_bytes, 0);
+        diff_into(&base(), &same, &mut enc).unwrap();
+        let payload = enc.finish().payload;
+        assert_eq!(payload.as_slice(), &legacy[..]);
+        assert_eq!(carried(&payload), (0, 3, 0));
     }
 
     #[test]
@@ -838,10 +749,11 @@ mod tests {
         new.iteration = 101;
         new.tensors[2].1 = Tensor::full(&[10], -0.0);
         let mut enc = StreamingEncoder::new(0);
-        let stats = diff_into(&base(), &new, &mut enc).unwrap();
-        assert_eq!(stats.nchanged, 1);
+        diff_into(&base(), &new, &mut enc).unwrap();
+        let payload = enc.finish().payload;
+        assert_eq!(carried(&payload).0, 1);
         assert_eq!(
-            enc.finish().payload.as_slice(),
+            payload.as_slice(),
             &diff(&base(), &new).unwrap().encode()[..]
         );
 
@@ -850,7 +762,8 @@ mod tests {
         let mut same = old.clone();
         same.iteration = 101;
         let mut enc = StreamingEncoder::new(0);
-        assert_eq!(diff_into(&old, &same, &mut enc).unwrap().nchanged, 0);
+        diff_into(&old, &same, &mut enc).unwrap();
+        assert_eq!(carried(&enc.finish().payload).0, 0);
     }
 
     #[test]
@@ -889,30 +802,34 @@ mod tests {
         for chunk_bytes in [0u64, 16, 64, 1 << 20] {
             let stream = |new: &Checkpoint| {
                 let mut enc = StreamingEncoder::new(chunk_bytes);
-                let stats = diff_into(&base, new, &mut enc).unwrap();
+                diff_into(&base, new, &mut enc).unwrap();
                 let encoded = enc.finish();
                 let crcs = encoded.chunk_crcs.to_vec();
-                (stats, encoded.payload.as_slice().to_vec(), crcs)
+                (encoded.payload.as_slice().to_vec(), crcs)
             };
-            let (stats, bytes, crcs) = stream(&shared);
-            assert_eq!(stream(&copied), (stats, bytes.clone(), crcs));
-            assert_eq!((stats.nchanged, stats.nunchanged), (1, 2));
+            let (bytes, crcs) = stream(&shared);
+            assert_eq!(stream(&copied), (bytes.clone(), crcs));
+            assert_eq!(carried(&bytes), (1, 2, 10 * 4));
             assert_eq!(bytes, diff(&base, &copied).unwrap().encode());
         }
     }
 
+    /// Tensor names in order.
+    fn names(c: &Checkpoint) -> Vec<&str> {
+        c.tensors.iter().map(|(n, _)| n.as_str()).collect()
+    }
+
     #[test]
     fn apply_owned_matches_apply_and_moves_changed() {
-        let d = diff(&base(), &fine_tuned()).unwrap();
-        let via_ref = apply(&base(), &d).unwrap();
-        let (via_owned, stats) = apply_owned(&base(), d).unwrap();
-        assert_eq!(via_owned, via_ref);
-        assert_eq!(via_owned, fine_tuned());
+        let base = base();
+        let mut d = diff(&base, &fine_tuned()).unwrap();
+        d.changed.reverse();
+        let (rebuilt, stats) = apply_owned(&base, d).unwrap();
+        assert_eq!(rebuilt, fine_tuned());
+        assert_eq!(names(&rebuilt), names(&base));
         // 2 changed tensors moved; the frozen backbone shares the base's
         // elements rather than copying them.
         assert_eq!(stats, ApplyStats { tensors_moved: 2 });
-        let base = base();
-        let (rebuilt, _) = apply_owned(&base, diff(&base, &fine_tuned()).unwrap()).unwrap();
         assert!(rebuilt.tensors[0].1.same_storage(&base.tensors[0].1));
     }
 
@@ -926,9 +843,9 @@ mod tests {
         let viewed = ViperFormat.decode_verified(&wire, body_crc).unwrap();
         assert!(viewed.tensors.iter().all(|(_, t)| t.is_shared()));
         let d = diff(&base(), &fine_tuned()).unwrap();
-        let (via_owned, stats) = apply_owned(&viewed, d.clone()).unwrap();
-        assert_eq!(via_owned, apply(&viewed, &d).unwrap());
+        let (via_owned, stats) = apply_owned(&viewed, d).unwrap();
         assert_eq!(via_owned, fine_tuned());
+        assert_eq!(names(&via_owned), names(&viewed));
         // The frozen backbone is shared with the base, not copied.
         assert_eq!(stats, ApplyStats { tensors_moved: 2 });
         let frozen = |c: &Checkpoint| c.tensors[0].1.as_slice().as_ptr();

@@ -204,10 +204,8 @@ proptest! {
         let legacy = wire::frame(PayloadKind::Delta, &d.encode());
         let mut enc = StreamingEncoder::new(chunk_bytes);
         enc.put_bytes(&wire::envelope(PayloadKind::Delta));
-        let stats = delta::diff_into(&base, &new, &mut enc).unwrap();
+        delta::diff_into(&base, &new, &mut enc).unwrap();
         assert_fused_matches(&legacy, &enc.finish(), chunk_bytes);
-        prop_assert_eq!(stats.nchanged, d.changed.len());
-        prop_assert_eq!(stats.nunchanged, d.unchanged.len());
     }
 
     /// Satellite: parallel split-and-combine equals sequential CRC for

@@ -1,6 +1,6 @@
 //! Property tests: every format round-trips arbitrary checkpoints exactly,
 //! corruption never decodes successfully into a *different* checkpoint, and
-//! `delta::apply(base, diff(base, new))` reconstructs `new` bitwise.
+//! `delta::apply_owned(base, diff(base, new))` reconstructs `new` bitwise.
 
 use proptest::prelude::*;
 use viper_formats::{delta, Checkpoint, CheckpointFormat, H5Lite, ViperFormat};
@@ -142,13 +142,13 @@ proptest! {
         prop_assert!(f.decode(&bytes).is_err());
     }
 
-    /// `apply(base, diff(base, new))` reconstructs `new` bitwise — including
+    /// `apply_owned(base, diff(base, new))` reconstructs `new` bitwise — including
     /// NaN payloads, -0.0, and tensor lists the trainer re-ordered.
     #[test]
     fn delta_roundtrip_reconstructs_bitwise(pair in arb_finetune_pair()) {
         let (base, new) = pair;
         let d = delta::diff(&base, &new).unwrap();
-        let rebuilt = delta::apply(&base, &d).unwrap();
+        let (rebuilt, _) = delta::apply_owned(&base, d).unwrap();
         prop_assert!(bits_equal(&rebuilt, &new));
         // Reconstruction preserves the base's tensor order, so a consumer's
         // installed layout never churns when the trainer shuffles names.
@@ -168,7 +168,7 @@ proptest! {
         prop_assert_eq!(decoded.model_name.clone(), d.model_name.clone());
         prop_assert_eq!(decoded.base_iteration, d.base_iteration);
         prop_assert_eq!(decoded.iteration, d.iteration);
-        let rebuilt = delta::apply(&base, &decoded).unwrap();
+        let (rebuilt, _) = delta::apply_owned(&base, decoded).unwrap();
         prop_assert!(bits_equal(&rebuilt, &new));
     }
 

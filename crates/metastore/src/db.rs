@@ -23,12 +23,6 @@ pub struct ModelRecord {
     pub path: String,
     /// Training iteration the checkpoint was taken at (0 if unknown).
     pub iteration: u64,
-    /// Iteration of the checkpoint a delta payload for this version is
-    /// diffed against. `None` when the update ships only as a full
-    /// checkpoint (delta transfer off, or no retained base). The default
-    /// keeps records serialized by older catalogs deserializable.
-    #[serde(default)]
-    pub base_iteration: Option<u64>,
 }
 
 impl ModelRecord {
@@ -48,20 +42,12 @@ impl ModelRecord {
             location: location.into(),
             path: path.into(),
             iteration: 0,
-            base_iteration: None,
         }
     }
 
     /// Set the training iteration (builder-style).
     pub fn at_iteration(mut self, iteration: u64) -> Self {
         self.iteration = iteration;
-        self
-    }
-
-    /// Set the delta-base iteration (builder-style): the iteration a delta
-    /// payload of this version applies to.
-    pub fn with_base(mut self, base_iteration: u64) -> Self {
-        self.base_iteration = Some(base_iteration);
         self
     }
 }
@@ -190,17 +176,6 @@ mod tests {
         assert_eq!(db.get("m", 2).unwrap().iteration, 20);
         assert!(db.get("m", 3).is_none());
         assert!(db.get("ghost", 1).is_none());
-    }
-
-    #[test]
-    fn base_iteration_defaults_to_full_only() {
-        let db = MetadataDb::new();
-        db.put(rec("m").at_iteration(20));
-        assert_eq!(db.latest("m").unwrap().base_iteration, None);
-        db.put(rec("m").at_iteration(30).with_base(20));
-        assert_eq!(db.latest("m").unwrap().base_iteration, Some(20));
-        // An older record keeps its own (absent) base.
-        assert_eq!(db.get("m", 1).unwrap().base_iteration, None);
     }
 
     #[test]

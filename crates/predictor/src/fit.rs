@@ -33,52 +33,15 @@ impl FittedCurve {
 /// Panics if fewer than 3 observations are supplied — the warm-up stage
 /// always provides at least an epoch of losses.
 pub fn fit_best(losses: &[f64]) -> FittedCurve {
-    least_mse(&fit_all(losses))
-}
-
-/// The candidate with the smallest MSE (the first one on a tie).
-fn least_mse(candidates: &[FittedCurve]) -> FittedCurve {
-    candidates
-        .iter()
-        .copied()
+    // `min_by` keeps the first candidate on a tie.
+    fit_all(losses)
+        .into_iter()
         .min_by(|a, b| {
             a.mse
                 .partial_cmp(&b.mse)
                 .expect("MSE comparison failed (NaN)")
         })
         .expect("fit_all returned no candidates")
-}
-
-/// [`fit_best`] with the model-selection decision recorded to telemetry:
-/// a `predictor`-category span covering the fit (wall time as `wall_us`;
-/// fitting is pure compute and never advances a virtual clock) whose
-/// closing event carries the winning family, its MSE, and each
-/// candidate's MSE.
-pub fn fit_best_traced(telemetry: &viper_telemetry::Telemetry, losses: &[f64]) -> FittedCurve {
-    let wall = std::time::Instant::now();
-    let mut span = telemetry.span_with(
-        "predictor",
-        "tlp.fit",
-        "predictor",
-        &[("observations", losses.len().into())],
-    );
-    let all = fit_all(losses);
-    let best = least_mse(&all);
-    for candidate in &all {
-        telemetry.instant(
-            "predictor",
-            "tlp.candidate",
-            "predictor",
-            &[
-                ("family", candidate.model.family().into()),
-                ("mse", candidate.mse.into()),
-            ],
-        );
-    }
-    span.arg("selected", best.model.family().into());
-    span.arg("mse", best.mse.into());
-    span.arg("wall_us", (wall.elapsed().as_micros() as u64).into());
-    best
 }
 
 /// Fit all families; returns one [`FittedCurve`] per family, in the order

@@ -189,57 +189,6 @@ pub fn overhead_bounded(
     }
 }
 
-/// Record a schedule decision to telemetry: an instant event on the
-/// `predictor` track carrying the algorithm, checkpoint count, interval,
-/// and predicted CIL. Call sites that time the search itself should wrap
-/// it in a span; the decision record is deliberately separate so replans
-/// remain visible even when span capacity evicts old events.
-pub fn record_schedule(telemetry: &viper_telemetry::Telemetry, schedule: &Schedule) {
-    telemetry.instant(
-        "predictor",
-        "schedule.selected",
-        "predictor",
-        &[
-            ("algorithm", schedule.algorithm.as_str().into()),
-            ("checkpoints", schedule.num_checkpoints().into()),
-            ("interval", schedule.interval.into()),
-            ("predicted_cil", schedule.predicted_cil.into()),
-        ],
-    );
-}
-
-/// [`fixed_interval`] with the interval search recorded to telemetry: a
-/// `predictor`-category span covering the exhaustive search (wall time as
-/// `wall_us`; the search is pure compute and never advances a virtual
-/// clock) plus a [`record_schedule`] instant for the winning schedule.
-pub fn fixed_interval_traced(
-    telemetry: &viper_telemetry::Telemetry,
-    tlp: &FittedCurve,
-    params: &CostParams,
-    s_iter: u64,
-    e_iter: u64,
-    total_infers: u64,
-) -> Schedule {
-    let wall = std::time::Instant::now();
-    let mut span = telemetry.span_with(
-        "predictor",
-        "schedule.fixed_interval",
-        "predictor",
-        &[
-            ("s_iter", s_iter.into()),
-            ("e_iter", e_iter.into()),
-            ("total_infers", total_infers.into()),
-        ],
-    );
-    let plan = fixed_interval(tlp, params, s_iter, e_iter, total_infers);
-    span.arg("interval", plan.interval.into());
-    span.arg("predicted_cil", plan.predicted_cil.into());
-    span.arg("wall_us", (wall.elapsed().as_micros() as u64).into());
-    drop(span);
-    record_schedule(telemetry, &plan);
-    plan
-}
-
 /// Derive the greedy threshold from warm-up losses: the mean plus one
 /// standard deviation of the improvements between consecutive training
 /// losses (§4.3).

@@ -36,8 +36,7 @@
 //! so no `f64` round-trip ever loses precision. Without one they are wall
 //! nanoseconds since the handle was created. Real-compute phases that do
 //! not advance the virtual clock (e.g. serialization) show up as
-//! zero-duration spans on the virtual timeline with their wall duration
-//! attached as a `wall_us` argument.
+//! zero-duration spans on the virtual timeline.
 //!
 //! ## Example
 //!

@@ -9,7 +9,6 @@ use viper::{Viper, ViperConfig};
 use viper_formats::Checkpoint;
 use viper_hw::{CaptureMode, Route};
 use viper_net::{FaultPlan, RetryPolicy};
-use viper_predictor::{fit, schedule};
 use viper_tensor::Tensor;
 
 /// Multi-chunk checkpoint (~6 KiB at the 1 KiB test chunk size).
@@ -262,30 +261,4 @@ fn faulted_reactor_runs_are_bit_identical_across_runs() {
         );
         assert_eq!(trace, reference_trace, "run={run}: trace bytes diverged");
     }
-}
-
-#[test]
-fn predictor_decisions_are_traced() {
-    let telemetry = Telemetry::enabled();
-    let warmup: Vec<f64> = (0..120)
-        .map(|i| 2.0 * (-0.01 * i as f64).exp() + 0.3)
-        .collect();
-    let tlp = fit::fit_best_traced(&telemetry, &warmup);
-    let params = viper::planner::cost_params(&ViperConfig::default(), 1_000_000, 4, 0.05, 0.005);
-    let plan = schedule::fixed_interval_traced(&telemetry, &tlp, &params, 120, 600, 10_000);
-    assert!(plan.interval >= 1);
-
-    let events = telemetry.events();
-    chrome::check_nesting(&events).expect("predictor spans nest");
-    let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-    assert!(names.contains(&"tlp.fit"));
-    assert!(names.contains(&"tlp.candidate"));
-    assert!(names.contains(&"schedule.fixed_interval"));
-    assert!(names.contains(&"schedule.selected"));
-    // The fit span carries the winning family as an argument.
-    let fit_end = events
-        .iter()
-        .find(|e| e.name == "tlp.fit" && matches!(e.kind, EventKind::End))
-        .expect("fit span closed");
-    assert!(fit_end.args.iter().any(|(k, _)| *k == "selected"));
 }
