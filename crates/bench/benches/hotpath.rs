@@ -59,7 +59,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "full-update-through-arena";
+const HISTORY_LABEL: &str = "interleaved-gate-pairs";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -157,13 +157,36 @@ fn framed_full_path(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize)
 /// repetition's number, which the cold mode turns into the input set to
 /// visit.
 fn time<T>(reps: usize, mut f: impl FnMut(usize) -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|rep| {
+    median(
+        (0..reps)
+            .map(|rep| {
+                let t0 = Instant::now();
+                black_box(f(rep));
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// Medians of `reps` timed runs of each side of a gated pair, `f(rep, 0)`
+/// and `f(rep, 1)`, in seconds. Every repetition runs both sides, and which
+/// one goes first alternates, so that a stretch of host noise, or the
+/// cache state one side leaves behind, falls on both sides alike: a gate
+/// compares the pair, not two batches timed apart.
+fn time_pair<T>(reps: usize, mut f: impl FnMut(usize, usize) -> T) -> [f64; 2] {
+    let mut samples = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    for rep in 0..reps {
+        for turn in 0..2 {
+            let side = (rep + turn) % 2;
             let t0 = Instant::now();
-            black_box(f(rep));
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+            black_box(f(rep, side));
+            samples[side].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    samples.map(median)
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
@@ -467,9 +490,12 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     for (ckpt, arena) in ckpts.iter().zip(&mut arenas) {
         assert_eq!(legacy_path(format, ckpt), fused_path(ckpt, arena, bytes));
     }
-    let legacy = time(reps, |rep| legacy_path(format, &ckpts[rep % sets]));
-    let fused = time(reps, |rep| {
-        fused_path(&ckpts[rep % sets], &mut arenas[rep % sets], bytes)
+    let [fused, legacy] = time_pair(reps, |rep, side| {
+        let set = rep % sets;
+        match side {
+            0 => fused_path(&ckpts[set], &mut arenas[set], bytes),
+            _ => legacy_path(format, &ckpts[set]),
+        }
     });
     drop(arenas);
 
@@ -506,10 +532,19 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         }
         time(reps, |rep| slot[rep % sets] = Some(how(rep % sets)))
     };
-    let decode_two_pass = decode(&mut slot, &|set| two_pass_decode(&payloads[set]));
-    let decode_one_pass = decode(&mut slot, &|set| {
-        ViperFormat.decode(&payloads[set]).unwrap()
-    });
+    let [decode_one_pass, decode_two_pass] = {
+        let how = |set: usize, side: usize| match side {
+            0 => ViperFormat.decode(&payloads[set]).unwrap(),
+            _ => two_pass_decode(&payloads[set]),
+        };
+        for (set, served) in slot.iter_mut().enumerate() {
+            *served = Some(how(set, 0));
+            *served = Some(how(set, 1));
+        }
+        time_pair(reps, |rep, side| {
+            slot[rep % sets] = Some(how(rep % sets, side))
+        })
+    };
     let decode_verified = decode(&mut slot, &|set| {
         let decoded = ViperFormat.decode_verified(&payloads[set], body_crcs[set]);
         decoded.unwrap()
@@ -548,8 +583,13 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         })
     };
     let memcpy = copying(|_, from, to| to.extend_from_slice(from));
-    let memcpy_then_crc = copying(copy_then_crc);
-    let update_copying = copying(copy_while_crc);
+    let [update_copying, memcpy_then_crc] = time_pair(reps, |rep, side| {
+        let piece: fn(&mut Crc32, &[u8], &mut Vec<u8>) = match side {
+            0 => copy_while_crc,
+            _ => copy_then_crc,
+        };
+        piecewise(&payloads[rep % sets], &mut dsts[rep % sets], piece)
+    });
 
     // Checksums alone, over the sources and their copies: `2 * sets`
     // distinct buffers, so the cold mode still rotates 1 GiB.
@@ -616,8 +656,13 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         assert_eq!(shared.chunk_crcs, stream.chunk_crcs);
     }
     let pair = |rep: usize| (&pairs[rep % sets].0, &pairs[rep % sets].1);
-    let diff_full = time(reps, |rep| full_diff_path(pair(rep).0, pair(rep).1));
-    let diff_stream = time(reps, |rep| stream_diff_path(pair(rep).0, pair(rep).1));
+    let [diff_stream, diff_full] = time_pair(reps, |rep, side| {
+        let (base, new) = pair(rep);
+        match side {
+            0 => stream_diff_path(base, new),
+            _ => full_diff_path(base, new),
+        }
+    });
     let diff_shared = time(reps, |rep| {
         stream_diff_path(&pairs[rep % sets].0, &pairs[rep % sets].2)
     });
@@ -908,7 +953,8 @@ fn main() {
     // materializing diff, the one-pass decode never behind the two-pass
     // decode, and copying while checksumming never behind copying and then
     // checksumming — under whichever kernel this process dispatched to (CI
-    // runs it under the hardware and the forced-portable one).
+    // runs it under the hardware and the forced-portable one). The two
+    // sides of each gate are timed as interleaved pairs (`time_pair`).
     let gates = [
         ("fused path", hot.fused, "legacy path", hot.legacy),
         (

@@ -5,10 +5,14 @@
 //! against the base version every member last **acknowledged**. Both travel
 //! behind an explicit payload-kind envelope ([`viper_formats::wire`]) so
 //! the receiver dispatches by header, never by sniffing body magics. The
-//! codec frames only deltas: a full is the save's own buffer, which
-//! `save_weights` wrote envelope-first in its one encode pass. A directly
-//! served consumer is a group of one; a relay-tree root stands for its
-//! whole subtree.
+//! codec frames only deltas: a full is the update's own buffer, encoded
+//! envelope-first in one pass at most once per version. Under delta
+//! delivery on a memory route the save defers that encode, holding the
+//! capture, and the full's first reader makes it: a fresh consumer here,
+//! a `NeedFull` or relay retry on the delivery reactor, the durable
+//! fallback or the PFS flush. A version every consumer is sent as a delta
+//! is never encoded whole. A directly served consumer is a group of one;
+//! a relay-tree root stands for its whole subtree.
 //! The delivery layer ([`crate::delivery`]) drives the framed payload over
 //! the fabric — chunking, CRC, fault injection, NACK/retransmit, and the
 //! durable PFS fallback all compose with it.
@@ -26,7 +30,9 @@
 //! * the durable paths — background PFS flush, exhaustion fallback, and
 //!   everything the recovery/pull code reads — always store **raw, unframed
 //!   full encodings**: a zero-copy view past the envelope of the same
-//!   buffer. The envelope exists only on the wire.
+//!   buffer. The envelope exists only on the wire. A memory staging tier
+//!   under delta delivery holds a reservation of the version's bytes, not
+//!   an encoding: no engine code reads a memory staging tier.
 //!
 //! One `deliver` call encodes an update for all of its targets, so the
 //! deltas it encodes live in a [`DeltaMemo`] local to that call: a delta
@@ -154,9 +160,10 @@ impl PayloadCodec {
 /// the same bytes are re-served down every level). A delta needs a
 /// retained capture (`update.ckpt`, kept only under delta delivery) and is
 /// chosen only when [`PayloadCodec::base_for`] proves it applies at every
-/// member; otherwise they get the update's own wire full — the save's
-/// framed buffer under delta delivery, the raw encoding (byte-identical to
-/// a build without the codec layer) otherwise. A diff pass is charged from
+/// member; otherwise they get the update's own wire full — framed under
+/// delta delivery, and encoded here if this is its first reader; the raw
+/// encoding made at the save (byte-identical to a build without the codec
+/// layer) otherwise. A diff pass is charged from
 /// `frontier` — the delivery's causal instant — and moves it, once per base
 /// the update's `memo` has not seen.
 pub(crate) fn encode_for(
@@ -211,7 +218,7 @@ pub(crate) fn encode_for(
             });
             if let Some((bytes, crcs)) = encoded.clone() {
                 counters.delta_sends.inc();
-                let full_len = update.wire_full.len() as u64;
+                let full_len = record.size_bytes + wire::WIRE_HEADER_BYTES as u64;
                 counters
                     .delta_bytes_saved
                     .add(full_len.saturating_sub(bytes.len() as u64));
@@ -224,10 +231,11 @@ pub(crate) fn encode_for(
         }
         counters.delta_fallbacks.inc();
     }
+    let full = update.wire_full(ctx);
     WirePayload {
         kind: PayloadKind::Full,
-        bytes: update.wire_full.clone(),
-        crcs: Arc::clone(&update.crcs),
+        bytes: full.payload,
+        crcs: full.chunk_crcs,
     }
 }
 

@@ -80,10 +80,11 @@ pub(crate) struct DeliveryCounters {
     pub(crate) delta_fallbacks: Counter,
     /// Wire bytes saved by delta encoding vs the full encoding.
     pub(crate) delta_bytes_saved: Counter,
-    /// Fresh payload-buffer allocations: a serialize that found no
-    /// recycled arena buffer, and every encoded delta. Nothing on the
-    /// delivery path copies a payload — chunk bodies, fan-out and every
-    /// full are zero-copy views of the serialized buffer.
+    /// Fresh payload-buffer allocations: a full encode that found no
+    /// recycled arena buffer (at most one per version, and none for a
+    /// delta save no reader asked the full of), and every encoded delta.
+    /// Nothing on the delivery path copies a payload — chunk bodies,
+    /// fan-out and every resent full are zero-copy views of one buffer.
     pub(crate) payload_allocs: Counter,
     /// Feedback frames dropped because they referenced an unknown flow, a
     /// finished flow, or a superseded retransmission generation. Stale
@@ -144,8 +145,8 @@ pub(crate) fn route_label(route: Route) -> &'static str {
 pub(crate) struct DeliveryJob {
     /// The version being delivered; its flows start at `update.frontier`.
     /// `update.wire_full` is also what a `NeedFull` retry and an
-    /// escalation re-send, and `update.payload()` what the deferred durable
-    /// fallback writes under coalescing.
+    /// escalation re-send, and `update.payload` what the deferred durable
+    /// fallback writes under coalescing; either encodes a deferred full.
     pub(crate) update: Update,
     pub(crate) link: LinkKind,
     /// `(target node, encoded payload)` in fan-out order. Under
@@ -193,7 +194,7 @@ pub(crate) struct DeliveryDone {
 fn durable_fallback(ctx: &ProducerCtx, update: &Update, track: &str) -> Option<ModelRecord> {
     let telemetry = &ctx.viper.shared.config.telemetry;
     let t0 = telemetry.now_ns();
-    let relocated = ctx.make_durable(&update.record, update.payload());
+    let relocated = ctx.make_durable(&update.record, update.payload(ctx));
     if relocated.is_some() {
         ctx.counters.pfs_fallbacks.inc();
     }
@@ -249,7 +250,7 @@ pub(crate) fn deliver(
     capture: CaptureBilling,
     track: &str,
 ) -> (usize, SimInstant) {
-    let (record, full, route) = (&update.record, &update.wire_full, update.route);
+    let (record, route) = (&update.record, update.route);
     let shared = &ctx.viper.shared;
     let endpoint = &ctx.endpoint;
     let telemetry = &shared.config.telemetry;
@@ -321,16 +322,17 @@ pub(crate) fn deliver(
                     // mode the reply arrives once every flow is terminal,
                     // preserving one fan-out at a time.
                     let (reply, reply_rx) = (!options.coalesce).then(unbounded).unzip();
+                    // The fan-out is encoded: the task diffs nothing, so it
+                    // gets no base. It holds the capture only through a
+                    // deferred full, until a resend encodes it or the
+                    // update ends.
+                    let mut task_update = update.clone();
+                    task_update.ckpt = None;
+                    task_update.frontier = frontier;
                     shared.reactor.submit(
                         endpoint.node(),
                         Box::new(DeliveryJob {
-                            // The fan-out is encoded: the task diffs nothing,
-                            // and must not keep the base alive past the save.
-                            update: Update {
-                                ckpt: None,
-                                frontier,
-                                ..update.clone()
-                            },
+                            update: task_update,
                             link,
                             consumers: targets,
                             group,
@@ -353,8 +355,9 @@ pub(crate) fn deliver(
             Delivery::BestEffort => {
                 // The full travels as-is, so its encode-time chunk CRCs
                 // apply directly.
+                let full = update.wire_full(ctx);
                 let mut opts = ChunkedSend::new(config.chunk_bytes)
-                    .with_crcs(Arc::clone(&update.crcs))
+                    .with_crcs(full.chunk_crcs)
                     .at(update.frontier);
                 if let Some(stage) = capture {
                     opts = opts.with_capture(stage);
@@ -364,7 +367,7 @@ pub(crate) fn deliver(
                         continue;
                     }
                     let arrived = endpoint
-                        .send_chunked(&consumer, &tag, full.clone(), link, &opts)
+                        .send_chunked(&consumer, &tag, full.payload.clone(), link, &opts)
                         .map(|report| report.completed_at);
                     // A deregistered consumer is not an error: it raced shutdown.
                     if let Ok(arrived) = arrived {
@@ -424,9 +427,11 @@ struct UpdateState {
 /// and direct fulls when the relay root is lost, and the durable PFS fallback
 /// when a send exhausts its retries with nothing newer queued behind it.
 ///
-/// The task never serializes or copies payload bytes: the save pre-encoded
-/// every wire payload, and each full it re-sends is a view of the update's
-/// own wire full, with its encode-time chunk CRCs.
+/// The task copies no payload bytes: the caller pre-encoded every wire
+/// payload, and each full it re-sends is a view of the update's own wire
+/// full, with its encode-time chunk CRCs. A delta save's full may not be
+/// encoded yet; the task's resend is then its first reader and encodes it
+/// here, once (a fault path, priced in wall time only).
 pub(crate) struct DeliveryTask {
     ctx: Arc<ProducerCtx>,
     sender: FlowSender<(String, String)>,
@@ -473,7 +478,8 @@ impl DeliveryTask {
     }
 
     /// Update `seq` as its wire full for `to`, ready at `at`: the
-    /// `NeedFull` retry and both escalation paths.
+    /// `NeedFull` retry and both escalation paths. Encodes a deferred full
+    /// on this reactor thread.
     fn full_send(&mut self, seq: u64, to: &str, at: SimInstant) -> Outbound {
         let state = self
             .updates
@@ -481,13 +487,14 @@ impl DeliveryTask {
             .expect("a full send belongs to an update");
         let chunk_bytes = self.ctx.viper.shared.config.chunk_bytes;
         state.sent.insert(to.to_string(), PayloadKind::Full);
+        let full = state.update.wire_full(&self.ctx);
         Outbound {
             token: seq,
             to: to.to_string(),
             tag: state.update.tag(),
             link: state.link,
-            payload: state.update.wire_full.clone(),
-            opts: ChunkedSend::new(chunk_bytes).with_crcs(Arc::clone(&state.update.crcs)),
+            payload: full.payload,
+            opts: ChunkedSend::new(chunk_bytes).with_crcs(full.chunk_crcs),
             ready_at: at,
             track: state.track.clone(),
         }

@@ -5,7 +5,9 @@
 //! metadata, and delivers the payload to every attached consumer — inline
 //! (sync) or from a background thread (async). Every historical checkpoint
 //! is additionally flushed to the PFS for fault tolerance when
-//! `flush_to_pfs` is enabled.
+//! `flush_to_pfs` is enabled. Under delta delivery on a memory route the
+//! staging tier reserves the version's bytes and the full is encoded only
+//! when something reads it (see [`Update::wire_full`]).
 //!
 //! All hardware durations are charged to the deployment's virtual clock
 //! with `advance_to`, so concurrent background work overlaps in virtual
@@ -24,7 +26,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use viper_formats::{
-    wire, Checkpoint, CheckpointFormat, EncodeArena, Payload, PayloadKind, StreamingEncoder,
+    wire, Checkpoint, CheckpointFormat, EncodeArena, EncodedPayload, Payload, PayloadKind,
+    StreamingEncoder,
 };
 use viper_hw::{
     apply_time, capture_time, staging_copy_time, Route, SimClock, SimInstant, StorageTier, Tier,
@@ -56,12 +59,45 @@ pub(crate) struct ProducerCtx {
     /// Per-consumer wire-codec state (delta bases, acknowledged versions).
     pub(crate) codec: PayloadCodec,
     pub(crate) counters: DeliveryCounters,
+    /// The format every full is encoded in.
+    pub(crate) format: Box<dyn CheckpointFormat>,
+    /// Reusable serialize buffers: once the staging tiers and in-flight
+    /// flows release a past full's views, its allocation is recycled for a
+    /// later full instead of handed back to the allocator.
+    arena: Mutex<EncodeArena>,
     /// Held while a version is made durable: under coalescing the
     /// background flush and the delivery fallback can race for one version.
     durable: Mutex<()>,
 }
 
 impl ProducerCtx {
+    /// Encode `ckpt` as a version's full of `size_bytes` bytes (its
+    /// `encoded_len`), behind the wire envelope when `framed`: one fused
+    /// pass writes the bytes into a (possibly recycled) arena buffer while
+    /// their per-chunk CRCs accumulate under the deployment's chunk
+    /// geometry, so no sender re-reads them to checksum. Every full is
+    /// encoded here, on whichever thread first needs it; a fresh
+    /// allocation counts in `payload_allocs`.
+    fn encode_full(&self, ckpt: &Checkpoint, framed: bool, size_bytes: u64) -> EncodedPayload {
+        let envelope = if framed { wire::WIRE_HEADER_BYTES } else { 0 };
+        let len = envelope + size_bytes as usize;
+        let encoded = {
+            let mut arena = self.arena.lock();
+            let chunk_bytes = self.viper.shared.config.chunk_bytes;
+            let mut enc = StreamingEncoder::from_arena(&mut arena, len, chunk_bytes);
+            if framed {
+                enc.put_bytes(&wire::envelope(PayloadKind::Full));
+            }
+            self.format.encode_into(ckpt, &mut enc);
+            enc.finish_into(&mut arena)
+        };
+        debug_assert_eq!(encoded.payload.len(), len, "encoded_len is exact");
+        if !encoded.reused {
+            self.counters.payload_allocs.inc();
+        }
+        encoded
+    }
+
     /// Make `record`'s version durable: write `payload`, its raw full
     /// encoding, to `pfs/{name}/v{version}` and point the metadata record
     /// there. The background flush and the delivery fallback both land
@@ -105,8 +141,9 @@ fn staging_path(model: &str, node: &str, iteration: u64) -> String {
 /// One saved version on its way to the consumers. `save_weights` builds it
 /// once; the async worker's queue holds it, [`deliver`] and
 /// [`encode_for`](crate::codec::encode_for) borrow it, and the reliable
-/// path's [`DeliveryJob`](crate::delivery::DeliveryJob) and the task's
-/// per-update state contain it.
+/// path's [`DeliveryJob`](crate::delivery::DeliveryJob), the task's
+/// per-update state and a PFS flush job contain it. Clones share one
+/// [`Full`].
 #[derive(Clone)]
 pub(crate) struct Update {
     /// Metadata of the version (fallback relocation and notification need
@@ -115,14 +152,10 @@ pub(crate) struct Update {
     /// The captured checkpoint, for delta encoding (`None` with delta
     /// transfer off, and once the fan-out is encoded).
     pub(crate) ckpt: Option<Arc<Checkpoint>>,
-    /// The full as consumers are sent it, whenever the [`PayloadCodec`]
-    /// does not choose a delta: the save's one buffer — the raw encoding,
-    /// behind the wire envelope under delta delivery (see
-    /// [`payload`](Self::payload)).
-    pub(crate) wire_full: Payload,
-    /// Encode-time per-chunk CRCs of `wire_full` under the deployment's
-    /// chunk geometry (computed in the same pass that serialized it).
-    pub(crate) crcs: Arc<Vec<u32>>,
+    /// The full as consumers are sent it whenever the [`PayloadCodec`]
+    /// does not choose a delta, encoded at most once for every clone (see
+    /// [`wire_full`](Self::wire_full)).
+    full: Arc<Mutex<Full>>,
     pub(crate) route: Route,
     /// The causal instant at which everything done for this update so far
     /// has finished: its capture when `save_weights` hands it off, the
@@ -141,22 +174,47 @@ impl Update {
         format!("{}:{}", self.record.name, self.record.version)
     }
 
-    /// The **raw full encoding** — what the staging tiers, the PFS flush
-    /// and fallback, and the pull path read: a zero-copy view of the last
-    /// `record.size_bytes` of `wire_full`, past any envelope.
-    pub(crate) fn payload(&self) -> Payload {
-        self.wire_full
-            .slice(self.wire_full.len() - self.record.size_bytes as usize..)
+    /// The full as consumers are sent it, with its encode-time chunk CRCs:
+    /// the raw encoding, behind the wire envelope under delta delivery. A
+    /// deferred full is encoded here by the first caller, which may be the
+    /// save thread, the async worker or the delivery reactor; every later
+    /// call, on any clone, returns views of that one buffer.
+    pub(crate) fn wire_full(&self, ctx: &ProducerCtx) -> EncodedPayload {
+        let mut full = self.full.lock();
+        let encoded = match &*full {
+            Full::Encoded(encoded) => return encoded.clone(),
+            Full::Deferred(capture) => ctx.encode_full(capture, true, self.record.size_bytes),
+        };
+        *full = Full::Encoded(encoded.clone());
+        encoded
     }
+
+    /// The **raw full encoding**, what the PFS flush and fallback write: a
+    /// zero-copy view of [`wire_full`](Self::wire_full) past any envelope.
+    pub(crate) fn payload(&self, ctx: &ProducerCtx) -> Payload {
+        raw_full(&self.wire_full(ctx).payload, self.record.size_bytes)
+    }
+}
+
+/// A version's full as consumers are sent it.
+enum Full {
+    /// Not encoded yet: the capture it will be encoded from (framed, since
+    /// only a save under delta delivery defers). The first reader drops it.
+    Deferred(Arc<Checkpoint>),
+    Encoded(EncodedPayload),
+}
+
+/// The raw encoding of `size_bytes` bytes at the end of `wire`, past any
+/// envelope: a view, not a copy.
+fn raw_full(wire: &Payload, size_bytes: u64) -> Payload {
+    wire.slice(wire.len() - size_bytes as usize..)
 }
 
 enum Job {
     /// Stage and deliver an update whose capture finished at its frontier.
     Deliver(Update),
-    Flush {
-        record: ModelRecord,
-        payload: Payload,
-    },
+    /// Make an update durable on the PFS (encoding its full if no one has).
+    Flush(Update),
     /// Drain barrier: the worker replies once every job enqueued before it
     /// has fully run (spans closed, deliveries submitted). Lets
     /// `flush_deliveries` synchronize with the async-capture thread, not
@@ -174,16 +232,11 @@ pub struct Producer {
     track: String,
     gpu: Arc<StorageTier>,
     host: Arc<StorageTier>,
-    format: Box<dyn CheckpointFormat>,
     /// The causal end of the previous save's stall. Under coalescing the
     /// producer's timeline is this private chain — each save starts where
     /// the previous stall ended — because the shared clock races ahead
     /// with concurrently resolving deliveries and consumer applies.
     save_frontier: Mutex<SimInstant>,
-    /// Reusable serialize buffers: once the staging tiers and in-flight
-    /// flows release a past payload's views, its allocation is recycled
-    /// for a future save instead of handed back to the allocator.
-    arena: Mutex<EncodeArena>,
     worker_tx: Option<Sender<Job>>,
     worker: Option<JoinHandle<()>>,
 }
@@ -197,11 +250,12 @@ impl Producer {
             *profile.tier(Tier::HostMem),
             clock.clone(),
         ));
-        let format = viper.shared.config.format.build();
         let ctx = Arc::new(ProducerCtx {
             endpoint: Arc::new(viper.shared.fabric.register(node)),
             counters: DeliveryCounters::new(&viper.shared.config.telemetry, node),
             codec: PayloadCodec::new(viper.shared.config.keep_versions),
+            format: viper.shared.config.format.build(),
+            arena: Mutex::new(EncodeArena::new()),
             durable: Mutex::new(()),
             viper,
         });
@@ -258,14 +312,14 @@ impl Producer {
                                 (_, worker_free) =
                                     deliver(&ctx, &update, CaptureBilling::Lump, &worker_track);
                             }
-                            Job::Flush { record, payload } => {
+                            Job::Flush(update) => {
                                 let _span = telemetry.span_with(
                                     "producer",
                                     "flush.pfs",
                                     &worker_track,
-                                    &[("version", record.version.into())],
+                                    &[("version", update.record.version.into())],
                                 );
-                                ctx.make_durable(&record, payload);
+                                ctx.make_durable(&update.record, update.payload(&ctx));
                             }
                             Job::Barrier(reply) => {
                                 // All jobs enqueued before the barrier have
@@ -286,9 +340,7 @@ impl Producer {
             track: format!("producer:{node}"),
             gpu,
             host,
-            format,
             save_frontier,
-            arena: Mutex::new(EncodeArena::new()),
             worker_tx: Some(tx),
             worker: Some(worker),
         }
@@ -327,10 +379,13 @@ impl Producer {
         self.ctx.counters.delta_bytes_saved.get()
     }
 
-    /// Payload-buffer allocations on the save/delivery path: one per
-    /// serialize that found no recycled arena buffer, plus one per encoded
-    /// delta. Chunk framing, fan-out, retransmission and every full —
-    /// enveloped or not — ship zero-copy views of the serialized buffer.
+    /// Payload-buffer allocations on the save/delivery path: one per full
+    /// encode that found no recycled arena buffer, plus one per encoded
+    /// delta. A version's full is encoded at most once — at the save, or
+    /// under delta delivery by its first reader, and not at all if every
+    /// consumer is sent a delta and nothing makes it durable. Chunk
+    /// framing, fan-out, retransmission and every resend of a full ship
+    /// zero-copy views of that one buffer.
     pub fn payload_allocs(&self) -> u64 {
         self.ctx.counters.payload_allocs.get()
     }
@@ -338,19 +393,19 @@ impl Producer {
     /// How many saves reused a recycled arena buffer instead of
     /// allocating.
     pub fn arena_reclaimed(&self) -> u64 {
-        self.arena.lock().reclaimed()
+        self.ctx.arena.lock().reclaimed()
     }
 
     /// How many arena reclaims released a high-water allocation after a
     /// sustained run of saves that underused their buffers.
     pub fn arena_decays(&self) -> u64 {
-        self.arena.lock().decays()
+        self.ctx.arena.lock().decays()
     }
 
     /// Total backing capacity currently parked in this producer's encode
     /// arena — the memory the buffer-reuse path is holding onto.
     pub fn arena_retained_capacity(&self) -> usize {
-        self.arena.lock().retained_capacity()
+        self.ctx.arena.lock().retained_capacity()
     }
 
     /// Feedback frames dropped by the delivery reactor because they named
@@ -448,41 +503,15 @@ impl Producer {
             &[("iteration", ckpt.iteration.into())],
         );
 
-        // 1. Serialize; let the Transfer Selector pick the route (the
-        //    configured one, degraded down the tier hierarchy when the
+        // 1. Size the version; let the Transfer Selector pick the route
+        //    (the configured one, degraded down the tier hierarchy when the
         //    staging tier is under memory pressure — Fig. 7).
-        // Fused single-pass encode: tensor bytes stream straight into a
-        // (possibly recycled) arena buffer while per-chunk CRCs accumulate
-        // over the same bytes, so the wire path never re-reads the payload
-        // to checksum it. Every downstream consumer (staging tiers, chunk
-        // bodies, retransmit rounds, the PFS flush) shares zero-copy views
-        // of this one buffer. A save that retains a delta base writes the
-        // wire envelope first, so the buffer is also the framed full its
-        // consumers are sent, with that full's CRCs. Base retention is the
-        // same on every route: the configured route's plan decides it
-        // before the Transfer Selector has the encoded size it needs.
-        let plan = SavePlan::new(&shared.config, strategy.route);
-        let (encoded, envelope) = {
-            let mut arena = self.arena.lock();
-            let hint = encoded_size_hint(ckpt);
-            let mut enc = StreamingEncoder::from_arena(&mut arena, hint, shared.config.chunk_bytes);
-            if plan.retain_base {
-                enc.put_bytes(&wire::envelope(PayloadKind::Full));
-            }
-            let envelope = enc.len();
-            self.format.encode_into(ckpt, &mut enc);
-            (enc.finish_into(&mut arena), envelope)
-        };
-        if !encoded.reused {
-            self.ctx.counters.payload_allocs.inc();
-        }
-        let wire_full = encoded.payload;
-        let payload = wire_full.slice(envelope..);
-        let crcs = encoded.chunk_crcs;
-        let bytes = payload.len() as u64;
+        let ctx = &self.ctx;
+        let bytes = ctx.format.encoded_len(ckpt) as u64;
         let route = self.select_route(strategy.route, bytes);
         if telemetry.is_enabled() {
             // Serialization is pure compute: zero-width in virtual time.
+            // Its span marks the size fixed here, deferred encode or not.
             let now = started_at.as_nanos();
             telemetry.complete(
                 "producer",
@@ -505,7 +534,7 @@ impl Producer {
             );
         }
         let ntensors = ckpt.ntensors();
-        let meta_factor = self.format.metadata_ops_factor();
+        let meta_factor = ctx.format.metadata_ops_factor();
         let capture = capture_time(&shared.config.profile, route, bytes, ntensors, meta_factor);
         let plan = SavePlan::new(&shared.config, route);
         // Causal frontier of this save's charged work so far.
@@ -522,18 +551,38 @@ impl Producer {
             );
         }
 
-        // 2. Cache on the staging tier. Memory tiers are uncharged (the
-        //    payload landed there as part of the capture copy); the PFS
-        //    route's charged write *is* the capture, so it is uncharged
-        //    here too to avoid double billing. Paths are scoped by producer
-        //    node and training iteration so concurrent (data-parallel)
-        //    producers never collide.
+        // 2. The full, and its place on the staging tier. A save that
+        //    keeps a delta base on a memory route holds the capture (a
+        //    clone sharing the caller's tensors: the caller's next write to
+        //    one copies it) and defers the encode to the full's first
+        //    reader — a fresh consumer, a `NeedFull` or relay retry, the
+        //    durable fallback or the flush — which may never come; its
+        //    staging tier reserves the version's bytes. Every other save
+        //    encodes now, envelope first when it keeps a base, and stages a
+        //    view of the raw encoding; on the PFS route consumers pull it.
+        //    Memory tiers are uncharged (the payload landed there as part
+        //    of the capture copy); the PFS route's charged write *is* the
+        //    capture. Paths are scoped by producer node and training
+        //    iteration so concurrent (data-parallel) producers never
+        //    collide.
+        let capture_arc = plan.retain_base.then(|| Arc::new(ckpt.clone()));
         let path = staging_path(&ckpt.model_name, &self.node, ckpt.iteration);
-        match route {
-            Route::GpuToGpu => self.gpu.put_uncharged(&path, payload.clone(), ntensors)?,
-            Route::HostToHost => self.host.put_uncharged(&path, payload.clone(), ntensors)?,
-            Route::PfsStaging => shared.pfs.put_uncharged(&path, payload.clone(), ntensors)?,
-        }
+        let tier = match route {
+            Route::GpuToGpu => &*self.gpu,
+            Route::HostToHost => &*self.host,
+            Route::PfsStaging => &shared.pfs,
+        };
+        let full = match &capture_arc {
+            Some(capture) if route != Route::PfsStaging => {
+                tier.reserve_uncharged(&path, bytes)?;
+                Full::Deferred(Arc::clone(capture))
+            }
+            _ => {
+                let encoded = ctx.encode_full(ckpt, plan.retain_base, bytes);
+                tier.put_uncharged(&path, raw_full(&encoded.payload, bytes), ntensors)?;
+                Full::Encoded(encoded)
+            }
+        };
 
         // 3. Record metadata (the DB serializes version assignment across
         //    producers).
@@ -546,13 +595,9 @@ impl Producer {
         )
         .at_iteration(ckpt.iteration);
         // Delta mode: retain this checkpoint as a base for future diffs.
-        // The clone shares the caller's tensors; the caller's next write to
-        // one copies it.
-        let ckpt_arc = plan.retain_base.then(|| {
-            let arc = Arc::new(ckpt.clone());
-            self.ctx.codec.retain(&arc);
-            arc
-        });
+        if let Some(capture) = &capture_arc {
+            ctx.codec.retain(capture);
+        }
         let version = shared.db.put(record.clone());
         record.version = version;
         span.arg("version", version.into());
@@ -561,9 +606,8 @@ impl Producer {
 
         let update = Update {
             record,
-            ckpt: ckpt_arc,
-            wire_full,
-            crcs,
+            ckpt: capture_arc,
+            full: Arc::new(Mutex::new(full)),
             route,
             frontier: save_done,
         };
@@ -574,7 +618,7 @@ impl Producer {
         match plan.deliverer {
             Deliverer::Worker => self.enqueue(Job::Deliver(update.clone())),
             Deliverer::SaveThread => {
-                let (sent, frontier) = deliver(&self.ctx, &update, plan.capture, &self.track);
+                let (sent, frontier) = deliver(ctx, &update, plan.capture, &self.track);
                 if plan.capture == CaptureBilling::InFlow && sent == 0 {
                     // Nothing consumed the pipelined capture model: the
                     // snapshot still happened, so bill it directly.
@@ -585,10 +629,7 @@ impl Producer {
 
         // 5. Background fault-tolerance flush for memory routes.
         if shared.config.flush_to_pfs && route != Route::PfsStaging {
-            self.enqueue(Job::Flush {
-                record: update.record,
-                payload,
-            });
+            self.enqueue(Job::Flush(update));
         }
 
         // 6. Prune old versions from the staging tiers.
@@ -658,20 +699,6 @@ impl Drop for Producer {
         self.flush_deliveries();
         self.ctx.viper.shared.reactor.deregister(&self.node);
     }
-}
-
-/// Capacity hint for a checkpoint's serialized form, wire envelope
-/// included: tensor payload bytes plus a generous per-tensor/header
-/// allowance. Only a hint — a fresh buffer sized from it avoids mid-encode
-/// reallocation; a recycled arena buffer keeps whatever capacity it
-/// already grew to.
-fn encoded_size_hint(ckpt: &Checkpoint) -> usize {
-    let tensors: usize = ckpt
-        .tensors
-        .iter()
-        .map(|(name, t)| name.len() + 8 * t.dims().len() + t.byte_len() + 16)
-        .sum();
-    tensors + ckpt.model_name.len() + 64 + wire::WIRE_HEADER_BYTES
 }
 
 /// Charge `dur` from an explicit causal `base` instead of the clock's

@@ -71,11 +71,15 @@ pub struct EncodedPayload {
 /// Reuse picks the **largest** reclaimable slot — when checkpoints vary in
 /// size, a big save should find the big retired buffer, not whichever
 /// small one happened to park first. The flip side of keeping the largest
-/// allocation alive is that a workload which *shrinks* (delta saves after
-/// an initial full checkpoint) would pin the high-water allocation
-/// forever; the arena therefore decays: after [`DECAY_AFTER`] consecutive
+/// allocation alive is that a workload which *shrinks* (a producer whose
+/// model is pruned or distilled, or one that saves a large model and then
+/// a run of small ones) would pin the high-water allocation forever; the
+/// arena therefore decays: after [`DECAY_AFTER`] consecutive
 /// recycles that used less than half of the arena's high-water capacity,
 /// the next reclaim shrinks the buffer down to the caller's size hint.
+/// Delta saves never shrink it: a delta is encoded outside the arena, and
+/// the only arena encode a delta save makes is its full, when a reader
+/// needs one.
 ///
 /// [`DECAY_AFTER`]: EncodeArena::DECAY_AFTER
 #[derive(Debug, Default)]

@@ -42,8 +42,7 @@ impl CheckpointFormat for H5Lite {
     }
 
     fn encode(&self, ckpt: &Checkpoint) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(self.encoded_size(ckpt.payload_bytes(), ckpt.ntensors()) as usize);
+        let mut out = Vec::with_capacity(self.encoded_len(ckpt));
 
         // Superblock.
         out.extend_from_slice(SUPERBLOCK_MAGIC);
@@ -98,6 +97,18 @@ impl CheckpointFormat for H5Lite {
         let crc = crc32(&out);
         put_u32(&mut out, crc);
         out
+    }
+
+    fn encoded_len(&self, ckpt: &Checkpoint) -> usize {
+        let datasets: usize = ckpt
+            .tensors
+            .iter()
+            .map(|(_, tensor)| {
+                let payload = tensor.byte_len();
+                OBJECT_HEADER_SIZE + 4 + chunk_count(payload) * CHUNK_HEADER + payload
+            })
+            .sum();
+        SUPERBLOCK_SIZE + datasets + 4
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError> {

@@ -58,6 +58,12 @@ pub trait CheckpointFormat: Send + Sync {
         enc.put_bytes(&self.encode(ckpt));
     }
 
+    /// The exact length of [`encode`](Self::encode)'s output for `ckpt`,
+    /// from its names, shapes and the layout alone: no tensor byte is
+    /// read. A save sizes and routes a version by it before, or instead
+    /// of, encoding it.
+    fn encoded_len(&self, ckpt: &Checkpoint) -> usize;
+
     /// Deserialize and verify a checkpoint.
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError>;
 

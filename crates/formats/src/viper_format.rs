@@ -25,7 +25,7 @@
 //! [`FormatError::BadMagic`].
 
 use crate::checkpoint::{
-    decode_footed, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
+    decode_footed, pad_len, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
 use crate::{crc32, Checkpoint, CheckpointFormat, FormatError, Payload, StreamingEncoder};
@@ -86,6 +86,16 @@ impl CheckpointFormat for ViperFormat {
         }
         let crc = enc.crc_since(mark);
         enc.put_u32(crc);
+    }
+
+    fn encoded_len(&self, ckpt: &Checkpoint) -> usize {
+        // Magic, version, name, iteration, tensor count.
+        let mut len = 4 + 4 + 4 + ckpt.model_name.len() + 8 + 4;
+        for (name, tensor) in &ckpt.tensors {
+            len += 4 + name.len() + 4 + 8 * tensor.dims().len();
+            len += pad_len(len) + tensor.byte_len();
+        }
+        len + 4
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Checkpoint, FormatError> {

@@ -29,6 +29,31 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
         .prop_map(|(name, iter, tensors)| Checkpoint::new(name, iter, tensors))
 }
 
+/// Any rank 0-4 with extents 0-3, so zero-element tensors appear; one
+/// tensor in four is instead a vector of up to 40 000 elements, long enough
+/// for `H5Lite` to split it into several 60 KiB chunks.
+fn arb_shaped_tensor() -> impl Strategy<Value = Tensor> {
+    (
+        prop::collection::vec(0usize..4, 0..5),
+        0usize..40_000,
+        0u8..4,
+    )
+        .prop_map(|(dims, long, pick)| {
+            let dims = if pick == 0 { vec![long] } else { dims };
+            Tensor::full(&dims, 1.5)
+        })
+}
+
+/// Names of 0-64 bytes, multi-byte UTF-8 included, under any model name.
+fn arb_shaped_checkpoint() -> impl Strategy<Value = Checkpoint> {
+    (
+        "[a-zA-Z0-9 ._/é中😀]{0,40}",
+        0u64..u64::MAX,
+        prop::collection::vec(("[a-z/_0-9é中😀]{0,16}", arb_shaped_tensor()), 0..8),
+    )
+        .prop_map(|(name, iter, tensors)| Checkpoint::new(name, iter, tensors))
+}
+
 /// Elements drawn as raw bit patterns, so NaNs (any payload), ±0.0,
 /// infinities, and subnormals all appear — the values where `PartialEq`
 /// and byte equality disagree.
@@ -170,6 +195,15 @@ proptest! {
         prop_assert_eq!(decoded.iteration, d.iteration);
         let (rebuilt, _) = delta::apply_owned(&base, decoded).unwrap();
         prop_assert!(bits_equal(&rebuilt, &new));
+    }
+
+    /// `encoded_len` is exact: a save sizes, routes and charges a version
+    /// by it without encoding.
+    #[test]
+    fn encoded_len_is_the_encodings_length(ckpt in arb_shaped_checkpoint()) {
+        for f in [&ViperFormat as &dyn CheckpointFormat, &H5Lite] {
+            prop_assert_eq!(f.encoded_len(&ckpt), f.encode(&ckpt).len(), "{}", f.name());
+        }
     }
 
     #[test]

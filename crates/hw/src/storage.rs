@@ -28,6 +28,9 @@ pub enum StorageError {
     },
     /// No object with the given key exists on this tier.
     NotFound(String),
+    /// The key holds a reservation: its bytes count against the tier's
+    /// capacity, but the tier holds no encoding to read.
+    Reserved(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for StorageError {
                 "capacity exceeded on {tier}: requested {requested} bytes, {available} available"
             ),
             StorageError::NotFound(key) => write!(f, "object not found: {key}"),
+            StorageError::Reserved(key) => write!(f, "reserved, not stored: {key}"),
         }
     }
 }
@@ -60,12 +64,30 @@ pub struct StoredObject {
     pub written_at: crate::SimInstant,
 }
 
+/// What a key holds: an object, or a reservation of `len` bytes for one
+/// whose encoding lives elsewhere (or does not exist yet).
+#[derive(Debug, Clone)]
+enum Slot {
+    Object(StoredObject),
+    Reserved(u64),
+}
+
+impl Slot {
+    /// Bytes the slot counts against the tier's capacity.
+    fn len(&self) -> u64 {
+        match self {
+            Slot::Object(o) => o.bytes.len() as u64,
+            Slot::Reserved(len) => *len,
+        }
+    }
+}
+
 /// A storage tier instance on a simulated node.
 #[derive(Debug)]
 pub struct StorageTier {
     spec: TierSpec,
     clock: SimClock,
-    objects: Mutex<HashMap<String, StoredObject>>,
+    objects: Mutex<HashMap<String, Slot>>,
     used: Mutex<u64>,
     /// When set, payloads are additionally persisted as files under this
     /// directory (durable across process restarts, like a real PFS).
@@ -118,11 +140,11 @@ impl StorageTier {
                 *used += bytes.len() as u64;
                 objects.insert(
                     key,
-                    StoredObject {
+                    Slot::Object(StoredObject {
                         bytes: Payload::from(bytes),
                         ntensors: 0,
                         written_at: tier.clock.now(),
-                    },
+                    }),
                 );
             }
         }
@@ -171,7 +193,7 @@ impl StorageTier {
         *self.used.lock()
     }
 
-    /// Number of stored objects.
+    /// Number of stored objects and reservations.
     pub fn object_count(&self) -> usize {
         self.objects.lock().len()
     }
@@ -186,37 +208,37 @@ impl StorageTier {
     ) -> Result<Duration, StorageError> {
         let bytes = bytes.into();
         let new_len = bytes.len() as u64;
-        {
-            let mut used = self.used.lock();
-            let existing = self
-                .objects
-                .lock()
-                .get(key)
-                .map(|o| o.bytes.len() as u64)
-                .unwrap_or(0);
-            let projected = *used - existing + new_len;
-            if projected > self.spec.capacity {
-                return Err(StorageError::CapacityExceeded {
-                    tier: self.spec.tier,
-                    requested: new_len,
-                    available: self.spec.capacity.saturating_sub(*used - existing),
-                });
-            }
-            *used = projected;
-        }
+        self.admit(key, new_len)?;
         let dur = self.spec.write_time(new_len, ntensors);
         let done = self.clock.now().add(dur);
         self.clock.advance_to(done);
         self.persist(key, &bytes);
         self.objects.lock().insert(
             key.to_string(),
-            StoredObject {
+            Slot::Object(StoredObject {
                 bytes,
                 ntensors,
                 written_at: done,
-            },
+            }),
         );
         Ok(dur)
+    }
+
+    /// Count `new_len` bytes under `key` against the capacity, replacing
+    /// whatever `key` held, or fail without changing anything.
+    fn admit(&self, key: &str, new_len: u64) -> Result<(), StorageError> {
+        let mut used = self.used.lock();
+        let existing = self.objects.lock().get(key).map_or(0, Slot::len);
+        let projected = *used - existing + new_len;
+        if projected > self.spec.capacity {
+            return Err(StorageError::CapacityExceeded {
+                tier: self.spec.tier,
+                requested: new_len,
+                available: self.spec.capacity.saturating_sub(*used - existing),
+            });
+        }
+        *used = projected;
+        Ok(())
     }
 
     /// Whether `additional` more bytes would fit right now (advisory: a
@@ -236,57 +258,56 @@ impl StorageTier {
         ntensors: usize,
     ) -> Result<(), StorageError> {
         let bytes = bytes.into();
-        let new_len = bytes.len() as u64;
-        {
-            let mut used = self.used.lock();
-            let existing = self
-                .objects
-                .lock()
-                .get(key)
-                .map(|o| o.bytes.len() as u64)
-                .unwrap_or(0);
-            let projected = *used - existing + new_len;
-            if projected > self.spec.capacity {
-                return Err(StorageError::CapacityExceeded {
-                    tier: self.spec.tier,
-                    requested: new_len,
-                    available: self.spec.capacity.saturating_sub(*used - existing),
-                });
-            }
-            *used = projected;
-        }
+        self.admit(key, bytes.len() as u64)?;
         self.persist(key, &bytes);
         self.objects.lock().insert(
             key.to_string(),
-            StoredObject {
+            Slot::Object(StoredObject {
                 bytes,
                 ntensors,
                 written_at: self.clock.now(),
-            },
+            }),
         );
         Ok(())
+    }
+
+    /// Count `bytes` bytes under `key` against the capacity WITHOUT
+    /// storing an encoding or charging modeled time: for a version whose
+    /// placement was priced elsewhere and whose bytes the caller holds
+    /// (or can make) itself. The key lists, and [`remove`] frees it, like
+    /// an object; reading it fails with [`StorageError::Reserved`]. Never
+    /// persisted to disk.
+    ///
+    /// [`remove`]: StorageTier::remove
+    pub fn reserve_uncharged(&self, key: &str, bytes: u64) -> Result<(), StorageError> {
+        self.admit(key, bytes)?;
+        self.unpersist(key);
+        self.objects
+            .lock()
+            .insert(key.to_string(), Slot::Reserved(bytes));
+        Ok(())
+    }
+
+    /// The object under `key`, if it holds one.
+    fn object(&self, key: &str) -> Result<StoredObject, StorageError> {
+        match self.objects.lock().get(key) {
+            Some(Slot::Object(obj)) => Ok(obj.clone()),
+            Some(Slot::Reserved(_)) => Err(StorageError::Reserved(key.to_string())),
+            None => Err(StorageError::NotFound(key.to_string())),
+        }
     }
 
     /// Fetch the object under `key` WITHOUT charging modeled time — the
     /// counterpart of [`StorageTier::put_uncharged`] for reads whose cost
     /// is priced elsewhere.
     pub fn get_uncharged(&self, key: &str) -> Result<Payload, StorageError> {
-        self.objects
-            .lock()
-            .get(key)
-            .map(|o| o.bytes.clone())
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))
+        self.object(key).map(|o| o.bytes)
     }
 
     /// Fetch the object under `key`. Returns the payload and the modeled
     /// read duration (also charged to the clock).
     pub fn read(&self, key: &str) -> Result<(Payload, Duration), StorageError> {
-        let obj = self
-            .objects
-            .lock()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
+        let obj = self.object(key)?;
         let dur = self.spec.read_time(obj.bytes.len() as u64, obj.ntensors);
         self.clock.advance_to(self.clock.now().add(dur));
         Ok((obj.bytes, dur))
@@ -297,8 +318,8 @@ impl StorageTier {
     /// tier's fixed write latency.
     pub fn remove(&self, key: &str) -> bool {
         let removed = self.objects.lock().remove(key);
-        if let Some(obj) = &removed {
-            *self.used.lock() -= obj.bytes.len() as u64;
+        if let Some(slot) = &removed {
+            *self.used.lock() -= slot.len();
             self.unpersist(key);
             self.clock
                 .advance_to(self.clock.now().add(self.spec.write_latency));
@@ -306,7 +327,7 @@ impl StorageTier {
         removed.is_some()
     }
 
-    /// Whether an object exists under `key`.
+    /// Whether an object or a reservation exists under `key`.
     pub fn contains(&self, key: &str) -> bool {
         self.objects.lock().contains_key(key)
     }
@@ -424,6 +445,60 @@ mod tests {
         let t = tiny_tier(100);
         assert!(t.put_uncharged("a", Arc::new(vec![0u8; 101]), 1).is_err());
         assert!(t.put_uncharged("a", Arc::new(vec![0u8; 100]), 1).is_ok());
+    }
+
+    #[test]
+    fn a_reservation_counts_against_capacity() {
+        let t = tiny_tier(100);
+        t.reserve_uncharged("a", 80).unwrap();
+        assert_eq!((t.used_bytes(), t.object_count()), (80, 1));
+        let err = t.reserve_uncharged("b", 30).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::CapacityExceeded {
+                requested: 30,
+                available: 20,
+                ..
+            }
+        ));
+        assert!(t.put_uncharged("b", Arc::new(vec![0u8; 30]), 1).is_err());
+        // Replacing the reservation counts the new size alone.
+        t.reserve_uncharged("a", 100).unwrap();
+        assert_eq!(t.used_bytes(), 100);
+        assert!(!t.has_capacity_for(1));
+    }
+
+    #[test]
+    fn removing_a_reservation_frees_its_bytes() {
+        let t = tiny_tier(100);
+        t.reserve_uncharged("a", 100).unwrap();
+        assert!(t.contains("a"));
+        assert!(t.remove("a"));
+        assert!(!t.remove("a"));
+        assert_eq!((t.used_bytes(), t.object_count()), (0, 0));
+        assert!(t.put_uncharged("b", Arc::new(vec![0u8; 100]), 1).is_ok());
+    }
+
+    #[test]
+    fn a_reservation_cannot_be_read() {
+        let clock = SimClock::new();
+        let t = StorageTier::new(
+            *MachineProfile::polaris().tier(Tier::HostMem),
+            clock.clone(),
+        );
+        t.reserve_uncharged("a", 64).unwrap();
+        let reserved = Err(StorageError::Reserved("a".into()));
+        assert_eq!(t.get_uncharged("a"), reserved);
+        assert_eq!(t.read("a").map(|(bytes, _)| bytes), reserved);
+        assert_eq!(
+            clock.now(),
+            crate::SimInstant::ZERO,
+            "a failed read is free"
+        );
+        // An object written over the reservation reads as usual.
+        t.put_uncharged("a", Arc::new(vec![3u8; 64]), 1).unwrap();
+        assert_eq!(t.get_uncharged("a").unwrap(), vec![3u8; 64]);
+        assert_eq!(t.used_bytes(), 64);
     }
 
     #[test]

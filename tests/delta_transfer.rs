@@ -6,7 +6,7 @@
 use std::time::Duration;
 use viper::telemetry::{EventKind, Telemetry};
 use viper::{Viper, ViperConfig};
-use viper_formats::Checkpoint;
+use viper_formats::{Checkpoint, CheckpointFormat, ViperFormat};
 use viper_hw::{CaptureMode, Route, Tier};
 use viper_net::{FaultPlan, RetryPolicy};
 use viper_tensor::Tensor;
@@ -267,6 +267,105 @@ fn retry_exhaustion_with_delta_falls_back_to_durable_full() {
     // Recovery reads the same durable raw encodings.
     let fresh = viper.consumer("c2", "m");
     assert_eq!(fresh.recover().unwrap().iteration, 2);
+}
+
+/// A delta save defers its full; when its delta then exhausts on a link
+/// that died after save 1, the durable fallback is that full's first
+/// reader: it encodes the never-encoded version for the PFS.
+#[test]
+fn an_exhausted_delta_falls_back_to_a_full_encoded_for_the_pfs() {
+    for seed in fault_seeds() {
+        let mut config = delta_config(Route::GpuToGpu).with_retry(RetryPolicy {
+            max_retries: 2,
+            ack_timeout: Duration::from_millis(20),
+            nack_after: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        });
+        config.chunk_bytes = 1024;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let consumer = viper.consumer("c", "m");
+        let first = finetune_ckpt(1, 2_000);
+        producer.save_weights(&first).unwrap();
+        assert_eq!(
+            *consumer.load_weights(Duration::from_secs(30)).unwrap(),
+            first
+        );
+        producer.flush_deliveries();
+
+        viper.set_fault_plan(Some(FaultPlan::seeded(seed).with_drop(1.0)));
+        let second = finetune_ckpt(2, 2_000);
+        producer.save_weights(&second).unwrap();
+        assert_eq!(
+            producer.delta_sends(),
+            1,
+            "seed {seed}: save 2 went as a delta"
+        );
+        assert_eq!(producer.deliveries_exhausted(), 1, "seed {seed}");
+        assert_eq!(producer.pfs_fallbacks(), 1, "seed {seed}");
+        let record = viper.metadata().latest("m").unwrap();
+        assert_eq!(
+            (record.location.as_str(), record.path.as_str()),
+            (Tier::Pfs.name(), "pfs/m/v2")
+        );
+        let durable = viper.pfs().get_uncharged("pfs/m/v2").unwrap();
+        assert_eq!(durable.len() as u64, record.size_bytes, "seed {seed}");
+        let recovered = viper.consumer("c2", "m").recover().unwrap();
+        assert_eq!(ViperFormat.encode(&recovered), ViperFormat.encode(&second));
+    }
+}
+
+/// Async delivery holds the capture, not an encoding, until the worker
+/// sends it: a write the trainer makes in place right after the save
+/// returns copies the written tensor, so a fresh consumer installs the
+/// saved values.
+#[test]
+fn an_in_place_write_after_an_async_save_does_not_reach_the_consumer() {
+    let mut config = delta_config(Route::GpuToGpu);
+    config.strategy.mode = CaptureMode::Async;
+    let viper = Viper::new(config);
+    let producer = viper.producer("p");
+    let consumer = viper.consumer("c", "m");
+    let mut model = finetune_ckpt(1, 1 << 20);
+    let saved = model.clone();
+    producer.save_weights(&model).unwrap();
+    model.tensors[0].1.as_mut_slice().fill(-3.0);
+    model.tensors[1].1.as_mut_slice()[0] = -3.0;
+    let installed = consumer.load_weights(Duration::from_secs(30)).unwrap();
+    assert_eq!(*installed, saved);
+    assert_eq!(saved, finetune_ckpt(1, 1 << 20));
+    assert_ne!(*installed, model);
+    assert_eq!(
+        producer.delta_fallbacks(),
+        1,
+        "a fresh consumer is sent the full"
+    );
+}
+
+/// With the background flush on, a delta save's full is encoded by the
+/// flush when no consumer needed it: every durable copy decodes to its
+/// save.
+#[test]
+fn the_flush_writes_every_delta_save_as_its_full() {
+    let mut config = delta_config(Route::GpuToGpu);
+    config.flush_to_pfs = true;
+    let viper = Viper::new(config);
+    let producer = viper.producer("p");
+    let consumer = viper.consumer("c", "m");
+    for iter in 1..=4u64 {
+        producer.save_weights(&finetune_ckpt(iter, 2_000)).unwrap();
+        consumer.load_weights(Duration::from_secs(30)).unwrap();
+    }
+    producer.flush_deliveries();
+    assert_eq!(producer.delta_sends(), 3);
+    for version in 1..=4u64 {
+        let path = format!("pfs/m/v{version}");
+        let durable = viper.pfs().get_uncharged(&path).unwrap();
+        let decoded = ViperFormat.decode(&durable).unwrap();
+        assert_eq!(decoded, finetune_ckpt(version, 2_000), "{path}");
+        let record = viper.metadata().get("m", version).unwrap();
+        assert_eq!(record.path, path);
+    }
 }
 
 #[test]

@@ -128,53 +128,74 @@ fn staging_tier_capacity_exhaustion_fails_save_but_not_training() {
     assert_eq!(callback.receipts().lock().len(), 0);
 }
 
+/// The Transfer Selector's deployment with `full` memory tiers shrunk to
+/// 64 bytes, with or without delta delivery.
+fn squeezed(full: &[Tier], delta: bool) -> ViperConfig {
+    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
+    if delta {
+        config = config.with_delta();
+    }
+    config.flush_to_pfs = false;
+    for tier in &mut config.profile.tiers {
+        if full.contains(&tier.tier) {
+            tier.capacity = 64;
+        }
+    }
+    config
+}
+
 #[test]
 fn transfer_selector_falls_back_when_gpu_memory_full() {
     // Same memory pressure, but with the (default) fallback on: the save
     // must succeed via the host route and the consumer must still get it.
-    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
-    config.flush_to_pfs = false;
-    for tier in &mut config.profile.tiers {
-        if tier.tier == Tier::GpuMem {
-            tier.capacity = 64;
-        }
-    }
-    let viper = Viper::new(config);
-    let producer = viper.producer("p");
-    let consumer = viper.consumer("c", "m");
+    // Under delta delivery the host tier holds a reservation of the
+    // version's bytes, since its full is encoded only for a reader.
+    for delta in [false, true] {
+        let viper = Viper::new(squeezed(&[Tier::GpuMem], delta));
+        let producer = viper.producer("p");
+        let consumer = viper.consumer("c", "m");
 
-    producer.save_weights(&ckpt(1)).unwrap();
-    let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
-    assert_eq!(got.iteration, 1);
-    // The checkpoint was staged on host memory, not GPU memory.
-    assert_eq!(
-        viper.metadata().latest("m").unwrap().location,
-        Tier::HostMem.name()
-    );
-    assert_eq!(producer.gpu_tier().object_count(), 0);
-    assert_eq!(producer.host_tier().object_count(), 1);
+        producer.save_weights(&ckpt(1)).unwrap();
+        let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
+        assert_eq!(*got, ckpt(1), "delta {delta}");
+        // The checkpoint was staged on host memory, not GPU memory.
+        assert_eq!(
+            viper.metadata().latest("m").unwrap().location,
+            Tier::HostMem.name()
+        );
+        assert_eq!(producer.gpu_tier().object_count(), 0);
+        let host = producer.host_tier();
+        assert_eq!(host.keys(), ["m/p/i1"], "delta {delta}");
+        assert_eq!(host.used_bytes(), got_bytes(&viper), "delta {delta}");
+        assert_eq!(host.get_uncharged("m/p/i1").is_err(), delta);
+    }
+}
+
+/// The encoded size the metadata DB recorded for the latest version.
+fn got_bytes(viper: &Viper) -> u64 {
+    viper.metadata().latest("m").unwrap().size_bytes
 }
 
 #[test]
 fn transfer_selector_falls_back_to_pfs_when_all_memory_full() {
-    let mut config = ViperConfig::default().with_strategy(Route::GpuToGpu, CaptureMode::Sync);
-    config.flush_to_pfs = false;
-    for tier in &mut config.profile.tiers {
-        if matches!(tier.tier, Tier::GpuMem | Tier::HostMem) {
-            tier.capacity = 64;
-        }
-    }
-    let viper = Viper::new(config);
-    let producer = viper.producer("p");
-    let consumer = viper.consumer("c", "m");
+    // On the PFS route consumers pull the staged object, so the save
+    // encodes its full under delta delivery too.
+    for delta in [false, true] {
+        let viper = Viper::new(squeezed(&[Tier::GpuMem, Tier::HostMem], delta));
+        let producer = viper.producer("p");
+        let consumer = viper.consumer("c", "m");
 
-    producer.save_weights(&ckpt(2)).unwrap();
-    let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
-    assert_eq!(got.iteration, 2);
-    assert_eq!(
-        viper.metadata().latest("m").unwrap().location,
-        Tier::Pfs.name()
-    );
+        producer.save_weights(&ckpt(2)).unwrap();
+        let got = consumer.load_weights(Duration::from_secs(10)).unwrap();
+        assert_eq!(*got, ckpt(2), "delta {delta}");
+        assert_eq!(
+            viper.metadata().latest("m").unwrap().location,
+            Tier::Pfs.name()
+        );
+        let staged = viper.pfs().get_uncharged("m/p/i2").unwrap();
+        assert_eq!(staged.len() as u64, got_bytes(&viper), "delta {delta}");
+        assert_eq!(producer.payload_allocs(), 1, "delta {delta}");
+    }
 }
 
 #[test]

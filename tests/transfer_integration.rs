@@ -590,7 +590,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono delta",
         [57178, 57178, 57178, 57178],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Sync mono coalescing",
@@ -600,7 +600,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Sync mono relay",
@@ -610,7 +610,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono relay+delta",
         [57178, 57178, 57178, 57178],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Sync mono relay+coalescing",
@@ -620,7 +620,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono relay+delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Sync chunked best-effort",
@@ -635,7 +635,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked delta",
         [135865, 135865, 135865, 135865],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Sync chunked coalescing",
@@ -645,7 +645,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Sync chunked relay",
@@ -655,7 +655,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked relay+delta",
         [135865, 135865, 135865, 135865],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Sync chunked relay+coalescing",
@@ -665,7 +665,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked relay+delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Async mono best-effort",
@@ -680,7 +680,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono delta",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Async mono coalescing",
@@ -690,7 +690,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Async mono relay",
@@ -700,7 +700,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono relay+delta",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Async mono relay+coalescing",
@@ -710,7 +710,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono relay+delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Async chunked best-effort",
@@ -725,7 +725,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked delta",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Async chunked coalescing",
@@ -735,7 +735,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [9, 3, 0, 7, 0, 0],
+        [9, 3, 0, 4, 0, 0],
     ),
     (
         "Async chunked relay",
@@ -745,7 +745,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked relay+delta",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
     (
         "Async chunked relay+coalescing",
@@ -755,7 +755,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked relay+delta+coalescing",
         [21749, 21749, 21749, 21749],
-        [3, 1, 4, 7, 8, 0],
+        [3, 1, 4, 4, 8, 0],
     ),
 ];
 

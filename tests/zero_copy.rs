@@ -2,7 +2,8 @@
 //! is the only payload allocation per save, and every downstream stage —
 //! staging-tier cache, chunk framing, fan-out to multiple consumers,
 //! reliable ACK-gated flows, the enveloped full under delta delivery,
-//! reassembly, install — operates on zero-copy views of it. The producer's
+//! reassembly, install — operates on zero-copy views of it. Under delta
+//! delivery that buffer is encoded only when a reader needs the full. The producer's
 //! `payload_allocs` and the consumers' `bytes_copied` counters assert this
 //! directly, the installed tensors are shown to lie inside the producer's
 //! buffer, and the delivered models are byte-for-byte intact.
@@ -208,13 +209,14 @@ fn chunked_fanout_frames_without_producer_copies() {
     );
 }
 
-/// Under delta delivery a full is the save's own buffer, written
-/// envelope-first by the encode: three fresh consumers' fulls cost the one
-/// serialize allocation and nothing more. A consumer that restarts under
-/// the same name rejects the next delta with `NeedFull`, and the retry
-/// re-sends that save's buffer — no allocation either.
+/// Under delta delivery a version's full is encoded once, by its first
+/// reader, and not at all if no one reads it. Save 1's three fresh
+/// consumers are sent one encode. Save 2 stages only a reservation, and its
+/// warm consumers cost one shared delta. A consumer that restarts under the
+/// same name rejects that delta with `NeedFull`; the retry is save 2's
+/// single full encode, made on the delivery reactor.
 #[test]
-fn delta_fulls_are_the_saves_own_buffer() {
+fn delta_saves_encode_their_full_once_for_its_first_reader() {
     for chunk_bytes in [0, 16 * 1024] {
         let mut config = ViperConfig::default()
             .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
@@ -241,12 +243,20 @@ fn delta_fulls_are_the_saves_own_buffer() {
             assert_eq!(
                 producer.payload_allocs(),
                 1,
-                "{chunk_bytes}: the fulls are views of the serialize"
+                "{chunk_bytes}: three fulls, one encode"
             );
             // `doomed` restarts here; the producer still tracks its base.
         }
         let reborn = viper.consumer("c0", "m");
         producer.save_weights(&ckpt(2, 50_000)).unwrap();
+        let staged = producer.gpu_tier().keys();
+        assert_eq!(staged.len(), 2, "{chunk_bytes}: both versions staged");
+        assert!(
+            staged
+                .iter()
+                .all(|key| producer.gpu_tier().get_uncharged(key).is_err()),
+            "{chunk_bytes}: a deferred full stages a reservation, not bytes"
+        );
         for consumer in warm.iter().chain([&reborn]) {
             let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
             assert_eq!(*model, ckpt(2, 50_000), "{chunk_bytes}");
@@ -262,7 +272,7 @@ fn delta_fulls_are_the_saves_own_buffer() {
         assert_eq!(
             producer.payload_allocs(),
             3,
-            "{chunk_bytes}: save 2 is a serialize and one shared delta; the retry allocates nothing"
+            "{chunk_bytes}: save 2 is one shared delta and, for the retry, one full encode"
         );
     }
 }
