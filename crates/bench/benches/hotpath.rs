@@ -29,7 +29,12 @@
 //! payload: every tensor is a view of the payload, so the receive only
 //! checksums. The `crc_copy` section prices the primitive under all of it:
 //! `memcpy`, `crc32`, `memcpy` then `crc32`, and `Crc32::update_copying`,
-//! tensor by tensor.
+//! tensor by tensor. The `split` section times the two byte passes a
+//! delivery splits across the host's cores against the same pass on one
+//! share: the fused encode (one share: every tensor appended with
+//! `put_bytes`, which copies and checksums on the calling thread) and the
+//! receive verify of a drained batch (one share: each chunk's body CRC in
+//! turn, what `FlowAssembler::accept` computes inline).
 //!
 //! Every section runs **hot** — one input, revisited by every repetition,
 //! so at the 24 MiB full size (2 MiB under `--test`) it sits in a large
@@ -44,14 +49,14 @@
 use std::hint::black_box;
 use std::time::Instant;
 use viper_formats::{
-    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_with, delta, wire, Checkpoint,
-    CheckpointFormat, Crc32, Crc32Kernel, EncodeArena, Payload, PayloadKind, StreamingEncoder,
-    ViperFormat,
+    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_with, delta, share_count, wire,
+    Checkpoint, CheckpointFormat, Crc32, Crc32Kernel, EncodeArena, EncodedPayload, Payload,
+    PayloadKind, StreamingEncoder, ViperFormat,
 };
 use viper_hw::{MachineProfile, SimClock};
 use viper_net::{
-    chunk_sizes, payload_chunk_crcs, AssembledFlow, ChunkHeader, ChunkedSend, Fabric,
-    FlowAssembler, FlowStatus, LinkKind, WireBuf,
+    chunk_body_crc, chunk_sizes, payload_chunk_crcs, AssembledFlow, ChunkHeader, ChunkedSend,
+    Fabric, FlowAssembler, FlowStatus, LinkKind, Message, WireBuf,
 };
 use viper_tensor::Tensor;
 
@@ -59,7 +64,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "interleaved-gate-pairs";
+const HISTORY_LABEL: &str = "split-byte-passes";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -151,6 +156,55 @@ fn framed_full_path(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize)
     enc.put_bytes(&wire::envelope(PayloadKind::Full));
     ViperFormat.encode_into(ckpt, &mut enc);
     enc.finish_into(arena).payload.len()
+}
+
+/// The fused encode as `save_weights` runs it: split across the host's
+/// cores once it is large enough.
+fn split_encode(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize) -> EncodedPayload {
+    let mut enc = StreamingEncoder::from_arena(arena, capacity, CHUNK_BYTES);
+    ViperFormat.encode_into(ckpt, &mut enc);
+    enc.finish_into(arena)
+}
+
+/// The same encode on one share: `ViperFormat`'s layout through the
+/// encoder's public writers, every tensor appended with `put_bytes`, which
+/// copies and checksums it at once on the calling thread.
+fn one_share_encode(ckpt: &Checkpoint, arena: &mut EncodeArena, capacity: usize) -> EncodedPayload {
+    let mut enc = StreamingEncoder::from_arena(arena, capacity, CHUNK_BYTES);
+    let mark = enc.mark();
+    enc.put_bytes(b"VIPR");
+    enc.put_u32(2);
+    enc.put_string(&ckpt.model_name);
+    enc.put_u64(ckpt.iteration);
+    enc.put_u32(ckpt.tensors.len() as u32);
+    for (name, tensor) in &ckpt.tensors {
+        enc.put_string(name);
+        enc.put_u32(tensor.dims().len() as u32);
+        for &d in tensor.dims() {
+            enc.put_u64(d as u64);
+        }
+        enc.put_pad(mark);
+        enc.put_bytes(tensor.as_bytes());
+    }
+    let crc = enc.crc_since(mark);
+    enc.put_u32(crc);
+    enc.finish_into(arena)
+}
+
+/// The receive verify as a drain runs it: one fork-join over the batch's
+/// bodies, or, for a batch too small to split (or on a one-core host),
+/// the inline checksum of each body.
+fn split_verify(batch: &[Message]) -> Vec<Option<u32>> {
+    let crcs = FlowAssembler::verify_batch(batch);
+    match crcs.is_empty() {
+        true => one_share_verify(batch),
+        false => crcs,
+    }
+}
+
+/// The same verify on one share: each chunk's body CRC in turn.
+fn one_share_verify(batch: &[Message]) -> Vec<Option<u32>> {
+    batch.iter().map(chunk_body_crc).collect()
 }
 
 /// Median of `reps` timed runs of `f`, in seconds. `f` is handed the
@@ -275,17 +329,23 @@ fn misaligned(bytes: &[u8]) -> Payload {
     Payload::from(buf).slice(1..)
 }
 
-/// `payload` as the consumer's assembler releases it: sent as a
-/// `CHUNK_BYTES`-chunked flow and reassembled, a view of the same bytes.
-fn assembled(payload: &Payload) -> Box<AssembledFlow> {
+/// `payload` sent as a `CHUNK_BYTES`-chunked flow, as the consumer drains
+/// it: one batch of chunks whose bodies are views of the payload.
+fn received(payload: &Payload) -> Vec<Message> {
     let fabric = Fabric::new(MachineProfile::polaris(), SimClock::new());
     let (producer, consumer) = (fabric.register("p"), fabric.register("c"));
     let opts = ChunkedSend::new(CHUNK_BYTES);
     producer
         .send_chunked("c", "m:1", payload.clone(), LinkKind::GpuDirect, &opts)
         .unwrap();
+    std::iter::from_fn(|| consumer.try_recv()).collect()
+}
+
+/// `payload` as the consumer's assembler releases it: sent as a
+/// `CHUNK_BYTES`-chunked flow and reassembled, a view of the same bytes.
+fn assembled(payload: &Payload) -> Box<AssembledFlow> {
     let mut asm = FlowAssembler::new();
-    while let Some(msg) = consumer.try_recv() {
+    for msg in received(payload) {
         if let FlowStatus::Complete(flow) = asm.accept(msg) {
             return flow;
         }
@@ -458,6 +518,12 @@ struct Rows {
     decode_verified: f64,
     verify_then_decode: f64,
     verify_then_view: f64,
+    /// Shares the split passes cut a checkpoint of this size into here.
+    shares: usize,
+    encode_one_share: f64,
+    encode_split: f64,
+    verify_one_share: f64,
+    verify_split: f64,
 }
 
 /// Time every section on checkpoints of `elems` f32s. `sets` distinct
@@ -496,6 +562,22 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
             0 => fused_path(&ckpts[set], &mut arenas[set], bytes),
             _ => legacy_path(format, &ckpts[set]),
         }
+    });
+    // The encode split across the cores against one share: the same bytes
+    // and chunk CRCs, through the same (warm) arenas.
+    let split = split_encode(&ckpts[0], &mut arenas[0], bytes);
+    let one = one_share_encode(&ckpts[0], &mut arenas[0], bytes);
+    assert_eq!(split.payload.as_slice(), one.payload.as_slice());
+    assert_eq!(split.chunk_crcs, one.chunk_crcs);
+    drop((split, one));
+    let [encode_split, encode_one_share] = time_pair(reps, |rep, side| {
+        let set = rep % sets;
+        match side {
+            0 => split_encode(&ckpts[set], &mut arenas[set], bytes),
+            _ => one_share_encode(&ckpts[set], &mut arenas[set], bytes),
+        }
+        .payload
+        .len()
     });
     drop(arenas);
 
@@ -567,6 +649,19 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     drop(slot);
     drop(shared);
 
+    // The receive verify of a whole flow drained as one batch, split
+    // across the cores against one share.
+    let batches: Vec<Vec<Message>> = payloads.iter().map(received).collect();
+    assert_eq!(split_verify(&batches[0]), one_share_verify(&batches[0]));
+    let [verify_split, verify_one_share] = time_pair(reps, |rep, side| {
+        let batch = &batches[rep % sets];
+        match side {
+            0 => split_verify(batch),
+            _ => one_share_verify(batch),
+        }
+    });
+    drop(batches);
+
     // The primitive, tensor-sized piece by piece, into preallocated
     // destinations. Identity: both ways copy the source and roll its CRC.
     let mut dsts: Vec<Vec<u8>> = (0..sets).map(|_| vec![0u8; bytes]).collect();
@@ -633,11 +728,10 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
     let diff_changed = pairs[0].3;
     {
         let (diff_base, diff_new, diff_shared, _) = &pairs[0];
+        let materialized = delta::diff(diff_base, diff_new).unwrap();
         let mut full = StreamingEncoder::new(CHUNK_BYTES);
         full.put_bytes(&wire::envelope(PayloadKind::Delta));
-        delta::diff(diff_base, diff_new)
-            .unwrap()
-            .encode_into(&mut full);
+        materialized.encode_into(&mut full);
         let mut stream = StreamingEncoder::new(CHUNK_BYTES);
         stream.put_bytes(&wire::envelope(PayloadKind::Delta));
         delta::diff_into(diff_base, diff_new, &mut stream).unwrap();
@@ -702,6 +796,11 @@ fn measure(elems: usize, reps: usize, sets: usize) -> Rows {
         decode_verified,
         verify_then_decode,
         verify_then_view,
+        shares: share_count(bytes),
+        encode_one_share,
+        encode_split,
+        verify_one_share,
+        verify_split,
     }
 }
 
@@ -796,12 +895,28 @@ impl Rows {
             ("verify_then_view_ms", ms(self.verify_then_view)),
             ("verify_then_view_gib_s", gib_s(self.verify_then_view)),
         ];
+        let split = [
+            ("shares", self.shares.to_string()),
+            ("encode_one_share_ms", ms(self.encode_one_share)),
+            ("encode_split_ms", ms(self.encode_split)),
+            (
+                "encode_speedup",
+                ratio(self.encode_one_share, self.encode_split),
+            ),
+            ("verify_one_share_ms", ms(self.verify_one_share)),
+            ("verify_split_ms", ms(self.verify_split)),
+            (
+                "verify_speedup",
+                ratio(self.verify_one_share, self.verify_split),
+            ),
+        ];
         vec![
             ("crc", object(indent, &crc)),
             ("crc_copy", object(indent, &crc_copy)),
             ("serialize_crc_frame", object(indent, &serialize_crc_frame)),
             ("diff_stream", object(indent, &diff_stream)),
             ("decode", object(indent, &decode)),
+            ("split", object(indent, &split)),
         ]
     }
 }
@@ -851,6 +966,9 @@ fn main() {
         ("decode_verified_ms", ms(hot.decode_verified)),
         ("verify_then_view_ms", ms(hot.verify_then_view)),
         ("copying_gib_s", hot.gib_s(hot.update_copying)),
+        ("shares", hot.shares.to_string()),
+        ("encode_split_ms", ms(hot.encode_split)),
+        ("verify_split_ms", ms(hot.verify_split)),
     ];
     if let Some(cold) = &cold {
         entry.extend([
@@ -867,6 +985,10 @@ fn main() {
             ),
             ("cold_copying_gib_s", cold.gib_s(cold.update_copying)),
             ("cold_crc32_gib_s", cold.gib_s(cold.crc_only)),
+            ("cold_encode_one_share_ms", ms(cold.encode_one_share)),
+            ("cold_encode_split_ms", ms(cold.encode_split)),
+            ("cold_verify_one_share_ms", ms(cold.verify_one_share)),
+            ("cold_verify_split_ms", ms(cold.verify_split)),
         ]);
     }
     let entry: Vec<String> = entry.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
@@ -945,6 +1067,14 @@ fn main() {
             ms(r.decode_verified),
             ms(r.verify_then_decode),
             ms(r.verify_then_view)
+        );
+        println!(
+            "{mode} split, shares {}: encode {} ms (one share) -> {} ms  verify {} ms (one share) -> {} ms",
+            r.shares,
+            ms(r.encode_one_share),
+            ms(r.encode_split),
+            ms(r.verify_one_share),
+            ms(r.verify_split)
         );
     }
     // CI regression gates, all on the hot rows (the only ones a smoke run

@@ -668,12 +668,14 @@ impl ConsumerTask {
         let telemetry = self.viper.shared.config.telemetry.clone();
         let reliable = matches!(self.viper.shared.config.delivery, Delivery::Reliable(_));
         let mut corrupt: Vec<CorruptBatch> = Vec::new();
+        // The batch's body CRCs come from one fork-join over every core;
+        // the assembler then compares each with its chunk header here, in
+        // arrival order, so behavior is independent of how the bodies were
+        // checksummed and of how a flow's chunks were split across drains.
+        let mut crcs = viper_net::FlowAssembler::verify_batch(&msgs).into_iter();
         for msg in msgs {
             let arrived = msg.arrived_at;
-            // `accept` checksums the body that arrived and compares it with
-            // the chunk header, so behavior is independent of how a flow's
-            // chunks were split across drains.
-            let status = self.assembler.accept(msg);
+            let status = self.assembler.accept_with_crc(msg, crcs.next().flatten());
             // Publish reassembly copies before acting on the status: a
             // completed flow notifies waiters, and the counter must already
             // cover the gather that produced it.

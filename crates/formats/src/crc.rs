@@ -38,8 +38,8 @@
 //! bytes, as the self-verifying decode does through one [`Crc32`].
 //! [`crc32_combine`] stitches independently computed CRCs together
 //! (`crc(A ‖ B)` from `crc(A)`, `crc(B)`, `len(B)`), which the encoder's
-//! footer derivation and the receiver's range CRCs over verified chunks
-//! ride on.
+//! footer derivation, the receiver's range CRCs over verified chunks and
+//! the cuts of the split byte passes ride on.
 
 use std::mem::MaybeUninit;
 
@@ -530,87 +530,71 @@ impl Default for Crc32 {
     }
 }
 
-/// A GF(2) operator advancing a CRC across `len` bytes of zeros, the
-/// building block of [`crc32_combine`]. Precompute once per block length
-/// when folding many equally-sized partial CRCs: applying the operator is
-/// 32 conditional XORs, while building it is ~`log2(len)` 32×32 matrix
-/// squarings.
+/// An operator advancing a CRC across `len` bytes of zeros, the building
+/// block of [`crc32_combine`]: multiplication by `x^(8·len)` modulo the
+/// CRC polynomial (zlib's `x2nmodp` construction). Building one costs a
+/// polynomial multiply per set bit of `len`, a microsecond or two;
+/// applying it is one multiply. Precompute once per block length when
+/// folding many equally-sized partial CRCs.
 #[derive(Clone, Debug)]
 pub struct CrcShift {
-    mat: [u32; 32],
+    /// `x^(8·len) mod P`, reflected like the CRC state.
+    op: u32,
 }
 
-/// `out[n] = mat * vec[n]` over GF(2): each matrix column is a u32 bit
-/// vector; multiplying by a vector XORs the columns selected by its bits.
-fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0u32;
-    let mut i = 0usize;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
+/// `a · b mod P` over GF(2), both reflected (bit 31 is `x^0`). `a` must be
+/// nonzero, which every power of `x` is.
+fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
         }
-        vec >>= 1;
-        i += 1;
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
     }
-    sum
 }
 
-fn gf2_matrix_square(mat: &[u32; 32]) -> [u32; 32] {
-    let mut out = [0u32; 32];
-    for (o, &col) in out.iter_mut().zip(mat.iter()) {
-        *o = gf2_times(mat, col);
-    }
-    out
-}
-
-fn gf2_matrix_mult(a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
-    let mut out = [0u32; 32];
-    for (o, &col) in out.iter_mut().zip(b.iter()) {
-        *o = gf2_times(a, col);
-    }
-    out
+/// `x^(2^k) mod P` for `k` in `0..32`. `P` is primitive of degree 32, so
+/// `x` has order `2^32 - 1` and `x^(2^32) = x`: the table wraps.
+fn x2n_table() -> &'static [u32; 32] {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[u32; 32]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [0u32; 32];
+        let mut p = 1u32 << 30; // x^1
+        for entry in table.iter_mut() {
+            *entry = p;
+            p = multmodp(p, p);
+        }
+        table
+    })
 }
 
 impl CrcShift {
-    /// Operator for `len` zero bytes (zlib's squaring construction: build
-    /// the one-byte operator, then square-and-multiply over the bits of
-    /// `len`).
+    /// Operator for `len` zero bytes: `x^(8·len)` as the product of the
+    /// tabled `x^(2^k)` over the set bits of `8·len`.
     pub fn new(len: u64) -> Self {
-        // One-zero-*bit* operator: row 0 is the polynomial, the rest shift.
-        let mut odd = [0u32; 32];
-        odd[0] = POLY;
-        let mut row = 1u32;
-        for col in odd.iter_mut().skip(1) {
-            *col = row;
-            row <<= 1;
-        }
-        // 1 bit -> 2 bits -> 4 bits -> 8 bits = one zero byte.
-        let even = gf2_matrix_square(&odd);
-        let odd = gf2_matrix_square(&even);
-        let byte_op = gf2_matrix_square(&odd);
-
-        // Identity, then multiply in byte_op^(2^k) for each set bit of len.
-        let mut mat = [0u32; 32];
-        for (n, col) in mat.iter_mut().enumerate() {
-            *col = 1u32 << n;
-        }
-        let mut op = byte_op;
-        let mut rem = len;
-        while rem != 0 {
-            if rem & 1 != 0 {
-                mat = gf2_matrix_mult(&op, &mat);
+        let table = x2n_table();
+        let mut op = 1u32 << 31; // x^0
+        let (mut n, mut k) = (len, 3usize);
+        while n != 0 {
+            if n & 1 != 0 {
+                op = multmodp(table[k % 32], op);
             }
-            rem >>= 1;
-            if rem != 0 {
-                op = gf2_matrix_square(&op);
-            }
+            n >>= 1;
+            k += 1;
         }
-        CrcShift { mat }
+        CrcShift { op }
     }
 
     /// Advance `crc` across this operator's span of zero bytes.
     pub fn apply(&self, crc: u32) -> u32 {
-        gf2_times(&self.mat, crc)
+        multmodp(self.op, crc)
     }
 }
 
@@ -676,18 +660,59 @@ pub(crate) struct ChunkCrcs {
     done: Vec<u32>,
     /// Rolling state of the current, partially-filled chunk.
     state: Crc32,
-    /// Bytes absorbed into the current partial chunk.
+    /// Bytes of the current partial chunk, counted from its start.
     fill: u64,
+    /// Bytes of the first chunk that precede this roller's first byte: `0`
+    /// for a roller from the stream's start, the chunk phase of its start
+    /// for one share of a split pass (see [`at`](Self::at)).
+    phase: u64,
 }
 
 impl ChunkCrcs {
     pub(crate) fn new(chunk_bytes: u64) -> Self {
+        Self::at(chunk_bytes, 0)
+    }
+
+    /// A roller for the bytes from stream position `pos` on: its chunks
+    /// close at the stream's boundaries, and its first CRC covers only
+    /// the first chunk's bytes from `pos`, until [`append`](Self::append)
+    /// stitches it behind the roller of the bytes before `pos`.
+    pub(crate) fn at(chunk_bytes: u64, pos: u64) -> Self {
+        let phase = match chunk_bytes {
+            0 => pos,
+            chunk => pos % chunk,
+        };
         ChunkCrcs {
             chunk_bytes,
             done: Vec::new(),
             state: Crc32::new(),
-            fill: 0,
+            fill: phase,
+            phase,
         }
+    }
+
+    /// Continue this roller with `later`, the roller of the bytes that
+    /// follow it (`later` was made [`at`](Self::at) this roller's stream
+    /// position): the chunk the cut falls in is stitched with one
+    /// [`crc32_combine`], the rest is taken as it is.
+    pub(crate) fn append(&mut self, later: ChunkCrcs) {
+        debug_assert_eq!(later.chunk_bytes, self.chunk_bytes, "one chunk geometry");
+        debug_assert_eq!(later.phase, self.fill, "rolled from this roller's position");
+        let before = self.state.finalize();
+        match later.done.split_first() {
+            Some((&head, rest)) => {
+                let head_len = later.chunk_bytes - later.phase;
+                self.done.push(crc32_combine(before, head, head_len));
+                self.done.extend_from_slice(rest);
+                self.state = later.state;
+            }
+            None => {
+                let len = later.fill - later.phase;
+                let crc = crc32_combine(before, later.state.finalize(), len);
+                self.state = Crc32 { state: !crc };
+            }
+        }
+        self.fill = later.fill;
     }
 
     /// The chunk size the CRCs are rolled for (`0` = one chunk).

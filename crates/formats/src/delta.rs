@@ -98,7 +98,7 @@ impl DeltaCheckpoint {
     /// output into a [`StreamingEncoder`], checksumming each changed tensor
     /// as it lands and deriving the CRC footer algebraically — so a delta
     /// framed behind a wire envelope is still encoded in one pass.
-    pub fn encode_into(&self, enc: &mut StreamingEncoder) {
+    pub fn encode_into<'a>(&'a self, enc: &mut StreamingEncoder<'a>) {
         let nchanged = self.changed.len() as u32;
         let (base, iteration) = (self.base_iteration, self.iteration);
         let mut sink = DiffSink::begin(enc, &self.model_name, base, iteration, nchanged);
@@ -217,18 +217,18 @@ pub fn diff(base: &Checkpoint, new: &Checkpoint) -> Result<DeltaCheckpoint, Form
 /// writes the unchanged-name trailer and derives the CRC footer from the
 /// encoder's running checksum. [`DeltaCheckpoint::encode_into`] and
 /// [`diff_into`] both drive it.
-struct DiffSink<'a> {
-    enc: &'a mut StreamingEncoder,
+struct DiffSink<'e, 'a> {
+    enc: &'e mut StreamingEncoder<'a>,
     mark: StreamMark,
     nchanged: u32,
     emitted: u32,
 }
 
-impl<'a> DiffSink<'a> {
+impl<'e, 'a> DiffSink<'e, 'a> {
     /// Open the delta stream: writes the VIPD header through the changed
     /// count. `nchanged` changed tensors must follow.
     fn begin(
-        enc: &'a mut StreamingEncoder,
+        enc: &'e mut StreamingEncoder<'a>,
         model_name: &str,
         base_iteration: u64,
         iteration: u64,
@@ -250,7 +250,7 @@ impl<'a> DiffSink<'a> {
     }
 
     /// Emit one changed tensor (name, shape, payload).
-    fn changed(&mut self, name: &str, tensor: &Tensor) {
+    fn changed(&mut self, name: &str, tensor: &'a Tensor) {
         self.emitted += 1;
         self.enc.put_string(name);
         self.enc.put_u32(tensor.dims().len() as u32);
@@ -295,10 +295,10 @@ impl<'a> DiffSink<'a> {
 /// the base's clone with ε bytes of tensors rewritten, the send path
 /// therefore reads, allocates and encodes O(ε) bytes; the same bytes
 /// compared as equal copies cost O(N) reads.
-pub fn diff_into(
+pub fn diff_into<'a>(
     base: &Checkpoint,
-    new: &Checkpoint,
-    enc: &mut StreamingEncoder,
+    new: &'a Checkpoint,
+    enc: &mut StreamingEncoder<'a>,
 ) -> Result<(), FormatError> {
     let flags = diff_flags(base, new)?;
     let tagged = || flags.iter().zip(&new.tensors);
@@ -718,11 +718,11 @@ mod tests {
     /// chunk geometry.
     #[test]
     fn diff_into_matches_materialized_encode() {
-        let d = diff(&base(), &fine_tuned()).unwrap();
-        let legacy = d.encode();
+        let (base, new) = (base(), fine_tuned());
+        let legacy = diff(&base, &new).unwrap().encode();
         for chunk_bytes in [0u64, 16, 64, 1 << 20] {
             let mut enc = StreamingEncoder::new(chunk_bytes);
-            diff_into(&base(), &fine_tuned(), &mut enc).unwrap();
+            diff_into(&base, &new, &mut enc).unwrap();
             let payload = enc.finish().payload;
             assert_eq!(payload.as_slice(), &legacy[..], "chunk_bytes {chunk_bytes}");
             assert_eq!(carried(&payload), (2, 1, 20 * 4));

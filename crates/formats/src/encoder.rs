@@ -5,16 +5,29 @@
 //! serialize into a `Vec`, whole-buffer [`crc32`](crate::crc32) for the
 //! format footer, then per-chunk CRCs (and for wire-framed payloads a
 //! `wire::frame` re-copy) at send time. [`StreamingEncoder`] collapses
-//! that to a single pass: an append *is* the checksum — [`put_f32s`] and
-//! [`put_bytes`] fold each block of the source into a rolling
-//! [`ChunkCrcs`] as they store it ([`Crc32::update_copying`]), rolling
-//! over at every chunk boundary — and [`finish`] emits an
-//! [`EncodedPayload`] whose `chunk_crcs` slot straight into
-//! `ChunkHeader`s downstream: the transport never re-reads the bytes it
-//! ships, and neither does the encoder. Only the few header bytes the
-//! fixed-width writers push are checksummed after the fact, by
-//! [`absorb`], which every bulk append, [`mark`] and [`finish`] call
-//! first; a writer never has to.
+//! that to a single pass: an append *is* the checksum — each block of the
+//! source is folded into a rolling [`ChunkCrcs`] by the loop that stores
+//! it ([`Crc32::update_copying`]), rolling over at every chunk boundary —
+//! and [`finish`] emits an [`EncodedPayload`] whose `chunk_crcs` slot
+//! straight into `ChunkHeader`s downstream: the transport never re-reads
+//! the bytes it ships, and neither does the encoder. Only the few header
+//! bytes the fixed-width writers push are checksummed after the fact,
+//! when the next bulk append or CRC point comes by; a writer never calls
+//! for it.
+//!
+//! A large encode runs that pass on every core. [`put_f32s`] then queues
+//! the tensor's byte view instead of copying it (the encoder borrows the
+//! tensor for `'a`), and the header bytes written behind it queue too.
+//! The next point that needs the CRC — [`mark`], [`stream_crc`],
+//! [`crc_since`] or [`finish`] — copies the whole queue in one fork-join
+//! over contiguous, byte-balanced shares: each share copies and
+//! checksums its bytes into its own window of the buffer's spare capacity
+//! with a `ChunkCrcs` rolled from its chunk phase, and the rollers are
+//! stitched with one [`crc32_combine`] per cut. The bytes, chunk CRCs
+//! and footer are the one-share pass's, whatever the core count. A small
+//! encode (below two 2 MiB shares, or on one core) never queues, so it
+//! allocates and forks nothing. [`put_bytes`] of a temporary copies at
+//! once.
 //!
 //! Format footers (the trailing CRC32 over a format's body) fall out of
 //! the same pass: [`mark`] snapshots the stream CRC at the body start,
@@ -31,17 +44,18 @@
 //! having dropped. A buffer that is still referenced simply stays
 //! parked; the encoder falls back to a fresh allocation.
 //!
-//! [`absorb`]: StreamingEncoder::absorb
 //! [`put_f32s`]: StreamingEncoder::put_f32s
 //! [`put_bytes`]: StreamingEncoder::put_bytes
 //! [`Crc32::update_copying`]: crate::Crc32::update_copying
 //! [`finish`]: StreamingEncoder::finish
 //! [`mark`]: StreamingEncoder::mark
+//! [`stream_crc`]: StreamingEncoder::stream_crc
 //! [`crc_since`]: StreamingEncoder::crc_since
 
 use crate::checkpoint::{f32s_as_le_bytes, pad_len, put_f32s};
 use crate::crc::{crc32_combine, ChunkCrcs};
 use crate::payload::Payload;
+use crate::split::{self, share_count};
 use std::sync::Arc;
 
 /// The product of a fused encode: the payload bytes (allocated once,
@@ -212,9 +226,11 @@ pub struct StreamMark {
 }
 
 /// Single-pass encoder: append bytes, get chunk-aligned CRCs for free.
-/// See the module docs for the dataflow.
+/// See the module docs for the dataflow. `'a` is the lifetime of the
+/// tensors a [`put_f32s`](Self::put_f32s) may leave queued: they are
+/// borrowed until the next CRC point copies them.
 #[derive(Debug)]
-pub struct StreamingEncoder {
+pub struct StreamingEncoder<'a> {
     buf: Vec<u8>,
     reused: bool,
     /// Per-chunk CRCs of `buf[..absorbed]` under the encoder's chunk
@@ -222,9 +238,43 @@ pub struct StreamingEncoder {
     crcs: ChunkCrcs,
     /// Bytes of `buf` already fed to `crcs`.
     absorbed: usize,
+    /// Bytes written after `buf` and not yet copied into it.
+    queue: Queue<'a>,
+    /// Shares a flush splits into, when forced; `None` sizes them by the
+    /// bytes (`split::share_count`).
+    shares: Option<usize>,
 }
 
-impl StreamingEncoder {
+/// The stream's tail that a split pass will copy and checksum: the
+/// fixed-width bytes written while appends were queued, in `owned`, with
+/// each queued append behind the `owned` bytes that precede it.
+#[derive(Debug, Default)]
+struct Queue<'a> {
+    owned: Vec<u8>,
+    /// `(owned.len() when queued, the borrowed bytes)`, in stream order.
+    borrowed: Vec<(usize, &'a [u8])>,
+    borrowed_len: usize,
+}
+
+impl<'a> Queue<'a> {
+    fn len(&self) -> usize {
+        self.owned.len() + self.borrowed_len
+    }
+
+    /// The queued stream as consecutive byte runs.
+    fn runs(&self) -> Vec<&[u8]> {
+        let mut runs = Vec::with_capacity(2 * self.borrowed.len() + 1);
+        let mut at = 0;
+        for &(until, bytes) in &self.borrowed {
+            runs.extend([&self.owned[at..until], bytes]);
+            at = until;
+        }
+        runs.push(&self.owned[at..]);
+        runs
+    }
+}
+
+impl<'a> StreamingEncoder<'a> {
     /// Encoder with a fresh buffer. `chunk_bytes` fixes the CRC chunk
     /// geometry (`0` = single chunk).
     pub fn new(chunk_bytes: u64) -> Self {
@@ -233,6 +283,8 @@ impl StreamingEncoder {
             reused: false,
             crcs: ChunkCrcs::new(chunk_bytes),
             absorbed: 0,
+            queue: Queue::default(),
+            shares: None,
         }
     }
 
@@ -253,6 +305,15 @@ impl StreamingEncoder {
         }
     }
 
+    /// This encoder with every bulk append queued and every flush split
+    /// into exactly `shares` shares, whatever the sizes and the host: how
+    /// tests pin a split (or the one-share queued path) on small inputs.
+    #[cfg(test)]
+    pub(crate) fn with_shares(mut self, shares: usize) -> Self {
+        self.shares = Some(shares);
+        self
+    }
+
     /// Whether the buffer came from an arena (no fresh allocation).
     pub fn reused(&self) -> bool {
         self.reused
@@ -260,20 +321,33 @@ impl StreamingEncoder {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.queue.len()
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Append raw bytes, checksumming them in the same pass over memory:
-    /// whatever small fields are pending are [`absorb`](Self::absorb)ed,
-    /// then each block of `bytes` is folded into the chunk CRCs as it is
-    /// stored. Nothing re-reads the appended bytes afterwards.
+    /// Where the fixed-width writers put their bytes: behind the queued
+    /// appends while there are any, in the buffer otherwise.
+    fn tail(&mut self) -> &mut Vec<u8> {
+        if self.queue.borrowed.is_empty() {
+            &mut self.buf
+        } else {
+            &mut self.queue.owned
+        }
+    }
+
+    /// Append raw bytes. They are copied at once: checksummed in the same
+    /// pass into the buffer, or, behind queued appends, into the queue,
+    /// where the flush that copies those checksums them too.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.absorb();
+        if !self.queue.borrowed.is_empty() {
+            self.queue.owned.extend_from_slice(bytes);
+            return;
+        }
+        self.absorb_buf();
         self.buf.reserve(bytes.len());
         let spare = &mut self.buf.spare_capacity_mut()[..bytes.len()];
         self.crcs.update_copying(bytes, spare);
@@ -285,33 +359,52 @@ impl StreamingEncoder {
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.tail().push(v);
     }
 
     /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.tail().extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.tail().extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a length-prefixed UTF-8 string (u32 length, then bytes),
     /// matching `checkpoint::put_string`.
     pub fn put_string(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.tail().extend_from_slice(s.as_bytes());
     }
 
-    /// Append `f32`s as little-endian bytes: [`put_bytes`](Self::put_bytes)
-    /// of the slice's own byte view, one copy-and-checksum pass.
-    pub fn put_f32s(&mut self, data: &[f32]) {
+    /// Append `f32`s as little-endian bytes: the slice's own byte view,
+    /// copied and checksummed in one pass. A large encode queues the view
+    /// instead (it borrows `data` for `'a`), and the next CRC point —
+    /// [`mark`](Self::mark), [`stream_crc`](Self::stream_crc),
+    /// [`crc_since`](Self::crc_since) or [`finish`](Self::finish) — copies
+    /// everything queued in one fork-join over byte-balanced shares.
+    pub fn put_f32s(&mut self, data: &'a [f32]) {
         match f32s_as_le_bytes(data) {
+            Some(bytes) if self.queues(bytes.len()) => {
+                self.queue.borrowed.push((self.queue.owned.len(), bytes));
+                self.queue.borrowed_len += bytes.len();
+            }
             Some(bytes) => self.put_bytes(bytes),
-            None => put_f32s(&mut self.buf, data),
+            None => put_f32s(self.tail(), data),
         }
+    }
+
+    /// Whether an append of `bytes` is queued: always behind an append
+    /// already queued, and otherwise when the encode is big enough to
+    /// split — judged by the append or by the buffer reserved for the
+    /// whole encode — so a small encode runs eagerly, with no queue, no
+    /// allocation and no fork.
+    fn queues(&self, bytes: usize) -> bool {
+        !self.queue.borrowed.is_empty()
+            || self.shares.is_some()
+            || share_count(bytes.max(self.buf.capacity())) > 1
     }
 
     /// Append the 0-3 zero bytes that bring the body begun at `mark` to a
@@ -319,22 +412,74 @@ impl StreamingEncoder {
     /// receiver can view the payload in place as `f32`s. Matches
     /// `checkpoint::put_pad` for a body that starts at `mark`.
     pub fn put_pad(&mut self, mark: StreamMark) {
-        let pad = pad_len(self.buf.len() - mark.pos);
-        self.buf.resize(self.buf.len() + pad, 0);
+        let pad = pad_len(self.len() - mark.pos);
+        let tail = self.tail();
+        tail.resize(tail.len() + pad, 0);
     }
 
-    /// Feed all not-yet-checksummed bytes into the chunk CRCs. Only the
-    /// fixed-width writers (`put_u8` … `put_string`, `put_pad`) leave
-    /// bytes pending — a few dozen per tensor record — and every bulk
-    /// append, every [`mark`](Self::mark) and [`finish`](Self::finish)
-    /// absorbs them first, so a format writer has no call to make.
-    pub fn absorb(&mut self) {
+    /// Feed the buffer's not-yet-checksummed bytes into the chunk CRCs.
+    /// Only the fixed-width writers (`put_u8` … `put_string`, `put_pad`)
+    /// leave bytes pending — a few dozen per tensor record — and every
+    /// eager bulk append and every CRC point absorbs them first, so a
+    /// format writer has no call to make.
+    fn absorb_buf(&mut self) {
         self.crcs.update(&self.buf[self.absorbed..]);
         self.absorbed = self.buf.len();
     }
 
+    /// Bring the chunk CRCs up to every byte written: absorb the buffer's
+    /// pending bytes, then copy and checksum the queue in one fork-join.
+    /// Each share rolls its own [`ChunkCrcs`] from its chunk phase into
+    /// its own window of the buffer's spare capacity; the rollers are
+    /// stitched back in order, and only then does the buffer's length
+    /// cover the bytes, all of them initialised.
+    fn absorb(&mut self) {
+        self.absorb_buf();
+        if self.queue.borrowed.is_empty() {
+            return;
+        }
+        let total = self.queue.len();
+        let at = self.buf.len();
+        let shares = self.shares.unwrap_or_else(|| share_count(total));
+        let chunk_bytes = self.crcs.chunk_bytes();
+        self.buf.reserve(total);
+        let runs = self.queue.runs();
+        let mut spare = &mut self.buf.spare_capacity_mut()[..total];
+        let jobs: Vec<_> = split::bounds(total, shares)
+            .map(|range| {
+                let window;
+                (window, spare) = std::mem::take(&mut spare).split_at_mut(range.len());
+                (
+                    ChunkCrcs::at(chunk_bytes, (at + range.start) as u64),
+                    window,
+                    split::cut(&runs, range),
+                )
+            })
+            .collect();
+        let rolled = split::fork_join(jobs, |(mut crcs, mut window, pieces)| {
+            for (_, piece) in pieces {
+                let to;
+                (to, window) = std::mem::take(&mut window).split_at_mut(piece.len());
+                crcs.update_copying(piece, to);
+            }
+            debug_assert!(window.is_empty(), "a share's pieces fill its window");
+            crcs
+        });
+        for crcs in rolled {
+            self.crcs.append(crcs);
+        }
+        // SAFETY: `reserve` left `total` bytes of capacity behind `len`,
+        // and the shares' windows tile them: each piece of the queue was
+        // copied into its own window by `update_copying`.
+        unsafe { self.buf.set_len(at + total) };
+        self.absorbed = self.buf.len();
+        self.queue.owned.clear();
+        self.queue.borrowed.clear();
+        self.queue.borrowed_len = 0;
+    }
+
     /// CRC32 of every byte written so far, folded across chunk boundaries
-    /// (no byte is read again). Absorbs pending bytes first.
+    /// (no byte is read again). Copies whatever is queued first.
     pub fn stream_crc(&mut self) -> u32 {
         self.absorb();
         self.crcs.stream_crc()
@@ -344,7 +489,7 @@ impl StreamingEncoder {
     /// bytes). Pair with [`crc_since`](Self::crc_since).
     pub fn mark(&mut self) -> StreamMark {
         StreamMark {
-            pos: self.buf.len(),
+            pos: self.len(),
             crc: self.stream_crc(),
         }
     }
@@ -623,6 +768,195 @@ mod tests {
         enc.put_bytes(&filled(SMALL));
         let _ = enc.finish_into(&mut arena);
         assert_eq!(arena.decays(), 1, "dense recycle reset the streak");
+    }
+
+    mod split {
+        //! A split encode against the one-share encode: identical bytes,
+        //! chunk CRCs and footer, wherever the cuts land.
+
+        use super::super::*;
+        use crate::crc::crc32;
+        use crate::{delta, wire, Checkpoint, CheckpointFormat, PayloadKind, ViperFormat};
+        use proptest::prelude::*;
+        use viper_tensor::Tensor;
+
+        /// The encodes compared: eager (no queue), queued in one share,
+        /// and queued in two to five shares.
+        const SHARES: [Option<usize>; 6] = [None, Some(1), Some(2), Some(3), Some(4), Some(5)];
+
+        fn encoder<'a>(chunk_bytes: u64, shares: Option<usize>) -> StreamingEncoder<'a> {
+            let enc = StreamingEncoder::new(chunk_bytes);
+            match shares {
+                Some(n) => enc.with_shares(n),
+                None => enc,
+            }
+        }
+
+        /// Run `write` under every share count and require one result;
+        /// returns it.
+        fn same_under_every_split<'a>(
+            chunk_bytes: u64,
+            write: impl Fn(&mut StreamingEncoder<'a>),
+        ) -> EncodedPayload {
+            let outs: Vec<EncodedPayload> = SHARES
+                .iter()
+                .map(|&shares| {
+                    let mut enc = encoder(chunk_bytes, shares);
+                    write(&mut enc);
+                    enc.finish()
+                })
+                .collect();
+            let one = &outs[0];
+            for (out, shares) in outs.iter().zip(SHARES) {
+                assert_eq!(out.payload.as_slice(), one.payload.as_slice(), "{shares:?}");
+                assert_eq!(out.chunk_crcs, one.chunk_crcs, "{shares:?}");
+                assert_eq!(out.chunk_bytes, chunk_bytes);
+            }
+            outs.into_iter().next().expect("six encodes")
+        }
+
+        /// The footer closing `bytes` is the CRC of the body behind `skip`.
+        fn assert_footer(bytes: &[u8], skip: usize) {
+            let (body, footer) = bytes.split_at(bytes.len() - 4);
+            assert_eq!(footer, crc32(&body[skip..]).to_le_bytes());
+        }
+
+        fn full(ckpt: &Checkpoint, chunk_bytes: u64, envelope: bool) -> EncodedPayload {
+            let out = same_under_every_split(chunk_bytes, |enc| {
+                if envelope {
+                    enc.put_bytes(&wire::envelope(PayloadKind::Full));
+                }
+                ViperFormat.encode_into(ckpt, enc);
+            });
+            let skip = if envelope { wire::WIRE_HEADER_BYTES } else { 0 };
+            let legacy = ViperFormat.encode(ckpt);
+            assert_eq!(&out.payload[skip..], &legacy[..]);
+            assert_footer(&out.payload, skip);
+            out
+        }
+
+        fn tensor(elems: usize, seed: u32) -> Tensor {
+            let data = (0..elems as u32)
+                .map(|i| (i ^ seed) as f32 * 0.25)
+                .collect();
+            Tensor::from_vec(data, &[elems]).unwrap()
+        }
+
+        /// Model `m`, tensors `a` and `b` of `elems` each: the first
+        /// payload starts at byte 44, and the header run of `b` spans
+        /// `44 + 4·elems .. 64 + 4·elems`.
+        fn two_tensors(elems: usize) -> Checkpoint {
+            let tensors = vec![
+                ("a".into(), tensor(elems, 1)),
+                ("b".into(), tensor(elems, 2)),
+            ];
+            Checkpoint::new("m", 7, tensors)
+        }
+
+        #[test]
+        fn a_cut_inside_a_header_run() {
+            // Two shares of the queued `a ‖ header(b) ‖ b` cut at
+            // 44 + 4·elems + 10: ten bytes into `b`'s header run.
+            for chunk_bytes in [0, 7, 64, 4 << 20] {
+                full(&two_tensors(250), chunk_bytes, false);
+                full(&two_tensors(250), chunk_bytes, true);
+            }
+        }
+
+        #[test]
+        fn a_cut_exactly_on_a_chunk_boundary() {
+            // The two-share cut of `two_tensors(250)` is at 1054: make it a
+            // chunk boundary, the first of several, and the only one.
+            for chunk_bytes in [1054, 527, 1054 / 2 / 17] {
+                full(&two_tensors(250), chunk_bytes, false);
+            }
+            // One tensor of 1000 elems: the cut is at 44 + 2000.
+            let one = Checkpoint::new("m", 7, vec![("a".into(), tensor(1000, 3))]);
+            for chunk_bytes in [2044, 1022, 4088, 0] {
+                full(&one, chunk_bytes, false);
+            }
+        }
+
+        #[test]
+        fn a_cut_inside_a_tensor_at_the_transport_chunk_size() {
+            // 9 MiB across three tensors under 4 MiB chunks, the
+            // transport's size: cuts land inside payloads, chunks straddle
+            // tensors, and the last chunk is short.
+            let tensors = (0..3)
+                .map(|i| (format!("t{i}"), tensor(786_432, i)))
+                .collect();
+            let ckpt = Checkpoint::new("big", 1, tensors);
+            let out = full(&ckpt, 4 << 20, true);
+            assert_eq!(out.chunk_crcs.len(), 3);
+        }
+
+        #[test]
+        fn empty_and_tensorless_encodes() {
+            full(&Checkpoint::new("empty", 0, vec![]), 0, false);
+            full(&Checkpoint::new("empty", 0, vec![]), 5, true);
+            let zero = Tensor::from_vec(vec![], &[0]).unwrap();
+            let ckpt =
+                Checkpoint::new("z", 0, vec![("z".into(), zero.clone()), ("y".into(), zero)]);
+            full(&ckpt, 3, false);
+        }
+
+        fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
+            let tensor =
+                (1usize..4, 0usize..300, 0u32..=u32::MAX).prop_map(|(rank, elems, seed)| {
+                    let mut dims = vec![1; rank];
+                    dims[0] = elems;
+                    let data = (0..elems as u32)
+                        .map(|i| f32::from_bits(i.wrapping_mul(seed)))
+                        .collect();
+                    Tensor::from_vec(data, &dims).unwrap()
+                });
+            let named = prop::collection::vec(("[a-z]{1,9}", tensor), 0..6);
+            ("[a-z]{0,7}", named).prop_map(|(name, tensors)| {
+                let mut seen = std::collections::HashSet::new();
+                let tensors = tensors
+                    .into_iter()
+                    .filter(|(n, _)| seen.insert(n.clone()))
+                    .collect();
+                Checkpoint::new(name, 3, tensors)
+            })
+        }
+
+        fn arb_chunk_bytes() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0u64), 1u64..97, Just(128), Just(4 << 20)]
+        }
+
+        proptest! {
+            /// Random tensor layouts, with and without a wire envelope.
+            #[test]
+            fn split_full_encode_is_the_one_share_encode(
+                ckpt in arb_checkpoint(),
+                chunk_bytes in arb_chunk_bytes(),
+                envelope in prop_oneof![Just(false), Just(true)],
+            ) {
+                full(&ckpt, chunk_bytes, envelope);
+            }
+
+            /// The delta writer, behind its envelope: every change pattern.
+            #[test]
+            fn split_delta_encode_is_the_one_share_encode(
+                base in arb_checkpoint(),
+                changes in prop::collection::vec(prop_oneof![Just(false), Just(true)], 6..7),
+                chunk_bytes in arb_chunk_bytes(),
+            ) {
+                let tensors = base.tensors.iter().zip(&changes).map(|((name, t), &change)| {
+                    let t = if change { tensor(t.len(), 9).reshape(t.dims()).unwrap() } else { t.clone() };
+                    (name.clone(), t)
+                });
+                let new = Checkpoint::new(base.model_name.clone(), base.iteration + 1, tensors.collect());
+                let out = same_under_every_split(chunk_bytes, |enc| {
+                    enc.put_bytes(&wire::envelope(PayloadKind::Delta));
+                    delta::diff_into(&base, &new, enc).unwrap();
+                });
+                let legacy = wire::frame(PayloadKind::Delta, &delta::diff(&base, &new).unwrap().encode());
+                prop_assert_eq!(out.payload.as_slice(), &legacy[..]);
+                assert_footer(&out.payload, wire::WIRE_HEADER_BYTES);
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,11 @@ impl CheckpointFormat for H5Lite {
         put_string(&mut out, &ckpt.model_name);
         put_u64(&mut out, ckpt.iteration);
         put_u32(&mut out, ckpt.tensors.len() as u32);
+        assert!(
+            out.len() <= SUPERBLOCK_SIZE,
+            "superblock overflow for model {}",
+            ckpt.model_name
+        );
         out.resize(SUPERBLOCK_SIZE, 0);
 
         for (name, tensor) in &ckpt.tensors {
@@ -133,7 +138,10 @@ impl CheckpointFormat for H5Lite {
         let iteration = r.u64("iteration")?;
         // Every dataset costs at least its object header and chunk count.
         let ntensors = r.count(OBJECT_HEADER_SIZE + 4, "dataset count")?;
-        r.skip(SUPERBLOCK_SIZE - r.position(), "superblock padding")?;
+        let superblock_left = SUPERBLOCK_SIZE.checked_sub(r.position());
+        let superblock_left =
+            superblock_left.ok_or_else(|| FormatError::Corrupt("superblock overflows".into()))?;
+        r.skip(superblock_left, "superblock padding")?;
 
         let mut tensors = Vec::with_capacity(ntensors);
         for _ in 0..ntensors {
@@ -302,6 +310,55 @@ mod tests {
             (actual - predicted).abs() / actual < 0.02,
             "actual {actual} predicted {predicted}"
         );
+    }
+
+    /// The superblock holds a model name of up to 484 bytes.
+    const MAX_NAME: usize = SUPERBLOCK_SIZE - (8 + 4 + 4 + 8 + 4);
+
+    #[test]
+    fn the_longest_model_name_fills_the_superblock_exactly() {
+        let ckpt = Checkpoint::new("n".repeat(MAX_NAME), 1, sample().tensors);
+        let bytes = H5Lite.encode(&ckpt);
+        assert_eq!(bytes.len(), H5Lite.encoded_len(&ckpt));
+        assert_eq!(H5Lite.decode(&bytes).unwrap(), ckpt);
+    }
+
+    #[test]
+    #[should_panic(expected = "superblock overflow")]
+    fn a_model_name_past_the_superblock_is_refused_not_truncated() {
+        H5Lite.encode(&Checkpoint::new("n".repeat(600), 1, vec![]));
+    }
+
+    #[test]
+    fn a_name_length_past_the_superblock_is_corrupt() {
+        // A well-formed file whose model name runs past the superblock:
+        // what an untruncating encoder would write for a 600-byte name,
+        // with the footer recomputed so only the layout is wrong.
+        let mut bytes = SUPERBLOCK_MAGIC.to_vec();
+        put_u32(&mut bytes, 0);
+        put_string(&mut bytes, &"n".repeat(600));
+        put_u64(&mut bytes, 1);
+        put_u32(&mut bytes, 0);
+        bytes.resize(bytes.len() + SUPERBLOCK_SIZE, 0);
+        let crc = crc32(&bytes);
+        put_u32(&mut bytes, crc);
+        assert!(matches!(
+            H5Lite.decode(&bytes),
+            Err(FormatError::Corrupt(msg)) if msg.contains("superblock")
+        ));
+        // The same from a hostile length field on a 512-byte superblock:
+        // the name runs into the first object header, whose padding reads
+        // as a dataset count of zero.
+        let mut bytes = H5Lite.encode(&sample());
+        let hostile = 600u32;
+        bytes[12..16].copy_from_slice(&hostile.to_le_bytes());
+        let n = bytes.len() - 4;
+        let crc = crc32(&bytes[..n]);
+        bytes[n..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            H5Lite.decode(&bytes),
+            Err(FormatError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -25,6 +25,7 @@ mod crc;
 mod encoder;
 mod h5lite;
 mod payload;
+mod split;
 mod viper_format;
 
 pub mod delta;
@@ -39,6 +40,7 @@ pub use delta::DeltaCheckpoint;
 pub use encoder::{EncodeArena, EncodedPayload, StreamMark, StreamingEncoder};
 pub use h5lite::H5Lite;
 pub use payload::Payload;
+pub use split::{crc32_runs, share_count};
 pub use viper_format::ViperFormat;
 pub use wire::PayloadKind;
 
@@ -54,7 +56,8 @@ pub trait CheckpointFormat: Send + Sync {
     /// identical to [`encode`](Self::encode) while the encoder checksums
     /// them in the same pass. The default materializes through `encode`;
     /// formats on the hot path override it with a true streaming writer.
-    fn encode_into(&self, ckpt: &Checkpoint, enc: &mut StreamingEncoder) {
+    /// The encoder may borrow `ckpt`'s tensors until its next CRC point.
+    fn encode_into<'a>(&self, ckpt: &'a Checkpoint, enc: &mut StreamingEncoder<'a>) {
         enc.put_bytes(&self.encode(ckpt));
     }
 

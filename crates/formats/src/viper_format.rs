@@ -64,7 +64,7 @@ impl CheckpointFormat for ViperFormat {
         out
     }
 
-    fn encode_into(&self, ckpt: &Checkpoint, enc: &mut StreamingEncoder) {
+    fn encode_into<'a>(&self, ckpt: &'a Checkpoint, enc: &mut StreamingEncoder<'a>) {
         // Byte-identical to `encode`, but each tensor is checksummed while
         // it is written (one pass over the bytes), and the CRC footer is
         // derived from the rolling chunk CRCs via combine — even when a

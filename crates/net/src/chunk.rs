@@ -22,7 +22,7 @@ use crate::{LinkKind, Message, MessageKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-use viper_formats::{crc32, crc32_combine, CrcFold, Payload};
+use viper_formats::{crc32, crc32_combine, crc32_runs, share_count, CrcFold, Payload};
 use viper_hw::{SimInstant, Stage};
 
 /// Magic bytes at the front of every chunk frame ("VPCH"). Framing sanity
@@ -466,11 +466,50 @@ impl FlowAssembler {
         self.accept_with_crc(msg, None)
     }
 
+    /// The body CRCs of a drained batch, one per message in order, for
+    /// [`accept_with_crc`](Self::accept_with_crc): each equals
+    /// [`chunk_body_crc`] of its message, and is `None` for a message that
+    /// is not a well-formed chunk frame. They are computed in one
+    /// fork-join over contiguous, byte-balanced shares of every body in
+    /// the batch (`viper_formats::crc32_runs`), cut inside a body where
+    /// the balance needs it, so a one-chunk flow splits too. The helper
+    /// threads only checksum bytes; the caller's thread then runs the
+    /// assembler's state machine over the batch in arrival order, so every
+    /// status, NACK and virtual instant is the one-at-a-time drain's. A
+    /// batch too small to split — or any batch on a one-core host —
+    /// returns no CRCs, and [`accept`](Self::accept) checksums each body
+    /// inline.
+    pub fn verify_batch(msgs: &[Message]) -> Vec<Option<u32>> {
+        let wire: usize = msgs.iter().map(|msg| msg.payload.len()).sum();
+        match share_count(wire) {
+            1 => Vec::new(),
+            shares => Self::verify_batch_in(msgs, shares),
+        }
+    }
+
+    /// [`verify_batch`](Self::verify_batch) in exactly `shares` shares.
+    pub(crate) fn verify_batch_in(msgs: &[Message], shares: usize) -> Vec<Option<u32>> {
+        let bodies: Vec<Option<Payload>> = msgs
+            .iter()
+            .map(|msg| match msg.kind {
+                MessageKind::Chunk => ChunkHeader::decode_buf(&msg.payload).map(|(_, body)| body),
+                _ => None,
+            })
+            .collect();
+        let runs: Vec<&[u8]> = bodies.iter().map(|b| b.as_deref().unwrap_or(&[])).collect();
+        let crcs = crc32_runs(&runs, shares);
+        bodies
+            .iter()
+            .zip(crcs)
+            .map(|(b, crc)| b.as_ref().map(|_| crc))
+            .collect()
+    }
+
     /// [`FlowAssembler::accept`] with an optionally precomputed body CRC
-    /// (from [`chunk_body_crc`], for callers that time the verify apart
-    /// from assembly).
-    /// `None` computes the CRC inline; a precomputed value must come from
-    /// [`chunk_body_crc`] on the same message or corruption detection is
+    /// (from [`verify_batch`](Self::verify_batch), or from
+    /// [`chunk_body_crc`] for callers that time the verify apart from
+    /// assembly). `None` computes the CRC inline; a precomputed value must
+    /// be the body CRC of the same message or corruption detection is
     /// undefined. Either way the digest runs on the runtime-dispatched
     /// kernel (`viper_formats::active_kernel`) — receive-side verify is
     /// hardware-accelerated wherever encode is.
@@ -718,6 +757,135 @@ mod tests {
             &body,
         );
         framed_msg(header, body)
+    }
+
+    /// `len` bytes of a pattern that no 256-byte shift repeats.
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8) ^ ((i >> 8) as u8).wrapping_mul(7))
+            .collect()
+    }
+
+    /// A batch of every kind of message a drain meets: chunks of two
+    /// flows (one body empty), a control frame, a chunk whose framing is
+    /// broken, and a chunk whose header lies about its body's CRC.
+    fn mixed_batch(payload: &Payload) -> Vec<Message> {
+        let n = chunk_sizes(payload.len() as u64, 700).len() as u32;
+        let mut batch: Vec<Message> = (0..n).map(|i| view_msg(1, i, payload, 700)).collect();
+        let control = Message {
+            kind: MessageKind::Control,
+            payload: WireBuf::plain(vec![1, 2, 3]),
+            ..view_msg(3, 0, payload, 0)
+        };
+        batch.insert(1, control);
+        let empty = ChunkHeader::for_body(2, 0, 2, 0, 5, &[]);
+        batch.push(framed_msg(empty, Payload::from(Vec::new())));
+        batch.push(Message {
+            payload: WireBuf::plain(vec![0xAB; 64]),
+            ..view_msg(4, 0, payload, 0)
+        });
+        let (mut header, body) =
+            ChunkHeader::decode_buf(&view_msg(5, 0, payload, 0).payload).unwrap();
+        header.crc32 ^= 1;
+        batch.push(framed_msg(header, body));
+        batch
+    }
+
+    #[test]
+    fn split_verify_is_the_per_message_crc() {
+        let payload = Payload::from(sample(2_500));
+        let batch = mixed_batch(&payload);
+        let want: Vec<Option<u32>> = batch.iter().map(chunk_body_crc).collect();
+        assert_eq!(
+            want.iter().filter(|c| c.is_none()).count(),
+            2,
+            "control + malformed"
+        );
+        for shares in 1..=6 {
+            assert_eq!(
+                FlowAssembler::verify_batch_in(&batch, shares),
+                want,
+                "{shares} shares"
+            );
+        }
+        // A small batch is left to `accept`'s inline checksum.
+        assert!(FlowAssembler::verify_batch(&batch).is_empty());
+        assert!(FlowAssembler::verify_batch(&[]).is_empty());
+    }
+
+    proptest::proptest! {
+        /// Any chunk geometry, any share count: the split CRCs are each
+        /// message's own, and feeding them to the assembler gives the
+        /// statuses of the inline checksum, in order.
+        #[test]
+        fn split_verify_feeds_the_assembler_what_inline_verify_does(
+            len in 0usize..3000,
+            chunk in 0u64..900,
+            shares in 1usize..6,
+        ) {
+            let payload = Payload::from(sample(len));
+            let mut batch = mixed_batch(&payload);
+            let n = chunk_sizes(len as u64, chunk).len() as u32;
+            batch.extend((0..n).map(|i| view_msg(6, i, &payload, chunk)));
+            let crcs = FlowAssembler::verify_batch_in(&batch, shares);
+            let want: Vec<Option<u32>> = batch.iter().map(chunk_body_crc).collect();
+            proptest::prop_assert_eq!(&crcs, &want);
+            // A status with its payload's bytes, not its reference count.
+            let verdict = |status: FlowStatus| match status {
+                FlowStatus::Complete(f) => format!("{} {:?}", crc32(&f.payload), f.chunk_crcs),
+                other => format!("{other:?}"),
+            };
+            let (mut split, mut inline) = (FlowAssembler::new(), FlowAssembler::new());
+            for (msg, crc) in batch.into_iter().zip(crcs) {
+                let a = verdict(split.accept_with_crc(msg.clone(), crc));
+                proptest::prop_assert_eq!(a, verdict(inline.accept(msg)));
+            }
+        }
+    }
+
+    /// A one-chunk flow of 8 MiB split four ways: a bit flipped in its last
+    /// share, or in the middle of one of several chunks where a cut falls,
+    /// still fails that chunk's CRC.
+    #[test]
+    fn a_bit_flipped_in_a_split_body_is_corrupt() {
+        let payload = sample(8 << 20);
+        let mono = |flip: usize| {
+            let mut damaged = payload.clone();
+            damaged[flip] ^= 0x10;
+            let header = ChunkHeader::for_body(1, 0, 1, 0, payload.len() as u64, &payload);
+            framed_msg(header, Payload::from(damaged))
+        };
+        for flip in [payload.len() - 1, payload.len() - (1 << 20), 7 << 20] {
+            let msg = mono(flip);
+            let crcs = FlowAssembler::verify_batch_in(std::slice::from_ref(&msg), 4);
+            let status = FlowAssembler::new().accept_with_crc(msg, crcs[0]);
+            assert!(
+                matches!(status, FlowStatus::Corrupt { chunk_index: 0, .. }),
+                "{status:?}"
+            );
+        }
+        // Five 1 MiB chunks cut in two: the cut falls 512 KiB into chunk 2.
+        let five = Payload::from(payload[..5 << 20].to_vec());
+        let mut batch: Vec<Message> = (0..5).map(|i| view_msg(2, i, &five, 1 << 20)).collect();
+        let (header, body) = ChunkHeader::decode_buf(&batch[2].payload).unwrap();
+        let mut damaged = body.to_vec();
+        damaged[(1 << 19) + 3] ^= 0x01;
+        batch[2] = framed_msg(header, Payload::from(damaged));
+        let crcs = FlowAssembler::verify_batch_in(&batch, 2);
+        let mut asm = FlowAssembler::new();
+        let statuses: Vec<_> = batch
+            .into_iter()
+            .zip(crcs)
+            .map(|(msg, crc)| asm.accept_with_crc(msg, crc))
+            .collect();
+        assert!(matches!(
+            statuses[2],
+            FlowStatus::Corrupt { chunk_index: 2, .. }
+        ));
+        assert!(statuses
+            .iter()
+            .enumerate()
+            .all(|(i, s)| i == 2 || matches!(s, FlowStatus::Buffered)));
     }
 
     #[test]

@@ -732,7 +732,18 @@ mod whole_flow {
         version: u64,
         first_arrival: SimInstant,
     ) -> Vec<Message> {
-        let sizes = chunk_sizes(payload.len() as u64, CHUNK_SMALL);
+        framed_in(payload, flow_id, version, first_arrival, CHUNK_SMALL)
+    }
+
+    /// [`framed`] under the `chunk_bytes` geometry.
+    pub(super) fn framed_in(
+        payload: &Payload,
+        flow_id: u64,
+        version: u64,
+        first_arrival: SimInstant,
+        chunk_bytes: u64,
+    ) -> Vec<Message> {
+        let sizes = chunk_sizes(payload.len() as u64, chunk_bytes);
         let mut offset = 0u64;
         let chunks = sizes.iter().zip(0u32..).map(|(&len, index)| {
             let body = payload.slice(offset as usize..(offset + len) as usize);
@@ -964,6 +975,74 @@ fn hand_framed_batches_keep_their_replies_instants_and_counters() {
     const WITHHELD: &str = "ack 9 @22325610; v1 i1 @22305607; applied 1 corrupt 0 copied 0";
     const RESENT: &str = "ack 9 @22330610; v1 i1 @22310607; applied 1 corrupt 0 copied 0";
     const GATHERED: &str = "ack 9 @22330610; v1 i1 @22310607; applied 1 corrupt 0 copied 6084";
+}
+
+/// The receive verify checksums a drained batch in byte-balanced shares,
+/// one per core, cutting inside a body where the balance needs it. A bit
+/// flipped where it cuts is still caught: in the last share of a one-chunk
+/// flow of 8 MiB, or in the chunk that straddles the two-share cut of a
+/// flow of 1 MiB chunks. That chunk is NACKed by its index, nothing
+/// installs, and the honest resend of the one chunk installs the flow.
+/// Each seed picks other bits.
+#[test]
+fn a_bit_flipped_where_the_receive_verify_splits_is_nacked_then_repaired() {
+    use viper_formats::{CheckpointFormat, ViperFormat};
+    use viper_hw::SimInstant;
+    use viper_net::{ChunkHeader, Control, Payload, WireBuf};
+    use whole_flow::*;
+
+    const MIB: u64 = 1 << 20;
+    for seed in fault_seeds() {
+        let mut state = seed;
+        let mut draw = |below: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        };
+        // (chunk bytes, elements, damaged chunk, bytes into its body): one
+        // chunk of 8 MiB and more, hit in its last half MiB (the last
+        // share of up to eight); five chunks of 1 MiB and a tail, hit
+        // anywhere in chunk 2, which holds the two-share cut.
+        let one_chunk = (0, 2_100_000, 0, 8 * MIB - 1 - draw(MIB / 2));
+        let chunked = (MIB, 1_320_000, 2, draw(MIB));
+        for (chunk_bytes, elems, index, at) in [one_chunk, chunked] {
+            let what = format!("seed {seed}, chunk {index} of {chunk_bytes} B, byte {at}");
+            let (viper, consumer, peer) = deployment();
+            let sent = big_ckpt(1, elems);
+            let payload = Payload::from(ViperFormat.encode(&sent));
+            let t0 = SimInstant::from_nanos(1_000_000);
+            let mut batch = framed_in(&payload, 9, 1, t0, chunk_bytes);
+            let (header, body) = ChunkHeader::decode_buf(&batch[index].payload).unwrap();
+            let mut damaged = body.to_vec();
+            damaged[at as usize] ^= 1 << draw(8);
+            batch[index].payload = WireBuf::framed(header.encode(), Payload::from(damaged));
+            viper.fabric().deliver("c", batch).unwrap();
+
+            let missing = vec![index as u32];
+            let (nack, _) = reply(&peer);
+            let want = Control::Nack {
+                flow_id: 9,
+                generation: 0,
+                missing: missing.clone(),
+            };
+            assert_eq!(nack, want, "{what}");
+            assert_eq!(consumer.corrupt_chunks(), 1, "{what}");
+            assert_eq!(consumer.updates_applied(), 0, "{what}");
+
+            let later = SimInstant::from_nanos(20_000_000);
+            let honest = framed_in(&payload, 9, 1, later, chunk_bytes).remove(index);
+            viper.fabric().deliver("c", vec![honest]).unwrap();
+            let (ack, _) = reply_past_nacks(&peer, 9, &missing);
+            assert!(
+                matches!(ack, Control::Ack { flow_id: 9, .. }),
+                "{what}: {ack:?}"
+            );
+            assert_eq!(*consumer.current().unwrap(), sent, "{what}");
+        }
+    }
 }
 
 #[test]
