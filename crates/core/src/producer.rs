@@ -1,13 +1,15 @@
 //! The producer-side Model Weights Handler (§4.4).
 //!
 //! `save_weights` is the paper's producer API (Fig. 4). It captures the
-//! checkpoint, caches it memory-first on the route's staging tier, records
+//! checkpoint, stages it memory-first on the route's staging tier, records
 //! metadata, and delivers the payload to every attached consumer — inline
 //! (sync) or from a background thread (async). Every historical checkpoint
 //! is additionally flushed to the PFS for fault tolerance when
-//! `flush_to_pfs` is enabled. Under delta delivery on a memory route the
-//! staging tier reserves the version's bytes and the full is encoded only
-//! when something reads it (see [`Update::wire_full`]).
+//! `flush_to_pfs` is enabled. A memory staging tier is a capacity ledger:
+//! it reserves the version's bytes, which live only in the update that
+//! delivers them, so retention pins no buffer. Under delta delivery the
+//! full is encoded only when something reads it (see
+//! [`Update::wire_full`]).
 //!
 //! All hardware durations are charged to the deployment's virtual clock
 //! with `advance_to`, so concurrent background work overlaps in virtual
@@ -61,9 +63,9 @@ pub(crate) struct ProducerCtx {
     pub(crate) counters: DeliveryCounters,
     /// The format every full is encoded in.
     pub(crate) format: Box<dyn CheckpointFormat>,
-    /// Reusable serialize buffers: once the staging tiers and in-flight
-    /// flows release a past full's views, its allocation is recycled for a
-    /// later full instead of handed back to the allocator.
+    /// Reusable serialize buffers: once in-flight flows, installed models
+    /// and the PFS flush release a past full's views, its allocation is
+    /// recycled for a later full instead of handed back to the allocator.
     arena: Mutex<EncodeArena>,
     /// Held while a version is made durable: under coalescing the
     /// background flush and the delivery fallback can race for one version.
@@ -180,13 +182,7 @@ impl Update {
     /// save thread, the async worker or the delivery reactor; every later
     /// call, on any clone, returns views of that one buffer.
     pub(crate) fn wire_full(&self, ctx: &ProducerCtx) -> EncodedPayload {
-        let mut full = self.full.lock();
-        let encoded = match &*full {
-            Full::Encoded(encoded) => return encoded.clone(),
-            Full::Deferred(capture) => ctx.encode_full(capture, true, self.record.size_bytes),
-        };
-        *full = Full::Encoded(encoded.clone());
-        encoded
+        encoded_full(&self.full, ctx, self.record.size_bytes)
     }
 
     /// The **raw full encoding**, what the PFS flush and fallback write: a
@@ -202,6 +198,18 @@ enum Full {
     /// only a save under delta delivery defers). The first reader drops it.
     Deferred(Arc<Checkpoint>),
     Encoded(EncodedPayload),
+}
+
+/// The full in `full`, a version's of `size_bytes` bytes, encoding it
+/// first if it is still deferred.
+fn encoded_full(full: &Mutex<Full>, ctx: &ProducerCtx, size_bytes: u64) -> EncodedPayload {
+    let mut full = full.lock();
+    let encoded = match &*full {
+        Full::Encoded(encoded) => return encoded.clone(),
+        Full::Deferred(capture) => ctx.encode_full(capture, true, size_bytes),
+    };
+    *full = Full::Encoded(encoded.clone());
+    encoded
 }
 
 /// The raw encoding of `size_bytes` bytes at the end of `wire`, past any
@@ -385,7 +393,9 @@ impl Producer {
     /// under delta delivery by its first reader, and not at all if every
     /// consumer is sent a delta and nothing makes it durable. Chunk
     /// framing, fan-out, retransmission and every resend of a full ship
-    /// zero-copy views of that one buffer.
+    /// zero-copy views of that one buffer. A memory staging tier only
+    /// reserves it, so in steady state two buffers rotate (the version in
+    /// flight, the one installed) whatever `keep_versions` is.
     pub fn payload_allocs(&self) -> u64 {
         self.ctx.counters.payload_allocs.get()
     }
@@ -468,12 +478,15 @@ impl Producer {
         &self.node
     }
 
-    /// The producer's local GPU-memory staging tier.
+    /// The producer's local GPU-memory staging tier: a capacity ledger
+    /// whose keys are reservations of the retained versions' bytes
+    /// (reading one fails with `StorageError::Reserved`).
     pub fn gpu_tier(&self) -> &StorageTier {
         &self.gpu
     }
 
-    /// The producer's local host-memory staging tier.
+    /// The producer's local host-memory staging tier: a capacity ledger
+    /// like [`gpu_tier`](Self::gpu_tier).
     pub fn host_tier(&self) -> &StorageTier {
         &self.host
     }
@@ -551,38 +564,36 @@ impl Producer {
             );
         }
 
-        // 2. The full, and its place on the staging tier. A save that
-        //    keeps a delta base on a memory route holds the capture (a
+        // 2. The full, and its place on the staging tier: two independent
+        //    rules. A save that keeps a delta base holds the capture (a
         //    clone sharing the caller's tensors: the caller's next write to
-        //    one copies it) and defers the encode to the full's first
-        //    reader — a fresh consumer, a `NeedFull` or relay retry, the
-        //    durable fallback or the flush — which may never come; its
-        //    staging tier reserves the version's bytes. Every other save
-        //    encodes now, envelope first when it keeps a base, and stages a
-        //    view of the raw encoding; on the PFS route consumers pull it.
-        //    Memory tiers are uncharged (the payload landed there as part
-        //    of the capture copy); the PFS route's charged write *is* the
-        //    capture. Paths are scoped by producer node and training
+        //    one copies it) and defers the encode, envelope first, to the
+        //    full's first reader — a fresh consumer, a `NeedFull` or relay
+        //    retry, the durable fallback or the flush — which may never
+        //    come; every other save encodes now. A memory route's staging
+        //    tier is a capacity ledger: it reserves the version's bytes,
+        //    which live only in the update's `Full` cell and whatever
+        //    delivers, installs or flushes them. On the PFS route consumers
+        //    pull the object, so it is put there (encoding a deferred full
+        //    now). Memory tiers are uncharged (the payload landed there as
+        //    part of the capture copy); the PFS route's charged write *is*
+        //    the capture. Paths are scoped by producer node and training
         //    iteration so concurrent (data-parallel) producers never
         //    collide.
         let capture_arc = plan.retain_base.then(|| Arc::new(ckpt.clone()));
         let path = staging_path(&ckpt.model_name, &self.node, ckpt.iteration);
-        let tier = match route {
-            Route::GpuToGpu => &*self.gpu,
-            Route::HostToHost => &*self.host,
-            Route::PfsStaging => &shared.pfs,
-        };
-        let full = match &capture_arc {
-            Some(capture) if route != Route::PfsStaging => {
-                tier.reserve_uncharged(&path, bytes)?;
-                Full::Deferred(Arc::clone(capture))
+        let full = Mutex::new(match &capture_arc {
+            Some(capture) => Full::Deferred(Arc::clone(capture)),
+            None => Full::Encoded(ctx.encode_full(ckpt, false, bytes)),
+        });
+        match route {
+            Route::GpuToGpu => self.gpu.reserve_uncharged(&path, bytes)?,
+            Route::HostToHost => self.host.reserve_uncharged(&path, bytes)?,
+            Route::PfsStaging => {
+                let payload = raw_full(&encoded_full(&full, ctx, bytes).payload, bytes);
+                shared.pfs.put_uncharged(&path, payload, ntensors)?;
             }
-            _ => {
-                let encoded = ctx.encode_full(ckpt, plan.retain_base, bytes);
-                tier.put_uncharged(&path, raw_full(&encoded.payload, bytes), ntensors)?;
-                Full::Encoded(encoded)
-            }
-        };
+        }
 
         // 3. Record metadata (the DB serializes version assignment across
         //    producers).
@@ -607,7 +618,7 @@ impl Producer {
         let update = Update {
             record,
             ckpt: capture_arc,
-            full: Arc::new(Mutex::new(full)),
+            full: Arc::new(full),
             route,
             frontier: save_done,
         };

@@ -20,7 +20,7 @@
 //! [`FormatError::Corrupt`].
 //!
 //! The envelope exists **only on the wire** and only when the deployment's
-//! delta transfer is enabled; durable PFS copies and staging-tier caches
+//! delta transfer is enabled; durable PFS copies and PFS-staged objects
 //! always store raw full-format bytes, and a delta-off deployment's wire
 //! bytes are exactly the raw encoding (so the fault-free fast path stays
 //! byte-identical to a build without this layer).

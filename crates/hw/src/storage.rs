@@ -249,8 +249,10 @@ impl StorageTier {
 
     /// Store `bytes` under `key` WITHOUT charging modeled time — for
     /// payloads whose placement cost was already accounted elsewhere (e.g.
-    /// a snapshot that landed in this tier as part of a capture copy).
-    /// Capacity is still enforced.
+    /// a PFS-route save, whose charged capture was the write) and that
+    /// someone reads back. Capacity is still enforced. A memory staging
+    /// tier no one reads reserves instead
+    /// ([`reserve_uncharged`](StorageTier::reserve_uncharged)).
     pub fn put_uncharged(
         &self,
         key: &str,
@@ -274,9 +276,12 @@ impl StorageTier {
     /// Count `bytes` bytes under `key` against the capacity WITHOUT
     /// storing an encoding or charging modeled time: for a version whose
     /// placement was priced elsewhere and whose bytes the caller holds
-    /// (or can make) itself. The key lists, and [`remove`] frees it, like
-    /// an object; reading it fails with [`StorageError::Reserved`]. Never
-    /// persisted to disk.
+    /// (or can make) itself. This makes the tier a capacity ledger — how
+    /// a producer's memory staging tiers hold every save — so the bytes
+    /// are pinned only by whoever really uses them, while capacity checks
+    /// and `used_bytes` read as if they were stored. The key lists, and
+    /// [`remove`] frees it, like an object; reading it fails with
+    /// [`StorageError::Reserved`]. Never persisted to disk.
     ///
     /// [`remove`]: StorageTier::remove
     pub fn reserve_uncharged(&self, key: &str, bytes: u64) -> Result<(), StorageError> {

@@ -7,7 +7,7 @@ use std::time::Duration;
 use viper::{CheckpointCallback, SchedulePolicy, Viper, ViperConfig, ViperError};
 use viper_dnn::{losses, optimizers, FitConfig};
 use viper_formats::Checkpoint;
-use viper_hw::{CaptureMode, Route, Tier};
+use viper_hw::{CaptureMode, Route, StorageError, Tier};
 use viper_net::{FaultPlan, LinkKind, RetryPolicy};
 use viper_tensor::Tensor;
 
@@ -148,8 +148,8 @@ fn squeezed(full: &[Tier], delta: bool) -> ViperConfig {
 fn transfer_selector_falls_back_when_gpu_memory_full() {
     // Same memory pressure, but with the (default) fallback on: the save
     // must succeed via the host route and the consumer must still get it.
-    // Under delta delivery the host tier holds a reservation of the
-    // version's bytes, since its full is encoded only for a reader.
+    // The host tier holds a reservation of the version's bytes, with or
+    // without delta delivery: a memory staging tier is a capacity ledger.
     for delta in [false, true] {
         let viper = Viper::new(squeezed(&[Tier::GpuMem], delta));
         let producer = viper.producer("p");
@@ -167,7 +167,11 @@ fn transfer_selector_falls_back_when_gpu_memory_full() {
         let host = producer.host_tier();
         assert_eq!(host.keys(), ["m/p/i1"], "delta {delta}");
         assert_eq!(host.used_bytes(), got_bytes(&viper), "delta {delta}");
-        assert_eq!(host.get_uncharged("m/p/i1").is_err(), delta);
+        assert_eq!(
+            host.get_uncharged("m/p/i1").unwrap_err(),
+            StorageError::Reserved("m/p/i1".into()),
+            "delta {delta}"
+        );
     }
 }
 

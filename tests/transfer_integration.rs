@@ -480,7 +480,9 @@ const LATTICE_DELIVERIES: [(&str, Builder); 9] = [
 /// What one lattice scenario pins: the four saves' `SaveReceipt::stall`
 /// (ns); then the producer's `delta_sends`, `delta_fallbacks`, `group_acks`
 /// and `payload_allocs`, and the consumers' `relay_reserves` and
-/// `bytes_copied`, summed.
+/// `bytes_copied`, summed. A non-delta row allocates two payloads for four
+/// saves: the staging tier only reserves a version's bytes, so two arena
+/// buffers rotate (the version in flight, the one installed).
 type LatticePins = ([u64; 4], [u64; 6]);
 
 /// Save-to-swap instants (ns) per save, per consumer.
@@ -580,12 +582,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono best-effort",
         [57178, 57178, 57178, 57178],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync mono reliable",
         [57178, 57178, 57178, 57178],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync mono delta",
@@ -595,7 +597,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync mono delta+coalescing",
@@ -605,7 +607,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono relay",
         [57178, 57178, 57178, 57178],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Sync mono relay+delta",
@@ -615,7 +617,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync mono relay+coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Sync mono relay+delta+coalescing",
@@ -625,12 +627,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked best-effort",
         [135865, 135865, 135865, 135865],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync chunked reliable",
         [135865, 135865, 135865, 135865],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync chunked delta",
@@ -640,7 +642,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Sync chunked delta+coalescing",
@@ -650,7 +652,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked relay",
         [135865, 135865, 135865, 135865],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Sync chunked relay+delta",
@@ -660,7 +662,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Sync chunked relay+coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Sync chunked relay+delta+coalescing",
@@ -670,12 +672,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono best-effort",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async mono reliable",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async mono delta",
@@ -685,7 +687,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async mono delta+coalescing",
@@ -695,7 +697,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono relay",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Async mono relay+delta",
@@ -705,7 +707,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async mono relay+coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Async mono relay+delta+coalescing",
@@ -715,12 +717,12 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked best-effort",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async chunked reliable",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async chunked delta",
@@ -730,7 +732,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 0, 4, 0, 0],
+        [0, 0, 0, 2, 0, 0],
     ),
     (
         "Async chunked delta+coalescing",
@@ -740,7 +742,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked relay",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Async chunked relay+delta",
@@ -750,7 +752,7 @@ const LATTICE: [(&str, [u64; 4], [u64; 6]); 36] = [
     (
         "Async chunked relay+coalescing",
         [21749, 21749, 21749, 21749],
-        [0, 0, 4, 4, 8, 0],
+        [0, 0, 4, 2, 8, 0],
     ),
     (
         "Async chunked relay+delta+coalescing",

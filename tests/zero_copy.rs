@@ -1,17 +1,20 @@
 //! Steady-state deliveries are copy-free: the serialized checkpoint buffer
-//! is the only payload allocation per save, and every downstream stage —
-//! staging-tier cache, chunk framing, fan-out to multiple consumers,
-//! reliable ACK-gated flows, the enveloped full under delta delivery,
-//! reassembly, install — operates on zero-copy views of it. Under delta
-//! delivery that buffer is encoded only when a reader needs the full. The producer's
-//! `payload_allocs` and the consumers' `bytes_copied` counters assert this
-//! directly, the installed tensors are shown to lie inside the producer's
-//! buffer, and the delivered models are byte-for-byte intact.
+//! is the only payload a save can allocate, and every downstream stage —
+//! chunk framing, fan-out to multiple consumers, reliable ACK-gated flows,
+//! the enveloped full under delta delivery, reassembly, install — operates
+//! on zero-copy views of it. The memory staging tiers hold none of it: they
+//! are capacity ledgers that reserve each retained version's encoded
+//! length, so the arena recycles a buffer as soon as delivery and install
+//! let go of it. Under delta delivery that buffer is encoded only when a
+//! reader needs the full. The producer's `payload_allocs` and the
+//! consumers' `bytes_copied` counters assert this directly, the installed
+//! tensors are shown to lie inside the producer's buffer, and the delivered
+//! models are byte-for-byte intact.
 
 use std::time::Duration;
 use viper::{Viper, ViperConfig};
 use viper_formats::Checkpoint;
-use viper_hw::{CaptureMode, Route};
+use viper_hw::{CaptureMode, Route, StorageError};
 use viper_tensor::Tensor;
 
 fn ckpt(iter: u64, elems: usize) -> Checkpoint {
@@ -26,7 +29,8 @@ fn ckpt(iter: u64, elems: usize) -> Checkpoint {
 }
 
 /// Reliable single-chunk delivery to several consumers: zero payload bytes
-/// copied on either side, exactly one payload allocation per save.
+/// copied on either side, and two payload allocations for four saves — the
+/// version being delivered and the one the consumers still have installed.
 #[test]
 fn steady_state_delivery_copies_zero_payload_bytes() {
     let mut config = ViperConfig::default()
@@ -49,16 +53,17 @@ fn steady_state_delivery_copies_zero_payload_bytes() {
     }
     assert_eq!(
         producer.payload_allocs(),
-        4,
-        "exactly one payload allocation per save (the serialize)"
+        2,
+        "two serialize buffers rotate through the arena"
     );
 }
 
 /// Install without a copy: on a relay fan-out (6 consumers, fan-out 2, so
 /// all but the tree's root receive the update re-served by a relay), every
 /// member's installed tensors are views of the producer's one serialize
-/// buffer — the bytes the staging tier holds — whether it arrived as one
-/// chunk or several.
+/// buffer, whether it arrived as one chunk or several: each tensor lies at
+/// the same address on every member, and all of them within one encoding's
+/// span.
 #[test]
 fn relay_members_install_views_of_the_producers_buffer() {
     for chunk_bytes in [0, 16 * 1024] {
@@ -72,64 +77,92 @@ fn relay_members_install_views_of_the_producers_buffer() {
         let consumers: Vec<_> = (0..6)
             .map(|i| viper.consumer(&format!("c{i}"), "m"))
             .collect();
-        producer.save_weights(&ckpt(1, 50_000)).unwrap();
-        let keys = producer.gpu_tier().keys();
-        assert_eq!(keys.len(), 1, "{chunk_bytes}: one staged version");
-        let (staged, _) = producer.gpu_tier().read(&keys[0]).unwrap();
-        let buffer = staged.as_ptr_range();
+        let receipt = producer.save_weights(&ckpt(1, 50_000)).unwrap();
+        let mut first: Option<Vec<_>> = None;
         for consumer in &consumers {
             let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
             assert_eq!(*model, ckpt(1, 50_000), "{chunk_bytes}");
-            for (name, tensor) in &model.tensors {
-                let bytes = tensor.as_bytes().as_ptr_range();
-                assert!(
-                    tensor.is_shared() && buffer.start <= bytes.start && bytes.end <= buffer.end,
-                    "{chunk_bytes}: {name} is not a view of the serialize"
-                );
-            }
+            assert!(
+                model.tensors.iter().all(|(_, t)| t.is_shared()),
+                "{chunk_bytes}: installs are views"
+            );
+            let ranges: Vec<_> = model
+                .tensors
+                .iter()
+                .map(|(_, t)| t.as_bytes().as_ptr_range())
+                .collect();
+            let first = first.get_or_insert_with(|| ranges.clone());
+            assert_eq!(
+                ranges, *first,
+                "{chunk_bytes}: one buffer behind every member"
+            );
             assert_eq!(consumer.bytes_copied(), 0, "{chunk_bytes}");
         }
+        let first = first.unwrap();
+        let start = first.iter().map(|r| r.start).min().unwrap();
+        let end = first.iter().map(|r| r.end).max().unwrap();
+        assert!(
+            end as usize - start as usize <= receipt.bytes as usize,
+            "{chunk_bytes}: every tensor lies within one encoding"
+        );
         let reserves: u64 = consumers.iter().map(|c| c.relay_reserves()).sum();
         assert_eq!(reserves, 5, "{chunk_bytes}: relays served the rest");
         assert_eq!(producer.payload_allocs(), 1, "{chunk_bytes}");
     }
 }
 
-/// Arena amortization: once retention prunes an old version's staging
-/// copies (and its flows are terminal), the serialize buffer is recycled
-/// for a later save instead of reallocated. With `keep_versions = 1` the
-/// steady state is two buffers ping-ponging: only the first two saves
-/// allocate, every later save reuses a reclaimed arena slot. That holds
-/// with chunking on too: the consumer reassembles a multi-chunk flow as a
-/// joined view of the producer's buffer and installs views of it, which
-/// pin it only until the slot displaces that model — not past the prune
-/// that hands it back to the arena.
+/// Retention costs no buffers: a memory staging tier is a capacity ledger,
+/// so every staged version is a reservation of its exact encoded length and
+/// the serialize buffers are held only by what delivers and installs them.
+/// Whatever `keep_versions` is, the steady state is two buffers
+/// ping-ponging — the version in flight and the one the consumer has
+/// installed — so only the first two saves allocate. That holds with
+/// chunking on too: the consumer reassembles a multi-chunk flow as a joined
+/// view of the producer's buffer and installs views of it, which pin it
+/// only until the slot displaces that model.
 #[test]
-fn arena_recycles_serialize_buffers_once_versions_prune() {
+fn retention_costs_no_serialize_buffers() {
     for chunked in [false, true] {
-        let mut config = ViperConfig::default()
-            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
-            .with_reliable();
-        if chunked {
-            config = config.with_chunked(16 * 1024);
-        }
-        config.flush_to_pfs = false;
-        config.keep_versions = 1;
-        let viper = Viper::new(config);
-        let producer = viper.producer("p");
-        let consumer = viper.consumer("c", "m");
+        for keep_versions in [1, 2, 16] {
+            let mut config = ViperConfig::default()
+                .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+                .with_reliable();
+            if chunked {
+                config = config.with_chunked(16 * 1024);
+            }
+            config.flush_to_pfs = false;
+            config.keep_versions = keep_versions;
+            let viper = Viper::new(config);
+            let producer = viper.producer("p");
+            let consumer = viper.consumer("c", "m");
+            let case = format!("chunked {chunked}, keep {keep_versions}");
 
-        for iter in 1..=4 {
-            producer.save_weights(&ckpt(iter, 50_000)).unwrap();
+            for iter in 1..=20 {
+                producer.save_weights(&ckpt(iter, 50_000)).unwrap();
+                let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
+                assert_eq!(*model, ckpt(iter, 50_000), "{case}");
+            }
+            assert_eq!(consumer.bytes_copied(), 0, "{case}");
+            assert_eq!(producer.payload_allocs(), 2, "{case}");
+
+            let tier = producer.gpu_tier();
+            let staged = tier.keys();
+            assert_eq!(staged.len(), keep_versions.min(20), "{case}");
+            for key in &staged {
+                assert_eq!(
+                    tier.get_uncharged(key).unwrap_err(),
+                    StorageError::Reserved(key.clone()),
+                    "{case}"
+                );
+            }
+            let retained: u64 = viper
+                .metadata()
+                .history("m")
+                .iter()
+                .map(|r| r.size_bytes)
+                .sum();
+            assert_eq!(tier.used_bytes(), retained, "{case}");
         }
-        let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
-        assert_eq!(model.iteration, 4);
-        assert_eq!(consumer.bytes_copied(), 0, "chunked: {chunked}");
-        assert_eq!(
-            producer.payload_allocs(),
-            2,
-            "saves 3 and 4 must recycle the buffers pruned after saves 1 and 2 (chunked: {chunked})"
-        );
     }
 }
 
