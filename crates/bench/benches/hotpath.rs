@@ -49,9 +49,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 use viper_formats::{
-    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_with, delta, share_count, wire,
-    Checkpoint, CheckpointFormat, Crc32, Crc32Kernel, EncodeArena, EncodedPayload, Payload,
-    PayloadKind, StreamingEncoder, ViperFormat,
+    active_kernel, crc32, crc32_bytewise, crc32_combine, crc32_runs, crc32_with, delta,
+    share_count, wire, Checkpoint, CheckpointFormat, Crc32, Crc32Kernel, EncodeArena,
+    EncodedPayload, Payload, PayloadKind, StreamingEncoder, ViperFormat,
 };
 use viper_hw::{MachineProfile, SimClock};
 use viper_net::{
@@ -64,7 +64,7 @@ const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Label this era's history entry is recorded under (replaced in place on
 /// re-runs, so the array tracks eras, not invocations).
-const HISTORY_LABEL: &str = "split-byte-passes";
+const HISTORY_LABEL: &str = "one-fork-join";
 
 /// Tensors per sample checkpoint (and pieces per `crc_copy` pass).
 const TENSORS: usize = 16;
@@ -249,32 +249,19 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// re-reads the tensor bytes for the CRC footer), run a separate
 /// per-chunk CRC pass over the payload, then frame zero-copy subslices.
 fn legacy_path(format: &dyn CheckpointFormat, ckpt: &Checkpoint) -> usize {
-    use rayon::prelude::*;
     let payload = Payload::from(format.encode(ckpt));
-    let sizes = chunk_sizes(payload.len() as u64, CHUNK_BYTES);
-    let num_chunks = sizes.len() as u32;
-    let offsets: Vec<u64> = sizes
-        .iter()
-        .scan(0u64, |acc, &len| {
-            let at = *acc;
-            *acc += len;
-            Some(at)
-        })
-        .collect();
-    let mut crcs = vec![0u32; sizes.len()];
-    crcs.par_iter_mut().enumerate().for_each(|(i, c)| {
-        let (at, len) = (offsets[i] as usize, sizes[i] as usize);
-        *c = crc32(&payload[at..at + len]);
-    });
+    // A non-empty payload in `CHUNK_BYTES` chunks, as `chunk_sizes` cuts it.
+    let chunks: Vec<&[u8]> = payload.chunks(CHUNK_BYTES as usize).collect();
+    let crcs = crc32_runs(&chunks, share_count(payload.len()));
     let mut wire = 0usize;
-    for (i, &len) in sizes.iter().enumerate() {
-        let offset = offsets[i];
-        let body = payload.slice(offset as usize..(offset + len) as usize);
+    for (i, chunk) in chunks.iter().enumerate() {
+        let offset = i * CHUNK_BYTES as usize;
+        let body = payload.slice(offset..offset + chunk.len());
         let header = ChunkHeader {
             flow_id: 1,
             chunk_index: i as u32,
-            num_chunks,
-            offset,
+            num_chunks: chunks.len() as u32,
+            offset: offset as u64,
             total_bytes: payload.len() as u64,
             crc32: crcs[i],
         };

@@ -55,8 +55,9 @@
 use crate::checkpoint::{f32s_as_le_bytes, pad_len, put_f32s};
 use crate::crc::{crc32_combine, ChunkCrcs};
 use crate::payload::Payload;
-use crate::split::{self, share_count};
+use crate::split::cut;
 use std::sync::Arc;
+use viper_tensor::split::{bounds, fork_join, share_count};
 
 /// The product of a fused encode: the payload bytes (allocated once,
 /// possibly recycled from an [`EncodeArena`]) plus the per-chunk CRC32s
@@ -240,9 +241,10 @@ pub struct StreamingEncoder<'a> {
     absorbed: usize,
     /// Bytes written after `buf` and not yet copied into it.
     queue: Queue<'a>,
-    /// Shares a flush splits into, when forced; `None` sizes them by the
-    /// bytes (`split::share_count`).
-    shares: Option<usize>,
+    /// Shares a flush (and a [`diff_into`](crate::delta::diff_into)
+    /// compare) splits into, when forced; `None` sizes them by the bytes
+    /// (`viper_tensor::split::share_count`).
+    pub(crate) shares: Option<usize>,
 }
 
 /// The stream's tail that a split pass will copy and checksum: the
@@ -445,19 +447,20 @@ impl<'a> StreamingEncoder<'a> {
         self.buf.reserve(total);
         let runs = self.queue.runs();
         let mut spare = &mut self.buf.spare_capacity_mut()[..total];
-        let jobs: Vec<_> = split::bounds(total, shares)
+        let jobs: Vec<_> = bounds(total, shares)
             .map(|range| {
                 let window;
                 (window, spare) = std::mem::take(&mut spare).split_at_mut(range.len());
                 (
                     ChunkCrcs::at(chunk_bytes, (at + range.start) as u64),
                     window,
-                    split::cut(&runs, range),
+                    cut(runs.iter().map(|run| run.len()), range),
                 )
             })
             .collect();
-        let rolled = split::fork_join(jobs, |(mut crcs, mut window, pieces)| {
-            for (_, piece) in pieces {
+        let rolled = fork_join(jobs, |(mut crcs, mut window, pieces)| {
+            for (run, piece) in pieces {
+                let piece = &runs[run][piece];
                 let to;
                 (to, window) = std::mem::take(&mut window).split_at_mut(piece.len());
                 crcs.update_copying(piece, to);

@@ -40,8 +40,9 @@ pub use delta::DeltaCheckpoint;
 pub use encoder::{EncodeArena, EncodedPayload, StreamMark, StreamingEncoder};
 pub use h5lite::H5Lite;
 pub use payload::Payload;
-pub use split::{crc32_runs, share_count};
+pub use split::crc32_runs;
 pub use viper_format::ViperFormat;
+pub use viper_tensor::split::share_count;
 pub use wire::PayloadKind;
 
 /// A checkpoint serialization format.

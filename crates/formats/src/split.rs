@@ -1,93 +1,39 @@
-//! One fork-join per byte pass: a batch of byte runs is cut into
-//! contiguous, byte-balanced shares, the calling thread runs the first
-//! share and one scoped thread runs each other, and the per-share CRCs are
+//! The CRC half of the byte passes: a batch of byte runs is cut into the
+//! workspace's byte-balanced shares (`viper_tensor::split`), the shares
+//! checksum their pieces in one fork-join, and the per-share CRCs are
 //! stitched back with one [`crc32_combine`] per cut.
 //!
 //! The two byte passes of a delivery — the producer's fused copy-and-CRC
-//! encode and the consumer's per-chunk verify — each fork once per batch
-//! here: once per encode flush, once per receive drain. A share is at
-//! least [`MIN_SHARE`] bytes, because a scoped spawn costs about as much
-//! as checksumming 1 MiB; below two shares' worth nothing forks and the
-//! caller's thread does the whole pass, exactly as a one-core host does. Helpers compute pure functions of their bytes:
-//! every result is identical to the one-share pass, whatever the core
-//! count, so nothing downstream can tell how a pass was split.
+//! encode and the consumer's per-chunk verify — each fork once per batch:
+//! once per encode flush, once per receive drain. The delta compare cuts
+//! its runs the same way. Every result is identical to the one-share
+//! pass, whatever the share count.
 
 use crate::crc::{crc32, crc32_combine};
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::OnceLock;
+use viper_tensor::split::{bounds, fork_join};
 
-/// The smallest share worth a thread. A scoped spawn and join costs about
-/// 50 µs on the reference host, and stitching a cut a microsecond; a
-/// 2 MiB share takes 120 µs to checksum from cache and about 400 µs to
-/// copy and checksum from DRAM. Measured there with one run of `n` bytes
-/// in two shares against one: 2 MiB broke even, 4 MiB took 0.71× the
-/// time, 32 MiB 0.55×.
-const MIN_SHARE: usize = 2 << 20;
-
-/// The host's usable cores (its affinity mask), read once per process.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// How many shares a pass over `bytes` splits into: one per core, each at
-/// least 2 MiB, and never fewer than one.
-pub fn share_count(bytes: usize) -> usize {
-    cores().min(bytes / MIN_SHARE).max(1)
-}
-
-/// The byte ranges of `shares` contiguous, byte-balanced shares of
-/// `total` bytes, in order; they tile `0..total`.
-pub(crate) fn bounds(total: usize, shares: usize) -> impl Iterator<Item = Range<usize>> {
-    let shares = shares.max(1);
-    let cut = move |i: usize| (total as u128 * i as u128 / shares as u128) as usize;
-    (0..shares).map(move |i| cut(i)..cut(i + 1))
-}
-
-/// The non-empty pieces of the concatenation of `runs` that fall in
-/// `range`, each with the index of the run it belongs to, in order.
-pub(crate) fn cut<'s>(runs: &[&'s [u8]], range: Range<usize>) -> Vec<(usize, &'s [u8])> {
+/// The non-empty pieces of the concatenation of runs of `lens` units that
+/// fall in `range`, in order: each is the index of the run it belongs to
+/// and its range within that run.
+pub(crate) fn cut(
+    lens: impl IntoIterator<Item = usize>,
+    range: Range<usize>,
+) -> Vec<(usize, Range<usize>)> {
     let mut pieces = Vec::new();
     let mut at = 0usize;
-    for (i, run) in runs.iter().enumerate() {
-        let (lo, hi) = (at, at + run.len());
+    for (i, len) in lens.into_iter().enumerate() {
+        let (lo, hi) = (at, at + len);
         at = hi;
-        if hi <= range.start || run.is_empty() {
+        if hi <= range.start || len == 0 {
             continue;
         }
         if lo >= range.end {
             break;
         }
-        pieces.push((i, &run[range.start.max(lo) - lo..range.end.min(hi) - lo]));
+        pieces.push((i, range.start.max(lo) - lo..range.end.min(hi) - lo));
     }
     pieces
-}
-
-/// Run `work` on every job: the first on the calling thread, each other
-/// on a scoped thread of its own. Results come back in job order. One
-/// job runs inline, with no thread at all.
-pub(crate) fn fork_join<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
-    let mut jobs = jobs.into_iter();
-    let Some(first) = jobs.next() else {
-        return Vec::new();
-    };
-    if jobs.len() == 0 {
-        return vec![work(first)];
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let forked: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
-        let mut results = Vec::with_capacity(forked.len() + 1);
-        results.push(work(first));
-        for handle in forked {
-            match handle.join() {
-                Ok(result) => results.push(result),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        results
-    })
 }
 
 /// CRC32 of each of `runs`, computed in `shares` contiguous, byte-balanced
@@ -96,12 +42,14 @@ pub(crate) fn fork_join<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + 
 /// pieces is stitched with one [`crc32_combine`] per cut. Equal to
 /// `runs.map(crc32)` for every share count.
 pub fn crc32_runs(runs: &[&[u8]], shares: usize) -> Vec<u32> {
-    let total = runs.iter().map(|run| run.len()).sum();
-    let jobs: Vec<_> = bounds(total, shares)
-        .map(|range| cut(runs, range))
+    let lens = || runs.iter().map(|run| run.len());
+    let jobs: Vec<_> = bounds(lens().sum(), shares)
+        .map(|range| cut(lens(), range))
         .collect();
     let partials = fork_join(jobs, |pieces| {
-        let partial = |(run, piece): (usize, &[u8])| (run, crc32(piece), piece.len() as u64);
+        let partial = |(run, piece): (usize, Range<usize>)| {
+            (run, crc32(&runs[run][piece.clone()]), piece.len() as u64)
+        };
         pieces.into_iter().map(partial).collect::<Vec<_>>()
     });
     // An empty run keeps the CRC of nothing, 0. A run's first piece sets
@@ -126,40 +74,6 @@ mod tests {
         (0..len)
             .map(|i| (i as u8).wrapping_mul(31) ^ seed)
             .collect()
-    }
-
-    #[test]
-    fn bounds_tile_the_total() {
-        for (total, shares) in [
-            (0, 1),
-            (0, 3),
-            (1, 2),
-            (10, 3),
-            (1 << 20, 2),
-            (7, 7),
-            (5, 9),
-        ] {
-            let ranges: Vec<_> = bounds(total, shares).collect();
-            assert_eq!(ranges.len(), shares);
-            assert_eq!(ranges.first().map(|r| r.start), Some(0));
-            assert_eq!(ranges.last().map(|r| r.end), Some(total));
-            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
-        }
-    }
-
-    #[test]
-    fn share_count_needs_two_minimum_shares_to_fork() {
-        assert_eq!(share_count(0), 1);
-        assert_eq!(share_count(2 * MIN_SHARE - 1), 1);
-        assert_eq!(share_count(2 * MIN_SHARE), cores().min(2));
-        assert!(share_count(usize::MAX) <= cores());
-    }
-
-    #[test]
-    fn fork_join_keeps_job_order() {
-        let out = fork_join((0..5).collect(), |i: u32| i * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40]);
-        assert!(fork_join(Vec::<u32>::new(), |i| i).is_empty());
     }
 
     #[test]

@@ -1,24 +1,14 @@
-//! Reduction kernels.
-
-use crate::PAR_THRESHOLD;
-use rayon::prelude::*;
+//! Reduction kernels. They run on the calling thread, in index order, so
+//! a float sum is the same bits on every host.
 
 /// Sum of all elements.
 pub fn sum(a: &[f32]) -> f32 {
-    if a.len() < PAR_THRESHOLD {
-        a.iter().sum()
-    } else {
-        a.par_iter().sum()
-    }
+    a.iter().sum()
 }
 
 /// Maximum element; negative infinity for an empty slice.
 pub fn max(a: &[f32]) -> f32 {
-    if a.len() < PAR_THRESHOLD {
-        a.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    } else {
-        a.par_iter().copied().reduce(|| f32::NEG_INFINITY, f32::max)
-    }
+    a.iter().copied().fold(f32::NEG_INFINITY, f32::max)
 }
 
 /// Index of the first maximum element; 0 for an empty slice.
@@ -37,11 +27,7 @@ pub fn argmax(a: &[f32]) -> usize {
 /// Dot product. Caller guarantees equal lengths.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    if a.len() < PAR_THRESHOLD {
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    } else {
-        a.par_iter().zip(b.par_iter()).map(|(&x, &y)| x * y).sum()
-    }
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -56,9 +42,9 @@ mod tests {
 
     #[test]
     fn sum_parallel_matches_sequential() {
-        let v: Vec<f32> = (0..PAR_THRESHOLD + 100).map(|_| 0.5).collect();
-        let seq: f32 = v.iter().sum();
-        assert!((sum(&v) - seq).abs() < 1.0);
+        let v: Vec<f32> = (0..(1 << 20) + 100).map(|i| (i % 7) as f32 * 0.5).collect();
+        let seq = v.iter().fold(0.0f32, |acc, &x| acc + x);
+        assert_eq!(sum(&v).to_bits(), seq.to_bits(), "an in-order sum");
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Tensor {
     }
 
     /// Apply `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             data: Storage::owned(ops::elementwise::map(self.as_slice(), f)),
             shape: self.shape.clone(),
@@ -295,7 +295,7 @@ impl Tensor {
     }
 
     /// Elementwise binary op against a same-shaped tensor.
-    pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+    pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
         self.check_same_shape(rhs, "zip")?;
         Ok(Tensor {
             data: Storage::owned(ops::elementwise::zip(self.as_slice(), rhs.as_slice(), f)),
