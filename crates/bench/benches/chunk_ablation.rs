@@ -5,10 +5,13 @@
 //!    checkpoint sizes × chunk sizes, printed as a virtual-time table;
 //!  * engine level — real chunked save → load round-trips, wall time
 //!    measuring the chunking machinery's own overhead.
+//!
+//! Each timed row runs once to warm up, then [`RUNS`] times, and prints
+//! the mean wall time. `--test` (as `cargo bench --bench chunk_ablation --
+//! --test` does in CI) runs each row once as a smoke test.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use viper::{Viper, ViperConfig};
 use viper_formats::Checkpoint;
 use viper_hw::{pipeline_costs, CaptureMode, MachineProfile, Route, TransferStrategy};
@@ -16,6 +19,25 @@ use viper_net::{FaultPlan, RetryPolicy};
 use viper_tensor::Tensor;
 
 const NTENSORS: usize = 2;
+
+/// Timed runs per row, after one warm-up run.
+const RUNS: u32 = 10;
+
+/// Time `f` and print `bench <label>: <mean> s/iter`; under `smoke`, run
+/// it once and print `ok`.
+fn time<O>(label: &str, smoke: bool, mut f: impl FnMut() -> O) {
+    black_box(f());
+    if smoke {
+        println!("bench {label}: ok (smoke test)");
+        return;
+    }
+    let start = Instant::now();
+    for _ in 0..RUNS {
+        black_box(f());
+    }
+    let mean = start.elapsed().as_secs_f64() / f64::from(RUNS);
+    println!("bench {label}: {mean:.6} s/iter");
+}
 
 /// Overlapped virtual makespan of one synchronous chunked update.
 fn pipelined(profile: &MachineProfile, route: Route, bytes: u64, chunk_bytes: u64) -> Duration {
@@ -32,11 +54,11 @@ fn monolithic(profile: &MachineProfile, route: Route, bytes: u64) -> Duration {
     pipelined(profile, route, bytes, 0)
 }
 
-fn bench_model_ablation(c: &mut Criterion) {
+fn model_ablation(smoke: bool) {
     let profile = MachineProfile::polaris();
     // Virtual-time table first: what the cost model predicts the chunking
-    // ablation looks like (this is the paper-facing result; the criterion
-    // numbers below only measure the model's own evaluation cost).
+    // ablation looks like (this is the paper-facing result; the timings
+    // below only measure the model's own evaluation cost).
     println!("\nchunk ablation (virtual time, Polaris profile, GPU route):");
     println!(
         "{:>10} {:>12} {:>12} {:>12} {:>12}",
@@ -52,16 +74,15 @@ fn bench_model_ablation(c: &mut Criterion) {
         println!("{:>8}MB {:>12.3?} {}", ckpt_mb, mono, row.join(" "));
     }
 
-    let mut group = c.benchmark_group("chunk_model");
     for (label, route) in [("gpu", Route::GpuToGpu), ("host", Route::HostToHost)] {
         for chunk_mb in [0u64, 16, 64] {
-            let id = BenchmarkId::new(label, format!("chunk{chunk_mb}MB"));
-            group.bench_with_input(id, &(route, chunk_mb), |b, &(r, cmb)| {
-                b.iter(|| black_box(pipelined(&profile, r, black_box(4700u64 << 20), cmb << 20)))
-            });
+            time(
+                &format!("chunk_model/{label}/chunk{chunk_mb}MB"),
+                smoke,
+                || pipelined(&profile, route, black_box(4700u64 << 20), chunk_mb << 20),
+            );
         }
     }
-    group.finish();
 
     // Sanity print for the strategy-level costs (stall vs total).
     for route in [Route::GpuToGpu, Route::HostToHost] {
@@ -97,16 +118,13 @@ fn engine_roundtrip(chunk_bytes: u64, elems: usize) {
     black_box(consumer.load_weights(Duration::from_secs(30)).unwrap());
 }
 
-fn bench_engine_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chunk_engine");
-    group.sample_size(10);
+fn engine_ablation(smoke: bool) {
     // 2 MB payload; 64 KiB chunks exercise a 32-message flow.
     for (label, chunk) in [("monolithic", 0u64), ("chunk64KiB", 64 * 1024)] {
-        group.bench_with_input(BenchmarkId::new("roundtrip", label), &chunk, |b, &cb| {
-            b.iter(|| engine_roundtrip(cb, 500_000))
+        time(&format!("chunk_engine/roundtrip/{label}"), smoke, || {
+            engine_roundtrip(chunk, 500_000)
         });
     }
-    group.finish();
 }
 
 /// One reliable chunked save → load under a seeded fault plan; returns the
@@ -136,7 +154,7 @@ fn faulted_roundtrip(drop: f64, elems: usize) -> (Duration, u64) {
     )
 }
 
-fn bench_fault_sweep(c: &mut Criterion) {
+fn fault_sweep(smoke: bool) {
     // Paper-facing table: the retransmission cost of an unreliable link is
     // visible as a measured virtual-makespan increase, not just a counter.
     println!("\nreliable delivery under loss (2 MB payload, 64 KiB chunks, GPU route):");
@@ -149,20 +167,16 @@ fn bench_fault_sweep(c: &mut Criterion) {
         println!("{:>7.0}% {:>14.3?} {:>14}", drop * 100.0, makespan, rounds);
     }
 
-    let mut group = c.benchmark_group("chunk_faults");
-    group.sample_size(10);
     for (label, drop) in [("clean", 0.0f64), ("drop20pct", 0.20)] {
-        group.bench_with_input(BenchmarkId::new("reliable", label), &drop, |b, &d| {
-            b.iter(|| black_box(faulted_roundtrip(d, 500_000)))
+        time(&format!("chunk_faults/reliable/{label}"), smoke, || {
+            faulted_roundtrip(drop, 500_000)
         });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_model_ablation,
-    bench_engine_ablation,
-    bench_fault_sweep
-);
-criterion_main!(benches);
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
+    model_ablation(smoke);
+    engine_ablation(smoke);
+    fault_sweep(smoke);
+}

@@ -4,9 +4,8 @@
 
 use crate::producer::Producer;
 use crate::SaveReceipt;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use viper_dnn::{Callback, Model, TrainEvent};
 use viper_formats::Checkpoint;
 
@@ -92,7 +91,7 @@ impl Callback for CheckpointCallback {
         if self.policy.due(event.iteration, &mut self.cursor) {
             let ckpt = Checkpoint::new(model.name(), event.iteration, model.named_weights());
             match self.producer.save_weights(&ckpt) {
-                Ok(receipt) => self.receipts.lock().push_back(receipt),
+                Ok(receipt) => self.receipts.lock().unwrap().push_back(receipt),
                 Err(_) => self.failures += 1,
             }
         }

@@ -46,9 +46,8 @@
 //! enabled telemetry is bit-identical) holds with delta transfer on.
 
 use crate::producer::{charge_at, ProducerCtx, Update};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use viper_formats::{delta, wire, Checkpoint, Payload, PayloadKind, StreamingEncoder};
 use viper_hw::{stage_time, SimInstant};
 
@@ -105,7 +104,7 @@ impl PayloadCodec {
     /// tensor (see [`viper_tensor::Tensor`]). A diff against the base then
     /// reads only the tensors written since.
     pub(crate) fn retain(&self, ckpt: &Arc<Checkpoint>) {
-        let mut retained = self.retained.lock();
+        let mut retained = self.retained.lock().unwrap();
         let bases = retained.entry(ckpt.model_name.clone()).or_default();
         bases.insert(ckpt.iteration, Arc::clone(ckpt));
         while bases.len() > self.keep {
@@ -120,7 +119,7 @@ impl PayloadCodec {
     /// to its whole subtree, so a group delta is only safe when it applies
     /// at every member — any divergence falls back to a full.
     fn base_for(&self, members: &[String], model: &str) -> Option<Arc<Checkpoint>> {
-        let acked = self.acked.lock();
+        let acked = self.acked.lock().unwrap();
         let mut common: Option<u64> = None;
         for member in members {
             let it = *acked.get(&(member.clone(), model.to_string()))?;
@@ -132,17 +131,18 @@ impl PayloadCodec {
         }
         let it = common?;
         drop(acked);
-        self.retained.lock().get(model)?.get(&it).cloned()
+        self.retained.lock().unwrap().get(model)?.get(&it).cloned()
     }
 
     /// Record that `consumer` acknowledged installing `iteration` of a model
     /// this codec retains bases of; any other ack could never pick a base.
     pub(crate) fn note_acked(&self, consumer: &str, model: &str, iteration: u64) {
-        if !self.retained.lock().contains_key(model) {
+        if !self.retained.lock().unwrap().contains_key(model) {
             return;
         }
         self.acked
             .lock()
+            .unwrap()
             .insert((consumer.to_string(), model.to_string()), iteration);
     }
 
@@ -151,6 +151,7 @@ impl PayloadCodec {
     pub(crate) fn forget(&self, consumer: &str, model: &str) {
         self.acked
             .lock()
+            .unwrap()
             .remove(&(consumer.to_string(), model.to_string()));
     }
 }

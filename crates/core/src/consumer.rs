@@ -14,9 +14,8 @@ use crate::producer::charge_apply_at;
 use crate::relay_role::RelayState;
 use crate::slot::ModelSlot;
 use crate::{Result, ViperError, UPDATE_TOPIC};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use viper_formats::{
     delta, wire, Checkpoint, CheckpointFormat, DeltaCheckpoint, FormatError, PayloadKind,
@@ -92,7 +91,7 @@ pub(crate) struct ConsumerState {
 impl ConsumerState {
     /// Record a delivery error, dropping the oldest past the bound.
     fn error(&self, err: ViperError) {
-        let mut errors = self.errors.lock();
+        let mut errors = self.errors.lock().unwrap();
         if errors.len() == Consumer::MAX_ERRORS {
             errors.pop_front();
         }
@@ -115,7 +114,12 @@ impl Consumer {
 
     pub(crate) fn attach(viper: Viper, node: &str, model_name: &str) -> Self {
         let endpoint = Arc::new(viper.shared.fabric.register(node));
-        viper.shared.consumers.write().push(node.to_string());
+        viper
+            .shared
+            .consumers
+            .write()
+            .unwrap()
+            .push(node.to_string());
         let subscription = viper.shared.bus.subscribe(UPDATE_TOPIC);
 
         let telemetry = &viper.shared.config.telemetry;
@@ -191,7 +195,7 @@ impl Consumer {
 
     /// Info about the most recent completed update.
     pub fn last_update(&self) -> Option<UpdateInfo> {
-        *self.state.latest.lock()
+        *self.state.latest.lock().unwrap()
     }
 
     /// How far the served model lags the newest *recorded* version of this
@@ -298,7 +302,7 @@ impl Consumer {
     /// first: at most [`MAX_ERRORS`](Self::MAX_ERRORS), while the
     /// `malformed_tags` and `flows_abandoned` counters count every one.
     pub fn delivery_errors(&self) -> Vec<ViperError> {
-        self.state.errors.lock().iter().cloned().collect()
+        self.state.errors.lock().unwrap().iter().cloned().collect()
     }
 
     /// Block until a model *newer than the one this method last returned*
@@ -312,8 +316,8 @@ impl Consumer {
     /// the swap.
     pub fn load_weights(&self, timeout: Duration) -> Result<Arc<Checkpoint>> {
         let deadline = Instant::now() + timeout;
-        let mut last_loaded = self.state.last_loaded.lock();
-        let mut latest = self.state.latest.lock();
+        let mut last_loaded = self.state.last_loaded.lock().unwrap();
+        let mut latest = self.state.latest.lock().unwrap();
         loop {
             if let Some(info) = *latest {
                 if info.version > *last_loaded {
@@ -329,7 +333,12 @@ impl Consumer {
                     waiting_for: format!("model {} > v{}", self.model_name, *last_loaded),
                 });
             }
-            self.state.cond.wait_until(&mut latest, deadline);
+            latest = self
+                .state
+                .cond
+                .wait_timeout(latest, deadline.saturating_duration_since(Instant::now()))
+                .unwrap()
+                .0;
         }
     }
 
@@ -372,7 +381,7 @@ impl Consumer {
     /// immediately if a model is already being served.
     pub fn wait_for_model(&self, timeout: Duration) -> Result<Arc<Checkpoint>> {
         let deadline = Instant::now() + timeout;
-        let mut latest = self.state.latest.lock();
+        let mut latest = self.state.latest.lock().unwrap();
         loop {
             if latest.is_some() {
                 drop(latest);
@@ -385,7 +394,12 @@ impl Consumer {
                     waiting_for: format!("first version of model {}", self.model_name),
                 });
             }
-            self.state.cond.wait_until(&mut latest, deadline);
+            latest = self
+                .state
+                .cond
+                .wait_timeout(latest, deadline.saturating_duration_since(Instant::now()))
+                .unwrap()
+                .0;
         }
     }
 }
@@ -400,6 +414,7 @@ impl Drop for Consumer {
             .shared
             .consumers
             .write()
+            .unwrap()
             .retain(|n| n != &self.node);
     }
 }
@@ -848,7 +863,9 @@ impl ConsumerTask {
                 // not grow; the baseline doesn't listen to them.
                 while self.subscription.try_recv().is_some() {}
                 if let Some(record) = viper.shared.db.latest(&self.model_name) {
-                    let already = (*self.state.latest.lock()).map(|u| u.version).unwrap_or(0);
+                    let already = (*self.state.latest.lock().unwrap())
+                        .map(|u| u.version)
+                        .unwrap_or(0);
                     if record.version > already && record.location == Tier::Pfs.name() {
                         // The poller only notices on its grid: round the
                         // virtual clock up to the next poll tick. Integer
@@ -952,7 +969,9 @@ fn try_pull_from_pfs(
         return;
     }
     // Skip stale notifications (an even newer one may be queued).
-    let already = (*state.latest.lock()).map(|u| u.version).unwrap_or(0);
+    let already = (*state.latest.lock().unwrap())
+        .map(|u| u.version)
+        .unwrap_or(0);
     if record.version <= already {
         return;
     }
@@ -1026,7 +1045,7 @@ fn install_at(
     // The swap itself is "negligible overhead" (§4.2); the nudged `at`
     // still advances the virtual clock so ordering is visible in traces.
     viper.shared.clock.advance_to(at);
-    let mut latest = state.latest.lock();
+    let mut latest = state.latest.lock().unwrap();
     // Exactly-once install: UpdateInfo tracks the newest model the slot
     // accepted, never a loser of the race above.
     let newer = latest

@@ -3,8 +3,7 @@
 
 use crate::distribute::Distribution;
 use crate::{Consumer, Producer, ViperConfig};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use viper_hw::{SimClock, StorageTier, Tier};
 use viper_metastore::{MetadataDb, ModelRecord, PubSub};
 use viper_net::{Fabric, Reactor};

@@ -48,9 +48,9 @@ use crate::config::{CaptureBilling, Delivery};
 use crate::context::Viper;
 use crate::producer::{charge_at, ProducerCtx, Update};
 use crate::UPDATE_TOPIC;
-use crossbeam::channel::{unbounded, Sender};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use viper_formats::PayloadKind;
 use viper_hw::{capture_stage, Route, SimInstant, Stage};
@@ -276,7 +276,7 @@ pub(crate) fn deliver(
     let mut frontier = update.frontier;
     if let Some(link) = link {
         let tag = update.tag();
-        let consumers = shared.consumers.read().clone();
+        let consumers = shared.consumers.read().unwrap().clone();
         let config = &shared.config;
         // Memory routes price no format metadata: the factor is moot.
         let capture = (capture == CaptureBilling::InFlow)
@@ -321,7 +321,7 @@ pub(crate) fn deliver(
                     // through counters and `flush_deliveries`. In blocking
                     // mode the reply arrives once every flow is terminal,
                     // preserving one fan-out at a time.
-                    let (reply, reply_rx) = (!options.coalesce).then(unbounded).unzip();
+                    let (reply, reply_rx) = (!options.coalesce).then(channel).unzip();
                     // The fan-out is encoded: the task diffs nothing, so it
                     // gets no base. It holds the capture only through a
                     // deferred full, until a resend encodes it or the

@@ -10,9 +10,9 @@
 //! the same rule without the failed node, and demotes it, so a flaky
 //! consumer can rejoin the fleet without being handed a subtree again.
 
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
+use std::sync::Mutex;
 use viper_net::Topology;
 
 /// The deployment's relay-tree state. Constructed once per deployment
@@ -56,7 +56,7 @@ impl Distribution {
         if consumers.len() < 2 {
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let current = inner
             .topology
             .as_ref()
@@ -70,7 +70,7 @@ impl Distribution {
     /// The nodes `node` currently relays to (empty for leaves, unknown
     /// nodes, and before any relay-tree delivery).
     pub(crate) fn children_of(&self, node: &str) -> Vec<String> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let children = inner.topology.as_ref().map(|t| t.children_of(node));
         children.unwrap_or_default().to_vec()
     }
@@ -78,7 +78,7 @@ impl Distribution {
     /// `node`'s whole current subtree, `node` first (empty for unknown
     /// nodes and before any relay-tree delivery).
     pub(crate) fn subtree_of(&self, node: &str) -> Vec<String> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let subtree = inner.topology.as_ref().map(|t| t.subtree_of(node));
         subtree.unwrap_or_default()
     }
@@ -87,7 +87,7 @@ impl Distribution {
     /// tree over the current members without it. It rejoins the tree, as a
     /// leaf, at the next refresh that finds it attached.
     pub(crate) fn note_failed(&self, node: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.demoted.insert(node.to_string());
         if let Some(t) = inner.topology.take() {
             let survivors = t.members().iter().filter(|m| *m != node).cloned();

@@ -22,9 +22,8 @@ use crate::config::{CaptureBilling, Deliverer, Delivery, Reliable, SavePlan};
 use crate::context::Viper;
 use crate::delivery::{deliver, route_label, DeliveryCounters, DeliveryTask, DrainBarrier};
 use crate::Result;
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use viper_formats::{
@@ -84,7 +83,7 @@ impl ProducerCtx {
         let envelope = if framed { wire::WIRE_HEADER_BYTES } else { 0 };
         let len = envelope + size_bytes as usize;
         let encoded = {
-            let mut arena = self.arena.lock();
+            let mut arena = self.arena.lock().unwrap();
             let chunk_bytes = self.viper.shared.config.chunk_bytes;
             let mut enc = StreamingEncoder::from_arena(&mut arena, len, chunk_bytes);
             if framed {
@@ -113,7 +112,7 @@ impl ProducerCtx {
     ) -> Option<ModelRecord> {
         let shared = &self.viper.shared;
         let path = format!("pfs/{}/v{}", record.name, record.version);
-        let _one_writer = self.durable.lock();
+        let _one_writer = self.durable.lock().unwrap();
         let relocated = shared
             .db
             .get(&record.name, record.version)
@@ -203,7 +202,7 @@ enum Full {
 /// The full in `full`, a version's of `size_bytes` bytes, encoding it
 /// first if it is still deferred.
 fn encoded_full(full: &Mutex<Full>, ctx: &ProducerCtx, size_bytes: u64) -> EncodedPayload {
-    let mut full = full.lock();
+    let mut full = full.lock().unwrap();
     let encoded = match &*full {
         Full::Encoded(encoded) => return encoded.clone(),
         Full::Deferred(capture) => ctx.encode_full(capture, true, size_bytes),
@@ -274,7 +273,7 @@ impl Producer {
         shared
             .reactor
             .register(node, Box::new(DeliveryTask::new(Arc::clone(&ctx))));
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let worker = {
             let ctx = Arc::clone(&ctx);
             // Worker spans live on their own track: Begin/End pairs from
@@ -403,19 +402,19 @@ impl Producer {
     /// How many saves reused a recycled arena buffer instead of
     /// allocating.
     pub fn arena_reclaimed(&self) -> u64 {
-        self.ctx.arena.lock().reclaimed()
+        self.ctx.arena.lock().unwrap().reclaimed()
     }
 
     /// How many arena reclaims released a high-water allocation after a
     /// sustained run of saves that underused their buffers.
     pub fn arena_decays(&self) -> u64 {
-        self.ctx.arena.lock().decays()
+        self.ctx.arena.lock().unwrap().decays()
     }
 
     /// Total backing capacity currently parked in this producer's encode
     /// arena — the memory the buffer-reuse path is holding onto.
     pub fn arena_retained_capacity(&self) -> usize {
-        self.ctx.arena.lock().retained_capacity()
+        self.ctx.arena.lock().unwrap().retained_capacity()
     }
 
     /// Feedback frames dropped by the delivery reactor because they named
@@ -459,12 +458,12 @@ impl Producer {
         // Worker first: its queue is the source of delivery submissions,
         // so the reactor barrier below sees every job's flows.
         if let Some(tx) = &self.worker_tx {
-            let (done_tx, done_rx) = unbounded();
+            let (done_tx, done_rx) = channel();
             if tx.send(Job::Barrier(done_tx)).is_ok() {
                 let _ = done_rx.recv();
             }
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.ctx
             .viper
             .shared
@@ -506,7 +505,9 @@ impl Producer {
         // the save's start. This is the one read of the shared clock on the
         // producer path: everything after is charged from `started_at`.
         let started_at = match shared.config.delivery {
-            Delivery::Reliable(Reliable { coalesce: true, .. }) => *self.save_frontier.lock(),
+            Delivery::Reliable(Reliable { coalesce: true, .. }) => {
+                *self.save_frontier.lock().unwrap()
+            }
             _ => clock.now(),
         };
         let mut span = telemetry.span_with(
@@ -659,7 +660,7 @@ impl Producer {
         // billed to this save.
         let stall = plan.stall_price(&shared.config.profile, route, bytes, ntensors, meta_factor);
         let resumed_at = started_at.add(stall);
-        *self.save_frontier.lock() = resumed_at;
+        *self.save_frontier.lock().unwrap() = resumed_at;
         Ok(SaveReceipt {
             version,
             bytes,

@@ -7,8 +7,7 @@
 //! briefly-held lock, so the swap causes "imperceptible downtime" exactly
 //! as the paper describes.
 
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use viper_formats::Checkpoint;
 
 /// A double-buffered, atomically-swappable model holder.
@@ -35,12 +34,12 @@ impl ModelSlot {
 
     /// The model currently serving inferences (None before the first load).
     pub fn current(&self) -> Option<Arc<Checkpoint>> {
-        self.primary.read().clone()
+        self.primary.read().unwrap().clone()
     }
 
     /// Version (training iteration) of the current model, if any.
     pub fn current_iteration(&self) -> Option<u64> {
-        self.primary.read().as_ref().map(|c| c.iteration)
+        self.primary.read().unwrap().as_ref().map(|c| c.iteration)
     }
 
     /// Atomically install `ckpt` as the primary iff it is strictly newer
@@ -50,7 +49,7 @@ impl ModelSlot {
     /// the installed checkpoint, or `None` if it was stale.
     pub fn install_if_newer(&self, ckpt: Checkpoint) -> Option<Arc<Checkpoint>> {
         let candidate = Arc::new(ckpt);
-        let mut primary = self.primary.write();
+        let mut primary = self.primary.write().unwrap();
         let stale = primary
             .as_ref()
             .map(|cur| candidate.iteration <= cur.iteration)

@@ -17,12 +17,11 @@
 //! round asserts the delivery invariant the runtime's group ACK protects:
 //! each live member is reachable from the root exactly once.
 
-use serde::{Deserialize, Serialize};
 use viper_hw::FanoutHop;
 use viper_net::{FaultRng, Topology};
 
 /// Configuration of a fleet fan-out simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FanoutConfig {
     /// Initial fleet size (must be >= 1).
     pub consumers: usize,
@@ -45,7 +44,7 @@ pub struct FanoutConfig {
 }
 
 /// One update round's measured outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FanoutRound {
     /// Round index (0-based).
     pub round: u64,
@@ -62,7 +61,7 @@ pub struct FanoutRound {
 }
 
 /// Result of a fleet fan-out simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FanoutResult {
     /// Per-round outcomes, in order.
     pub rounds: Vec<FanoutRound>,

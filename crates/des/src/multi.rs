@@ -10,11 +10,10 @@
 
 use crate::timeline;
 use crate::workflow::{Discovery, ModelUpdate};
-use serde::{Deserialize, Serialize};
 use viper_hw::UpdateCosts;
 
 /// One consumer's configuration in a multi-consumer run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConsumerSpec {
     /// Inference time per request (seconds).
     pub t_infer: f64,
@@ -25,7 +24,7 @@ pub struct ConsumerSpec {
 }
 
 /// Configuration of a multi-producer / multi-consumer run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiSimConfig {
     /// Data-parallel producer ranks (checkpoint capture is sharded across
     /// them; must be >= 1).
@@ -45,7 +44,7 @@ pub struct MultiSimConfig {
 }
 
 /// Per-consumer outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsumerResult {
     /// Cumulative inference loss for this consumer.
     pub cil: f64,
@@ -56,7 +55,7 @@ pub struct ConsumerResult {
 }
 
 /// Result of a multi simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiSimResult {
     /// Per-rank producer stall total (seconds) — equal across ranks.
     pub training_overhead_per_rank: f64,

@@ -1,11 +1,10 @@
 //! The producer/consumer workflow simulation.
 
 use crate::timeline;
-use serde::{Deserialize, Serialize};
 use viper_hw::UpdateCosts;
 
 /// How the consumer learns that a new model version is staged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Discovery {
     /// Viper's push notification: the consumer is told after the broker's
     /// notify latency (taken from [`UpdateCosts::notify`]).
@@ -18,7 +17,7 @@ pub enum Discovery {
 }
 
 /// Configuration of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Training time per iteration (seconds) — constant per Fig. 6.
     pub t_train: f64,
@@ -41,7 +40,7 @@ pub struct SimConfig {
 }
 
 /// One completed model update as observed in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelUpdate {
     /// Training iteration the checkpoint captured.
     pub iteration: u64,
@@ -58,7 +57,7 @@ pub struct ModelUpdate {
 }
 
 /// Ground-truth results of a simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// Cumulative inference loss over the served inferences.
     pub cil: f64,

@@ -1,7 +1,6 @@
 //! Machine profiles bundling calibrated tier and link characteristics.
 
 use crate::{Tier, TierSpec};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Calibrated characteristics of a simulated machine.
@@ -10,7 +9,7 @@ use std::time::Duration;
 /// end-to-end model-update paths reproduce the latencies the paper reports
 /// on ALCF Polaris (Fig. 8): see `EXPERIMENTS.md` for the paper-vs-measured
 /// comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineProfile {
     /// Profile name (for reports).
     pub name: String,
@@ -191,11 +190,5 @@ mod tests {
         let p = MachineProfile::polaris();
         assert!(e.gpu_transfer_time(1 << 30) > p.gpu_transfer_time(1 << 30));
         assert!(e.tier(Tier::Pfs).write_bw < p.tier(Tier::Pfs).write_bw);
-    }
-
-    #[test]
-    fn profile_is_serializable() {
-        fn assert_serialize<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serialize::<MachineProfile>();
     }
 }

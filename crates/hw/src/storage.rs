@@ -9,8 +9,8 @@
 //! never measured from how threads happen to overlap in wall time.
 
 use crate::{SimClock, Tier, TierSpec};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 use viper_formats::Payload;
 
@@ -126,8 +126,8 @@ impl StorageTier {
         };
         // Re-index surviving files.
         {
-            let mut objects = tier.objects.lock();
-            let mut used = tier.used.lock();
+            let mut objects = tier.objects.lock().unwrap();
+            let mut used = tier.used.lock().unwrap();
             for entry in std::fs::read_dir(&dir)? {
                 let entry = entry?;
                 if !entry.file_type()?.is_file() {
@@ -190,12 +190,12 @@ impl StorageTier {
 
     /// Bytes currently stored.
     pub fn used_bytes(&self) -> u64 {
-        *self.used.lock()
+        *self.used.lock().unwrap()
     }
 
     /// Number of stored objects and reservations.
     pub fn object_count(&self) -> usize {
-        self.objects.lock().len()
+        self.objects.lock().unwrap().len()
     }
 
     /// Store `bytes` under `key`, replacing any previous object. Returns the
@@ -213,7 +213,7 @@ impl StorageTier {
         let done = self.clock.now().add(dur);
         self.clock.advance_to(done);
         self.persist(key, &bytes);
-        self.objects.lock().insert(
+        self.objects.lock().unwrap().insert(
             key.to_string(),
             Slot::Object(StoredObject {
                 bytes,
@@ -227,8 +227,8 @@ impl StorageTier {
     /// Count `new_len` bytes under `key` against the capacity, replacing
     /// whatever `key` held, or fail without changing anything.
     fn admit(&self, key: &str, new_len: u64) -> Result<(), StorageError> {
-        let mut used = self.used.lock();
-        let existing = self.objects.lock().get(key).map_or(0, Slot::len);
+        let mut used = self.used.lock().unwrap();
+        let existing = self.objects.lock().unwrap().get(key).map_or(0, Slot::len);
         let projected = *used - existing + new_len;
         if projected > self.spec.capacity {
             return Err(StorageError::CapacityExceeded {
@@ -244,7 +244,7 @@ impl StorageTier {
     /// Whether `additional` more bytes would fit right now (advisory: a
     /// concurrent writer can still win the race; writes remain checked).
     pub fn has_capacity_for(&self, additional: u64) -> bool {
-        *self.used.lock() + additional <= self.spec.capacity
+        *self.used.lock().unwrap() + additional <= self.spec.capacity
     }
 
     /// Store `bytes` under `key` WITHOUT charging modeled time — for
@@ -262,7 +262,7 @@ impl StorageTier {
         let bytes = bytes.into();
         self.admit(key, bytes.len() as u64)?;
         self.persist(key, &bytes);
-        self.objects.lock().insert(
+        self.objects.lock().unwrap().insert(
             key.to_string(),
             Slot::Object(StoredObject {
                 bytes,
@@ -289,13 +289,14 @@ impl StorageTier {
         self.unpersist(key);
         self.objects
             .lock()
+            .unwrap()
             .insert(key.to_string(), Slot::Reserved(bytes));
         Ok(())
     }
 
     /// The object under `key`, if it holds one.
     fn object(&self, key: &str) -> Result<StoredObject, StorageError> {
-        match self.objects.lock().get(key) {
+        match self.objects.lock().unwrap().get(key) {
             Some(Slot::Object(obj)) => Ok(obj.clone()),
             Some(Slot::Reserved(_)) => Err(StorageError::Reserved(key.to_string())),
             None => Err(StorageError::NotFound(key.to_string())),
@@ -322,9 +323,9 @@ impl StorageTier {
     /// an object was removed. Deletion is a metadata operation; it costs the
     /// tier's fixed write latency.
     pub fn remove(&self, key: &str) -> bool {
-        let removed = self.objects.lock().remove(key);
+        let removed = self.objects.lock().unwrap().remove(key);
         if let Some(slot) = &removed {
-            *self.used.lock() -= slot.len();
+            *self.used.lock().unwrap() -= slot.len();
             self.unpersist(key);
             self.clock
                 .advance_to(self.clock.now().add(self.spec.write_latency));
@@ -334,12 +335,12 @@ impl StorageTier {
 
     /// Whether an object or a reservation exists under `key`.
     pub fn contains(&self, key: &str) -> bool {
-        self.objects.lock().contains_key(key)
+        self.objects.lock().unwrap().contains_key(key)
     }
 
     /// Keys currently stored (sorted, for deterministic iteration).
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.objects.lock().keys().cloned().collect();
+        let mut keys: Vec<String> = self.objects.lock().unwrap().keys().cloned().collect();
         keys.sort();
         keys
     }

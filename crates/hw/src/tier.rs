@@ -1,11 +1,10 @@
 //! Storage tier identities and their cost models.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The storage tiers available on a simulated compute node, ordered from
 /// fastest to slowest — the "memory-first" hierarchy Viper exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Tier {
     /// GPU high-bandwidth memory (A100 HBM2e class).
     GpuMem,
@@ -50,7 +49,7 @@ impl std::fmt::Display for Tier {
 /// degraded by concurrent load (see [`TierSpec::effective_bw`]). The
 /// per-tensor term models the uncoordinated small-I/O metadata accesses the
 /// paper identifies as the PFS bottleneck (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierSpec {
     /// Which tier this spec describes.
     pub tier: Tier,

@@ -29,11 +29,10 @@
 //! Table 1) is just `stall`.
 
 use crate::{MachineProfile, Tier};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Synchronous or asynchronous capture-and-send on the producer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaptureMode {
     /// Training blocks until the model has left the producer.
     Sync,
@@ -42,7 +41,7 @@ pub enum CaptureMode {
 }
 
 /// Which route a model update takes from producer to consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
     /// Direct GPU-to-GPU memory (GPUDirect RDMA / NVLink).
     GpuToGpu,
@@ -64,7 +63,7 @@ impl Route {
 }
 
 /// A complete transfer strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransferStrategy {
     /// Route taken by the checkpoint.
     pub route: Route,
@@ -113,7 +112,7 @@ impl TransferStrategy {
 }
 
 /// The priced phases of one model update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateCosts {
     /// Time the producer's training loop is blocked.
     pub stall: Duration,
@@ -197,7 +196,7 @@ pub const SWAP_NUDGE: Duration = Duration::from_nanos(100);
 /// What one more member of a fan-out costs, read off the stage table: a
 /// node's flows queue on its one link, and a member re-serves (as a relay)
 /// only once it has installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FanoutHop {
     /// One flow's time on the sender's link: every chunk with its header,
     /// back to back through the route's transit stage.

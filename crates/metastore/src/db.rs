@@ -1,13 +1,12 @@
 //! The versioned model-metadata database.
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// Metadata describing one stored model checkpoint — the record the paper's
 /// Metadata Manager keeps per DNN model (name, version, size, location,
 /// saving path).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelRecord {
     /// Model name (e.g. `"tc1"`).
     pub name: String,
@@ -79,7 +78,7 @@ impl MetadataDb {
 
     /// Insert a new version of `record.name`; returns the assigned version.
     pub fn put(&self, mut record: ModelRecord) -> u64 {
-        let mut models = self.models.write();
+        let mut models = self.models.write().unwrap();
         let entry = models.entry(record.name.clone()).or_default();
         entry.next_version += 1;
         record.version = entry.next_version;
@@ -91,6 +90,7 @@ impl MetadataDb {
     pub fn latest(&self, name: &str) -> Option<ModelRecord> {
         self.models
             .read()
+            .unwrap()
             .get(name)
             .and_then(|e| e.history.last().cloned())
     }
@@ -99,6 +99,7 @@ impl MetadataDb {
     pub fn get(&self, name: &str, version: u64) -> Option<ModelRecord> {
         self.models
             .read()
+            .unwrap()
             .get(name)
             .and_then(|e| e.history.iter().find(|r| r.version == version).cloned())
     }
@@ -107,6 +108,7 @@ impl MetadataDb {
     pub fn history(&self, name: &str) -> Vec<ModelRecord> {
         self.models
             .read()
+            .unwrap()
             .get(name)
             .map(|e| e.history.clone())
             .unwrap_or_default()
@@ -116,7 +118,7 @@ impl MetadataDb {
     /// background flusher moves a checkpoint from memory to the PFS).
     /// Returns whether the version existed.
     pub fn relocate(&self, name: &str, version: u64, location: &str, path: &str) -> bool {
-        let mut models = self.models.write();
+        let mut models = self.models.write().unwrap();
         if let Some(e) = models.get_mut(name) {
             if let Some(r) = e.history.iter_mut().find(|r| r.version == version) {
                 r.location = location.to_string();
@@ -131,7 +133,7 @@ impl MetadataDb {
     /// records (oldest first). Version numbering continues from the
     /// historical maximum regardless.
     pub fn prune(&self, name: &str, keep: usize) -> Vec<ModelRecord> {
-        let mut models = self.models.write();
+        let mut models = self.models.write().unwrap();
         match models.get_mut(name) {
             Some(e) if e.history.len() > keep => {
                 let cut = e.history.len() - keep;
@@ -143,7 +145,7 @@ impl MetadataDb {
 
     /// Names of all known models (sorted).
     pub fn model_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.models.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.models.read().unwrap().keys().cloned().collect();
         names.sort();
         names
     }

@@ -5,12 +5,18 @@
 //! an unbounded channel. A dropped [`Subscription`] unsubscribes itself
 //! eagerly — a quiet topic can never pin dead channels — and dead senders
 //! discovered at publish time are garbage-collected as a backstop.
+//!
+//! Queue depth is a counter per subscriber, shared by its broker entry and
+//! its handle: `publish` adds one before each send (and takes it back if
+//! the send fails), and every received message subtracts one. The channel
+//! orders each send before its receive, so a message is counted before it
+//! can be received, even with `Relaxed` counts: the depth may read high for
+//! a moment but never wraps below zero.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 use viper_telemetry::Telemetry;
 
@@ -18,6 +24,7 @@ use viper_telemetry::Telemetry;
 /// handle removes the subscriber from the broker immediately.
 pub struct Subscription<T> {
     rx: Receiver<T>,
+    depth: Arc<AtomicUsize>,
     id: u64,
     topic: String,
     broker: Weak<Inner<T>>,
@@ -28,7 +35,7 @@ impl<T> std::fmt::Debug for Subscription<T> {
         f.debug_struct("Subscription")
             .field("topic", &self.topic)
             .field("id", &self.id)
-            .field("pending", &self.rx.len())
+            .field("pending", &self.pending())
             .finish()
     }
 }
@@ -36,20 +43,25 @@ impl<T> std::fmt::Debug for Subscription<T> {
 impl<T> Subscription<T> {
     /// Block until a message arrives or `timeout` elapses.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        self.rx.recv_timeout(timeout).ok()
+        self.received(self.rx.recv_timeout(timeout).ok())
     }
 
     /// Block until a message arrives (or the broker is dropped).
     pub fn recv(&self) -> Option<T> {
-        self.rx.recv().ok()
+        self.received(self.rx.recv().ok())
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        match self.rx.try_recv() {
-            Ok(msg) => Some(msg),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
+        self.received(self.rx.try_recv().ok())
+    }
+
+    /// Count a received message out of the queue depth.
+    fn received(&self, msg: Option<T>) -> Option<T> {
+        if msg.is_some() {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
         }
+        msg
     }
 
     /// Drain everything currently queued, returning only the newest message.
@@ -66,7 +78,7 @@ impl<T> Subscription<T> {
 
     /// Messages currently queued.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.depth.load(Ordering::Relaxed)
     }
 
     /// The topic this subscription listens on.
@@ -90,8 +102,16 @@ impl<T> Drop for Subscription<T> {
     }
 }
 
-/// Subscriber list of one topic: (subscriber id, channel sender).
-type Subscribers<T> = Vec<(u64, Sender<T>)>;
+/// One subscriber's broker entry.
+struct Subscriber<T> {
+    id: u64,
+    tx: Sender<T>,
+    /// Shared with the [`Subscription`]: messages sent and not yet received.
+    depth: Arc<AtomicUsize>,
+}
+
+/// Subscriber list of one topic.
+type Subscribers<T> = Vec<Subscriber<T>>;
 
 struct Inner<T> {
     topics: Mutex<HashMap<String, Subscribers<T>>>,
@@ -101,9 +121,9 @@ struct Inner<T> {
 
 impl<T> Inner<T> {
     fn remove(&self, topic: &str, id: u64) {
-        let mut topics = self.topics.lock();
+        let mut topics = self.topics.lock().unwrap();
         if let Some(subs) = topics.get_mut(topic) {
-            subs.retain(|(sub_id, _)| *sub_id != id);
+            subs.retain(|sub| sub.id != id);
             if subs.is_empty() {
                 topics.remove(topic);
             }
@@ -116,12 +136,10 @@ impl<T> Inner<T> {
     /// count) as telemetry gauges. A no-op cheap atomic store when the
     /// broker holds the default disabled handle.
     fn export_depth(&self, topic: &str) {
-        let telemetry = self.telemetry.lock().clone();
-        let topics = self.topics.lock();
+        let telemetry = self.telemetry.lock().unwrap().clone();
+        let topics = self.topics.lock().unwrap();
         let subs = topics.get(topic);
-        let depth: usize = subs
-            .map(|s| s.iter().map(|(_, tx)| tx.len()).sum())
-            .unwrap_or(0);
+        let depth = subs.map_or(0, depth_of);
         let count = subs.map(Vec::len).unwrap_or(0);
         drop(topics);
         telemetry
@@ -139,6 +157,13 @@ impl<T> Inner<T> {
     }
 }
 
+/// Messages queued across `subs`.
+fn depth_of<T>(subs: &Subscribers<T>) -> usize {
+    subs.iter()
+        .map(|sub| sub.depth.load(Ordering::Relaxed))
+        .sum()
+}
+
 /// A multi-topic pub/sub broker. Clones share the broker state.
 pub struct PubSub<T> {
     inner: Arc<Inner<T>>,
@@ -147,7 +172,7 @@ pub struct PubSub<T> {
 impl<T> std::fmt::Debug for PubSub<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PubSub")
-            .field("topics", &self.inner.topics.lock().len())
+            .field("topics", &self.inner.topics.lock().unwrap().len())
             .finish()
     }
 }
@@ -182,22 +207,29 @@ impl<T: Clone> PubSub<T> {
     /// subscriber-count gauges (`pubsub.queue_depth.<topic>`,
     /// `pubsub.subscribers.<topic>`).
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.inner.telemetry.lock() = telemetry;
+        *self.inner.telemetry.lock().unwrap() = telemetry;
     }
 
     /// Subscribe to `topic`.
     pub fn subscribe(&self, topic: &str) -> Subscription<T> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicUsize::new(0));
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner
             .topics
             .lock()
+            .unwrap()
             .entry(topic.to_string())
             .or_default()
-            .push((id, tx));
+            .push(Subscriber {
+                id,
+                tx,
+                depth: Arc::clone(&depth),
+            });
         self.inner.export_depth(topic);
         Subscription {
             rx,
+            depth,
             id,
             topic: topic.to_string(),
             broker: Arc::downgrade(&self.inner),
@@ -208,11 +240,19 @@ impl<T: Clone> PubSub<T> {
     /// subscribers received it. Dead subscribers (dropped receivers that
     /// somehow outlived their eager unsubscribe) are removed as a backstop.
     pub fn publish(&self, topic: &str, msg: T) -> usize {
-        let mut topics = self.inner.topics.lock();
+        let mut topics = self.inner.topics.lock().unwrap();
         let Some(subs) = topics.get_mut(topic) else {
             return 0;
         };
-        subs.retain(|(_, tx)| tx.send(msg.clone()).is_ok());
+        subs.retain(|sub| {
+            // Counted before the send, so a receive never runs ahead of it.
+            sub.depth.fetch_add(1, Ordering::Relaxed);
+            let sent = sub.tx.send(msg.clone()).is_ok();
+            if !sent {
+                sub.depth.fetch_sub(1, Ordering::Relaxed);
+            }
+            sent
+        });
         let delivered = subs.len();
         if subs.is_empty() {
             topics.remove(topic);
@@ -227,6 +267,7 @@ impl<T: Clone> PubSub<T> {
         self.inner
             .topics
             .lock()
+            .unwrap()
             .get(topic)
             .map(|s| s.len())
             .unwrap_or(0)
@@ -237,9 +278,9 @@ impl<T: Clone> PubSub<T> {
         self.inner
             .topics
             .lock()
+            .unwrap()
             .get(topic)
-            .map(|s| s.iter().map(|(_, tx)| tx.len()).sum())
-            .unwrap_or(0)
+            .map_or(0, depth_of)
     }
 
     /// Remove a specific subscriber eagerly without dropping its handle
@@ -306,7 +347,7 @@ mod tests {
         assert_eq!(bus.subscriber_count("quiet"), 0);
         assert_eq!(bus.queue_depth("quiet"), 0);
         // The topic entry itself is gone, not just empty.
-        assert_eq!(bus.inner.topics.lock().len(), 0);
+        assert_eq!(bus.inner.topics.lock().unwrap().len(), 0);
     }
 
     #[test]
@@ -324,14 +365,19 @@ mod tests {
         let telemetry = Telemetry::enabled();
         bus.set_telemetry(telemetry.clone());
         let sub = bus.subscribe("updates");
+        let dropped = bus.subscribe("updates");
         for v in 0..4 {
             bus.publish("updates", v);
         }
         assert_eq!(
             telemetry.gauge("pubsub.queue_depth.updates").get(),
-            4,
+            8,
             "gauge reflects queued messages"
         );
+        // Dropping a subscription with a backlog takes its count with it.
+        drop(dropped);
+        assert_eq!(bus.queue_depth("updates"), 4);
+        assert_eq!(telemetry.gauge("pubsub.queue_depth.updates").get(), 4);
         assert_eq!(telemetry.gauge("pubsub.subscribers.updates").get(), 1);
         sub.latest();
         drop(sub);
@@ -363,6 +409,31 @@ mod tests {
         let msg = sub.recv_timeout(Duration::from_secs(5));
         h.join().unwrap();
         assert_eq!(msg.as_deref(), Some("hello"));
+    }
+
+    #[test]
+    fn depth_stays_within_published_under_concurrent_receive() {
+        const N: usize = 2_000;
+        let bus: PubSub<usize> = PubSub::new();
+        let sub = bus.subscribe("t");
+        let publisher = {
+            let bus = bus.clone();
+            thread::spawn(move || {
+                for v in 0..N {
+                    bus.publish("t", v);
+                    assert!(bus.queue_depth("t") <= N);
+                }
+            })
+        };
+        // An undercount would wrap below zero and read far above N.
+        for _ in 0..N {
+            assert!(sub.recv_timeout(Duration::from_secs(10)).is_some());
+            assert!(sub.pending() <= N);
+            assert!(bus.queue_depth("t") <= N);
+        }
+        publisher.join().unwrap();
+        assert_eq!(sub.pending(), 0);
+        assert_eq!(bus.queue_depth("t"), 0);
     }
 
     #[test]

@@ -4,11 +4,10 @@ use crate::chunk::{chunk_sizes, payload_chunk_crcs, ChunkHeader, ChunkedSend, Fl
 use crate::fault::{FaultPlan, FaultRng};
 use crate::reliability::Control;
 use crate::wirebuf::WireBuf;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 use viper_formats::Payload;
 use viper_hw::{MachineProfile, SimClock, SimInstant};
@@ -179,11 +178,11 @@ impl Fabric {
     /// fabric counters. `Viper::new` wires the deployment handle here; a
     /// bare fabric records nothing.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.inner.telemetry.write() = telemetry;
+        *self.inner.telemetry.write().unwrap() = telemetry;
     }
 
     fn telemetry(&self) -> Telemetry {
-        self.inner.telemetry.read().clone()
+        self.inner.telemetry.read().unwrap().clone()
     }
 
     /// Install (or clear, with `None`) the delivery-notification hook. It
@@ -192,12 +191,12 @@ impl Fabric {
     /// event loop can mail the receiver instead of it polling its endpoint.
     /// The hook must be cheap and non-blocking (e.g. a channel send).
     pub fn set_waker(&self, waker: Option<Waker>) {
-        *self.inner.waker.write() = waker;
+        *self.inner.waker.write().unwrap() = waker;
     }
 
     /// Notify the installed waker (if any) that `to` has new mail.
     fn notify(&self, to: &str) {
-        if let Some(waker) = self.inner.waker.read().as_ref() {
+        if let Some(waker) = self.inner.waker.read().unwrap().as_ref() {
             waker(to);
         }
     }
@@ -208,7 +207,7 @@ impl Fabric {
     /// plan whose probabilities are all zero — delivery and timing are
     /// bit-identical to a fabric that never heard of faults.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.inner.faults.lock() = plan.map(|plan| FaultState {
+        *self.inner.faults.lock().unwrap() = plan.map(|plan| FaultState {
             rng: FaultRng::new(plan.seed),
             plan,
         });
@@ -223,15 +222,15 @@ impl Fabric {
 
     /// Register a node, failing if the name is taken.
     pub fn try_register(&self, node: &str) -> Result<Endpoint, NetError> {
-        let (tx, rx) = unbounded();
-        let mut nodes = self.inner.nodes.write();
+        let (tx, rx) = channel();
+        let mut nodes = self.inner.nodes.write().unwrap();
         if nodes.contains_key(node) {
             return Err(NetError::DuplicateNode(node.to_string()));
         }
         nodes.insert(node.to_string(), tx);
         Ok(Endpoint {
             node: node.to_string(),
-            rx,
+            rx: Mutex::new(rx),
             fabric: self.clone(),
         })
     }
@@ -239,7 +238,7 @@ impl Fabric {
     /// Remove a node (its endpoint stops receiving; senders get
     /// [`NetError::UnknownNode`]).
     pub fn deregister(&self, node: &str) -> bool {
-        self.inner.nodes.write().remove(node).is_some()
+        self.inner.nodes.write().unwrap().remove(node).is_some()
     }
 
     /// The machine profile backing the link models.
@@ -258,7 +257,7 @@ impl Fabric {
     /// duplicated messages, adjacent reorders. Control frames and fault-free
     /// links pass through without consuming randomness.
     fn apply_faults(&self, msgs: Vec<Message>, telemetry: &Telemetry) -> Vec<Message> {
-        let mut guard = self.inner.faults.lock();
+        let mut guard = self.inner.faults.lock().unwrap();
         let Some(state) = guard.as_mut() else {
             return msgs;
         };
@@ -366,6 +365,7 @@ impl Fabric {
         self.inner
             .nodes
             .read()
+            .unwrap()
             .get(to)
             .cloned()
             .ok_or_else(|| NetError::UnknownNode(to.to_string()))
@@ -454,7 +454,7 @@ impl Fabric {
         // Schedule every chunk under the lane lock so concurrent flows on
         // the same lane serialize deterministically.
         let lane = (hop.from.to_string(), hop.link);
-        let mut busy_map = self.inner.link_busy.lock();
+        let mut busy_map = self.inner.link_busy.lock().unwrap();
         let mut lane_free = busy_map.get(&lane).map_or(start, |busy| start.max(*busy));
         let mut wire_total = Duration::ZERO;
         let mut msgs = Vec::with_capacity(chunks.size_hint().0);
@@ -597,7 +597,10 @@ impl ChunkedFlow<'_> {
 /// A node's attachment to the fabric.
 pub struct Endpoint {
     node: String,
-    rx: Receiver<Message>,
+    /// `mpsc::Receiver` is not `Sync`, and an `Arc<Endpoint>` is shared
+    /// across threads. Only the node's own task receives, so the lock is
+    /// uncontended (a blocking `recv_timeout` holds it while it waits).
+    rx: Mutex<Receiver<Message>>,
     fabric: Fabric,
 }
 
@@ -782,17 +785,12 @@ impl Endpoint {
 
     /// Blocking receive with a wall-clock timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.rx.recv_timeout(timeout).ok()
+        self.rx.lock().unwrap().recv_timeout(timeout).ok()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Messages queued and not yet received.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.rx.lock().unwrap().try_recv().ok()
     }
 }
 
@@ -1080,7 +1078,7 @@ mod tests {
         let a = f.register("a");
         let b = f.register("b");
         let report = chunked(&a, &Payload::from(vec![7u8; 5000]));
-        assert_eq!(b.pending(), 0, "all chunks dropped");
+        assert_eq!(drain(&b).len(), 0, "all chunks dropped");
         // Lost bytes still occupied the link: the clock advanced anyway.
         assert_eq!(clock.now(), report.completed_at);
         assert!(report.wire_total > Duration::ZERO);
@@ -1153,14 +1151,13 @@ mod tests {
 
     #[test]
     fn waker_fires_once_per_send_and_once_per_batch() {
-        use parking_lot::Mutex as PMutex;
         let f = fabric();
         let a = f.register("a");
         let b = f.register("b");
-        let woken: Arc<PMutex<Vec<String>>> = Arc::new(PMutex::new(Vec::new()));
+        let woken: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = woken.clone();
         f.set_waker(Some(Arc::new(move |to: &str| {
-            sink.lock().push(to.to_string());
+            sink.lock().unwrap().push(to.to_string());
         })));
         a.send("b", "t", Arc::new(vec![1u8; 64]), LinkKind::HostRdma)
             .unwrap();
@@ -1187,13 +1184,13 @@ mod tests {
             report.completed_at,
         )
         .unwrap();
-        assert_eq!(*woken.lock(), vec!["b", "b", "b"]);
+        assert_eq!(*woken.lock().unwrap(), vec!["b", "b", "b"]);
         // Clearing the hook stops notifications; delivery is unaffected.
         f.set_waker(None);
         a.send("b", "t", Arc::new(vec![1u8; 64]), LinkKind::HostRdma)
             .unwrap();
-        assert_eq!(woken.lock().len(), 3);
-        assert!(b.pending() > 0);
+        assert_eq!(woken.lock().unwrap().len(), 3);
+        assert!(!drain(&b).is_empty());
     }
 
     #[test]
@@ -1243,10 +1240,10 @@ mod tests {
         let b = f.register("b");
         a.send("b", "t", Arc::new(vec![1]), LinkKind::HostRdma)
             .unwrap();
-        assert_eq!(b.pending(), 0);
+        assert_eq!(drain(&b).len(), 0);
         a.send("b", "t", Arc::new(vec![1]), LinkKind::GpuDirect)
             .unwrap();
-        assert_eq!(b.pending(), 1);
+        assert_eq!(drain(&b).len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! NVLink) and host-to-host (InfiniBand verbs), §4.4. This crate provides
 //! the equivalent message-passing substrate: named nodes register
 //! endpoints on a [`Fabric`]; a send transfers real bytes through a
-//! crossbeam channel while charging the *modeled* wire time (from the
+//! `std::sync::mpsc` channel while charging the *modeled* wire time (from the
 //! [`viper_hw::MachineProfile`] link characteristics) to the shared
 //! virtual clock. Every payload travels as a chunked flow — a monolithic
 //! one as a flow of one chunk — that a [`FlowAssembler`] verifies and

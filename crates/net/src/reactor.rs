@@ -27,9 +27,9 @@
 //! its retransmission round — so ten thousand concurrent flows cost ten
 //! thousand map entries, not ten thousand threads.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use viper_hw::SimInstant;
 use viper_telemetry::Telemetry;
@@ -182,7 +182,7 @@ impl Reactor {
     /// last caller outside this workspace, drops it.
     pub fn new(threads: usize, telemetry: Telemetry) -> Self {
         assert_eq!(threads, 1, "the reactor runs exactly one thread");
-        let (tx, rx) = unbounded::<Event>();
+        let (tx, rx) = channel::<Event>();
         let scheduler = std::thread::Builder::new()
             .name("viper-reactor".into())
             .spawn(move || scheduler_loop(rx, telemetry))
@@ -228,7 +228,7 @@ impl Reactor {
     /// Register `task` under `node` and run its initial
     /// [`ReactorTask::on_wake`]; returns once the task is installed.
     pub fn register(&self, node: &str, task: Box<dyn ReactorTask>) {
-        let (ack, ack_rx) = crossbeam::channel::unbounded();
+        let (ack, ack_rx) = channel();
         let _ = self.tx.send(Event::Register {
             node: node.to_string(),
             task,
@@ -240,7 +240,7 @@ impl Reactor {
     /// Remove `node`'s task (dropping it on the scheduler thread) and
     /// cancel its timers; returns once the task is gone.
     pub fn deregister(&self, node: &str) {
-        let (ack, ack_rx) = crossbeam::channel::unbounded();
+        let (ack, ack_rx) = channel();
         let _ = self.tx.send(Event::Deregister {
             node: node.to_string(),
             ack,

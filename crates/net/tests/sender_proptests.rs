@@ -18,12 +18,11 @@
 //! Everything after the one `Start` job runs on the reactor thread, so a
 //! run is a pure function of its scenario.
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use viper_hw::{MachineProfile, SimClock, SimInstant};
 use viper_net::{
@@ -148,7 +147,7 @@ impl ReactorTask for Receiver {
                 }) = frame
                 {
                     self.generations.insert(flow_id, generation);
-                    self.seen.lock().push(Seen {
+                    self.seen.lock().unwrap().push(Seen {
                         token,
                         flow_id,
                         chunk: None,
@@ -160,7 +159,7 @@ impl ReactorTask for Receiver {
                 continue;
             };
             let flow_id = header.flow_id;
-            self.seen.lock().push(Seen {
+            self.seen.lock().unwrap().push(Seen {
                 token,
                 flow_id,
                 chunk: Some(header.chunk_index),
@@ -244,7 +243,7 @@ impl ReactorTask for Receiver {
             }
         }
         for (flow_id, (from, tag, missing, at)) in nacks {
-            self.nacked.lock().push(missing.clone());
+            self.nacked.lock().unwrap().push(missing.clone());
             let nack = Control::Nack {
                 flow_id,
                 generation: self.generation(flow_id),
@@ -324,7 +323,7 @@ impl Owner {
             self.next_token += 1;
             let to = self.peers[admit.peer].clone();
             let send = self.outbound(token, &to, admit.chunks, at);
-            self.log.lock().admitted.push((token, to.clone()));
+            self.log.lock().unwrap().admitted.push((token, to.clone()));
             self.sender.admit(ctx, to, self.wave, send);
         }
     }
@@ -336,13 +335,17 @@ impl Owner {
                 // The owner's policy here: answer on the held lane, once.
                 let token = outcome.token + RETRY;
                 let send = self.outbound(token, &outcome.to, 2, at);
-                self.log.lock().admitted.push((token, outcome.to.clone()));
+                self.log
+                    .lock()
+                    .unwrap()
+                    .admitted
+                    .push((token, outcome.to.clone()));
                 self.sender.relaunch(ctx, outcome.to.clone(), send);
             }
-            self.log.lock().outcomes.push(outcome);
+            self.log.lock().unwrap().outcomes.push(outcome);
             self.admit_wave(ctx, at);
         }
-        let mut log = self.log.lock();
+        let mut log = self.log.lock().unwrap();
         log.launched = self.sender.launched();
         if self.waves.is_empty() && log.outcomes.len() == log.admitted.len() {
             assert_eq!(self.sender.backlog(), 0, "drained with sends still queued");
@@ -473,7 +476,7 @@ fn run(scenario: &Scenario) -> Run {
         stale_feedback: telemetry.counter("tx.stale_feedback"),
     };
     let log = Arc::new(Mutex::new(Log::default()));
-    let (done, finished) = unbounded();
+    let (done, finished) = channel();
     reactor.register(
         "tx",
         Box::new(Owner {
@@ -501,12 +504,12 @@ fn run(scenario: &Scenario) -> Run {
     // Deregistering is synchronous: afterwards no task runs any more.
     reactor.deregister("tx");
     drop(reactor);
-    let log = std::mem::take(&mut *log.lock());
-    let nacked = std::mem::take(&mut *nacked.lock());
+    let log = std::mem::take(&mut *log.lock().unwrap());
+    let nacked = std::mem::take(&mut *nacked.lock().unwrap());
     Run {
         admitted: log.admitted,
         outcomes: log.outcomes,
-        seen: seen.iter().map(|s| s.lock().clone()).collect(),
+        seen: seen.iter().map(|s| s.lock().unwrap().clone()).collect(),
         launched: log.launched,
         retransmits: counters.retransmits.get(),
         stale_feedback: counters.stale_feedback.get(),

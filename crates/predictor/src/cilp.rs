@@ -6,10 +6,9 @@
 //! (Fig. 6), so four scalars fully describe the system.
 
 use crate::fit::FittedCurve;
-use serde::{Deserialize, Serialize};
 
 /// The cost model feeding the CILP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Training time per iteration, `t_train`.
     pub t_train: f64,

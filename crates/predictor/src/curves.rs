@@ -3,10 +3,8 @@
 //! Viper models the training-loss curve with four decreasing families and
 //! picks the best fit by MSE. `x` is the training-iteration index.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted parametric learning-curve model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CurveModel {
     /// `a * exp(-b x)` — two-parameter exponential decay to zero.
     Exp2 {

@@ -7,10 +7,9 @@
 //! wins for CANDLE-TC1).
 
 use crate::curves::CurveModel;
-use serde::{Deserialize, Serialize};
 
 /// A curve fitted to warm-up losses, with its fit quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedCurve {
     /// The selected model with fitted parameters.
     pub model: CurveModel,

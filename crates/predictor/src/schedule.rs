@@ -4,10 +4,9 @@
 
 use crate::cilp::{cil_interval, CostParams};
 use crate::fit::FittedCurve;
-use serde::{Deserialize, Serialize};
 
 /// A checkpoint schedule plus the predictor's evaluation of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Algorithm that produced the schedule.
     pub algorithm: String,

@@ -7,10 +7,9 @@
 //! (retry counts, malformed-chunk counts, queue depths) are built on
 //! them and must always report.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -179,6 +178,7 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Counter {
         self.counters
             .lock()
+            .unwrap()
             .entry(name.to_string())
             .or_insert_with(|| Counter {
                 value: Arc::new(AtomicU64::new(0)),
@@ -190,6 +190,7 @@ impl MetricsRegistry {
     pub fn gauge(&self, name: &str) -> Gauge {
         self.gauges
             .lock()
+            .unwrap()
             .entry(name.to_string())
             .or_insert_with(|| Gauge {
                 value: Arc::new(AtomicI64::new(0)),
@@ -203,6 +204,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         self.histograms
             .lock()
+            .unwrap()
             .entry(name.to_string())
             .or_insert_with(|| {
                 let mut sorted: Vec<u64> = bounds.to_vec();
@@ -227,18 +229,21 @@ impl MetricsRegistry {
             counters: self
                 .counters
                 .lock()
+                .unwrap()
                 .iter()
                 .map(|(n, c)| (n.clone(), c.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .lock()
+                .unwrap()
                 .iter()
                 .map(|(n, g)| (n.clone(), g.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .lock()
+                .unwrap()
                 .iter()
                 .map(|(n, h)| HistogramSnapshot {
                     name: n.clone(),

@@ -1,10 +1,9 @@
 //! The span/event flight recorder.
 
 use crate::metrics::MetricsRegistry;
-use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use viper_hw::SimClock;
 
 /// Default flight-recorder capacity (events retained before the oldest
@@ -152,7 +151,7 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.is_enabled())
-            .field("events", &self.inner.events.lock().len())
+            .field("events", &self.inner.events.lock().unwrap().len())
             .field("capacity", &self.inner.capacity)
             .field("virtual_clock", &self.uses_virtual_clock())
             .finish()
@@ -204,17 +203,17 @@ impl Telemetry {
     /// Key timestamps to `clock` (virtual nanoseconds) instead of the
     /// wall clock. `Viper::new` binds its deployment clock here.
     pub fn bind_virtual_clock(&self, clock: SimClock) {
-        *self.inner.clock.write() = ClockSource::Virtual(clock);
+        *self.inner.clock.write().unwrap() = ClockSource::Virtual(clock);
     }
 
     /// Whether a virtual clock is bound (vs. the wall-clock fallback).
     pub fn uses_virtual_clock(&self) -> bool {
-        matches!(&*self.inner.clock.read(), ClockSource::Virtual(_))
+        matches!(&*self.inner.clock.read().unwrap(), ClockSource::Virtual(_))
     }
 
     /// Current time in the recorder's clock domain, integer nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        match &*self.inner.clock.read() {
+        match &*self.inner.clock.read().unwrap() {
             ClockSource::Wall(origin) => {
                 origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
             }
@@ -245,7 +244,7 @@ impl Telemetry {
     }
 
     fn record(&self, event: TraceEvent) {
-        let mut events = self.inner.events.lock();
+        let mut events = self.inner.events.lock().unwrap();
         if events.len() >= self.inner.capacity {
             events.pop_front();
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -377,7 +376,7 @@ impl Telemetry {
 
     /// Snapshot of all retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.events.lock().iter().cloned().collect()
+        self.inner.events.lock().unwrap().iter().cloned().collect()
     }
 
     /// Number of events evicted from the ring buffer so far.
@@ -387,7 +386,7 @@ impl Telemetry {
 
     /// Discard all retained events (the dropped counter is kept).
     pub fn clear(&self) {
-        self.inner.events.lock().clear();
+        self.inner.events.lock().unwrap().clear();
     }
 }
 

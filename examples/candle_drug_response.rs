@@ -115,7 +115,7 @@ fn run_policy(
     let mean_loss = probe.loss_sum / probe.samples.max(1) as f64;
     println!(
         "{label:<16} checkpoints: {:>3}  mean consumer test loss: {mean_loss:.3} ({} samples)",
-        callback.receipts().lock().len(),
+        callback.receipts().lock().unwrap().len(),
         probe.samples,
     );
     mean_loss

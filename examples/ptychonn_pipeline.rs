@@ -139,7 +139,7 @@ fn main() {
     let receipts = callback.receipts();
     println!(
         "fine-tuning done: {} checkpoints pushed, {} inferences served, {} updates applied",
-        receipts.lock().len(),
+        receipts.lock().unwrap().len(),
         inferences,
         consumer.updates_applied()
     );

@@ -46,11 +46,11 @@ fn training_with_checkpoints_updates_consumer() {
         .unwrap();
 
     let expected_ckpts = report.iterations / 4;
-    assert_eq!(receipts.lock().len() as u64, expected_ckpts);
+    assert_eq!(receipts.lock().unwrap().len() as u64, expected_ckpts);
     assert_eq!(callback.failures(), 0);
 
     // The consumer eventually serves the latest version.
-    let last_version = receipts.lock().back().unwrap().version;
+    let last_version = receipts.lock().unwrap().back().unwrap().version;
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while consumer.last_update().map(|u| u.version).unwrap_or(0) < last_version {
         assert!(
@@ -168,7 +168,7 @@ fn warmup_then_replan_with_ipp() {
     // Re-arm the callback with the planned schedule and continue training.
     callback.set_policy(SchedulePolicy::AtIterations(fixed.checkpoints.clone()));
     let receipts = callback.receipts();
-    let before = receipts.lock().len();
+    let before = receipts.lock().unwrap().len();
     let cfg2 = FitConfig {
         epochs: 6,
         batch_size: 4,
@@ -183,7 +183,7 @@ fn warmup_then_replan_with_ipp() {
             &mut [&mut callback],
         )
         .unwrap();
-    let taken = receipts.lock().len() - before;
+    let taken = receipts.lock().unwrap().len() - before;
     let expected: usize = fixed
         .checkpoints
         .iter()

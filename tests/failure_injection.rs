@@ -125,7 +125,7 @@ fn staging_tier_capacity_exhaustion_fails_save_but_not_training() {
         "training survived checkpoint failures"
     );
     assert!(callback.failures() > 0);
-    assert_eq!(callback.receipts().lock().len(), 0);
+    assert_eq!(callback.receipts().lock().unwrap().len(), 0);
 }
 
 /// The Transfer Selector's deployment with `full` memory tiers shrunk to
