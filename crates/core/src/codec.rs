@@ -48,7 +48,7 @@
 use crate::producer::{charge_at, ProducerCtx, Update};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use viper_formats::{delta, wire, Checkpoint, Payload, PayloadKind, StreamingEncoder};
+use viper_formats::{delta, wire, Checkpoint, Payload, PayloadKind};
 use viper_hw::{stage_time, SimInstant};
 
 /// What travels the wire for one consumer.
@@ -184,17 +184,17 @@ pub(crate) fn encode_for(
             .filter(|b| b.iteration < ckpt.iteration)
         {
             let encoded = memo.entry(base.iteration).or_insert_with(|| {
-                // The delta streams straight into its framed wire form:
-                // envelope, diff payload, and chunk CRCs in one pass. The
-                // diff itself is streaming too (`diff_into`): changed
-                // tensors encode directly off the compare pass, so no
-                // DeltaCheckpoint, tensor clone, or intermediate buffer
-                // ever materializes on the send path.
-                let mut enc = StreamingEncoder::new(shared.config.chunk_bytes);
-                enc.put_bytes(&wire::envelope(PayloadKind::Delta));
-                delta::diff_into(&base, ckpt, &mut enc).ok()?;
-                counters.payload_allocs.inc();
-                let encoded = enc.finish();
+                // The compare runs first, so the framed delta's length is
+                // exact before its arena buffer is taken. Then envelope,
+                // changed tensors and chunk CRCs stream into it in one
+                // pass: no DeltaCheckpoint, tensor clone, or intermediate
+                // buffer ever materializes on the send path.
+                let diff = delta::Diff::new(&base, ckpt).ok()?;
+                let len = wire::WIRE_HEADER_BYTES + diff.encoded_len();
+                let encoded = ctx.encode(len, |enc| {
+                    enc.put_bytes(&wire::envelope(PayloadKind::Delta));
+                    diff.encode_into(enc);
+                });
                 // The diff is one read pass over the full model at the
                 // route's staging bandwidth, charged causally from the
                 // delivery frontier.

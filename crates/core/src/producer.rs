@@ -62,9 +62,10 @@ pub(crate) struct ProducerCtx {
     pub(crate) counters: DeliveryCounters,
     /// The format every full is encoded in.
     pub(crate) format: Box<dyn CheckpointFormat>,
-    /// Reusable serialize buffers: once in-flight flows, installed models
-    /// and the PFS flush release a past full's views, its allocation is
-    /// recycled for a later full instead of handed back to the allocator.
+    /// The one pool of payload buffers, fulls and deltas alike: once
+    /// in-flight flows, installed models and the PFS flush release a past
+    /// payload's views, its allocation is recycled for a later payload of
+    /// its size class, or released (see [`EncodeArena`]).
     arena: Mutex<EncodeArena>,
     /// Held while a version is made durable: under coalescing the
     /// background flush and the delivery fallback can race for one version.
@@ -72,31 +73,43 @@ pub(crate) struct ProducerCtx {
 }
 
 impl ProducerCtx {
-    /// Encode `ckpt` as a version's full of `size_bytes` bytes (its
-    /// `encoded_len`), behind the wire envelope when `framed`: one fused
-    /// pass writes the bytes into a (possibly recycled) arena buffer while
-    /// their per-chunk CRCs accumulate under the deployment's chunk
-    /// geometry, so no sender re-reads them to checksum. Every full is
-    /// encoded here, on whichever thread first needs it; a fresh
+    /// Encode one payload of exactly `len` bytes: `write` streams it into
+    /// a buffer of `len`'s size class taken from the producer's arena
+    /// (allocated if none is free) while its per-chunk CRCs accumulate
+    /// under the deployment's chunk geometry, so no sender re-reads the
+    /// bytes to checksum; the buffer is then parked for a later payload.
+    /// Every producer payload, full or delta, is encoded here, and a fresh
     /// allocation counts in `payload_allocs`.
-    fn encode_full(&self, ckpt: &Checkpoint, framed: bool, size_bytes: u64) -> EncodedPayload {
-        let envelope = if framed { wire::WIRE_HEADER_BYTES } else { 0 };
-        let len = envelope + size_bytes as usize;
+    pub(crate) fn encode<'a>(
+        &self,
+        len: usize,
+        write: impl FnOnce(&mut StreamingEncoder<'a>),
+    ) -> EncodedPayload {
         let encoded = {
             let mut arena = self.arena.lock().unwrap();
             let chunk_bytes = self.viper.shared.config.chunk_bytes;
             let mut enc = StreamingEncoder::from_arena(&mut arena, len, chunk_bytes);
-            if framed {
-                enc.put_bytes(&wire::envelope(PayloadKind::Full));
-            }
-            self.format.encode_into(ckpt, &mut enc);
+            write(&mut enc);
             enc.finish_into(&mut arena)
         };
-        debug_assert_eq!(encoded.payload.len(), len, "encoded_len is exact");
+        debug_assert_eq!(encoded.payload.len(), len, "the length is exact");
         if !encoded.reused {
             self.counters.payload_allocs.inc();
         }
         encoded
+    }
+
+    /// Encode `ckpt` as a version's full of `size_bytes` bytes (its
+    /// `encoded_len`), behind the wire envelope when `framed`. Every full
+    /// is encoded here, on whichever thread first needs it.
+    fn encode_full(&self, ckpt: &Checkpoint, framed: bool, size_bytes: u64) -> EncodedPayload {
+        let envelope = if framed { wire::WIRE_HEADER_BYTES } else { 0 };
+        self.encode(envelope + size_bytes as usize, |enc| {
+            if framed {
+                enc.put_bytes(&wire::envelope(PayloadKind::Full));
+            }
+            self.format.encode_into(ckpt, enc);
+        })
     }
 
     /// Make `record`'s version durable: write `payload`, its raw full
@@ -386,9 +399,9 @@ impl Producer {
         self.ctx.counters.delta_bytes_saved.get()
     }
 
-    /// Payload-buffer allocations on the save/delivery path: one per full
-    /// encode that found no recycled arena buffer, plus one per encoded
-    /// delta. A version's full is encoded at most once — at the save, or
+    /// Payload-buffer allocations on the save/delivery path: one per
+    /// encode, full or delta, that found no free arena buffer of its size
+    /// class. A version's full is encoded at most once — at the save, or
     /// under delta delivery by its first reader, and not at all if every
     /// consumer is sent a delta and nothing makes it durable. Chunk
     /// framing, fan-out, retransmission and every resend of a full ship
@@ -399,14 +412,16 @@ impl Producer {
         self.ctx.counters.payload_allocs.get()
     }
 
-    /// How many saves reused a recycled arena buffer instead of
-    /// allocating.
+    /// How many encodes, full or delta, reused a parked arena buffer
+    /// instead of allocating.
     pub fn arena_reclaimed(&self) -> u64 {
         self.ctx.arena.lock().unwrap().reclaimed()
     }
 
-    /// How many arena reclaims released a high-water allocation after a
-    /// sustained run of saves that underused their buffers.
+    /// How many free arena buffers an encode released instead of reusing:
+    /// those outside its size class, which is how a shrinking workload's
+    /// high-water buffer, or the warm-up full of a delta deployment, is
+    /// freed.
     pub fn arena_decays(&self) -> u64 {
         self.ctx.arena.lock().unwrap().decays()
     }

@@ -26,10 +26,9 @@
 //! a received delta's changed tensors are views of the wire bytes.
 
 use crate::checkpoint::{
-    decode_footed, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
+    decode_footed, pad_len, put_f32s, put_pad, put_string, put_u32, put_u64, Reader, Source,
     MIN_TENSOR_RECORD,
 };
-use crate::encoder::StreamMark;
 use crate::split::cut;
 use crate::{crc32, Checkpoint, FormatError, Payload, StreamingEncoder};
 use std::ops::Range;
@@ -102,13 +101,10 @@ impl DeltaCheckpoint {
     /// as it lands and deriving the CRC footer algebraically — so a delta
     /// framed behind a wire envelope is still encoded in one pass.
     pub fn encode_into<'a>(&'a self, enc: &mut StreamingEncoder<'a>) {
-        let nchanged = self.changed.len() as u32;
-        let (base, iteration) = (self.base_iteration, self.iteration);
-        let mut sink = DiffSink::begin(enc, &self.model_name, base, iteration, nchanged);
-        for (name, tensor) in &self.changed {
-            sink.changed(name, tensor);
-        }
-        sink.finish(self.unchanged.iter().map(String::as_str));
+        let changed = self.changed.iter().map(|(name, t)| (name.as_str(), t));
+        let unchanged = self.unchanged.iter().map(String::as_str);
+        let ids = (&*self.model_name, self.base_iteration, self.iteration);
+        write_vipd(enc, ids, changed, unchanged);
     }
 
     /// Deserialize and verify a delta.
@@ -201,123 +197,113 @@ pub fn diff(base: &Checkpoint, new: &Checkpoint) -> Result<DeltaCheckpoint, Form
 }
 
 /// The one VIPD writer: emits the bytes of [`DeltaCheckpoint::encode`]
-/// into a [`StreamingEncoder`] one changed tensor at a time, checksumming
-/// each as it lands. The layout stores the changed count before the
-/// payloads, so [`begin`](Self::begin) takes it; [`finish`](Self::finish)
-/// writes the unchanged-name trailer and derives the CRC footer from the
-/// encoder's running checksum. [`DeltaCheckpoint::encode_into`] and
-/// [`diff_into`] both drive it.
-struct DiffSink<'e, 'a> {
-    enc: &'e mut StreamingEncoder<'a>,
-    mark: StreamMark,
-    nchanged: u32,
-    emitted: u32,
-}
-
-impl<'e, 'a> DiffSink<'e, 'a> {
-    /// Open the delta stream: writes the VIPD header through the changed
-    /// count. `nchanged` changed tensors must follow.
-    fn begin(
-        enc: &'e mut StreamingEncoder<'a>,
-        model_name: &str,
-        base_iteration: u64,
-        iteration: u64,
-        nchanged: u32,
-    ) -> Self {
-        let mark = enc.mark();
-        enc.put_bytes(MAGIC);
-        enc.put_u32(VERSION);
-        enc.put_string(model_name);
-        enc.put_u64(base_iteration);
-        enc.put_u64(iteration);
-        enc.put_u32(nchanged);
-        DiffSink {
-            enc,
-            mark,
-            nchanged,
-            emitted: 0,
-        }
-    }
-
-    /// Emit one changed tensor (name, shape, payload).
-    fn changed(&mut self, name: &str, tensor: &'a Tensor) {
-        self.emitted += 1;
-        self.enc.put_string(name);
-        self.enc.put_u32(tensor.dims().len() as u32);
+/// for `ids` (model name, base iteration, iteration) into a
+/// [`StreamingEncoder`], checksumming each changed tensor as it lands and
+/// deriving the CRC footer from the encoder's running checksum.
+/// [`DeltaCheckpoint::encode_into`] and [`Diff::encode_into`] both drive
+/// it.
+fn write_vipd<'a, 'n>(
+    enc: &mut StreamingEncoder<'a>,
+    (model_name, base_iteration, iteration): (&str, u64, u64),
+    changed: impl ExactSizeIterator<Item = (&'n str, &'a Tensor)>,
+    unchanged: impl ExactSizeIterator<Item = &'n str>,
+) {
+    let mark = enc.mark();
+    enc.put_bytes(MAGIC);
+    enc.put_u32(VERSION);
+    enc.put_string(model_name);
+    enc.put_u64(base_iteration);
+    enc.put_u64(iteration);
+    enc.put_u32(changed.len() as u32);
+    for (name, tensor) in changed {
+        enc.put_string(name);
+        enc.put_u32(tensor.dims().len() as u32);
         for &d in tensor.dims() {
-            self.enc.put_u64(d as u64);
+            enc.put_u64(d as u64);
         }
-        self.enc.put_pad(self.mark);
-        self.enc.put_f32s(tensor.as_slice());
+        enc.put_pad(mark);
+        enc.put_f32s(tensor.as_slice());
     }
-
-    /// Close the stream: writes the unchanged-name trailer and the CRC
-    /// footer. Panics if the number of [`changed`](Self::changed) calls
-    /// does not match the `nchanged` promised to [`begin`](Self::begin) —
-    /// the count is already on the wire, so a mismatch is an encoding bug,
-    /// not a recoverable condition.
-    fn finish<'n>(self, unchanged: impl ExactSizeIterator<Item = &'n str>) {
-        assert_eq!(
-            self.emitted, self.nchanged,
-            "DiffSink: promised {} changed tensors, emitted {}",
-            self.nchanged, self.emitted
-        );
-        self.enc.put_u32(unchanged.len() as u32);
-        for name in unchanged {
-            self.enc.put_string(name);
-        }
-        let crc = self.enc.crc_since(self.mark);
-        self.enc.put_u32(crc);
+    enc.put_u32(unchanged.len() as u32);
+    for name in unchanged {
+        enc.put_string(name);
     }
+    let crc = enc.crc_since(mark);
+    enc.put_u32(crc);
 }
 
 /// Streaming twin of [`diff`] ∘ [`DeltaCheckpoint::encode_into`]: computes
 /// the delta from `base` to `new` and writes its wire form directly into
 /// `enc`, byte-identical to encoding the materialized delta, without
-/// cloning a single tensor or building an intermediate buffer.
-///
-/// A tensor of `new` that shares its base tensor's storage
-/// ([`Tensor::same_storage`]) is unchanged without being read: a write to
-/// either side would have copied it first. Every other tensor is compared
-/// as block-wise bytes ([`Tensor::as_bytes`], `memcmp`-class), and
-/// everything after the compare is O(ε): only changed payloads are
-/// encoded, and the encoder checksums them in the same pass. When `new` is
-/// the base's clone with ε bytes of tensors rewritten, the send path
-/// therefore reads, allocates and encodes O(ε) bytes; the same bytes
-/// compared as equal copies cost O(N) reads.
+/// cloning a single tensor or building an intermediate buffer. It is
+/// [`Diff::new`] then [`Diff::encode_into`], for a caller that need not
+/// size the buffer first.
 pub fn diff_into<'a>(
     base: &Checkpoint,
     new: &'a Checkpoint,
     enc: &mut StreamingEncoder<'a>,
 ) -> Result<(), FormatError> {
-    let flags = compare(base, new, enc.shares)?;
-    let (changed, unchanged): (Vec<_>, Vec<_>) = new.tensors.iter().zip(flags).partition(|f| f.1);
-    let (nchanged, base_iteration, iteration) =
-        (changed.len() as u32, base.iteration, new.iteration);
-    let mut sink = DiffSink::begin(enc, &new.model_name, base_iteration, iteration, nchanged);
-    for ((name, tensor), _) in changed {
-        sink.changed(name, tensor);
-    }
-    sink.finish(unchanged.iter().map(|((name, _), _)| name.as_str()));
+    compare(base, new, enc.shares)?.encode_into(enc);
     Ok(())
 }
 
-/// For each tensor of `new`, whether it changed against the tensor of
-/// `base` with its name — or an error if the two do not snapshot one model
-/// with one tensor set. A pair whose dims differ changed unread, and a
-/// pair that shares storage is unchanged unread. Every other pair's bytes
-/// are compared in one fork-join over balanced shares of their
-/// concatenation, cut inside a tensor where the balance needs it:
-/// `shares` when forced (by [`StreamingEncoder::with_shares`]), else as
-/// many as the compared bytes fill.
-/// Bit-pattern equality of f32 data *is* byte equality, so a
+/// A compared (base, new) pair: which tensors of `new` changed. The
+/// compare is the only pass over unchanged bytes, so the exact VIPD length
+/// ([`encoded_len`](Self::encoded_len)) is known before a byte is written.
+/// Everything after it is O(ε): only changed payloads are encoded, and the
+/// encoder checksums them in the same pass. When `new` is the base's clone
+/// with ε bytes of tensors rewritten, the send path therefore reads,
+/// allocates and encodes O(ε) bytes; the same bytes compared as equal
+/// copies cost O(N) reads.
+#[derive(Debug)]
+pub struct Diff<'a> {
+    /// Model name, base iteration, iteration.
+    ids: (&'a str, u64, u64),
+    changed: Vec<(&'a str, &'a Tensor)>,
+    unchanged: Vec<&'a str>,
+}
+
+impl<'a> Diff<'a> {
+    /// Compare `new` against `base`; fails where [`diff`] fails.
+    pub fn new(base: &Checkpoint, new: &'a Checkpoint) -> Result<Self, FormatError> {
+        compare(base, new, None)
+    }
+
+    /// Bytes [`encode_into`](Self::encode_into) writes.
+    pub fn encoded_len(&self) -> usize {
+        // Magic, version, name, base iteration, iteration, changed count.
+        let mut len = 4 + 4 + 4 + self.ids.0.len() + 8 + 8 + 4;
+        for (name, tensor) in &self.changed {
+            len += 4 + name.len() + 4 + 8 * tensor.dims().len();
+            len += pad_len(len) + tensor.byte_len();
+        }
+        // Unchanged count and names, then the CRC footer.
+        len + 4 + self.unchanged.iter().map(|n| 4 + n.len()).sum::<usize>() + 4
+    }
+
+    /// Write the delta's wire form into `enc`.
+    pub fn encode_into(&self, enc: &mut StreamingEncoder<'a>) {
+        let changed = self.changed.iter().copied();
+        write_vipd(enc, self.ids, changed, self.unchanged.iter().copied());
+    }
+}
+
+/// The compare behind [`Diff`], or an error if the two do not snapshot one
+/// model with one tensor set. A pair whose dims differ changed unread, and
+/// a pair that shares storage ([`Tensor::same_storage`]) is unchanged
+/// unread: a write to either side would have copied it first. Every other
+/// pair's bytes ([`Tensor::as_bytes`]) are compared in one fork-join over
+/// balanced shares of their concatenation, cut inside a tensor where the
+/// balance needs it: `shares` when forced (by
+/// [`StreamingEncoder::with_shares`]), else as many as the compared bytes
+/// fill. Bit-pattern equality of f32 data *is* byte equality, so a
 /// `memcmp`-class compare gives [`diff`]'s answer, NaN and -0.0 included,
 /// at a fraction of the cost.
-fn compare(
+fn compare<'a>(
     base: &Checkpoint,
-    new: &Checkpoint,
+    new: &'a Checkpoint,
     shares: Option<usize>,
-) -> Result<Vec<bool>, FormatError> {
+) -> Result<Diff<'a>, FormatError> {
     if base.model_name != new.model_name {
         return Err(FormatError::Corrupt(format!(
             "cannot diff {} against {}",
@@ -364,7 +350,13 @@ fn compare(
     for run in differing.into_iter().flatten() {
         changed[run] = true;
     }
-    Ok(changed)
+    let flagged = new.tensors.iter().zip(changed);
+    let (changed, unchanged): (Vec<_>, Vec<_>) = flagged.partition(|f| f.1);
+    Ok(Diff {
+        ids: (&new.model_name, base.iteration, new.iteration),
+        changed: changed.into_iter().map(|((n, t), _)| (&**n, t)).collect(),
+        unchanged: unchanged.into_iter().map(|((n, _), _)| &**n).collect(),
+    })
 }
 
 /// Bitwise tensor equality. Reconstruction must be *byte*-identical, so the
@@ -846,6 +838,29 @@ mod tests {
         assert_eq!(carried(&one.0), (2, 3, (13 + 31) * 4));
         for shares in [2, 3, 7] {
             assert_eq!(stream(shares), one, "{shares} shares");
+        }
+    }
+
+    /// `encoded_len` is what `encode_into` writes, whatever pads the
+    /// odd-length names leave: every subset of three tensors changed.
+    #[test]
+    fn diff_encoded_len_is_exact() {
+        let dims: [(&str, &[usize]); 3] = [("a", &[3]), ("bcd", &[2, 2]), ("ef", &[5])];
+        let tensors = dims
+            .iter()
+            .map(|&(n, d)| (n.to_string(), Tensor::full(d, 1.0)));
+        let base = Checkpoint::new("odd", 1, tensors.collect());
+        for mask in 0..8 {
+            let mut new = base.clone();
+            new.iteration = 2;
+            for (i, (_, t)) in new.tensors.iter_mut().enumerate() {
+                if mask >> i & 1 == 1 {
+                    t.as_mut_slice()[0] = -1.0;
+                }
+            }
+            let oracle = diff(&base, &new).unwrap().encode().len();
+            let len = Diff::new(&base, &new).unwrap().encoded_len();
+            assert_eq!(len, oracle, "mask {mask}");
         }
     }
 

@@ -36,13 +36,14 @@
 //! shift(crc(prefix), len(body))` — so prepending a wire envelope does
 //! not force a second checksum pass.
 //!
-//! [`EncodeArena`] amortizes the one remaining allocation per save.
-//! Ownership rule: the arena holds one `Arc` clone per parked buffer and
-//! *never* mutates a buffer while any other view exists — reclaim is
-//! gated on `Arc::strong_count == 1`, i.e. on every staging-tier
-//! resident, in-flight chunk, retransmit slice, and consumer install
-//! having dropped. A buffer that is still referenced simply stays
-//! parked; the encoder falls back to a fresh allocation.
+//! [`EncodeArena`] amortizes the one remaining allocation per payload,
+//! full or delta: a caller that knows the payload's exact length takes a
+//! buffer of that size class. Ownership rule: the arena holds one `Arc`
+//! clone per parked buffer and *never* mutates or releases a buffer while
+//! any other view exists — reclaim is gated on the arena's clone being the
+//! last, i.e. on every in-flight chunk, retransmit slice, PFS object and
+//! consumer install having dropped. A buffer that is still referenced
+//! simply stays parked; the encoder falls back to a fresh allocation.
 //!
 //! [`put_f32s`]: StreamingEncoder::put_f32s
 //! [`put_bytes`]: StreamingEncoder::put_bytes
@@ -83,38 +84,24 @@ pub struct EncodedPayload {
 /// when the arena holds the *sole* reference to it (see module docs for
 /// the ownership rule).
 ///
-/// Reuse picks the **largest** reclaimable slot — when checkpoints vary in
-/// size, a big save should find the big retired buffer, not whichever
-/// small one happened to park first. The flip side of keeping the largest
-/// allocation alive is that a workload which *shrinks* (a producer whose
-/// model is pruned or distilled, or one that saves a large model and then
-/// a run of small ones) would pin the high-water allocation forever; the
-/// arena therefore decays: after [`DECAY_AFTER`] consecutive
-/// recycles that used less than half of the arena's high-water capacity,
-/// the next reclaim shrinks the buffer down to the caller's size hint.
-/// Delta saves never shrink it: a delta is encoded outside the arena, and
-/// the only arena encode a delta save makes is its full, when a reader
-/// needs one.
-///
-/// [`DECAY_AFTER`]: EncodeArena::DECAY_AFTER
+/// One size-class rule decides, at every take of `len` bytes: a free
+/// parked buffer (one no view outside the arena holds) is reused if its
+/// capacity lies in `[len, 2·len]`, and every other free buffer is
+/// released. Pinned buffers are left alone. So payloads of one size
+/// rotate the same buffers, a buffer never serves a payload of less than
+/// half its size, and a high-water buffer that a shrinking workload (or a
+/// warm-up full under delta delivery) no longer fits is freed at the next
+/// take that finds it free.
 #[derive(Debug, Default)]
 pub struct EncodeArena {
     slots: Vec<Arc<Vec<u8>>>,
     cap: usize,
     reclaimed: u64,
     misses: u64,
-    /// Consecutive recycles whose payload used less than half of the
-    /// arena's high-water capacity (the largest backing buffer it knows
-    /// of). Reset by any save big enough to justify that allocation.
-    underuse_streak: u32,
     decays: u64,
 }
 
 impl EncodeArena {
-    /// Consecutive under-half-capacity saves after which the next reclaim
-    /// releases the excess high-water allocation.
-    pub const DECAY_AFTER: u32 = 8;
-
     /// Arena holding up to 4 retired buffers.
     pub fn new() -> Self {
         Self::with_slots(4)
@@ -127,70 +114,35 @@ impl EncodeArena {
             cap: cap.max(1),
             reclaimed: 0,
             misses: 0,
-            underuse_streak: 0,
             decays: 0,
         }
     }
 
-    /// Take a reusable buffer, cleared and with at least `capacity` bytes
-    /// reserved. Among the uniquely owned parked slots the one with the
-    /// largest backing capacity wins, so the hottest (biggest) saves keep
-    /// hitting the arena. `None` means every parked buffer is still
-    /// referenced elsewhere (or the arena is empty) and the caller should
-    /// allocate.
-    fn take(&mut self, capacity: usize) -> Option<Vec<u8>> {
-        let idx = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| Arc::strong_count(s) == 1)
-            .max_by_key(|(_, s)| s.capacity())
-            .map(|(i, _)| i)?;
-        let arc = self.slots.swap_remove(idx);
-        let mut buf = Arc::try_unwrap(arc).ok()?;
+    /// Take a free buffer of `len`'s size class, cleared, releasing every
+    /// other free buffer (see the type's docs). `None` means no free
+    /// buffer fits and the caller should allocate.
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        let (class, mut fit) = (len..=len.saturating_mul(2), None);
+        for slot in std::mem::take(&mut self.slots) {
+            match Arc::try_unwrap(slot) {
+                Err(pinned) => self.slots.push(pinned),
+                Ok(buf) if fit.is_none() && class.contains(&buf.capacity()) => fit = Some(buf),
+                Ok(_) => self.decays += 1,
+            }
+        }
+        let mut buf = fit?;
         buf.clear();
-        if self.underuse_streak >= Self::DECAY_AFTER && buf.capacity() > capacity {
-            // Sustained underuse: the workload no longer needs the
-            // high-water allocation. Drop to the caller's hint and start
-            // a fresh streak against the smaller capacity.
-            buf.shrink_to(capacity);
-            self.underuse_streak = 0;
-            self.decays += 1;
-        }
-        if buf.capacity() < capacity {
-            buf.reserve(capacity - buf.capacity());
-        }
         self.reclaimed += 1;
         Some(buf)
     }
 
     /// Park the backing buffer of a finished payload for future reuse.
-    /// Oldest slots are evicted beyond the arena's capacity. Also scores
-    /// the save against the decay streak: a payload using less than half
-    /// of the arena's high-water capacity extends the streak, a save big
-    /// enough to justify the retained allocation resets it. (Scoring
-    /// against the high-water — not the payload's own backing — matters
-    /// when saves ping-pong between a large and a small buffer: the small
-    /// buffer's dense recycles say nothing about whether the large one is
-    /// still earning its keep.)
+    /// Oldest slots are evicted beyond the arena's capacity.
     pub fn recycle(&mut self, payload: &Payload) {
-        let backing = payload.backing();
-        let high_water = self
-            .slots
-            .iter()
-            .map(|s| s.capacity())
-            .max()
-            .unwrap_or(0)
-            .max(backing.capacity());
-        if (backing.len() as u128) * 2 < high_water as u128 {
-            self.underuse_streak = self.underuse_streak.saturating_add(1);
-        } else {
-            self.underuse_streak = 0;
-        }
         if self.slots.len() == self.cap {
             self.slots.remove(0);
         }
-        self.slots.push(Arc::clone(backing));
+        self.slots.push(Arc::clone(payload.backing()));
     }
 
     /// How many encodes reused a parked buffer.
@@ -203,8 +155,7 @@ impl EncodeArena {
         self.misses
     }
 
-    /// How many reclaims released a high-water allocation after a
-    /// sustained underuse streak.
+    /// How many free buffers a take released instead of reusing.
     pub fn decays(&self) -> u64 {
         self.decays
     }
@@ -290,8 +241,8 @@ impl<'a> StreamingEncoder<'a> {
         }
     }
 
-    /// Encoder drawing its buffer from `arena` when a parked one is free,
-    /// allocating `capacity` bytes otherwise.
+    /// Encoder drawing its buffer from `arena` when a free parked one lies
+    /// in `capacity`'s size class, allocating `capacity` bytes otherwise.
     pub fn from_arena(arena: &mut EncodeArena, capacity: usize, chunk_bytes: u64) -> Self {
         let (buf, reused) = match arena.take(capacity) {
             Some(buf) => (buf, true),
@@ -679,9 +630,10 @@ mod tests {
         enc.put_bytes(&filled(100));
         let second = enc.finish_into(&mut arena);
 
-        // Drop every view of the first payload; now it is reclaimable.
+        // Drop every view of the first payload; now it is reclaimable by
+        // any take whose size class its 1 KiB lies in.
         drop(first);
-        let mut enc = StreamingEncoder::from_arena(&mut arena, 256, 0);
+        let mut enc = StreamingEncoder::from_arena(&mut arena, 512, 0);
         assert!(enc.reused(), "sole-owner buffer is reclaimed");
         enc.put_bytes(&filled(256));
         let third = enc.finish_into(&mut arena);
@@ -700,77 +652,58 @@ mod tests {
     #[test]
     fn arena_evicts_oldest_beyond_capacity() {
         let mut arena = EncodeArena::with_slots(1);
-        for _ in 0..3 {
-            let mut enc = StreamingEncoder::from_arena(&mut arena, 64, 0);
-            enc.put_bytes(&filled(64));
-            // Payload dropped immediately; buffer parked.
-            let _ = enc.finish_into(&mut arena);
-        }
+        parked(&mut arena, &[64; 3]);
         assert_eq!(arena.slots.len(), 1);
         // Two of the three encodes reclaimed the single parked buffer.
         assert_eq!(arena.reclaimed(), 2);
     }
 
-    #[test]
-    fn arena_prefers_largest_reclaimable_slot() {
-        let mut arena = EncodeArena::with_slots(4);
-        // Park a small and a large retired buffer, both uniquely owned.
-        for n in [256usize, 8192, 512] {
-            let mut enc = StreamingEncoder::from_arena(&mut arena, n, 0);
+    /// Park one buffer of each length, dropping every payload.
+    fn parked(arena: &mut EncodeArena, lens: &[usize]) {
+        for &n in lens {
+            let mut enc = StreamingEncoder::from_arena(arena, n, 0);
             enc.put_bytes(&filled(n));
-            let _ = enc.finish_into(&mut arena);
+            let _ = enc.finish_into(arena);
         }
-        // All three parked; the NEXT take must pick the 8192-byte slot
-        // even though it is neither first nor last.
-        let big = arena.slots.iter().map(|s| s.capacity()).max().unwrap();
-        assert!(big >= 8192);
-        let buf = arena.take(64).expect("reclaimable slot");
-        assert_eq!(buf.capacity(), big, "largest slot wins");
     }
 
     #[test]
-    fn arena_decays_high_water_after_sustained_underuse() {
+    fn arena_reuses_an_in_class_buffer_and_releases_the_other_free_ones() {
+        let mut arena = EncodeArena::with_slots(4);
+        // Three free buffers: 256, 8192 and 512 bytes. A take of 300
+        // bytes fits only the 512-byte one, neither first nor largest.
+        parked(&mut arena, &[256, 8192, 512]);
+        let buf = arena.take(300).expect("an in-class free buffer");
+        assert_eq!(buf.capacity(), 512, "capacity in [len, 2·len] wins");
+        assert!(buf.is_empty());
+        assert_eq!(arena.decays(), 2, "256 B and 8 KiB are out of class");
+        assert_eq!(arena.retained_capacity(), 0);
+        // A take that nothing fits releases the free buffers and misses.
+        parked(&mut arena, &[64]);
+        assert!(arena.take(1024).is_none());
+        assert_eq!(arena.decays(), 3);
+    }
+
+    #[test]
+    fn arena_leaves_pinned_buffers_parked_at_any_size() {
         const BIG: usize = 1 << 16;
         const SMALL: usize = 1 << 10;
-        let mut arena = EncodeArena::with_slots(1);
-        // One big save establishes the high-water allocation.
+        let mut arena = EncodeArena::with_slots(4);
+        // A big payload still viewed elsewhere: a run of small saves
+        // neither reuses nor releases it.
         let mut enc = StreamingEncoder::from_arena(&mut arena, BIG, 0);
         enc.put_bytes(&filled(BIG));
-        let _ = enc.finish_into(&mut arena);
-        let high_water = arena.retained_capacity();
-        assert!(high_water >= BIG);
-
-        // A long run of small saves, each reusing (and underusing) the
-        // big buffer. The streak builds at recycle; until it reaches
-        // DECAY_AFTER, reclaim keeps the full allocation.
-        for i in 0..EncodeArena::DECAY_AFTER {
-            let mut enc = StreamingEncoder::from_arena(&mut arena, SMALL, 0);
-            assert!(enc.reused(), "save {i} reuses the parked buffer");
-            enc.put_bytes(&filled(SMALL));
-            let _ = enc.finish_into(&mut arena);
-        }
-        assert_eq!(arena.decays(), 0, "no decay before the streak matures");
-        assert_eq!(arena.retained_capacity(), high_water);
-
-        // The streak is mature: the next reclaim releases the excess.
-        let mut enc = StreamingEncoder::from_arena(&mut arena, SMALL, 0);
-        assert!(enc.reused());
-        enc.put_bytes(&filled(SMALL));
-        let _ = enc.finish_into(&mut arena);
+        let big = enc.finish_into(&mut arena);
+        parked(&mut arena, &[SMALL; 3]);
+        assert_eq!(arena.misses(), 2, "the big buffer and one small one");
+        assert_eq!(arena.reclaimed(), 2, "the small saves rotate one buffer");
+        assert_eq!(arena.decays(), 0, "pinned is never released");
+        assert_eq!(arena.retained_capacity(), BIG + SMALL);
+        // Once the last view drops, the next small take releases it.
+        drop(big);
+        parked(&mut arena, &[SMALL]);
         assert_eq!(arena.decays(), 1);
-        assert!(
-            arena.retained_capacity() < high_water / 2,
-            "high-water allocation released ({} -> {})",
-            high_water,
-            arena.retained_capacity()
-        );
-
-        // And a dense save resets the streak, so decay does not cascade.
-        let mut enc = StreamingEncoder::from_arena(&mut arena, SMALL, 0);
-        assert!(enc.reused());
-        enc.put_bytes(&filled(SMALL));
-        let _ = enc.finish_into(&mut arena);
-        assert_eq!(arena.decays(), 1, "dense recycle reset the streak");
+        assert_eq!(arena.retained_capacity(), SMALL);
     }
 
     mod split {

@@ -107,24 +107,6 @@ impl MachineProfile {
         }
     }
 
-    /// A deliberately slow "edge" profile (useful in tests and the PtychoNN
-    /// edge example): consumer-grade SSD, 10 GbE, no GPUDirect.
-    pub fn edge() -> Self {
-        let mut p = Self::polaris();
-        p.name = "edge".into();
-        p.gpu_rdma_bw = 1.0e9;
-        p.host_rdma_bw = 1.0e9;
-        p.d2h_capture_bw = 2.0e9;
-        p.h2d_apply_bw = 6.0e9;
-        for t in &mut p.tiers {
-            if t.tier == Tier::Pfs {
-                t.write_bw = 2.0e8;
-                t.read_bw = 2.5e8;
-            }
-        }
-        p
-    }
-
     /// Cost model for a tier. Panics if the profile lacks the tier (all
     /// built-in profiles define all four).
     pub fn tier(&self, tier: Tier) -> &TierSpec {
@@ -182,13 +164,5 @@ mod tests {
     fn notify_beats_polling_floor() {
         let p = MachineProfile::polaris();
         assert!(p.notify_latency < p.poll_interval_floor);
-    }
-
-    #[test]
-    fn edge_profile_is_slower() {
-        let e = MachineProfile::edge();
-        let p = MachineProfile::polaris();
-        assert!(e.gpu_transfer_time(1 << 30) > p.gpu_transfer_time(1 << 30));
-        assert!(e.tier(Tier::Pfs).write_bw < p.tier(Tier::Pfs).write_bw);
     }
 }

@@ -1,19 +1,21 @@
-//! Steady-state deliveries are copy-free: the serialized checkpoint buffer
-//! is the only payload a save can allocate, and every downstream stage —
-//! chunk framing, fan-out to multiple consumers, reliable ACK-gated flows,
-//! the enveloped full under delta delivery, reassembly, install — operates
-//! on zero-copy views of it. The memory staging tiers hold none of it: they
-//! are capacity ledgers that reserve each retained version's encoded
-//! length, so the arena recycles a buffer as soon as delivery and install
-//! let go of it. Under delta delivery that buffer is encoded only when a
-//! reader needs the full. The producer's `payload_allocs` and the
+//! Steady-state deliveries are copy-free: the encoded payload — a full or
+//! a delta, each taken from the producer's one arena — is the only buffer
+//! a save can allocate, and every downstream stage — chunk framing,
+//! fan-out to multiple consumers, reliable ACK-gated flows, the enveloped
+//! full under delta delivery, reassembly, install — operates on zero-copy
+//! views of it. The memory staging tiers hold none of it: they are
+//! capacity ledgers that reserve each retained version's encoded length,
+//! so the arena recycles a buffer as soon as delivery and install let go
+//! of it, for a later payload of its size class, and frees it otherwise.
+//! Under delta delivery a full is encoded only when a reader needs it.
+//! The producer's `payload_allocs`, the arena's parked capacity and the
 //! consumers' `bytes_copied` counters assert this directly, the installed
 //! tensors are shown to lie inside the producer's buffer, and the delivered
 //! models are byte-for-byte intact.
 
 use std::time::Duration;
 use viper::{Viper, ViperConfig};
-use viper_formats::Checkpoint;
+use viper_formats::{delta, wire, Checkpoint};
 use viper_hw::{CaptureMode, Route, StorageError};
 use viper_tensor::Tensor;
 
@@ -166,10 +168,11 @@ fn retention_costs_no_serialize_buffers() {
     }
 }
 
-/// High-water decay: a workload that shrinks (one huge save, then a long
-/// run of small ones) must not pin the huge serialize buffer forever. The
-/// arena notices the sustained underuse and releases the excess capacity,
-/// while the small saves keep reclaiming (no fresh allocations creep in).
+/// High-water release: a workload that shrinks (one huge save, then a
+/// long run of small ones) must not pin the huge serialize buffer forever.
+/// The first small save that finds it free releases it, being out of its
+/// size class, while the small saves keep reclaiming (no fresh
+/// allocations creep in).
 #[test]
 fn arena_releases_high_water_capacity_when_saves_shrink() {
     let mut config = ViperConfig::default()
@@ -184,8 +187,8 @@ fn arena_releases_high_water_capacity_when_saves_shrink() {
     // Establish the high-water allocation (~2 MiB serialized).
     producer.save_weights(&ckpt(1, 500_000)).unwrap();
     // Long run of ~8 KiB saves. keep_versions = 1 prunes each previous
-    // version, so every save reclaims a parked buffer; after enough
-    // underused recycles the reclaim path shrinks it.
+    // version, so every save reclaims a parked buffer of its class, and
+    // the first take that finds the big one free releases it.
     let small_saves = 24u64;
     for iter in 2..=(1 + small_saves) {
         producer.save_weights(&ckpt(iter, 2_000)).unwrap();
@@ -195,7 +198,7 @@ fn arena_releases_high_water_capacity_when_saves_shrink() {
 
     assert!(
         producer.arena_decays() >= 1,
-        "sustained small saves must trigger a high-water decay"
+        "a small save must release the free high-water buffer"
     );
     assert!(
         producer.arena_retained_capacity() < 1_000_000,
@@ -306,6 +309,58 @@ fn delta_saves_encode_their_full_once_for_its_first_reader() {
             producer.payload_allocs(),
             3,
             "{chunk_bytes}: save 2 is one shared delta and, for the retry, one full encode"
+        );
+    }
+}
+
+/// Four 100 KB tensors holding `values`.
+fn layers(iter: u64, values: [f32; 4]) -> Checkpoint {
+    let tensors = values
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (format!("layer{i}/w"), Tensor::full(&[25_000], v)));
+    Checkpoint::new("m", iter, tensors.collect())
+}
+
+/// One pool for every payload: under delta delivery a full, a dense delta
+/// and a sparse delta all take their buffers from the arena, and the
+/// warm-up full is not parked for good. Once the dense delta is installed
+/// nothing views the full, so the sparse delta's take, which the full is
+/// too big for, releases it. The arena is left holding exactly the two
+/// delta buffers the installed model views, each of its payload's length.
+#[test]
+fn delta_saves_park_no_free_full_size_buffer() {
+    for chunk_bytes in [0, 16 * 1024] {
+        let mut config = ViperConfig::default()
+            .with_strategy(Route::GpuToGpu, CaptureMode::Sync)
+            .with_delta();
+        config.chunk_bytes = chunk_bytes;
+        config.flush_to_pfs = false;
+        let viper = Viper::new(config);
+        let producer = viper.producer("p");
+        let consumer = viper.consumer("c", "m");
+        let values = [[1.0; 4], [2.0; 4], [3.0, 2.0, 2.0, 2.0]];
+        let ckpts: Vec<_> = (1..).zip(values).map(|(i, v)| layers(i, v)).collect();
+        for ckpt in &ckpts {
+            producer.save_weights(ckpt).unwrap();
+            let model = consumer.load_weights(Duration::from_secs(30)).unwrap();
+            assert_eq!(*model, *ckpt, "{chunk_bytes}");
+        }
+        let wire_len = |pair: &[Checkpoint]| {
+            let vipd = delta::diff(&pair[0], &pair[1]).unwrap().encode();
+            wire::WIRE_HEADER_BYTES + vipd.len()
+        };
+        assert_eq!(producer.delta_sends(), 2, "{chunk_bytes}");
+        assert_eq!(producer.payload_allocs(), 3, "{chunk_bytes}");
+        assert_eq!(
+            producer.arena_decays(),
+            1,
+            "{chunk_bytes}: the sparse delta's take releases the free full"
+        );
+        assert_eq!(
+            producer.arena_retained_capacity(),
+            ckpts.windows(2).map(wire_len).sum::<usize>(),
+            "{chunk_bytes}: only the installed deltas' buffers stay parked"
         );
     }
 }
